@@ -4,8 +4,9 @@ The design matrices handled here are monotone-lower column subsets of a
 Kronecker product of per-dimension factor matrices.  The package builds the
 multi-index sets that define the subsets, samples grid rows from the exact
 leverage-score distribution in O(D) per draw, assembles and solves the
-sketched least squares problems, and ships a dense brute-force oracle plus
-an experiment harness for relative-error studies.
+sketched least squares problems, computes full-grid errors through the
+per-dimension QR factors, and ships a dense brute-force oracle plus an
+experiment harness for relative-error studies.
 """
 
 __version__ = "0.1.0"
@@ -56,6 +57,7 @@ from .sketch import (
     assemble,
     draw_sketch,
     full_relative_error,
+    reduce_full_grid,
     sample_size,
     solve,
     truncate,
@@ -73,6 +75,7 @@ from .experiments import (
     duffing_qoi,
     emit_cdf,
     emit_cdf_svg,
+    evaluate_on_grid,
     ishigami,
     run_trials,
 )

@@ -21,8 +21,8 @@ from .experiments import (
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,
-    grid_table_target,
     make_target,
+    prepare_problem,
     run_trials,
     write_report_csv,
 )
@@ -92,21 +92,14 @@ def _cmd_solve(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
     if problem.model is None:
         raise ConfigError("solve requires a model in the config")
-    target = make_target(problem.model, problem.grids)
-    b_values = evaluate_on_grid(target, problem.grids)
-    grid_target = grid_table_target(problem.grids, b_values, target.name)
+    grid_target, reduction = prepare_problem(problem)
     method = make_method(args.method, problem.factors, problem.index_set)
     sketch = draw_sketch(method, args.K, args.seed)
     solution = solve(assemble(problem.index_set, problem.bases, sketch, grid_target))
-    relative_error = full_relative_error(
-        problem.index_set, problem.factors, solution.x, b_values=b_values
-    )
-    system = oracle.build_full(problem.index_set, problem.factors, b_values=b_values)
-    optimal = oracle.solve_full(system).relative_error
     _emit(
         {
-            "relative_error": relative_error,
-            "optimal_relative_error": optimal,
+            "relative_error": full_relative_error(reduction, solution.x),
+            "optimal_relative_error": reduction.optimal_error,
             "K": args.K,
             "N": len(problem.index_set),
             "rank_flag": solution.rank_deficient,

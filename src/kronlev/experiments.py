@@ -2,8 +2,9 @@
 
 Two benchmark models are built in: the Ishigami function and the terminal
 displacement of a damped Duffing oscillator under free vibration, both over
-three inputs in [-1, 1].  The harness draws repeated sketches per sampling
-method, solves each sketched system, records full-grid relative errors
+three inputs in [-1, 1].  The harness evaluates the target once over the
+grid, draws repeated sketches per sampling method, solves each sketched
+system, records full-grid relative errors (from the full-grid reduction)
 against the optimal one, and exports the per-method error distributions as
 CDF tables or an SVG staircase plot.
 """
@@ -21,7 +22,15 @@ from . import oracle
 from .config import ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
 from .sampler import make_method
-from .sketch import TargetFunction, assemble, draw_sketch, full_relative_error, solve
+from .sketch import (
+    FullGridReduction,
+    TargetFunction,
+    assemble,
+    draw_sketch,
+    full_relative_error,
+    reduce_full_grid,
+    solve,
+)
 
 __all__ = [
     "METHOD_IDS",
@@ -31,6 +40,7 @@ __all__ = [
     "make_target",
     "evaluate_on_grid",
     "grid_table_target",
+    "prepare_problem",
     "TrialReport",
     "run_trials",
     "emit_cdf",
@@ -155,6 +165,18 @@ def evaluate_on_grid(target: TargetFunction, grids: Sequence[Grid1D]) -> np.ndar
     return out
 
 
+def prepare_problem(problem: ProblemSetup) -> tuple[TargetFunction, FullGridReduction]:
+    """Evaluate the problem's model once over the grid.
+
+    Returns a target that reads sketch points from that table and the
+    full-grid reduction that every full-grid error is computed from.
+    """
+    target = make_target(problem.model, problem.grids)
+    b_values = evaluate_on_grid(target, problem.grids)
+    grid_target = grid_table_target(problem.grids, b_values, target.name)
+    return grid_target, reduce_full_grid(problem.index_set, problem.factors, b_values)
+
+
 @dataclass(frozen=True)
 class TrialReport:
     """Relative errors per (method, trial) plus the shared optimal error."""
@@ -174,50 +196,16 @@ class TrialReport:
                 yield tag, t, err
 
 
-def _streaming_optimal(problem: ProblemSetup, b_values: np.ndarray) -> float:
-    """Optimal relative error via accumulated normal equations (large grids)."""
-    cols = np.asarray(problem.index_set.indices, dtype=np.int64) - 1
-    n = len(problem.index_set)
-    shape = tuple(len(g) for g in problem.grids)
-    total = int(np.prod(shape))
-    gram = np.zeros((n, n))
-    rhs = np.zeros(n)
-    b_sq = 0.0
-    for start in range(0, total, _EVAL_CHUNK):
-        rows = np.arange(start, min(start + _EVAL_CHUNK, total))
-        per_dim = np.unravel_index(rows, shape)
-        block = np.ones((rows.size, n))
-        root_w = np.ones(rows.size)
-        for d, f in enumerate(problem.factors):
-            block *= f.matrix[per_dim[d]][:, cols[:, d]]
-            root_w *= np.sqrt(f.grid.weights[per_dim[d]])
-        b_chunk = root_w * b_values[rows]
-        gram += block.T @ block
-        rhs += block.T @ b_chunk
-        b_sq += float(np.dot(b_chunk, b_chunk))
-    x = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    residual_sq = max(b_sq - float(np.dot(rhs, x)), 0.0)
-    return math.sqrt(residual_sq / b_sq)
-
-
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
     Factors are built once; the target is evaluated once over the full grid
-    and all sketches read from that table.  Each (method, trial) pair owns
-    the seed stream (base_seed, method id, trial), so reports are pure
-    functions of the config regardless of thread count.
+    and all sketches and full-grid errors read from that evaluation.  Each
+    (method, trial) pair owns the seed stream (base_seed, method id, trial),
+    so reports are pure functions of the config regardless of thread count.
     """
     problem = experiment.problem
-    target = make_target(problem.model, problem.grids)
-    b_values = evaluate_on_grid(target, problem.grids)
-    grid_target = grid_table_target(problem.grids, b_values, target.name)
-    total_rows = int(np.prod([len(g) for g in problem.grids]))
-    if total_rows <= oracle.MAX_DENSE_ROWS:
-        system = oracle.build_full(problem.index_set, problem.factors, b_values=b_values)
-        optimal = oracle.solve_full(system).relative_error
-    else:
-        optimal = _streaming_optimal(problem, b_values)
+    grid_target, reduction = prepare_problem(problem)
     methods = {
         tag: make_method(tag, problem.factors, problem.index_set)
         for tag in experiment.methods
@@ -228,9 +216,7 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
         sketch = draw_sketch(methods[tag], count, rng)
         solution = solve(assemble(problem.index_set, problem.bases, sketch, grid_target))
-        return full_relative_error(
-            problem.index_set, problem.factors, solution.x, b_values=b_values
-        )
+        return full_relative_error(reduction, solution.x)
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
     if threads > 1:
@@ -245,7 +231,7 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         methods=experiment.methods,
         trials=experiment.trials,
         errors=errors,
-        optimal_error=optimal,
+        optimal_error=reduction.optimal_error,
         subspace_size=len(problem.index_set),
         sample_count=count,
         seed=experiment.seed,

@@ -3,10 +3,11 @@
 Everything here materializes the full design matrix and works on it
 directly with standard dense factorizations, with no attention paid to
 performance beyond simple size guards.  The point is to provide an
-independent reference against which the structured fast paths are checked:
-exact leverage scores, the full least squares solution, the explicit
+independent reference against which the structured paths (the sampler and
+the full-grid reduction in :mod:`kronlev.sketch`) are checked: exact
+leverage scores, the full least squares solution, the explicit
 row-selection sketch operator, and the Gram-embedding and aliasing
-diagnostics.
+diagnostics.  Outside the tests, only ``kronlev oracle`` uses it.
 """
 
 from __future__ import annotations

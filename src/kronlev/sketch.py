@@ -5,20 +5,22 @@ the unbiasing weight v_k = (1/K) * mu(Y_k) / nu(Y_k).  The sketched system
 scales basis values and right-hand side samples by sqrt(v_k); its least
 squares solution approximates the full weighted problem.  Theoretical
 sample-size lower bounds from the residual guarantees are provided as a
-calculator, and the full-grid relative error is evaluated by streaming
-rows so the dense design matrix is never materialized.
+calculator.  Full-grid errors come from one reduction per problem, built
+by mode products with the per-dimension QR factors, so the dense design
+matrix is never formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .factor import FactorMatrix
+from .factor import FactorMatrix, factor_qr
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet
 from .sampler import SamplerMethod, mu_mass_many, point_mass_many, sample_indices
@@ -28,9 +30,11 @@ __all__ = [
     "Sketch",
     "SketchedSystem",
     "Solution",
+    "FullGridReduction",
     "draw_sketch",
     "assemble",
     "solve",
+    "reduce_full_grid",
     "full_relative_error",
     "sample_size",
     "truncate",
@@ -39,8 +43,6 @@ __all__ = [
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
 _RANK_RTOL = 1e-12
-_CHUNK_ROWS = 65536
-_MAX_STREAM_ROWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -159,55 +161,68 @@ def solve(system: SketchedSystem) -> Solution:
     return Solution(x, residual, deficient)
 
 
-def _stream_rows(shape: tuple[int, ...], chunk_size: int):
-    total = int(np.prod(shape))
-    for start in range(0, total, chunk_size):
-        rows = np.arange(start, min(start + chunk_size, total))
-        yield rows, np.unravel_index(rows, shape)
+@dataclass(frozen=True)
+class FullGridReduction:
+    """The full-grid least squares problem reduced through per-dimension QR.
+
+    With A^(d) = Q^(d) R^(d) and L the downward closure of the index set J
+    (L = J when J is monotone lower), the weighted design matrix factors as
+    A = Q_L R_{L,J}, where Q_L = (kron Q^(d))[:, L] has orthonormal columns.
+    With c = Q_L^T b and r = b - Q_L c, every x has
+    ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
+    """
+
+    r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
+    c: np.ndarray         # (|L|,)
+    residual_sq: float    # ||r||^2, from r computed explicitly
+    b_sq: float           # ||b||^2
+    optimal_error: float  # min over x of ||A x - b|| / ||b||
 
 
-def full_relative_error(
+def reduce_full_grid(
     index_set: MultiIndexSet,
     factors: Sequence[FactorMatrix],
-    x: np.ndarray,
-    target: Optional[TargetFunction] = None,
-    *,
-    b_values: Optional[np.ndarray] = None,
-    chunk_size: int = _CHUNK_ROWS,
-) -> float:
-    """||A x - b||_2 / ||b||_2 over the full grid, streamed in row chunks.
+    b_values: np.ndarray,
+) -> FullGridReduction:
+    """Reduce the full weighted problem by D mode products each way.
 
-    Row m of A is sqrt(w_m) times the product of univariate basis values,
-    read directly from the factor matrices.  ``b_values`` may supply
-    precomputed function values b(y_m) in lexicographic order; otherwise
-    ``target`` is evaluated chunk by chunk.  Partial sums are reduced in a
-    fixed order so the result is bit-stable for a given chunk size.
+    ``b_values`` holds the target on the full grid in lexicographic order
+    (dimension 1 slowest).  The cost is O(M^D max N_d), with no M-row
+    matrix; a factor that ``factor_qr`` rejects as rank deficient raises.
     """
-    if (target is None) == (b_values is None):
-        raise ValueError("provide exactly one of target or b_values")
-    shape = tuple(f.matrix.shape[0] for f in factors)
-    total = int(np.prod(shape))
-    if total > _MAX_STREAM_ROWS:
-        raise ValueError(f"grid has {total} rows, beyond the streaming budget {_MAX_STREAM_ROWS}")
-    cols = np.asarray(index_set.indices, dtype=np.int64) - 1
-    x = np.asarray(x, dtype=float)
-    res_parts, b_parts = [], []
-    for rows, per_dim in _stream_rows(shape, chunk_size):
-        block = np.ones((rows.size, len(index_set)))
-        root_w = np.ones(rows.size)
-        for d, f in enumerate(factors):
-            block *= f.matrix[per_dim[d]][:, cols[:, d]]
-            root_w *= np.sqrt(f.grid.weights[per_dim[d]])
-        if b_values is not None:
-            values = np.asarray(b_values, dtype=float)[rows]
-        else:
-            coords = np.column_stack([f.grid.nodes[per_dim[d]] for d, f in enumerate(factors)])
-            values = target(coords)
-        b_chunk = root_w * values
-        r_chunk = block @ x - b_chunk
-        res_parts.append(np.dot(r_chunk, r_chunk))
-        b_parts.append(np.dot(b_chunk, b_chunk))
-    return math.sqrt(float(np.sum(res_parts)) / float(np.sum(b_parts)))
+    members = set(index_set.indices)
+    closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
+    lower = np.asarray(list(index_set.indices) + sorted(closure - members)) - 1
+    cols, box = lower[: len(index_set)], index_set.bounding_box
+    qs, r_lj, root_w = [], np.ones((len(lower), len(cols))), np.ones(())
+    for d, f in enumerate(factors):
+        decomposition = factor_qr(f)
+        qs.append(decomposition.q[:, : box[d]])
+        r_lj *= decomposition.r[np.ix_(lower[:, d], cols[:, d])]
+        root_w = np.multiply.outer(root_w, np.sqrt(f.grid.weights))
+    b = root_w * np.asarray(b_values, dtype=float).reshape(root_w.shape)
+    coeffs = b
+    for q in qs:
+        coeffs = np.tensordot(coeffs, q, axes=([0], [0]))  # contracts M_d, appends N_d
+    c = coeffs[tuple(lower.T)]
+    projected = np.zeros(box)
+    projected[tuple(lower.T)] = c
+    for q in qs:
+        projected = np.tensordot(projected, q, axes=([0], [1]))  # contracts N_d, appends M_d
+    r = b - projected
+    # the part of c outside range(R_{L,J}): exactly zero when J is lower, as
+    # Householder QR leaves the square triangular R_{J,J} as it is
+    basis = np.linalg.qr(r_lj)[0]
+    gap = c - basis @ (basis.T @ c)
+    b_sq, residual_sq = float(np.vdot(b, b)), float(np.vdot(r, r))
+    optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
+    return FullGridReduction(r_lj, c, residual_sq, b_sq, optimal)
+
+
+def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
+    """||A x - b||_2 / ||b||_2 over the full grid, in O(|L| N) from the reduction."""
+    gap = reduction.r_lj @ np.asarray(x, dtype=float) - reduction.c
+    return math.sqrt((float(gap @ gap) + reduction.residual_sq) / reduction.b_sq)
 
 
 def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:

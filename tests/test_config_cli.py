@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronlev
 from kronlev.cli import main
 from kronlev.config import (
     ConfigError,
@@ -270,6 +275,46 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_solve_above_dense_guard_matches_experiment(self, tmp_path, capsys):
+        # 101^3 = 1,030,301 rows, above the dense oracle's 10^6-row guard
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["grid"]["M"] = 101
+        config["methods"] = ["leverage-lower"]
+        config["trials"] = 1
+        path = tmp_path / "m101.json"
+        path.write_text(json.dumps(config))
+        code = main([
+            "solve", "--config", str(path), "--method", "leverage-lower",
+            "--K", "480", "--seed", "5",
+        ])
+        assert code == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+        experiment = json.loads(capsys.readouterr().out)
+        assert solved["relative_error"] >= solved["optimal_relative_error"]
+        assert solved["optimal_relative_error"] == experiment["optimal_relative_error"]
+
+    @pytest.mark.slow
+    def test_experiment_bytes_independent_of_blas_threads(self, tmp_path):
+        config = str(packaged_config_path("ishigami-g7"))
+        src = str(Path(kronlev.__file__).parents[1])
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out, cdf = tmp_path / f"report-{blas_threads}.csv", tmp_path / f"cdf-{blas_threads}.csv"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=blas_threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            subprocess.run(
+                [sys.executable, "-m", "kronlev.cli", "experiment", "--config", config,
+                 "--out", str(out), "--cdf", str(cdf)],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+            outputs.append((out.read_bytes(), cdf.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

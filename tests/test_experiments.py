@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from kronlev.config import parse_experiment
+from kronlev.config import load_json, parse_experiment, parse_problem
+from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
     duffing_qoi,
     duffing_qoi_batch,
@@ -18,7 +20,11 @@ from kronlev.experiments import (
     run_trials,
     write_report_csv,
 )
-from kronlev.grid_basis import gauss_legendre_grid
+from kronlev.factor import build_factor
+from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
+from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.oracle import build_full, solve_full
+from kronlev.sketch import TargetFunction, reduce_full_grid
 
 
 class TestIshigami:
@@ -151,20 +157,6 @@ class TestRunTrials:
         b = run_trials(experiment_config(methods=["uniform", "tensor-product"]))
         assert a.errors["uniform"] == b.errors["uniform"]
 
-    def test_streaming_optimal_matches_dense_oracle(self):
-        from kronlev.experiments import _streaming_optimal, evaluate_on_grid, make_target
-        from kronlev.oracle import build_full, solve_full
-
-        cfg = experiment_config()
-        problem = cfg.problem
-        target = make_target(problem.model, problem.grids)
-        b_values = evaluate_on_grid(target, problem.grids)
-        dense = solve_full(
-            build_full(problem.index_set, problem.factors, b_values=b_values)
-        ).relative_error
-        streamed = _streaming_optimal(problem, b_values)
-        assert streamed == pytest.approx(dense, rel=1e-8)
-
     def test_square_factor_makes_tensor_product_uniform(self):
         # M_d = G + 1 gives square per-dimension factors: the tensor-product
         # law degenerates to uniform, so the two error samples should look
@@ -177,6 +169,65 @@ class TestRunTrials:
         report = run_trials(cfg)
         stat = ks_2samp(report.errors["uniform"], report.errors["tensor-product"])
         assert stat.pvalue > 0.01
+
+
+@pytest.fixture(scope="module")
+def grid_values():
+    """Target values per (model, grid); the packaged configs share one Duffing grid."""
+    cache = {}
+
+    def values(problem):
+        key = json.dumps([problem.model, problem.echo["grid"]], sort_keys=True)
+        if key not in cache:
+            target = make_target(problem.model, problem.grids)
+            cache[key] = evaluate_on_grid(target, problem.grids)
+        return cache[key]
+
+    return values
+
+
+def monomial_order_14(_):
+    index_set = build_index_set(
+        IndexSetSpec(dimension=2, family="wlp-ball", order=14, weights=(1.0, 1.0))
+    )
+    factors = [build_factor(gauss_legendre_grid(40), BasisSpec("monomial", 15))] * 2
+    target = TargetFunction("smooth", lambda c: np.exp(c[:, 0]) * np.cos(2.0 * c[:, 1]))
+    return index_set, factors, evaluate_on_grid(target, [f.grid for f in factors])
+
+
+def explicit_non_lower(grid_values):
+    indices = [[1, 1, 1], [3, 1, 1], [1, 2, 2], [2, 1, 3], [1, 1, 2]]
+    cfg = experiment_config(
+        index_set={"dimension": 3, "family": "explicit-list", "indices": indices},
+        methods=["uniform"],
+    )
+    problem = cfg.problem
+    return problem.index_set, problem.factors, grid_values(problem)
+
+
+def packaged(name):
+    def case(grid_values):
+        problem = parse_problem(load_json(packaged_config_path(name)))
+        return problem.index_set, problem.factors, grid_values(problem)
+
+    return case
+
+
+OPTIMAL_CASES = [
+    pytest.param(packaged(name), 1e-12, id=name, marks=pytest.mark.slow)
+    for name in list_packaged_configs()
+] + [
+    pytest.param(explicit_non_lower, 1e-12, id="explicit-non-lower"),
+    pytest.param(monomial_order_14, 1e-6, id="monomial-order-14"),
+]
+
+
+@pytest.mark.parametrize("case,tolerance", OPTIMAL_CASES)
+def test_optimal_matches_dense_oracle(case, tolerance, grid_values):
+    index_set, factors, b_values = case(grid_values)
+    dense = solve_full(build_full(index_set, factors, b_values=b_values)).relative_error
+    reduced = reduce_full_grid(index_set, factors, b_values).optimal_error
+    assert reduced == pytest.approx(dense, rel=tolerance)
 
 
 @pytest.fixture(scope="module")

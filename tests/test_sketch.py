@@ -1,20 +1,21 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from kronlev.factor import build_factor
-from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
+from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import make_method
+from kronlev.experiments import evaluate_on_grid
 from kronlev.sketch import (
     SketchedSystem,
     TargetFunction,
     assemble,
     draw_sketch,
     full_relative_error,
+    reduce_full_grid,
     sample_size,
     solve,
     truncate,
@@ -162,52 +163,41 @@ class TestSolve:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def reduction_of(index_set, factors, target):
+    return reduce_full_grid(index_set, factors, evaluate_on_grid(target, [f.grid for f in factors]))
+
+
+NON_LOWER = build_index_set(
+    IndexSetSpec(dimension=2, family="explicit-list", indices=((1, 1), (3, 1), (2, 3), (1, 2)))
+)
+
+
 class TestFullRelativeError:
     def test_zero_coefficients_give_one(self):
         index_set = total_degree(2, 2)
         factors = monomial_factors(2, 5, 3)
-        assert full_relative_error(index_set, factors, np.zeros(6), SMOOTH) == pytest.approx(1.0)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        assert full_relative_error(reduction, np.zeros(6)) == pytest.approx(1.0)
 
-    def test_streaming_equals_dense(self):
-        index_set = total_degree(2, 2)
-        factors = monomial_factors(2, 5, 3)
+    @pytest.mark.parametrize("index_set", [total_degree(2, 2), NON_LOWER], ids=["lower", "non-lower"])
+    @pytest.mark.parametrize("coefficients", ["optimal", "arbitrary"])
+    def test_matches_dense_oracle(self, index_set, coefficients):
+        factors = monomial_factors(2, 6, 3)
         full = build_full(index_set, factors, SMOOTH)
-        best = solve_full(full)
-        streamed = full_relative_error(index_set, factors, best.x, SMOOTH)
-        assert streamed == pytest.approx(best.relative_error, rel=1e-12)
+        if coefficients == "optimal":
+            x = solve_full(full).x
+        else:
+            x = np.linspace(-1.0, 1.0, len(index_set))
+        dense = np.linalg.norm(full.matrix @ x - full.rhs) / np.linalg.norm(full.rhs)
+        reduced = full_relative_error(reduction_of(index_set, factors, SMOOTH), x)
+        assert reduced == pytest.approx(dense, rel=1e-12)
 
-    def test_small_chunks_agree(self):
-        index_set = total_degree(2, 2)
-        factors = monomial_factors(2, 5, 3)
-        x = np.linspace(-1, 1, 6)
-        a = full_relative_error(index_set, factors, x, SMOOTH, chunk_size=7)
-        b = full_relative_error(index_set, factors, x, SMOOTH)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_b_values_path(self):
-        index_set = total_degree(2, 2)
-        factors = monomial_factors(2, 5, 3)
-        grids = [f.grid for f in factors]
-        coords = np.array(list(itertools.product(grids[0].nodes, grids[1].nodes)))
-        values = SMOOTH(coords)
-        x = np.ones(6)
-        a = full_relative_error(index_set, factors, x, b_values=values)
-        b = full_relative_error(index_set, factors, x, SMOOTH)
-        assert a == pytest.approx(b, rel=1e-14)
-
-    def test_requires_exactly_one_source(self):
-        index_set = total_degree(2, 2)
-        factors = monomial_factors(2, 5, 3)
-        with pytest.raises(ValueError):
-            full_relative_error(index_set, factors, np.zeros(6))
-
-    def test_row_budget_guard(self):
-        # 500^3 = 1.25e8 rows exceeds the streaming budget; the guard fires
-        # before any row work happens
-        index_set = total_degree(3, 1)
-        factors = monomial_factors(3, 500, 2)
-        with pytest.raises(ValueError, match="streaming budget"):
-            full_relative_error(index_set, factors, np.zeros(4), SMOOTH)
+    def test_rank_deficient_factor_rejected(self):
+        # a zero-weight node leaves two nonzero rows for three basis columns
+        grid = Grid1D(np.array([-0.5, 0.0, 0.5]), np.array([0.5, 0.5, 0.0]))
+        factors = [build_factor(grid, BasisSpec("monomial", 3))] * 2
+        with pytest.raises(ValueError, match="rank deficient"):
+            reduce_full_grid(total_degree(2, 2), factors, np.ones(9))
 
 
 class TestSampleSize:
