@@ -8,7 +8,6 @@ monotone-lower property that the fast sampling algorithm relies on.
 from kronlev import (
     IndexSetSpec,
     MultiIndexSet,
-    bounding_box,
     build_index_set,
     canonicalize_to_lower,
     is_monotone_lower,
@@ -21,7 +20,7 @@ for order in (3, 7, 9):
     spec = IndexSetSpec(dimension=3, family="wlp-ball", order=order, p=1.0,
                         weights=(1.0, 1.0, 1.0))
     J = build_index_set(spec)
-    print(f"total degree G={order}: N={len(J):4d}, bounding box {bounding_box(J)}, "
+    print(f"total degree G={order}: N={len(J):4d}, bounding box {J.bounding_box}, "
           f"monotone lower: {is_monotone_lower(J)}")
 
 # --- hyperbolic crosses ------------------------------------------------------
@@ -30,13 +29,13 @@ for order in (15, 18):
     spec = IndexSetSpec(dimension=3, family="hyperbolic-cross", order=order,
                         weights=(1.0, 1.0, 1.0))
     J = build_index_set(spec)
-    print(f"hyperbolic cross G={order}: N={len(J):4d}, bounding box {bounding_box(J)}")
+    print(f"hyperbolic cross G={order}: N={len(J):4d}, bounding box {J.bounding_box}")
 
 # --- anisotropy via weights ---------------------------------------------------
 # Smaller weight => dimension admits smaller indices only.
 spec = IndexSetSpec(dimension=2, family="wlp-ball", order=6, p=1.0, weights=(0.5, 1.0))
 J = build_index_set(spec)
-print(f"weighted ball w=(0.5, 1): N={len(J)}, box {bounding_box(J)} "
+print(f"weighted ball w=(0.5, 1): N={len(J)}, box {J.bounding_box} "
       "(dimension 1 is constrained harder)")
 
 # --- ordering ----------------------------------------------------------------

@@ -21,8 +21,6 @@ from kronlev import (
     exact_leverage,
     gauss_legendre_grid,
     make_method,
-    point_mass,
-    sample_point,
 )
 from kronlev.oracle import flat_row_index
 from kronlev.sampler import point_mass_many, sample_indices
@@ -37,8 +35,9 @@ print(f"N = {len(index_set)} columns out of the full 3x3 = 9 Kronecker columns")
 
 # --- the structured sampler ---------------------------------------------------
 method = make_method("leverage-lower", factors, index_set)
-point = sample_point(method, rng)
-print("one draw:", point.indices, "mass", point_mass(method, point))
+point = sample_indices(method, rng, 1)  # one row of 0-based node indices
+print("one draw:", tuple(int(i) + 1 for i in point[0]),
+      "mass", point_mass_many(method, point)[0])
 
 # --- dense ground truth ---------------------------------------------------------
 zero = TargetFunction("zero", lambda c: np.zeros(c.shape[0]))

@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .grid_basis import (
     BasisSpec,
     Grid1D,
-    eval_basis,
     eval_basis_matrix,
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
@@ -22,12 +21,9 @@ from .grid_basis import (
 from .indexset import (
     IndexSetSpec,
     MultiIndexSet,
-    bounding_box,
     build_index_set,
     canonicalize_to_lower,
     is_monotone_lower,
-    lexicographic_column_index,
-    linear_index,
 )
 from .factor import (
     DiscreteSampler,
@@ -36,19 +32,11 @@ from .factor import (
     LeverageTable1D,
     build_alias,
     build_factor,
-    draw,
     factor_qr,
     leverage_table,
     sample_nu_kd,
 )
-from .sampler import (
-    GridPoint,
-    SamplerMethod,
-    make_method,
-    mu_mass,
-    point_mass,
-    sample_point,
-)
+from .sampler import SamplerMethod, make_method
 from .sketch import (
     Sketch,
     SketchedSystem,
@@ -60,7 +48,6 @@ from .sketch import (
     reduce_full_grid,
     sample_size,
     solve,
-    truncate,
 )
 from .oracle import (
     FullSystem,
@@ -72,7 +59,6 @@ from .oracle import (
 )
 from .experiments import (
     TrialReport,
-    duffing_qoi,
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,

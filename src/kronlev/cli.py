@@ -2,8 +2,8 @@
 
 Subcommands: ``indexset``, ``sample``, ``solve``, ``oracle``, ``experiment``.
 stdout carries machine-readable JSON summaries only; human-readable
-diagnostics go to stderr.  Exit codes: 0 success, 2 config error, 1 runtime
-error.
+diagnostics go to stderr.  Exit codes: 0 success, 2 config or usage error,
+1 runtime error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .experiments import (
     run_trials,
     write_report_csv,
 )
-from .indexset import bounding_box, build_index_set, is_monotone_lower, spec_from_json
+from .indexset import build_index_set, is_monotone_lower, spec_from_json
 from .sampler import make_method, mu_mass_many, point_mass_many, sample_indices
 from .sketch import assemble, draw_sketch, full_relative_error, solve
 
@@ -46,7 +46,7 @@ def _cmd_indexset(args) -> int:
     _emit(
         {
             "N": len(index_set),
-            "bounding_box": list(bounding_box(index_set)),
+            "bounding_box": list(index_set.bounding_box),
             "monotone_lower": is_monotone_lower(index_set),
         }
     )
@@ -152,6 +152,25 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _integer_at_least(low: int):
+    """argparse ``type=`` that accepts integers >= ``low`` (a bad value exits 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _integer_at_least(1)
+_NONNEGATIVE = _integer_at_least(0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kronlev",
@@ -167,16 +186,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw grid points from a sampling method")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--count", type=_POSITIVE, required=True)
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
     p.add_argument("--out", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("solve", help="sketch, solve, and report relative errors")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--K", type=_POSITIVE, required=True)
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="dump exact leverage scores of the full matrix")
@@ -189,8 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="per-trial report CSV")
     p.add_argument("--cdf", help="optional CDF table CSV")
     p.add_argument("--svg", help="optional CDF staircase plot")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--threads", type=_POSITIVE, default=1)
+    p.add_argument("--seed", type=_NONNEGATIVE, help="override the config seed")
     p.set_defaults(func=_cmd_experiment)
     return parser
 

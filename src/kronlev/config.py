@@ -51,7 +51,6 @@ class ProblemSetup:
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     model: Optional[dict]
-    echo: dict
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,11 @@ def load_json(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` parse to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(obj: dict, required: set, optional: set, what: str):
@@ -156,7 +160,7 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
         "problem config",
     )
     dimension = config["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ConfigError("dimension must be a positive integer")
     try:
         index_spec = spec_from_json(config["index_set"])
@@ -187,7 +191,7 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     model = _parse_model(config.get("model"))
     if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
         raise ConfigError(f"model {model['name']!r} requires dimension 3")
-    return ProblemSetup(dimension, grids, bases, index_set, factors, model, echo=config)
+    return ProblemSetup(dimension, grids, bases, index_set, factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
@@ -205,18 +209,18 @@ def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
         if tag not in METHOD_TAGS:
             raise ConfigError(f"unknown method {tag!r}; expected one of {METHOD_TAGS}")
     trials = config["trials"]
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer")
     count = config.get("sample_count")
     multiplier = config.get("sample_multiplier")
     if (count is None) == (multiplier is None):
         raise ConfigError("give exactly one of sample_count or sample_multiplier")
-    if count is not None and (not isinstance(count, int) or count < 1):
+    if count is not None and (not _is_int(count) or count < 1):
         raise ConfigError("sample_count must be a positive integer")
     if multiplier is not None and float(multiplier) <= 0:
         raise ConfigError("sample_multiplier must be positive")
     seed = config["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     return ExperimentConfig(
         problem=problem,

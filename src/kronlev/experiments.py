@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from .sketch import (
 __all__ = [
     "METHOD_IDS",
     "ishigami",
-    "duffing_qoi",
     "duffing_qoi_batch",
     "make_target",
     "evaluate_on_grid",
@@ -98,11 +97,6 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     if not np.all(np.isfinite(u)):
         raise RuntimeError("Duffing integration blew up (non-finite state)")
     return u
-
-
-def duffing_qoi(y, t_final: float = 4.0, step: float = 1e-3) -> float:
-    """Scalar wrapper around :func:`duffing_qoi_batch` for one input point."""
-    return float(duffing_qoi_batch(np.asarray(y, dtype=float)[None, :], t_final, step)[0])
 
 
 def _tabulated_values(path: str) -> np.ndarray:
@@ -188,7 +182,6 @@ class TrialReport:
     subspace_size: int
     sample_count: int
     seed: int
-    echo: dict = field(default_factory=dict)
 
     def rows(self):
         for tag in self.methods:
@@ -235,7 +228,6 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         subspace_size=len(problem.index_set),
         sample_count=count,
         seed=experiment.seed,
-        echo=problem.echo,
     )
 
 
@@ -267,9 +259,9 @@ def emit_cdf(report: TrialReport, path) -> None:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def emit_cdf_svg(report: TrialReport, path, width: int = 640, height: int = 420) -> None:
+def emit_cdf_svg(report: TrialReport, path) -> None:
     """Staircase CDF plot (log10 error axis) with the optimal error marked."""
-    margin = 56
+    width, height, margin = 640, 420, 56
     all_errors = [e for tag in report.methods for e in report.errors[tag]]
     lo = min(all_errors + [report.optimal_error])
     hi = max(all_errors)

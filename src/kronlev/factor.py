@@ -25,11 +25,12 @@ __all__ = [
     "factor_qr",
     "leverage_table",
     "build_alias",
-    "draw",
     "sample_nu_kd",
 ]
 
 _RANK_RTOL = 1e-12
+# Largest Gram off-diagonal accepted as orthogonal by column normalization.
+_GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ class DiscreteSampler:
 
     prob: np.ndarray   # acceptance probability per bucket
     alias: np.ndarray  # fallback index per bucket
-
-    def reconstructed(self) -> np.ndarray:
-        """Recover the input probabilities from the tables (identity check)."""
-        m = self.prob.size
-        p = self.prob.copy()
-        np.add.at(p, self.alias, 1.0 - self.prob)
-        return p / m
 
 
 @dataclass(frozen=True)
@@ -137,16 +131,16 @@ def leverage_table(decomposition: FactorDecomposition) -> LeverageTable1D:
     return LeverageTable1D((decomposition.q ** 2).T)
 
 
-def normalized_column_table(factor: FactorMatrix, gram_tol: float = 1e-10) -> LeverageTable1D:
+def normalized_column_table(factor: FactorMatrix) -> LeverageTable1D:
     """Leverage table using column normalization instead of a full QR.
 
     Valid only when the factor columns are mutually orthogonal; the Gram
-    off-diagonals are checked against ``gram_tol``, never assumed.
+    off-diagonals are checked against 1e-10, never assumed.
     """
     a = factor.matrix
     gram = a.T @ a
     off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > gram_tol:
+    if np.max(np.abs(off)) > _GRAM_TOL:
         raise ValueError(
             f"factor columns are not orthogonal (max Gram off-diagonal {np.max(np.abs(off)):.2e})"
         )
@@ -181,18 +175,6 @@ def build_alias(probabilities) -> DiscreteSampler:
         prob[i] = 1.0
         alias[i] = i
     return DiscreteSampler(prob, alias)
-
-
-def draw(sampler: DiscreteSampler, rng: np.random.Generator, size=None):
-    """Sample indices from the alias tables; O(1) per draw.
-
-    Returns a scalar int for ``size=None``, else an int array.
-    """
-    m = sampler.prob.size
-    buckets = rng.integers(0, m, size=size)
-    accept = rng.random(size=size)
-    out = np.where(accept < sampler.prob[buckets], buckets, sampler.alias[buckets])
-    return int(out) if size is None else out
 
 
 def sample_nu_kd(tables: LeverageTable1D, k, rng: np.random.Generator):

@@ -19,10 +19,8 @@ __all__ = [
     "BasisSpec",
     "gauss_legendre_grid",
     "gauss_legendre_uniform_grid",
-    "eval_basis",
     "eval_basis_matrix",
     "grid_from_json",
-    "grid_to_json",
 ]
 
 BASIS_KINDS = ("monomial", "legendre-orthonormal")
@@ -130,13 +128,6 @@ def gauss_legendre_uniform_grid(num_nodes: int) -> Grid1D:
     return Grid1D(base.nodes, np.full(len(base), 1.0 / len(base)))
 
 
-def eval_basis(spec: BasisSpec, j: int, y: float) -> float:
-    """Value of the j-th basis function (1-based, j <= spec.count) at y."""
-    if not 1 <= j <= spec.count:
-        raise ValueError(f"basis index {j} outside [1, {spec.count}]")
-    return float(eval_basis_matrix(spec, np.asarray([y], dtype=float))[0, j - 1])
-
-
 def eval_basis_matrix(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
     """All basis values at the points ``y``; shape (len(y), count).
 
@@ -176,16 +167,3 @@ def grid_from_json(obj) -> Grid1D:
         raise ValueError("grid nodes/weights must be finite")
     return Grid1D(nodes, weights)
 
-
-def grid_to_json(grid: Grid1D) -> dict:
-    return {"nodes": grid.nodes.tolist(), "weights": grid.weights.tolist()}
-
-
-def legendre_reference_check(grid: Grid1D, max_degree: int) -> float:
-    """Worst absolute error integrating y^k, k <= max_degree, against [-1,1] moments."""
-    worst = 0.0
-    for k in range(max_degree + 1):
-        exact = 0.0 if k % 2 else 1.0 / (k + 1)
-        approx = float(np.sum(grid.weights * grid.nodes**k))
-        worst = max(worst, abs(approx - exact))
-    return worst

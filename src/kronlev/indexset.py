@@ -22,14 +22,9 @@ __all__ = [
     "MultiIndexSet",
     "build_index_set",
     "is_monotone_lower",
-    "bounding_box",
     "canonicalize_to_lower",
     "apply_permutation",
-    "invert_permutation",
-    "linear_index",
-    "lexicographic_column_index",
     "spec_from_json",
-    "spec_to_json",
 ]
 
 FAMILIES = ("wlp-ball", "hyperbolic-cross", "explicit-list")
@@ -90,7 +85,7 @@ class MultiIndexSet:
     dimension: int
     indices: tuple[tuple[int, ...], ...]
     bounding_box: tuple[int, ...] = field(init=False)
-    _positions: dict = field(init=False, repr=False, compare=False)
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.indices:
@@ -106,7 +101,7 @@ class MultiIndexSet:
             seen.add(alpha)
         box = tuple(max(alpha[d] for alpha in self.indices) for d in range(self.dimension))
         object.__setattr__(self, "bounding_box", box)
-        object.__setattr__(self, "_positions", {a: i for i, a in enumerate(self.indices)})
+        object.__setattr__(self, "_members", frozenset(seen))
 
     def __len__(self):
         return len(self.indices)
@@ -115,7 +110,7 @@ class MultiIndexSet:
         return iter(self.indices)
 
     def __contains__(self, alpha):
-        return tuple(alpha) in self._positions
+        return tuple(alpha) in self._members
 
 
 def _graded_lex_sorted(indices) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +185,7 @@ def is_monotone_lower(index_set: MultiIndexSet) -> bool:
     equivalent to the full definition (any beta <= alpha is reachable by a
     chain of single-entry decrements staying inside the set).
     """
-    members = index_set._positions
+    members = index_set._members
     for alpha in index_set.indices:
         for d, a in enumerate(alpha):
             if a > 1:
@@ -200,25 +195,10 @@ def is_monotone_lower(index_set: MultiIndexSet) -> bool:
     return True
 
 
-def bounding_box(index_set: MultiIndexSet) -> tuple[int, ...]:
-    """Componentwise maximum over the set members."""
-    return index_set.bounding_box
-
-
 def apply_permutation(perms: Sequence[Sequence[int]], index_set: MultiIndexSet) -> MultiIndexSet:
     """Relabel entries dimensionwise: alpha_d -> perms[d][alpha_d - 1]."""
     mapped = [tuple(perms[d][a - 1] for d, a in enumerate(alpha)) for alpha in index_set.indices]
     return MultiIndexSet(index_set.dimension, _graded_lex_sorted(mapped))
-
-
-def invert_permutation(perms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for perm in perms:
-        inv = [0] * len(perm)
-        for old, new in enumerate(perm, start=1):
-            inv[new - 1] = old
-        out.append(tuple(inv))
-    return tuple(out)
 
 
 def canonicalize_to_lower(
@@ -250,32 +230,6 @@ def canonicalize_to_lower(
     if not is_monotone_lower(permuted):
         return None
     return tuple(perms), permuted
-
-
-def linear_index(index_set: MultiIndexSet, alpha) -> int:
-    """1-based position of ``alpha`` in the set's deterministic ordering."""
-    alpha = tuple(alpha)
-    try:
-        return index_set._positions[alpha] + 1
-    except KeyError:
-        raise ValueError(f"{alpha} is not a member of the index set") from None
-
-
-def lexicographic_column_index(bold_n: Sequence[int], alpha) -> int:
-    """1-based column number of ``alpha`` in the Kronecker product ordering.
-
-    Dimension 1 varies slowest, matching A^(1) x ... x A^(D) column
-    numbering over the box [N_1] x ... x [N_D].
-    """
-    alpha = tuple(alpha)
-    if len(alpha) != len(bold_n):
-        raise ValueError("alpha and bounding box dimensions differ")
-    pos = 0
-    for a, n in zip(alpha, bold_n):
-        if not 1 <= a <= n:
-            raise ValueError(f"index {alpha} outside the box {tuple(bold_n)}")
-        pos = pos * n + (a - 1)
-    return pos + 1
 
 
 def spec_from_json(obj) -> IndexSetSpec:
@@ -310,11 +264,3 @@ def spec_from_json(obj) -> IndexSetSpec:
         weights=weights,
     )
 
-
-def spec_to_json(spec: IndexSetSpec) -> dict:
-    if spec.family == "explicit-list":
-        return {"family": "explicit-list", "dimension": spec.dimension,
-                "indices": [list(a) for a in spec.indices]}
-    p = "inf" if math.isinf(spec.p) else spec.p
-    return {"dimension": spec.dimension, "family": spec.family, "p": p,
-            "order": spec.order, "weights": list(spec.weights)}

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 MAX_DENSE_ROWS = 10**6
-_VB_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,37 +93,16 @@ def build_full(
     return FullSystem(matrix, np.sqrt(weights) * values, weights, shape)
 
 
-def _orthonormal_range(matrix: np.ndarray):
-    q, r = np.linalg.qr(matrix)
-    diag = np.abs(np.diag(r))
-    return q, diag, diag.max()
+def exact_leverage(system: FullSystem) -> np.ndarray:
+    """Normalized leverage scores of the full design matrix.
 
-
-def exact_leverage(
-    system: FullSystem,
-    mode: str = "plain",
-    b: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Normalized leverage scores of the full matrix (or its b-augmented span).
-
-    ``plain`` uses the design matrix alone and insists on full column rank.
-    ``vb-augmented`` appends the right-hand side (default: the system's own)
-    as an extra column; if that column lies in the range of the matrix up to
-    a 1e-10 diagonal tolerance, the rank and scores fall back to plain.
+    Insists on full column rank (R diagonal above 1e-12 of its largest entry).
     """
-    if mode == "plain":
-        q, diag, top = _orthonormal_range(system.matrix)
-        if np.any(diag <= 1e-12 * top):
-            raise ValueError("design matrix is rank deficient")
-        return (q**2).sum(axis=1) / q.shape[1]
-    if mode != "vb-augmented":
-        raise ValueError("mode must be 'plain' or 'vb-augmented'")
-    rhs = system.rhs if b is None else np.asarray(b, dtype=float)
-    augmented = np.column_stack([system.matrix, rhs])
-    q, diag, top = _orthonormal_range(augmented)
-    rank = q.shape[1] if diag[-1] > _VB_RANK_TOL * top else q.shape[1] - 1
-    u = q[:, :rank]
-    return (u**2).sum(axis=1) / rank
+    q, r = np.linalg.qr(system.matrix)
+    diag = np.abs(np.diag(r))
+    if np.any(diag <= 1e-12 * diag.max()):
+        raise ValueError("design matrix is rank deficient")
+    return (q**2).sum(axis=1) / q.shape[1]
 
 
 def solve_full(system: FullSystem) -> FullSolution:

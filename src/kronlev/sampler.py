@@ -37,26 +37,14 @@ from .indexset import MultiIndexSet, is_monotone_lower
 
 __all__ = [
     "METHOD_TAGS",
-    "GridPoint",
     "SamplerMethod",
     "make_method",
-    "sample_point",
     "sample_indices",
-    "point_mass",
     "point_mass_many",
-    "mu_mass",
     "mu_mass_many",
 ]
 
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One multivariate grid point: 1-based node indices and coordinates."""
-
-    indices: tuple[int, ...]
-    coords: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -118,8 +106,8 @@ def make_method(
 
 def _check_bounds(method: SamplerMethod, idx0: np.ndarray):
     shape = method.grid_shape
-    if idx0.shape[-1] != len(shape):
-        raise ValueError("point dimension does not match the method")
+    if idx0.ndim != 2 or idx0.shape[1] != len(shape):
+        raise ValueError("points must be rows of one index per dimension of the method")
     if np.any(idx0 < 0) or np.any(idx0 >= np.asarray(shape)):
         raise ValueError("grid point index out of bounds")
 
@@ -145,19 +133,9 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
     return out
 
 
-def sample_point(method: SamplerMethod, rng: np.random.Generator) -> GridPoint:
-    """Draw one grid point according to the method's distribution."""
-    idx0 = sample_indices(method, rng, 1)[0]
-    coords = tuple(float(g.nodes[i]) for g, i in zip(method.grids, idx0))
-    return GridPoint(tuple(int(i) + 1 for i in idx0), coords)
-
-
 def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     """Probability of each grid point (rows of 0-based indices) under the method."""
     idx0 = np.asarray(idx0, dtype=np.int64)
-    single = idx0.ndim == 1
-    if single:
-        idx0 = idx0[None, :]
     _check_bounds(method, idx0)
     if method.tag == "uniform":
         mass = np.full(idx0.shape[0], 1.0 / np.prod(method.grid_shape))
@@ -171,31 +149,16 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
         for d, tables in enumerate(method.tables):
             prod *= tables.table[method.index_array[:, d][None, :], idx0[:, d][:, None]]
         mass = prod.sum(axis=1) / method.index_array.shape[0]
-    return mass[0] if single else mass
-
-
-def point_mass(method: SamplerMethod, point: GridPoint) -> float:
-    """Probability that the method draws exactly this grid point."""
-    idx0 = np.asarray(point.indices, dtype=np.int64) - 1
-    return float(point_mass_many(method, idx0))
+    return mass
 
 
 def mu_mass_many(grids: Sequence[Grid1D], idx0: np.ndarray) -> np.ndarray:
     """Product-measure mass of each grid point (rows of 0-based indices)."""
     idx0 = np.asarray(idx0, dtype=np.int64)
-    single = idx0.ndim == 1
-    if single:
-        idx0 = idx0[None, :]
     mass = np.ones(idx0.shape[0])
     for d, grid in enumerate(grids):
         col = idx0[:, d]
         if np.any(col < 0) or np.any(col >= len(grid)):
             raise ValueError("grid point index out of bounds")
         mass *= grid.weights[col]
-    return mass[0] if single else mass
-
-
-def mu_mass(grids: Sequence[Grid1D], point: GridPoint) -> float:
-    """Underlying product-measure mass at this grid point."""
-    idx0 = np.asarray(point.indices, dtype=np.int64) - 1
-    return float(mu_mass_many(grids, idx0))
+    return mass

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -37,7 +37,6 @@ __all__ = [
     "reduce_full_grid",
     "full_relative_error",
     "sample_size",
-    "truncate",
 ]
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
@@ -65,11 +64,9 @@ class TargetFunction:
 class Sketch:
     """K sampled grid points with their unbiasing weights."""
 
-    method_tag: str
     indices0: np.ndarray  # (K, D) 0-based node indices
     coords: np.ndarray    # (K, D) resolved coordinates
     weights: np.ndarray   # (K,) v_k, all finite and > 0
-    seed: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -101,10 +98,7 @@ def draw_sketch(
     """Draw K iid points from the method and attach unbiasing weights."""
     if count < 1:
         raise ValueError("sketch size must be >= 1")
-    if isinstance(seed, np.random.Generator):
-        rng, seed_value = seed, None
-    else:
-        rng, seed_value = np.random.default_rng(seed), seed
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     idx0 = sample_indices(method, rng, count)
     mass = point_mass_many(method, idx0)
     if np.any(mass <= 0.0):
@@ -112,7 +106,7 @@ def draw_sketch(
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
     weights = mu_mass_many(method.grids, idx0) / mass / count
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(method.tag, idx0, coords, weights, seed_value)
+    return Sketch(idx0, coords, weights)
 
 
 def assemble(
@@ -259,9 +253,3 @@ def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:
         value = 2.0 * n * (1.0 / epsilon + 3.0 * math.log(2.0 * n / delta))
     return int(math.ceil(value))
 
-
-def truncate(value, threshold: float):
-    """Clamp to [-T, T]: the truncated estimator's pointwise transform."""
-    if threshold < 0:
-        raise ValueError("truncation threshold must be >= 0")
-    return np.clip(value, -threshold, threshold)

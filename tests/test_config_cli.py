@@ -137,6 +137,19 @@ class TestParseExperiment:
         with pytest.raises(ConfigError, match="seed"):
             parse_experiment(self.base(seed=-1))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("dimension", True), ("trials", True), ("sample_count", True), ("seed", True),
+         ("seed", False)],
+    )
+    def test_rejects_json_booleans_as_integers(self, key, value):
+        # json.load turns true/false into bool, a subclass of int
+        config = self.base(**{key: value})
+        if key == "sample_count":
+            del config["sample_multiplier"]
+        with pytest.raises(ConfigError, match=f"{key} must be a"):
+            parse_experiment(config)
+
 
 class TestPackagedConfigs:
     def test_all_eight_present(self):
@@ -260,6 +273,33 @@ class TestCli:
                   "--threads", threads, "--seed", "123"])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--out", "{tmp}/r.csv", "--threads", "0"],
+            ["experiment", "--out", "{tmp}/r.csv", "--threads", "-4"],
+            ["experiment", "--out", "{tmp}/r.csv", "--seed", "-1"],
+            ["sample", "--method", "uniform", "--count", "0", "--seed", "1"],
+            ["sample", "--method", "uniform", "--count", "-1", "--seed", "1"],
+            ["sample", "--method", "uniform", "--count", "3", "--seed", "-1"],
+            ["solve", "--method", "uniform", "--K", "0", "--seed", "1"],
+            ["solve", "--method", "uniform", "--K", "40", "--seed", "-1"],
+        ],
+        ids=["threads-0", "threads-neg", "experiment-seed-neg", "count-0", "count-neg",
+             "sample-seed-neg", "K-0", "solve-seed-neg"],
+    )
+    def test_out_of_range_integer_option_is_exit_2(self, tiny_config, tmp_path, capsys, argv):
+        argv = [argv[0], "--config", str(tiny_config)] + [
+            arg.format(tmp=tmp_path) for arg in argv[1:]
+        ]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "r.csv").exists()
 
     def test_runtime_error_is_exit_1(self, tmp_path, capsys):
         # a valid config whose grid exceeds the dense-oracle guard makes the

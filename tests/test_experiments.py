@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
-    duffing_qoi,
     duffing_qoi_batch,
     emit_cdf,
     emit_cdf_svg,
@@ -50,29 +49,30 @@ class TestIshigami:
 
 class TestDuffing:
     def test_step_halving_converged(self):
-        u1 = duffing_qoi([0.0, 0.0, 0.0], step=1e-3)
-        u2 = duffing_qoi([0.0, 0.0, 0.0], step=5e-4)
+        u1 = duffing_qoi_batch([0.0, 0.0, 0.0], step=1e-3)[0]
+        u2 = duffing_qoi_batch([0.0, 0.0, 0.0], step=5e-4)[0]
         assert abs(u1 - u2) <= 1e-6
 
     def test_linearized_limit_is_cosine(self):
         # y = (0, -20, -2) zeroes the damping and cubic coefficients, so
         # u(t) = cos(2 pi t) exactly
-        u = duffing_qoi([0.0, -20.0, -2.0], step=1e-3)
+        u = duffing_qoi_batch([0.0, -20.0, -2.0], step=1e-3)[0]
         assert abs(u - 1.0) <= 1e-6
 
     def test_batch_matches_scalar(self):
+        # each row integrates on its own: the batch equals one-row calls
         y = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]])
         batch = duffing_qoi_batch(y, step=2e-3)
         for i in range(2):
-            assert batch[i] == pytest.approx(duffing_qoi(y[i], step=2e-3), abs=1e-14)
+            assert batch[i] == pytest.approx(duffing_qoi_batch(y[i], step=2e-3)[0], abs=1e-14)
 
     def test_blow_up_reported(self):
         with pytest.raises(RuntimeError, match="blew up"):
-            duffing_qoi([0.0, 0.0, 100.0], step=1e-2)
+            duffing_qoi_batch([0.0, 0.0, 100.0], step=1e-2)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            duffing_qoi([0.0, 0.0, 0.0], step=0.0)
+            duffing_qoi_batch([0.0, 0.0, 0.0], step=0.0)
 
 
 class TestTargets:
@@ -177,7 +177,7 @@ def grid_values():
     cache = {}
 
     def values(problem):
-        key = json.dumps([problem.model, problem.echo["grid"]], sort_keys=True)
+        key = json.dumps([problem.model, [g.nodes.tolist() for g in problem.grids]], sort_keys=True)
         if key not in cache:
             target = make_target(problem.model, problem.grids)
             cache[key] = evaluate_on_grid(target, problem.grids)

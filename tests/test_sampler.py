@@ -7,16 +7,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set
 from kronlev.oracle import build_full, exact_leverage, flat_row_index
-from kronlev.sampler import (
-    GridPoint,
-    make_method,
-    mu_mass,
-    mu_mass_many,
-    point_mass,
-    point_mass_many,
-    sample_indices,
-    sample_point,
-)
+from kronlev.sampler import make_method, mu_mass_many, point_mass_many, sample_indices
 from kronlev.sketch import TargetFunction
 
 
@@ -47,9 +38,7 @@ class TestPointMass:
     def test_uniform_mass(self):
         factors = monomial_factors(2, 2, 2)
         method = make_method("uniform", factors)
-        for idx in itertools.product(range(1, 3), repeat=2):
-            pt = GridPoint(idx, (0.0, 0.0))
-            assert point_mass(method, pt) == 0.25
+        assert np.all(point_mass_many(method, all_grid_indices((2, 2))) == 0.25)
 
     @pytest.mark.parametrize("tag", ["uniform", "tensor-product", "leverage-lower"])
     def test_masses_sum_to_one(self, tag, small_lower_problem):
@@ -89,7 +78,7 @@ class TestPointMass:
         index_set, factors = small_lower_problem
         method = make_method("uniform", factors)
         with pytest.raises(ValueError, match="out of bounds"):
-            point_mass(method, GridPoint((6, 1), (0.0, 0.0)))
+            point_mass_many(method, np.array([[5, 0]]))
 
 
 class TestSampling:
@@ -115,13 +104,6 @@ class TestSampling:
         exact = point_mass_many(method, all_grid_indices((4, 4)))
         assert 0.5 * np.sum(np.abs(freq - exact)) < 0.01
 
-    def test_sample_point_resolves_coordinates(self, small_lower_problem):
-        index_set, factors = small_lower_problem
-        method = make_method("leverage-lower", factors, index_set)
-        pt = sample_point(method, np.random.default_rng(5))
-        for d in range(2):
-            assert pt.coords[d] == factors[d].grid.nodes[pt.indices[d] - 1]
-
     def test_unbiased_integration(self, small_lower_problem):
         # E[f(Y) dmu/dnu(Y)] equals the mu-integral of f for any fixed f
         index_set, factors = small_lower_problem
@@ -145,7 +127,7 @@ class TestMuMass:
     def test_single_dimension_gl3(self):
         factors = monomial_factors(1, 3, 2)
         method = make_method("uniform", factors)
-        assert abs(mu_mass(method.grids, GridPoint((2,), (0.0,))) - 8 / 18) < 1e-15
+        assert abs(mu_mass_many(method.grids, np.array([[1]]))[0] - 8 / 18) < 1e-15
 
     def test_sums_to_one(self, small_lower_problem):
         _, factors = small_lower_problem
@@ -155,9 +137,10 @@ class TestMuMass:
     def test_product_structure(self):
         factors = monomial_factors(2, 3, 2)
         grids = [f.grid for f in factors]
-        for i, j in itertools.product(range(3), repeat=2):
+        masses = mu_mass_many(grids, all_grid_indices((3, 3)))
+        for row, (i, j) in enumerate(itertools.product(range(3), repeat=2)):
             expected = grids[0].weights[i] * grids[1].weights[j]
-            assert mu_mass(grids, GridPoint((i + 1, j + 1), (0, 0))) == pytest.approx(expected)
+            assert masses[row] == pytest.approx(expected)
 
 
 class TestPreconditions:

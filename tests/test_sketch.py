@@ -18,7 +18,6 @@ from kronlev.sketch import (
     reduce_full_grid,
     sample_size,
     solve,
-    truncate,
 )
 
 
@@ -249,21 +248,3 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             sample_size("chernoff", 1, 0.5, 0.5)
 
-
-class TestTruncate:
-    def test_inside_band_unchanged(self):
-        assert truncate(0.5, 1.0) == 0.5
-
-    def test_clamps_with_sign(self):
-        assert truncate(-3.0, 1.0) == -1.0
-
-    def test_boundary_fixed_point(self):
-        assert truncate(2.5, 2.5) == 2.5
-
-    def test_arrays(self):
-        out = truncate(np.array([-3.0, 0.2, 9.0]), 1.0)
-        assert np.array_equal(out, [-1.0, 0.2, 1.0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            truncate(1.0, -0.5)
