@@ -8,6 +8,8 @@ Ishigami/Duffing model parameters).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -131,20 +133,37 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     return tuple(build(int(m)) for m in sizes)
 
 
+def _finite_number(spec: dict, key: str, default: float, what: str) -> float:
+    """A finite JSON number; ``json.load`` also accepts NaN and Infinity."""
+    value = spec.get(key, default)
+    if _is_int(value) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(f"{what} {key} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_model(spec) -> dict:
     if spec is None:
         return None
     name = spec.get("name") if isinstance(spec, dict) else None
     if name == "ishigami":
         _check_keys(spec, {"name"}, {"a", "b"}, "ishigami model")
-        return {"name": "ishigami", "a": float(spec.get("a", 7.0)), "b": float(spec.get("b", 0.1))}
+        return {
+            "name": "ishigami",
+            "a": _finite_number(spec, "a", 7.0, "ishigami model"),
+            "b": _finite_number(spec, "b", 0.1, "ishigami model"),
+        }
     if name == "duffing":
         _check_keys(spec, {"name"}, {"t_final", "step"}, "duffing model")
-        return {
-            "name": "duffing",
-            "t_final": float(spec.get("t_final", 4.0)),
-            "step": float(spec.get("step", 1e-3)),
-        }
+        t_final = _finite_number(spec, "t_final", 4.0, "duffing model")
+        step = _finite_number(spec, "step", 1e-3, "duffing model")
+        # 0 < step <= t_final makes round(t_final / step) at least one RK4 step
+        if t_final <= 0:
+            raise ConfigError(f"duffing model t_final must be positive, got {t_final!r}")
+        if not 0 < step <= t_final:
+            raise ConfigError(f"duffing model step must be in (0, t_final], got {step!r}")
+        return {"name": "duffing", "t_final": t_final, "step": step}
     if name == "tabulated":
         _check_keys(spec, {"name", "path"}, set(), "tabulated model")
         return {"name": "tabulated", "path": str(spec["path"])}

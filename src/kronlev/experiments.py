@@ -67,33 +67,70 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     u'(0) = 0 by classical fixed-step RK4.  The three inputs modulate the
     natural frequency, damping ratio, and cubic stiffness around their
     nominal values (2*pi, 0.05, -0.5).
+
+    The step is adjusted to ``t_final / round(t_final / step)``; a
+    non-finite ``t_final`` or ``step``, a non-positive ``step``, or a ratio
+    that rounds to fewer than one step raises ``ValueError``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(t_final) and math.isfinite(step)) or step <= 0:
+        raise ValueError("t_final and step must be finite and step positive")
+    steps = int(round(t_final / step))
+    if steps < 1:
+        raise ValueError(f"t_final={t_final} with step={step} gives {steps} RK4 steps")
+    h = t_final / steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
     y = np.atleast_2d(np.asarray(y, dtype=float))
     w1 = 2.0 * np.pi * (1.0 + 0.2 * y[:, 0])
     w2 = 0.05 * (1.0 + 0.05 * y[:, 1])
     w3 = -0.5 * (1.0 + 0.5 * y[:, 2])
-    damping = 2.0 * w1 * w2
-    stiffness = w1 * w1
+    # accel(u, v) = -c v - k (u + w3 u^3) = neg_c v + u (neg_k + neg_kw3 u^2)
+    neg_c = -2.0 * w1 * w2
+    neg_k = -(w1 * w1)
+    neg_kw3 = neg_k * w3
 
-    def accel(u, v):
-        return -damping * v - stiffness * (u + w3 * u**3)
+    # Stage state, slope and weighted slope sums live in buffers owned by
+    # this call and are overwritten in place; nothing is shared between calls.
+    n = y.shape[0]
+    u, v = np.ones(n), np.zeros(n)
+    stage_u, stage_v = np.empty(n), np.empty(n)
+    slope, scratch = np.empty(n), np.empty(n)
+    sum_u, sum_v = np.empty(n), np.empty(n)
 
-    u = np.ones(y.shape[0])
-    v = np.zeros(y.shape[0])
-    steps = int(round(t_final / step))
-    h = t_final / steps if steps else step
+    def accel(su, sv):
+        np.multiply(su, su, out=slope)
+        np.multiply(slope, neg_kw3, out=slope)
+        np.add(slope, neg_k, out=slope)
+        np.multiply(slope, su, out=slope)
+        np.multiply(neg_c, sv, out=scratch)
+        np.add(slope, scratch, out=slope)
+
+    def stage(du, step_h, weight):
+        # evaluate at (u, v) + step_h * (du, slope), the previous stage's
+        # slopes, then add weight * this stage's slopes (stage_v, slope)
+        np.multiply(du, step_h, out=stage_u)
+        np.add(stage_u, u, out=stage_u)
+        np.multiply(slope, step_h, out=stage_v)
+        np.add(stage_v, v, out=stage_v)
+        accel(stage_u, stage_v)
+        np.multiply(stage_v, weight, out=scratch)
+        np.add(sum_u, scratch, out=sum_u)
+        np.multiply(slope, weight, out=scratch)
+        np.add(sum_v, scratch, out=sum_v)
+
     # overflow here is not an error condition per se; the finiteness check
     # below is the actual blow-up detector
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1u, k1v = v, accel(u, v)
-            k2u, k2v = v + 0.5 * h * k1v, accel(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-            k3u, k3v = v + 0.5 * h * k2v, accel(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-            k4u, k4v = v + h * k3v, accel(u + h * k3u, v + h * k3v)
-            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            accel(u, v)
+            np.copyto(sum_u, v)
+            np.copyto(sum_v, slope)
+            stage(v, half_h, 2.0)
+            stage(stage_v, half_h, 2.0)
+            stage(stage_v, h, 1.0)
+            sum_u *= sixth_h
+            u += sum_u
+            sum_v *= sixth_h
+            v += sum_v
     if not np.all(np.isfinite(u)):
         raise RuntimeError("Duffing integration blew up (non-finite state)")
     return u

@@ -301,6 +301,37 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "duffing", "t_final": 4.0, "step": 10.0},
+            {"name": "duffing", "t_final": -4.0},
+            {"name": "duffing", "t_final": 0.0},
+            {"name": "duffing", "step": -1e-3},
+            {"name": "duffing", "t_final": float("nan")},
+            {"name": "duffing", "step": float("inf")},
+            {"name": "duffing", "step": True},
+            {"name": "ishigami", "a": float("nan")},
+            {"name": "ishigami", "a": float("inf")},
+            {"name": "ishigami", "b": "0.1"},
+        ],
+        ids=["duffing-step-10", "duffing-t-neg", "duffing-t-0", "duffing-step-neg",
+             "duffing-t-nan", "duffing-step-inf", "duffing-step-bool", "ishigami-a-nan",
+             "ishigami-a-inf", "ishigami-b-string"],
+    )
+    def test_bad_model_parameter_is_exit_2(self, tiny_config, tmp_path, capsys, model):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        config = json.loads(tiny_config.read_text())
+        config["model"] = model
+        path = tmp_path / "bad-model.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: " + model["name"] + " model" in captured.err
+        assert not out.exists()
+
     def test_runtime_error_is_exit_1(self, tmp_path, capsys):
         # a valid config whose grid exceeds the dense-oracle guard makes the
         # oracle subcommand fail at runtime, not at config parsing

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +75,87 @@ class TestDuffing:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             duffing_qoi_batch([0.0, 0.0, 0.0], step=0.0)
+
+
+def duffing_reference(y, t_final=4.0, step=1e-3):
+    """The RK4 loop as first written: ``u**3`` and fresh arrays per stage."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    w1 = 2.0 * np.pi * (1.0 + 0.2 * y[:, 0])
+    w2 = 0.05 * (1.0 + 0.05 * y[:, 1])
+    w3 = -0.5 * (1.0 + 0.5 * y[:, 2])
+    damping = 2.0 * w1 * w2
+    stiffness = w1 * w1
+
+    def accel(u, v):
+        return -damping * v - stiffness * (u + w3 * u**3)
+
+    u = np.ones(y.shape[0])
+    v = np.zeros(y.shape[0])
+    steps = int(round(t_final / step))
+    h = t_final / steps
+    for _ in range(steps):
+        k1u, k1v = v, accel(u, v)
+        k2u, k2v = v + 0.5 * h * k1v, accel(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+        k3u, k3v = v + 0.5 * h * k2v, accel(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+        k4u, k4v = v + h * k3v, accel(u + h * k3u, v + h * k3v)
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return u
+
+
+class TestDuffingKernel:
+    def test_matches_reference_loop_on_duffing_g9_nodes(self):
+        # the cube by multiplication and the folded constants change only
+        # rounding, which 4000 steps must not amplify past 1e-13
+        grids = parse_problem(load_json(packaged_config_path("duffing-g9"))).grids
+        shape = tuple(len(g) for g in grids)
+        rows = np.linspace(0, int(np.prod(shape)) - 1, 50).astype(np.int64)
+        per_dim = np.unravel_index(rows, shape)
+        y = np.column_stack([g.nodes[per_dim[d]] for d, g in enumerate(grids)])
+        got = duffing_qoi_batch(y, t_final=4.0, step=1e-3)
+        assert np.max(np.abs(got - duffing_reference(y))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "t_final,step",
+        [(4.0, 10.0), (-4.0, 1e-3), (0.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+         (4.0, math.nan), (4.0, math.inf), (4.0, -1e-3)],
+    )
+    def test_rejects_degenerate_integration(self, t_final, step):
+        with pytest.raises(ValueError, match="t_final"):
+            duffing_qoi_batch([0.0, 0.0, 0.0], t_final=t_final, step=step)
+
+    def test_concurrent_calls_match_serial(self):
+        # each call owns its stage buffers: threads running the kernel at
+        # once on same-sized inputs (more threads than cores, frequent
+        # switches) must not mix state
+        rng = np.random.default_rng(7)
+        inputs = [rng.uniform(-1.0, 1.0, size=(240, 3)) for _ in range(4)]
+        serial = [duffing_qoi_batch(y, step=2e-3).tobytes() for y in inputs]
+        results = [None] * len(inputs)
+        barrier = threading.Barrier(len(inputs))
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = duffing_qoi_batch(inputs[i], step=2e-3).tobytes()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    def test_grid_evaluation_repeats_bytes(self):
+        grids = [gauss_legendre_grid(5)] * 3
+        target = make_target({"name": "duffing", "t_final": 4.0, "step": 1e-3})
+        first = evaluate_on_grid(target, grids)
+        assert evaluate_on_grid(target, grids).tobytes() == first.tobytes()
 
 
 class TestTargets:
