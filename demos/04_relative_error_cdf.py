@@ -25,7 +25,7 @@ config = load_json(packaged_config_path("ishigami-g7"))
 config["trials"] = 20
 experiment = parse_experiment(config)
 print(f"N = {len(experiment.problem.index_set)}, "
-      f"K = {experiment.resolved_sample_count()}, trials = {experiment.trials}")
+      f"K = {experiment.sample_count}, trials = {experiment.trials}")
 
 report = run_trials(experiment, threads=4)
 print(f"optimal relative error: {report.optimal_error:.4e}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, oracle
-from .config import ConfigError, load_json, parse_experiment, parse_problem
+from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
 from .experiments import (
     emit_cdf,
     emit_cdf_svg,
@@ -26,7 +26,7 @@ from .experiments import (
     run_trials,
     write_report_csv,
 )
-from .indexset import build_index_set, is_monotone_lower, spec_from_json
+from .indexset import is_monotone_lower
 from .sampler import make_method, mu_mass_many, point_mass_many, sample_indices
 from .sketch import assemble, draw_sketch, full_relative_error, solve
 
@@ -38,11 +38,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_indexset(args) -> int:
     config = load_json(args.config)
-    spec_obj = config["index_set"] if "index_set" in config else config
-    try:
-        index_set = build_index_set(spec_from_json(spec_obj))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    index_set = parse_index_set(config.get("index_set", config))
     _emit(
         {
             "N": len(index_set),

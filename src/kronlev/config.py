@@ -1,8 +1,12 @@
 """Strict JSON config parsing shared by the CLI and the experiment harness.
 
-Unknown keys and type mismatches are hard errors; the only defaults applied
-are the documented ones (basis counts from the index set bounding box,
-Ishigami/Duffing model parameters).
+Every config input (the problem and experiment keys, the index set spec and
+grid files) is read here.  Unknown keys and type mismatches are hard
+errors: counts, sizes, dimensions and multi-index entries must be JSON
+integers, other numbers finite JSON numbers, and nothing is coerced.  The
+only defaults applied are the documented ones (basis counts from the index
+set bounding box, index set ``p`` and weights, Ishigami/Duffing model
+parameters).
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from .grid_basis import (
     Grid1D,
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
-    grid_from_json,
 )
-from .indexset import MultiIndexSet, build_index_set, spec_from_json
+from .indexset import IndexSetSpec, MultiIndexSet, build_index_set
 from .sampler import METHOD_TAGS
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "ProblemSetup",
     "ExperimentConfig",
     "load_json",
+    "parse_index_set",
     "parse_problem",
     "parse_experiment",
 ]
@@ -60,14 +64,8 @@ class ExperimentConfig:
     problem: ProblemSetup
     methods: tuple[str, ...]
     trials: int
-    sample_count: Optional[int]
-    sample_multiplier: Optional[float]
+    sample_count: int  # K, resolved from sample_multiplier * N when that is given
     seed: int
-
-    def resolved_sample_count(self) -> int:
-        if self.sample_count is not None:
-            return self.sample_count
-        return max(1, int(round(self.sample_multiplier * len(self.problem.index_set))))
 
 
 def load_json(path) -> dict:
@@ -86,6 +84,28 @@ def load_json(path) -> dict:
 def _is_int(value) -> bool:
     """A JSON integer; ``true``/``false`` parse to bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, low: int, what: str) -> int:
+    """A JSON integer >= ``low``; floats, strings and booleans are refused."""
+    if not _is_int(value) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number; ``json.load`` also accepts NaN and Infinity."""
+    if _is_int(value) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a nonempty JSON list")
+    return value
 
 
 def _check_keys(obj: dict, required: set, optional: set, what: str):
@@ -107,43 +127,74 @@ def _per_dimension(value, dimension: int, what: str) -> list:
     return [value] * dimension
 
 
+def _config_path(value, base_dir: Path, what: str) -> Path:
+    """A path string; a relative one is taken from the config file's directory."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path string, got {value!r}")
+    return base_dir / value
+
+
+def parse_index_set(spec) -> MultiIndexSet:
+    """Build the multi-index set of an ``index_set`` config object.
+
+    ``p`` defaults to 1 and may be JSON ``Infinity`` or the string ``"inf"``
+    or ``"Infinity"``; ``weights`` default to all ones.  An explicit list
+    takes its dimension from its first index when ``dimension`` is absent.
+    """
+    if isinstance(spec, dict) and spec.get("family") == "explicit-list":
+        _check_keys(spec, {"family", "indices"}, {"dimension"}, "index_set")
+        indices = tuple(
+            tuple(_integer(a, 1, "index_set entry") for a in _json_list(alpha, "index_set index"))
+            for alpha in _json_list(spec["indices"], "index_set indices")
+        )
+        dimension = _integer(spec.get("dimension", len(indices[0])), 1, "index_set dimension")
+        shape = {"indices": indices}
+    else:
+        _check_keys(spec, {"dimension", "family", "order"}, {"p", "weights"}, "index_set")
+        dimension = _integer(spec["dimension"], 1, "index_set dimension")
+        p = spec.get("p", 1.0)
+        weights = _json_list(spec.get("weights", [1.0] * dimension), "index_set weights")
+        shape = {
+            "order": _finite_number(spec["order"], "index_set order"),
+            "p": math.inf if p in ("inf", "Infinity", math.inf) else _finite_number(p, "index_set p"),
+            "weights": tuple(_finite_number(w, "index_set weights") for w in weights),
+        }
+    try:
+        return build_index_set(IndexSetSpec(dimension, spec["family"], **shape))
+    except ValueError as exc:
+        raise ConfigError(f"bad index_set: {exc}")
+
+
+def _parse_grid_file(path: Path) -> Grid1D:
+    """A grid file: ``{"nodes": [...], "weights": [...]}`` of finite numbers."""
+    what = f"grid file {path}"
+    obj = load_json(path)
+    _check_keys(obj, {"nodes", "weights"}, set(), what)
+    nodes, weights = (
+        [_finite_number(v, f"{what} {key}") for v in _json_list(obj[key], f"{what} {key}")]
+        for key in ("nodes", "weights")
+    )
+    try:
+        return Grid1D(nodes, weights)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}")
+
+
 def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     _check_keys(spec, {"grid"}, {"M", "path"}, "grid spec")
     kind = spec["grid"]
     if kind not in GRID_KINDS:
         raise ConfigError(f"unknown grid kind {kind!r}; expected one of {GRID_KINDS}")
+    size_key = "path" if kind == "file" else "M"
+    _check_keys(spec, {"grid", size_key}, set(), f"grid kind {kind!r}")
+    values = _per_dimension(spec[size_key], dimension, f"grid {size_key}")
     if kind == "file":
-        if "path" not in spec:
-            raise ConfigError("grid kind 'file' requires a path")
-        paths = _per_dimension(spec["path"], dimension, "grid path")
-        grids = []
-        for p in paths:
-            path = Path(p)
-            if not path.is_absolute():
-                path = base_dir / path
-            try:
-                grids.append(grid_from_json(load_json(path)))
-            except ValueError as exc:
-                raise ConfigError(f"bad grid file {path}: {exc}")
-        return tuple(grids)
-    if "M" not in spec:
-        raise ConfigError(f"grid kind {kind!r} requires M")
-    sizes = _per_dimension(spec["M"], dimension, "grid size M")
+        return tuple(_parse_grid_file(_config_path(p, base_dir, "grid path")) for p in values)
     build = gauss_legendre_grid if kind == "gauss-legendre" else gauss_legendre_uniform_grid
-    return tuple(build(int(m)) for m in sizes)
+    return tuple(build(_integer(m, 1, "grid M")) for m in values)
 
 
-def _finite_number(spec: dict, key: str, default: float, what: str) -> float:
-    """A finite JSON number; ``json.load`` also accepts NaN and Infinity."""
-    value = spec.get(key, default)
-    if _is_int(value) and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ConfigError(f"{what} {key} must be a finite number, got {value!r}")
-    return value
-
-
-def _parse_model(spec) -> dict:
+def _parse_model(spec, base_dir: Path) -> dict:
     if spec is None:
         return None
     name = spec.get("name") if isinstance(spec, dict) else None
@@ -151,13 +202,13 @@ def _parse_model(spec) -> dict:
         _check_keys(spec, {"name"}, {"a", "b"}, "ishigami model")
         return {
             "name": "ishigami",
-            "a": _finite_number(spec, "a", 7.0, "ishigami model"),
-            "b": _finite_number(spec, "b", 0.1, "ishigami model"),
+            "a": _finite_number(spec.get("a", 7.0), "ishigami model a"),
+            "b": _finite_number(spec.get("b", 0.1), "ishigami model b"),
         }
     if name == "duffing":
         _check_keys(spec, {"name"}, {"t_final", "step"}, "duffing model")
-        t_final = _finite_number(spec, "t_final", 4.0, "duffing model")
-        step = _finite_number(spec, "step", 1e-3, "duffing model")
+        t_final = _finite_number(spec.get("t_final", 4.0), "duffing model t_final")
+        step = _finite_number(spec.get("step", 1e-3), "duffing model step")
         # 0 < step <= t_final makes round(t_final / step) at least one RK4 step
         if t_final <= 0:
             raise ConfigError(f"duffing model t_final must be positive, got {t_final!r}")
@@ -165,33 +216,30 @@ def _parse_model(spec) -> dict:
             raise ConfigError(f"duffing model step must be in (0, t_final], got {step!r}")
         return {"name": "duffing", "t_final": t_final, "step": step}
     if name == "tabulated":
+        # the values file is read by the commands that evaluate the model
         _check_keys(spec, {"name", "path"}, set(), "tabulated model")
-        return {"name": "tabulated", "path": str(spec["path"])}
+        path = _config_path(spec["path"], base_dir, "tabulated model path")
+        return {"name": "tabulated", "path": str(path)}
     raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
 def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
-    """Build grids, basis specs, index set, and factors from a problem config."""
+    """Build grids, basis specs, index set, and factors from a problem config.
+
+    Relative grid-file and tabulated-model paths are taken from ``base_dir``,
+    the config file's directory.
+    """
     _check_keys(
         config,
         {"dimension", "grid", "basis", "index_set"},
         {"model", "methods", "trials", "sample_count", "sample_multiplier", "seed"},
         "problem config",
     )
-    dimension = config["dimension"]
-    if not _is_int(dimension) or dimension < 1:
-        raise ConfigError("dimension must be a positive integer")
-    try:
-        index_spec = spec_from_json(config["index_set"])
-        if index_spec.dimension != dimension:
-            raise ConfigError("index_set dimension does not match the problem dimension")
-        index_set = build_index_set(index_spec)
-    except ValueError as exc:
-        raise ConfigError(f"bad index_set: {exc}")
-    try:
-        grids = _parse_grids(config["grid"], dimension, Path(base_dir))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    dimension = _integer(config["dimension"], 1, "dimension")
+    index_set = parse_index_set(config["index_set"])
+    if index_set.dimension != dimension:
+        raise ConfigError("index_set dimension does not match the problem dimension")
+    grids = _parse_grids(config["grid"], dimension, Path(base_dir))
     _check_keys(config["basis"], {"kind"}, {"count"}, "basis spec")
     kind = config["basis"]["kind"]
     if kind not in BASIS_KINDS:
@@ -199,53 +247,52 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     counts = _per_dimension(
         config["basis"].get("count", list(index_set.bounding_box)), dimension, "basis count"
     )
+    bases = tuple(BasisSpec(kind, _integer(c, 1, "basis count")) for c in counts)
+    if any(basis.count < n_d for n_d, basis in zip(index_set.bounding_box, bases)):
+        raise ConfigError("basis count is smaller than the index set bounding box")
     try:
-        bases = tuple(BasisSpec(kind, int(c)) for c in counts)
-        for n_d, basis in zip(index_set.bounding_box, bases):
-            if basis.count < n_d:
-                raise ConfigError("basis count is smaller than the index set bounding box")
         factors = tuple(build_factor(g, b) for g, b in zip(grids, bases))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    model = _parse_model(config.get("model"))
+    model = _parse_model(config.get("model"), Path(base_dir))
     if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
         raise ConfigError(f"model {model['name']!r} requires dimension 3")
     return ProblemSetup(dimension, grids, bases, index_set, factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
-    """Parse a full experiment config (problem + methods/trials/seed)."""
+    """Parse a full experiment config (problem + methods/trials/seed).
+
+    The sample size K is resolved here: ``sample_count``, or
+    ``max(1, round(sample_multiplier * N))``.
+    """
     problem = parse_problem(config, base_dir)
     if problem.model is None:
         raise ConfigError("experiment config requires a model")
     for key in ("methods", "trials", "seed"):
         if key not in config:
             raise ConfigError(f"experiment config missing required key {key!r}")
-    methods = tuple(config["methods"])
-    if not methods:
-        raise ConfigError("experiment needs at least one method")
+    methods = _json_list(config["methods"], "methods")
     for tag in methods:
         if tag not in METHOD_TAGS:
             raise ConfigError(f"unknown method {tag!r}; expected one of {METHOD_TAGS}")
-    trials = config["trials"]
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError("trials must be a positive integer")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"methods must be distinct, got {methods}")
+    trials = _integer(config["trials"], 1, "trials")
     count = config.get("sample_count")
     multiplier = config.get("sample_multiplier")
     if (count is None) == (multiplier is None):
         raise ConfigError("give exactly one of sample_count or sample_multiplier")
-    if count is not None and (not _is_int(count) or count < 1):
-        raise ConfigError("sample_count must be a positive integer")
-    if multiplier is not None and float(multiplier) <= 0:
-        raise ConfigError("sample_multiplier must be positive")
-    seed = config["seed"]
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if multiplier is not None:
+        multiplier = _finite_number(multiplier, "sample_multiplier")
+        if multiplier <= 0:
+            raise ConfigError(f"sample_multiplier must be positive, got {multiplier!r}")
+        k = _finite_number(multiplier * len(problem.index_set), "sample_multiplier * N")
+        count = max(1, int(round(k)))
     return ExperimentConfig(
         problem=problem,
-        methods=methods,
+        methods=tuple(methods),
         trials=trials,
-        sample_count=count,
-        sample_multiplier=None if multiplier is None else float(multiplier),
-        seed=seed,
+        sample_count=_integer(count, 1, "sample_count"),
+        seed=_integer(config["seed"], 0, "seed"),
     )

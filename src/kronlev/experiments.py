@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import oracle
-from .config import ExperimentConfig, ProblemSetup
+from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
 from .sampler import make_method
 from .sketch import (
@@ -136,10 +135,20 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     return u
 
 
-def _tabulated_values(path: str) -> np.ndarray:
-    values = np.loadtxt(path, dtype=float, ndmin=1)
-    if values.ndim != 1:
-        raise ValueError("tabulated model file must hold one value per line")
+def _tabulated_values(path: str, grids: Sequence[Grid1D]) -> np.ndarray:
+    """The values file of a tabulated model: one finite value per grid point."""
+    size = int(np.prod([len(g) for g in grids]))
+    try:
+        values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"tabulated model file {path}: {exc}")
+    if values.shape != (size,):
+        raise ConfigError(
+            f"tabulated model file {path} must hold {size} values, one per line; "
+            f"got an array of shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"tabulated model file {path} holds non-finite values")
     return values
 
 
@@ -162,7 +171,7 @@ def grid_table_target(grids: Sequence[Grid1D], values: np.ndarray, name: str) ->
             if np.any(grid.nodes[pos] != coords[:, d]):
                 raise ValueError("tabulated target queried off the grid")
             idx0[:, d] = pos
-        return values[oracle.flat_row_index(idx0, shape)]
+        return values[np.ravel_multi_index(tuple(idx0.T), shape)]
 
     return TargetFunction(name, lookup)
 
@@ -179,7 +188,7 @@ def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> Target
     if name == "tabulated":
         if grids is None:
             raise ValueError("tabulated model needs the grids")
-        return grid_table_target(grids, _tabulated_values(model["path"]), "tabulated")
+        return grid_table_target(grids, _tabulated_values(model["path"], grids), "tabulated")
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -218,7 +227,6 @@ class TrialReport:
     optimal_error: float
     subspace_size: int
     sample_count: int
-    seed: int
 
     def rows(self):
         for tag in self.methods:
@@ -240,11 +248,10 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         tag: make_method(tag, problem.factors, problem.index_set)
         for tag in experiment.methods
     }
-    count = experiment.resolved_sample_count()
 
     def one_trial(tag: str, trial: int) -> float:
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
-        sketch = draw_sketch(methods[tag], count, rng)
+        sketch = draw_sketch(methods[tag], experiment.sample_count, rng)
         solution = solve(assemble(problem.index_set, problem.bases, sketch, grid_target))
         return full_relative_error(reduction, solution.x)
 
@@ -263,8 +270,7 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         errors=errors,
         optimal_error=reduction.optimal_error,
         subspace_size=len(problem.index_set),
-        sample_count=count,
-        seed=experiment.seed,
+        sample_count=experiment.sample_count,
     )
 
 

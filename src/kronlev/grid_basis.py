@@ -9,7 +9,6 @@ on [-1, 1].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "gauss_legendre_grid",
     "gauss_legendre_uniform_grid",
     "eval_basis_matrix",
-    "grid_from_json",
 ]
 
 BASIS_KINDS = ("monomial", "legendre-orthonormal")
@@ -148,22 +146,3 @@ def eval_basis_matrix(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
     for k in range(1, n - 1):
         out[:, k + 1] = ((2 * k + 1) * y * out[:, k] - k * out[:, k - 1]) / (k + 1)
     return out * np.sqrt(2.0 * np.arange(n) + 1.0)
-
-
-def grid_from_json(obj) -> Grid1D:
-    """Load a grid from a JSON object/string {"nodes": [...], "weights": [...]}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ValueError("grid JSON must be an object")
-    unknown = set(obj) - {"nodes", "weights"}
-    if unknown:
-        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-    if "nodes" not in obj or "weights" not in obj:
-        raise ValueError("grid JSON needs both 'nodes' and 'weights'")
-    nodes = np.asarray(obj["nodes"], dtype=float)
-    weights = np.asarray(obj["weights"], dtype=float)
-    if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-        raise ValueError("grid nodes/weights must be finite")
-    return Grid1D(nodes, weights)
-

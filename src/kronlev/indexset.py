@@ -10,7 +10,6 @@ closed under componentwise decrease toward the all-ones index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +23,6 @@ __all__ = [
     "is_monotone_lower",
     "canonicalize_to_lower",
     "apply_permutation",
-    "spec_from_json",
 ]
 
 FAMILIES = ("wlp-ball", "hyperbolic-cross", "explicit-list")
@@ -230,37 +228,3 @@ def canonicalize_to_lower(
     if not is_monotone_lower(permuted):
         return None
     return tuple(perms), permuted
-
-
-def spec_from_json(obj) -> IndexSetSpec:
-    """Parse an IndexSetSpec from a JSON object or string (strict keys)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ValueError("index set spec must be a JSON object")
-    family = obj.get("family")
-    if family == "explicit-list":
-        allowed = {"family", "indices", "dimension"}
-    else:
-        allowed = {"family", "dimension", "p", "order", "weights"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown index set spec keys: {sorted(unknown)}")
-    if family == "explicit-list":
-        indices = tuple(tuple(int(a) for a in alpha) for alpha in obj["indices"])
-        dimension = int(obj.get("dimension", len(indices[0]) if indices else 0))
-        return IndexSetSpec(dimension=dimension, family="explicit-list", indices=indices)
-    for key in ("dimension", "family", "order"):
-        if key not in obj:
-            raise ValueError(f"index set spec missing required key {key!r}")
-    p = obj.get("p", 1.0)
-    p = math.inf if p in ("inf", "Infinity") else float(p)
-    weights = tuple(float(w) for w in obj.get("weights", [1.0] * int(obj["dimension"])))
-    return IndexSetSpec(
-        dimension=int(obj["dimension"]),
-        family=str(family),
-        order=float(obj["order"]),
-        p=p,
-        weights=weights,
-    )
-

@@ -54,7 +54,6 @@ class SamplerMethod:
     tag: str
     grids: tuple[Grid1D, ...]
     tables: Optional[tuple[LeverageTable1D, ...]]
-    index_set: Optional[MultiIndexSet]
     index_array: Optional[np.ndarray]  # (N, D) 0-based rows of the index set
 
     @property
@@ -81,10 +80,10 @@ def make_method(
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")
     grids = tuple(f.grid for f in factors)
     if tag == "uniform":
-        return SamplerMethod(tag, grids, None, None, None)
+        return SamplerMethod(tag, grids, None, None)
     if tag == "tensor-product":
         tables = tuple(leverage_table(factor_qr(f)) for f in factors)
-        return SamplerMethod(tag, grids, tables, None, None)
+        return SamplerMethod(tag, grids, tables, None)
     if index_set is None:
         raise ValueError(f"method {tag!r} requires a multi-index set")
     if index_set.dimension != len(factors):
@@ -101,7 +100,7 @@ def make_method(
     else:
         tables = tuple(normalized_column_table(f) for f in factors)
     index_array = np.asarray(index_set.indices, dtype=np.int64) - 1
-    return SamplerMethod(tag, grids, tables, index_set, index_array)
+    return SamplerMethod(tag, grids, tables, index_array)
 
 
 def _check_bounds(method: SamplerMethod, idx0: np.ndarray):

@@ -86,7 +86,6 @@ class Solution:
     """Least squares solution of a sketched system."""
 
     x: np.ndarray
-    residual_norm: float
     rank_deficient: bool
 
 
@@ -151,8 +150,7 @@ def solve(system: SketchedSystem) -> Solution:
             x = solve_triangular(r, q.T @ b)
     if deficient:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
-    residual = float(np.linalg.norm(a @ x - b))
-    return Solution(x, residual, deficient)
+    return Solution(x, deficient)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +14,13 @@ from kronlev.config import (
     ConfigError,
     load_json,
     parse_experiment,
+    parse_index_set,
     parse_problem,
 )
 from kronlev.configs import list_packaged_configs, packaged_config_path
+from kronlev.experiments import evaluate_on_grid, make_target
+from kronlev.grid_basis import gauss_legendre_grid
+from kronlev.indexset import IndexSetSpec, build_index_set
 
 
 def problem_dict(**overrides):
@@ -96,6 +101,65 @@ class TestParseProblem:
             parse_problem(config)
 
 
+class TestParseIndexSet:
+    def test_round_trip(self):
+        spec = IndexSetSpec(dimension=3, family="wlp-ball", order=7.0, p=1.0,
+                            weights=(1.0, 1.0, 1.0))
+        obj = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 7.0,
+               "weights": [1.0, 1.0, 1.0]}
+        assert parse_index_set(obj) == build_index_set(spec)
+
+    def test_documented_form(self):
+        got = parse_index_set(
+            {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 7, "weights": [1, 1, 1]}
+        )
+        assert len(got) == 120
+
+    def test_explicit_list_form(self):
+        got = parse_index_set({"family": "explicit-list", "indices": [[1, 1], [2, 1]]})
+        assert got.indices == ((1, 1), (2, 1))
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_index_set({"dimension": 2, "family": "wlp-ball", "order": 1, "radius": 2})
+
+    @pytest.mark.parametrize("p", ["inf", "Infinity", math.inf],
+                             ids=["string-inf", "string-Infinity", "json-Infinity"])
+    def test_infinity_spelling(self, p):
+        got = parse_index_set({"dimension": 2, "family": "wlp-ball", "p": p, "order": 2})
+        assert len(got) == 9
+
+
+class TestGridFile:
+    def parse(self, tmp_path, grid):
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        config = problem_dict(grid={"grid": "file", "path": "grid.json"},
+                              index_set={"dimension": 2, "family": "wlp-ball", "order": 1})
+        return parse_problem(config, tmp_path).grids[0]
+
+    def test_round_trip(self, tmp_path):
+        g = gauss_legendre_grid(4)
+        back = self.parse(tmp_path, {"nodes": g.nodes.tolist(), "weights": g.weights.tolist()})
+        assert np.array_equal(back.nodes, g.nodes)
+        assert np.array_equal(back.weights, g.weights)
+
+    def test_rejects_weight_sum_off_by_more_than_gate(self, tmp_path):
+        with pytest.raises(ConfigError, match="not 1"):
+            self.parse(tmp_path, {"nodes": [0.0, 1.0], "weights": [0.5, 0.5 + 1e-6]})
+
+    def test_accepts_tiny_imbalance(self, tmp_path):
+        g = self.parse(tmp_path, {"nodes": [0.0, 1.0], "weights": [0.5, 0.5 + 1e-10]})
+        assert len(g) == 2
+
+    def test_rejects_unknown_keys(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown"):
+            self.parse(tmp_path, {"nodes": [0.0], "weights": [1.0], "kind": "x"})
+
+    def test_rejects_nonfinite(self, tmp_path):
+        with pytest.raises(ConfigError, match="finite"):
+            self.parse(tmp_path, {"nodes": [0.0, math.inf], "weights": [0.5, 0.5]})
+
+
 class TestParseExperiment:
     def base(self, **overrides):
         config = problem_dict(
@@ -113,7 +177,7 @@ class TestParseExperiment:
 
     def test_round_trip(self):
         experiment = parse_experiment(self.base())
-        assert experiment.resolved_sample_count() == 4 * 10
+        assert experiment.sample_count == 4 * 10
 
     def test_requires_model(self):
         config = self.base()
@@ -163,7 +227,7 @@ class TestPackagedConfigs:
         for name in list_packaged_configs():
             experiment = parse_experiment(load_json(packaged_config_path(name)))
             assert experiment.trials == 100
-            assert experiment.resolved_sample_count() == 4 * len(experiment.problem.index_set)
+            assert experiment.sample_count == 4 * len(experiment.problem.index_set)
 
     def test_expected_subspace_sizes(self):
         sizes = {"ishigami-g7": 120, "ishigami-g9": 220,
@@ -194,6 +258,11 @@ def tiny_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+_INDEX_SET = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
+              "weights": [1.0, 1.0, 1.0]}
+_TABULATED = {"model": {"name": "tabulated", "path": "values.txt"}}
 
 
 class TestCli:
@@ -331,6 +400,96 @@ class TestCli:
         assert captured.out == ""
         assert "config error: " + model["name"] + " model" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,patch,values,message",
+        [
+            ("indexset", {"index_set": dict(_INDEX_SET, order=True)}, None, "index_set order"),
+            ("indexset", {"index_set": dict(_INDEX_SET, order="2")}, None, "index_set order"),
+            ("indexset", {"index_set": dict(_INDEX_SET, p="2")}, None, "index_set p"),
+            ("indexset", {"index_set": dict(_INDEX_SET, weights=["1", "0.5", "1"])}, None,
+             "index_set weights"),
+            ("indexset", {"index_set": {"dimension": 2.9, "family": "wlp-ball", "order": 2}},
+             None, "index_set dimension"),
+            ("indexset", {"index_set": {"family": "explicit-list",
+                                        "indices": [[1, 1, 1], [1, 2.5, 1]]}},
+             None, "index_set entry"),
+            ("indexset", {"index_set": {"family": "explicit-list", "indices": [[True] * 3]}},
+             None, "index_set entry"),
+            ("indexset", {"index_set": {"family": "explicit-list",
+                                        "indices": [[1.9, 1, 1], [1, 1, 1]]}},
+             None, "index_set entry"),
+            ("sample", {"grid": {"grid": "gauss-legendre-uniform", "M": 6.7}}, None,
+             "grid M"),
+            ("sample", {"grid": {"grid": "gauss-legendre-uniform", "M": [True, 6, 6]}}, None,
+             "grid M"),
+            ("sample", {"basis": {"kind": "legendre-orthonormal", "count": 3.9}}, None,
+             "basis count"),
+            ("experiment", {"sample_multiplier": True}, None, "sample_multiplier"),
+            ("experiment", {"sample_multiplier": "4"}, None, "sample_multiplier"),
+            ("experiment", {"sample_multiplier": math.nan}, None, "sample_multiplier"),
+            ("experiment", {"sample_multiplier": math.inf}, None, "sample_multiplier"),
+            ("experiment", {"sample_multiplier": 1e308}, None, "sample_multiplier * N"),
+            ("experiment", {"methods": ["uniform", "uniform"]}, None, "methods must be distinct"),
+            ("experiment", {"methods": "uniform"}, None, "methods must be a"),
+            ("experiment", _TABULATED, None, "tabulated model file"),
+            ("experiment", _TABULATED, [0.5] * 63, "must hold 64 values"),
+            ("experiment", _TABULATED, [0.5] * 63 + [math.nan], "non-finite"),
+        ],
+        ids=["order-bool", "order-string", "p-string", "weights-strings", "dimension-float",
+             "entry-float", "entry-bool", "entry-float-collides", "M-float", "M-bool",
+             "count-float", "multiplier-bool", "multiplier-string", "multiplier-nan",
+             "multiplier-inf", "multiplier-overflow", "methods-duplicate", "methods-string", "tabulated-missing",
+             "tabulated-count", "tabulated-nan"],
+    )
+    def test_bad_config_value_is_exit_2(
+        self, tiny_config, tmp_path, capsys, command, patch, values, message
+    ):
+        config = json.loads(tiny_config.read_text())
+        config.update(patch)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        if values is not None:
+            (tmp_path / "values.txt").write_text("".join(f"{v!r}\n" for v in values))
+        args = {
+            "indexset": [],
+            "sample": ["--method", "uniform", "--count", "3", "--seed", "1"],
+            "experiment": ["--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert main([command, "--config", str(path)] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_tabulated_path_is_relative_to_the_config_file(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        config = json.loads(tiny_config.read_text())
+        problem = parse_problem(config)
+        values = evaluate_on_grid(make_target(problem.model, problem.grids), problem.grids)
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "values.txt").write_text("".join(f"{float(v)!r}\n" for v in values))
+        config.update(_TABULATED)
+        (tmp_path / "cfg" / "tabulated.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        solve_args = ["--method", "leverage-lower", "--K", "40", "--seed", "2"]
+        assert main(["solve", "--config", str(tiny_config)] + solve_args) == 0
+        expected = capsys.readouterr().out
+        assert main(["solve", "--config", "cfg/tabulated.json"] + solve_args) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_commands_without_the_model_do_not_read_tabulated_values(
+        self, tiny_config, tmp_path, capsys
+    ):
+        config = json.loads(tiny_config.read_text())
+        config.update(_TABULATED)  # values.txt does not exist
+        path = tmp_path / "tabulated.json"
+        path.write_text(json.dumps(config))
+        assert main(["indexset", "--config", str(path)]) == 0
+        assert main(["sample", "--config", str(path), "--method", "uniform",
+                     "--count", "3", "--seed", "1"]) == 0
 
     def test_runtime_error_is_exit_1(self, tmp_path, capsys):
         # a valid config whose grid exceeds the dense-oracle guard makes the

@@ -9,7 +9,6 @@ from kronlev.grid_basis import (
     eval_basis_matrix,
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
-    grid_from_json,
 )
 
 
@@ -99,27 +98,3 @@ class TestEvalBasis:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             BasisSpec("chebyshev", 3)
-
-
-class TestGridJson:
-    def test_round_trip(self):
-        g = gauss_legendre_grid(4)
-        back = grid_from_json({"nodes": g.nodes.tolist(), "weights": g.weights.tolist()})
-        assert np.array_equal(back.nodes, g.nodes)
-        assert np.array_equal(back.weights, g.weights)
-
-    def test_rejects_weight_sum_off_by_more_than_gate(self):
-        with pytest.raises(ValueError):
-            grid_from_json({"nodes": [0.0, 1.0], "weights": [0.5, 0.5 + 1e-6]})
-
-    def test_accepts_tiny_imbalance(self):
-        g = grid_from_json({"nodes": [0.0, 1.0], "weights": [0.5, 0.5 + 1e-10]})
-        assert len(g) == 2
-
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown"):
-            grid_from_json({"nodes": [0.0], "weights": [1.0], "kind": "x"})
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            grid_from_json({"nodes": [0.0, math.inf], "weights": [0.5, 0.5]})

@@ -12,7 +12,6 @@ from kronlev.indexset import (
     build_index_set,
     canonicalize_to_lower,
     is_monotone_lower,
-    spec_from_json,
 )
 
 
@@ -222,30 +221,3 @@ class TestCanonicalize:
             perms, permuted = result
             assert is_monotone_lower(permuted)
             assert set(apply_permutation(inverse(perms), permuted).indices) == set(s.indices)
-
-
-class TestJson:
-    def test_round_trip(self):
-        spec = IndexSetSpec(dimension=3, family="wlp-ball", order=7.0, p=1.0,
-                            weights=(1.0, 1.0, 1.0))
-        obj = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 7.0,
-               "weights": [1.0, 1.0, 1.0]}
-        assert spec_from_json(obj) == spec
-
-    def test_documented_form(self):
-        got = spec_from_json(
-            {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 7, "weights": [1, 1, 1]}
-        )
-        assert len(build_index_set(got)) == 120
-
-    def test_explicit_list_form(self):
-        got = spec_from_json({"family": "explicit-list", "indices": [[1, 1], [2, 1]]})
-        assert build_index_set(got).indices == ((1, 1), (2, 1))
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            spec_from_json({"dimension": 2, "family": "wlp-ball", "order": 1, "radius": 2})
-
-    def test_infinity_spelling(self):
-        got = spec_from_json({"dimension": 2, "family": "wlp-ball", "p": "inf", "order": 2})
-        assert len(build_index_set(got)) == 9
