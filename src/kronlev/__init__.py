@@ -3,8 +3,8 @@
 The design matrices handled here are monotone-lower column subsets of a
 Kronecker product of per-dimension factor matrices.  The package builds the
 multi-index sets that define the subsets, samples grid rows from the exact
-leverage-score distribution in O(D) per draw, assembles and solves the
-sketched least squares problems, computes full-grid errors through the
+leverage-score distribution in O(D) per draw, solves the sketched least
+squares problems and computes their full-grid errors through the
 per-dimension QR factors, and ships a dense brute-force oracle plus an
 experiment harness for relative-error studies.
 """
@@ -48,6 +48,7 @@ from .sketch import (
     reduce_full_grid,
     sample_size,
     solve,
+    trial_error,
 )
 from .oracle import (
     FullSystem,
@@ -62,6 +63,7 @@ from .experiments import (
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,
+    grid_values,
     ishigami,
     run_trials,
 )

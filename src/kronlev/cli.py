@@ -17,18 +17,10 @@ import numpy as np
 
 from . import __version__, oracle
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
-from .experiments import (
-    emit_cdf,
-    emit_cdf_svg,
-    evaluate_on_grid,
-    make_target,
-    prepare_problem,
-    run_trials,
-    write_report_csv,
-)
+from .experiments import emit_cdf, emit_cdf_svg, grid_values, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
 from .sampler import make_method, mu_mass_many, point_mass_many, sample_indices
-from .sketch import assemble, draw_sketch, full_relative_error, solve
+from .sketch import draw_sketch, trial_error
 
 
 def _emit(payload: dict) -> None:
@@ -88,17 +80,16 @@ def _cmd_solve(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
     if problem.model is None:
         raise ConfigError("solve requires a model in the config")
-    grid_target, reduction = prepare_problem(problem)
+    reduction = prepare_problem(problem)
     method = make_method(args.method, problem.factors, problem.index_set)
-    sketch = draw_sketch(method, args.K, args.seed)
-    solution = solve(assemble(problem.index_set, problem.bases, sketch, grid_target))
+    error, rank_deficient = trial_error(reduction, draw_sketch(method, args.K, args.seed))
     _emit(
         {
-            "relative_error": full_relative_error(reduction, solution.x),
+            "relative_error": error,
             "optimal_relative_error": reduction.optimal_error,
             "K": args.K,
             "N": len(problem.index_set),
-            "rank_flag": solution.rank_deficient,
+            "rank_flag": rank_deficient,
         }
     )
     return 0
@@ -107,8 +98,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
     if problem.model is not None:
-        target = make_target(problem.model, problem.grids)
-        b_values = evaluate_on_grid(target, problem.grids)
+        b_values = grid_values(problem.model, problem.grids)
     else:
         b_values = np.zeros(int(np.prod([len(g) for g in problem.grids])))
     system = oracle.build_full(problem.index_set, problem.factors, b_values=b_values)

@@ -53,7 +53,6 @@ class ProblemSetup:
 
     dimension: int
     grids: tuple[Grid1D, ...]
-    bases: tuple[BasisSpec, ...]
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     model: Optional[dict]
@@ -68,17 +67,21 @@ class ExperimentConfig:
     seed: int
 
 
-def load_json(path) -> dict:
+def _json_object_file(path, what: str) -> dict:
     try:
         with open(path) as handle:
             data = json.load(handle)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"{what} {path} must hold a JSON object")
     return data
+
+
+def load_json(path) -> dict:
+    return _json_object_file(path, "config file")
 
 
 def _is_int(value) -> bool:
@@ -168,7 +171,7 @@ def parse_index_set(spec) -> MultiIndexSet:
 def _parse_grid_file(path: Path) -> Grid1D:
     """A grid file: ``{"nodes": [...], "weights": [...]}`` of finite numbers."""
     what = f"grid file {path}"
-    obj = load_json(path)
+    obj = _json_object_file(path, "grid file")
     _check_keys(obj, {"nodes", "weights"}, set(), what)
     nodes, weights = (
         [_finite_number(v, f"{what} {key}") for v in _json_list(obj[key], f"{what} {key}")]
@@ -257,7 +260,7 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     model = _parse_model(config.get("model"), Path(base_dir))
     if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
         raise ConfigError(f"model {model['name']!r} requires dimension 3")
-    return ProblemSetup(dimension, grids, bases, index_set, factors, model)
+    return ProblemSetup(dimension, grids, index_set, factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:

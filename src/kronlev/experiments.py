@@ -2,16 +2,17 @@
 
 Two benchmark models are built in: the Ishigami function and the terminal
 displacement of a damped Duffing oscillator under free vibration, both over
-three inputs in [-1, 1].  The harness evaluates the target once over the
-grid, draws repeated sketches per sampling method, solves each sketched
-system, records full-grid relative errors (from the full-grid reduction)
-against the optimal one, and exports the per-method error distributions as
-CDF tables or an SVG staircase plot.
+three inputs in [-1, 1].  The harness takes the model over the grid once
+into the full-grid reduction, runs repeated ``sketch.trial_error`` trials
+per sampling method, records full-grid relative errors against the optimal
+one, and exports the per-method error distributions as CDF tables or an
+SVG staircase plot.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,15 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
 from .sampler import make_method
-from .sketch import (
-    FullGridReduction,
-    TargetFunction,
-    assemble,
-    draw_sketch,
-    full_relative_error,
-    reduce_full_grid,
-    solve,
-)
+from .sketch import FullGridReduction, TargetFunction, draw_sketch, reduce_full_grid, trial_error
 
 __all__ = [
     "METHOD_IDS",
@@ -37,7 +30,7 @@ __all__ = [
     "duffing_qoi_batch",
     "make_target",
     "evaluate_on_grid",
-    "grid_table_target",
+    "grid_values",
     "prepare_problem",
     "TrialReport",
     "run_trials",
@@ -139,8 +132,10 @@ def _tabulated_values(path: str, grids: Sequence[Grid1D]) -> np.ndarray:
     """The values file of a tabulated model: one finite value per grid point."""
     size = int(np.prod([len(g) for g in grids]))
     try:
-        values = np.loadtxt(path, dtype=float, ndmin=1)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file
+            values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"tabulated model file {path}: {exc}")
     if values.shape != (size,):
         raise ConfigError(
@@ -152,32 +147,11 @@ def _tabulated_values(path: str, grids: Sequence[Grid1D]) -> np.ndarray:
     return values
 
 
-def grid_table_target(grids: Sequence[Grid1D], values: np.ndarray, name: str) -> TargetFunction:
-    """Target backed by precomputed values on the full grid.
-
-    Coordinates are resolved to per-dimension node indices by exact binary
-    search, so only points of the grid itself can be evaluated.
-    """
-    values = np.asarray(values, dtype=float)
-    shape = tuple(len(g) for g in grids)
-    if values.shape != (int(np.prod(shape)),):
-        raise ValueError(f"expected {int(np.prod(shape))} tabulated values, got {values.size}")
-
-    def lookup(coords: np.ndarray) -> np.ndarray:
-        idx0 = np.empty(coords.shape, dtype=np.int64)
-        for d, grid in enumerate(grids):
-            pos = np.searchsorted(grid.nodes, coords[:, d])
-            pos = np.clip(pos, 0, len(grid) - 1)
-            if np.any(grid.nodes[pos] != coords[:, d]):
-                raise ValueError("tabulated target queried off the grid")
-            idx0[:, d] = pos
-        return values[np.ravel_multi_index(tuple(idx0.T), shape)]
-
-    return TargetFunction(name, lookup)
-
-
 def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> TargetFunction:
-    """Instantiate the target function described by a parsed model spec."""
+    """The target function of a parsed model spec; ``grids`` is not used.
+
+    A tabulated model has no target function: ``grid_values`` reads it.
+    """
     name = model["name"]
     if name == "ishigami":
         a, b_param = model["a"], model["b"]
@@ -186,9 +160,7 @@ def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> Target
         t_final, step = model["t_final"], model["step"]
         return TargetFunction("duffing", lambda c: duffing_qoi_batch(c, t_final, step))
     if name == "tabulated":
-        if grids is None:
-            raise ValueError("tabulated model needs the grids")
-        return grid_table_target(grids, _tabulated_values(model["path"], grids), "tabulated")
+        raise ValueError("a tabulated model has no target function; read it with grid_values")
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -205,16 +177,17 @@ def evaluate_on_grid(target: TargetFunction, grids: Sequence[Grid1D]) -> np.ndar
     return out
 
 
-def prepare_problem(problem: ProblemSetup) -> tuple[TargetFunction, FullGridReduction]:
-    """Evaluate the problem's model once over the grid.
+def grid_values(model: dict, grids: Sequence[Grid1D]) -> np.ndarray:
+    """The model over the full grid in lexicographic order; a tabulated file is read as is."""
+    if model["name"] == "tabulated":
+        return _tabulated_values(model["path"], grids)
+    return evaluate_on_grid(make_target(model), grids)
 
-    Returns a target that reads sketch points from that table and the
-    full-grid reduction that every full-grid error is computed from.
-    """
-    target = make_target(problem.model, problem.grids)
-    b_values = evaluate_on_grid(target, problem.grids)
-    grid_target = grid_table_target(problem.grids, b_values, target.name)
-    return grid_target, reduce_full_grid(problem.index_set, problem.factors, b_values)
+
+def prepare_problem(problem: ProblemSetup) -> FullGridReduction:
+    """The full-grid reduction of the problem's model, which every trial reads."""
+    b_values = grid_values(problem.model, problem.grids)
+    return reduce_full_grid(problem.index_set, problem.factors, b_values)
 
 
 @dataclass(frozen=True)
@@ -237,13 +210,13 @@ class TrialReport:
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
-    Factors are built once; the target is evaluated once over the full grid
-    and all sketches and full-grid errors read from that evaluation.  Each
+    The model is taken over the full grid once, into the reduction that
+    every ``sketch.trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
     so reports are pure functions of the config regardless of thread count.
     """
     problem = experiment.problem
-    grid_target, reduction = prepare_problem(problem)
+    reduction = prepare_problem(problem)
     methods = {
         tag: make_method(tag, problem.factors, problem.index_set)
         for tag in experiment.methods
@@ -252,8 +225,7 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     def one_trial(tag: str, trial: int) -> float:
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
         sketch = draw_sketch(methods[tag], experiment.sample_count, rng)
-        solution = solve(assemble(problem.index_set, problem.bases, sketch, grid_target))
-        return full_relative_error(reduction, solution.x)
+        return trial_error(reduction, sketch)[0]
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
     if threads > 1:

@@ -1,13 +1,12 @@
-"""Assembling and solving the sketched least squares problem.
+"""Sketched least squares trials and the full-grid reduction they are judged by.
 
 A sketch is K iid grid points drawn from a sampling method, each carrying
-the unbiasing weight v_k = (1/K) * mu(Y_k) / nu(Y_k).  The sketched system
-scales basis values and right-hand side samples by sqrt(v_k); its least
-squares solution approximates the full weighted problem.  Theoretical
-sample-size lower bounds from the residual guarantees are provided as a
-calculator.  Full-grid errors come from one reduction per problem, built
-by mode products with the per-dimension QR factors, so the dense design
-matrix is never formed.
+the unbiasing weight v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is
+reduced once by the per-dimension QR factors, and ``trial_error`` solves a
+sketch from products of their Q entries, with no basis evaluation and no
+pass over the grid; ``assemble`` builds the sketch from basis values and is
+the reference it is tested against.  Sample-size lower bounds from the
+residual guarantees are provided as a calculator.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .factor import FactorMatrix, factor_qr
-from .grid_basis import BasisSpec, eval_basis_matrix
+from .grid_basis import BasisSpec, Grid1D, eval_basis_matrix
 from .indexset import MultiIndexSet
 from .sampler import SamplerMethod, mu_mass_many, point_mass_many, sample_indices
 
@@ -36,6 +35,7 @@ __all__ = [
     "solve",
     "reduce_full_grid",
     "full_relative_error",
+    "trial_error",
     "sample_size",
 ]
 
@@ -136,18 +136,19 @@ def assemble(
 def solve(system: SketchedSystem) -> Solution:
     """QR-based least squares; rank-deficient sketches get the minimum-norm solution.
 
-    Rank deficiency (R diagonal below 1e-12 of its largest entry, or fewer
-    rows than columns) is a flagged outcome, not an error.
+    Only R of [A, b] is formed: its last column holds Q^T b.  Rank
+    deficiency (R diagonal below 1e-12 of its largest entry, or fewer rows
+    than columns) is a flagged outcome, not an error.
     """
     a, b = system.matrix, system.rhs
     k, n = a.shape
     deficient = k < n
     if not deficient:
-        q, r = np.linalg.qr(a)
-        diag = np.abs(np.diag(r))
+        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        diag = np.abs(np.diag(r[:n, :n]))
         deficient = bool(np.any(diag <= _RANK_RTOL * diag.max())) if diag.size else True
         if not deficient:
-            x = solve_triangular(r, q.T @ b)
+            x = solve_triangular(r[:n, :n], r[:n, n])
     if deficient:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
     return Solution(x, deficient)
@@ -164,7 +165,12 @@ class FullGridReduction:
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
     """
 
+    q: tuple[np.ndarray, ...]  # Q^(d)[:, :box_d], (M_d, box_d) per dimension
+    lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
     r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
+    basis: np.ndarray     # (|L|, N) U, orthonormal basis of range(R_{L,J}); I for lower J
+    grids: tuple[Grid1D, ...]
+    b: np.ndarray         # (M_1, ..., M_D) sqrt(w) * target over the grid
     c: np.ndarray         # (|L|,)
     residual_sq: float    # ||r||^2, from r computed explicitly
     b_sq: float           # ||b||^2
@@ -208,13 +214,36 @@ def reduce_full_grid(
     gap = c - basis @ (basis.T @ c)
     b_sq, residual_sq = float(np.vdot(b, b)), float(np.vdot(r, r))
     optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
-    return FullGridReduction(r_lj, c, residual_sq, b_sq, optimal)
+    grids = tuple(f.grid for f in factors)
+    return FullGridReduction(tuple(qs), lower, r_lj, basis, grids, b, c, residual_sq, b_sq, optimal)
+
+
+def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
+    """||Q_L fit - b|| / ||b|| for coordinates ``fit`` in the columns of Q_L."""
+    gap = fit - reduction.c
+    return math.sqrt((float(gap @ gap) + reduction.residual_sq) / reduction.b_sq)
 
 
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     """||A x - b||_2 / ||b||_2 over the full grid, in O(|L| N) from the reduction."""
-    gap = reduction.r_lj @ np.asarray(x, dtype=float) - reduction.c
-    return math.sqrt((float(gap @ gap) + reduction.residual_sq) / reduction.b_sq)
+    return _relative_error(reduction, reduction.r_lj @ np.asarray(x, dtype=float))
+
+
+def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bool]:
+    """Full-grid relative error and rank flag of the sketch's least squares fit.
+
+    Sketch row k is sqrt(v_k / mu(m_k)) prod_d Q^(d)[m_{k,d}, L] U, in the
+    basis U of range(R_{L,J}): the fit of ``assemble`` + ``solve`` when the
+    sketch has full rank, with the rank judged in orthonormal coordinates.
+    """
+    rows = sketch.indices0
+    g = math.prod(q[m][:, l] for q, m, l in zip(reduction.q, rows.T, reduction.lower.T))
+    mu = mu_mass_many(reduction.grids, rows)
+    # a zero-weight node has v_k = 0, and its row stays zero
+    scale = np.sqrt(np.divide(sketch.weights, mu, out=np.zeros_like(mu), where=mu > 0))
+    g *= scale[:, None]
+    solution = solve(SketchedSystem(g @ reduction.basis, scale * reduction.b[tuple(rows.T)]))
+    return _relative_error(reduction, reduction.basis @ solution.x), solution.rank_deficient
 
 
 def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:

@@ -41,7 +41,7 @@ class TestParseProblem:
         assert problem.dimension == 2
         assert len(problem.index_set) == 6
         assert [len(g) for g in problem.grids] == [5, 5]
-        assert [b.count for b in problem.bases] == [3, 3]
+        assert [f.basis.count for f in problem.factors] == [3, 3]
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -479,6 +479,32 @@ class TestCli:
         expected = capsys.readouterr().out
         assert main(["solve", "--config", "cfg/tabulated.json"] + solve_args) == 0
         assert capsys.readouterr().out == expected
+
+    def test_missing_grid_file_is_exit_2(self, tiny_config, tmp_path, capsys):
+        config = json.loads(tiny_config.read_text())
+        config["grid"] = {"grid": "file", "path": "no-such-grid.json"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["--method", "uniform", "--count", "3", "--seed", "1"]
+        assert main(["sample", "--config", str(path)] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: grid file not found: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_tabulated_file_is_one_config_error(self, tiny_config, tmp_path, capsys):
+        # with warnings as errors, a warning from the reader would turn into
+        # an exit-1 runtime error instead of the config error
+        config = json.loads(tiny_config.read_text())
+        config.update(_TABULATED)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (tmp_path / "values.txt").write_text("")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: tabulated model file ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_commands_without_the_model_do_not_read_tabulated_values(
         self, tiny_config, tmp_path, capsys

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import sys
@@ -8,14 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import kronlev.grid_basis
+import kronlev.sketch
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
+    METHOD_IDS,
     duffing_qoi_batch,
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,
-    grid_table_target,
+    grid_values,
     ishigami,
     make_target,
     run_trials,
@@ -159,26 +161,16 @@ class TestDuffingKernel:
 
 
 class TestTargets:
-    def test_grid_table_round_trip(self):
-        grids = [gauss_legendre_grid(4), gauss_legendre_grid(3)]
-        coords = np.array(list(itertools.product(grids[0].nodes, grids[1].nodes)))
-        values = np.arange(12.0)
-        target = grid_table_target(grids, values, "t")
-        assert np.array_equal(target(coords), values)
-
-    def test_grid_table_rejects_off_grid(self):
-        grids = [gauss_legendre_grid(4)]
-        target = grid_table_target(grids, np.arange(4.0), "t")
-        with pytest.raises(ValueError, match="off the grid"):
-            target(np.array([[0.123]]))
-
     def test_tabulated_model_from_file(self, tmp_path):
         grids = [gauss_legendre_grid(3), gauss_legendre_grid(3)]
         values = np.linspace(0.0, 1.0, 9)
         path = tmp_path / "values.txt"
         np.savetxt(path, values)
-        target = make_target({"name": "tabulated", "path": str(path)}, grids)
-        assert np.allclose(evaluate_on_grid(target, grids), values)
+        assert np.allclose(grid_values({"name": "tabulated", "path": str(path)}, grids), values)
+
+    def test_tabulated_model_has_no_target_function(self):
+        with pytest.raises(ValueError, match="grid_values"):
+            make_target({"name": "tabulated", "path": "values.txt"})
 
     def test_evaluate_on_grid_lexicographic_order(self):
         from kronlev.sketch import TargetFunction
@@ -211,6 +203,29 @@ def experiment_config(**overrides):
 
 
 class TestRunTrials:
+    def test_trials_evaluate_no_basis_and_assemble_nothing(self, monkeypatch):
+        # trials read the reduction's Q factors, so once the factors exist no
+        # basis is evaluated again and no sketch is assembled
+        experiment = experiment_config(
+            grid={"grid": "gauss-legendre", "M": 4}, methods=list(METHOD_IDS)
+        )
+        calls = []
+        for original in (kronlev.grid_basis.eval_basis_matrix, kronlev.sketch.assemble):
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "kronlev" or name.startswith("kronlev."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+        report = run_trials(experiment)
+        assert calls == []
+        assert [len(report.errors[tag]) for tag in METHOD_IDS] == [3] * 4
+        build_factor(gauss_legendre_grid(3), BasisSpec("monomial", 2))  # the count works
+        assert calls == ["eval_basis_matrix"]
+
     def test_deterministic_for_fixed_seed(self):
         a = run_trials(experiment_config())
         b = run_trials(experiment_config())
@@ -255,15 +270,14 @@ class TestRunTrials:
 
 
 @pytest.fixture(scope="module")
-def grid_values():
+def cached_grid_values():
     """Target values per (model, grid); the packaged configs share one Duffing grid."""
     cache = {}
 
     def values(problem):
         key = json.dumps([problem.model, [g.nodes.tolist() for g in problem.grids]], sort_keys=True)
         if key not in cache:
-            target = make_target(problem.model, problem.grids)
-            cache[key] = evaluate_on_grid(target, problem.grids)
+            cache[key] = grid_values(problem.model, problem.grids)
         return cache[key]
 
     return values
@@ -278,20 +292,20 @@ def monomial_order_14(_):
     return index_set, factors, evaluate_on_grid(target, [f.grid for f in factors])
 
 
-def explicit_non_lower(grid_values):
+def explicit_non_lower(cached_grid_values):
     indices = [[1, 1, 1], [3, 1, 1], [1, 2, 2], [2, 1, 3], [1, 1, 2]]
     cfg = experiment_config(
         index_set={"dimension": 3, "family": "explicit-list", "indices": indices},
         methods=["uniform"],
     )
     problem = cfg.problem
-    return problem.index_set, problem.factors, grid_values(problem)
+    return problem.index_set, problem.factors, cached_grid_values(problem)
 
 
 def packaged(name):
-    def case(grid_values):
+    def case(cached_grid_values):
         problem = parse_problem(load_json(packaged_config_path(name)))
-        return problem.index_set, problem.factors, grid_values(problem)
+        return problem.index_set, problem.factors, cached_grid_values(problem)
 
     return case
 
@@ -306,8 +320,8 @@ OPTIMAL_CASES = [
 
 
 @pytest.mark.parametrize("case,tolerance", OPTIMAL_CASES)
-def test_optimal_matches_dense_oracle(case, tolerance, grid_values):
-    index_set, factors, b_values = case(grid_values)
+def test_optimal_matches_dense_oracle(case, tolerance, cached_grid_values):
+    index_set, factors, b_values = case(cached_grid_values)
     dense = solve_full(build_full(index_set, factors, b_values=b_values)).relative_error
     reduced = reduce_full_grid(index_set, factors, b_values).optimal_error
     assert reduced == pytest.approx(dense, rel=tolerance)

@@ -7,7 +7,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, sketch_operator, solve_full
-from kronlev.sampler import make_method
+from kronlev.sampler import METHOD_TAGS, make_method
 from kronlev.experiments import evaluate_on_grid
 from kronlev.sketch import (
     SketchedSystem,
@@ -18,6 +18,7 @@ from kronlev.sketch import (
     reduce_full_grid,
     sample_size,
     solve,
+    trial_error,
 )
 
 
@@ -197,6 +198,67 @@ class TestFullRelativeError:
         factors = [build_factor(grid, BasisSpec("monomial", 3))] * 2
         with pytest.raises(ValueError, match="rank deficient"):
             reduce_full_grid(total_degree(2, 2), factors, np.ones(9))
+
+
+def reference_trial(index_set, factors, reduction, sketch, target):
+    """The trial by basis evaluation: assemble, solve, full-grid error."""
+    solution = solve(assemble(index_set, [f.basis for f in factors], sketch, target))
+    return full_relative_error(reduction, solution.x), solution.rank_deficient
+
+
+class TestTrialError:
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_matches_assembled_sketch(self, tag):
+        index_set = total_degree(2, 3)
+        factors = [build_factor(gauss_legendre_grid(7), BasisSpec("legendre-orthonormal", 4))] * 2
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        method = make_method(tag, factors, index_set)
+        for seed in range(5):
+            sketch = draw_sketch(method, 4 * len(index_set), seed)
+            error, deficient = trial_error(reduction, sketch)
+            expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
+            assert error == pytest.approx(expected[0], rel=1e-12)
+            assert deficient == expected[1]
+
+    @pytest.mark.parametrize(
+        "index_set,count",
+        [(NON_LOWER, 20), (total_degree(2, 4), 60)],
+        ids=["non-lower-uniform", "monomial-order-4"],
+    )
+    def test_matches_assembled_sketch_off_the_orthonormal_case(self, index_set, count):
+        factors = monomial_factors(2, 8, max(index_set.bounding_box))
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        method = make_method("uniform", factors, index_set)
+        for seed in range(5):
+            sketch = draw_sketch(method, count, seed)
+            error, deficient = trial_error(reduction, sketch)
+            expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
+            assert error == pytest.approx(expected[0], rel=1e-12)
+            assert deficient == expected[1]
+
+    def test_zero_weight_node_gives_zero_rows(self):
+        # uniform draws reach the zero-weight end nodes, where v_k = mu = 0
+        grid = Grid1D(np.linspace(-0.9, 0.9, 6), np.array([0.0, 0.25, 0.25, 0.25, 0.25, 0.0]))
+        factors = [build_factor(grid, BasisSpec("monomial", 3))] * 2
+        index_set = total_degree(2, 2)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        sketch = draw_sketch(make_method("uniform", factors), 40, 6)
+        assert np.any(sketch.weights == 0.0)
+        error, deficient = trial_error(reduction, sketch)
+        expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
+        assert error == pytest.approx(expected[0], rel=1e-12)
+        assert deficient == expected[1]
+
+    def test_fewer_rows_than_columns_is_flagged(self):
+        index_set = total_degree(2, 2)
+        factors = monomial_factors(2, 5, 3)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        method = make_method("leverage-lower", factors, index_set)
+        for seed in range(5):
+            sketch = draw_sketch(method, 4, seed)
+            _, deficient = trial_error(reduction, sketch)
+            assert deficient
+            assert reference_trial(index_set, factors, reduction, sketch, SMOOTH)[1]
 
 
 class TestSampleSize:
