@@ -19,7 +19,6 @@ from . import __version__, oracle
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
 from .experiments import emit_cdf, emit_cdf_svg, grid_values, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
-from .sampler import make_method, mu_mass_many, point_mass_many, sample_indices
 from .sketch import draw_sketch, trial_error
 
 
@@ -41,32 +40,19 @@ def _cmd_indexset(args) -> int:
     return 0
 
 
-def _sample_csv_lines(problem, method, idx0):
-    grids = problem.grids
-    coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(grids)])
-    nu = point_mass_many(method, idx0)
-    mu = mu_mass_many(grids, idx0)
-    D = problem.dimension
-    header = (
-        ",".join(f"m_{d + 1}" for d in range(D))
-        + ","
-        + ",".join(f"y_{d + 1}" for d in range(D))
-        + ",point_mass,mu_mass"
-    )
-    yield header
-    for k in range(idx0.shape[0]):
-        cells = [str(int(i) + 1) for i in idx0[k]]
-        cells += [repr(float(c)) for c in coords[k]]
-        cells += [repr(float(nu[k])), repr(float(mu[k]))]
-        yield ",".join(cells)
+def _sample_csv_lines(sketch):
+    columns = [f"{c}_{d + 1}" for c in "my" for d in range(sketch.indices0.shape[1])]
+    yield ",".join(columns + ["point_mass", "mu_mass"])
+    rows = zip(sketch.indices0.tolist(), sketch.coords.tolist(),
+               sketch.point_mass.tolist(), sketch.mu_mass.tolist())
+    for m, y, nu, mu in rows:
+        yield ",".join([str(i + 1) for i in m] + [repr(c) for c in y] + [repr(nu), repr(mu)])
 
 
 def _cmd_sample(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
-    method = make_method(args.method, problem.factors, problem.index_set)
-    rng = np.random.default_rng(args.seed)
-    idx0 = sample_indices(method, rng, args.count)
-    lines = list(_sample_csv_lines(problem, method, idx0))
+    sketch = draw_sketch(problem.method(args.method), args.count, args.seed)
+    lines = list(_sample_csv_lines(sketch))
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -80,8 +66,8 @@ def _cmd_solve(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
     if problem.model is None:
         raise ConfigError("solve requires a model in the config")
+    method = problem.method(args.method)
     reduction = prepare_problem(problem)
-    method = make_method(args.method, problem.factors, problem.index_set)
     error, rank_deficient = trial_error(reduction, draw_sketch(method, args.K, args.seed))
     _emit(
         {

@@ -27,7 +27,7 @@ from .grid_basis import (
     gauss_legendre_uniform_grid,
 )
 from .indexset import IndexSetSpec, MultiIndexSet, build_index_set
-from .sampler import METHOD_TAGS
+from .sampler import METHOD_TAGS, SamplerMethod, make_method
 
 __all__ = [
     "ConfigError",
@@ -51,11 +51,17 @@ class ConfigError(ValueError):
 class ProblemSetup:
     """Everything a sampling or solve run needs, built from one config."""
 
-    dimension: int
     grids: tuple[Grid1D, ...]
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     model: Optional[dict]
+
+    def method(self, tag: str) -> SamplerMethod:
+        """The sampling method ``tag`` on this problem; one it does not admit is a config error."""
+        try:
+            return make_method(tag, self.factors, self.index_set)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     model = _parse_model(config.get("model"), Path(base_dir))
     if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
         raise ConfigError(f"model {model['name']!r} requires dimension 3")
-    return ProblemSetup(dimension, grids, index_set, factors, model)
+    return ProblemSetup(grids, index_set, factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:

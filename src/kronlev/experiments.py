@@ -21,7 +21,6 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
-from .sampler import make_method
 from .sketch import FullGridReduction, TargetFunction, draw_sketch, reduce_full_grid, trial_error
 
 __all__ = [
@@ -210,17 +209,14 @@ class TrialReport:
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
-    The model is taken over the full grid once, into the reduction that
-    every ``sketch.trial_error`` reads.  Each
+    Samplers are built first, so a bad method fails before the model is taken
+    over the full grid once, into the reduction every ``trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
     so reports are pure functions of the config regardless of thread count.
     """
     problem = experiment.problem
+    methods = {tag: problem.method(tag) for tag in experiment.methods}
     reduction = prepare_problem(problem)
-    methods = {
-        tag: make_method(tag, problem.factors, problem.index_set)
-        for tag in experiment.methods
-    }
 
     def one_trial(tag: str, trial: int) -> float:
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])

@@ -148,6 +148,14 @@ def normalized_column_table(factor: FactorMatrix) -> LeverageTable1D:
     return LeverageTable1D(((a / norms) ** 2).T)
 
 
+def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries prod_d mats[d][rows[i, d], cols[j, d]] of a Kronecker product, C-ordered."""
+    out = np.ones((rows.shape[0], cols.shape[0]))
+    for d, x in enumerate(mats):
+        out *= np.take(x, cols[:, d], axis=1)[rows[:, d]]
+    return out
+
+
 def build_alias(probabilities) -> DiscreteSampler:
     """Vose alias tables for a finite distribution (O(M) construction)."""
     p = np.asarray(probabilities, dtype=float)

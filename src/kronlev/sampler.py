@@ -27,6 +27,7 @@ import numpy as np
 from .factor import (
     FactorMatrix,
     LeverageTable1D,
+    _kron_rows,
     factor_qr,
     leverage_table,
     normalized_column_table,
@@ -144,9 +145,7 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
             mass *= tables.marginal()[idx0[:, d]]
     else:
         # uniform mixture over the index set of per-dimension row products
-        prod = np.ones((idx0.shape[0], method.index_array.shape[0]))
-        for d, tables in enumerate(method.tables):
-            prod *= tables.table[method.index_array[:, d][None, :], idx0[:, d][:, None]]
+        prod = _kron_rows([t.table.T for t in method.tables], idx0, method.index_array)
         mass = prod.sum(axis=1) / method.index_array.shape[0]
     return mass
 

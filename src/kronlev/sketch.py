@@ -1,9 +1,10 @@
 """Sketched least squares trials and the full-grid reduction they are judged by.
 
-A sketch is K iid grid points drawn from a sampling method, each carrying
-the unbiasing weight v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is
-reduced once by the per-dimension QR factors, and ``trial_error`` solves a
-sketch from products of their Q entries, with no basis evaluation and no
+A sketch is K iid grid points drawn from a sampling method, each recorded
+with its point mass nu(Y_k) and measure mu(Y_k); its unbiasing weight is
+v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
+per-dimension QR factors, and ``trial_error`` solves a sketch from products
+of their Q entries scaled by 1/sqrt(K nu), with no basis evaluation and no
 pass over the grid; ``assemble`` builds the sketch from basis values and is
 the reference it is tested against.  Sample-size lower bounds from the
 residual guarantees are provided as a calculator.
@@ -13,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .factor import FactorMatrix, factor_qr
-from .grid_basis import BasisSpec, Grid1D, eval_basis_matrix
+from .factor import FactorMatrix, _kron_rows, factor_qr
+from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet
 from .sampler import SamplerMethod, mu_mass_many, point_mass_many, sample_indices
 
@@ -62,15 +64,21 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Sketch:
-    """K sampled grid points with their unbiasing weights."""
+    """K sampled grid points with their point masses and measure masses."""
 
-    indices0: np.ndarray  # (K, D) 0-based node indices
-    coords: np.ndarray    # (K, D) resolved coordinates
-    weights: np.ndarray   # (K,) v_k, all finite and > 0
+    indices0: np.ndarray    # (K, D) 0-based node indices
+    coords: np.ndarray      # (K, D) resolved coordinates
+    point_mass: np.ndarray  # (K,) nu(Y_k) under the sampling method, all > 0
+    mu_mass: np.ndarray     # (K,) mu(Y_k) of the product measure, all >= 0
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return self.indices0.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The unbiasing weights v_k = mu(Y_k) / nu(Y_k) / K."""
+        return self.mu_mass / self.point_mass / self.size
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ def draw_sketch(
     count: int,
     seed: Union[int, np.random.Generator, None],
 ) -> Sketch:
-    """Draw K iid points from the method and attach unbiasing weights."""
+    """Draw K iid points from the method with their coordinates and masses."""
     if count < 1:
         raise ValueError("sketch size must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
@@ -103,9 +111,8 @@ def draw_sketch(
     if np.any(mass <= 0.0):
         # a sampled point always has positive mass under its own law
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
-    weights = mu_mass_many(method.grids, idx0) / mass / count
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(idx0, coords, weights)
+    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0))
 
 
 def assemble(
@@ -169,7 +176,6 @@ class FullGridReduction:
     lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
     r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
     basis: np.ndarray     # (|L|, N) U, orthonormal basis of range(R_{L,J}); I for lower J
-    grids: tuple[Grid1D, ...]
     b: np.ndarray         # (M_1, ..., M_D) sqrt(w) * target over the grid
     c: np.ndarray         # (|L|,)
     residual_sq: float    # ||r||^2, from r computed explicitly
@@ -192,12 +198,10 @@ def reduce_full_grid(
     closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
     lower = np.asarray(list(index_set.indices) + sorted(closure - members)) - 1
     cols, box = lower[: len(index_set)], index_set.bounding_box
-    qs, r_lj, root_w = [], np.ones((len(lower), len(cols))), np.ones(())
-    for d, f in enumerate(factors):
-        decomposition = factor_qr(f)
-        qs.append(decomposition.q[:, : box[d]])
-        r_lj *= decomposition.r[np.ix_(lower[:, d], cols[:, d])]
-        root_w = np.multiply.outer(root_w, np.sqrt(f.grid.weights))
+    decompositions = [factor_qr(f) for f in factors]
+    qs = [dec.q[:, :n_d] for dec, n_d in zip(decompositions, box)]
+    r_lj = _kron_rows([dec.r for dec in decompositions], lower, cols)
+    root_w = reduce(np.multiply.outer, [np.sqrt(f.grid.weights) for f in factors])
     b = root_w * np.asarray(b_values, dtype=float).reshape(root_w.shape)
     coeffs = b
     for q in qs:
@@ -214,8 +218,7 @@ def reduce_full_grid(
     gap = c - basis @ (basis.T @ c)
     b_sq, residual_sq = float(np.vdot(b, b)), float(np.vdot(r, r))
     optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
-    grids = tuple(f.grid for f in factors)
-    return FullGridReduction(tuple(qs), lower, r_lj, basis, grids, b, c, residual_sq, b_sq, optimal)
+    return FullGridReduction(tuple(qs), lower, r_lj, basis, b, c, residual_sq, b_sq, optimal)
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -232,15 +235,13 @@ def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
 def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bool]:
     """Full-grid relative error and rank flag of the sketch's least squares fit.
 
-    Sketch row k is sqrt(v_k / mu(m_k)) prod_d Q^(d)[m_{k,d}, L] U, in the
+    Sketch row k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the
     basis U of range(R_{L,J}): the fit of ``assemble`` + ``solve`` when the
     sketch has full rank, with the rank judged in orthonormal coordinates.
     """
     rows = sketch.indices0
-    g = math.prod(q[m][:, l] for q, m, l in zip(reduction.q, rows.T, reduction.lower.T))
-    mu = mu_mass_many(reduction.grids, rows)
-    # a zero-weight node has v_k = 0, and its row stays zero
-    scale = np.sqrt(np.divide(sketch.weights, mu, out=np.zeros_like(mu), where=mu > 0))
+    g = _kron_rows(reduction.q, rows, reduction.lower)
+    scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
     g *= scale[:, None]
     solution = solve(SketchedSystem(g @ reduction.basis, scale * reduction.b[tuple(rows.T)]))
     return _relative_error(reduction, reduction.basis @ solution.x), solution.rank_deficient

@@ -19,6 +19,7 @@ from kronlev.config import (
 )
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import evaluate_on_grid, make_target
+from kronlev.sketch import draw_sketch
 from kronlev.grid_basis import gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 
@@ -38,7 +39,7 @@ def problem_dict(**overrides):
 class TestParseProblem:
     def test_minimal(self):
         problem = parse_problem(problem_dict())
-        assert problem.dimension == 2
+        assert problem.index_set.dimension == 2
         assert len(problem.index_set) == 6
         assert [len(g) for g in problem.grids] == [5, 5]
         assert [f.basis.count for f in problem.factors] == [3, 3]
@@ -263,6 +264,14 @@ def tiny_config(tmp_path):
 _INDEX_SET = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
               "weights": [1.0, 1.0, 1.0]}
 _TABULATED = {"model": {"name": "tabulated", "path": "values.txt"}}
+# (id, method, config patch, error message) of a method the problem does not admit
+_METHOD_PRECONDITIONS = [
+    ("non-lower", "leverage-lower",
+     {"index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [2, 1, 1], [1, 1, 3]]}},
+     "monotone lower"),
+    ("non-orthogonal", "orthogonal-columns", {"basis": {"kind": "monomial"}}, "not orthogonal"),
+    ("unknown", "leveraged", {}, "unknown sampler method"),
+]
 
 
 class TestCli:
@@ -302,6 +311,21 @@ class TestCli:
             main(["sample", "--config", str(tiny_config), "--method", "uniform",
                   "--count", "10", "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("tag", ["uniform", "tensor-product", "leverage-lower"])
+    def test_sample_csv_is_the_drawn_sketch(self, tiny_config, tmp_path, capsys, tag):
+        out = tmp_path / "samples.csv"
+        main(["sample", "--config", str(tiny_config), "--method", tag,
+              "--count", "25", "--seed", "11", "--out", str(out)])
+        problem = parse_problem(load_json(tiny_config))
+        sketch = draw_sketch(problem.method(tag), 25, 11)
+        lines = ["m_1,m_2,m_3,y_1,y_2,y_3,point_mass,mu_mass"]
+        for k in range(25):
+            cells = [str(i + 1) for i in sketch.indices0[k].tolist()]
+            cells += [repr(c) for c in sketch.coords[k].tolist()]
+            cells += [repr(float(sketch.point_mass[k])), repr(float(sketch.mu_mass[k]))]
+            lines.append(",".join(cells))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_solve_summary(self, tiny_config, capsys):
         code = main([
@@ -454,6 +478,39 @@ class TestCli:
         args = {
             "indexset": [],
             "sample": ["--method", "uniform", "--count", "3", "--seed", "1"],
+            "experiment": ["--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert main([command, "--config", str(path)] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,tag,patch,message",
+        [
+            pytest.param(command, *case[1:], id=f"{command}-{case[0]}")
+            for command in ("sample", "solve", "experiment")
+            for case in _METHOD_PRECONDITIONS
+            # experiment reads its methods from the config, whose parser rejects unknown tags
+            if not (command == "experiment" and case[0] == "unknown")
+        ],
+    )
+    def test_method_precondition_is_exit_2_before_the_model_is_evaluated(
+        self, tiny_config, tmp_path, capsys, monkeypatch, command, tag, patch, message
+    ):
+        def no_grid_values(*args):
+            raise AssertionError("the model was evaluated before the method was checked")
+
+        monkeypatch.setattr("kronlev.experiments.grid_values", no_grid_values)
+        config = json.loads(tiny_config.read_text())
+        config.update(patch, methods=[tag])
+        path = tmp_path / "bad-method.json"
+        path.write_text(json.dumps(config))
+        args = {
+            "sample": ["--method", tag, "--count", "3", "--seed", "1"],
+            "solve": ["--method", tag, "--K", "40", "--seed", "1"],
             "experiment": ["--out", str(tmp_path / "r.csv")],
         }[command]
         assert main([command, "--config", str(path)] + args) == 2

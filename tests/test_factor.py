@@ -3,6 +3,7 @@ import pytest
 
 from kronlev.factor import (
     LeverageTable1D,
+    _kron_rows,
     build_alias,
     build_factor,
     factor_qr,
@@ -172,3 +173,17 @@ class TestSampleNuKd:
         out = sample_nu_kd(table, np.array([1, 2, 1, 2]), rng)
         assert out.shape == (4,)
         assert np.all((out >= 1) & (out <= 5))
+
+
+class TestKronRows:
+    def test_entries_of_the_kronecker_product(self):
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal(shape) for shape in ((4, 3), (5, 2), (3, 4))]
+        rows = np.array([[0, 4, 2], [3, 0, 0], [3, 0, 0], [1, 2, 1]])
+        cols = np.array([[0, 0, 0], [2, 1, 3], [1, 0, 2]])
+        kron = np.kron(np.kron(mats[0], mats[1]), mats[2])
+        flat_rows = np.ravel_multi_index(tuple(rows.T), (4, 5, 3))
+        flat_cols = np.ravel_multi_index(tuple(cols.T), (3, 2, 4))
+        out = _kron_rows(mats, rows, cols)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, kron[np.ix_(flat_rows, flat_cols)])

@@ -42,11 +42,15 @@ ZERO = TargetFunction("zero", lambda c: np.zeros(c.shape[0]))
 
 
 def full_grid_sketch(system):
-    """Deterministic sketch containing every grid row with v = mu weights."""
+    """Deterministic sketch containing every grid row with v = mu weights.
+
+    Each of the K rows gets point mass 1/K, so v = mu / (1/K) / K = mu up to rounding.
+    """
     shape = system.grid_shape
     idx0 = np.array(list(itertools.product(*(range(s) for s in shape))), dtype=np.int64)
     coords = np.zeros(idx0.shape, dtype=float)
-    return Sketch(idx0, coords, system.row_weights.copy())
+    point_mass = np.full(idx0.shape[0], 1.0 / idx0.shape[0])
+    return Sketch(idx0, coords, point_mass, system.row_weights.copy())
 
 
 class TestBuildFull:

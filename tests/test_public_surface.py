@@ -39,3 +39,27 @@ def test_package_exports_only_declared_names():
         if name not in importlib.import_module(f"kronlev.{module}").__all__
     ]
     assert undeclared == []
+
+
+def test_benchmark_phase_hooks_exist():
+    """The benchmark's tracer finds its phase boundaries by module binding name.
+
+    A renamed or deleted hook records zero calls there instead of failing, so
+    the names are checked here.
+    """
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PHASE_TARGETS" for t in node.targets)
+    )
+    assert targets
+    for module, names in targets.items():
+        mod = importlib.import_module(module)
+        assert [name for name in names if not callable(getattr(mod, name, None))] == []
+    experiments = importlib.import_module("kronlev.experiments")
+    sampler = importlib.import_module("kronlev.sampler")
+    assert callable(getattr(experiments, "draw_sketch", None))
+    assert callable(getattr(sampler, "factor_qr", None))

@@ -143,6 +143,23 @@ class TestMuMass:
             assert masses[row] == pytest.approx(expected)
 
 
+def fancy_index_mixture(method, idx0):
+    """The mixture point mass by a (K, N) broadcast fancy index per dimension."""
+    prod = np.ones((idx0.shape[0], method.index_array.shape[0]))
+    for d, tables in enumerate(method.tables):
+        prod *= tables.table[method.index_array[:, d][None, :], idx0[:, d][:, None]]
+    return prod.sum(axis=1) / method.index_array.shape[0]
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("tag", ["leverage-lower", "orthogonal-columns"])
+    def test_bitwise_equal_to_fancy_index_mixture(self, tag):
+        factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
+        method = make_method(tag, factors, total_degree(3, 3))
+        idx0 = sample_indices(method, np.random.default_rng(17), 500)
+        assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
+
+
 class TestPreconditions:
     def test_leverage_lower_needs_lower_set(self):
         bad = MultiIndexSet(2, ((1, 1), (2, 2)))

@@ -7,7 +7,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, sketch_operator, solve_full
-from kronlev.sampler import METHOD_TAGS, make_method
+from kronlev.sampler import METHOD_TAGS, make_method, mu_mass_many, point_mass_many
 from kronlev.experiments import evaluate_on_grid
 from kronlev.sketch import (
     SketchedSystem,
@@ -44,6 +44,20 @@ class TestDrawSketch:
         sketch = draw_sketch(method, 50, 4)
         w = factors[0].grid.weights[sketch.indices0[:, 0]]
         assert np.max(np.abs(sketch.weights - 3.0 * w / 50)) < 1e-15
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_records_each_points_masses(self, tag):
+        index_set = total_degree(2, 3)
+        factors = [build_factor(gauss_legendre_grid(7), BasisSpec("legendre-orthonormal", 4))] * 2
+        method = make_method(tag, factors, index_set)
+        sketch = draw_sketch(method, 60, 5)
+        rows = sketch.indices0
+        assert sketch.size == 60
+        assert np.array_equal(sketch.point_mass, point_mass_many(method, rows))
+        assert np.array_equal(sketch.mu_mass, mu_mass_many(method.grids, rows))
+        assert np.array_equal(sketch.weights, sketch.mu_mass / sketch.point_mass / sketch.size)
+        nodes = factors[0].grid.nodes
+        assert np.array_equal(sketch.coords, nodes[rows])
 
     def test_fixed_seed_reproducible(self):
         index_set = total_degree(2, 2)
