@@ -19,7 +19,7 @@ from . import __version__, oracle
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
 from .experiments import emit_cdf, emit_cdf_svg, grid_values, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
-from .sketch import draw_sketch, trial_error
+from .sketch import _one_blas_thread, draw_sketch, trial_error
 
 
 def _emit(payload: dict) -> None:
@@ -68,7 +68,8 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve requires a model in the config")
     method = problem.method(args.method)
     reduction = prepare_problem(problem)
-    error, rank_deficient = trial_error(reduction, draw_sketch(method, args.K, args.seed))
+    with _one_blas_thread():
+        error, rank_deficient = trial_error(reduction, draw_sketch(method, args.K, args.seed))
     _emit(
         {
             "relative_error": error,

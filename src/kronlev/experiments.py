@@ -21,7 +21,14 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
-from .sketch import FullGridReduction, TargetFunction, draw_sketch, reduce_full_grid, trial_error
+from .sketch import (
+    FullGridReduction,
+    TargetFunction,
+    _one_blas_thread,
+    draw_sketch,
+    reduce_full_grid,
+    trial_error,
+)
 
 __all__ = [
     "METHOD_IDS",
@@ -212,7 +219,8 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     Samplers are built first, so a bad method fails before the model is taken
     over the full grid once, into the reduction every ``trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
-    so reports are pure functions of the config regardless of thread count.
+    and the trials run on one BLAS thread, so reports are pure functions of
+    the config regardless of ``threads`` and the BLAS thread count.
     """
     problem = experiment.problem
     methods = {tag: problem.method(tag) for tag in experiment.methods}
@@ -224,11 +232,12 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         return trial_error(reduction, sketch)[0]
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: one_trial(*job), jobs))
-    else:
-        results = [one_trial(*job) for job in jobs]
+    with _one_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(lambda job: one_trial(*job), jobs))
+        else:
+            results = [one_trial(*job) for job in jobs]
     errors = {tag: [] for tag in experiment.methods}
     for (tag, _), err in zip(jobs, results):
         errors[tag].append(err)

@@ -14,7 +14,8 @@ Four methods draw multivariate grid points and evaluate their point masses:
   column-subset design matrix.
 
 Point masses are evaluated on demand: the mixture sum over the index set
-costs O(N*D) per query and nothing is precomputed over the full grid.
+costs O(N*D) per query, runs in blocks of points so its memory does not
+grow with the query count, and nothing is precomputed over the full grid.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
+
+# Points per block of the mixture sum: bounds its (block, N) products while
+# one block still covers the sketch of a trial.
+_MASS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,12 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
             mass *= tables.marginal()[idx0[:, d]]
     else:
         # uniform mixture over the index set of per-dimension row products
-        prod = _kron_rows([t.table.T for t in method.tables], idx0, method.index_array)
-        mass = prod.sum(axis=1) / method.index_array.shape[0]
+        tables = [t.table.T for t in method.tables]
+        mass = np.empty(idx0.shape[0])
+        for start in range(0, idx0.shape[0], _MASS_CHUNK):
+            block = slice(start, start + _MASS_CHUNK)
+            mass[block] = _kron_rows(tables, idx0[block], method.index_array).sum(axis=1)
+        mass /= method.index_array.shape[0]
     return mass
 
 

@@ -12,13 +12,17 @@ residual guarantees are provided as a calculator.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
-from typing import Callable, Sequence, Union
+from pathlib import Path
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+import scipy
 from scipy.linalg import solve_triangular
 
 from .factor import FactorMatrix, _kron_rows, factor_qr
@@ -44,6 +48,50 @@ __all__ = [
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
 _RANK_RTOL = 1e-12
+
+# Thread-count symbols of the OpenBLAS copy each wheel bundles in its
+# "<package>.libs" directory: np.linalg calls numpy's, scipy.linalg scipy's.
+_OPENBLAS_SYMBOLS = ((np, "scipy_openblas_{}_num_threads64_"), (scipy, "scipy_openblas_{}_num_threads"))
+
+
+@cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS that is found."""
+    controls = []
+    for package, symbol in _OPENBLAS_SYMBOLS:
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            get, put = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS found on one thread, then restore the counts.
+
+    The thread count changes the rounding of a trial's QR, and small QRs
+    run faster on one thread.  The count is process-wide, so enter this
+    once around all the trials of a run, not in each worker; with no
+    OpenBLAS found the block runs unpinned.
+    """
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
 
 
 @dataclass(frozen=True)
@@ -175,7 +223,9 @@ class FullGridReduction:
     q: tuple[np.ndarray, ...]  # Q^(d)[:, :box_d], (M_d, box_d) per dimension
     lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
     r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
-    basis: np.ndarray     # (|L|, N) U, orthonormal basis of range(R_{L,J}); I for lower J
+    # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
+    # is not lower; for lower J it is None, as U = I
+    basis: Optional[np.ndarray]
     b: np.ndarray         # (M_1, ..., M_D) sqrt(w) * target over the grid
     c: np.ndarray         # (|L|,)
     residual_sq: float    # ||r||^2, from r computed explicitly
@@ -212,12 +262,16 @@ def reduce_full_grid(
     for q in qs:
         projected = np.tensordot(projected, q, axes=([0], [1]))  # contracts N_d, appends M_d
     r = b - projected
-    # the part of c outside range(R_{L,J}): exactly zero when J is lower, as
-    # Householder QR leaves the square triangular R_{J,J} as it is
-    basis = np.linalg.qr(r_lj)[0]
-    gap = c - basis @ (basis.T @ c)
+    if len(lower) == len(index_set):
+        # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
+        # all of R^N and no part of c lies outside it
+        basis, gap_sq = None, 0.0
+    else:
+        basis = np.linalg.qr(r_lj)[0]
+        gap = c - basis @ (basis.T @ c)
+        gap_sq = float(gap @ gap)
     b_sq, residual_sq = float(np.vdot(b, b)), float(np.vdot(r, r))
-    optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
+    optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
     return FullGridReduction(tuple(qs), lower, r_lj, basis, b, c, residual_sq, b_sq, optimal)
 
 
@@ -236,15 +290,19 @@ def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bo
     """Full-grid relative error and rank flag of the sketch's least squares fit.
 
     Sketch row k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the
-    basis U of range(R_{L,J}): the fit of ``assemble`` + ``solve`` when the
-    sketch has full rank, with the rank judged in orthonormal coordinates.
+    basis U of range(R_{L,J}) (the identity when J is lower): the fit of
+    ``assemble`` + ``solve`` when the sketch has full rank, with the rank
+    judged in orthonormal coordinates.
     """
-    rows = sketch.indices0
+    rows, basis = sketch.indices0, reduction.basis
     g = _kron_rows(reduction.q, rows, reduction.lower)
     scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
     g *= scale[:, None]
-    solution = solve(SketchedSystem(g @ reduction.basis, scale * reduction.b[tuple(rows.T)]))
-    return _relative_error(reduction, reduction.basis @ solution.x), solution.rank_deficient
+    if basis is not None:
+        g = g @ basis
+    solution = solve(SketchedSystem(g, scale * reduction.b[tuple(rows.T)]))
+    fit = solution.x if basis is None else basis @ solution.x
+    return _relative_error(reduction, fit), solution.rank_deficient
 
 
 def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:

@@ -24,6 +24,20 @@ from kronlev.grid_basis import gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 
 
+def run_cli_with_blas_threads(blas_threads, argv):
+    """stdout of ``kronlev`` run in a new process with OPENBLAS_NUM_THREADS set."""
+    src = str(Path(kronlev.__file__).parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=blas_threads,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "kronlev.cli", *argv],
+        env=env, check=True, capture_output=True, timeout=600,
+    ).stdout
+
+
 def problem_dict(**overrides):
     config = {
         "dimension": 2,
@@ -612,22 +626,38 @@ class TestCli:
     @pytest.mark.slow
     def test_experiment_bytes_independent_of_blas_threads(self, tmp_path):
         config = str(packaged_config_path("ishigami-g7"))
-        src = str(Path(kronlev.__file__).parents[1])
         outputs = []
         for blas_threads in ("1", "2"):
             out, cdf = tmp_path / f"report-{blas_threads}.csv", tmp_path / f"cdf-{blas_threads}.csv"
-            env = dict(
-                os.environ,
-                OPENBLAS_NUM_THREADS=blas_threads,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            )
-            subprocess.run(
-                [sys.executable, "-m", "kronlev.cli", "experiment", "--config", config,
-                 "--out", str(out), "--cdf", str(cdf)],
-                env=env, check=True, capture_output=True, timeout=600,
-            )
+            run_cli_with_blas_threads(blas_threads, [
+                "experiment", "--config", config, "--out", str(out), "--cdf", str(cdf),
+            ])
             outputs.append((out.read_bytes(), cdf.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.slow
+    def test_experiment_bytes_independent_of_blas_and_worker_threads_at_n_220(self, tmp_path):
+        # duffing-g9 (N=220, K=880) at its packaged size and seed: a trial's
+        # QR of an 880x221 matrix rounds differently on two BLAS threads
+        config = load_json(packaged_config_path("duffing-g9"))
+        config["trials"] = 40
+        path = tmp_path / "duffing-g9.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for threads in ("1", "2"):
+            out, cdf = tmp_path / f"report-{threads}.csv", tmp_path / f"cdf-{threads}.csv"
+            run_cli_with_blas_threads(threads, [
+                "experiment", "--config", str(path), "--out", str(out), "--cdf", str(cdf),
+                "--threads", threads,
+            ])
+            outputs.append((out.read_bytes(), cdf.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.slow
+    def test_solve_bytes_independent_of_blas_threads(self):
+        argv = ["solve", "--config", str(packaged_config_path("duffing-g9")),
+                "--method", "uniform", "--K", "880", "--seed", "1"]
+        assert run_cli_with_blas_threads("1", argv) == run_cli_with_blas_threads("2", argv)
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

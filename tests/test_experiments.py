@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import kronlev.experiments
 import kronlev.grid_basis
 import kronlev.sketch
 from kronlev.config import load_json, parse_experiment, parse_problem
@@ -27,7 +28,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, solve_full
-from kronlev.sketch import TargetFunction, reduce_full_grid
+from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
 
 
 class TestIshigami:
@@ -267,6 +268,64 @@ class TestRunTrials:
         report = run_trials(cfg)
         stat = ks_2samp(report.errors["uniform"], report.errors["tensor-product"])
         assert stat.pvalue > 0.01
+
+
+@pytest.fixture
+def blas_controls():
+    """The bundled OpenBLAS thread controls, set to two threads for the test."""
+    controls = kronlev.sketch._blas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS found")
+    before = blas_counts(controls)
+    for _, put in controls:
+        put(2)
+    assert blas_counts(controls) == [2] * len(controls)
+    yield controls
+    for (_, put), count in zip(controls, before):
+        put(count)
+
+
+def blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def record_blas_counts(monkeypatch, controls, fail=False):
+    """Make every trial of ``run_trials`` record the BLAS thread counts it runs under."""
+    seen = []
+
+    def recording(reduction, sketch):
+        seen.append(blas_counts(controls))
+        if fail:
+            raise RuntimeError("trial failed")
+        return trial_error(reduction, sketch)
+
+    monkeypatch.setattr(kronlev.experiments, "trial_error", recording)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_trials_run_on_one_thread_and_the_counts_are_restored(self, blas_controls, monkeypatch):
+        seen = record_blas_counts(monkeypatch, blas_controls)
+        run_trials(experiment_config(), threads=2)
+        assert len(seen) == 6
+        assert all(counts == [1] * len(blas_controls) for counts in seen)
+        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_counts_are_restored_when_a_trial_raises(self, blas_controls, monkeypatch):
+        seen = record_blas_counts(monkeypatch, blas_controls, fail=True)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_trials(experiment_config(), threads=2)
+        assert seen and seen[0] == [1] * len(blas_controls)
+        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_without_controls_the_trials_run_unpinned(self, blas_controls, monkeypatch):
+        pinned = run_trials(experiment_config(), threads=2)
+        monkeypatch.setattr(kronlev.sketch, "_blas_thread_controls", lambda: ())
+        seen = record_blas_counts(monkeypatch, blas_controls)
+        unpinned = run_trials(experiment_config(), threads=2)
+        assert seen == [[2] * len(blas_controls)] * 6
+        assert unpinned.errors == pinned.errors
+        assert unpinned.optimal_error == pinned.optimal_error
 
 
 @pytest.fixture(scope="module")

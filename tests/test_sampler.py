@@ -7,7 +7,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set
 from kronlev.oracle import build_full, exact_leverage, flat_row_index
-from kronlev.sampler import make_method, mu_mass_many, point_mass_many, sample_indices
+from kronlev.sampler import _MASS_CHUNK, make_method, mu_mass_many, point_mass_many, sample_indices
 from kronlev.sketch import TargetFunction
 
 
@@ -157,6 +157,12 @@ class TestMixtureKernel:
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method(tag, factors, total_degree(3, 3))
         idx0 = sample_indices(method, np.random.default_rng(17), 500)
+        assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
+
+    def test_more_points_than_one_block_give_the_same_bits(self):
+        factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
+        method = make_method("leverage-lower", factors, total_degree(3, 3))
+        idx0 = sample_indices(method, np.random.default_rng(18), 2 * _MASS_CHUNK + 3)
         assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
 
 

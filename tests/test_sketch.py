@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestTrialError:
             expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
             assert error == pytest.approx(expected[0], rel=1e-12)
             assert deficient == expected[1]
+
+    def test_lower_set_skips_the_identity_basis(self):
+        # for lower J, U from the QR of the square triangular R_{J,J} is I,
+        # so solving without it changes no bit of the error
+        index_set = total_degree(2, 4)
+        factors = monomial_factors(2, 8, 5)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        assert reduction.basis is None
+        assert reduction_of(NON_LOWER, factors, SMOOTH).basis is not None
+        basis = np.linalg.qr(reduction.r_lj)[0]
+        assert np.array_equal(basis, np.eye(len(index_set)))
+        with_basis = dataclasses.replace(reduction, basis=basis)
+        method = make_method("leverage-lower", factors, index_set)
+        for seed in range(5):
+            sketch = draw_sketch(method, 60, seed)
+            assert trial_error(reduction, sketch) == trial_error(with_basis, sketch)
 
     def test_zero_weight_node_gives_zero_rows(self):
         # uniform draws reach the zero-weight end nodes, where v_k = mu = 0
