@@ -21,6 +21,8 @@ from .experiments import emit_cdf, emit_cdf_svg, grid_values, prepare_problem, r
 from .indexset import is_monotone_lower
 from .sketch import _one_blas_thread, draw_sketch, trial_error
 
+_CSV_BLOCK = 1024  # sample rows formatted and written at a time
+
 
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout)
@@ -41,24 +43,28 @@ def _cmd_indexset(args) -> int:
 
 
 def _sample_csv_lines(sketch):
+    """The sample CSV as text blocks of up to _CSV_BLOCK rows, each ending in a newline."""
     columns = [f"{c}_{d + 1}" for c in "my" for d in range(sketch.indices0.shape[1])]
-    yield ",".join(columns + ["point_mass", "mu_mass"])
-    rows = zip(sketch.indices0.tolist(), sketch.coords.tolist(),
-               sketch.point_mass.tolist(), sketch.mu_mass.tolist())
-    for m, y, nu, mu in rows:
-        yield ",".join([str(i + 1) for i in m] + [repr(c) for c in y] + [repr(nu), repr(mu)])
+    yield ",".join(columns + ["point_mass", "mu_mass"]) + "\n"
+    for start in range(0, sketch.size, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        rows = zip(sketch.indices0[block].tolist(), sketch.coords[block].tolist(),
+                   sketch.point_mass[block].tolist(), sketch.mu_mass[block].tolist())
+        yield "".join(
+            ",".join([str(i + 1) for i in m] + [repr(c) for c in y] + [repr(nu), repr(mu)]) + "\n"
+            for m, y, nu, mu in rows
+        )
 
 
 def _cmd_sample(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
     sketch = draw_sketch(problem.method(args.method), args.count, args.seed)
-    lines = list(_sample_csv_lines(sketch))
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(_sample_csv_lines(sketch))
         _emit({"path": args.out, "K": args.count, "method": args.method, "seed": args.seed})
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.writelines(_sample_csv_lines(sketch))
     return 0
 
 

@@ -22,8 +22,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy
-from scipy.linalg import solve_triangular
 
 from .factor import FactorMatrix, _kron_rows, factor_qr
 from .grid_basis import BasisSpec, eval_basis_matrix
@@ -48,35 +46,34 @@ __all__ = [
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
 _RANK_RTOL = 1e-12
+_SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 
-# Thread-count symbols of the OpenBLAS copy each wheel bundles in its
-# "<package>.libs" directory: np.linalg calls numpy's, scipy.linalg scipy's.
-_OPENBLAS_SYMBOLS = ((np, "scipy_openblas_{}_num_threads64_"), (scipy, "scipy_openblas_{}_num_threads"))
+# Thread-count symbols ("get", "set") of the OpenBLAS that numpy bundles in
+# "numpy.libs"; np.linalg, the only BLAS kronlev calls, runs on it.
+_OPENBLAS_SYMBOLS = "scipy_openblas_{}_num_threads64_"
 
 
 @cache
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each bundled OpenBLAS that is found."""
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, if found."""
     controls = []
-    for package, symbol in _OPENBLAS_SYMBOLS:
-        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            get, put = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
-            if get is None or put is None:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            controls.append((get, put))
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get, put = (getattr(lib, _OPENBLAS_SYMBOLS.format(verb), None) for verb in ("get", "set"))
+        if get is None or put is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
     return tuple(controls)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every OpenBLAS found on one thread, then restore the counts.
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
     The thread count changes the rounding of a trial's QR, and small QRs
     run faster on one thread.  The count is process-wide, so enter this
@@ -203,10 +200,25 @@ def solve(system: SketchedSystem) -> Solution:
         diag = np.abs(np.diag(r[:n, :n]))
         deficient = bool(np.any(diag <= _RANK_RTOL * diag.max())) if diag.size else True
         if not deficient:
-            x = solve_triangular(r[:n, :n], r[:n, n])
+            x = _back_substitute(r[:n, :n], r[:n, n])
     if deficient:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
     return Solution(x, deficient)
+
+
+def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with r x = y for upper-triangular r with a nonzero diagonal.
+
+    Bottom-up over blocks of _SOLVE_BLOCK rows: each diagonal block goes to
+    np.linalg.solve, whose LU of a triangular block neither pivots nor
+    fills, and one matvec takes the solved part out of the rows above.
+    """
+    x = np.array(y, dtype=float)
+    for stop in range(len(x), 0, -_SOLVE_BLOCK):
+        start = max(stop - _SOLVE_BLOCK, 0)
+        x[start:stop] = np.linalg.solve(r[start:stop, start:stop], x[start:stop])
+        x[:start] -= r[:start, start:stop] @ x[start:stop]
+    return x
 
 
 @dataclass(frozen=True)

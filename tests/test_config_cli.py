@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kronlev
+import kronlev.cli
 from kronlev.cli import main
 from kronlev.config import (
     ConfigError,
@@ -24,18 +25,34 @@ from kronlev.grid_basis import gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 
 
-def run_cli_with_blas_threads(blas_threads, argv):
-    """stdout of ``kronlev`` run in a new process with OPENBLAS_NUM_THREADS set."""
+def run_python(args, **env):
+    """stdout of a new Python process that imports this kronlev, with ``env`` added."""
     src = str(Path(kronlev.__file__).parents[1])
     env = dict(
         os.environ,
-        OPENBLAS_NUM_THREADS=blas_threads,
+        **env,
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     return subprocess.run(
-        [sys.executable, "-m", "kronlev.cli", *argv],
-        env=env, check=True, capture_output=True, timeout=600,
+        [sys.executable, *args], env=env, check=True, capture_output=True, timeout=600,
     ).stdout
+
+
+def run_cli_with_blas_threads(blas_threads, argv):
+    """stdout of ``kronlev`` run in a new process with OPENBLAS_NUM_THREADS set."""
+    return run_python(["-m", "kronlev.cli", *argv], OPENBLAS_NUM_THREADS=blas_threads)
+
+
+def expected_sample_csv(config_path, tag, count, seed):
+    """The text of ``kronlev sample``, formed row by row from the drawn sketch."""
+    sketch = draw_sketch(parse_problem(load_json(config_path)).method(tag), count, seed)
+    lines = ["m_1,m_2,m_3,y_1,y_2,y_3,point_mass,mu_mass"]
+    for k in range(count):
+        cells = [str(i + 1) for i in sketch.indices0[k].tolist()]
+        cells += [repr(c) for c in sketch.coords[k].tolist()]
+        cells += [repr(float(sketch.point_mass[k])), repr(float(sketch.mu_mass[k]))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def problem_dict(**overrides):
@@ -331,15 +348,21 @@ class TestCli:
         out = tmp_path / "samples.csv"
         main(["sample", "--config", str(tiny_config), "--method", tag,
               "--count", "25", "--seed", "11", "--out", str(out)])
-        problem = parse_problem(load_json(tiny_config))
-        sketch = draw_sketch(problem.method(tag), 25, 11)
-        lines = ["m_1,m_2,m_3,y_1,y_2,y_3,point_mass,mu_mass"]
-        for k in range(25):
-            cells = [str(i + 1) for i in sketch.indices0[k].tolist()]
-            cells += [repr(c) for c in sketch.coords[k].tolist()]
-            cells += [repr(float(sketch.point_mass[k])), repr(float(sketch.mu_mass[k]))]
-            lines.append(",".join(cells))
-        assert out.read_text() == "\n".join(lines) + "\n"
+        assert out.read_text() == expected_sample_csv(tiny_config, tag, 25, 11)
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 9])
+    def test_sample_csv_written_in_blocks_is_the_whole_text(self, tiny_config, tmp_path, capsys,
+                                                             monkeypatch, count):
+        monkeypatch.setattr(kronlev.cli, "_CSV_BLOCK", 4)
+        out = tmp_path / "samples.csv"
+        argv = ["sample", "--config", str(tiny_config), "--method", "leverage-lower",
+                "--count", str(count), "--seed", "11"]
+        main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        main(argv)
+        expected = expected_sample_csv(tiny_config, "leverage-lower", count, 11)
+        assert out.read_text() == expected
+        assert capsys.readouterr().out == expected
 
     def test_solve_summary(self, tiny_config, capsys):
         code = main([
@@ -658,6 +681,22 @@ class TestCli:
         argv = ["solve", "--config", str(packaged_config_path("duffing-g9")),
                 "--method", "uniform", "--K", "880", "--seed", "1"]
         assert run_cli_with_blas_threads("1", argv) == run_cli_with_blas_threads("2", argv)
+
+    def test_solve_imports_no_scipy(self):
+        # scipy is a test dependency only: importing it costs every command about 0.35 s
+        script = (
+            "import json, sys, kronlev.cli\n"
+            "code = kronlev.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["solve", "--config", str(packaged_config_path("ishigami-g7")),
+                "--method", "leverage-lower", "--K", "480", "--seed", "1"]
+        lines = run_python(["-c", script, *argv]).decode().splitlines()
+        assert set(json.loads(lines[0])) == {
+            "relative_error", "optimal_relative_error", "K", "N", "rank_flag"
+        }
+        assert json.loads(lines[-1]) == []
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
@@ -11,8 +12,10 @@ from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import METHOD_TAGS, make_method, mu_mass_many, point_mass_many
 from kronlev.experiments import evaluate_on_grid
 from kronlev.sketch import (
+    _SOLVE_BLOCK,
     SketchedSystem,
     TargetFunction,
+    _back_substitute,
     assemble,
     draw_sketch,
     full_relative_error,
@@ -162,6 +165,17 @@ class TestSolve:
         assert solution.rank_deficient
         assert np.allclose(solution.x, [2.0, 0.0, 0.0])
 
+    def test_rank_deficient_sketch_takes_the_minimum_norm_fallback(self):
+        # a column that repeats another leaves an R diagonal at rounding level,
+        # which back substitution would blow up
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((120, 40))
+        a[:, 35] = a[:, 3]
+        b = rng.standard_normal(120)
+        solution = solve(SketchedSystem(a, b))
+        assert solution.rank_deficient
+        np.testing.assert_array_equal(solution.x, np.linalg.lstsq(a, b, rcond=None)[0])
+
     def test_pythagorean_identity_at_full_solution(self):
         index_set = total_degree(2, 2)
         factors = monomial_factors(2, 5, 3)
@@ -176,6 +190,33 @@ class TestSolve:
             + np.linalg.norm(full.matrix @ (solution.x - best.x)) ** 2
         )
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def r_of_augmented(n, seed):
+    """R of the QR of a random (4n+4) x (n+1) matrix: [R_A, Q^T b] as ``solve`` forms it."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((4 * n + 4, n + 1)), mode="r")
+
+
+class TestBackSubstitute:
+    @pytest.mark.parametrize("n", [1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 221])
+    def test_matches_scipy_triangular_solve(self, n):
+        for seed in range(5):
+            r = np.ascontiguousarray(r_of_augmented(n, seed)[:n, :n])
+            y = np.random.default_rng(100 + seed).standard_normal(n)
+            expected = solve_triangular(r, y)
+            x = _back_substitute(r, y)
+            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_solves_the_slices_solve_passes(self):
+        n = 2 * _SOLVE_BLOCK + 5
+        r = r_of_augmented(n, 7)
+        before = r.copy()
+        matrix, rhs = r[:n, :n], r[:n, n]
+        assert not matrix.flags.c_contiguous and not rhs.flags.c_contiguous
+        x = _back_substitute(matrix, rhs)
+        np.testing.assert_array_equal(r, before)  # the rhs view is not written
+        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
 def reduction_of(index_set, factors, target):
