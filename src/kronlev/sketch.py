@@ -47,6 +47,7 @@ SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", 
 
 _RANK_RTOL = 1e-12
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
+_GRID_BLOCK_BYTES = 1 << 17  # bytes of b per block of rows in reduce_full_grid
 
 # Thread-count symbols ("get", "set") of the OpenBLAS that numpy bundles in
 # "numpy.libs"; np.linalg, the only BLAS kronlev calls, runs on it.
@@ -75,10 +76,10 @@ def _blas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
-    The thread count changes the rounding of a trial's QR, and small QRs
-    run faster on one thread.  The count is process-wide, so enter this
-    once around all the trials of a run, not in each worker; with no
-    OpenBLAS found the block runs unpinned.
+    The thread count changes the rounding of a trial's QR and of the
+    full-grid reduction's products, and small QRs run faster on one thread.
+    The count is process-wide, so enter this once around all the trials of
+    a run, not in each worker; with no OpenBLAS found the block runs unpinned.
     """
     controls = _blas_thread_controls()
     previous = [get() for get, _ in controls]
@@ -230,6 +231,10 @@ class FullGridReduction:
     A = Q_L R_{L,J}, where Q_L = (kron Q^(d))[:, L] has orthonormal columns.
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
+
+    The grid's b = sqrt(w) * values is not stored: ``values`` is the
+    caller's array, held by reference and not copied, so it must not be
+    mutated while the reduction is in use; a trial forms b at its rows.
     """
 
     q: tuple[np.ndarray, ...]  # Q^(d)[:, :box_d], (M_d, box_d) per dimension
@@ -238,11 +243,62 @@ class FullGridReduction:
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
     basis: Optional[np.ndarray]
-    b: np.ndarray         # (M_1, ..., M_D) sqrt(w) * target over the grid
+    root_w: tuple[np.ndarray, ...]  # sqrt(w^(d)), (M_d,) per dimension
+    values: np.ndarray    # (M_1, ..., M_D) the unweighted target, by reference
     c: np.ndarray         # (|L|,)
     residual_sq: float    # ||r||^2, from r computed explicitly
     b_sq: float           # ||b||^2
     optimal_error: float  # min over x of ||A x - b|| / ||b||
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of about _GRID_BLOCK_BYTES over ``rows`` rows of ``width`` floats.
+
+    Block sizes differ by at most one row, so no block is a one-row sliver,
+    which np.dot would hand to a matrix-vector kernel that rounds differently.
+    """
+    count = min(rows, max(1, -(-rows * width * 8 // _GRID_BLOCK_BYTES)))
+    edges = [i * rows // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _project_grid(
+    values: np.ndarray,
+    root_w: Sequence[np.ndarray],
+    qs: Sequence[np.ndarray],
+    lower: np.ndarray,
+) -> tuple[np.ndarray, float, float]:
+    """(c, ||b||^2, ||r||^2) of b = sqrt(w) * values, in one grid-sized array.
+
+    b is formed as a (M_1 ... M_{D-1}, M_D) matrix a block of rows at a time:
+    a row's weight is ((sqrt w_1 * sqrt w_2) * ...) * sqrt w_{D-1}, so every
+    entry has the bits of the full outer product of the sqrt(w^(d)) times the
+    values.  The last backward mode product is taken out of b in place, a
+    block of rows at a time, so b becomes r and Q_L c never exists whole.
+    """
+    prefix = reduce(np.multiply.outer, root_w[:-1], np.ones(1)).reshape(-1)
+    b = np.empty((prefix.size, len(root_w[-1])))
+    rows, blocks = values.reshape(b.shape), _row_blocks(*b.shape)
+    for block in blocks:
+        np.multiply.outer(prefix[block], root_w[-1], out=b[block])
+        b[block] *= rows[block]
+    b_sq = float(np.vdot(b, b))
+    if not math.isfinite(b_sq):
+        raise ValueError("b_values must be finite")
+    coeffs = b.reshape(values.shape)
+    for q in qs:
+        # np.tensordot moves axis 0 last by a strided view, not a copy
+        coeffs = np.tensordot(coeffs, q, axes=([0], [0]))  # contracts M_d, appends N_d
+    c = coeffs[tuple(lower.T)]
+    projected = np.zeros(coeffs.shape)
+    projected[tuple(lower.T)] = c
+    for q in qs[:-1]:
+        projected = np.tensordot(projected, q, axes=([0], [1]))  # contracts N_d, appends M_d
+    # (M_1 ... M_{D-1}, N_D): the strided view np.tensordot would take
+    projected = np.moveaxis(projected, 0, -1).reshape(len(b), -1)
+    for block in blocks:
+        b[block] -= np.dot(projected[block], qs[-1].T)
+    return c, b_sq, float(np.vdot(b, b))
 
 
 def reduce_full_grid(
@@ -252,10 +308,19 @@ def reduce_full_grid(
 ) -> FullGridReduction:
     """Reduce the full weighted problem by D mode products each way.
 
-    ``b_values`` holds the target on the full grid in lexicographic order
-    (dimension 1 slowest).  The cost is O(M^D max N_d), with no M-row
-    matrix; a factor that ``factor_qr`` rejects as rank deficient raises.
+    ``b_values`` holds the finite target on the full grid in lexicographic
+    order (dimension 1 slowest); it is not written.  The cost is
+    O(M^D max N_d), with no M-row matrix and one grid-sized working array;
+    a factor that ``factor_qr`` rejects as rank deficient raises.  The grid
+    work runs on one BLAS thread, as a threaded dot product or matrix
+    product rounds by thread count.
     """
+    root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
+    shape = tuple(len(w) for w in root_w)
+    values = np.asarray(b_values, dtype=float)
+    if values.size != math.prod(shape):
+        raise ValueError("b_values must hold one value per grid row")
+    values = values.reshape(shape)
     members = set(index_set.indices)
     closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
     lower = np.asarray(list(index_set.indices) + sorted(closure - members)) - 1
@@ -263,17 +328,8 @@ def reduce_full_grid(
     decompositions = [factor_qr(f) for f in factors]
     qs = [dec.q[:, :n_d] for dec, n_d in zip(decompositions, box)]
     r_lj = _kron_rows([dec.r for dec in decompositions], lower, cols)
-    root_w = reduce(np.multiply.outer, [np.sqrt(f.grid.weights) for f in factors])
-    b = root_w * np.asarray(b_values, dtype=float).reshape(root_w.shape)
-    coeffs = b
-    for q in qs:
-        coeffs = np.tensordot(coeffs, q, axes=([0], [0]))  # contracts M_d, appends N_d
-    c = coeffs[tuple(lower.T)]
-    projected = np.zeros(box)
-    projected[tuple(lower.T)] = c
-    for q in qs:
-        projected = np.tensordot(projected, q, axes=([0], [1]))  # contracts N_d, appends M_d
-    r = b - projected
+    with _one_blas_thread():
+        c, b_sq, residual_sq = _project_grid(values, root_w, qs, lower)
     if len(lower) == len(index_set):
         # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
         # all of R^N and no part of c lies outside it
@@ -282,9 +338,10 @@ def reduce_full_grid(
         basis = np.linalg.qr(r_lj)[0]
         gap = c - basis @ (basis.T @ c)
         gap_sq = float(gap @ gap)
-    b_sq, residual_sq = float(np.vdot(b, b)), float(np.vdot(r, r))
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
-    return FullGridReduction(tuple(qs), lower, r_lj, basis, b, c, residual_sq, b_sq, optimal)
+    return FullGridReduction(
+        tuple(qs), lower, r_lj, basis, root_w, values, c, residual_sq, b_sq, optimal
+    )
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -312,7 +369,10 @@ def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bo
     g *= scale[:, None]
     if basis is not None:
         g = g @ basis
-    solution = solve(SketchedSystem(g, scale * reduction.b[tuple(rows.T)]))
+    # b at the drawn rows, its weight multiplied in the order reduce_full_grid uses
+    weight = reduce(np.multiply, [w[m] for w, m in zip(reduction.root_w, rows.T)])
+    b = weight * reduction.values[tuple(rows.T)]
+    solution = solve(SketchedSystem(g, scale * b))
     fit = solution.x if basis is None else basis @ solution.x
     return _relative_error(reduction, fit), solution.rank_deficient
 

@@ -658,6 +658,28 @@ class TestCli:
             outputs.append((out.read_bytes(), cdf.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_bytes_independent_of_blas_threads_above_10_4_grid_rows(self, tmp_path):
+        # 22^3 = 10,648 rows: OpenBLAS splits a dot product of more than 10^4
+        # elements across its threads, so unpinned ||b||^2 and ||r||^2 round
+        # by thread count and move every reported error
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["grid"]["M"] = 22
+        config["trials"] = 10
+        path = tmp_path / "ishigami-g7-m22.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out, cdf = tmp_path / f"report-{blas_threads}.csv", tmp_path / f"cdf-{blas_threads}.csv"
+            run_cli_with_blas_threads(blas_threads, [
+                "experiment", "--config", str(path), "--out", str(out), "--cdf", str(cdf),
+            ])
+            solved = run_cli_with_blas_threads(blas_threads, [
+                "solve", "--config", str(path), "--method", "leverage-lower", "--K", "480",
+                "--seed", "3",
+            ])
+            outputs.append((out.read_bytes(), cdf.read_bytes(), solved))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.slow
     def test_experiment_bytes_independent_of_blas_and_worker_threads_at_n_220(self, tmp_path):
         # duffing-g9 (N=220, K=880) at its packaged size and seed: a trial's

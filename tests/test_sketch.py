@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,15 +9,21 @@ from scipy.linalg import solve_triangular
 
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
-from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import METHOD_TAGS, make_method, mu_mass_many, point_mass_many
-from kronlev.experiments import evaluate_on_grid
+import kronlev.sketch as sketch_module
+from kronlev.config import load_json, parse_problem
+from kronlev.configs import packaged_config_path
+from kronlev.experiments import evaluate_on_grid, grid_values
 from kronlev.sketch import (
+    _GRID_BLOCK_BYTES,
     _SOLVE_BLOCK,
     SketchedSystem,
     TargetFunction,
     _back_substitute,
+    _one_blas_thread,
+    _row_blocks,
     assemble,
     draw_sketch,
     full_relative_error,
@@ -331,6 +339,146 @@ class TestTrialError:
             _, deficient = trial_error(reduction, sketch)
             assert deficient
             assert reference_trial(index_set, factors, reduction, sketch, SMOOTH)[1]
+
+
+def old_reduction(index_set, factors, b_values):
+    """(b, c, ||b||^2, ||r||^2) by the earlier whole-grid formula, kept as the reference.
+
+    It forms the M^D weight tensor by outer products, b from it, c by
+    np.tensordot mode products, the whole projection Q_L c the same way and
+    r = b - Q_L c as a separate array.
+    """
+    reduction = reduce_full_grid(index_set, factors, b_values)
+    root_w = reduce(np.multiply.outer, [np.sqrt(f.grid.weights) for f in factors])
+    b = root_w * np.asarray(b_values, dtype=float).reshape(root_w.shape)
+    coeffs = b
+    for q in reduction.q:
+        coeffs = np.tensordot(coeffs, q, axes=([0], [0]))
+    c = coeffs[tuple(reduction.lower.T)]
+    projected = np.zeros(index_set.bounding_box)
+    projected[tuple(reduction.lower.T)] = c
+    for q in reduction.q:
+        projected = np.tensordot(projected, q, axes=([0], [1]))
+    r = b - projected
+    return b, c, float(np.vdot(b, b)), float(np.vdot(r, r))
+
+
+def legendre_factors(dimension, m, n):
+    return [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))] * dimension
+
+
+def explicit(*indices):
+    return build_index_set(
+        IndexSetSpec(dimension=len(indices[0]), family="explicit-list", indices=indices)
+    )
+
+
+WAVE = TargetFunction("wave", lambda c: np.exp(0.5 * c.sum(axis=1)) * np.cos(2.0 * c[:, 0]))
+
+# (index set, factors): D=1 is one row of M_1 values in the block layout; at
+# D=4 the 7^3 = 343 rows of 7 values are cut into 20 blocks of 17 or 18 rows
+BLOCK_CASES = {
+    "D1-lower": (total_degree(1, 5), legendre_factors(1, 37, 6)),
+    "D1-non-lower": (explicit((1,), (3,), (6,)), legendre_factors(1, 37, 6)),
+    "D4-lower": (total_degree(4, 3), legendre_factors(4, 7, 4)),
+    "D4-non-lower": (
+        explicit((1, 1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 1), (1, 1, 2, 2), (2, 1, 1, 3)),
+        legendre_factors(4, 7, 4),
+    ),
+}
+
+
+class TestReduceFullGrid:
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", 1000)
+
+    def test_row_blocks_tile_the_rows_evenly(self, monkeypatch):
+        blocks = _row_blocks(3600, 60)  # the D=3, M=60 grid as 3600 rows of 60
+        sizes = [block.stop - block.start for block in blocks]
+        assert len(blocks) == math.ceil(3600 * 60 * 8 / _GRID_BLOCK_BYTES) > 1
+        assert max(sizes) - min(sizes) <= 1 and sum(sizes) == 3600
+        assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
+        assert _row_blocks(1, 37) == [slice(0, 1)]
+        monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", 1000)
+        assert len(_row_blocks(343, 7)) == 20
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=list(BLOCK_CASES))
+    def test_matches_dense_oracle_in_row_blocks(self, case, small_blocks):
+        index_set, factors = BLOCK_CASES[case]
+        reduction = reduction_of(index_set, factors, WAVE)
+        full = build_full(index_set, factors, WAVE)
+        dense = solve_full(full)
+        assert reduction.optimal_error == pytest.approx(dense.relative_error, rel=1e-12)
+        method = make_method("uniform", factors)
+        norm_b = np.linalg.norm(full.rhs)
+        for seed in range(3):
+            sketch = draw_sketch(method, 4 * len(index_set), seed)
+            error, deficient = trial_error(reduction, sketch)
+            solution = solve(assemble(index_set, [f.basis for f in factors], sketch, WAVE))
+            expected = np.linalg.norm(full.matrix @ solution.x - full.rhs) / norm_b
+            assert error == pytest.approx(expected, rel=1e-12)
+            assert deficient == solution.rank_deficient
+
+    @pytest.mark.parametrize(
+        "index_set,factors,block_bytes",
+        [
+            (total_degree(3, 7), legendre_factors(3, 20, 8), None),  # the packaged grid
+            (total_degree(3, 7), legendre_factors(3, 60, 8), None),  # 14 blocks of 257-258 rows
+            (total_degree(4, 3), legendre_factors(4, 7, 4), 1000),
+            (NON_LOWER, legendre_factors(2, 50, 3), 1000),
+            (total_degree(1, 5), legendre_factors(1, 37, 6), None),
+        ],
+        ids=["D3-M20", "D3-M60", "D4-M7", "D2-non-lower", "D1"],
+    )
+    def test_bits_equal_the_whole_grid_formula(self, monkeypatch, index_set, factors, block_bytes):
+        # row blocks of the last mode product round like one whole product
+        # for these widths; OpenBLAS's SkylakeX kernels did not for M_D > 192
+        if block_bytes is not None:
+            monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", block_bytes)
+        b_values = evaluate_on_grid(WAVE, [f.grid for f in factors])
+        with _one_blas_thread():
+            b, c, b_sq, residual_sq = old_reduction(index_set, factors, b_values)
+        reduction = reduce_full_grid(index_set, factors, b_values)
+        assert np.array_equal(reduction.c, c)
+        assert (reduction.b_sq, reduction.residual_sq) == (b_sq, residual_sq)
+        rhs = []
+        monkeypatch.setattr(sketch_module, "solve", lambda system: rhs.append(system.rhs) or solve(system))
+        tags = METHOD_TAGS if is_monotone_lower(index_set) else ("uniform", "tensor-product")
+        for tag in tags:
+            sketch = draw_sketch(make_method(tag, factors, index_set), 2 * len(index_set), 5)
+            trial_error(reduction, sketch)
+            scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
+            assert np.array_equal(rhs.pop(), scale * b[tuple(sketch.indices0.T)])
+
+    def test_wrong_value_count_rejected(self):
+        with pytest.raises(ValueError, match="one value per grid row"):
+            reduce_full_grid(total_degree(2, 2), monomial_factors(2, 4, 3), np.ones(15))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.ones(16)
+        values[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reduce_full_grid(total_degree(2, 2), monomial_factors(2, 4, 3), values)
+
+    def test_holds_one_grid_array_besides_its_input(self):
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["grid"]["M"] = 60
+        problem = parse_problem(config)
+        b_values = grid_values(problem.model, problem.grids)
+        before = b_values.copy()
+        reduce_full_grid(problem.index_set, problem.factors, b_values)  # warm caches
+        tracemalloc.start()
+        try:
+            reduction = reduce_full_grid(problem.index_set, problem.factors, b_values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # b (which becomes r) is the one grid array; the rest is 1/M of it
+        assert peak <= 1.5 * b_values.nbytes
+        assert np.array_equal(b_values, before)
+        assert np.shares_memory(reduction.values, b_values)
 
 
 class TestSampleSize:
