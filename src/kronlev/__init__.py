@@ -26,7 +26,6 @@ from .indexset import (
     is_monotone_lower,
 )
 from .factor import (
-    DiscreteSampler,
     FactorDecomposition,
     FactorMatrix,
     LeverageTable1D,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
-from .experiments import emit_cdf, emit_cdf_svg, grid_values, prepare_problem, run_trials, write_report_csv
+from .experiments import emit_cdf, emit_cdf_svg, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
 from .sketch import _one_blas_thread, draw_sketch, trial_error
 
@@ -90,10 +90,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
-    if problem.model is not None:
-        b_values = grid_values(problem.model, problem.grids)
-    else:
-        b_values = np.zeros(int(np.prod([len(g) for g in problem.grids])))
+    # leverage scores depend on the design matrix only: the model is not evaluated
+    b_values = np.zeros(int(np.prod([len(g) for g in problem.grids])))
     system = oracle.build_full(problem.index_set, problem.factors, b_values=b_values)
     scores = oracle.exact_leverage(system)
     lines = ["row,leverage_score"]

@@ -20,7 +20,6 @@ __all__ = [
     "FactorMatrix",
     "FactorDecomposition",
     "LeverageTable1D",
-    "DiscreteSampler",
     "build_factor",
     "factor_qr",
     "leverage_table",
@@ -51,14 +50,6 @@ class FactorDecomposition:
 
 
 @dataclass(frozen=True)
-class DiscreteSampler:
-    """Vose alias tables for one finite distribution over [M]."""
-
-    prob: np.ndarray   # acceptance probability per bucket
-    alias: np.ndarray  # fallback index per bucket
-
-
-@dataclass(frozen=True)
 class LeverageTable1D:
     """The (k,d) leverage scores ell_{k,m} plus per-k alias tables.
 
@@ -78,10 +69,10 @@ class LeverageTable1D:
         sums = rows.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             raise ValueError("each leverage row must sum to 1")
-        samplers = [build_alias(row) for row in rows]
+        prob, alias = zip(*(build_alias(row) for row in rows))
         object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "prob", np.stack([s.prob for s in samplers]))
-        object.__setattr__(self, "alias", np.stack([s.alias for s in samplers]))
+        object.__setattr__(self, "prob", np.stack(prob))
+        object.__setattr__(self, "alias", np.stack(alias))
 
     @property
     def num_functions(self) -> int:
@@ -97,11 +88,12 @@ class LeverageTable1D:
 
 
 def build_factor(grid: Grid1D, basis: BasisSpec) -> FactorMatrix:
-    """Assemble the M_d x N_d factor matrix sqrt(w_m) a_n(y_m)."""
-    if len(grid) < basis.count:
+    """Assemble the M_d x N_d factor matrix sqrt(w_m) a_n(y_m); zero-weight nodes give zero rows."""
+    support = int(np.count_nonzero(grid.weights))
+    if support < basis.count:
         raise ValueError(
-            f"grid has {len(grid)} nodes but basis needs {basis.count}; "
-            "a factor with fewer rows than columns cannot have full column rank"
+            f"grid has {support} nodes of positive weight but basis needs {basis.count}; "
+            "a factor with fewer nonzero rows than columns cannot have full column rank"
         )
     values = eval_basis_matrix(basis, grid.nodes)
     return FactorMatrix(np.sqrt(grid.weights)[:, None] * values, grid, basis)
@@ -156,8 +148,8 @@ def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_alias(probabilities) -> DiscreteSampler:
-    """Vose alias tables for a finite distribution (O(M) construction)."""
+def build_alias(probabilities) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias tables ``(prob, alias)`` for a finite distribution (O(M) construction)."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("need a nonempty 1D probability vector")
@@ -182,22 +174,14 @@ def build_alias(probabilities) -> DiscreteSampler:
     for i in small + large:
         prob[i] = 1.0
         alias[i] = i
-    return DiscreteSampler(prob, alias)
+    return prob, alias
 
 
-def sample_nu_kd(tables: LeverageTable1D, k, rng: np.random.Generator):
-    """Node indices distributed as the k-th leverage row of one dimension.
-
-    ``k`` is 1-based and may be an array; the output has the same shape.
-    """
-    k_idx = np.asarray(k) - 1
-    if np.any(k_idx < 0) or np.any(k_idx >= tables.num_functions):
-        raise ValueError(f"k outside [1, {tables.num_functions}]")
-    buckets = rng.integers(0, tables.num_nodes, size=k_idx.shape)
-    accept = rng.random(size=k_idx.shape)
-    out = np.where(
-        accept < tables.prob[k_idx, buckets], buckets, tables.alias[k_idx, buckets]
-    )
-    if np.isscalar(k) or np.asarray(k).ndim == 0:
-        return int(out) + 1
-    return out + 1
+def sample_nu_kd(tables: LeverageTable1D, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """0-based node indices, entry i drawn from the 0-based leverage row ``k[i]``."""
+    k = np.asarray(k)
+    if np.any(k < 0) or np.any(k >= tables.num_functions):
+        raise ValueError(f"k outside [0, {tables.num_functions - 1}]")
+    buckets = rng.integers(0, tables.num_nodes, size=k.shape)
+    accept = rng.random(size=k.shape)
+    return np.where(accept < tables.prob[k, buckets], buckets, tables.alias[k, buckets])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 __all__ = [
@@ -115,6 +114,23 @@ def _graded_lex_sorted(indices) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(indices, key=lambda a: (sum(a) - len(a), a)))
 
 
+def _lower_walk(caps, member) -> list[tuple[int, ...]]:
+    """Indices alpha <= caps of a downward-closed set, walked depth first from all-ones.
+
+    Entries rise only from the dimension raised last onward, so each index is
+    reached once; a non-member ends its branch, as nothing above it is a member.
+    """
+    out, stack = [], [((1,) * len(caps), 0)]
+    while stack:
+        alpha, first = stack.pop()
+        out.append(alpha)
+        for d in range(first, len(caps)):
+            beta = alpha[:d] + (alpha[d] + 1,) + alpha[d + 1:]
+            if beta[d] <= caps[d] and member(beta):
+                stack.append((beta, d))
+    return out
+
+
 def _wlp_ball(dimension: int, order: float, p: float, weights) -> list[tuple[int, ...]]:
     G = Fraction(order)
     wfrac = [Fraction(w) for w in weights]
@@ -127,42 +143,36 @@ def _wlp_ball(dimension: int, order: float, p: float, weights) -> list[tuple[int
     # Entrywise bound (alpha_d - 1)/w_d <= G holds for every 0 < p <= inf;
     # exact rational caps keep boundary indices from floating-point loss.
     caps = [int(G * w) + 1 for w in wfrac]
-    out = []
     if p == 1:
-        for alpha in product(*(range(1, c + 1) for c in caps)):
-            if sum((a - 1) / w for a, w in zip(alpha, wfrac)) <= G:
-                out.append(alpha)
-    elif math.isinf(p):
+        return _lower_walk(caps, lambda alpha: sum((a - 1) / w for a, w in zip(alpha, wfrac)) <= G)
+    if math.isinf(p):
         # The entrywise cap is exactly the membership test.
-        out = list(product(*(range(1, c + 1) for c in caps)))
-    else:
-        Gp = float(order) ** p
-        for alpha in product(*(range(1, c + 1) for c in caps)):
-            if sum(((a - 1) / w) ** p for a, w in zip(alpha, weights)) <= Gp:
-                out.append(alpha)
-    return out
+        return _lower_walk(caps, lambda alpha: True)
+    Gp = float(order) ** p
+    return _lower_walk(
+        caps, lambda alpha: sum(((a - 1) / w) ** p for a, w in zip(alpha, weights)) <= Gp
+    )
 
 
-def _hyperbolic_cross(dimension: int, order: float, weights) -> list[tuple[int, ...]]:
+def _hyperbolic_cross(order: float, weights) -> list[tuple[int, ...]]:
     # ||log alpha||_{w,1} <= log(G+1), i.e. prod alpha_d^(1/w_d) <= G+1.
     bound = order + 1.0
     caps = [int(math.floor(bound ** w)) for w in weights]
-    exact = all(w == 1.0 for w in weights)
-    out = []
-    for alpha in product(*(range(1, max(c, 1) + 1) for c in caps)):
-        if exact:
-            # int-vs-float comparison is exact in Python
-            ok = math.prod(alpha) <= bound
-        else:
-            ok = sum(math.log(a) / w for a, w in zip(alpha, weights)) <= math.log(bound)
-        if ok:
-            out.append(alpha)
-    return out
+    if all(w == 1.0 for w in weights):
+        # int-vs-float comparison is exact in Python
+        return _lower_walk(caps, lambda alpha: math.prod(alpha) <= bound)
+    log_bound = math.log(bound)
+    return _lower_walk(
+        caps, lambda alpha: sum(math.log(a) / w for a, w in zip(alpha, weights)) <= log_bound
+    )
 
 
 def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
     """Construct the multi-index set described by ``spec``.
 
+    Both families are downward closed, so one depth-first walk from the
+    all-ones index enumerates them: N members cost at most N*D membership
+    tests, where a scan of the bounding box costs one per box index.
     Membership comparisons are exact (rational arithmetic) for the common
     cases p in {1, inf} and for unit-weight hyperbolic crosses, so boundary
     indices are never lost to floating-point roundoff.
@@ -172,7 +182,7 @@ def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
     elif spec.family == "wlp-ball":
         members = _wlp_ball(spec.dimension, spec.order, spec.p, spec.weights)
     else:
-        members = _hyperbolic_cross(spec.dimension, spec.order, spec.weights)
+        members = _hyperbolic_cross(spec.order, spec.weights)
     return MultiIndexSet(spec.dimension, _graded_lex_sorted(members))
 
 

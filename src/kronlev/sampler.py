@@ -128,13 +128,12 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
     if method.tag == "tensor-product":
         for d, tables in enumerate(method.tables):
             k = rng.integers(0, tables.num_functions, size=size)
-            out[:, d] = sample_nu_kd(tables, k + 1, rng) - 1
+            out[:, d] = sample_nu_kd(tables, k, rng)
         return out
     # two-stage draw: uniform member of the index set, then its leverage rows
     member = rng.integers(0, method.index_array.shape[0], size=size)
     for d, tables in enumerate(method.tables):
-        k = method.index_array[member, d]
-        out[:, d] = sample_nu_kd(tables, k + 1, rng) - 1
+        out[:, d] = sample_nu_kd(tables, method.index_array[member, d], rng)
     return out
 
 

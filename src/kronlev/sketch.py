@@ -285,6 +285,8 @@ def _project_grid(
     b_sq = float(np.vdot(b, b))
     if not math.isfinite(b_sq):
         raise ValueError("b_values must be finite")
+    if b_sq == 0.0:
+        raise ValueError("b_values are zero wherever the grid weight is positive")
     coeffs = b.reshape(values.shape)
     for q in qs:
         # np.tensordot moves axis 0 last by a strided view, not a copy
@@ -309,9 +311,10 @@ def reduce_full_grid(
     """Reduce the full weighted problem by D mode products each way.
 
     ``b_values`` holds the finite target on the full grid in lexicographic
-    order (dimension 1 slowest); it is not written.  The cost is
-    O(M^D max N_d), with no M-row matrix and one grid-sized working array;
-    a factor that ``factor_qr`` rejects as rank deficient raises.  The grid
+    order (dimension 1 slowest), nonzero at some node of positive weight; it
+    is not written.  The cost is O(M^D max N_d), with no M-row matrix and one
+    grid-sized working array; a factor that ``factor_qr`` rejects as rank
+    deficient raises.  The grid
     work runs on one BLAS thread, as a threaded dot product or matrix
     product rounds by thread count.
     """

@@ -610,6 +610,35 @@ class TestCli:
         assert main(["indexset", "--config", str(path)]) == 0
         assert main(["sample", "--config", str(path), "--method", "uniform",
                      "--count", "3", "--seed", "1"]) == 0
+        assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "lev.csv")]) == 0
+
+    @pytest.mark.parametrize("argv,methods", [
+        (["sample", "--method", "uniform", "--count", "3", "--seed", "1"], None),
+        (["sample", "--method", "leverage-lower", "--count", "3", "--seed", "1"], None),
+        (["solve", "--method", "uniform", "--K", "40", "--seed", "1"], None),
+        (["oracle", "--dump", "lev.csv"], None),
+        (["experiment", "--out", "r.csv"], ["uniform"]),
+        (["experiment", "--out", "r.csv"], ["uniform", "leverage-lower"]),
+    ], ids=["sample-uniform", "sample-leverage-lower", "solve", "oracle", "experiment-uniform",
+            "experiment-both"])
+    def test_grid_too_small_for_the_basis_is_exit_2(
+        self, argv, methods, tiny_config, tmp_path, capsys
+    ):
+        # a zero-weight node leaves two nonzero factor rows for three monomials
+        (tmp_path / "grid.json").write_text(
+            json.dumps({"nodes": [-0.5, 0.0, 0.5], "weights": [0.5, 0.5, 0.0]}))
+        config = json.loads(tiny_config.read_text())
+        config.update(grid={"grid": "file", "path": "grid.json"}, basis={"kind": "monomial"})
+        if methods:
+            config["methods"] = methods
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: grid has 2 nodes of positive weight")
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_runtime_error_is_exit_1(self, tmp_path, capsys):
         # a valid config whose grid exceeds the dense-oracle guard makes the

@@ -22,12 +22,13 @@ def legendre_factor(m, n):
     return build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))
 
 
-def reconstructed(sampler):
+def reconstructed(tables):
     """Input probabilities recovered from Vose tables: bucket i keeps prob[i]
     of its 1/M share and hands the rest to alias[i]."""
-    p = sampler.prob.copy()
-    np.add.at(p, sampler.alias, 1.0 - sampler.prob)
-    return p / sampler.prob.size
+    prob, alias = tables
+    p = prob.copy()
+    np.add.at(p, alias, 1.0 - prob)
+    return p / prob.size
 
 
 class TestBuildFactor:
@@ -113,12 +114,11 @@ class TestAlias:
     def test_singleton_always_drawn(self):
         table = LeverageTable1D(np.array([[1.0]]))
         rng = np.random.default_rng(0)
-        assert np.all(sample_nu_kd(table, np.ones(10, dtype=np.int64), rng) == 1)
+        assert np.all(sample_nu_kd(table, np.zeros(10, dtype=np.int64), rng) == 0)
 
     def test_reconstruction_identity(self):
         p = np.array([5 / 18, 8 / 18, 5 / 18])
-        sampler = build_alias(p)
-        assert np.max(np.abs(reconstructed(sampler) - p)) < 1e-12
+        assert np.max(np.abs(reconstructed(build_alias(p)) - p)) < 1e-12
 
     def test_reconstruction_identity_random(self):
         rng = np.random.default_rng(42)
@@ -130,7 +130,7 @@ class TestAlias:
         table = LeverageTable1D(np.array([[0.5, 0.5]]))
         rng = np.random.default_rng(7)
         n = 10**6
-        ones = int(np.sum(sample_nu_kd(table, np.ones(n, dtype=np.int64), rng) - 1))
+        ones = int(np.sum(sample_nu_kd(table, np.zeros(n, dtype=np.int64), rng)))
         sigma = np.sqrt(n * 0.25)
         assert abs(ones - n / 2) < 3 * sigma
 
@@ -149,30 +149,31 @@ class TestSampleNuKd:
         table_rows = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         tables = LeverageTable1D(table_rows)
         rng = np.random.default_rng(3)
-        assert all(sample_nu_kd(tables, 1, rng) == 2 for _ in range(20))
-        assert all(sample_nu_kd(tables, 2, rng) == 1 for _ in range(20))
+        assert np.all(sample_nu_kd(tables, np.zeros(20, dtype=np.int64), rng) == 1)
+        assert np.all(sample_nu_kd(tables, np.ones(20, dtype=np.int64), rng) == 0)
 
     def test_empirical_law_close_in_total_variation(self):
         table = leverage_table(factor_qr(monomial_factor(10, 4)))
         rng = np.random.default_rng(11)
-        k = 3
+        k = 2
         n = 10**5
-        drawn = sample_nu_kd(table, np.full(n, k), rng) - 1
+        drawn = sample_nu_kd(table, np.full(n, k), rng)
         freq = np.bincount(drawn, minlength=10) / n
-        tv = 0.5 * np.sum(np.abs(freq - table.table[k - 1]))
+        tv = 0.5 * np.sum(np.abs(freq - table.table[k]))
         assert tv < 0.01
 
     def test_out_of_range_k(self):
         table = leverage_table(factor_qr(monomial_factor(5, 2)))
-        with pytest.raises(ValueError):
-            sample_nu_kd(table, 3, np.random.default_rng(0))
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="k outside"):
+                sample_nu_kd(table, np.array([0, k]), np.random.default_rng(0))
 
     def test_vectorized_k_shapes(self):
         table = leverage_table(factor_qr(monomial_factor(5, 2)))
         rng = np.random.default_rng(0)
-        out = sample_nu_kd(table, np.array([1, 2, 1, 2]), rng)
+        out = sample_nu_kd(table, np.array([0, 1, 0, 1]), rng)
         assert out.shape == (4,)
-        assert np.all((out >= 1) & (out <= 5))
+        assert np.all((out >= 0) & (out <= 4))
 
 
 class TestKronRows:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,71 @@ class TestBuildIndexSet:
             IndexSetSpec(dimension=2, family="wlp-ball", order=2, weights=(0.5, 0.5))
         with pytest.raises(ValueError):
             IndexSetSpec(dimension=2, family="wlp-ball", order=2, weights=(1.5, 1.0))
+
+
+def box_scan(spec):
+    """The ball or cross of ``spec`` by scanning its whole bounding box.
+
+    The reference for the walk: the same caps and membership tests as
+    ``build_index_set``, applied to every index of the box.
+    """
+    def caps_box(caps):
+        return itertools.product(*(range(1, c + 1) for c in caps))
+
+    weights = spec.weights
+    if spec.family == "hyperbolic-cross":
+        bound = spec.order + 1.0
+        caps = [int(math.floor(bound ** w)) for w in weights]
+        if all(w == 1.0 for w in weights):
+            return [a for a in caps_box(caps) if math.prod(a) <= bound]
+        return [a for a in caps_box(caps)
+                if sum(math.log(x) / w for x, w in zip(a, weights)) <= math.log(bound)]
+    G = Fraction(spec.order)
+    wfrac = [Fraction(w) for w in weights]
+    caps = [int(G * w) + 1 for w in wfrac]
+    if spec.p == 1:
+        return [a for a in caps_box(caps) if sum((x - 1) / w for x, w in zip(a, wfrac)) <= G]
+    if math.isinf(spec.p):
+        return list(caps_box(caps))
+    Gp = float(spec.order) ** spec.p
+    return [a for a in caps_box(caps)
+            if sum(((x - 1) / w) ** spec.p for x, w in zip(a, weights)) <= Gp]
+
+
+WALK_P = (0.25, 0.5, 1.0, 1.5, 2.0, math.inf)
+# Largest order per dimension: box scans above these take seconds.
+WALK_MAX_ORDER = {1: 20, 2: 20, 3: 20, 4: 7, 5: 4, 6: 3}
+
+
+def walk_specs(family, dimension, count=100):
+    """``count`` seeded specs: integer and fractional orders, unit and non-unit weights."""
+    rng = random.Random(f"{family}-{dimension}")
+    top = WALK_MAX_ORDER[dimension]
+    for _ in range(count):
+        order = rng.choice([rng.randint(0, top), round(rng.uniform(0, top), 3)])
+        weights = [1.0] * dimension
+        if rng.random() < 0.5:
+            weights = [rng.choice([1.0, 0.75, 0.5, 0.3, round(rng.uniform(0.1, 1.0), 3)])
+                       for _ in range(dimension)]
+            weights[rng.randrange(dimension)] = 1.0
+        yield IndexSetSpec(dimension=dimension, family=family, order=order,
+                           p=rng.choice(WALK_P), weights=tuple(weights))
+
+
+class TestLowerWalk:
+    @pytest.mark.parametrize("dimension", range(1, 7))
+    @pytest.mark.parametrize("family", ["wlp-ball", "hyperbolic-cross"])
+    def test_walk_equals_bounding_box_scan(self, family, dimension):
+        for spec in walk_specs(family, dimension):
+            expected = box_scan(spec)
+            got = build_index_set(spec)
+            assert len(got) == len(expected) and set(got.indices) == set(expected), spec
+
+    @pytest.mark.parametrize("dimension,order", [
+        (1, 12), (2, 10), (3, 9), (4, 6), (5, 5), (6, 4), (7, 4), (8, 4), (9, 3), (10, 3),
+    ])
+    def test_total_degree_size_is_binomial(self, dimension, order):
+        assert len(ball(dimension, order)) == math.comb(order + dimension, dimension)
 
 
 class TestMonotoneLower:

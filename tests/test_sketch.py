@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from kronlev.factor import build_factor
+from kronlev.factor import FactorMatrix, build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
@@ -257,11 +257,24 @@ class TestFullRelativeError:
         assert reduced == pytest.approx(dense, rel=1e-12)
 
     def test_rank_deficient_factor_rejected(self):
-        # a zero-weight node leaves two nonzero rows for three basis columns
-        grid = Grid1D(np.array([-0.5, 0.0, 0.5]), np.array([0.5, 0.5, 0.0]))
-        factors = [build_factor(grid, BasisSpec("monomial", 3))] * 2
+        # build_factor rejects too few nonzero rows, so duplicate a column instead
+        f = build_factor(gauss_legendre_grid(5), BasisSpec("monomial", 3))
+        broken = f.matrix.copy()
+        broken[:, 2] = broken[:, 1]
+        factors = [FactorMatrix(broken, f.grid, f.basis)] * 2
         with pytest.raises(ValueError, match="rank deficient"):
-            reduce_full_grid(total_degree(2, 2), factors, np.ones(9))
+            reduce_full_grid(total_degree(2, 2), factors, np.ones(25))
+
+    @pytest.mark.parametrize("where", ["everywhere", "off-the-weight"])
+    def test_zero_target_rejected(self, where):
+        # the relative error divides by ||b||, which is 0 in both cases
+        grid = Grid1D(np.array([-0.5, 0.0, 0.5]), np.array([0.5, 0.5, 0.0]))
+        factors = [build_factor(grid, BasisSpec("monomial", 2))] * 2
+        values = np.zeros((3, 3))
+        if where == "off-the-weight":
+            values[2, :] = values[:, 2] = 1.0  # only where one node has weight 0
+        with pytest.raises(ValueError, match="zero wherever the grid weight is positive"):
+            reduce_full_grid(total_degree(2, 1), factors, values.ravel())
 
 
 def reference_trial(index_set, factors, reduction, sketch, target):
