@@ -25,16 +25,7 @@ from .indexset import (
     canonicalize_to_lower,
     is_monotone_lower,
 )
-from .factor import (
-    FactorDecomposition,
-    FactorMatrix,
-    LeverageTable1D,
-    build_alias,
-    build_factor,
-    factor_qr,
-    leverage_table,
-    sample_nu_kd,
-)
+from .factor import FactorMatrix, build_factor
 from .sampler import SamplerMethod, make_method
 from .sketch import (
     Sketch,

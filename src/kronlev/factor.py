@@ -1,11 +1,13 @@
-"""Per-dimension design matrices, QR factors, leverage tables, alias samplers.
+"""Per-dimension design matrices, their QR factors, leverage tables and alias samplers.
 
 For one dimension with grid (y_m, w_m) and basis functions a_1..a_N, the
-factor matrix has entries sqrt(w_m) * a_n(y_m).  Its thin QR yields columns
-that are discrete orthonormal functions; squaring the Q entries gives, per
-column k, a probability vector over the grid nodes (the (k,d) leverage
-scores).  Each of those rows gets a Vose alias table so a draw costs O(1)
-after O(M) setup.
+factor matrix has entries sqrt(w_m) * a_n(y_m).  A factor matrix factors
+itself once, when it is built: its thin QR yields columns that are discrete
+orthonormal functions, and squaring the Q entries gives, per column k, a
+probability vector over the grid nodes (the (k,d) leverage scores).  Each
+of those rows gets a Vose alias table so a draw costs O(1) after O(M)
+setup.  Every sampler and the full-grid reduction read these same Q, R and
+tables.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .grid_basis import BasisSpec, Grid1D, eval_basis_matrix
 
 __all__ = [
     "FactorMatrix",
-    "FactorDecomposition",
     "LeverageTable1D",
     "build_factor",
     "factor_qr",
@@ -28,25 +29,30 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-12
-# Largest Gram off-diagonal accepted as orthogonal by column normalization.
-_GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FactorMatrix:
-    """sqrt(weight)-scaled basis values on one dimension's grid."""
+    """sqrt(weight)-scaled basis values on one dimension's grid, with its QR and leverage table.
+
+    Construction factors the matrix once; a rank-deficient matrix raises
+    ``ValueError``.
+    """
 
     matrix: np.ndarray  # (M_d, N_d)
     grid: Grid1D
     basis: BasisSpec
+    # the thin QR: q (M_d, N_d) with orthonormal columns, r (N_d, N_d) upper
+    # triangular with a positive diagonal, and the leverage rows of q
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    leverage: LeverageTable1D = field(init=False, repr=False, compare=False)
 
-
-@dataclass(frozen=True)
-class FactorDecomposition:
-    """Thin QR of a factor matrix, R diagonal normalized positive."""
-
-    q: np.ndarray  # (M_d, N_d), orthonormal columns
-    r: np.ndarray  # (N_d, N_d), upper triangular, positive diagonal
+    def __post_init__(self):
+        q, r = factor_qr(self.matrix)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "leverage", leverage_table(q))
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ class LeverageTable1D:
 
 
 def build_factor(grid: Grid1D, basis: BasisSpec) -> FactorMatrix:
-    """Assemble the M_d x N_d factor matrix sqrt(w_m) a_n(y_m); zero-weight nodes give zero rows."""
+    """The factored M_d x N_d matrix sqrt(w_m) a_n(y_m); zero-weight nodes give zero rows."""
     support = int(np.count_nonzero(grid.weights))
     if support < basis.count:
         raise ValueError(
@@ -99,9 +105,9 @@ def build_factor(grid: Grid1D, basis: BasisSpec) -> FactorMatrix:
     return FactorMatrix(np.sqrt(grid.weights)[:, None] * values, grid, basis)
 
 
-def factor_qr(factor: FactorMatrix) -> FactorDecomposition:
-    """Householder QR with positive R diagonal; rejects rank deficiency."""
-    q, r = np.linalg.qr(factor.matrix)
+def factor_qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR ``(q, r)`` with positive R diagonal; rejects rank deficiency."""
+    q, r = np.linalg.qr(matrix)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs
@@ -111,33 +117,16 @@ def factor_qr(factor: FactorMatrix) -> FactorDecomposition:
     bad = np.nonzero(diag <= _RANK_RTOL * running_max)[0]
     if bad.size:
         raise ValueError(f"factor matrix is rank deficient at column {bad[0] + 1}")
-    return FactorDecomposition(q, r)
+    return q, r
 
 
-def leverage_table(decomposition: FactorDecomposition) -> LeverageTable1D:
+def leverage_table(q: np.ndarray) -> LeverageTable1D:
     """Per-(k, m) leverage scores from the orthonormal factor columns.
 
     The factor matrix already carries sqrt(w_m), so the weighted score
     w_m * q_k(y_m)^2 is just the squared Q entry.
     """
-    return LeverageTable1D((decomposition.q ** 2).T)
-
-
-def normalized_column_table(factor: FactorMatrix) -> LeverageTable1D:
-    """Leverage table using column normalization instead of a full QR.
-
-    Valid only when the factor columns are mutually orthogonal; the Gram
-    off-diagonals are checked against 1e-10, never assumed.
-    """
-    a = factor.matrix
-    gram = a.T @ a
-    off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > _GRAM_TOL:
-        raise ValueError(
-            f"factor columns are not orthogonal (max Gram off-diagonal {np.max(np.abs(off)):.2e})"
-        )
-    norms = np.sqrt(np.diag(gram))
-    return LeverageTable1D(((a / norms) ** 2).T)
+    return LeverageTable1D((q ** 2).T)
 
 
 def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -144,7 +144,14 @@ def _wlp_ball(dimension: int, order: float, p: float, weights) -> list[tuple[int
     # exact rational caps keep boundary indices from floating-point loss.
     caps = [int(G * w) + 1 for w in wfrac]
     if p == 1:
-        return _lower_walk(caps, lambda alpha: sum((a - 1) / w for a, w in zip(alpha, wfrac)) <= G)
+        # sum (a_d - 1) / w_d <= G, scaled by the lcm of the exact denominators
+        # of G and the 1/w_d so that the test runs in integers
+        inverse = [1 / w for w in wfrac]
+        scale = math.lcm(G.denominator, *(q.denominator for q in inverse))
+        costs, budget = [int(q * scale) for q in inverse], int(G * scale)
+        return _lower_walk(
+            caps, lambda alpha: sum((a - 1) * c for a, c in zip(alpha, costs)) <= budget
+        )
     if math.isinf(p):
         # The entrywise cap is exactly the membership test.
         return _lower_walk(caps, lambda alpha: True)

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows, factor_qr
+from .factor import FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet
 from .sampler import SamplerMethod, mu_mass_many, point_mass_many, sample_indices
@@ -312,11 +312,10 @@ def reduce_full_grid(
 
     ``b_values`` holds the finite target on the full grid in lexicographic
     order (dimension 1 slowest), nonzero at some node of positive weight; it
-    is not written.  The cost is O(M^D max N_d), with no M-row matrix and one
-    grid-sized working array; a factor that ``factor_qr`` rejects as rank
-    deficient raises.  The grid
-    work runs on one BLAS thread, as a threaded dot product or matrix
-    product rounds by thread count.
+    is not written.  The factors' own Q and R are used, so nothing is
+    factored here.  The cost is O(M^D max N_d), with no M-row matrix and one
+    grid-sized working array.  The grid work runs on one BLAS thread, as a
+    threaded dot product or matrix product rounds by thread count.
     """
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
@@ -328,9 +327,8 @@ def reduce_full_grid(
     closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
     lower = np.asarray(list(index_set.indices) + sorted(closure - members)) - 1
     cols, box = lower[: len(index_set)], index_set.bounding_box
-    decompositions = [factor_qr(f) for f in factors]
-    qs = [dec.q[:, :n_d] for dec, n_d in zip(decompositions, box)]
-    r_lj = _kron_rows([dec.r for dec in decompositions], lower, cols)
+    qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
+    r_lj = _kron_rows([f.r for f in factors], lower, cols)
     with _one_blas_thread():
         c, b_sq, residual_sq = _project_grid(values, root_w, qs, lower)
     if len(lower) == len(index_set):

@@ -292,6 +292,28 @@ def tiny_config(tmp_path):
     return path
 
 
+# (id, argv, experiment methods) of every command that builds the factors
+_COMMANDS_ON_THE_GRID = [
+    ("sample-uniform", ["sample", "--method", "uniform", "--count", "3", "--seed", "1"], None),
+    ("sample-leverage-lower",
+     ["sample", "--method", "leverage-lower", "--count", "3", "--seed", "1"], None),
+    ("solve", ["solve", "--method", "uniform", "--K", "40", "--seed", "1"], None),
+    ("oracle", ["oracle", "--dump", "lev.csv"], None),
+    ("experiment-uniform", ["experiment", "--out", "r.csv"], ["uniform"]),
+    ("experiment-both", ["experiment", "--out", "r.csv"], ["uniform", "leverage-lower"]),
+]
+# (id suffix, config patch, error) of a grid that cannot carry the basis
+_GRIDS_TOO_SMALL = [
+    # a zero-weight node leaves two nonzero factor rows for three monomials
+    ("", {"grid": {"grid": "file", "path": "grid.json"}, "basis": {"kind": "monomial"}},
+     "grid has 2 nodes of positive weight"),
+    # 60 nodes carry 45 monomials in exact arithmetic but not in floating point
+    ("-rank-deficient",
+     {"grid": {"grid": "gauss-legendre-uniform", "M": 60},
+      "basis": {"kind": "monomial", "count": 45}},
+     "factor matrix is rank deficient at column 42\n"),
+]
+
 _INDEX_SET = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
               "weights": [1.0, 1.0, 1.0]}
 _TABULATED = {"model": {"name": "tabulated", "path": "values.txt"}}
@@ -612,23 +634,18 @@ class TestCli:
                      "--count", "3", "--seed", "1"]) == 0
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "lev.csv")]) == 0
 
-    @pytest.mark.parametrize("argv,methods", [
-        (["sample", "--method", "uniform", "--count", "3", "--seed", "1"], None),
-        (["sample", "--method", "leverage-lower", "--count", "3", "--seed", "1"], None),
-        (["solve", "--method", "uniform", "--K", "40", "--seed", "1"], None),
-        (["oracle", "--dump", "lev.csv"], None),
-        (["experiment", "--out", "r.csv"], ["uniform"]),
-        (["experiment", "--out", "r.csv"], ["uniform", "leverage-lower"]),
-    ], ids=["sample-uniform", "sample-leverage-lower", "solve", "oracle", "experiment-uniform",
-            "experiment-both"])
+    @pytest.mark.parametrize("argv,methods,grid,error", [
+        pytest.param(argv, methods, grid, error, id=command + case)
+        for case, grid, error in _GRIDS_TOO_SMALL
+        for command, argv, methods in _COMMANDS_ON_THE_GRID
+    ])
     def test_grid_too_small_for_the_basis_is_exit_2(
-        self, argv, methods, tiny_config, tmp_path, capsys
+        self, argv, methods, grid, error, tiny_config, tmp_path, capsys
     ):
-        # a zero-weight node leaves two nonzero factor rows for three monomials
         (tmp_path / "grid.json").write_text(
             json.dumps({"nodes": [-0.5, 0.0, 0.5], "weights": [0.5, 0.5, 0.0]}))
         config = json.loads(tiny_config.read_text())
-        config.update(grid={"grid": "file", "path": "grid.json"}, basis={"kind": "monomial"})
+        config.update(grid)
         if methods:
             config["methods"] = methods
         path = tmp_path / "config.json"
@@ -637,7 +654,7 @@ class TestCli:
         assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: grid has 2 nodes of positive weight")
+        assert captured.err.startswith(f"config error: {error}")
         assert not any(tmp_path.glob("*.csv"))
 
     def test_runtime_error_is_exit_1(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import kronlev.experiments
+import kronlev.factor
 import kronlev.grid_basis
 import kronlev.sketch
 from kronlev.config import load_json, parse_experiment, parse_problem
@@ -203,6 +204,22 @@ def experiment_config(**overrides):
     return parse_experiment(config)
 
 
+def count_calls(monkeypatch, *originals):
+    """A list that gets a function's name at each call, through every kronlev binding of it."""
+    calls = []
+    for original in originals:
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "kronlev" or name.startswith("kronlev."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 class TestRunTrials:
     def test_trials_evaluate_no_basis_and_assemble_nothing(self, monkeypatch):
         # trials read the reduction's Q factors, so once the factors exist no
@@ -210,22 +227,24 @@ class TestRunTrials:
         experiment = experiment_config(
             grid={"grid": "gauss-legendre", "M": 4}, methods=list(METHOD_IDS)
         )
-        calls = []
-        for original in (kronlev.grid_basis.eval_basis_matrix, kronlev.sketch.assemble):
-            def counted(*args, _original=original, **kwargs):
-                calls.append(_original.__name__)
-                return _original(*args, **kwargs)
-
-            for name, module in list(sys.modules.items()):
-                if name == "kronlev" or name.startswith("kronlev."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, counted)
+        calls = count_calls(
+            monkeypatch, kronlev.grid_basis.eval_basis_matrix, kronlev.sketch.assemble
+        )
         report = run_trials(experiment)
         assert calls == []
         assert [len(report.errors[tag]) for tag in METHOD_IDS] == [3] * 4
         build_factor(gauss_legendre_grid(3), BasisSpec("monomial", 2))  # the count works
         assert calls == ["eval_basis_matrix"]
+
+    def test_each_dimension_is_factored_once(self, monkeypatch):
+        # a factor QRs itself and builds its alias tables when the config is
+        # parsed; the samplers and the full-grid reduction read those
+        calls = count_calls(monkeypatch, kronlev.factor.factor_qr, kronlev.factor.leverage_table)
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["trials"] = 2
+        report = run_trials(parse_experiment(config))
+        assert report.methods == ("uniform", "tensor-product", "leverage-lower")
+        assert sorted(calls) == ["factor_qr"] * 3 + ["leverage_table"] * 3
 
     def test_deterministic_for_fixed_seed(self):
         a = run_trials(experiment_config())

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from kronlev.factor import (
+    FactorMatrix,
     LeverageTable1D,
     _kron_rows,
     build_alias,
     build_factor,
-    factor_qr,
-    leverage_table,
-    normalized_column_table,
     sample_nu_kd,
 )
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
@@ -48,37 +46,33 @@ class TestBuildFactor:
 class TestFactorQr:
     def test_orthonormal_input_passes_through(self):
         f = legendre_factor(10, 5)
-        dec = factor_qr(f)
-        assert np.max(np.abs(dec.q - f.matrix)) < 1e-10
-        assert np.max(np.abs(dec.r - np.eye(5))) < 1e-10
+        assert np.max(np.abs(f.q - f.matrix)) < 1e-10
+        assert np.max(np.abs(f.r - np.eye(5))) < 1e-10
 
     def test_qr_invariants_on_monomials(self):
         f = monomial_factor(20, 10)
-        dec = factor_qr(f)
-        assert np.max(np.abs(dec.q.T @ dec.q - np.eye(10))) < 1e-10
-        assert np.max(np.abs(dec.q @ dec.r - f.matrix)) < 1e-10 * np.max(np.abs(f.matrix))
-        assert np.all(np.diag(dec.r) > 0)
-        assert np.max(np.abs(np.triu(dec.r) - dec.r)) == 0
+        assert np.max(np.abs(f.q.T @ f.q - np.eye(10))) < 1e-10
+        assert np.max(np.abs(f.q @ f.r - f.matrix)) < 1e-10 * np.max(np.abs(f.matrix))
+        assert np.all(np.diag(f.r) > 0)
+        assert np.max(np.abs(np.triu(f.r) - f.r)) == 0
 
     def test_duplicate_column_raises_with_position(self):
         f = monomial_factor(5, 3)
         broken = f.matrix.copy()
         broken[:, 2] = broken[:, 1]
-        from kronlev.factor import FactorMatrix
-
         with pytest.raises(ValueError, match="column 3"):
-            factor_qr(FactorMatrix(broken, f.grid, f.basis))
+            FactorMatrix(broken, f.grid, f.basis)
 
 
 class TestLeverageTable:
     def test_rows_are_probability_vectors(self):
-        table = leverage_table(factor_qr(monomial_factor(9, 4)))
+        table = monomial_factor(9, 4).leverage
         assert np.max(np.abs(table.table.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(table.table >= 0)
 
     def test_constant_function_row_equals_weights(self):
         g = gauss_legendre_grid(7)
-        table = leverage_table(factor_qr(build_factor(g, BasisSpec("monomial", 3))))
+        table = build_factor(g, BasisSpec("monomial", 3)).leverage
         assert np.allclose(table.table[0], g.weights, atol=1e-14)
 
     def test_against_independent_recomputation(self):
@@ -88,26 +82,23 @@ class TestLeverageTable:
         g = gauss_legendre_grid(8)
         basis = BasisSpec("monomial", 5)
         f = build_factor(g, basis)
-        dec = factor_qr(f)
         raw = eval_basis_matrix(basis, g.nodes)
-        q_func = raw @ np.linalg.inv(dec.r)
+        q_func = raw @ np.linalg.inv(f.r)
         recomputed = (g.weights[:, None] * q_func**2).T
-        table = leverage_table(dec)
+        table = f.leverage
         assert np.max(np.abs(table.table - recomputed)) < 1e-14
 
     def test_square_case_marginal_is_uniform(self):
-        table = leverage_table(factor_qr(monomial_factor(6, 6)))
+        table = monomial_factor(6, 6).leverage
         assert np.max(np.abs(table.marginal() - 1.0 / 6.0)) < 1e-10
 
-    def test_normalized_column_table_requires_orthogonality(self):
-        with pytest.raises(ValueError, match="not orthogonal"):
-            normalized_column_table(monomial_factor(8, 4))
-
-    def test_normalized_column_table_matches_qr_for_orthogonal_columns(self):
+    def test_rows_are_the_normalized_columns_for_orthogonal_columns(self):
+        # orthogonal columns are Q up to column scaling, so normalizing them
+        # gives the same leverage rows, the ones orthogonal-columns samples
         f = legendre_factor(12, 5)
-        a = normalized_column_table(f).table
-        b = leverage_table(factor_qr(f)).table
-        assert np.max(np.abs(a - b)) < 1e-12
+        normalized = f.matrix / np.linalg.norm(f.matrix, axis=0)
+        assert np.max(np.abs(f.q - normalized)) < 1e-12
+        assert np.max(np.abs(f.leverage.table - (normalized**2).T)) < 1e-12
 
 
 class TestAlias:
@@ -153,7 +144,7 @@ class TestSampleNuKd:
         assert np.all(sample_nu_kd(tables, np.ones(20, dtype=np.int64), rng) == 0)
 
     def test_empirical_law_close_in_total_variation(self):
-        table = leverage_table(factor_qr(monomial_factor(10, 4)))
+        table = monomial_factor(10, 4).leverage
         rng = np.random.default_rng(11)
         k = 2
         n = 10**5
@@ -163,13 +154,13 @@ class TestSampleNuKd:
         assert tv < 0.01
 
     def test_out_of_range_k(self):
-        table = leverage_table(factor_qr(monomial_factor(5, 2)))
+        table = monomial_factor(5, 2).leverage
         for k in (-1, 2):
             with pytest.raises(ValueError, match="k outside"):
                 sample_nu_kd(table, np.array([0, k]), np.random.default_rng(0))
 
     def test_vectorized_k_shapes(self):
-        table = leverage_table(factor_qr(monomial_factor(5, 2)))
+        table = monomial_factor(5, 2).leverage
         rng = np.random.default_rng(0)
         out = sample_nu_kd(table, np.array([0, 1, 0, 1]), rng)
         assert out.shape == (4,)

@@ -184,6 +184,7 @@ class TestLowerWalk:
 
     @pytest.mark.parametrize("dimension,order", [
         (1, 12), (2, 10), (3, 9), (4, 6), (5, 5), (6, 4), (7, 4), (8, 4), (9, 3), (10, 3),
+        (20, 3),
     ])
     def test_total_degree_size_is_binomial(self, dimension, order):
         assert len(ball(dimension, order)) == math.comb(order + dimension, dimension)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kronlev.factor import build_factor, factor_qr
+from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import (
@@ -102,7 +102,7 @@ class TestExactLeverage:
         factors = monomial_factors(2, 4, 2)
         system = build_full(full_box((2, 2)), factors, ZERO)
         scores = exact_leverage(system)
-        per_dim = [(factor_qr(f).q ** 2).sum(axis=1) / 2 for f in factors]
+        per_dim = [(f.q ** 2).sum(axis=1) / 2 for f in factors]
         for m1, m2 in itertools.product(range(4), repeat=2):
             row = flat_row_index(np.array([[m1, m2]]), (4, 4))[0]
             assert scores[row] == pytest.approx(per_dim[0][m1] * per_dim[1][m2], abs=1e-12)
@@ -142,7 +142,7 @@ class TestPropLowerBasis:
         factors = monomial_factors(2, 5, 3)
         index_set = total_degree(2, 2)
         system = build_full(index_set, factors, ZERO)
-        qs = [factor_qr(f).q for f in factors]
+        qs = [f.q for f in factors]
         cols = []
         for alpha in index_set.indices:
             cols.append(np.kron(qs[0][:, alpha[0] - 1], qs[1][:, alpha[1] - 1]))

@@ -5,7 +5,7 @@ import pytest
 
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
-from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set
+from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, exact_leverage, flat_row_index
 from kronlev.sampler import _MASS_CHUNK, make_method, mu_mass_many, point_mass_many, sample_indices
 from kronlev.sketch import TargetFunction
@@ -67,6 +67,18 @@ class TestPointMass:
         system = build_full(index_set, factors, TargetFunction("zero", lambda c: 0 * c[:, 0]))
         scores = exact_leverage(system)
         assert np.max(np.abs(masses - scores)) < 1e-12
+
+    def test_orthogonal_columns_mass_equals_exact_leverage_on_a_non_lower_set(self):
+        # Legendre under its own Gauss rule has orthonormal columns, so every
+        # column subset has them too; of the mixture methods only
+        # orthogonal-columns admits a J that is not lower
+        factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 2
+        index_set = MultiIndexSet(2, ((1, 1), (3, 1), (2, 4), (4, 3)))
+        assert not is_monotone_lower(index_set)
+        method = make_method("orthogonal-columns", factors, index_set)
+        masses = point_mass_many(method, all_grid_indices((6, 6)))
+        system = build_full(index_set, factors, TargetFunction("zero", lambda c: 0 * c[:, 0]))
+        assert np.max(np.abs(masses - exact_leverage(system))) < 1e-12
 
     def test_square_grid_tensor_product_is_uniform(self):
         factors = monomial_factors(2, 4, 4)

@@ -257,13 +257,14 @@ class TestFullRelativeError:
         assert reduced == pytest.approx(dense, rel=1e-12)
 
     def test_rank_deficient_factor_rejected(self):
-        # build_factor rejects too few nonzero rows, so duplicate a column instead
+        # a factor QRs itself when built, so no reduction can be handed a
+        # rank-deficient one; build_factor rejects too few nonzero rows, so
+        # duplicate a column instead
         f = build_factor(gauss_legendre_grid(5), BasisSpec("monomial", 3))
         broken = f.matrix.copy()
         broken[:, 2] = broken[:, 1]
-        factors = [FactorMatrix(broken, f.grid, f.basis)] * 2
         with pytest.raises(ValueError, match="rank deficient"):
-            reduce_full_grid(total_degree(2, 2), factors, np.ones(25))
+            FactorMatrix(broken, f.grid, f.basis)
 
     @pytest.mark.parametrize("where", ["everywhere", "off-the-weight"])
     def test_zero_target_rejected(self, where):
