@@ -55,7 +55,9 @@ def ishigami(y: np.ndarray, a: float = 7.0, b_param: float = 0.1) -> np.ndarray:
     """Ishigami benchmark on [-1, 1]^3 (inputs scaled by pi internally)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     s1 = np.sin(np.pi * y[:, 0])
-    return s1 + a * np.sin(np.pi * y[:, 1]) ** 2 + b_param * (np.pi * y[:, 2]) ** 4 * s1
+    # squared twice, as np.power has no fast path for the exponent 4
+    y3_fourth = np.square(np.square(np.pi * y[:, 2]))
+    return s1 + a * np.sin(np.pi * y[:, 1]) ** 2 + b_param * y3_fourth * s1
 
 
 def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -> np.ndarray:

@@ -18,8 +18,9 @@ Every table-based method reads the leverage tables that each factor built
 from its own QR; none factors anything here.
 
 Point masses are evaluated on demand: the mixture sum over the index set
-costs O(N*D) per query, runs in blocks of points so its memory does not
-grow with the query count, and nothing is precomputed over the full grid.
+is the squared row norm of the points' Q-row gather, costs O(N*D) per
+query, runs in blocks of points so its memory does not grow with the query
+count, and nothing is precomputed over the full grid.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class SamplerMethod:
     grids: tuple[Grid1D, ...]
     tables: Optional[tuple[LeverageTable1D, ...]]
     index_array: Optional[np.ndarray]  # (N, D) 0-based rows of the index set
+    # the factors' Q per dimension, for the two mixture methods; their tables
+    # are its squares
+    q: Optional[tuple[np.ndarray, ...]] = None
 
     @property
     def dimension(self) -> int:
@@ -110,7 +114,7 @@ def make_method(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
     index_array = np.asarray(index_set.indices, dtype=np.int64) - 1
-    return SamplerMethod(tag, grids, tables, index_array)
+    return SamplerMethod(tag, grids, tables, index_array, tuple(f.q for f in factors))
 
 
 def _check_bounds(method: SamplerMethod, idx0: np.ndarray):
@@ -143,8 +147,23 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
 
 def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     """Probability of each grid point (rows of 0-based indices) under the method."""
+    return _point_mass_and_gather(method, idx0)[0]
+
+
+def _point_mass_and_gather(
+    method: SamplerMethod, idx0: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Point masses, with the Q-row gather of a leverage-lower query.
+
+    For the mixture methods the gather G[k, alpha] = prod_d Q^(d)[m_{k,d}, alpha_d]
+    over the index set is formed in blocks of _MASS_CHUNK points, and
+    nu_k = ||G[k, :]||^2 / N.  G is returned only for a leverage-lower query
+    that fits in one block: its index set is lower, so G holds the trial's
+    unscaled sketch rows.  Otherwise the second item is None.
+    """
     idx0 = np.asarray(idx0, dtype=np.int64)
     _check_bounds(method, idx0)
+    gather = None
     if method.tag == "uniform":
         mass = np.full(idx0.shape[0], 1.0 / np.prod(method.grid_shape))
     elif method.tag == "tensor-product":
@@ -152,14 +171,16 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
         for d, tables in enumerate(method.tables):
             mass *= tables.marginal()[idx0[:, d]]
     else:
-        # uniform mixture over the index set of per-dimension row products
-        tables = [t.table.T for t in method.tables]
         mass = np.empty(idx0.shape[0])
         for start in range(0, idx0.shape[0], _MASS_CHUNK):
             block = slice(start, start + _MASS_CHUNK)
-            mass[block] = _kron_rows(tables, idx0[block], method.index_array).sum(axis=1)
+            gather = None  # free the previous block before the next is formed
+            gather = _kron_rows(method.q, idx0[block], method.index_array)
+            mass[block] = np.einsum("ij,ij->i", gather, gather)
         mass /= method.index_array.shape[0]
-    return mass
+        if idx0.shape[0] > _MASS_CHUNK or method.tag != "leverage-lower":
+            gather = None
+    return mass, gather
 
 
 def mu_mass_many(grids: Sequence[Grid1D], idx0: np.ndarray) -> np.ndarray:

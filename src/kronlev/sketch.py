@@ -5,9 +5,12 @@ with its point mass nu(Y_k) and measure mu(Y_k); its unbiasing weight is
 v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
 per-dimension QR factors, and ``trial_error`` solves a sketch from products
 of their Q entries scaled by 1/sqrt(K nu), with no basis evaluation and no
-pass over the grid; ``assemble`` builds the sketch from basis values and is
-the reference it is tested against.  Sample-size lower bounds from the
-residual guarantees are provided as a calculator.
+pass over the grid; a leverage-lower sketch carries those products from its
+point masses.  ``solve`` uses the corrected semi-normal equations, which the
+well-conditioned Q-coordinate sketch admits, and falls back to Householder
+QR and its rank test otherwise.  ``assemble`` builds the sketch from basis
+values and is the reference it is tested against.  Sample-size lower bounds
+from the residual guarantees are provided as a calculator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .factor import FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet
-from .sampler import SamplerMethod, mu_mass_many, point_mass_many, sample_indices
+from .sampler import SamplerMethod, _point_mass_and_gather, mu_mass_many, sample_indices
 
 __all__ = [
     "TargetFunction",
@@ -46,6 +49,11 @@ __all__ = [
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
 _RANK_RTOL = 1e-12
+# Smallest min|L_ii| / max|L_ii| of the Gram's Cholesky factor that solve
+# trusts; below it the QR rank test decides.  Rank-deficient square sketches
+# reach 5e-5 (at 1e-6 some passed with a wrong flag); sketches ten rows
+# above square measured above 3e-2.
+_SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 _GRID_BLOCK_BYTES = 1 << 17  # bytes of b per block of rows in reduce_full_grid
 
@@ -76,8 +84,9 @@ def _blas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
-    The thread count changes the rounding of a trial's QR and of the
-    full-grid reduction's products, and small QRs run faster on one thread.
+    The thread count changes the rounding of a trial's solve and of the
+    full-grid reduction's products, and small products run faster on one
+    thread.
     The count is process-wide, so enter this once around all the trials of
     a run, not in each worker; with no OpenBLAS found the block runs unpinned.
     """
@@ -110,12 +119,20 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Sketch:
-    """K sampled grid points with their point masses and measure masses."""
+    """K sampled grid points with their point masses and measure masses.
+
+    ``gather`` is the unscaled Q-row gather of a leverage-lower sketch, row k
+    prod_d Q^(d)[m_{k,d}, alpha_d] over the index set, that the point masses
+    were computed from; ``trial_error`` solves from it instead of gathering
+    again.  It is None for other methods and for sketches above _MASS_CHUNK
+    points.
+    """
 
     indices0: np.ndarray    # (K, D) 0-based node indices
     coords: np.ndarray      # (K, D) resolved coordinates
     point_mass: np.ndarray  # (K,) nu(Y_k) under the sampling method, all > 0
     mu_mass: np.ndarray     # (K,) mu(Y_k) of the product measure, all >= 0
+    gather: Optional[np.ndarray] = None  # (K, N) the Q-row gather, or None
 
     @property
     def size(self) -> int:
@@ -153,12 +170,12 @@ def draw_sketch(
         raise ValueError("sketch size must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
     idx0 = sample_indices(method, rng, count)
-    mass = point_mass_many(method, idx0)
+    mass, gather = _point_mass_and_gather(method, idx0)
     if np.any(mass <= 0.0):
         # a sampled point always has positive mass under its own law
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0))
+    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0), gather)
 
 
 def assemble(
@@ -187,14 +204,23 @@ def assemble(
 
 
 def solve(system: SketchedSystem) -> Solution:
-    """QR-based least squares; rank-deficient sketches get the minimum-norm solution.
+    """Least squares by corrected semi-normal equations, with a QR fallback.
 
-    Only R of [A, b] is formed: its last column holds Q^T b.  Rank
+    The fast path forms the Gram a^T a and its Cholesky factor L, solves
+    L L^T x = a^T b and takes one refinement step from the residual b - a x
+    (Bjorck, 1987).  It is taken only when the system has at least as many
+    rows as columns, Cholesky succeeds, and min|L_ii| / max|L_ii| is at
+    least _SEMI_NORMAL_RTOL; otherwise the system goes to Householder QR,
+    which forms only R of [a, b] (its last column holds Q^T b).  Rank
     deficiency (R diagonal below 1e-12 of its largest entry, or fewer rows
-    than columns) is a flagged outcome, not an error.
+    than columns) is a flagged outcome, not an error, and gets the
+    minimum-norm solution.
     """
     a, b = system.matrix, system.rhs
     k, n = a.shape
+    x = _semi_normal(a, b) if 0 < n <= k else None
+    if x is not None:
+        return Solution(x, False)
     deficient = k < n
     if not deficient:
         r = np.linalg.qr(np.column_stack([a, b]), mode="r")
@@ -205,6 +231,31 @@ def solve(system: SketchedSystem) -> Solution:
     if deficient:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
     return Solution(x, deficient)
+
+
+def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """x minimizing ||a x - b|| from the Cholesky factor of a^T a, or None.
+
+    None when Cholesky fails or its diagonal ratio is below _SEMI_NORMAL_RTOL:
+    the Gram squares the condition number, so only a well-conditioned a is
+    solved here.  L y = z is solved by _back_substitute on L with its rows
+    and columns reversed, which is upper triangular.
+    """
+    try:
+        lower = np.linalg.cholesky(a.T @ a)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(lower)
+    if not diag.min() >= _SEMI_NORMAL_RTOL * diag.max():  # also catches NaN
+        return None
+    flipped, upper = lower[::-1, ::-1], lower.T
+
+    def normal_solve(rhs):
+        y = _back_substitute(flipped, (a.T @ rhs)[::-1])[::-1]
+        return _back_substitute(upper, y)
+
+    x = normal_solve(b)
+    return x + normal_solve(b - a @ x)
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -362,12 +413,18 @@ def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bo
     Sketch row k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the
     basis U of range(R_{L,J}) (the identity when J is lower): the fit of
     ``assemble`` + ``solve`` when the sketch has full rank, with the rank
-    judged in orthonormal coordinates.
+    judged in orthonormal coordinates.  In those coordinates the sketch is
+    well conditioned, so ``solve`` takes its semi-normal path.  For lower J
+    the rows are the sketch's own ``gather`` when it kept one, which has the
+    bits of the gather formed here.
     """
     rows, basis = sketch.indices0, reduction.basis
-    g = _kron_rows(reduction.q, rows, reduction.lower)
     scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
-    g *= scale[:, None]
+    if sketch.gather is not None and basis is None:
+        g = sketch.gather * scale[:, None]
+    else:
+        g = _kron_rows(reduction.q, rows, reduction.lower)
+        g *= scale[:, None]
     if basis is not None:
         g = g @ basis
     # b at the drawn rows, its weight multiplied in the order reduce_full_grid uses

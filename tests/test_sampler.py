@@ -156,11 +156,14 @@ class TestMuMass:
 
 
 def fancy_index_mixture(method, idx0):
-    """The mixture point mass by a (K, N) broadcast fancy index per dimension."""
+    """The mixture point mass as squared row norms of a (K, N) Q-row gather.
+
+    The gather is built by a broadcast fancy index per dimension.
+    """
     prod = np.ones((idx0.shape[0], method.index_array.shape[0]))
-    for d, tables in enumerate(method.tables):
-        prod *= tables.table[method.index_array[:, d][None, :], idx0[:, d][:, None]]
-    return prod.sum(axis=1) / method.index_array.shape[0]
+    for d, q in enumerate(method.q):
+        prod *= q[idx0[:, d][:, None], method.index_array[:, d][None, :]]
+    return np.einsum("ij,ij->i", prod, prod) / method.index_array.shape[0]
 
 
 class TestMixtureKernel:

@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from kronlev.factor import FactorMatrix, build_factor
+from kronlev.factor import FactorMatrix, _kron_rows, build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
-from kronlev.sampler import METHOD_TAGS, make_method, mu_mass_many, point_mass_many
+from kronlev.sampler import _MASS_CHUNK, METHOD_TAGS, make_method, mu_mass_many, point_mass_many
 import kronlev.sketch as sketch_module
-from kronlev.config import load_json, parse_problem
-from kronlev.configs import packaged_config_path
+from kronlev.config import load_json, parse_experiment, parse_problem
+from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import evaluate_on_grid, grid_values
 from kronlev.sketch import (
     _GRID_BLOCK_BYTES,
+    _RANK_RTOL,
+    _SEMI_NORMAL_RTOL,
     _SOLVE_BLOCK,
+    Sketch,
     SketchedSystem,
     TargetFunction,
     _back_substitute,
@@ -32,6 +35,7 @@ from kronlev.sketch import (
     solve,
     trial_error,
 )
+from test_experiments import count_calls
 
 
 def total_degree(dimension, order):
@@ -135,6 +139,71 @@ class TestAssemble:
         assert np.max(np.abs(s @ full.rhs - assembled.rhs)) < 1e-13
 
 
+def qr_solve(a, b):
+    """(x, rank flag) by Householder QR of [a, b] with the 1e-12 rank test.
+
+    Rank-deficient and underdetermined systems get the minimum-norm solution:
+    the path ``solve`` falls back to.
+    """
+    k, n = a.shape
+    if k >= n:
+        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        diag = np.abs(np.diag(r[:n, :n]))
+        if diag.size and not np.any(diag <= _RANK_RTOL * diag.max()):
+            return _back_substitute(r[:n, :n], r[:n, n]), False
+    return np.linalg.lstsq(a, b, rcond=None)[0], True
+
+
+def scaled_orthogonal_columns(ratio, k=30, n=8):
+    """A k x n system with orthogonal columns of norms 1 down to ``ratio``.
+
+    Its Gram is diagonal, so the Cholesky diagonal ratio is ``ratio`` itself.
+    """
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((k, n)))[0]
+    return q * np.geomspace(1.0, ratio, n), rng.standard_normal(k)
+
+
+def cholesky_breaks_down():
+    # full rank by the QR test (R diagonal ratio 1e-9), but 1 + 1e-18 rounds
+    # to 1 in the Gram, which is then singular
+    a = np.array([[1.0, 1.0], [0.0, 1e-9], [0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a.T @ a)
+    return a, np.array([1.0, 2.0, 3.0]), False
+
+
+def random_systems(k, n):
+    rng = np.random.default_rng(k)
+    return [
+        (rng.standard_normal((k, n)) * rng.uniform(0.5, 2.0, n), rng.standard_normal(k))
+        for _ in range(5)
+    ]
+
+
+def rotated_condition_1e3():
+    # a full Gram: the semi-normal solution alone is off by about 6e-12, one
+    # refinement step brings it to 3e-14
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((60, 20)))[0]
+    v = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    return [((u * np.geomspace(1.0, 1e-3, 20)) @ v.T, rng.standard_normal(60))]
+
+
+SEMI_NORMAL_CASES = {
+    **{f"random-{k}x{n}": lambda k=k, n=n: random_systems(k, n)
+       for k, n in [(6, 1), (40, 6), (200, 50), (480, 120)]},
+    "just-inside-the-bound": lambda: [scaled_orthogonal_columns(1.1 * _SEMI_NORMAL_RTOL)],
+    "condition-1e3": rotated_condition_1e3,
+}
+
+FALLBACK_CASES = {
+    "past-the-bound": lambda: (*scaled_orthogonal_columns(0.9 * _SEMI_NORMAL_RTOL), False),
+    "cholesky-fails": cholesky_breaks_down,
+    "fewer-rows": lambda: (np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]]), np.array([1.0, 2.0]), True),
+}
+
+
 class TestSolve:
     def test_identity_system(self):
         rhs = np.array([1.0, -2.0, 3.0])
@@ -183,6 +252,39 @@ class TestSolve:
         solution = solve(SketchedSystem(a, b))
         assert solution.rank_deficient
         np.testing.assert_array_equal(solution.x, np.linalg.lstsq(a, b, rcond=None)[0])
+
+    @pytest.mark.parametrize("case", list(SEMI_NORMAL_CASES), ids=list(SEMI_NORMAL_CASES))
+    def test_semi_normal_path_matches_lstsq(self, case, monkeypatch):
+        systems = SEMI_NORMAL_CASES[case]()
+        expected = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in systems]
+        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
+        for (a, b), x in zip(systems, expected):
+            solution = solve(SketchedSystem(a, b))
+            assert not solution.rank_deficient
+            assert np.linalg.norm(solution.x - x) <= 1e-13 * np.linalg.norm(x)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(FALLBACK_CASES), ids=list(FALLBACK_CASES))
+    def test_fallback_is_the_qr_solve(self, case, monkeypatch):
+        a, b, deficient = FALLBACK_CASES[case]()
+        expected = qr_solve(a, b)
+        calls = count_calls(monkeypatch, np.linalg.qr)
+        solution = solve(SketchedSystem(a, b))
+        assert solution.rank_deficient == expected[1] == deficient
+        np.testing.assert_array_equal(solution.x, expected[0])
+        assert calls == ([] if case == "fewer-rows" else ["qr"])
+
+    def test_well_conditioned_trial_calls_no_qr(self, monkeypatch):
+        index_set = total_degree(2, 4)
+        factors = legendre_factors(2, 10, 5)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        calls = count_calls(monkeypatch, np.linalg.qr)
+        for tag in ("uniform", "tensor-product", "leverage-lower"):
+            sketch = draw_sketch(make_method(tag, factors, index_set), 4 * len(index_set), 3)
+            assert not trial_error(reduction, sketch)[1]
+        assert calls == []
+        solve(SketchedSystem(np.ones((3, 2)), np.ones(3)))  # the count works
+        assert calls == ["qr"]
 
     def test_pythagorean_identity_at_full_solution(self):
         index_set = total_degree(2, 2)
@@ -353,6 +455,112 @@ class TestTrialError:
             _, deficient = trial_error(reduction, sketch)
             assert deficient
             assert reference_trial(index_set, factors, reduction, sketch, SMOOTH)[1]
+
+
+class TestRankFlag:
+    """solve's flag equals the QR rank test, computed here on the same gathered system."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        systems = []
+        monkeypatch.setattr(
+            sketch_module, "solve", lambda system: systems.append(system) or solve(system)
+        )
+        return systems
+
+    @staticmethod
+    def random_target_reduction(problem):
+        # a trial's rows, and so its flag, do not depend on the target values
+        values = np.random.default_rng(3).standard_normal(math.prod(len(g) for g in problem.grids))
+        return reduce_full_grid(problem.index_set, problem.factors, values)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", list_packaged_configs())
+    def test_packaged_solve_runs(self, name, recorded):
+        experiment = parse_experiment(load_json(packaged_config_path(name)))
+        problem = experiment.problem
+        reduction = self.random_target_reduction(problem)
+        for tag in experiment.methods:
+            for seed in range(3):
+                sketch = draw_sketch(problem.method(tag), experiment.sample_count, seed)
+                deficient = trial_error(reduction, sketch)[1]
+                system = recorded.pop()
+                x, expected = qr_solve(system.matrix, system.rhs)
+                assert deficient == expected
+                assert np.linalg.norm(solve(system).x - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.slow
+    def test_square_sketches_with_repeated_rows(self, recorded):
+        problem = parse_problem(load_json(packaged_config_path("ishigami-g7")))
+        n = len(problem.index_set)
+        reduction = self.random_target_reduction(problem)
+
+        def flag(sketch):
+            deficient = trial_error(reduction, sketch)[1]
+            system = recorded.pop()
+            assert deficient == qr_solve(system.matrix, system.rhs)[1]
+            return deficient
+
+        flags = []
+        for tag in ("uniform", "tensor-product", "leverage-lower"):
+            method = problem.method(tag)
+            # K = N: the draws repeat rows, so many of these sketches lose rank
+            flags += [flag(draw_sketch(method, n, seed)) for seed in range(30)]
+            # N - 1 draws and the first one again
+            short = draw_sketch(method, n - 1, 100)
+            rows = np.r_[np.arange(n - 1), 0]
+            repeated = Sketch(
+                short.indices0[rows], short.coords[rows], short.point_mass[rows], short.mu_mass[rows]
+            )
+            assert flag(repeated)
+        assert 0 < sum(flags) < len(flags)
+
+
+class TestSharedGather:
+    @pytest.mark.parametrize("name", list_packaged_configs())
+    def test_mass_matches_the_table_product_mixture(self, name):
+        problem = parse_problem(load_json(packaged_config_path(name)))
+        method, n = problem.method("leverage-lower"), len(problem.index_set)
+        sketch = draw_sketch(method, 4 * n, 11)
+        assert sketch.gather.shape == (sketch.size, n)
+        gather_mass = np.einsum("ij,ij->i", sketch.gather, sketch.gather) / n
+        np.testing.assert_array_equal(sketch.point_mass, gather_mass)
+        # the earlier formula: the mixture of products of the squared-Q tables
+        tables = [t.table.T for t in method.tables]
+        earlier = _kron_rows(tables, sketch.indices0, method.index_array).sum(axis=1) / n
+        assert np.max(np.abs(sketch.point_mass - earlier) / earlier) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["D3-small", "ishigami-g7"])
+    def test_trial_with_the_kept_gather_equals_the_trial_without(self, case, monkeypatch):
+        if case == "ishigami-g7":
+            problem = parse_problem(load_json(packaged_config_path(case)))
+            index_set, factors = problem.index_set, problem.factors
+            reduction = reduce_full_grid(index_set, factors, grid_values(problem.model, problem.grids))
+        else:
+            index_set, factors = total_degree(3, 3), legendre_factors(3, 8, 4)
+            reduction = reduction_of(index_set, factors, WAVE)
+        method = make_method("leverage-lower", factors, index_set)
+        calls = count_calls(monkeypatch, _kron_rows)
+        trial_error(reduction, draw_sketch(method, 4 * len(index_set), 9))
+        assert calls == ["_kron_rows"]  # one gather serves the mass and the fit
+        for seed in range(5):
+            sketch = draw_sketch(method, 4 * len(index_set), seed)
+            kept = sketch.gather.copy()
+            gathered = _kron_rows(reduction.q, sketch.indices0, reduction.lower)
+            np.testing.assert_array_equal(kept, gathered)
+            without = dataclasses.replace(sketch, gather=None)
+            assert trial_error(reduction, sketch) == trial_error(reduction, without)
+            np.testing.assert_array_equal(sketch.gather, kept)  # not scaled in place
+
+    def test_gather_is_kept_for_one_leverage_lower_block_only(self):
+        factors = legendre_factors(2, 8, 4)
+        assert draw_sketch(make_method("orthogonal-columns", factors, NON_LOWER), 20, 1).gather is None
+        lower = total_degree(2, 3)
+        for tag in ("uniform", "tensor-product", "orthogonal-columns"):
+            assert draw_sketch(make_method(tag, factors, lower), 40, 1).gather is None
+        method = make_method("leverage-lower", factors, lower)
+        assert draw_sketch(method, _MASS_CHUNK, 1).gather.shape == (_MASS_CHUNK, len(lower))
+        assert draw_sketch(method, _MASS_CHUNK + 1, 1).gather is None
 
 
 def old_reduction(index_set, factors, b_values):
