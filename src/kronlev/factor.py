@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-12
+# Bytes per block of rows of a row-blocked product; a block stays in cache.
+_ROW_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,22 @@ def leverage_table(q: np.ndarray) -> LeverageTable1D:
 
 
 def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries prod_d mats[d][rows[i, d], cols[j, d]] of a Kronecker product, C-ordered."""
-    out = np.ones((rows.shape[0], cols.shape[0]))
-    for d, x in enumerate(mats):
-        out *= np.take(x, cols[:, d], axis=1)[rows[:, d]]
+    """Entries prod_d mats[d][rows[i, d], cols[j, d]] of a Kronecker product, C-ordered.
+
+    The result is the only (K, N) array formed.  It starts as the first
+    dimension's row take, and every later dimension is multiplied into it a
+    block of about _ROW_BLOCK_BYTES of rows at a time, so its row takes are
+    small temporaries that stay in cache.  Each entry is multiplied in
+    dimension order, with the bits of ((x_1 * x_2) * ...) * x_D.  A row out
+    of range raises IndexError.
+    """
+    takes = [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]  # (M_d, N)
+    out = takes[0][rows[:, 0]]
+    step = max(1, _ROW_BLOCK_BYTES // (8 * cols.shape[0]))
+    for start in range(0, len(out), step):
+        block = slice(start, start + step)
+        for d in range(1, len(takes)):
+            out[block] *= takes[d][rows[block, d]]
     return out
 
 

@@ -159,7 +159,9 @@ def _point_mass_and_gather(
     over the index set is formed in blocks of _MASS_CHUNK points, and
     nu_k = ||G[k, :]||^2 / N.  G is returned only for a leverage-lower query
     that fits in one block: its index set is lower, so G holds the trial's
-    unscaled sketch rows.  Otherwise the second item is None.
+    unscaled sketch rows, which ``draw_sketch`` scales in place so that the
+    trial needs no second (K, N) array.  Otherwise the second item is None;
+    each block is freed before the next is formed, so one block is held.
     """
     idx0 = np.asarray(idx0, dtype=np.int64)
     _check_bounds(method, idx0)

@@ -5,8 +5,17 @@ with its point mass nu(Y_k) and measure mu(Y_k); its unbiasing weight is
 v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
 per-dimension QR factors, and ``trial_error`` solves a sketch from products
 of their Q entries scaled by 1/sqrt(K nu), with no basis evaluation and no
-pass over the grid; a leverage-lower sketch carries those products from its
-point masses.  ``solve`` uses the corrected semi-normal equations, which the
+pass over the grid; a leverage-lower sketch carries those rows, already
+scaled, from its point masses.
+
+A trial holds one (K, N) array, its sketch rows: ``factor._kron_rows``
+builds them in place a cache-sized block of rows at a time, they are
+scaled in place, and ``solve`` only reads them.  Every other array of a
+trial is K-long, N x N or a block; only a non-lower J adds the rows'
+product with U.  Freed (K, N) temporaries would go back to the operating
+system on every trial and be faulted in again by the next.
+
+``solve`` uses the corrected semi-normal equations, which the
 well-conditioned Q-coordinate sketch admits, and falls back to Householder
 QR and its rank test otherwise.  ``assemble`` builds the sketch from basis
 values and is the reference it is tested against.  Sample-size lower bounds
@@ -26,9 +35,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows
+from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
-from .indexset import MultiIndexSet
+from .indexset import MultiIndexSet, is_monotone_lower
 from .sampler import SamplerMethod, _point_mass_and_gather, mu_mass_many, sample_indices
 
 __all__ = [
@@ -55,7 +64,7 @@ _RANK_RTOL = 1e-12
 # above square measured above 3e-2.
 _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
-_GRID_BLOCK_BYTES = 1 << 17  # bytes of b per block of rows in reduce_full_grid
+_GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_full_grid
 
 # Thread-count symbols ("get", "set") of the OpenBLAS that numpy bundles in
 # "numpy.libs"; np.linalg, the only BLAS kronlev calls, runs on it.
@@ -121,11 +130,12 @@ class TargetFunction:
 class Sketch:
     """K sampled grid points with their point masses and measure masses.
 
-    ``gather`` is the unscaled Q-row gather of a leverage-lower sketch, row k
-    prod_d Q^(d)[m_{k,d}, alpha_d] over the index set, that the point masses
-    were computed from; ``trial_error`` solves from it instead of gathering
-    again.  It is None for other methods and for sketches above _MASS_CHUNK
-    points.
+    ``gather`` holds the solve-ready rows of a leverage-lower sketch, row k
+    prod_d Q^(d)[m_{k,d}, alpha_d] / sqrt(K nu_k) over the index set: the
+    Q-row gather the point masses were computed from, scaled in place once
+    they were, so the sketch holds one (K, N) array and ``trial_error``
+    solves these rows as they are.  It is None for other methods and for
+    sketches above _MASS_CHUNK points.
     """
 
     indices0: np.ndarray    # (K, D) 0-based node indices
@@ -174,6 +184,8 @@ def draw_sketch(
     if np.any(mass <= 0.0):
         # a sampled point always has positive mass under its own law
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
+    if gather is not None:
+        gather *= (1.0 / np.sqrt(count * mass))[:, None]  # the scale trial_error uses
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
     return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0), gather)
 
@@ -374,9 +386,12 @@ def reduce_full_grid(
     if values.size != math.prod(shape):
         raise ValueError("b_values must hold one value per grid row")
     values = values.reshape(shape)
-    members = set(index_set.indices)
-    closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
-    lower = np.asarray(list(index_set.indices) + sorted(closure - members)) - 1
+    lower = list(index_set.indices)
+    if not is_monotone_lower(index_set):  # a lower J is its own closure
+        members = set(lower)
+        closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
+        lower += sorted(closure - members)
+    lower = np.asarray(lower) - 1
     cols, box = lower[: len(index_set)], index_set.bounding_box
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
     r_lj = _kron_rows([f.r for f in factors], lower, cols)
@@ -415,13 +430,15 @@ def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bo
     ``assemble`` + ``solve`` when the sketch has full rank, with the rank
     judged in orthonormal coordinates.  In those coordinates the sketch is
     well conditioned, so ``solve`` takes its semi-normal path.  For lower J
-    the rows are the sketch's own ``gather`` when it kept one, which has the
-    bits of the gather formed here.
+    the rows are the sketch's own scaled ``gather`` when it kept one, which
+    has the bits of the rows formed and scaled here, and is only read.
+    Either way a lower J's trial holds one (K, N) array next to ``solve``'s
+    N x N Gram and Cholesky factor.
     """
     rows, basis = sketch.indices0, reduction.basis
     scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
     if sketch.gather is not None and basis is None:
-        g = sketch.gather * scale[:, None]
+        g = sketch.gather
     else:
         g = _kron_rows(reduction.q, rows, reduction.lower)
         g *= scale[:, None]

@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+import kronlev.factor as factor_module
 from kronlev.factor import (
     FactorMatrix,
     LeverageTable1D,
@@ -179,3 +182,35 @@ class TestKronRows:
         out = _kron_rows(mats, rows, cols)
         assert out.flags.c_contiguous
         assert np.array_equal(out, kron[np.ix_(flat_rows, flat_cols)])
+
+    @pytest.mark.parametrize(
+        "shapes,k,n,block_bytes",
+        [
+            (((6, 4), (5, 3), (7, 5)), 50, 9, 8 * 9 * 7),  # blocks of 7 rows
+            (((6, 4), (5, 3), (7, 5)), 3000, 17, None),  # blocks of 963 rows
+            (((9, 6),), 20, 5, 8 * 5 * 3),
+            (((6, 4), (5, 3)), 40, 1, 8 * 3),
+            (((6, 4), (5, 3), (7, 5)), 0, 9, None),
+        ],
+        ids=["partial-last-block", "default-blocks", "D1", "N1", "K0"],
+    )
+    def test_bits_equal_the_broadcast_product(self, monkeypatch, shapes, k, n, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal(shape) for shape in shapes]
+        rows = np.column_stack([rng.integers(0, m, size=k) for m, _ in shapes])
+        cols = np.column_stack([rng.integers(0, c, size=n) for _, c in shapes])
+        # the reference: one (K, N) fancy-index take per dimension, multiplied in order
+        expected = reduce(np.multiply, [x[rows[:, d, None], cols[None, :, d]] for d, x in enumerate(mats)])
+        out = _kron_rows(mats, rows, cols)
+        assert out.shape == (k, n) and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_row_out_of_range_raises(self, monkeypatch, d):
+        monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 8 * 4 * 2)  # blocks of 2 rows
+        rows = np.zeros((10, 3), dtype=np.int64)
+        rows[7, d] = 3  # in the fourth block
+        with pytest.raises(IndexError):
+            _kron_rows([np.ones((3, 2))] * 3, rows, np.zeros((4, 3), dtype=np.int64))

@@ -445,6 +445,24 @@ class TestTrialError:
         assert error == pytest.approx(expected[0], rel=1e-12)
         assert deficient == expected[1]
 
+    @pytest.mark.parametrize("tag", ["leverage-lower", "uniform"])
+    def test_holds_one_sketch_array(self, tag):
+        index_set, factors = total_degree(3, 9), legendre_factors(3, 20, 10)  # duffing-g9's sizes
+        reduction = reduction_of(index_set, factors, WAVE)
+        method = make_method(tag, factors, index_set)
+        n = len(index_set)
+        k = 4 * n
+        trial_error(reduction, draw_sketch(method, k, 1))  # warm caches
+        tracemalloc.start()
+        try:
+            trial_error(reduction, draw_sketch(method, k, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sketch rows are the one (K, N) array; solve adds its Gram and
+        # Cholesky factor, and the rest is row blocks and K- or N-long vectors
+        assert peak <= 1.5 * k * n * 8 + 2 * n * n * 8
+
     def test_fewer_rows_than_columns_is_flagged(self):
         index_set = total_degree(2, 2)
         factors = monomial_factors(2, 5, 3)
@@ -522,9 +540,12 @@ class TestSharedGather:
         problem = parse_problem(load_json(packaged_config_path(name)))
         method, n = problem.method("leverage-lower"), len(problem.index_set)
         sketch = draw_sketch(method, 4 * n, 11)
-        assert sketch.gather.shape == (sketch.size, n)
-        gather_mass = np.einsum("ij,ij->i", sketch.gather, sketch.gather) / n
+        gather = _kron_rows(method.q, sketch.indices0, method.index_array)
+        gather_mass = np.einsum("ij,ij->i", gather, gather) / n
         np.testing.assert_array_equal(sketch.point_mass, gather_mass)
+        # kept scaled for the solve, by the scale trial_error applies
+        scale = 1.0 / np.sqrt(sketch.size * gather_mass)
+        np.testing.assert_array_equal(sketch.gather, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
         tables = [t.table.T for t in method.tables]
         earlier = _kron_rows(tables, sketch.indices0, method.index_array).sum(axis=1) / n
@@ -547,10 +568,11 @@ class TestSharedGather:
             sketch = draw_sketch(method, 4 * len(index_set), seed)
             kept = sketch.gather.copy()
             gathered = _kron_rows(reduction.q, sketch.indices0, reduction.lower)
-            np.testing.assert_array_equal(kept, gathered)
+            scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
+            np.testing.assert_array_equal(kept, gathered * scale[:, None])
             without = dataclasses.replace(sketch, gather=None)
             assert trial_error(reduction, sketch) == trial_error(reduction, without)
-            np.testing.assert_array_equal(sketch.gather, kept)  # not scaled in place
+            np.testing.assert_array_equal(sketch.gather, kept)  # only read by the trial
 
     def test_gather_is_kept_for_one_leverage_lower_block_only(self):
         factors = legendre_factors(2, 8, 4)
