@@ -12,6 +12,7 @@ SVG staircase plot.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
+from .sampler import METHOD_TAGS
 from .sketch import (
     FullGridReduction,
     TargetFunction,
@@ -44,9 +46,9 @@ __all__ = [
     "emit_cdf_svg",
 ]
 
-# Stable stream ids per method: adding a method never perturbs the draws
-# of existing ones.
-METHOD_IDS = {"uniform": 0, "tensor-product": 1, "orthogonal-columns": 2, "leverage-lower": 3}
+# Stream id per method, its position in METHOD_TAGS, which is append-only:
+# adding a method never perturbs the draws of existing ones.
+METHOD_IDS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
 _EVAL_CHUNK = 65536
 
@@ -222,7 +224,8 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     over the full grid once, into the reduction every ``trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
     and the trials run on one BLAS thread, so reports are pure functions of
-    the config regardless of ``threads`` and the BLAS thread count.
+    the config regardless of ``threads`` and the BLAS thread count.  At most
+    ``os.cpu_count()`` worker threads are started, whatever ``threads`` asks.
     """
     problem = experiment.problem
     methods = {tag: problem.method(tag) for tag in experiment.methods}
@@ -234,9 +237,10 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         return trial_error(reduction, sketch)[0]
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
+    workers = min(threads, os.cpu_count() or 1)
     with _one_blas_thread():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(lambda job: one_trial(*job), jobs))
         else:
             results = [one_trial(*job) for job in jobs]

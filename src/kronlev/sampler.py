@@ -45,6 +45,7 @@ __all__ = [
     "mu_mass_many",
 ]
 
+# Append-only: a method's position is its random stream id (experiments.METHOD_IDS).
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
 
 # Points per block of the mixture sum: bounds its (block, N) products while

@@ -16,10 +16,11 @@ product with U.  Freed (K, N) temporaries would go back to the operating
 system on every trial and be faulted in again by the next.
 
 ``solve`` uses the corrected semi-normal equations, which the
-well-conditioned Q-coordinate sketch admits, and falls back to Householder
-QR and its rank test otherwise.  ``assemble`` builds the sketch from basis
-values and is the reference it is tested against.  Sample-size lower bounds
-from the residual guarantees are provided as a calculator.
+well-conditioned Q-coordinate sketch admits, and otherwise SVD least
+squares, which gives the numerical rank and the minimum-norm fit.
+``assemble`` builds the sketch from basis values and is the reference it
+is tested against.  Sample-size lower bounds from the residual guarantees
+are provided as a calculator.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ __all__ = [
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
+# Singular values at or below this fraction of the largest count as zero in
+# solve's rank flag and minimum-norm fit.
 _RANK_RTOL = 1e-12
 # Smallest min|L_ii| / max|L_ii| of the Gram's Cholesky factor that solve
-# trusts; below it the QR rank test decides.  Rank-deficient square sketches
+# trusts; below it the SVD decides the rank.  Rank-deficient square sketches
 # reach 5e-5 (at 1e-6 some passed with a wrong flag); sketches ten rows
 # above square measured above 3e-2.
 _SEMI_NORMAL_RTOL = 1e-3
@@ -134,8 +137,9 @@ class Sketch:
     prod_d Q^(d)[m_{k,d}, alpha_d] / sqrt(K nu_k) over the index set: the
     Q-row gather the point masses were computed from, scaled in place once
     they were, so the sketch holds one (K, N) array and ``trial_error``
-    solves these rows as they are.  It is None for other methods and for
-    sketches above _MASS_CHUNK points.
+    solves these rows as they are when ``method``, the method that drew the
+    sketch, gathers over the reduction's index set and Q blocks.  It is None
+    for other methods and for sketches above _MASS_CHUNK points.
     """
 
     indices0: np.ndarray    # (K, D) 0-based node indices
@@ -143,6 +147,7 @@ class Sketch:
     point_mass: np.ndarray  # (K,) nu(Y_k) under the sampling method, all > 0
     mu_mass: np.ndarray     # (K,) mu(Y_k) of the product measure, all >= 0
     gather: Optional[np.ndarray] = None  # (K, N) the Q-row gather, or None
+    method: Optional[SamplerMethod] = None  # the method that drew the sketch
 
     @property
     def size(self) -> int:
@@ -187,7 +192,7 @@ def draw_sketch(
     if gather is not None:
         gather *= (1.0 / np.sqrt(count * mass))[:, None]  # the scale trial_error uses
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0), gather)
+    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0), gather, method)
 
 
 def assemble(
@@ -216,33 +221,29 @@ def assemble(
 
 
 def solve(system: SketchedSystem) -> Solution:
-    """Least squares by corrected semi-normal equations, with a QR fallback.
+    """Least squares by corrected semi-normal equations, with an SVD fallback.
 
     The fast path forms the Gram a^T a and its Cholesky factor L, solves
     L L^T x = a^T b and takes one refinement step from the residual b - a x
     (Bjorck, 1987).  It is taken only when the system has at least as many
     rows as columns, Cholesky succeeds, and min|L_ii| / max|L_ii| is at
-    least _SEMI_NORMAL_RTOL; otherwise the system goes to Householder QR,
-    which forms only R of [a, b] (its last column holds Q^T b).  Rank
-    deficiency (R diagonal below 1e-12 of its largest entry, or fewer rows
-    than columns) is a flagged outcome, not an error, and gets the
-    minimum-norm solution.
+    least _SEMI_NORMAL_RTOL.  Every other system goes to one SVD least
+    squares call, which gives the numerical rank (singular values above
+    _RANK_RTOL of the largest) and the minimum-norm solution of that rank.
+    Rank deficiency is a flagged outcome, not an error; a non-finite system
+    raises ValueError.
     """
     a, b = system.matrix, system.rhs
     k, n = a.shape
     x = _semi_normal(a, b) if 0 < n <= k else None
     if x is not None:
+        if not np.all(np.isfinite(x)):  # a finite system gives a finite x here
+            raise ValueError("the sketched system must be finite")
         return Solution(x, False)
-    deficient = k < n
-    if not deficient:
-        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
-        diag = np.abs(np.diag(r[:n, :n]))
-        deficient = bool(np.any(diag <= _RANK_RTOL * diag.max())) if diag.size else True
-        if not deficient:
-            x = _back_substitute(r[:n, :n], r[:n, n])
-    if deficient:
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-    return Solution(x, deficient)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("the sketched system must be finite")
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)
+    return Solution(x, bool(rank < n))
 
 
 def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -422,6 +423,19 @@ def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     return _relative_error(reduction, reduction.r_lj @ np.asarray(x, dtype=float))
 
 
+def _gathers_for(method: Optional[SamplerMethod], reduction: FullGridReduction) -> bool:
+    """Whether the method's Q-row gather is the reduction's: same rows of L, same Q blocks.
+
+    O(N D + sum_d M_d N_d), by value; a sketch drawn on another index set or
+    on other factors keeps rows that are not this problem's.
+    """
+    return (
+        method is not None
+        and np.array_equal(method.index_array, reduction.lower)  # also checks D
+        and all(np.array_equal(q[:, : rq.shape[1]], rq) for q, rq in zip(method.q, reduction.q))
+    )
+
+
 def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bool]:
     """Full-grid relative error and rank flag of the sketch's least squares fit.
 
@@ -430,14 +444,15 @@ def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bo
     ``assemble`` + ``solve`` when the sketch has full rank, with the rank
     judged in orthonormal coordinates.  In those coordinates the sketch is
     well conditioned, so ``solve`` takes its semi-normal path.  For lower J
-    the rows are the sketch's own scaled ``gather`` when it kept one, which
-    has the bits of the rows formed and scaled here, and is only read.
+    the rows are the sketch's own scaled ``gather`` when it kept one from
+    this reduction's index set and Q blocks, which has the bits of the rows
+    formed and scaled here, and is only read.
     Either way a lower J's trial holds one (K, N) array next to ``solve``'s
     N x N Gram and Cholesky factor.
     """
     rows, basis = sketch.indices0, reduction.basis
     scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
-    if sketch.gather is not None and basis is None:
+    if sketch.gather is not None and basis is None and _gathers_for(sketch.method, reduction):
         g = sketch.gather
     else:
         g = _kron_rows(reduction.q, rows, reduction.lower)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import threading
 
@@ -273,6 +274,22 @@ class TestRunTrials:
     def test_explicit_sample_count(self):
         cfg = experiment_config(sample_count=37, sample_multiplier=None)
         assert run_trials(cfg).sample_count == 37
+
+    def test_worker_threads_are_capped_at_the_core_count(self, monkeypatch):
+        peak = []
+
+        def counting(reduction, sketch):
+            peak.append(threading.active_count())
+            return trial_error(reduction, sketch)
+
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["trials"] = 20
+        serial = run_trials(parse_experiment(config))
+        monkeypatch.setattr(kronlev.experiments, "trial_error", counting)
+        capped = run_trials(parse_experiment(config), threads=16)
+        assert len(peak) == 60
+        assert max(peak) <= (os.cpu_count() or 1) + 1
+        assert capped.errors == serial.errors
 
     def test_adding_a_method_does_not_perturb_existing_draws(self):
         a = run_trials(experiment_config(methods=["uniform"]))

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from kronlev.factor import FactorMatrix, _kron_rows, build_factor
-from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid
+from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import _MASS_CHUNK, METHOD_TAGS, make_method, mu_mass_many, point_mass_many
@@ -142,8 +142,9 @@ class TestAssemble:
 def qr_solve(a, b):
     """(x, rank flag) by Householder QR of [a, b] with the 1e-12 rank test.
 
-    Rank-deficient and underdetermined systems get the minimum-norm solution:
-    the path ``solve`` falls back to.
+    Rank-deficient and underdetermined systems get the minimum-norm solution.
+    ``solve`` judges rank by the SVD instead; this test on the R diagonal is
+    the independent reference its flag is checked against.
     """
     k, n = a.shape
     if k >= n:
@@ -202,6 +203,12 @@ FALLBACK_CASES = {
     "cholesky-fails": cholesky_breaks_down,
     "fewer-rows": lambda: (np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]]), np.array([1.0, 2.0]), True),
 }
+
+
+def kahan(n, theta):
+    """The n x n Kahan matrix: upper triangular, with an R diagonal that hides its rank."""
+    s, c = math.sin(theta), math.cos(theta)
+    return (s ** np.arange(n))[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
 
 
 class TestSolve:
@@ -265,26 +272,58 @@ class TestSolve:
         assert calls == []
 
     @pytest.mark.parametrize("case", list(FALLBACK_CASES), ids=list(FALLBACK_CASES))
-    def test_fallback_is_the_qr_solve(self, case, monkeypatch):
+    def test_fallback_is_the_svd_least_squares(self, case, monkeypatch):
         a, b, deficient = FALLBACK_CASES[case]()
-        expected = qr_solve(a, b)
-        calls = count_calls(monkeypatch, np.linalg.qr)
+        expected = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)[0]
+        qr_x, qr_flag = qr_solve(a, b)
+        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
         solution = solve(SketchedSystem(a, b))
-        assert solution.rank_deficient == expected[1] == deficient
-        np.testing.assert_array_equal(solution.x, expected[0])
-        assert calls == ([] if case == "fewer-rows" else ["qr"])
+        assert solution.rank_deficient == qr_flag == deficient
+        np.testing.assert_array_equal(solution.x, expected)
+        assert np.linalg.norm(solution.x - qr_x) <= 1e-12 * np.linalg.norm(qr_x)
+        assert calls == ["lstsq"]
 
-    def test_well_conditioned_trial_calls_no_qr(self, monkeypatch):
+    def test_kahan_system_is_flagged(self):
+        # R diagonal ratio 1.9e-3 without pivoting, sigma_min / sigma_max 4.5e-16:
+        # the R-diagonal test calls it full rank and back substitution
+        # returns |x| = 3.3e14
+        a = np.vstack([kahan(90, 1.2), np.zeros((10, 90))])
+        b = np.random.default_rng(0).standard_normal(100)
+        r_diag = np.abs(np.diag(np.linalg.qr(a, mode="r")))
+        assert r_diag.min() > 1e-3 * r_diag.max()
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)
+        assert rank == 89
+        solution = solve(SketchedSystem(a, b))
+        assert solution.rank_deficient
+        np.testing.assert_array_equal(solution.x, x)
+        assert np.linalg.norm(solution.x) < 1e4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["a", "b"])
+    @pytest.mark.parametrize("case", ["semi-normal", "past-the-bound", "fewer-rows"])
+    def test_non_finite_system_rejected(self, case, entry, bad, monkeypatch, capfd):
+        if case == "semi-normal":
+            a, b = random_systems(40, 6)[0]
+        else:
+            a, b, _ = FALLBACK_CASES[case]()
+        (a if entry == "a" else b)[1] = bad
+        calls = count_calls(monkeypatch, np.linalg.lstsq)
+        with pytest.raises(ValueError, match="finite"):
+            solve(SketchedSystem(a, b))
+        assert calls == []
+        assert capfd.readouterr() == ("", "")
+
+    def test_well_conditioned_trial_calls_no_fallback(self, monkeypatch):
         index_set = total_degree(2, 4)
         factors = legendre_factors(2, 10, 5)
         reduction = reduction_of(index_set, factors, SMOOTH)
-        calls = count_calls(monkeypatch, np.linalg.qr)
+        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
         for tag in ("uniform", "tensor-product", "leverage-lower"):
             sketch = draw_sketch(make_method(tag, factors, index_set), 4 * len(index_set), 3)
             assert not trial_error(reduction, sketch)[1]
         assert calls == []
         solve(SketchedSystem(np.ones((3, 2)), np.ones(3)))  # the count works
-        assert calls == ["qr"]
+        assert calls == ["lstsq"]
 
     def test_pythagorean_identity_at_full_solution(self):
         index_set = total_degree(2, 2)
@@ -573,6 +612,26 @@ class TestSharedGather:
             without = dataclasses.replace(sketch, gather=None)
             assert trial_error(reduction, sketch) == trial_error(reduction, without)
             np.testing.assert_array_equal(sketch.gather, kept)  # only read by the trial
+
+    @pytest.mark.parametrize("case", ["other-index-set", "other-factors"])
+    def test_rows_kept_for_another_problem_are_not_solved(self, case):
+        # drawn on total degree 2 over 12-node Gauss-Legendre factors (N = 6),
+        # reduced on a lower set of the same size, or on the same set over
+        # the uniform-weight grid of the same nodes
+        drawn_on, factors = total_degree(2, 2), legendre_factors(2, 12, 6)
+        if case == "other-index-set":
+            index_set, reduced_on = explicit(*[(a, 1) for a in range(1, 7)]), factors
+        else:
+            uniform = build_factor(gauss_legendre_uniform_grid(12), BasisSpec("legendre-orthonormal", 6))
+            index_set, reduced_on = drawn_on, [uniform] * 2
+        reduction = reduction_of(index_set, reduced_on, WAVE)
+        assert reduction.basis is None and len(index_set) == len(drawn_on)
+        method = make_method("leverage-lower", factors, drawn_on)
+        for seed in range(5):
+            sketch = draw_sketch(method, 24, seed)
+            assert sketch.gather is not None
+            without = dataclasses.replace(sketch, gather=None)
+            assert trial_error(reduction, sketch) == trial_error(reduction, without)
 
     def test_gather_is_kept_for_one_leverage_lower_block_only(self):
         factors = legendre_factors(2, 8, 4)
