@@ -19,6 +19,7 @@ from . import __version__, oracle
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
 from .experiments import emit_cdf, emit_cdf_svg, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
+from .sampler import sample_indices
 from .sketch import _one_blas_thread, draw_sketch, trial_error
 
 _CSV_BLOCK = 1024  # sample rows formatted and written at a time
@@ -74,8 +75,9 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve requires a model in the config")
     method = problem.method(args.method)
     reduction = prepare_problem(problem)
+    rows = sample_indices(method, np.random.default_rng(args.seed), args.K)
     with _one_blas_thread():
-        error, rank_deficient = trial_error(reduction, draw_sketch(method, args.K, args.seed))
+        error, rank_deficient = trial_error(reduction, method, rows)
     _emit(
         {
             "relative_error": error,

@@ -20,7 +20,9 @@ from its own QR; none factors anything here.
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather, costs O(N*D) per
 query, runs in blocks of points so its memory does not grow with the query
-count, and nothing is precomputed over the full grid.
+count, and nothing is precomputed over the full grid.  A trial
+(``sketch.trial_error``) takes the mixture masses from its own gather
+instead, which has the same bits.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ __all__ = [
 # Append-only: a method's position is its random stream id (experiments.METHOD_IDS).
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
 
-# Points per block of the mixture sum: bounds its (block, N) products while
-# one block still covers the sketch of a trial.
+# Points per block of the mixture sum: bounds its (block, N) products at any
+# query count.
 _MASS_CHUNK = 4096
 # Largest Gram off-diagonal at which orthogonal-columns accepts a factor.
 _GRAM_TOL = 1e-10
@@ -147,26 +149,15 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
 
 
 def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
-    """Probability of each grid point (rows of 0-based indices) under the method."""
-    return _point_mass_and_gather(method, idx0)[0]
+    """Probability of each grid point (rows of 0-based indices) under the method.
 
-
-def _point_mass_and_gather(
-    method: SamplerMethod, idx0: np.ndarray
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Point masses, with the Q-row gather of a leverage-lower query.
-
-    For the mixture methods the gather G[k, alpha] = prod_d Q^(d)[m_{k,d}, alpha_d]
-    over the index set is formed in blocks of _MASS_CHUNK points, and
-    nu_k = ||G[k, :]||^2 / N.  G is returned only for a leverage-lower query
-    that fits in one block: its index set is lower, so G holds the trial's
-    unscaled sketch rows, which ``draw_sketch`` scales in place so that the
-    trial needs no second (K, N) array.  Otherwise the second item is None;
-    each block is freed before the next is formed, so one block is held.
+    For the mixture methods the Q-row gather G[k, alpha] =
+    prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed in blocks of
+    _MASS_CHUNK points, and nu_k = ||G[k, :]||^2 / N; each block is freed
+    before the next is formed, so one block is held.
     """
     idx0 = np.asarray(idx0, dtype=np.int64)
     _check_bounds(method, idx0)
-    gather = None
     if method.tag == "uniform":
         mass = np.full(idx0.shape[0], 1.0 / np.prod(method.grid_shape))
     elif method.tag == "tensor-product":
@@ -181,9 +172,7 @@ def _point_mass_and_gather(
             gather = _kron_rows(method.q, idx0[block], method.index_array)
             mass[block] = np.einsum("ij,ij->i", gather, gather)
         mass /= method.index_array.shape[0]
-        if idx0.shape[0] > _MASS_CHUNK or method.tag != "leverage-lower":
-            gather = None
-    return mass, gather
+    return mass
 
 
 def mu_mass_many(grids: Sequence[Grid1D], idx0: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 A sketch is K iid grid points drawn from a sampling method, each recorded
 with its point mass nu(Y_k) and measure mu(Y_k); its unbiasing weight is
 v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
-per-dimension QR factors, and ``trial_error`` solves a sketch from products
-of their Q entries scaled by 1/sqrt(K nu), with no basis evaluation and no
-pass over the grid; a leverage-lower sketch carries those rows, already
-scaled, from its point masses.
+per-dimension QR factors, and ``trial_error`` solves the rows a method drew
+from products of their Q entries scaled by 1/sqrt(K nu), with no basis
+evaluation and no pass over the grid; for the two mixture methods the same
+Q-row gather gives nu.
 
 A trial holds one (K, N) array, its sketch rows: ``factor._kron_rows``
 builds them in place a cache-sized block of rows at a time, they are
@@ -39,7 +39,7 @@ import numpy as np
 from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, is_monotone_lower
-from .sampler import SamplerMethod, _point_mass_and_gather, mu_mass_many, sample_indices
+from .sampler import SamplerMethod, _check_bounds, mu_mass_many, point_mass_many, sample_indices
 
 __all__ = [
     "TargetFunction",
@@ -131,23 +131,16 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Sketch:
-    """K sampled grid points with their point masses and measure masses.
+    """K sampled grid points with their coordinates, point masses and measure masses.
 
-    ``gather`` holds the solve-ready rows of a leverage-lower sketch, row k
-    prod_d Q^(d)[m_{k,d}, alpha_d] / sqrt(K nu_k) over the index set: the
-    Q-row gather the point masses were computed from, scaled in place once
-    they were, so the sketch holds one (K, N) array and ``trial_error``
-    solves these rows as they are when ``method``, the method that drew the
-    sketch, gathers over the reduction's index set and Q blocks.  It is None
-    for other methods and for sketches above _MASS_CHUNK points.
+    It holds no sketch rows: ``assemble`` evaluates them from the
+    coordinates, and ``trial_error`` gathers them from ``indices0``.
     """
 
     indices0: np.ndarray    # (K, D) 0-based node indices
     coords: np.ndarray      # (K, D) resolved coordinates
     point_mass: np.ndarray  # (K,) nu(Y_k) under the sampling method, all > 0
     mu_mass: np.ndarray     # (K,) mu(Y_k) of the product measure, all >= 0
-    gather: Optional[np.ndarray] = None  # (K, N) the Q-row gather, or None
-    method: Optional[SamplerMethod] = None  # the method that drew the sketch
 
     @property
     def size(self) -> int:
@@ -185,14 +178,12 @@ def draw_sketch(
         raise ValueError("sketch size must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
     idx0 = sample_indices(method, rng, count)
-    mass, gather = _point_mass_and_gather(method, idx0)
+    mass = point_mass_many(method, idx0)
     if np.any(mass <= 0.0):
         # a sampled point always has positive mass under its own law
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
-    if gather is not None:
-        gather *= (1.0 / np.sqrt(count * mass))[:, None]  # the scale trial_error uses
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0), gather, method)
+    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0))
 
 
 def assemble(
@@ -423,40 +414,47 @@ def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     return _relative_error(reduction, reduction.r_lj @ np.asarray(x, dtype=float))
 
 
-def _gathers_for(method: Optional[SamplerMethod], reduction: FullGridReduction) -> bool:
-    """Whether the method's Q-row gather is the reduction's: same rows of L, same Q blocks.
+def trial_error(
+    reduction: FullGridReduction, method: SamplerMethod, rows: np.ndarray
+) -> tuple[float, bool]:
+    """Full-grid relative error and rank flag of the fit on the rows ``method`` drew.
 
-    O(N D + sum_d M_d N_d), by value; a sketch drawn on another index set or
-    on other factors keeps rows that are not this problem's.
+    ``rows`` are the (K, D) 0-based points of ``sample_indices``.  Sketch row
+    k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the basis U of
+    range(R_{L,J}) (the identity when J is lower): the fit of ``assemble`` +
+    ``solve`` when the sketch has full rank, with the rank judged in
+    orthonormal coordinates, where the sketch is well conditioned and
+    ``solve`` takes its semi-normal path.  The Q-row gather over L is formed
+    once.  L lists J's members first, in a mixture method's index order, so
+    a mixture method's nu is the squared norm of its first N columns over N,
+    with the bits of ``point_mass_many``, which gives the other methods' nu.
+    The gather is scaled in place, so a lower J's trial holds one (K, N)
+    array next to ``solve``'s N x N Gram and Cholesky factor.
+    Rows not (K >= 1, D), off the method's grid or of zero mass, a method on
+    another grid, and a mixture method on other index rows or Q blocks than
+    the reduction's raise ValueError.
     """
-    return (
-        method is not None
-        and np.array_equal(method.index_array, reduction.lower)  # also checks D
+    rows = np.asarray(rows, dtype=np.int64)
+    _check_bounds(method, rows)
+    if len(rows) < 1:
+        raise ValueError("a trial needs K >= 1 rows")
+    if method.grid_shape != reduction.values.shape:
+        raise ValueError("the method's grid is not the reduction's")
+    n, basis = reduction.r_lj.shape[1], reduction.basis
+    if method.q is not None and not (
+        np.array_equal(method.index_array, reduction.lower[:n])
         and all(np.array_equal(q[:, : rq.shape[1]], rq) for q, rq in zip(method.q, reduction.q))
-    )
-
-
-def trial_error(reduction: FullGridReduction, sketch: Sketch) -> tuple[float, bool]:
-    """Full-grid relative error and rank flag of the sketch's least squares fit.
-
-    Sketch row k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the
-    basis U of range(R_{L,J}) (the identity when J is lower): the fit of
-    ``assemble`` + ``solve`` when the sketch has full rank, with the rank
-    judged in orthonormal coordinates.  In those coordinates the sketch is
-    well conditioned, so ``solve`` takes its semi-normal path.  For lower J
-    the rows are the sketch's own scaled ``gather`` when it kept one from
-    this reduction's index set and Q blocks, which has the bits of the rows
-    formed and scaled here, and is only read.
-    Either way a lower J's trial holds one (K, N) array next to ``solve``'s
-    N x N Gram and Cholesky factor.
-    """
-    rows, basis = sketch.indices0, reduction.basis
-    scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
-    if sketch.gather is not None and basis is None and _gathers_for(sketch.method, reduction):
-        g = sketch.gather
+    ):
+        raise ValueError("the method is not built on the reduction's index set and Q blocks")
+    g = _kron_rows(reduction.q, rows, reduction.lower)
+    if method.q is None:
+        nu = point_mass_many(method, rows)
     else:
-        g = _kron_rows(reduction.q, rows, reduction.lower)
-        g *= scale[:, None]
+        nu = np.einsum("ij,ij->i", g[:, :n], g[:, :n]) / n
+    if not np.all(nu > 0.0):
+        raise ValueError("a row has zero point mass under the method")
+    scale = 1.0 / np.sqrt(len(rows) * nu)
+    g *= scale[:, None]
     if basis is not None:
         g = g @ basis
     # b at the drawn rows, its weight multiplied in the order reduce_full_grid uses

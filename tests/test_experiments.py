@@ -278,9 +278,9 @@ class TestRunTrials:
     def test_worker_threads_are_capped_at_the_core_count(self, monkeypatch):
         peak = []
 
-        def counting(reduction, sketch):
+        def counting(reduction, method, rows):
             peak.append(threading.active_count())
-            return trial_error(reduction, sketch)
+            return trial_error(reduction, method, rows)
 
         config = load_json(packaged_config_path("ishigami-g7"))
         config["trials"] = 20
@@ -333,11 +333,11 @@ def record_blas_counts(monkeypatch, controls, fail=False):
     """Make every trial of ``run_trials`` record the BLAS thread counts it runs under."""
     seen = []
 
-    def recording(reduction, sketch):
+    def recording(reduction, method, rows):
         seen.append(blas_counts(controls))
         if fail:
             raise RuntimeError("trial failed")
-        return trial_error(reduction, sketch)
+        return trial_error(reduction, method, rows)
 
     monkeypatch.setattr(kronlev.experiments, "trial_error", recording)
     return seen

@@ -11,7 +11,14 @@ from kronlev.factor import FactorMatrix, _kron_rows, build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
-from kronlev.sampler import _MASS_CHUNK, METHOD_TAGS, make_method, mu_mass_many, point_mass_many
+from kronlev.sampler import (
+    _MASS_CHUNK,
+    METHOD_TAGS,
+    make_method,
+    mu_mass_many,
+    point_mass_many,
+    sample_indices,
+)
 import kronlev.sketch as sketch_module
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
@@ -319,8 +326,9 @@ class TestSolve:
         reduction = reduction_of(index_set, factors, SMOOTH)
         calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
         for tag in ("uniform", "tensor-product", "leverage-lower"):
-            sketch = draw_sketch(make_method(tag, factors, index_set), 4 * len(index_set), 3)
-            assert not trial_error(reduction, sketch)[1]
+            method = make_method(tag, factors, index_set)
+            rows = sample_indices(method, np.random.default_rng(3), 4 * len(index_set))
+            assert not trial_error(reduction, method, rows)[1]
         assert calls == []
         solve(SketchedSystem(np.ones((3, 2)), np.ones(3)))  # the count works
         assert calls == ["lstsq"]
@@ -434,7 +442,7 @@ class TestTrialError:
         method = make_method(tag, factors, index_set)
         for seed in range(5):
             sketch = draw_sketch(method, 4 * len(index_set), seed)
-            error, deficient = trial_error(reduction, sketch)
+            error, deficient = trial_error(reduction, method, sketch.indices0)
             expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
             assert error == pytest.approx(expected[0], rel=1e-12)
             assert deficient == expected[1]
@@ -450,7 +458,7 @@ class TestTrialError:
         method = make_method("uniform", factors, index_set)
         for seed in range(5):
             sketch = draw_sketch(method, count, seed)
-            error, deficient = trial_error(reduction, sketch)
+            error, deficient = trial_error(reduction, method, sketch.indices0)
             expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
             assert error == pytest.approx(expected[0], rel=1e-12)
             assert deficient == expected[1]
@@ -468,8 +476,8 @@ class TestTrialError:
         with_basis = dataclasses.replace(reduction, basis=basis)
         method = make_method("leverage-lower", factors, index_set)
         for seed in range(5):
-            sketch = draw_sketch(method, 60, seed)
-            assert trial_error(reduction, sketch) == trial_error(with_basis, sketch)
+            rows = sample_indices(method, np.random.default_rng(seed), 60)
+            assert trial_error(reduction, method, rows) == trial_error(with_basis, method, rows)
 
     def test_zero_weight_node_gives_zero_rows(self):
         # uniform draws reach the zero-weight end nodes, where v_k = mu = 0
@@ -477,9 +485,10 @@ class TestTrialError:
         factors = [build_factor(grid, BasisSpec("monomial", 3))] * 2
         index_set = total_degree(2, 2)
         reduction = reduction_of(index_set, factors, SMOOTH)
-        sketch = draw_sketch(make_method("uniform", factors), 40, 6)
+        method = make_method("uniform", factors)
+        sketch = draw_sketch(method, 40, 6)
         assert np.any(sketch.weights == 0.0)
-        error, deficient = trial_error(reduction, sketch)
+        error, deficient = trial_error(reduction, method, sketch.indices0)
         expected = reference_trial(index_set, factors, reduction, sketch, SMOOTH)
         assert error == pytest.approx(expected[0], rel=1e-12)
         assert deficient == expected[1]
@@ -490,17 +499,19 @@ class TestTrialError:
         reduction = reduction_of(index_set, factors, WAVE)
         method = make_method(tag, factors, index_set)
         n = len(index_set)
-        k = 4 * n
-        trial_error(reduction, draw_sketch(method, k, 1))  # warm caches
-        tracemalloc.start()
-        try:
-            trial_error(reduction, draw_sketch(method, k, 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the sketch rows are the one (K, N) array; solve adds its Gram and
-        # Cholesky factor, and the rest is row blocks and K- or N-long vectors
-        assert peak <= 1.5 * k * n * 8 + 2 * n * n * 8
+        for k in (4 * n, _MASS_CHUNK + 1):  # the packaged size, and more than one mass block
+            warm = sample_indices(method, np.random.default_rng(1), k)
+            trial_error(reduction, method, warm)  # warm caches
+            rows = sample_indices(method, np.random.default_rng(2), k)
+            tracemalloc.start()
+            try:
+                trial_error(reduction, method, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the sketch rows are the one (K, N) array; solve adds its Gram and
+            # Cholesky factor, and the rest is row blocks and K- or N-long vectors
+            assert peak <= 1.5 * k * n * 8 + 2 * n * n * 8
 
     def test_fewer_rows_than_columns_is_flagged(self):
         index_set = total_degree(2, 2)
@@ -509,7 +520,7 @@ class TestTrialError:
         method = make_method("leverage-lower", factors, index_set)
         for seed in range(5):
             sketch = draw_sketch(method, 4, seed)
-            _, deficient = trial_error(reduction, sketch)
+            _, deficient = trial_error(reduction, method, sketch.indices0)
             assert deficient
             assert reference_trial(index_set, factors, reduction, sketch, SMOOTH)[1]
 
@@ -538,9 +549,10 @@ class TestRankFlag:
         problem = experiment.problem
         reduction = self.random_target_reduction(problem)
         for tag in experiment.methods:
+            method = problem.method(tag)
             for seed in range(3):
-                sketch = draw_sketch(problem.method(tag), experiment.sample_count, seed)
-                deficient = trial_error(reduction, sketch)[1]
+                rows = sample_indices(method, np.random.default_rng(seed), experiment.sample_count)
+                deficient = trial_error(reduction, method, rows)[1]
                 system = recorded.pop()
                 x, expected = qr_solve(system.matrix, system.rhs)
                 assert deficient == expected
@@ -552,8 +564,9 @@ class TestRankFlag:
         n = len(problem.index_set)
         reduction = self.random_target_reduction(problem)
 
-        def flag(sketch):
-            deficient = trial_error(reduction, sketch)[1]
+        def flag(method, count, seed, rows=slice(None)):
+            drawn = sample_indices(method, np.random.default_rng(seed), count)
+            deficient = trial_error(reduction, method, drawn[rows])[1]
             system = recorded.pop()
             assert deficient == qr_solve(system.matrix, system.rhs)[1]
             return deficient
@@ -562,36 +575,65 @@ class TestRankFlag:
         for tag in ("uniform", "tensor-product", "leverage-lower"):
             method = problem.method(tag)
             # K = N: the draws repeat rows, so many of these sketches lose rank
-            flags += [flag(draw_sketch(method, n, seed)) for seed in range(30)]
+            flags += [flag(method, n, seed) for seed in range(30)]
             # N - 1 draws and the first one again
-            short = draw_sketch(method, n - 1, 100)
-            rows = np.r_[np.arange(n - 1), 0]
-            repeated = Sketch(
-                short.indices0[rows], short.coords[rows], short.point_mass[rows], short.mu_mass[rows]
-            )
-            assert flag(repeated)
+            assert flag(method, n - 1, 100, rows=np.r_[np.arange(n - 1), 0])
         assert 0 < sum(flags) < len(flags)
 
 
+def spy_trial(monkeypatch):
+    """Unscaled copies of the gathers ``trial_error`` forms, and the systems it solves."""
+    gathers, systems = [], []
+
+    def gather(*args):
+        rows = _kron_rows(*args)
+        gathers.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(sketch_module, "_kron_rows", gather)
+    monkeypatch.setattr(sketch_module, "solve", lambda system: systems.append(system) or solve(system))
+    return gathers, systems
+
+
 class TestSharedGather:
+    """A trial's one Q-row gather gives the mixture point masses and the sketch rows."""
+
     @pytest.mark.parametrize("name", list_packaged_configs())
-    def test_mass_matches_the_table_product_mixture(self, name):
+    def test_mass_matches_the_table_product_mixture(self, name, monkeypatch):
         problem = parse_problem(load_json(packaged_config_path(name)))
         method, n = problem.method("leverage-lower"), len(problem.index_set)
-        sketch = draw_sketch(method, 4 * n, 11)
-        gather = _kron_rows(method.q, sketch.indices0, method.index_array)
-        gather_mass = np.einsum("ij,ij->i", gather, gather) / n
-        np.testing.assert_array_equal(sketch.point_mass, gather_mass)
-        # kept scaled for the solve, by the scale trial_error applies
-        scale = 1.0 / np.sqrt(sketch.size * gather_mass)
-        np.testing.assert_array_equal(sketch.gather, gather * scale[:, None])
+        reduction = TestRankFlag.random_target_reduction(problem)
+        rows = sample_indices(method, np.random.default_rng(11), 4 * n)
+        gathers, systems = spy_trial(monkeypatch)
+        trial_error(reduction, method, rows)
+        [gather], [system] = gathers, systems
+        mass = np.einsum("ij,ij->i", gather, gather) / n
+        np.testing.assert_array_equal(mass, point_mass_many(method, rows))
+        # scaled in place for the solve by those masses
+        scale = 1.0 / np.sqrt(len(rows) * mass)
+        np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
         tables = [t.table.T for t in method.tables]
-        earlier = _kron_rows(tables, sketch.indices0, method.index_array).sum(axis=1) / n
-        assert np.max(np.abs(sketch.point_mass - earlier) / earlier) <= 1e-14
+        earlier = _kron_rows(tables, rows, method.index_array).sum(axis=1) / n
+        assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
+
+    def test_mass_on_a_non_lower_set_is_point_mass_many(self, monkeypatch):
+        # the gather spans the closure L, and nu sums J's N columns, which come first
+        factors = legendre_factors(2, 8, 4)
+        reduction = reduction_of(NON_LOWER, factors, WAVE)
+        method, n = make_method("orthogonal-columns", factors, NON_LOWER), len(NON_LOWER)
+        rows = sample_indices(method, np.random.default_rng(4), 4 * n)
+        gathers, systems = spy_trial(monkeypatch)
+        trial_error(reduction, method, rows)
+        [gather], [system] = gathers, systems
+        assert gather.shape == (len(rows), len(reduction.lower)) and len(reduction.lower) > n
+        mass = np.einsum("ij,ij->i", gather[:, :n], gather[:, :n]) / n
+        np.testing.assert_array_equal(mass, point_mass_many(method, rows))
+        scale = 1.0 / np.sqrt(len(rows) * mass)
+        np.testing.assert_array_equal(system.matrix, (gather * scale[:, None]) @ reduction.basis)
 
     @pytest.mark.parametrize("case", ["D3-small", "ishigami-g7"])
-    def test_trial_with_the_kept_gather_equals_the_trial_without(self, case, monkeypatch):
+    def test_one_gather_serves_the_mass_and_the_fit(self, case, monkeypatch):
         if case == "ishigami-g7":
             problem = parse_problem(load_json(packaged_config_path(case)))
             index_set, factors = problem.index_set, problem.factors
@@ -600,24 +642,31 @@ class TestSharedGather:
             index_set, factors = total_degree(3, 3), legendre_factors(3, 8, 4)
             reduction = reduction_of(index_set, factors, WAVE)
         method = make_method("leverage-lower", factors, index_set)
+        k = 4 * len(index_set)
         calls = count_calls(monkeypatch, _kron_rows)
-        trial_error(reduction, draw_sketch(method, 4 * len(index_set), 9))
-        assert calls == ["_kron_rows"]  # one gather serves the mass and the fit
         for seed in range(5):
-            sketch = draw_sketch(method, 4 * len(index_set), seed)
-            kept = sketch.gather.copy()
-            gathered = _kron_rows(reduction.q, sketch.indices0, reduction.lower)
-            scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
-            np.testing.assert_array_equal(kept, gathered * scale[:, None])
-            without = dataclasses.replace(sketch, gather=None)
-            assert trial_error(reduction, sketch) == trial_error(reduction, without)
-            np.testing.assert_array_equal(sketch.gather, kept)  # only read by the trial
+            sketch = draw_sketch(method, k, seed)
+            rows = sample_indices(method, np.random.default_rng(seed), k)
+            np.testing.assert_array_equal(rows, sketch.indices0)  # the stream draw_sketch uses
+            # the trial from the sketch's masses, with its rows gathered apart
+            scale = 1.0 / np.sqrt(k * sketch.point_mass)
+            a = _kron_rows(reduction.q, rows, reduction.lower) * scale[:, None]
+            weight = reduce(np.multiply, [w[m] for w, m in zip(reduction.root_w, rows.T)])
+            b = weight * reduction.values[tuple(rows.T)]
+            expected = solve(SketchedSystem(a, scale * b))
+            calls.clear()
+            error, deficient = trial_error(reduction, method, rows)
+            assert calls == ["_kron_rows"]
+            assert error == sketch_module._relative_error(reduction, expected.x)
+            assert deficient == expected.rank_deficient
 
     @pytest.mark.parametrize("case", ["other-index-set", "other-factors"])
     def test_rows_kept_for_another_problem_are_not_solved(self, case):
         # drawn on total degree 2 over 12-node Gauss-Legendre factors (N = 6),
         # reduced on a lower set of the same size, or on the same set over
-        # the uniform-weight grid of the same nodes
+        # the uniform-weight grid of the same nodes: the drawing method's
+        # masses and gather are not this problem's, so its trial is refused,
+        # while the problem's own method solves the same points
         drawn_on, factors = total_degree(2, 2), legendre_factors(2, 12, 6)
         if case == "other-index-set":
             index_set, reduced_on = explicit(*[(a, 1) for a in range(1, 7)]), factors
@@ -627,21 +676,77 @@ class TestSharedGather:
         reduction = reduction_of(index_set, reduced_on, WAVE)
         assert reduction.basis is None and len(index_set) == len(drawn_on)
         method = make_method("leverage-lower", factors, drawn_on)
+        own = make_method("leverage-lower", reduced_on, index_set)
         for seed in range(5):
-            sketch = draw_sketch(method, 24, seed)
-            assert sketch.gather is not None
-            without = dataclasses.replace(sketch, gather=None)
-            assert trial_error(reduction, sketch) == trial_error(reduction, without)
+            rows = sample_indices(method, np.random.default_rng(seed), 24)
+            with pytest.raises(ValueError, match="not built on the reduction's index set and Q"):
+                trial_error(reduction, method, rows)
+            coords = np.column_stack([g.nodes[rows[:, d]] for d, g in enumerate(own.grids)])
+            sketch = Sketch(rows, coords, point_mass_many(own, rows), mu_mass_many(own.grids, rows))
+            error, deficient = trial_error(reduction, own, rows)
+            expected = reference_trial(index_set, reduced_on, reduction, sketch, WAVE)
+            assert error == pytest.approx(expected[0], rel=1e-12)
+            assert deficient == expected[1]
 
-    def test_gather_is_kept_for_one_leverage_lower_block_only(self):
-        factors = legendre_factors(2, 8, 4)
-        assert draw_sketch(make_method("orthogonal-columns", factors, NON_LOWER), 20, 1).gather is None
-        lower = total_degree(2, 3)
-        for tag in ("uniform", "tensor-product", "orthogonal-columns"):
-            assert draw_sketch(make_method(tag, factors, lower), 40, 1).gather is None
-        method = make_method("leverage-lower", factors, lower)
-        assert draw_sketch(method, _MASS_CHUNK, 1).gather.shape == (_MASS_CHUNK, len(lower))
-        assert draw_sketch(method, _MASS_CHUNK + 1, 1).gather is None
+    def test_one_gather_per_trial_at_every_size(self, monkeypatch):
+        factors, lower = legendre_factors(2, 8, 4), total_degree(2, 3)
+        reduction = reduction_of(lower, factors, WAVE)
+        cases = [(make_method(tag, factors, lower), reduction) for tag in METHOD_TAGS]
+        cases.append(
+            (make_method("orthogonal-columns", factors, NON_LOWER), reduction_of(NON_LOWER, factors, WAVE))
+        )
+        calls = count_calls(monkeypatch, _kron_rows)
+        for method, reduction in cases:
+            for k in (_MASS_CHUNK, _MASS_CHUNK + 1):
+                rows = sample_indices(method, np.random.default_rng(1), k)
+                calls.clear()
+                trial_error(reduction, method, rows)
+                assert calls == ["_kron_rows"]
+
+
+class TestTrialInputs:
+    """trial_error checks the rows and the method it is handed."""
+
+    @staticmethod
+    def lower_problem():
+        index_set, factors = total_degree(2, 2), legendre_factors(2, 8, 3)
+        return index_set, factors, reduction_of(index_set, factors, WAVE)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (5,), (5, 1), (5, 3), (2, 5, 2)])
+    def test_rows_must_be_k_by_d(self, shape):
+        index_set, factors, reduction = self.lower_problem()
+        for tag in METHOD_TAGS:
+            with pytest.raises(ValueError, match="K >= 1 rows|one index per dimension"):
+                trial_error(reduction, make_method(tag, factors, index_set), np.zeros(shape, np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_row_off_the_grid_rejected(self, bad):
+        index_set, factors, reduction = self.lower_problem()
+        rows = np.array([[0, 1], [2, bad], [3, 3]])
+        for tag in METHOD_TAGS:
+            with pytest.raises(ValueError, match="out of bounds"):
+                trial_error(reduction, make_method(tag, factors, index_set), rows)
+
+    @pytest.mark.parametrize("tag", ["tensor-product", "orthogonal-columns", "leverage-lower"])
+    def test_row_of_zero_mass_rejected(self, tag):
+        # a Gauss-Legendre grid and one more node of weight 0, whose Q row and
+        # leverage scores are 0; the factor columns stay orthonormal
+        base = gauss_legendre_grid(6)
+        grid = Grid1D(np.r_[base.nodes, 0.999], np.r_[base.weights, 0.0])
+        factors = [build_factor(grid, BasisSpec("legendre-orthonormal", 3))] * 2
+        index_set = total_degree(2, 2)
+        reduction = reduction_of(index_set, factors, WAVE)
+        method = make_method(tag, factors, index_set)
+        with pytest.raises(ValueError, match="zero point mass"):
+            trial_error(reduction, method, np.array([[0, 1], [6, 2], [3, 4]]))
+        trial_error(reduction, method, np.array([[0, 1], [5, 2], [3, 4]]))  # all of positive mass
+
+    def test_method_on_another_grid_rejected(self):
+        index_set, _, reduction = self.lower_problem()
+        for tag in METHOD_TAGS:
+            method = make_method(tag, legendre_factors(2, 9, 3), index_set)
+            with pytest.raises(ValueError, match="grid is not the reduction's"):
+                trial_error(reduction, method, np.zeros((4, 2), np.int64))
 
 
 def old_reduction(index_set, factors, b_values):
@@ -717,7 +822,7 @@ class TestReduceFullGrid:
         norm_b = np.linalg.norm(full.rhs)
         for seed in range(3):
             sketch = draw_sketch(method, 4 * len(index_set), seed)
-            error, deficient = trial_error(reduction, sketch)
+            error, deficient = trial_error(reduction, method, sketch.indices0)
             solution = solve(assemble(index_set, [f.basis for f in factors], sketch, WAVE))
             expected = np.linalg.norm(full.matrix @ solution.x - full.rhs) / norm_b
             assert error == pytest.approx(expected, rel=1e-12)
@@ -749,8 +854,9 @@ class TestReduceFullGrid:
         monkeypatch.setattr(sketch_module, "solve", lambda system: rhs.append(system.rhs) or solve(system))
         tags = METHOD_TAGS if is_monotone_lower(index_set) else ("uniform", "tensor-product")
         for tag in tags:
-            sketch = draw_sketch(make_method(tag, factors, index_set), 2 * len(index_set), 5)
-            trial_error(reduction, sketch)
+            method = make_method(tag, factors, index_set)
+            sketch = draw_sketch(method, 2 * len(index_set), 5)
+            trial_error(reduction, method, sketch.indices0)
             scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
             assert np.array_equal(rhs.pop(), scale * b[tuple(sketch.indices0.T)])
 
