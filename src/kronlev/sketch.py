@@ -17,7 +17,10 @@ system on every trial and be faulted in again by the next.
 
 ``solve`` uses the corrected semi-normal equations, which the
 well-conditioned Q-coordinate sketch admits, and otherwise SVD least
-squares, which gives the numerical rank and the minimum-norm fit.
+squares, which gives the numerical rank and the minimum-norm fit.  The
+Cholesky system is solved by LAPACK dpotrs from the OpenBLAS that numpy
+bundles, called through ctypes; where numpy bundles none, by blocked back
+substitution.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,27 +72,54 @@ _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 _GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_full_grid
 
-# Thread-count symbols ("get", "set") of the OpenBLAS that numpy bundles in
-# "numpy.libs"; np.linalg, the only BLAS kronlev calls, runs on it.
-_OPENBLAS_SYMBOLS = "scipy_openblas_{}_num_threads64_"
+# Symbols of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
+# the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
+# so no 32-bit-integer build is handed 64-bit integers.
+_OPENBLAS_THREADS = "scipy_openblas_{}_num_threads64_"  # "get", "set"
+_OPENBLAS_DPOTRS = "scipy_LAPACKE_dpotrs_work64_"
+_LAPACK_COL_MAJOR = 102
+_DPOTRS_ARGS = [  # layout, uplo, n, nrhs, a, lda, b, ldb
+    ctypes.c_int,
+    ctypes.c_char,
+    ctypes.c_int64,
+    ctypes.c_int64,
+    np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+    ctypes.c_int64,
+    np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    ctypes.c_int64,
+]
+
+
+class _OpenBlas(NamedTuple):
+    """What kronlev calls in numpy's bundled OpenBLAS."""
+
+    controls: tuple  # (get, set) thread-count functions, one pair per library
+    dpotrs: Optional[Callable]  # LAPACKE_dpotrs_work, or None
 
 
 @cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, if found."""
-    controls = []
+def _openblas() -> _OpenBlas:
+    """Thread controls and dpotrs of numpy's bundled OpenBLAS, from one scan.
+
+    The scan takes about 0.2 ms.  ``reduce_full_grid`` makes it during set-up,
+    as it enters ``_one_blas_thread``, so no trial pays for it.
+    """
+    controls, dpotrs = [], None
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        get, put = (getattr(lib, _OPENBLAS_SYMBOLS.format(verb), None) for verb in ("get", "set"))
-        if get is None or put is None:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        controls.append((get, put))
-    return tuple(controls)
+        get, put = (getattr(lib, _OPENBLAS_THREADS.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+        found = getattr(lib, _OPENBLAS_DPOTRS, None)
+        if dpotrs is None and found is not None:
+            found.argtypes, found.restype = _DPOTRS_ARGS, ctypes.c_int64
+            dpotrs = found
+    return _OpenBlas(tuple(controls), dpotrs)
 
 
 @contextmanager
@@ -102,7 +132,7 @@ def _one_blas_thread():
     The count is process-wide, so enter this once around all the trials of
     a run, not in each worker; with no OpenBLAS found the block runs unpinned.
     """
-    controls = _blas_thread_controls()
+    controls = _openblas().controls
     previous = [get() for get, _ in controls]
     for _, put in controls:
         put(1)
@@ -242,8 +272,9 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
     None when Cholesky fails or its diagonal ratio is below _SEMI_NORMAL_RTOL:
     the Gram squares the condition number, so only a well-conditioned a is
-    solved here.  L y = z is solved by _back_substitute on L with its rows
-    and columns reversed, which is upper triangular.
+    solved here.  L L^T x = z is one dpotrs call of numpy's OpenBLAS
+    (_cholesky_solve); where numpy bundles none, it is _back_substitute on L
+    with its rows and columns reversed, which is upper triangular, then on L^T.
     """
     try:
         lower = np.linalg.cholesky(a.T @ a)
@@ -252,14 +283,39 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     diag = np.diag(lower)
     if not diag.min() >= _SEMI_NORMAL_RTOL * diag.max():  # also catches NaN
         return None
-    flipped, upper = lower[::-1, ::-1], lower.T
+    dpotrs = _openblas().dpotrs
 
     def normal_solve(rhs):
-        y = _back_substitute(flipped, (a.T @ rhs)[::-1])[::-1]
-        return _back_substitute(upper, y)
+        z = a.T @ rhs
+        if dpotrs is not None:
+            return _cholesky_solve(dpotrs, lower, z)
+        y = _back_substitute(lower[::-1, ::-1], z[::-1])[::-1]
+        return _back_substitute(lower.T, y)
 
     x = normal_solve(b)
     return x + normal_solve(b - a @ x)
+
+
+def _cholesky_solve(dpotrs: Callable, lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with lower lower^T x = rhs, by one call of LAPACKE_dpotrs_work.
+
+    Read column-major, a C-ordered lower factor is its transpose, the upper
+    factor that dpotrs takes with uplo "U", so a C-contiguous float64 factor
+    is neither copied nor transposed; any other is copied first.  x is a new
+    array: ``rhs`` is not written.  A factor that is not square, or an rhs
+    that does not match it, raises ValueError; a nonzero info RuntimeError.
+    """
+    lower = np.ascontiguousarray(lower, dtype=np.float64)
+    if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
+        raise ValueError(f"the Cholesky factor must be square, not of shape {lower.shape}")
+    n = lower.shape[0]
+    x = np.array(rhs, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"the right-hand side must have shape ({n},), not {x.shape}")
+    info = dpotrs(_LAPACK_COL_MAJOR, b"U", n, 1, lower, max(n, 1), x, max(n, 1))
+    if info != 0:
+        raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
+    return x
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -313,7 +313,7 @@ class TestRunTrials:
 @pytest.fixture
 def blas_controls():
     """The bundled OpenBLAS thread controls, set to two threads for the test."""
-    controls = kronlev.sketch._blas_thread_controls()
+    controls = kronlev.sketch._openblas().controls
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
     before = blas_counts(controls)
@@ -360,7 +360,8 @@ class TestOneBlasThread:
 
     def test_without_controls_the_trials_run_unpinned(self, blas_controls, monkeypatch):
         pinned = run_trials(experiment_config(), threads=2)
-        monkeypatch.setattr(kronlev.sketch, "_blas_thread_controls", lambda: ())
+        found = kronlev.sketch._openblas()._replace(controls=())
+        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
         seen = record_blas_counts(monkeypatch, blas_controls)
         unpinned = run_trials(experiment_config(), threads=2)
         assert seen == [[2] * len(blas_controls)] * 6

@@ -1,7 +1,12 @@
+import ctypes
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +37,11 @@ from kronlev.sketch import (
     SketchedSystem,
     TargetFunction,
     _back_substitute,
+    _cholesky_solve,
     _one_blas_thread,
+    _OpenBlas,
     _row_blocks,
+    _semi_normal,
     assemble,
     draw_sketch,
     full_relative_error,
@@ -212,6 +220,41 @@ FALLBACK_CASES = {
 }
 
 
+SOLVE_PATHS = ("dpotrs", "back-substitute")
+
+
+def on_each_solve_path(cases):
+    """(case, path) parameters; the dpotrs path keeps the case's own id."""
+    return [
+        pytest.param(case, path, id=case if path == "dpotrs" else f"{case}-{path}")
+        for path in SOLVE_PATHS
+        for case in cases
+    ]
+
+
+def take_solve_path(monkeypatch, path):
+    """Make _semi_normal solve by ``path``; a list that gets "dpotrs" at each dpotrs call.
+
+    For "back-substitute" the OpenBLAS lookup finds nothing, as on a numpy
+    that bundles no OpenBLAS.
+    """
+    calls = []
+    if path == "back-substitute":
+        found = _OpenBlas((), None)
+    else:
+        found = sketch_module._openblas()
+        if found.dpotrs is None:
+            pytest.skip("numpy bundles no OpenBLAS with dpotrs")
+
+        def counted(*args, _dpotrs=found.dpotrs):
+            calls.append("dpotrs")
+            return _dpotrs(*args)
+
+        found = found._replace(dpotrs=counted)
+    monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+    return calls
+
+
 def kahan(n, theta):
     """The n x n Kahan matrix: upper triangular, with an R diagonal that hides its rank."""
     s, c = math.sin(theta), math.cos(theta)
@@ -267,28 +310,36 @@ class TestSolve:
         assert solution.rank_deficient
         np.testing.assert_array_equal(solution.x, np.linalg.lstsq(a, b, rcond=None)[0])
 
-    @pytest.mark.parametrize("case", list(SEMI_NORMAL_CASES), ids=list(SEMI_NORMAL_CASES))
-    def test_semi_normal_path_matches_lstsq(self, case, monkeypatch):
+    @pytest.mark.parametrize("case,path", on_each_solve_path(SEMI_NORMAL_CASES))
+    def test_semi_normal_path_matches_lstsq(self, case, path, monkeypatch):
         systems = SEMI_NORMAL_CASES[case]()
         expected = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in systems]
-        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
+        dpotrs_calls = take_solve_path(monkeypatch, path)
+        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq, np.linalg.solve)
         for (a, b), x in zip(systems, expected):
             solution = solve(SketchedSystem(a, b))
             assert not solution.rank_deficient
             assert np.linalg.norm(solution.x - x) <= 1e-13 * np.linalg.norm(x)
-        assert calls == []
+            if path == "dpotrs":  # L L^T x = z twice, one call each
+                assert (dpotrs_calls, calls) == (["dpotrs"] * 2, [])
+            else:  # four back substitutions, one solve per 32-row block
+                blocks = -(-a.shape[1] // _SOLVE_BLOCK)
+                assert (dpotrs_calls, calls) == ([], ["solve"] * 4 * blocks)
+            dpotrs_calls.clear()
+            calls.clear()
 
-    @pytest.mark.parametrize("case", list(FALLBACK_CASES), ids=list(FALLBACK_CASES))
-    def test_fallback_is_the_svd_least_squares(self, case, monkeypatch):
+    @pytest.mark.parametrize("case,path", on_each_solve_path(FALLBACK_CASES))
+    def test_fallback_is_the_svd_least_squares(self, case, path, monkeypatch):
         a, b, deficient = FALLBACK_CASES[case]()
         expected = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)[0]
         qr_x, qr_flag = qr_solve(a, b)
-        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq)
+        dpotrs_calls = take_solve_path(monkeypatch, path)
+        calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq, np.linalg.solve)
         solution = solve(SketchedSystem(a, b))
         assert solution.rank_deficient == qr_flag == deficient
         np.testing.assert_array_equal(solution.x, expected)
         assert np.linalg.norm(solution.x - qr_x) <= 1e-12 * np.linalg.norm(qr_x)
-        assert calls == ["lstsq"]
+        assert (dpotrs_calls, calls) == ([], ["lstsq"])
 
     def test_kahan_system_is_flagged(self):
         # R diagonal ratio 1.9e-3 without pivoting, sigma_min / sigma_max 4.5e-16:
@@ -374,6 +425,140 @@ class TestBackSubstitute:
         x = _back_substitute(matrix, rhs)
         np.testing.assert_array_equal(r, before)  # the rhs view is not written
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+@pytest.fixture
+def dpotrs():
+    found = sketch_module._openblas().dpotrs
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS with dpotrs")
+    return found
+
+
+def cholesky_system(n, seed):
+    """(L, z) of a random well-conditioned Gram L L^T and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4 * n, n))
+    return np.linalg.cholesky(a.T @ a), rng.standard_normal(n)
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize("n", [1, 7, 220])
+    def test_solves_the_cholesky_system(self, dpotrs, n):
+        lower, z = cholesky_system(n, n)
+        x = _cholesky_solve(dpotrs, lower, z)
+        expected = solve_triangular(lower.T, solve_triangular(lower, z, lower=True))
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_hands_openblas_a_c_contiguous_factor_and_a_fresh_rhs(self, dpotrs):
+        lower, z = cholesky_system(40, 3)
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return dpotrs(*args)
+
+        x = _cholesky_solve(recording, lower, z)
+        (_, uplo, n, nrhs, factor, lda, rhs, ldb), = seen
+        assert (uplo, n, nrhs, lda, ldb) == (b"U", 40, 1, 40, 40)
+        assert factor is lower  # a C-ordered float64 factor is passed as it is
+        assert rhs is x and not np.shares_memory(x, z)
+        assert rhs.dtype == np.float64 and rhs.flags.c_contiguous and rhs.shape == (40,)
+
+    def test_fortran_factor_and_strided_rhs_are_copied(self, dpotrs):
+        lower, z = cholesky_system(40, 4)
+        expected = _cholesky_solve(dpotrs, lower, z)
+        fortran = np.asfortranarray(lower)
+        stacked = np.stack([z, -z], axis=1)
+        strided = stacked[:, 0]
+        assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
+        before = (fortran.copy(), stacked.copy())
+        seen = []
+
+        def recording(*args):
+            seen.append((args[4], args[6]))
+            return dpotrs(*args)
+
+        x = _cholesky_solve(recording, fortran, strided)
+        assert x.tobytes() == expected.tobytes()
+        factor, rhs = seen[0]
+        assert factor.flags.c_contiguous and not np.shares_memory(factor, fortran)
+        assert rhs.flags.c_contiguous and not np.shares_memory(rhs, stacked)
+        np.testing.assert_array_equal(fortran, before[0])
+        np.testing.assert_array_equal(stacked, before[1])
+
+    @pytest.mark.parametrize(
+        "factor_shape,rhs_length",
+        [((5, 5), 6), ((5, 5), 4), ((5, 6), 5), ((5,), 5), ((2, 2, 2), 2)],
+        ids=["long-rhs", "short-rhs", "not-square", "1-d-factor", "3-d-factor"],
+    )
+    def test_wrong_shapes_are_rejected(self, factor_shape, rhs_length):
+        called = []
+        with pytest.raises(ValueError, match="shape"):
+            _cholesky_solve(lambda *args: called.append(args), np.ones(factor_shape), np.ones(rhs_length))
+        assert called == []
+
+    def test_nonzero_info_raises(self, dpotrs, monkeypatch, capfd):
+        lower, z = cholesky_system(6, 5)
+        with pytest.raises(RuntimeError, match="info = -2"):
+            _cholesky_solve(lambda *args: -2, lower, z)
+        # the library's own answer to a bad argument: an unknown layout is
+        # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
+        monkeypatch.setattr(sketch_module, "_LAPACK_COL_MAJOR", 0)
+        with pytest.raises(RuntimeError, match="info = -1"):
+            _cholesky_solve(dpotrs, lower, z)
+        assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
+
+    def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
+        lower, z = cholesky_system(6, 6)
+        for factor, rhs in [(lower.T, z.copy()), (lower, z.astype(np.float32)), (lower, z[::-1])]:
+            with pytest.raises(ctypes.ArgumentError):
+                dpotrs(102, b"U", 6, 1, factor, 6, rhs, 6)
+
+
+class TestBundledOpenBlas:
+    def test_one_set_up_scan_finds_dpotrs_and_the_thread_controls(self, monkeypatch):
+        # a numpy whose OpenBLAS renames these symbols fails here rather than
+        # taking the slow path
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not list(libs.glob("*scipy_openblas64*")):
+            pytest.skip("numpy bundles no scipy-openblas64")
+        index_set, factors = total_degree(2, 4), legendre_factors(2, 10, 5)
+        values = evaluate_on_grid(SMOOTH, [f.grid for f in factors])
+        method = make_method("leverage-lower", factors, index_set)
+        rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
+        sketch_module._openblas.cache_clear()
+        reduction = reduce_full_grid(index_set, factors, values)
+        assert sketch_module._openblas.cache_info().misses == 1
+        found = sketch_module._openblas()
+        assert found.controls and found.dpotrs is not None
+        calls = count_calls(monkeypatch, ctypes.CDLL)
+        trial_error(reduction, method, rows)
+        assert sketch_module._openblas.cache_info().misses == 1
+        assert calls == []
+
+    def test_concurrent_solves_have_the_serial_bytes(self, dpotrs):
+        rng = np.random.default_rng(8)
+        systems = [
+            (rng.standard_normal((160, 40)), rng.standard_normal(160)) for _ in range(4 * 50)
+        ]
+        start = threading.Barrier(4, timeout=60)
+
+        def worker(part):
+            start.wait()
+            return [_semi_normal(a, b).tobytes() for a, b in systems[part::4]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads between and inside solves
+        try:
+            with _one_blas_thread():
+                serial = [_semi_normal(a, b).tobytes() for a, b in systems]
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    parts = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for part, solved in enumerate(parts):
+            assert solved == serial[part::4]
 
 
 def reduction_of(index_set, factors, target):
