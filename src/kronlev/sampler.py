@@ -14,8 +14,8 @@ Four methods draw multivariate grid points and evaluate their point masses:
   set and any factor: it samples the *exact* leverage scores of the
   column-subset design matrix.
 
-Every table-based method reads the leverage tables that each factor built
-from its own QR; none factors anything here.
+A method holds its factors and reads the Q and leverage tables that each
+factor built from its own QR; none factors anything here.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather, costs O(N*D) per
@@ -34,7 +34,7 @@ import numpy as np
 
 # factor_qr is imported but never called here, as each factor is QR'd when it
 # is built; the benchmark's tracer asserts that it patches this binding.
-from .factor import FactorMatrix, LeverageTable1D, _kron_rows, factor_qr, sample_nu_kd
+from .factor import FactorMatrix, _kron_rows, factor_qr, sample_nu_kd
 from .grid_basis import Grid1D
 from .indexset import MultiIndexSet, is_monotone_lower
 
@@ -59,23 +59,23 @@ _GRAM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SamplerMethod:
-    """A sampling distribution bound to per-dimension tables and (optionally) an index set."""
+    """A sampling distribution read from per-dimension factors and, for a mixture, an index set."""
 
     tag: str
-    grids: tuple[Grid1D, ...]
-    tables: Optional[tuple[LeverageTable1D, ...]]
-    index_array: Optional[np.ndarray]  # (N, D) 0-based rows of the index set
-    # the factors' Q per dimension, for the two mixture methods; their tables
-    # are its squares
-    q: Optional[tuple[np.ndarray, ...]] = None
+    factors: tuple[FactorMatrix, ...]
+    index_array: Optional[np.ndarray]  # (N, D) 0-based rows of the index set, mixtures only
+
+    @property
+    def grids(self) -> tuple[Grid1D, ...]:
+        return tuple(f.grid for f in self.factors)
 
     @property
     def dimension(self) -> int:
-        return len(self.grids)
+        return len(self.factors)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.grids)
+        return tuple(len(f.grid) for f in self.factors)
 
 
 def make_method(
@@ -91,12 +91,9 @@ def make_method(
     """
     if tag not in METHOD_TAGS:
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")
-    grids = tuple(f.grid for f in factors)
-    if tag == "uniform":
-        return SamplerMethod(tag, grids, None, None)
-    tables = tuple(f.leverage for f in factors)
-    if tag == "tensor-product":
-        return SamplerMethod(tag, grids, tables, None)
+    factors = tuple(factors)
+    if tag in ("uniform", "tensor-product"):
+        return SamplerMethod(tag, factors, None)
     if index_set is None:
         raise ValueError(f"method {tag!r} requires a multi-index set")
     if index_set.dimension != len(factors):
@@ -117,15 +114,19 @@ def make_method(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
     index_array = np.asarray(index_set.indices, dtype=np.int64) - 1
-    return SamplerMethod(tag, grids, tables, index_array, tuple(f.q for f in factors))
+    return SamplerMethod(tag, factors, index_array)
 
 
-def _check_bounds(method: SamplerMethod, idx0: np.ndarray):
-    shape = method.grid_shape
+def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:
+    """``idx0`` as int64, once checked to be an integer (K, D) array of 0-based rows on the grid."""
+    idx0 = np.asarray(idx0)
+    if not np.issubdtype(idx0.dtype, np.integer):
+        raise ValueError(f"grid rows must be integers, not {idx0.dtype}")
     if idx0.ndim != 2 or idx0.shape[1] != len(shape):
-        raise ValueError("points must be rows of one index per dimension of the method")
+        raise ValueError("points must be rows of one index per dimension of the grid")
     if np.any(idx0 < 0) or np.any(idx0 >= np.asarray(shape)):
         raise ValueError("grid point index out of bounds")
+    return idx0.astype(np.int64, copy=False)
 
 
 def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -137,14 +138,14 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
             out[:, d] = rng.integers(0, m_d, size=size)
         return out
     if method.tag == "tensor-product":
-        for d, tables in enumerate(method.tables):
-            k = rng.integers(0, tables.num_functions, size=size)
-            out[:, d] = sample_nu_kd(tables, k, rng)
+        for d, f in enumerate(method.factors):
+            k = rng.integers(0, f.leverage.num_functions, size=size)
+            out[:, d] = sample_nu_kd(f.leverage, k, rng)
         return out
     # two-stage draw: uniform member of the index set, then its leverage rows
     member = rng.integers(0, method.index_array.shape[0], size=size)
-    for d, tables in enumerate(method.tables):
-        out[:, d] = sample_nu_kd(tables, method.index_array[member, d], rng)
+    for d, f in enumerate(method.factors):
+        out[:, d] = sample_nu_kd(f.leverage, method.index_array[member, d], rng)
     return out
 
 
@@ -156,20 +157,19 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     _MASS_CHUNK points, and nu_k = ||G[k, :]||^2 / N; each block is freed
     before the next is formed, so one block is held.
     """
-    idx0 = np.asarray(idx0, dtype=np.int64)
-    _check_bounds(method, idx0)
+    idx0 = _check_rows(idx0, method.grid_shape)
     if method.tag == "uniform":
         mass = np.full(idx0.shape[0], 1.0 / np.prod(method.grid_shape))
     elif method.tag == "tensor-product":
         mass = np.ones(idx0.shape[0])
-        for d, tables in enumerate(method.tables):
-            mass *= tables.marginal()[idx0[:, d]]
+        for d, f in enumerate(method.factors):
+            mass *= f.leverage.marginal()[idx0[:, d]]
     else:
         mass = np.empty(idx0.shape[0])
         for start in range(0, idx0.shape[0], _MASS_CHUNK):
             block = slice(start, start + _MASS_CHUNK)
             gather = None  # free the previous block before the next is formed
-            gather = _kron_rows(method.q, idx0[block], method.index_array)
+            gather = _kron_rows([f.q for f in method.factors], idx0[block], method.index_array)
             mass[block] = np.einsum("ij,ij->i", gather, gather)
         mass /= method.index_array.shape[0]
     return mass
@@ -177,11 +177,8 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
 
 def mu_mass_many(grids: Sequence[Grid1D], idx0: np.ndarray) -> np.ndarray:
     """Product-measure mass of each grid point (rows of 0-based indices)."""
-    idx0 = np.asarray(idx0, dtype=np.int64)
+    idx0 = _check_rows(idx0, [len(g) for g in grids])
     mass = np.ones(idx0.shape[0])
     for d, grid in enumerate(grids):
-        col = idx0[:, d]
-        if np.any(col < 0) or np.any(col >= len(grid)):
-            raise ValueError("grid point index out of bounds")
-        mass *= grid.weights[col]
+        mass *= grid.weights[idx0[:, d]]
     return mass

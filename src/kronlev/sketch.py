@@ -42,7 +42,7 @@ import numpy as np
 from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, is_monotone_lower
-from .sampler import SamplerMethod, _check_bounds, mu_mass_many, point_mass_many, sample_indices
+from .sampler import SamplerMethod, _check_rows, mu_mass_many, point_mass_many, sample_indices
 
 __all__ = [
     "TargetFunction",
@@ -343,18 +343,18 @@ class FullGridReduction:
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
-    The grid's b = sqrt(w) * values is not stored: ``values`` is the
-    caller's array, held by reference and not copied, so it must not be
-    mutated while the reduction is in use; a trial forms b at its rows.
+    A trial reads the Q and grid weights of ``factors``.  The grid's
+    b = sqrt(w) * values is not stored: ``values`` is the caller's array,
+    held by reference and not copied, so it must not be mutated while the
+    reduction is in use; a trial forms b at its rows.
     """
 
-    q: tuple[np.ndarray, ...]  # Q^(d)[:, :box_d], (M_d, box_d) per dimension
+    factors: tuple[FactorMatrix, ...]
     lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
     r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
     basis: Optional[np.ndarray]
-    root_w: tuple[np.ndarray, ...]  # sqrt(w^(d)), (M_d,) per dimension
     values: np.ndarray    # (M_1, ..., M_D) the unweighted target, by reference
     c: np.ndarray         # (|L|,)
     residual_sq: float    # ||r||^2, from r computed explicitly
@@ -427,7 +427,11 @@ def reduce_full_grid(
     factored here.  The cost is O(M^D max N_d), with no M-row matrix and one
     grid-sized working array.  The grid work runs on one BLAS thread, as a
     threaded dot product or matrix product rounds by thread count.
+    An index set of another dimension than the factors raises ValueError.
     """
+    factors = tuple(factors)
+    if index_set.dimension != len(factors):
+        raise ValueError("index set dimension does not match the number of factors")
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
     values = np.asarray(b_values, dtype=float)
@@ -454,9 +458,7 @@ def reduce_full_grid(
         gap = c - basis @ (basis.T @ c)
         gap_sq = float(gap @ gap)
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
-    return FullGridReduction(
-        tuple(qs), lower, r_lj, basis, root_w, values, c, residual_sq, b_sq, optimal
-    )
+    return FullGridReduction(factors, lower, r_lj, basis, values, c, residual_sq, b_sq, optimal)
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -486,24 +488,20 @@ def trial_error(
     with the bits of ``point_mass_many``, which gives the other methods' nu.
     The gather is scaled in place, so a lower J's trial holds one (K, N)
     array next to ``solve``'s N x N Gram and Cholesky factor.
-    Rows not (K >= 1, D), off the method's grid or of zero mass, a method on
-    another grid, and a mixture method on other index rows or Q blocks than
-    the reduction's raise ValueError.
+    The method must be built on the reduction's factors, the same objects,
+    and a mixture method on its index set; any other method, and rows that
+    are not an integer (K >= 1, D) array on the grid or of zero mass, raise
+    ValueError.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    _check_bounds(method, rows)
+    factors, n, basis = reduction.factors, reduction.r_lj.shape[1], reduction.basis
+    own_rows = method.index_array is None or np.array_equal(method.index_array, reduction.lower[:n])
+    if [id(f) for f in method.factors] != [id(f) for f in factors] or not own_rows:
+        raise ValueError("the method is not built on the reduction's factors and index set")
+    rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:
         raise ValueError("a trial needs K >= 1 rows")
-    if method.grid_shape != reduction.values.shape:
-        raise ValueError("the method's grid is not the reduction's")
-    n, basis = reduction.r_lj.shape[1], reduction.basis
-    if method.q is not None and not (
-        np.array_equal(method.index_array, reduction.lower[:n])
-        and all(np.array_equal(q[:, : rq.shape[1]], rq) for q, rq in zip(method.q, reduction.q))
-    ):
-        raise ValueError("the method is not built on the reduction's index set and Q blocks")
-    g = _kron_rows(reduction.q, rows, reduction.lower)
-    if method.q is None:
+    g = _kron_rows([f.q for f in factors], rows, reduction.lower)
+    if method.index_array is None:
         nu = point_mass_many(method, rows)
     else:
         nu = np.einsum("ij,ij->i", g[:, :n], g[:, :n]) / n
@@ -514,7 +512,7 @@ def trial_error(
     if basis is not None:
         g = g @ basis
     # b at the drawn rows, its weight multiplied in the order reduce_full_grid uses
-    weight = reduce(np.multiply, [w[m] for w, m in zip(reduction.root_w, rows.T)])
+    weight = reduce(np.multiply, [np.sqrt(f.grid.weights[m]) for f, m in zip(factors, rows.T)])
     b = weight * reduction.values[tuple(rows.T)]
     solution = solve(SketchedSystem(g, scale * b))
     fit = solution.x if basis is None else basis @ solution.x

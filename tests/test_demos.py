@@ -1,6 +1,7 @@
 """The narrative demos run end to end against the current API."""
 
 import csv
+import re
 import runpy
 from pathlib import Path
 
@@ -11,12 +12,25 @@ from kronlev.configs import packaged_config_path
 from kronlev.experiments import emit_cdf, run_trials, write_report_csv
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = DEMOS.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", ["01_index_sets", "02_exact_sampling", "03_sketched_solve"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's one python block, as printed
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {"__name__": "__main__"}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out
+    # the trial's fit from Q rows is the assembled sketch's fit
+    assert not namespace["rank_flag"]
+    assert namespace["err_q"] == pytest.approx(namespace["err"], rel=1e-10)
+    assert namespace["err"] >= namespace["reduction"].optimal_error
 
 
 def read_rows(path):

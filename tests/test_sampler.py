@@ -7,7 +7,14 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, exact_leverage, flat_row_index
-from kronlev.sampler import _MASS_CHUNK, make_method, mu_mass_many, point_mass_many, sample_indices
+from kronlev.sampler import (
+    _MASS_CHUNK,
+    METHOD_TAGS,
+    make_method,
+    mu_mass_many,
+    point_mass_many,
+    sample_indices,
+)
 from kronlev.sketch import TargetFunction
 
 
@@ -92,6 +99,16 @@ class TestPointMass:
         with pytest.raises(ValueError, match="out of bounds"):
             point_mass_many(method, np.array([[5, 0]]))
 
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_rows_must_be_integers(self, tag):
+        # refused, not cast: cast, [[1.9, 0.2]] would read as [[1, 0]]
+        factors = [build_factor(gauss_legendre_grid(5), BasisSpec("legendre-orthonormal", 3))] * 2
+        method = make_method(tag, factors, total_degree(2, 2))
+        for bad in ([[1.9, 0.2]], np.array([[1.0, 0.0]]), np.array([[True, False]])):
+            with pytest.raises(ValueError, match="must be integers"):
+                point_mass_many(method, bad)
+        assert point_mass_many(method, [[1, 0]]) == point_mass_many(method, np.array([[1, 0]], np.int32))
+
 
 class TestSampling:
     def test_leverage_lower_empirical_law(self):
@@ -136,6 +153,17 @@ class TestSampling:
 
 
 class TestMuMass:
+    def test_rows_must_be_integer_rows_of_the_grids(self):
+        # refused, not cast or cut to the grids' dimension
+        grids = [gauss_legendre_grid(3)] * 2
+        for bad in ([[0, 1, 2]], [[0]], [0, 1]):
+            with pytest.raises(ValueError, match="one index per dimension"):
+                mu_mass_many(grids, np.array(bad))
+        with pytest.raises(ValueError, match="must be integers"):
+            mu_mass_many(grids, [[1.9, 0.2]])
+        with pytest.raises(ValueError, match="out of bounds"):
+            mu_mass_many(grids, [[0, 3]])
+
     def test_single_dimension_gl3(self):
         factors = monomial_factors(1, 3, 2)
         method = make_method("uniform", factors)
@@ -161,7 +189,7 @@ def fancy_index_mixture(method, idx0):
     The gather is built by a broadcast fancy index per dimension.
     """
     prod = np.ones((idx0.shape[0], method.index_array.shape[0]))
-    for d, q in enumerate(method.q):
+    for d, q in enumerate(f.q for f in method.factors):
         prod *= q[idx0[:, d][:, None], method.index_array[:, d][None, :]]
     return np.einsum("ij,ij->i", prod, prod) / method.index_array.shape[0]
 

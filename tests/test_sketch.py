@@ -798,7 +798,7 @@ class TestSharedGather:
         scale = 1.0 / np.sqrt(len(rows) * mass)
         np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
-        tables = [t.table.T for t in method.tables]
+        tables = [f.leverage.table.T for f in method.factors]
         earlier = _kron_rows(tables, rows, method.index_array).sum(axis=1) / n
         assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
 
@@ -835,8 +835,8 @@ class TestSharedGather:
             np.testing.assert_array_equal(rows, sketch.indices0)  # the stream draw_sketch uses
             # the trial from the sketch's masses, with its rows gathered apart
             scale = 1.0 / np.sqrt(k * sketch.point_mass)
-            a = _kron_rows(reduction.q, rows, reduction.lower) * scale[:, None]
-            weight = reduce(np.multiply, [w[m] for w, m in zip(reduction.root_w, rows.T)])
+            a = _kron_rows([f.q for f in factors], rows, reduction.lower) * scale[:, None]
+            weight = reduce(np.multiply, [np.sqrt(f.grid.weights)[m] for f, m in zip(factors, rows.T)])
             b = weight * reduction.values[tuple(rows.T)]
             expected = solve(SketchedSystem(a, scale * b))
             calls.clear()
@@ -864,7 +864,7 @@ class TestSharedGather:
         own = make_method("leverage-lower", reduced_on, index_set)
         for seed in range(5):
             rows = sample_indices(method, np.random.default_rng(seed), 24)
-            with pytest.raises(ValueError, match="not built on the reduction's index set and Q"):
+            with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
                 trial_error(reduction, method, rows)
             coords = np.column_stack([g.nodes[rows[:, d]] for d, g in enumerate(own.grids)])
             sketch = Sketch(rows, coords, point_mass_many(own, rows), mu_mass_many(own.grids, rows))
@@ -930,8 +930,33 @@ class TestTrialInputs:
         index_set, _, reduction = self.lower_problem()
         for tag in METHOD_TAGS:
             method = make_method(tag, legendre_factors(2, 9, 3), index_set)
-            with pytest.raises(ValueError, match="grid is not the reduction's"):
+            with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
                 trial_error(reduction, method, np.zeros((4, 2), np.int64))
+
+    @pytest.mark.parametrize("tag", ["uniform", "tensor-product", "leverage-lower"])
+    def test_method_on_other_factors_of_the_grid_shape_rejected(self, tag):
+        # total degree 3 in 2-D, Legendre on 8 nodes: the reduction on the
+        # uniform-weight grid, the methods on the Gauss-Legendre grid of the
+        # same nodes, whose leverage tables would give nu; the problem's own
+        # methods solve the same rows
+        index_set, basis = total_degree(2, 3), BasisSpec("legendre-orthonormal", 4)
+        reduced_on = [build_factor(gauss_legendre_uniform_grid(8), basis)] * 2
+        drawn_on = [build_factor(gauss_legendre_grid(8), basis)] * 2
+        reduction = reduction_of(index_set, reduced_on, WAVE)
+        rows = sample_indices(make_method("uniform", drawn_on), np.random.default_rng(5), 40)
+        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+            trial_error(reduction, make_method(tag, drawn_on, index_set), rows)
+        trial_error(reduction, make_method(tag, reduced_on, index_set), rows)
+
+    def test_rows_must_be_integers(self):
+        # refused, not cast: cast, rows + 0.7 would read as rows
+        index_set, factors, reduction = self.lower_problem()
+        rows = sample_indices(make_method("uniform", factors), np.random.default_rng(2), 12)
+        for tag in METHOD_TAGS:
+            method = make_method(tag, factors, index_set)
+            for bad in (rows + 0.7, rows.astype(float), rows > 3):
+                with pytest.raises(ValueError, match="must be integers"):
+                    trial_error(reduction, method, bad)
 
 
 def old_reduction(index_set, factors, b_values):
@@ -944,13 +969,14 @@ def old_reduction(index_set, factors, b_values):
     reduction = reduce_full_grid(index_set, factors, b_values)
     root_w = reduce(np.multiply.outer, [np.sqrt(f.grid.weights) for f in factors])
     b = root_w * np.asarray(b_values, dtype=float).reshape(root_w.shape)
+    qs = [f.q[:, :n_d] for f, n_d in zip(factors, index_set.bounding_box)]
     coeffs = b
-    for q in reduction.q:
+    for q in qs:
         coeffs = np.tensordot(coeffs, q, axes=([0], [0]))
     c = coeffs[tuple(reduction.lower.T)]
     projected = np.zeros(index_set.bounding_box)
     projected[tuple(reduction.lower.T)] = c
-    for q in reduction.q:
+    for q in qs:
         projected = np.tensordot(projected, q, axes=([0], [1]))
     r = b - projected
     return b, c, float(np.vdot(b, b)), float(np.vdot(r, r))
@@ -995,6 +1021,13 @@ class TestReduceFullGrid:
         assert _row_blocks(1, 37) == [slice(0, 1)]
         monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", 1000)
         assert len(_row_blocks(343, 7)) == 20
+
+    @pytest.mark.parametrize("dimension, count", [(2, 3), (3, 2)])
+    def test_index_set_of_another_dimension_rejected(self, dimension, count):
+        # refused before _kron_rows or numpy indexing meets the extra or missing axis
+        factors, values = legendre_factors(count, 6, 3), np.ones(6**count)
+        with pytest.raises(ValueError, match="index set dimension does not match the number of factors"):
+            reduce_full_grid(total_degree(dimension, 2), factors, values)
 
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=list(BLOCK_CASES))
     def test_matches_dense_oracle_in_row_blocks(self, case, small_blocks):
