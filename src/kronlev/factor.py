@@ -33,12 +33,13 @@ _RANK_RTOL = 1e-12
 _ROW_BLOCK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorMatrix:
     """sqrt(weight)-scaled basis values on one dimension's grid, with its QR and leverage table.
 
     Construction factors the matrix once; a rank-deficient matrix raises
-    ``ValueError``.
+    ``ValueError``.  A factor equals only itself: methods and reductions
+    share factors by reference, and identity is what they compare.
     """
 
     matrix: np.ndarray  # (M_d, N_d)
@@ -46,9 +47,9 @@ class FactorMatrix:
     basis: BasisSpec
     # the thin QR: q (M_d, N_d) with orthonormal columns, r (N_d, N_d) upper
     # triangular with a positive diagonal, and the leverage rows of q
-    q: np.ndarray = field(init=False, repr=False, compare=False)
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    leverage: LeverageTable1D = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    leverage: LeverageTable1D = field(init=False, repr=False)
 
     def __post_init__(self):
         q, r = factor_qr(self.matrix)

@@ -28,7 +28,7 @@ BASIS_KINDS = ("monomial", "legendre-orthonormal")
 _WEIGHT_SUM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
     """Nodes and probability weights of a discrete measure on the line."""
 

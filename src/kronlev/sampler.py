@@ -57,7 +57,7 @@ _MASS_CHUNK = 4096
 _GRAM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplerMethod:
     """A sampling distribution read from per-dimension factors and, for a mixture, an index set."""
 

@@ -8,6 +8,12 @@ from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
 Q-row gather gives nu.
 
+The target enters the reduction either as its values on the whole grid or,
+when it is a sum of products of one-dimensional functions, as a
+``SeparableValues`` of per-dimension tables.  Then the reduction works from
+per-dimension products in O(r D M max N_d) plus J's bounding box, no array of
+the grid's size is formed, and a trial sums the terms at its K rows.
+
 A trial holds one (K, N) array, its sketch rows: ``factor._kron_rows``
 builds them in place a cache-sized block of rows at a time, they are
 scaled in place, and ``solve`` only reads them.  Every other array of a
@@ -46,6 +52,7 @@ from .sampler import SamplerMethod, _check_rows, mu_mass_many, point_mass_many, 
 
 __all__ = [
     "TargetFunction",
+    "SeparableValues",
     "Sketch",
     "SketchedSystem",
     "Solution",
@@ -157,6 +164,40 @@ class TargetFunction:
     def __call__(self, coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         return np.asarray(self.fn(coords), dtype=float).reshape(coords.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableValues:
+    """Grid values f(y) = sum_r prod_d g_{r,d}(y_d), held as the tables of each g_{r,d}.
+
+    ``terms[r][d]`` is g_{r,d} on dimension d's M_d nodes.  It stands in for
+    the (M_1, ..., M_D) array of grid values without forming it: ``shape`` is
+    that array's, and indexing with a tuple of D index arrays gives the values
+    at those points, each term's factors multiplied in dimension order and the
+    terms added in order, which is how a pointwise evaluation of the same
+    terms rounds.
+    """
+
+    terms: tuple[tuple[np.ndarray, ...], ...]
+
+    def __post_init__(self):
+        terms = tuple(tuple(np.asarray(g, dtype=float) for g in term) for term in self.terms)
+        if not terms or not terms[0]:
+            raise ValueError("a separable target needs a term over at least one dimension")
+        shapes = tuple(g.shape for g in terms[0])
+        if any(len(s) != 1 for s in shapes) or any(
+            tuple(g.shape for g in term) != shapes for term in terms
+        ):
+            raise ValueError("every term needs one 1-D table per dimension, of one length")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(g) for g in self.terms[0])
+
+    def __getitem__(self, points: tuple) -> np.ndarray:
+        products = [reduce(np.multiply, [g[m] for g, m in zip(term, points)]) for term in self.terms]
+        return reduce(np.add, products)
 
 
 @dataclass(frozen=True)
@@ -333,7 +374,7 @@ def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullGridReduction:
     """The full-grid least squares problem reduced through per-dimension QR.
 
@@ -344,9 +385,11 @@ class FullGridReduction:
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
     A trial reads the Q and grid weights of ``factors``.  The grid's
-    b = sqrt(w) * values is not stored: ``values`` is the caller's array,
-    held by reference and not copied, so it must not be mutated while the
-    reduction is in use; a trial forms b at its rows.
+    b = sqrt(w) * values is not stored: a trial forms b at its rows from
+    ``values``, which is held by reference and not copied.  That is either
+    the caller's array of grid values, which must not be mutated while the
+    reduction is in use, or the caller's ``SeparableValues``, whose tables
+    are read at the rows.
     """
 
     factors: tuple[FactorMatrix, ...]
@@ -355,9 +398,10 @@ class FullGridReduction:
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
     basis: Optional[np.ndarray]
-    values: np.ndarray    # (M_1, ..., M_D) the unweighted target, by reference
+    # the unweighted target, by reference: an (M_1, ..., M_D) array or its terms
+    values: Union[np.ndarray, SeparableValues]
     c: np.ndarray         # (|L|,)
-    residual_sq: float    # ||r||^2, from r computed explicitly
+    residual_sq: float    # ||r||^2, from r or its separable parts, computed explicitly
     b_sq: float           # ||b||^2
     optimal_error: float  # min over x of ||A x - b|| / ||b||
 
@@ -414,19 +458,61 @@ def _project_grid(
     return c, b_sq, float(np.vdot(b, b))
 
 
+def _project_separable(
+    values: SeparableValues,
+    root_w: Sequence[np.ndarray],
+    qs: Sequence[np.ndarray],
+    lower: np.ndarray,
+) -> tuple[np.ndarray, float, float]:
+    """(c, ||b||^2, ||r||^2) of b = sum_r kron_d beta_{r,d}, from per-dimension products.
+
+    With beta_{r,d} = sqrt(w^(d)) g_{r,d}, p = Q_d^T beta and the part
+    t = beta - Q_d p outside range(Q_d), formed explicitly, the coefficients
+    on J's bounding box are C = sum_r kron_d p_{r,d}, and c = C at L.
+    ||b||^2 = sum_{r,s} prod_d <beta_r, beta_s>_d.  ||r||^2 has two parts,
+    neither a difference of larger sums, so a tiny residual keeps its digits:
+    the squares of C outside L, and the part of b outside the box,
+    sum over nonempty S of prod_{d in S} <t_r, t_s>_d prod_{d not in S} <p_r, p_s>_d,
+    summed over (r, s) by E_d = E_{d-1} o (T_d + P_d) + (P_1 o ... o P_{d-1}) o T_d.
+    The work is O(r D M max N_d + r^2 D M + r |box|), with no grid-sized array.
+    """
+    betas = [np.stack([term[d] for term in values.terms]) * w for d, w in enumerate(root_w)]
+    b_sq = float(reduce(np.multiply, [beta @ beta.T for beta in betas]).sum())
+    if not math.isfinite(b_sq):
+        raise ValueError("b_values must be finite")
+    if not b_sq > 0.0:  # zero, or below zero by rounding where the terms cancel
+        raise ValueError("b_values are zero wherever the grid weight is positive")
+    ps = [beta @ q for beta, q in zip(betas, qs)]  # (r, N_d) per dimension
+    ts = [beta - p @ q.T for beta, p, q in zip(betas, ps, qs)]  # (r, M_d) per dimension
+    coeffs = np.zeros([q.shape[1] for q in qs])
+    for term in zip(*ps):
+        coeffs += reduce(np.multiply.outer, term)
+    c = coeffs[tuple(lower.T)]
+    coeffs[tuple(lower.T)] = 0.0
+    grams = [(p @ p.T, t @ t.T) for p, t in zip(ps, ts)]  # (P_d, T_d) per dimension
+    prefix, tail = grams[0]  # P_1 o ... o P_d and E_d
+    for inner, outside in grams[1:]:
+        tail = tail * (outside + inner) + prefix * outside
+        prefix = prefix * inner
+    # the tail sums Hadamard products of Gram matrices: nonnegative but for rounding
+    return c, b_sq, float(np.vdot(coeffs, coeffs)) + max(float(tail.sum()), 0.0)
+
+
 def reduce_full_grid(
     index_set: MultiIndexSet,
     factors: Sequence[FactorMatrix],
-    b_values: np.ndarray,
+    b_values: Union[np.ndarray, SeparableValues],
 ) -> FullGridReduction:
     """Reduce the full weighted problem by D mode products each way.
 
-    ``b_values`` holds the finite target on the full grid in lexicographic
-    order (dimension 1 slowest), nonzero at some node of positive weight; it
-    is not written.  The factors' own Q and R are used, so nothing is
-    factored here.  The cost is O(M^D max N_d), with no M-row matrix and one
-    grid-sized working array.  The grid work runs on one BLAS thread, as a
-    threaded dot product or matrix product rounds by thread count.
+    ``b_values`` holds the finite target, nonzero at some node of positive
+    weight: either its values on the full grid in lexicographic order
+    (dimension 1 slowest), which are not written, or its ``SeparableValues``.
+    The factors' own Q and R are used, so nothing is factored here.  Grid
+    values cost O(M^D max N_d), with no M-row matrix and one grid-sized
+    working array; separable values cost O(r D M max N_d) plus J's bounding
+    box, with no grid-sized array.  The projection runs on one BLAS thread,
+    as a threaded dot product or matrix product rounds by thread count.
     An index set of another dimension than the factors raises ValueError.
     """
     factors = tuple(factors)
@@ -434,10 +520,15 @@ def reduce_full_grid(
         raise ValueError("index set dimension does not match the number of factors")
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
-    values = np.asarray(b_values, dtype=float)
-    if values.size != math.prod(shape):
-        raise ValueError("b_values must hold one value per grid row")
-    values = values.reshape(shape)
+    if isinstance(b_values, SeparableValues):
+        values, project = b_values, _project_separable
+        if values.shape != shape:
+            raise ValueError("b_values must hold one value per grid row")
+    else:
+        values, project = np.asarray(b_values, dtype=float), _project_grid
+        if values.size != math.prod(shape):
+            raise ValueError("b_values must hold one value per grid row")
+        values = values.reshape(shape)
     lower = list(index_set.indices)
     if not is_monotone_lower(index_set):  # a lower J is its own closure
         members = set(lower)
@@ -448,7 +539,7 @@ def reduce_full_grid(
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
     r_lj = _kron_rows([f.r for f in factors], lower, cols)
     with _one_blas_thread():
-        c, b_sq, residual_sq = _project_grid(values, root_w, qs, lower)
+        c, b_sq, residual_sq = project(values, root_w, qs, lower)
     if len(lower) == len(index_set):
         # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
         # all of R^N and no part of c lies outside it
@@ -494,8 +585,11 @@ def trial_error(
     ValueError.
     """
     factors, n, basis = reduction.factors, reduction.r_lj.shape[1], reduction.basis
+    own_factors = len(method.factors) == len(factors) and all(
+        mine is theirs for mine, theirs in zip(method.factors, factors)
+    )
     own_rows = method.index_array is None or np.array_equal(method.index_array, reduction.lower[:n])
-    if [id(f) for f in method.factors] != [id(f) for f in factors] or not own_rows:
+    if not (own_factors and own_rows):
         raise ValueError("the method is not built on the reduction's factors and index set")
     rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:
@@ -511,7 +605,8 @@ def trial_error(
     g *= scale[:, None]
     if basis is not None:
         g = g @ basis
-    # b at the drawn rows, its weight multiplied in the order reduce_full_grid uses
+    # b at the drawn rows, its weight multiplied in the order reduce_full_grid
+    # uses; SeparableValues sum their terms there
     weight = reduce(np.multiply, [np.sqrt(f.grid.weights[m]) for f, m in zip(factors, rows.T)])
     b = weight * reduction.values[tuple(rows.T)]
     solution = solve(SketchedSystem(g, scale * b))

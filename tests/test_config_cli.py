@@ -563,6 +563,8 @@ class TestCli:
             raise AssertionError("the model was evaluated before the method was checked")
 
         monkeypatch.setattr("kronlev.experiments.grid_values", no_grid_values)
+        # the Ishigami model is taken by its terms, not on the grid
+        monkeypatch.setattr("kronlev.experiments._ishigami_terms", no_grid_values)
         config = json.loads(tiny_config.read_text())
         config.update(patch, methods=[tag])
         path = tmp_path / "bad-method.json"
@@ -589,12 +591,21 @@ class TestCli:
         (tmp_path / "cfg" / "values.txt").write_text("".join(f"{float(v)!r}\n" for v in values))
         config.update(_TABULATED)
         (tmp_path / "cfg" / "tabulated.json").write_text(json.dumps(config))
+        config["model"] = {"name": "tabulated", "path": str(tmp_path / "cfg" / "values.txt")}
+        (tmp_path / "absolute.json").write_text(json.dumps(config))
         monkeypatch.chdir(tmp_path)
         solve_args = ["--method", "leverage-lower", "--K", "40", "--seed", "2"]
-        assert main(["solve", "--config", str(tiny_config)] + solve_args) == 0
+        assert main(["solve", "--config", str(tmp_path / "absolute.json")] + solve_args) == 0
         expected = capsys.readouterr().out
         assert main(["solve", "--config", "cfg/tabulated.json"] + solve_args) == 0
         assert capsys.readouterr().out == expected
+        # the same values as the model's, which is reduced by its terms instead
+        # of on the grid, so the two differ only in rounding
+        assert main(["solve", "--config", str(tiny_config)] + solve_args) == 0
+        model, tabulated = json.loads(capsys.readouterr().out), json.loads(expected)
+        assert model.keys() == tabulated.keys()
+        for key, value in model.items():
+            assert value == pytest.approx(tabulated[key], rel=1e-13, abs=0.0)
 
     def test_missing_grid_file_is_exit_2(self, tiny_config, tmp_path, capsys):
         config = json.loads(tiny_config.read_text())

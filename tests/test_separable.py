@@ -1,0 +1,229 @@
+"""The separable-target reduction against the grid path, closed forms and a grid-free run."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import kronlev.experiments
+import kronlev.sketch as sketch_module
+from kronlev.cli import main
+from kronlev.config import ConfigError, load_json, parse_experiment, parse_problem
+from kronlev.configs import packaged_config_path
+from kronlev.experiments import grid_values, prepare_problem, run_trials
+from kronlev.factor import build_factor
+from kronlev.grid_basis import BasisSpec, Grid1D, eval_basis_matrix, gauss_legendre_grid
+from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
+from kronlev.sketch import (
+    SeparableValues,
+    full_relative_error,
+    reduce_full_grid,
+    solve,
+    trial_error,
+)
+from test_experiments import count_calls
+
+ISHIGAMI_CONFIGS = ["ishigami-g7", "ishigami-g9", "ishigami-hc15", "ishigami-hc18"]
+# a J that is not lower: its closure L is larger, so the reduction keeps a basis U
+GAPPED = {"dimension": 3, "family": "explicit-list",
+          "indices": [[1, 1, 1], [3, 1, 1], [1, 2, 2], [2, 1, 3]]}
+
+
+def ishigami_problem(name, **changes):
+    config = load_json(packaged_config_path("ishigami-g7" if name == "gapped" else name))
+    if name == "gapped":
+        config["index_set"] = GAPPED
+    for key, value in changes.items():
+        config[key] = {**config[key], **value}
+    return parse_problem(config)
+
+
+def both_reductions(problem):
+    """(separable, grid) reductions of one problem."""
+    separable = prepare_problem(problem)
+    assert isinstance(separable.values, SeparableValues)
+    grid = reduce_full_grid(problem.index_set, problem.factors, grid_values(problem.model, problem.grids))
+    return separable, grid
+
+
+def relative(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("name", ISHIGAMI_CONFIGS + ["gapped"])
+def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
+    problem = ishigami_problem(name)
+    separable, grid = both_reductions(problem)
+    assert (separable.basis is None) == (name != "gapped")
+    np.testing.assert_array_equal(separable.lower, grid.lower)
+    assert np.max(np.abs(separable.c - grid.c)) <= 1e-13 * np.linalg.norm(grid.c)
+    for field in ("b_sq", "residual_sq", "optimal_error"):
+        assert relative(getattr(separable, field), getattr(grid, field)) <= 1e-13, field
+    rhs = []
+    monkeypatch.setattr(sketch_module, "solve", lambda system: rhs.append(system.rhs) or solve(system))
+    tried = []
+    for tag in METHOD_TAGS:
+        try:
+            method = problem.method(tag)
+        except ConfigError:
+            continue  # a method this index set or these factors do not admit
+        tried.append(tag)
+        for seed in range(3):
+            rows = sample_indices(method, np.random.default_rng(seed), 4 * len(problem.index_set))
+            error, flag = trial_error(separable, method, rows)
+            grid_error, grid_flag = trial_error(grid, method, rows)
+            assert relative(error, grid_error) <= 1e-13 and flag == grid_flag
+            # b at the drawn rows has the bits of the values on the grid
+            assert rhs[-2].tobytes() == rhs[-1].tobytes()
+            values = separable.values[tuple(rows.T)]
+            assert values.tobytes() == grid.values[tuple(rows.T)].tobytes()
+    assert "uniform" in tried and ("leverage-lower" in tried) == (name != "gapped")
+
+
+def test_tiny_optimum_is_not_a_difference_of_norms():
+    # f = sin(pi y_1) at total order 13: ||r|| / ||b|| is 1.2e-9, so
+    # ||b||^2 - ||c||^2 keeps none of its digits
+    problem = ishigami_problem(
+        "ishigami-g7", model={"a": 0.0, "b": 0.0}, index_set={"order": 13}, grid={"M": 20}
+    )
+    separable, grid = both_reductions(problem)
+    assert 1e-9 < grid.optimal_error < 2e-9
+    assert relative(separable.optimal_error, grid.optimal_error) <= 1e-6
+    c_sq = float(separable.c @ separable.c)
+    subtracted = math.sqrt(max(separable.b_sq - c_sq, 0.0) / separable.b_sq)
+    assert relative(subtracted, grid.optimal_error) > 1e-6
+
+
+def small_factors(m=5, n=3, dimension=2):
+    return [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))] * dimension
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_non_finite_target_is_the_grid_paths_error(bad):
+    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 2, weights=(1.0, 1.0)))
+    factors = small_factors()
+    first = np.linspace(1.0, 2.0, 5)
+    if bad == "overflow":  # finite tables whose product is not
+        first, second = first * 1e200, np.full(5, 1e200)
+    else:
+        first[3], second = bad, np.ones(5)
+    values = SeparableValues(((first, second), (np.ones(5), np.ones(5))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.multiply.outer(first, second) + 1.0
+        for b_values in (values, grid):
+            with pytest.raises(ValueError, match="must be finite"):
+                reduce_full_grid(index_set, factors, b_values)
+
+
+@pytest.mark.parametrize("case", ["zero-tables", "zero-weight-node"])
+def test_zero_target_is_the_grid_paths_error(case):
+    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 1, weights=(1.0, 1.0)))
+    if case == "zero-tables":
+        factors, first = small_factors(), np.zeros(5)
+    else:  # nonzero only at the first node, which has no weight
+        grid = Grid1D(np.array([-1.0, 0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.25, 0.5]))
+        factors, first = [build_factor(grid, BasisSpec("legendre-orthonormal", 2))] * 2, np.eye(4)[0]
+    second = np.ones(len(first))
+    values = SeparableValues(((first, second),))
+    for b_values in (values, np.multiply.outer(first, second)):
+        with pytest.raises(ValueError, match="zero wherever the grid weight is positive"):
+            reduce_full_grid(index_set, factors, b_values)
+
+
+def test_tables_must_fit_the_grid():
+    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 1, weights=(1.0, 1.0)))
+    with pytest.raises(ValueError, match="one value per grid row"):
+        reduce_full_grid(index_set, small_factors(), SeparableValues(((np.ones(5), np.ones(4)),)))
+    with pytest.raises(ValueError, match="one 1-D table per dimension"):
+        SeparableValues(((np.ones(5), np.ones(5)), (np.ones(5),)))
+
+
+def manufactured(index_set, m, seed):
+    """f = sum_{alpha in J} c_alpha P_alpha + sum_{beta in B} d_beta P_beta as separable terms.
+
+    P_alpha is the product of orthonormal Legendre polynomials of degrees
+    alpha - 1.  B holds multi-indices outside J, of degree at most m - 1 in
+    every dimension: some inside J's bounding box, and some beyond it.  On
+    m-node Gauss-Legendre grids with quadrature weights these are discretely
+    orthonormal, so Q_J^T b = c and the optimal error is ||d|| / ||(c, d)||.
+    """
+    rng = np.random.default_rng(seed)
+    dimension, members = index_set.dimension, set(index_set.indices)
+    box = index_set.bounding_box
+    outside = []
+    while len(outside) < 12:  # six inside the box, then six beyond it
+        beyond = len(outside) >= 6
+        beta = tuple(int(rng.integers(1, (m if beyond else n) + 1)) for n in box)
+        past_box = any(b > n for b, n in zip(beta, box))
+        if beta not in members and beta not in outside and beyond == past_box:
+            outside.append(beta)
+    c = rng.standard_normal(len(index_set))
+    d = 0.3 * rng.standard_normal(len(outside))
+    grid = gauss_legendre_grid(m)
+    legendre = eval_basis_matrix(BasisSpec("legendre-orthonormal", m), grid.nodes)
+    terms = tuple(
+        (coef * legendre[:, alpha[0] - 1],) + tuple(legendre[:, a - 1] for a in alpha[1:])
+        for coef, alpha in zip(np.concatenate([c, d]), list(index_set.indices) + outside)
+    )
+    return SeparableValues(terms), c, d
+
+
+MANUFACTURED = [
+    pytest.param(dimension, family, order, m, id=f"D{dimension}-{family}-{order}-M{m}")
+    for dimension, order, m in [(2, 6, 9), (3, 5, 8), (4, 4, 7), (5, 3, 6), (6, 3, 6), (7, 3, 8)]
+    for family in ("wlp-ball", "hyperbolic-cross")
+]
+
+
+@pytest.mark.parametrize("dimension,family,order,m", MANUFACTURED)
+def test_manufactured_targets_give_their_closed_form(dimension, family, order, m, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the separable path formed the grid")
+
+    monkeypatch.setattr(sketch_module, "_project_grid", no_grid)
+    index_set = build_index_set(IndexSetSpec(dimension, family, order, weights=(1.0,) * dimension))
+    factors = [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", m))] * dimension
+    values, c, d = manufactured(index_set, m, seed=dimension)
+    reduction = reduce_full_grid(index_set, factors, values)
+    scale = math.sqrt(c @ c + d @ d)
+    assert np.max(np.abs(reduction.c - c)) <= 1e-12 * scale
+    assert relative(reduction.optimal_error, math.sqrt(d @ d) / scale) <= 1e-12
+    x = c + 0.1 * np.random.default_rng(0).standard_normal(len(c))
+    expected = math.sqrt((x - c) @ (x - c) + d @ d) / scale
+    assert relative(full_relative_error(reduction, x), expected) <= 1e-12
+    if dimension == 7:  # 8^7 = 2.1M rows, above the dense oracle's guard
+        method = make_method("leverage-lower", factors, index_set)
+        rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
+        error, flag = trial_error(reduction, method, rows)
+        assert not flag and reduction.optimal_error <= error < 1.0
+
+
+def test_ishigami_never_forms_the_grid(monkeypatch, tmp_path, capsys):
+    def no_grid(*args):
+        raise AssertionError("the grid was formed")
+
+    monkeypatch.setattr(kronlev.experiments, "evaluate_on_grid", no_grid)
+    monkeypatch.setattr(sketch_module, "_project_grid", no_grid)
+    config = load_json(packaged_config_path("ishigami-g7"))
+    config["trials"] = 2
+    report = run_trials(parse_experiment(config))
+    assert all(len(errors) == 2 for errors in report.errors.values())
+    args = ["solve", "--config", str(packaged_config_path("ishigami-g7")),
+            "--method", "leverage-lower", "--K", "480", "--seed", "1"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["optimal_relative_error"] == report.optimal_error
+
+
+def test_duffing_keeps_the_grid_path(monkeypatch):
+    config = load_json(packaged_config_path("duffing-g7"))
+    config.update(trials=1, methods=["leverage-lower"], grid={"grid": "gauss-legendre-uniform", "M": 8})
+    config["model"]["step"] = 0.01
+    experiment = parse_experiment(config)
+    calls = count_calls(monkeypatch, kronlev.experiments.evaluate_on_grid)
+    report = run_trials(experiment)
+    assert calls == ["evaluate_on_grid"]
+    assert not isinstance(prepare_problem(experiment.problem).values, SeparableValues)
+    assert report.errors["leverage-lower"][0] >= report.optimal_error

@@ -33,6 +33,7 @@ from kronlev.sketch import (
     _RANK_RTOL,
     _SEMI_NORMAL_RTOL,
     _SOLVE_BLOCK,
+    SeparableValues,
     Sketch,
     SketchedSystem,
     TargetFunction,
@@ -524,18 +525,24 @@ class TestBundledOpenBlas:
         if not list(libs.glob("*scipy_openblas64*")):
             pytest.skip("numpy bundles no scipy-openblas64")
         index_set, factors = total_degree(2, 4), legendre_factors(2, 10, 5)
-        values = evaluate_on_grid(SMOOTH, [f.grid for f in factors])
+        nodes = factors[0].grid.nodes
         method = make_method("leverage-lower", factors, index_set)
         rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
-        sketch_module._openblas.cache_clear()
-        reduction = reduce_full_grid(index_set, factors, values)
-        assert sketch_module._openblas.cache_info().misses == 1
-        found = sketch_module._openblas()
-        assert found.controls and found.dpotrs is not None
         calls = count_calls(monkeypatch, ctypes.CDLL)
-        trial_error(reduction, method, rows)
-        assert sketch_module._openblas.cache_info().misses == 1
-        assert calls == []
+        # the grid values and SMOOTH's one separable term each make the scan at set-up
+        for values in (
+            evaluate_on_grid(SMOOTH, [f.grid for f in factors]),
+            SeparableValues(((np.exp(nodes), np.cos(2.0 * nodes)),)),
+        ):
+            sketch_module._openblas.cache_clear()
+            reduction = reduce_full_grid(index_set, factors, values)
+            assert sketch_module._openblas.cache_info().misses == 1
+            found = sketch_module._openblas()
+            assert found.controls and found.dpotrs is not None
+            calls.clear()
+            trial_error(reduction, method, rows)
+            assert sketch_module._openblas.cache_info().misses == 1
+            assert calls == []
 
     def test_concurrent_solves_have_the_serial_bytes(self, dpotrs):
         rng = np.random.default_rng(8)
@@ -957,6 +964,46 @@ class TestTrialInputs:
             for bad in (rows + 0.7, rows.astype(float), rows > 3):
                 with pytest.raises(ValueError, match="must be integers"):
                     trial_error(reduction, method, bad)
+
+
+class TestIdentityEquality:
+    """Factors, grids, methods, reductions and separable values equal only themselves."""
+
+    @staticmethod
+    def build(kind):
+        grid = gauss_legendre_grid(5)
+        factors = [build_factor(grid, BasisSpec("legendre-orthonormal", 3))] * 2
+        index_set = total_degree(2, 2)
+        values = SeparableValues(((np.exp(grid.nodes), np.cos(grid.nodes)),))
+        if kind == "Grid1D":
+            return grid
+        if kind == "FactorMatrix":
+            return factors[0]
+        if kind == "SamplerMethod":
+            return make_method("leverage-lower", factors, index_set)
+        if kind == "FullGridReduction":
+            return reduce_full_grid(index_set, factors, values)
+        return values
+
+    @pytest.mark.parametrize(
+        "kind", ["Grid1D", "FactorMatrix", "SamplerMethod", "FullGridReduction", "SeparableValues"]
+    )
+    def test_equal_objects_compare_unequal_without_raising(self, kind):
+        first, second = self.build(kind), self.build(kind)
+        assert type(first).__name__ == kind
+        assert (first == second) is False and (first != second) is True
+        assert first == first
+        assert len({first, second, first}) == 2
+
+    def test_trial_refuses_equal_factors_that_are_other_objects(self):
+        index_set, basis = total_degree(2, 2), BasisSpec("legendre-orthonormal", 3)
+        factors = [build_factor(gauss_legendre_grid(8), basis)] * 2
+        copies = [build_factor(gauss_legendre_grid(8), basis)] * 2
+        reduction = reduction_of(index_set, factors, WAVE)
+        rows = sample_indices(make_method("uniform", factors), np.random.default_rng(3), 12)
+        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+            trial_error(reduction, make_method("uniform", copies), rows)
+        trial_error(reduction, make_method("uniform", factors), rows)
 
 
 def old_reduction(index_set, factors, b_values):
