@@ -53,7 +53,6 @@ from .experiments import (
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,
-    grid_values,
     ishigami,
     run_trials,
 )

@@ -1,13 +1,13 @@
-"""Per-dimension design matrices, their QR factors, leverage tables and alias samplers.
+"""Per-dimension design matrices, their QR factors and the alias tables of their leverage rows.
 
 For one dimension with grid (y_m, w_m) and basis functions a_1..a_N, the
 factor matrix has entries sqrt(w_m) * a_n(y_m).  A factor matrix factors
 itself once, when it is built: its thin QR yields columns that are discrete
 orthonormal functions, and squaring the Q entries gives, per column k, a
-probability vector over the grid nodes (the (k,d) leverage scores).  Each
-of those rows gets a Vose alias table so a draw costs O(1) after O(M)
-setup.  Every sampler and the full-grid reduction read these same Q, R and
-tables.
+probability vector over the grid nodes (the (k,d) leverage scores).  The
+factor keeps a Vose alias table of each of those rows, so a draw costs O(1)
+after O(M) setup, and their uniform mixture over k.  Every sampler and the
+full-grid reduction read these same Q, R and tables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .grid_basis import BasisSpec, Grid1D, eval_basis_matrix
 
 __all__ = [
     "FactorMatrix",
-    "LeverageTable1D",
     "build_factor",
     "factor_qr",
     "leverage_table",
@@ -35,7 +34,7 @@ _ROW_BLOCK_BYTES = 1 << 17
 
 @dataclass(frozen=True, eq=False)
 class FactorMatrix:
-    """sqrt(weight)-scaled basis values on one dimension's grid, with its QR and leverage table.
+    """sqrt(weight)-scaled basis values on one dimension's grid, with its QR and sampling tables.
 
     Construction factors the matrix once; a rank-deficient matrix raises
     ``ValueError``.  A factor equals only itself: methods and reductions
@@ -46,54 +45,20 @@ class FactorMatrix:
     grid: Grid1D
     basis: BasisSpec
     # the thin QR: q (M_d, N_d) with orthonormal columns, r (N_d, N_d) upper
-    # triangular with a positive diagonal, and the leverage rows of q
+    # triangular with a positive diagonal; the Vose tables prob, alias
+    # (N_d, M_d) of the leverage rows q[:, k]**2, and the marginal (M_d,),
+    # their mean over k
     q: np.ndarray = field(init=False, repr=False)
     r: np.ndarray = field(init=False, repr=False)
-    leverage: LeverageTable1D = field(init=False, repr=False)
+    prob: np.ndarray = field(init=False, repr=False)
+    alias: np.ndarray = field(init=False, repr=False)
+    marginal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q, r = factor_qr(self.matrix)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "leverage", leverage_table(q))
-
-
-@dataclass(frozen=True)
-class LeverageTable1D:
-    """The (k,d) leverage scores ell_{k,m} plus per-k alias tables.
-
-    ``table[k-1, m-1] = w_m * q_k(y_m)^2``; every row is a probability
-    vector.  ``prob``/``alias`` stack the per-row alias tables so batched
-    draws with mixed k values stay vectorized.
-    """
-
-    table: np.ndarray  # (N_d, M_d)
-    prob: np.ndarray = field(init=False, repr=False, compare=False)
-    alias: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = np.asarray(self.table, dtype=float)
-        if np.any(rows < 0):
-            raise ValueError("leverage scores must be nonnegative")
-        sums = rows.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
-            raise ValueError("each leverage row must sum to 1")
-        prob, alias = zip(*(build_alias(row) for row in rows))
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "prob", np.stack(prob))
-        object.__setattr__(self, "alias", np.stack(alias))
-
-    @property
-    def num_functions(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.table.shape[1]
-
-    def marginal(self) -> np.ndarray:
-        """Uniform mixture over k: the dimension's induced distribution."""
-        return self.table.mean(axis=0)
+        prob, alias, marginal = leverage_table(q)
+        for name, value in dict(q=q, r=r, prob=prob, alias=alias, marginal=marginal).items():
+            object.__setattr__(self, name, value)
 
 
 def build_factor(grid: Grid1D, basis: BasisSpec) -> FactorMatrix:
@@ -123,13 +88,15 @@ def factor_qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def leverage_table(q: np.ndarray) -> LeverageTable1D:
-    """Per-(k, m) leverage scores from the orthonormal factor columns.
+def leverage_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked alias tables ``(prob, alias)`` of the leverage rows, and their ``marginal``.
 
     The factor matrix already carries sqrt(w_m), so the weighted score
     w_m * q_k(y_m)^2 is just the squared Q entry.
     """
-    return LeverageTable1D((q ** 2).T)
+    table = (q ** 2).T
+    prob, alias = map(np.stack, zip(*(build_alias(row) for row in table)))
+    return prob, alias, table.mean(axis=0)
 
 
 def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -181,11 +148,14 @@ def build_alias(probabilities) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def sample_nu_kd(tables: LeverageTable1D, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """0-based node indices, entry i drawn from the 0-based leverage row ``k[i]``."""
+def sample_nu_kd(
+    prob: np.ndarray, alias: np.ndarray, k: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """0-based node indices, entry i drawn from row ``k[i]`` of the stacked alias tables."""
     k = np.asarray(k)
-    if np.any(k < 0) or np.any(k >= tables.num_functions):
-        raise ValueError(f"k outside [0, {tables.num_functions - 1}]")
-    buckets = rng.integers(0, tables.num_nodes, size=k.shape)
+    num_rows, num_nodes = prob.shape
+    if np.any(k < 0) or np.any(k >= num_rows):
+        raise ValueError(f"k outside [0, {num_rows - 1}]")
+    buckets = rng.integers(0, num_nodes, size=k.shape)
     accept = rng.random(size=k.shape)
-    return np.where(accept < tables.prob[k, buckets], buckets, tables.alias[k, buckets])
+    return np.where(accept < prob[k, buckets], buckets, alias[k, buckets])

@@ -42,6 +42,8 @@ class Grid1D:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.shape != nodes.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be equal-length 1D arrays")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights < 0):

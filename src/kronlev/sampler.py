@@ -14,15 +14,15 @@ Four methods draw multivariate grid points and evaluate their point masses:
   set and any factor: it samples the *exact* leverage scores of the
   column-subset design matrix.
 
-A method holds its factors and reads the Q and leverage tables that each
-factor built from its own QR; none factors anything here.
+A method holds its factors and reads the Q, alias tables and marginal that
+each factor built from its own QR; none factors anything here.
 
 Point masses are evaluated on demand: the mixture sum over the index set
-is the squared row norm of the points' Q-row gather, costs O(N*D) per
-query, runs in blocks of points so its memory does not grow with the query
-count, and nothing is precomputed over the full grid.  A trial
-(``sketch.trial_error``) takes the mixture masses from its own gather
-instead, which has the same bits.
+is the squared row norm of the points' Q-row gather (``_mixture_mass``),
+costs O(N*D) per query, runs in blocks of points so its memory does not
+grow with the query count, and nothing is precomputed over the full grid.
+A trial (``sketch.trial_error``) applies ``_mixture_mass`` to its own
+gather instead.
 """
 
 from __future__ import annotations
@@ -139,14 +139,19 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
         return out
     if method.tag == "tensor-product":
         for d, f in enumerate(method.factors):
-            k = rng.integers(0, f.leverage.num_functions, size=size)
-            out[:, d] = sample_nu_kd(f.leverage, k, rng)
+            k = rng.integers(0, f.prob.shape[0], size=size)
+            out[:, d] = sample_nu_kd(f.prob, f.alias, k, rng)
         return out
     # two-stage draw: uniform member of the index set, then its leverage rows
     member = rng.integers(0, method.index_array.shape[0], size=size)
     for d, f in enumerate(method.factors):
-        out[:, d] = sample_nu_kd(f.leverage, method.index_array[member, d], rng)
+        out[:, d] = sample_nu_kd(f.prob, f.alias, method.index_array[member, d], rng)
     return out
+
+
+def _mixture_mass(gather: np.ndarray) -> np.ndarray:
+    """nu_k = ||G[k, :]||^2 / N of a Q-row gather G over an index set of N members."""
+    return np.einsum("ij,ij->i", gather, gather) / gather.shape[1]
 
 
 def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
@@ -154,8 +159,8 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
 
     For the mixture methods the Q-row gather G[k, alpha] =
     prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed in blocks of
-    _MASS_CHUNK points, and nu_k = ||G[k, :]||^2 / N; each block is freed
-    before the next is formed, so one block is held.
+    _MASS_CHUNK points, each reduced by ``_mixture_mass``; each block is
+    freed before the next is formed, so one block is held.
     """
     idx0 = _check_rows(idx0, method.grid_shape)
     if method.tag == "uniform":
@@ -163,15 +168,14 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     elif method.tag == "tensor-product":
         mass = np.ones(idx0.shape[0])
         for d, f in enumerate(method.factors):
-            mass *= f.leverage.marginal()[idx0[:, d]]
+            mass *= f.marginal[idx0[:, d]]
     else:
         mass = np.empty(idx0.shape[0])
         for start in range(0, idx0.shape[0], _MASS_CHUNK):
             block = slice(start, start + _MASS_CHUNK)
             gather = None  # free the previous block before the next is formed
             gather = _kron_rows([f.q for f in method.factors], idx0[block], method.index_array)
-            mass[block] = np.einsum("ij,ij->i", gather, gather)
-        mass /= method.index_array.shape[0]
+            mass[block] = _mixture_mass(gather)
     return mass
 
 

@@ -48,7 +48,14 @@ import numpy as np
 from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, is_monotone_lower
-from .sampler import SamplerMethod, _check_rows, mu_mass_many, point_mass_many, sample_indices
+from .sampler import (
+    SamplerMethod,
+    _check_rows,
+    _mixture_mass,
+    mu_mass_many,
+    point_mass_many,
+    sample_indices,
+)
 
 __all__ = [
     "TargetFunction",
@@ -575,8 +582,8 @@ def trial_error(
     orthonormal coordinates, where the sketch is well conditioned and
     ``solve`` takes its semi-normal path.  The Q-row gather over L is formed
     once.  L lists J's members first, in a mixture method's index order, so
-    a mixture method's nu is the squared norm of its first N columns over N,
-    with the bits of ``point_mass_many``, which gives the other methods' nu.
+    a mixture method's nu is ``_mixture_mass`` of its first N columns, as in
+    ``point_mass_many``, which gives the other methods' nu.
     The gather is scaled in place, so a lower J's trial holds one (K, N)
     array next to ``solve``'s N x N Gram and Cholesky factor.
     The method must be built on the reduction's factors, the same objects,
@@ -598,7 +605,7 @@ def trial_error(
     if method.index_array is None:
         nu = point_mass_many(method, rows)
     else:
-        nu = np.einsum("ij,ij->i", g[:, :n], g[:, :n]) / n
+        nu = _mixture_mass(g[:, :n])
     if not np.all(nu > 0.0):
         raise ValueError("a row has zero point mass under the method")
     scale = 1.0 / np.sqrt(len(rows) * nu)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import kronlev.factor as factor_module
+from kronlev.config import load_json, parse_problem
+from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.factor import (
     FactorMatrix,
-    LeverageTable1D,
     _kron_rows,
     build_alias,
     build_factor,
@@ -30,6 +31,17 @@ def reconstructed(tables):
     p = prob.copy()
     np.add.at(p, alias, 1.0 - prob)
     return p / prob.size
+
+
+def stacked(*laws):
+    """Stacked Vose tables ``(prob, alias)`` with one row per given law."""
+    prob, alias = zip(*(build_alias(law) for law in laws))
+    return np.stack(prob), np.stack(alias)
+
+
+def leverage_rows(f):
+    """The (N_d, M_d) laws that a factor's alias tables sample, row k for column k."""
+    return np.stack([reconstructed((prob, alias)) for prob, alias in zip(f.prob, f.alias)])
 
 
 class TestBuildFactor:
@@ -69,14 +81,14 @@ class TestFactorQr:
 
 class TestLeverageTable:
     def test_rows_are_probability_vectors(self):
-        table = monomial_factor(9, 4).leverage
-        assert np.max(np.abs(table.table.sum(axis=1) - 1.0)) < 1e-10
-        assert np.all(table.table >= 0)
+        rows = leverage_rows(monomial_factor(9, 4))
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-10
+        assert np.all(rows >= 0)
 
     def test_constant_function_row_equals_weights(self):
         g = gauss_legendre_grid(7)
-        table = build_factor(g, BasisSpec("monomial", 3)).leverage
-        assert np.allclose(table.table[0], g.weights, atol=1e-14)
+        rows = leverage_rows(build_factor(g, BasisSpec("monomial", 3)))
+        assert np.allclose(rows[0], g.weights, atol=1e-14)
 
     def test_against_independent_recomputation(self):
         # q_k(y_m) = [V R^{-1}]_{m,k} with V the raw basis values
@@ -88,12 +100,11 @@ class TestLeverageTable:
         raw = eval_basis_matrix(basis, g.nodes)
         q_func = raw @ np.linalg.inv(f.r)
         recomputed = (g.weights[:, None] * q_func**2).T
-        table = f.leverage
-        assert np.max(np.abs(table.table - recomputed)) < 1e-14
+        assert np.max(np.abs(leverage_rows(f) - recomputed)) < 1e-14
 
     def test_square_case_marginal_is_uniform(self):
-        table = monomial_factor(6, 6).leverage
-        assert np.max(np.abs(table.marginal() - 1.0 / 6.0)) < 1e-10
+        f = monomial_factor(6, 6)
+        assert np.max(np.abs(f.marginal - 1.0 / 6.0)) < 1e-10
 
     def test_rows_are_the_normalized_columns_for_orthogonal_columns(self):
         # orthogonal columns are Q up to column scaling, so normalizing them
@@ -101,14 +112,19 @@ class TestLeverageTable:
         f = legendre_factor(12, 5)
         normalized = f.matrix / np.linalg.norm(f.matrix, axis=0)
         assert np.max(np.abs(f.q - normalized)) < 1e-12
-        assert np.max(np.abs(f.leverage.table - (normalized**2).T)) < 1e-12
+        assert np.max(np.abs(leverage_rows(f) - (normalized**2).T)) < 1e-12
+
+    @pytest.mark.parametrize("name", list_packaged_configs())
+    def test_packaged_alias_rows_are_the_squared_columns(self, name):
+        for f in parse_problem(load_json(packaged_config_path(name))).factors:
+            assert np.max(np.abs(leverage_rows(f) - (f.q**2).T)) < 1e-12
+            assert abs(f.marginal.sum() - 1.0) < 1e-12
 
 
 class TestAlias:
     def test_singleton_always_drawn(self):
-        table = LeverageTable1D(np.array([[1.0]]))
         rng = np.random.default_rng(0)
-        assert np.all(sample_nu_kd(table, np.zeros(10, dtype=np.int64), rng) == 0)
+        assert np.all(sample_nu_kd(*stacked([1.0]), np.zeros(10, dtype=np.int64), rng) == 0)
 
     def test_reconstruction_identity(self):
         p = np.array([5 / 18, 8 / 18, 5 / 18])
@@ -121,10 +137,9 @@ class TestAlias:
             assert np.max(np.abs(reconstructed(build_alias(p)) - p)) < 1e-12
 
     def test_fair_coin_frequencies(self):
-        table = LeverageTable1D(np.array([[0.5, 0.5]]))
         rng = np.random.default_rng(7)
         n = 10**6
-        ones = int(np.sum(sample_nu_kd(table, np.zeros(n, dtype=np.int64), rng)))
+        ones = int(np.sum(sample_nu_kd(*stacked([0.5, 0.5]), np.zeros(n, dtype=np.int64), rng)))
         sigma = np.sqrt(n * 0.25)
         assert abs(ones - n / 2) < 3 * sigma
 
@@ -139,33 +154,31 @@ class TestAlias:
 
 class TestSampleNuKd:
     def test_one_hot_row_is_deterministic(self):
-        nodes = np.array([-1.0, 0.0, 1.0])
-        table_rows = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        tables = LeverageTable1D(table_rows)
+        tables = stacked([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
         rng = np.random.default_rng(3)
-        assert np.all(sample_nu_kd(tables, np.zeros(20, dtype=np.int64), rng) == 1)
-        assert np.all(sample_nu_kd(tables, np.ones(20, dtype=np.int64), rng) == 0)
+        assert np.all(sample_nu_kd(*tables, np.zeros(20, dtype=np.int64), rng) == 1)
+        assert np.all(sample_nu_kd(*tables, np.ones(20, dtype=np.int64), rng) == 0)
 
     def test_empirical_law_close_in_total_variation(self):
-        table = monomial_factor(10, 4).leverage
+        f = monomial_factor(10, 4)
         rng = np.random.default_rng(11)
         k = 2
         n = 10**5
-        drawn = sample_nu_kd(table, np.full(n, k), rng)
+        drawn = sample_nu_kd(f.prob, f.alias, np.full(n, k), rng)
         freq = np.bincount(drawn, minlength=10) / n
-        tv = 0.5 * np.sum(np.abs(freq - table.table[k]))
+        tv = 0.5 * np.sum(np.abs(freq - f.q[:, k] ** 2))
         assert tv < 0.01
 
     def test_out_of_range_k(self):
-        table = monomial_factor(5, 2).leverage
+        f = monomial_factor(5, 2)
         for k in (-1, 2):
             with pytest.raises(ValueError, match="k outside"):
-                sample_nu_kd(table, np.array([0, k]), np.random.default_rng(0))
+                sample_nu_kd(f.prob, f.alias, np.array([0, k]), np.random.default_rng(0))
 
     def test_vectorized_k_shapes(self):
-        table = monomial_factor(5, 2).leverage
+        f = monomial_factor(5, 2)
         rng = np.random.default_rng(0)
-        out = sample_nu_kd(table, np.array([0, 1, 0, 1]), rng)
+        out = sample_nu_kd(f.prob, f.alias, np.array([0, 1, 0, 1]), rng)
         assert out.shape == (4,)
         assert np.all((out >= 0) & (out <= 4))
 

@@ -77,6 +77,15 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="not renormalizing"):
             Grid1D(np.array([-1.0, 1.0]), np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize(
+        "nodes,weights",
+        [([-1.0, 0.0, 1.0], [np.nan, 0.5, 0.5]), ([-1.0, 0.0, np.inf], [0.25, 0.5, 0.25])],
+        ids=["nan-weight", "inf-node"],
+    )
+    def test_rejects_non_finite_values(self, nodes, weights):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(nodes, weights)
+
 
 class TestEvalBasis:
     def test_monomial_first_function_is_one(self):

@@ -805,7 +805,7 @@ class TestSharedGather:
         scale = 1.0 / np.sqrt(len(rows) * mass)
         np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
-        tables = [f.leverage.table.T for f in method.factors]
+        tables = [np.square(f.q) for f in method.factors]
         earlier = _kron_rows(tables, rows, method.index_array).sum(axis=1) / n
         assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
 
