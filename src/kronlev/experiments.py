@@ -27,14 +27,11 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .grid_basis import Grid1D
 from .sampler import METHOD_TAGS, sample_indices
-# draw_sketch is imported but never called here, as a trial takes its rows
-# from sample_indices; the benchmark's tracer asserts that it patches this binding.
 from .sketch import (
     FullGridReduction,
     SeparableValues,
     TargetFunction,
     _one_blas_thread,
-    draw_sketch,
     reduce_full_grid,
     trial_error,
 )

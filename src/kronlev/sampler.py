@@ -32,9 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# factor_qr is imported but never called here, as each factor is QR'd when it
-# is built; the benchmark's tracer asserts that it patches this binding.
-from .factor import FactorMatrix, _kron_rows, factor_qr, sample_nu_kd
+from .factor import FactorMatrix, _kron_rows, sample_nu_kd
 from .grid_basis import Grid1D
 from .indexset import MultiIndexSet, is_monotone_lower
 

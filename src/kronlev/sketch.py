@@ -9,10 +9,10 @@ evaluation and no pass over the grid; for the two mixture methods the same
 Q-row gather gives nu.
 
 The target enters the reduction either as its values on the whole grid or,
-when it is a sum of products of one-dimensional functions, as a
-``SeparableValues`` of per-dimension tables.  Then the reduction works from
-per-dimension products in O(r D M max N_d) plus J's bounding box, no array of
-the grid's size is formed, and a trial sums the terms at its K rows.
+when it is a sum of r products of one-dimensional functions, as a
+``SeparableValues`` of per-dimension tables.  Then the reduction walks L's
+prefixes in O(r D M max N_d + r^2 D |L| max N_d), with no array of the grid's
+or J's bounding box's size, and a trial sums the terms at its K rows.
 
 A trial holds one (K, N) array, its sketch rows: ``factor._kron_rows``
 builds them in place a cache-sized block of rows at a time, they are
@@ -471,38 +471,42 @@ def _project_separable(
     qs: Sequence[np.ndarray],
     lower: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
-    """(c, ||b||^2, ||r||^2) of b = sum_r kron_d beta_{r,d}, from per-dimension products.
+    """(c, ||b||^2, ||r||^2) of b = sum_r kron_d beta_{r,d}, by one walk over L's prefixes.
 
-    With beta_{r,d} = sqrt(w^(d)) g_{r,d}, p = Q_d^T beta and the part
-    t = beta - Q_d p outside range(Q_d), formed explicitly, the coefficients
-    on J's bounding box are C = sum_r kron_d p_{r,d}, and c = C at L.
-    ||b||^2 = sum_{r,s} prod_d <beta_r, beta_s>_d.  ||r||^2 has two parts,
-    neither a difference of larger sums, so a tiny residual keeps its digits:
-    the squares of C outside L, and the part of b outside the box,
-    sum over nonempty S of prod_{d in S} <t_r, t_s>_d prod_{d not in S} <p_r, p_s>_d,
-    summed over (r, s) by E_d = E_{d-1} o (T_d + P_d) + (P_1 o ... o P_{d-1}) o T_d.
-    The work is O(r D M max N_d + r^2 D M + r |box|), with no grid-sized array.
+    With beta_{r,d} = sqrt(w^(d)) g_{r,d}, p_d = Q_d^T beta_d, t_d = beta_d - Q_d p_d
+    and A_d the Hadamard product of beta_k beta_k^T over k > d, ||b||^2 = sum(A_0).  A
+    prefix (alpha_1, ..., alpha_{d-1}) of L's members carries u = prod_{k<d} p_k[:, alpha_k],
+    and c at a member is sum_r u.  The part of b leaving L at dimension d below u has the
+    squared norm u^T (t_d t_d^T o A_d) u plus (u o p_d[:, a])^T A_d (u o p_d[:, a]) over
+    the a < N_d that extend u out of L: positive semidefinite forms, so ||r||^2 is no
+    difference of larger sums.  O(r D M max N_d + r^2 D |L| max N_d) work, and no array
+    exceeds r |L| max N_d.
     """
     betas = [np.stack([term[d] for term in values.terms]) * w for d, w in enumerate(root_w)]
-    b_sq = float(reduce(np.multiply, [beta @ beta.T for beta in betas]).sum())
+    grams = [beta @ beta.T for beta in betas]
+    b_sq = float(reduce(np.multiply, grams).sum())
     if not math.isfinite(b_sq):
         raise ValueError("b_values must be finite")
     if not b_sq > 0.0:  # zero, or below zero by rounding where the terms cancel
         raise ValueError("b_values are zero wherever the grid weight is positive")
-    ps = [beta @ q for beta, q in zip(betas, qs)]  # (r, N_d) per dimension
-    ts = [beta - p @ q.T for beta, p, q in zip(betas, ps, qs)]  # (r, M_d) per dimension
-    coeffs = np.zeros([q.shape[1] for q in qs])
-    for term in zip(*ps):
-        coeffs += reduce(np.multiply.outer, term)
-    c = coeffs[tuple(lower.T)]
-    coeffs[tuple(lower.T)] = 0.0
-    grams = [(p @ p.T, t @ t.T) for p, t in zip(ps, ts)]  # (P_d, T_d) per dimension
-    prefix, tail = grams[0]  # P_1 o ... o P_d and E_d
-    for inner, outside in grams[1:]:
-        tail = tail * (outside + inner) + prefix * outside
-        prefix = prefix * inner
-    # the tail sums Hadamard products of Gram matrices: nonnegative but for rounding
-    return c, b_sq, float(np.vdot(coeffs, coeffs)) + max(float(tail.sum()), 0.0)
+    # one row of u per prefix of this depth, and each member's prefix
+    u, node, residual_sq = np.ones((1, len(grams[0]))), np.zeros(len(lower), dtype=np.intp), 0.0
+    for d, (beta, q) in enumerate(zip(betas, qs)):
+        tail = reduce(np.multiply, grams[d + 1 :], np.ones_like(grams[0]))  # A_d
+        p = beta @ q  # (r, N_d)
+        t = beta - p @ q.T  # (r, M_d)
+        prefixes, first, child = np.unique(
+            lower[:, : d + 1], axis=0, return_index=True, return_inverse=True
+        )
+        parent, a = node[first], prefixes[:, d]
+        missing = np.ones((len(u), q.shape[1]), dtype=bool)
+        missing[parent, a] = False
+        out = (u[:, None, :] * p.T)[missing]  # u o p_d[:, a] for each a that leaves L
+        residual_sq += np.einsum("ir,rs,is->", u, t @ t.T * tail, u)
+        residual_sq += np.einsum("ir,rs,is->", out, tail, out)
+        u, node = u[parent] * p.T[a], child.reshape(-1)
+    c = reduce(np.add, u.T, np.zeros(len(u)))[node]  # the terms added in order
+    return c, b_sq, max(float(residual_sq), 0.0)  # each form is nonnegative but for rounding
 
 
 def reduce_full_grid(
@@ -517,9 +521,9 @@ def reduce_full_grid(
     (dimension 1 slowest), which are not written, or its ``SeparableValues``.
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
-    working array; separable values cost O(r D M max N_d) plus J's bounding
-    box, with no grid-sized array.  The projection runs on one BLAS thread,
-    as a threaded dot product or matrix product rounds by thread count.
+    working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
+    with no array above r |L| max N_d or R_{L,J}'s |L| N.  The projection runs
+    on one BLAS thread, as a threaded dot or matrix product rounds by thread count.
     An index set of another dimension than the factors raises ValueError.
     """
     factors = tuple(factors)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,9 +15,15 @@ from kronlev.config import ConfigError, load_json, parse_experiment, parse_probl
 from kronlev.configs import packaged_config_path
 from kronlev.experiments import grid_values, prepare_problem, run_trials
 from kronlev.factor import build_factor
-from kronlev.grid_basis import BasisSpec, Grid1D, eval_basis_matrix, gauss_legendre_grid
+from kronlev.grid_basis import (
+    BasisSpec,
+    Grid1D,
+    eval_basis_matrix,
+    gauss_legendre_grid,
+    gauss_legendre_uniform_grid,
+)
 from kronlev.indexset import IndexSetSpec, build_index_set
-from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
+from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
 from kronlev.sketch import (
     SeparableValues,
     full_relative_error,
@@ -140,7 +148,7 @@ def test_tables_must_fit_the_grid():
         SeparableValues(((np.ones(5), np.ones(5)), (np.ones(5),)))
 
 
-def manufactured(index_set, m, seed):
+def manufactured(index_set, m, seed, nonzero=None):
     """f = sum_{alpha in J} c_alpha P_alpha + sum_{beta in B} d_beta P_beta as separable terms.
 
     P_alpha is the product of orthonormal Legendre polynomials of degrees
@@ -148,6 +156,8 @@ def manufactured(index_set, m, seed):
     every dimension: some inside J's bounding box, and some beyond it.  On
     m-node Gauss-Legendre grids with quadrature weights these are discretely
     orthonormal, so Q_J^T b = c and the optimal error is ||d|| / ||(c, d)||.
+    With ``nonzero`` set, only that many of the c_alpha, drawn at random, are
+    nonzero, and only their terms are formed.
     """
     rng = np.random.default_rng(seed)
     dimension, members = index_set.dimension, set(index_set.indices)
@@ -160,33 +170,57 @@ def manufactured(index_set, m, seed):
         if beta not in members and beta not in outside and beyond == past_box:
             outside.append(beta)
     c = rng.standard_normal(len(index_set))
+    if nonzero is not None:
+        c[rng.permutation(len(c))[nonzero:]] = 0.0
     d = 0.3 * rng.standard_normal(len(outside))
     grid = gauss_legendre_grid(m)
     legendre = eval_basis_matrix(BasisSpec("legendre-orthonormal", m), grid.nodes)
     terms = tuple(
         (coef * legendre[:, alpha[0] - 1],) + tuple(legendre[:, a - 1] for a in alpha[1:])
         for coef, alpha in zip(np.concatenate([c, d]), list(index_set.indices) + outside)
+        if coef != 0.0
     )
     return SeparableValues(terms), c, d
 
 
+def manufactured_param(dimension, family, order, m, nonzero=None):
+    return pytest.param(dimension, family, order, m, nonzero, id=f"D{dimension}-{family}-{order}-M{m}")
+
+
+# from D = 8 on, J's bounding box holds 1.7e6 (D = 8, total degree 5) to 1.1e12
+# (D = 20, total degree 3) entries; the reduction costs r^2 per prefix of L and
+# coefficient, so there only six of J's coefficients are nonzero (r = 18)
 MANUFACTURED = [
-    pytest.param(dimension, family, order, m, id=f"D{dimension}-{family}-{order}-M{m}")
+    manufactured_param(dimension, family, order, m)
     for dimension, order, m in [(2, 6, 9), (3, 5, 8), (4, 4, 7), (5, 3, 6), (6, 3, 6), (7, 3, 8)]
     for family in ("wlp-ball", "hyperbolic-cross")
+] + [
+    manufactured_param(dimension, family, order, m, nonzero=6)
+    for dimension, family, order, m in [
+        (8, "wlp-ball", 5, 7), (8, "hyperbolic-cross", 16, 18),
+        (10, "wlp-ball", 4, 6), (10, "hyperbolic-cross", 8, 10),
+        (20, "wlp-ball", 3, 6), (20, "hyperbolic-cross", 6, 8),
+    ]
 ]
 
 
-@pytest.mark.parametrize("dimension,family,order,m", MANUFACTURED)
-def test_manufactured_targets_give_their_closed_form(dimension, family, order, m, monkeypatch):
+@pytest.mark.parametrize("dimension,family,order,m,nonzero", MANUFACTURED)
+def test_manufactured_targets_give_their_closed_form(dimension, family, order, m, nonzero, monkeypatch):
     def no_grid(*args):
         raise AssertionError("the separable path formed the grid")
 
     monkeypatch.setattr(sketch_module, "_project_grid", no_grid)
     index_set = build_index_set(IndexSetSpec(dimension, family, order, weights=(1.0,) * dimension))
     factors = [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", m))] * dimension
-    values, c, d = manufactured(index_set, m, seed=dimension)
-    reduction = reduce_full_grid(index_set, factors, values)
+    values, c, d = manufactured(index_set, m, seed=dimension, nonzero=nonzero)
+    tracemalloc.start()
+    try:
+        reduction = reduce_full_grid(index_set, factors, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # r_lj and 16 MB: nothing of the size of J's bounding box
+    assert peak <= reduction.r_lj.nbytes + (16 << 20)
     scale = math.sqrt(c @ c + d @ d)
     assert np.max(np.abs(reduction.c - c)) <= 1e-12 * scale
     assert relative(reduction.optimal_error, math.sqrt(d @ d) / scale) <= 1e-12
@@ -198,6 +232,59 @@ def test_manufactured_targets_give_their_closed_form(dimension, family, order, m
         rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
         error, flag = trial_error(reduction, method, rows)
         assert not flag and reduction.optimal_error <= error < 1.0
+
+
+@pytest.mark.parametrize("dimension,order,m", [(3, 5, 8), (7, 3, 8)])
+def test_leverage_lower_mass_is_its_closed_form(dimension, order, m):
+    # on Gauss-Legendre grids the weighted orthonormal Legendre columns are
+    # orthonormal, so Q^(d)[m, a]^2 = w_m P_{a-1}(y_m)^2 and
+    # nu(m) = (1/N) sum_{alpha in J} prod_d w_{m_d} P_{alpha_d - 1}(y_{m_d})^2
+    index_set = build_index_set(IndexSetSpec(dimension, "wlp-ball", order, weights=(1.0,) * dimension))
+    grid = gauss_legendre_grid(m)
+    factors = [build_factor(grid, BasisSpec("legendre-orthonormal", m))] * dimension
+    method = make_method("leverage-lower", factors, index_set)
+    rows = sample_indices(method, np.random.default_rng(dimension), 4 * len(index_set))
+    legendre = eval_basis_matrix(BasisSpec("legendre-orthonormal", m), grid.nodes)
+    table = grid.weights[:, None] * legendre**2  # (m, degree + 1)
+    cols = np.asarray(index_set.indices) - 1
+    products = np.ones((len(rows), len(index_set)))
+    for d in range(dimension):
+        products *= table[rows[:, d]][:, cols[:, d]]
+    expected = products.sum(axis=1) / len(index_set)
+    np.testing.assert_allclose(point_mass_many(method, rows), expected, rtol=1e-12, atol=0.0)
+
+
+def genz(kind, grids, a, w):
+    """Genz's (1984) product peak or Gaussian on the grids, as one separable term.
+
+    Both are products f(x) = prod_d g_d(x_d) on [0, 1]^D, here at
+    x = (y + 1) / 2 for the nodes y in [-1, 1]: the product peak has
+    g_d = 1 / (a_d^-2 + (x_d - w_d)^2), the Gaussian g_d = exp(-a_d^2 (x_d - w_d)^2).
+    """
+    tables = []
+    for grid, a_d, w_d in zip(grids, a, w):
+        x = (grid.nodes + 1.0) / 2.0
+        if kind == "product-peak":
+            tables.append(1.0 / (a_d**-2.0 + (x - w_d) ** 2))
+        else:
+            tables.append(np.exp(-((a_d * (x - w_d)) ** 2)))
+    return SeparableValues((tuple(tables),))
+
+
+@pytest.mark.parametrize("family", ["wlp-ball", "hyperbolic-cross"])
+@pytest.mark.parametrize("kind", ["product-peak", "gaussian"])
+def test_genz_targets_match_the_grid_path(kind, family):
+    dimension, m = 4, 9
+    index_set = build_index_set(IndexSetSpec(dimension, family, 4, weights=(1.0,) * dimension))
+    grids = [gauss_legendre_uniform_grid(m)] * dimension
+    factors = [build_factor(grids[0], BasisSpec("legendre-orthonormal", 5))] * dimension
+    values = genz(kind, grids, a=(4.0, 3.0, 2.0, 1.0), w=(0.2, 0.4, 0.6, 0.8))
+    separable = reduce_full_grid(index_set, factors, values)
+    grid = reduce_full_grid(index_set, factors, reduce(np.multiply.outer, values.terms[0]))
+    assert 1e-3 < grid.optimal_error < 0.5
+    assert np.max(np.abs(separable.c - grid.c)) <= 1e-13 * np.linalg.norm(grid.c)
+    for field in ("b_sq", "residual_sq", "optimal_error"):
+        assert relative(getattr(separable, field), getattr(grid, field)) <= 1e-13, field
 
 
 def test_ishigami_never_forms_the_grid(monkeypatch, tmp_path, capsys):
