@@ -6,20 +6,23 @@ three inputs in [-1, 1].  The harness takes the model into the full-grid
 reduction once: Ishigami, a sum of three products of one-dimensional
 functions, as its per-dimension tables (``sketch.SeparableValues``), so it
 is never evaluated on the whole grid; Duffing and a tabulated model as
-values on the grid.  It runs repeated ``sketch.trial_error`` trials per
-sampling method, records full-grid relative errors against the optimal
-one, and exports the per-method error distributions as CDF tables or an
-SVG staircase plot.
+values on the grid.  Duffing is evaluated there in up to ``threads``
+forked processes on Linux, each on a contiguous piece of the grid's rows.
+The harness runs repeated ``sketch.trial_error`` trials per sampling
+method on up to ``threads`` worker threads, records full-grid relative
+errors against the optimal one, and exports the per-method error
+distributions as CDF tables or an SVG staircase plot.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,6 +58,9 @@ __all__ = [
 METHOD_IDS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
 _EVAL_CHUNK = 65536
+# Grid evaluation forks its workers on Linux only: fork is unsafe with
+# system libraries on macOS and does not exist on Windows.
+_CAN_FORK = sys.platform.startswith("linux")
 
 
 def _ishigami_terms(a: float, b_param: float) -> tuple:
@@ -115,18 +121,23 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     w1 = 2.0 * np.pi * (1.0 + 0.2 * y[:, 0])
     w2 = 0.05 * (1.0 + 0.05 * y[:, 1])
     w3 = -0.5 * (1.0 + 0.5 * y[:, 2])
-    # accel(u, v) = -c v - k (u + w3 u^3) = neg_c v + u (neg_k + neg_kw3 u^2)
-    neg_c = -2.0 * w1 * w2
-    neg_k = -(w1 * w1)
-    neg_kw3 = neg_k * w3
 
-    # Stage state, slope and weighted slope sums live in buffers owned by
-    # this call and are overwritten in place; nothing is shared between calls.
+    # The state, stage state, slopes, weighted slope sums and coefficients
+    # are the rows of one block owned by this call, overwritten in place;
+    # nothing is shared between calls.  Each row starts on a 64-byte
+    # boundary, where numpy's loops run faster than on unaligned rows.
     n = y.shape[0]
-    u, v = np.ones(n), np.zeros(n)
-    stage_u, stage_v = np.empty(n), np.empty(n)
-    slope, scratch = np.empty(n), np.empty(n)
-    sum_u, sum_v = np.empty(n), np.empty(n)
+    row = -(-n // 8) * 8
+    raw = np.empty(11 * row + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    block = raw[skip : skip + 11 * row].reshape(11, row)[:, :n]
+    u, v, stage_u, stage_v, slope, scratch, sum_u, sum_v, neg_c, neg_k, neg_kw3 = block
+    u.fill(1.0)
+    v.fill(0.0)
+    # accel(u, v) = -c v - k (u + w3 u^3) = neg_c v + u (neg_k + neg_kw3 u^2)
+    np.multiply(-2.0 * w1, w2, out=neg_c)
+    np.negative(w1 * w1, out=neg_k)
+    np.multiply(neg_k, w3, out=neg_kw3)
 
     def accel(su, sv):
         np.multiply(su, su, out=slope)
@@ -136,17 +147,19 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
         np.multiply(neg_c, sv, out=scratch)
         np.add(slope, scratch, out=slope)
 
-    def stage(du, step_h, weight):
-        # evaluate at (u, v) + step_h * (du, slope), the previous stage's
-        # slopes, then add weight * this stage's slopes (stage_v, slope)
+    def stage(du, step_h):
+        # evaluate at (u, v) + step_h * (du, slope), the previous stage's slopes
         np.multiply(du, step_h, out=stage_u)
         np.add(stage_u, u, out=stage_u)
         np.multiply(slope, step_h, out=stage_v)
         np.add(stage_v, v, out=stage_v)
         accel(stage_u, stage_v)
-        np.multiply(stage_v, weight, out=scratch)
-        np.add(sum_u, scratch, out=sum_u)
-        np.multiply(slope, weight, out=scratch)
+
+    def add_twice(base_u):
+        # sum_u = base_u + 2 stage_v and sum_v += 2 slope, this stage's slopes
+        np.multiply(stage_v, 2.0, out=scratch)
+        np.add(base_u, scratch, out=sum_u)
+        np.multiply(slope, 2.0, out=scratch)
         np.add(sum_v, scratch, out=sum_v)
 
     # overflow here is not an error condition per se; the finiteness check
@@ -154,11 +167,14 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             accel(u, v)
-            np.copyto(sum_u, v)
             np.copyto(sum_v, slope)
-            stage(v, half_h, 2.0)
-            stage(stage_v, half_h, 2.0)
-            stage(stage_v, h, 1.0)
+            stage(v, half_h)
+            add_twice(v)
+            stage(stage_v, half_h)
+            add_twice(sum_u)
+            stage(stage_v, h)
+            sum_u += stage_v
+            sum_v += slope
             sum_u *= sixth_h
             u += sum_u
             sum_v *= sixth_h
@@ -190,45 +206,75 @@ def _tabulated_values(path: str, grids: Sequence[Grid1D]) -> np.ndarray:
 def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> TargetFunction:
     """The target function of a parsed model spec; ``grids`` is not used.
 
-    A tabulated model has no target function: ``grid_values`` reads it.
+    The function is a ``functools.partial`` of a module-level model, so it
+    pickles.  A tabulated model has no target function: ``grid_values``
+    reads it.
     """
     name = model["name"]
     if name == "ishigami":
-        a, b_param = model["a"], model["b"]
-        return TargetFunction("ishigami", lambda c: ishigami(c, a, b_param))
+        return TargetFunction("ishigami", partial(ishigami, a=model["a"], b_param=model["b"]))
     if name == "duffing":
-        t_final, step = model["t_final"], model["step"]
-        return TargetFunction("duffing", lambda c: duffing_qoi_batch(c, t_final, step))
+        return TargetFunction(
+            "duffing", partial(duffing_qoi_batch, t_final=model["t_final"], step=model["step"])
+        )
     if name == "tabulated":
         raise ValueError("a tabulated model has no target function; read it with grid_values")
     raise ValueError(f"unknown model {name!r}")
 
 
-def evaluate_on_grid(target: TargetFunction, grids: Sequence[Grid1D]) -> np.ndarray:
-    """Target values over the full grid in lexicographic order, chunked."""
-    shape = tuple(len(g) for g in grids)
-    total = int(np.prod(shape))
-    out = np.empty(total)
-    for start in range(0, total, _EVAL_CHUNK):
-        rows = np.arange(start, min(start + _EVAL_CHUNK, total))
-        per_dim = np.unravel_index(rows, shape)
-        coords = np.column_stack([g.nodes[per_dim[d]] for d, g in enumerate(grids)])
-        out[rows] = target(coords)
-    return out
+def _grid_rows(target: TargetFunction, grids: Sequence[Grid1D], start: int, stop: int) -> np.ndarray:
+    """Target values at the grid's rows start, ..., stop - 1 in lexicographic order."""
+    per_dim = np.unravel_index(np.arange(start, stop), tuple(len(g) for g in grids))
+    return target(np.column_stack([g.nodes[per_dim[d]] for d, g in enumerate(grids)]))
 
 
-def grid_values(model: dict, grids: Sequence[Grid1D]) -> np.ndarray:
+def evaluate_on_grid(
+    target: TargetFunction, grids: Sequence[Grid1D], workers: int = 1
+) -> np.ndarray:
+    """Target values over the full grid in lexicographic order, in up to ``workers`` processes.
+
+    The rows are split into near-equal contiguous pieces, at least
+    ``workers`` of them and none longer than ``_EVAL_CHUNK`` rows.  With
+    more than one worker and more than one piece on Linux, the pieces are
+    evaluated in forked processes, so ``target`` must pickle; elsewhere they
+    are evaluated in turn.  Each point's value depends on that point alone,
+    so the result has the same bits for every ``workers``.
+    """
+    total = math.prod(len(g) for g in grids)
+    pieces = min(total, max(workers, -(-total // _EVAL_CHUNK)))
+    bounds = [total * i // pieces for i in range(pieces + 1)]
+    piece = partial(_grid_rows, target, grids)
+    if workers > 1 and pieces > 1 and _CAN_FORK:
+        # fork, not spawn: a spawned worker imports numpy and kronlev again,
+        # about 0.2 s, which is most of what it would save.  The pool forks
+        # before it starts its own threads, the built-in models call numpy
+        # ufuncs only, and OpenBLAS, whose idle pool is the only other thread
+        # alive during set-up, shuts that pool down at a fork.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            min(workers, pieces), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            parts = list(pool.map(piece, bounds[:-1], bounds[1:]))
+    else:
+        parts = [piece(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate(parts)
+
+
+def grid_values(model: dict, grids: Sequence[Grid1D], workers: int = 1) -> np.ndarray:
     """The model over the full grid in lexicographic order; a tabulated file is read as is."""
     if model["name"] == "tabulated":
         return _tabulated_values(model["path"], grids)
-    return evaluate_on_grid(make_target(model), grids)
+    return evaluate_on_grid(make_target(model), grids, workers)
 
 
-def prepare_problem(problem: ProblemSetup) -> FullGridReduction:
+def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReduction:
     """The full-grid reduction of the problem's model, which every trial reads.
 
     Ishigami enters as its terms tabulated on each dimension's nodes, so the
-    grid is never formed; every other model as its values on the grid.
+    grid is never formed; every other model as its values on the grid,
+    evaluated by ``grid_values`` in up to ``workers`` processes.
     """
     model = problem.model
     if model["name"] == "ishigami":
@@ -237,7 +283,7 @@ def prepare_problem(problem: ProblemSetup) -> FullGridReduction:
             tuple(tuple(g(grid.nodes) for g, grid in zip(term, problem.grids)) for term in terms)
         )
     else:
-        b_values = grid_values(model, problem.grids)
+        b_values = grid_values(model, problem.grids, workers)
     return reduce_full_grid(problem.index_set, problem.factors, b_values)
 
 
@@ -258,6 +304,13 @@ class TrialReport:
                 yield tag, t, err
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
@@ -265,12 +318,15 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     once into the reduction every ``trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
     and the trials run on one BLAS thread, so reports are pure functions of
-    the config regardless of ``threads`` and the BLAS thread count.  At most
-    ``os.cpu_count()`` worker threads are started, whatever ``threads`` asks.
+    the config regardless of ``threads`` and the BLAS thread count.
+
+    ``threads`` is capped once at the CPUs this process may run on
+    (``_usable_cpus``).  That many forked processes evaluate a grid-valued
+    model during set-up, and that many worker threads run the trials.
     """
     problem = experiment.problem
     methods = {tag: problem.method(tag) for tag in experiment.methods}
-    reduction = prepare_problem(problem)
+    workers = min(threads, _usable_cpus())
 
     def one_trial(tag: str, trial: int) -> float:
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
@@ -278,8 +334,10 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         return trial_error(reduction, methods[tag], rows)[0]
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
-    workers = min(threads, os.cpu_count() or 1)
+    # pinned before the grid evaluation forks: OpenBLAS's pool, shut down at
+    # the fork, then restarts only when the trials are done
     with _one_blas_thread():
+        reduction = prepare_problem(problem, workers)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(lambda job: one_trial(*job), jobs))

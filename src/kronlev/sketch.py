@@ -115,8 +115,8 @@ class _OpenBlas(NamedTuple):
 def _openblas() -> _OpenBlas:
     """Thread controls and dpotrs of numpy's bundled OpenBLAS, from one scan.
 
-    The scan takes about 0.2 ms.  ``reduce_full_grid`` makes it during set-up,
-    as it enters ``_one_blas_thread``, so no trial pays for it.
+    The scan takes about 0.2 ms.  The first ``_one_blas_thread`` of a command
+    makes it during set-up, so no trial pays for it.
     """
     controls, dpotrs = [], None
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
@@ -145,15 +145,17 @@ def _one_blas_thread():
     thread.
     The count is process-wide, so enter this once around all the trials of
     a run, not in each worker; with no OpenBLAS found the block runs unpinned.
+    A count that is already 1 is left alone: after a fork, any call to set
+    the count restarts OpenBLAS's thread pool, whose new thread then spins
+    for about 0.1 s of CPU, so a block nested in a pinned one sets nothing.
     """
-    controls = _openblas().controls
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
+    changed = [(put, count) for get, put in _openblas().controls if (count := get()) != 1]
+    for put, _ in changed:
         put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, previous):
+        for put, count in changed:
             put(count)
 
 
@@ -551,14 +553,14 @@ def reduce_full_grid(
     r_lj = _kron_rows([f.r for f in factors], lower, cols)
     with _one_blas_thread():
         c, b_sq, residual_sq = project(values, root_w, qs, lower)
-    if len(lower) == len(index_set):
-        # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
-        # all of R^N and no part of c lies outside it
-        basis, gap_sq = None, 0.0
-    else:
-        basis = np.linalg.qr(r_lj)[0]
-        gap = c - basis @ (basis.T @ c)
-        gap_sq = float(gap @ gap)
+        if len(lower) == len(index_set):
+            # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
+            # all of R^N and no part of c lies outside it
+            basis, gap_sq = None, 0.0
+        else:
+            basis = np.linalg.qr(r_lj)[0]
+            gap = c - basis @ (basis.T @ c)
+            gap_sq = float(gap @ gap)
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
     return FullGridReduction(factors, lower, r_lj, basis, values, c, residual_sq, b_sq, optimal)
 

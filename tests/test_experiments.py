@@ -1,6 +1,9 @@
+import functools
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import sys
 import threading
 
@@ -108,7 +111,74 @@ def duffing_reference(y, t_final=4.0, step=1e-3):
     return u
 
 
+def duffing_in_place_reference(y, t_final=4.0, step=1e-3):
+    """The in-place RK4 kernel on separately allocated buffers, 54 passes per step.
+
+    Its operations come in the same order as ``duffing_qoi_batch``'s, which
+    adds the first stage's slopes by one ``add`` and drops the two
+    multiplications by 1.0, so the two must agree bit for bit.
+    """
+    steps = int(round(t_final / step))
+    h = t_final / steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    w1 = 2.0 * np.pi * (1.0 + 0.2 * y[:, 0])
+    w2 = 0.05 * (1.0 + 0.05 * y[:, 1])
+    w3 = -0.5 * (1.0 + 0.5 * y[:, 2])
+    neg_c = -2.0 * w1 * w2
+    neg_k = -(w1 * w1)
+    neg_kw3 = neg_k * w3
+    n = y.shape[0]
+    u, v = np.ones(n), np.zeros(n)
+    stage_u, stage_v = np.empty(n), np.empty(n)
+    slope, scratch = np.empty(n), np.empty(n)
+    sum_u, sum_v = np.empty(n), np.empty(n)
+
+    def accel(su, sv):
+        np.multiply(su, su, out=slope)
+        np.multiply(slope, neg_kw3, out=slope)
+        np.add(slope, neg_k, out=slope)
+        np.multiply(slope, su, out=slope)
+        np.multiply(neg_c, sv, out=scratch)
+        np.add(slope, scratch, out=slope)
+
+    def stage(du, step_h, weight):
+        np.multiply(du, step_h, out=stage_u)
+        np.add(stage_u, u, out=stage_u)
+        np.multiply(slope, step_h, out=stage_v)
+        np.add(stage_v, v, out=stage_v)
+        accel(stage_u, stage_v)
+        np.multiply(stage_v, weight, out=scratch)
+        np.add(sum_u, scratch, out=sum_u)
+        np.multiply(slope, weight, out=scratch)
+        np.add(sum_v, scratch, out=sum_v)
+
+    for _ in range(steps):
+        accel(u, v)
+        np.copyto(sum_u, v)
+        np.copyto(sum_v, slope)
+        stage(v, half_h, 2.0)
+        stage(stage_v, half_h, 2.0)
+        stage(stage_v, h, 1.0)
+        sum_u *= sixth_h
+        u += sum_u
+        sum_v *= sixth_h
+        v += sum_v
+    return u
+
+
 class TestDuffingKernel:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 4001])
+    def test_bits_match_the_in_place_reference(self, n):
+        # n around one 64-byte row (8 values) and one odd size beyond it;
+        # the input also as a view that starts 24 bytes into its buffer
+        y = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
+        shifted = np.empty((n + 1, 3))[1:]
+        shifted[...] = y
+        expected = duffing_in_place_reference(y, t_final=0.5).tobytes()
+        assert duffing_qoi_batch(y, t_final=0.5).tobytes() == expected
+        assert duffing_qoi_batch(shifted, t_final=0.5).tobytes() == expected
+
     def test_matches_reference_loop_on_duffing_g9_nodes(self):
         # the cube by multiplication and the folded constants change only
         # rounding, which 4000 steps must not amplify past 1e-13
@@ -175,6 +245,15 @@ class TestTargets:
         with pytest.raises(ValueError, match="grid_values"):
             make_target({"name": "tabulated", "path": "values.txt"})
 
+    @pytest.mark.parametrize("model", [
+        {"name": "duffing", "t_final": 0.5, "step": 1e-3},
+        {"name": "ishigami", "a": 7.0, "b": 0.1},
+    ])
+    def test_targets_survive_a_pickle_round_trip(self, model):
+        target = make_target(model)
+        y = np.random.default_rng(3).uniform(-1.0, 1.0, size=(33, 3))
+        assert pickle.loads(pickle.dumps(target))(y).tobytes() == target(y).tobytes()
+
     def test_evaluate_on_grid_lexicographic_order(self):
         from kronlev.sketch import TargetFunction
 
@@ -186,6 +265,92 @@ class TestTargets:
         values = evaluate_on_grid(TargetFunction("f", f), grids)
         expected = [f(np.array([[a, b]]))[0] for a in grids[0].nodes for b in grids[1].nodes]
         assert np.allclose(values, expected)
+
+
+class PieceError(ValueError):
+    pass
+
+
+def raise_past_first_row(first, coords):
+    """Values of a piece that starts at the grid's first row; any other piece raises."""
+    if not np.array_equal(coords[0], first):
+        raise PieceError("a later piece")
+    return coords[:, 0]
+
+
+def process_ids(coords):
+    return np.full(coords.shape[0], float(os.getpid()))
+
+
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+# 7 * 5 * 5 rows, a count that none of 2 and 3 divides
+ODD_GRIDS = [gauss_legendre_grid(7), gauss_legendre_grid(5), gauss_legendre_grid(5)]
+
+
+def all_grid_points(grids):
+    return np.array([[a, b, c] for a in grids[0].nodes for b in grids[1].nodes for c in grids[2].nodes])
+
+
+class TestEvaluateOnGrid:
+    @pytest.mark.parametrize("target", [
+        make_target({"name": "duffing", "t_final": 0.25, "step": 1e-3}),
+        TargetFunction("ishigami", ishigami),
+    ], ids=["duffing", "ishigami"])
+    @pytest.mark.parametrize("chunk", [65536, 40])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, target, chunk):
+        monkeypatch.setattr(kronlev.experiments, "_EVAL_CHUNK", chunk)
+        expected = target(all_grid_points(ODD_GRIDS)).tobytes()
+        for workers in (1, 2, 3):
+            assert evaluate_on_grid(target, ODD_GRIDS, workers).tobytes() == expected
+
+    @pytest.mark.parametrize("workers,chunk,sizes", [
+        (1, 65536, [175]), (2, 65536, [87, 88]), (1, 40, [35] * 5), (7, 40, [25] * 7),
+    ])
+    def test_rows_split_into_near_equal_contiguous_pieces(self, monkeypatch, workers, chunk, sizes):
+        # at least `workers` pieces, none longer than the chunk, in row order
+        monkeypatch.setattr(kronlev.experiments, "_EVAL_CHUNK", chunk)
+        monkeypatch.setattr(kronlev.experiments, "_CAN_FORK", False)
+        pieces = []
+
+        def recording(coords):
+            pieces.append(coords.copy())
+            return coords[:, 0]
+
+        evaluate_on_grid(TargetFunction("recording", recording), ODD_GRIDS, workers)
+        assert [len(piece) for piece in pieces] == sizes
+        assert np.array_equal(np.concatenate(pieces), all_grid_points(ODD_GRIDS))
+
+    def test_pieces_run_in_forked_processes(self):
+        if not kronlev.experiments._CAN_FORK:
+            pytest.skip("grid evaluation forks only on Linux")
+        threads = threading.active_count()
+        pids = evaluate_on_grid(TargetFunction("pid", process_ids), ODD_GRIDS, workers=2)
+        assert pids.shape == (175,)
+        assert os.getpid() not in set(pids.tolist())
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_a_raising_piece_raises_in_the_caller(self):
+        first = all_grid_points(ODD_GRIDS)[0]
+        target = TargetFunction("raising", functools.partial(raise_past_first_row, first))
+        with pytest.raises(PieceError, match="a later piece"):
+            evaluate_on_grid(target, ODD_GRIDS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_the_pieces_run_here(self, monkeypatch):
+        target = make_target({"name": "duffing", "t_final": 0.25, "step": 1e-3})
+        expected = evaluate_on_grid(target, ODD_GRIDS).tobytes()
+        monkeypatch.setattr(kronlev.experiments, "_CAN_FORK", False)
+        forbid_fork(monkeypatch)
+        assert evaluate_on_grid(target, ODD_GRIDS, workers=2).tobytes() == expected
+        pids = evaluate_on_grid(TargetFunction("pid", process_ids), ODD_GRIDS, workers=2)
+        assert set(pids.tolist()) == {float(os.getpid())}
 
 
 def experiment_config(**overrides):
@@ -288,8 +453,29 @@ class TestRunTrials:
         monkeypatch.setattr(kronlev.experiments, "trial_error", counting)
         capped = run_trials(parse_experiment(config), threads=16)
         assert len(peak) == 60
-        assert max(peak) <= (os.cpu_count() or 1) + 1
+        assert max(peak) <= len(os.sched_getaffinity(0)) + 1
         assert capped.errors == serial.errors
+
+    def test_one_usable_cpu_forks_nothing_and_runs_the_trials_here(self, monkeypatch):
+        # an affinity mask of one CPU on a machine with more: --threads 2
+        # evaluates the Duffing grid and runs the trials in this thread
+        config = load_json(packaged_config_path("duffing-g7"))
+        config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
+        config["model"]["step"] = 0.01
+        serial = run_trials(parse_experiment(config))
+        seen = []
+
+        def recording(reduction, method, rows):
+            seen.append(threading.get_ident())
+            return trial_error(reduction, method, rows)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(kronlev.experiments, "trial_error", recording)
+        forbid_fork(monkeypatch)
+        pinned = run_trials(parse_experiment(config), threads=2)
+        assert set(seen) == {threading.get_ident()} and len(seen) == 6
+        assert pinned.errors == serial.errors
+        assert pinned.optimal_error == serial.optimal_error
 
     def test_adding_a_method_does_not_perturb_existing_draws(self):
         a = run_trials(experiment_config(methods=["uniform"]))
@@ -356,6 +542,23 @@ class TestOneBlasThread:
         with pytest.raises(RuntimeError, match="trial failed"):
             run_trials(experiment_config(), threads=2)
         assert seen and seen[0] == [1] * len(blas_controls)
+        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_the_count_is_set_once_around_set_up_and_trials(self, blas_controls, monkeypatch):
+        # any call that sets the count after a fork restarts OpenBLAS's
+        # pool, so none comes between the forked grid evaluation and the
+        # end of the trials
+        puts = []
+        recording = tuple(
+            (get, lambda count, put=put: puts.append(count) or put(count)) for get, put in blas_controls
+        )
+        found = kronlev.sketch._openblas()._replace(controls=recording)
+        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
+        config = load_json(packaged_config_path("duffing-g7"))
+        config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
+        config["model"]["step"] = 0.01
+        run_trials(parse_experiment(config), threads=2)
+        assert puts == [1] * len(blas_controls) + [2] * len(blas_controls)
         assert blas_counts(blas_controls) == [2] * len(blas_controls)
 
     def test_without_controls_the_trials_run_unpinned(self, blas_controls, monkeypatch):
