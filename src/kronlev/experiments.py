@@ -6,12 +6,16 @@ three inputs in [-1, 1].  The harness takes the model into the full-grid
 reduction once: Ishigami, a sum of three products of one-dimensional
 functions, as its per-dimension tables (``sketch.SeparableValues``), so it
 is never evaluated on the whole grid; Duffing and a tabulated model as
-values on the grid.  Duffing is evaluated there in up to ``threads``
-forked processes on Linux, each on a contiguous piece of the grid's rows.
-The harness runs repeated ``sketch.trial_error`` trials per sampling
-method on up to ``threads`` worker threads, records full-grid relative
-errors against the optimal one, and exports the per-method error
-distributions as CDF tables or an SVG staircase plot.
+values on the grid.  The harness runs repeated ``sketch.trial_error``
+trials per sampling method, records full-grid relative errors against the
+optimal one, and exports the per-method error distributions as CDF tables
+or an SVG staircase plot.
+
+Both the grid evaluation of Duffing and the trials are shared among up to
+``threads`` processes by ``_map_in_shares``: the calling process computes
+one strided share of the work itself, and on Linux the others go to
+processes forked from it.  A trial is about half Python and small numpy
+calls, which threads would run one at a time under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +61,61 @@ __all__ = [
 METHOD_IDS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
 _EVAL_CHUNK = 65536
-# Grid evaluation forks its workers on Linux only: fork is unsafe with
+# Work is shared with forked processes on Linux only: fork is unsafe with
 # system libraries on macOS and does not exist on Windows.
 _CAN_FORK = sys.platform.startswith("linux")
+# What a forked child of _map_in_shares computes: (fn, items, workers), set
+# in the child by the pool's initializer and never in the calling process.
+_INHERITED = None
+
+
+def _inherit(fn, items, workers) -> None:
+    global _INHERITED
+    _INHERITED = (fn, items, workers)
+
+
+def _run_share(share: int) -> list:
+    fn, items, workers = _INHERITED
+    return [fn(item) for item in items[share::workers]]
+
+
+def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, computed in up to ``workers`` processes.
+
+    The items are dealt into ``workers`` strided shares, ``items[i::workers]``,
+    so that shares of items whose cost varies along the list cost alike.  The
+    calling process computes share 0; on Linux, ``workers - 1`` processes
+    forked through a ``ProcessPoolExecutor`` compute the others.  ``fn`` and
+    ``items`` reach them through the pool's initializer, which a fork hands
+    over without pickling, so only the results must pickle.  The results
+    come back in item order.  An exception in any share is raised here once
+    every forked process has exited.  Elsewhere, or with one worker, the
+    calling process computes every item.
+
+    fork, not spawn: a spawned process imports numpy and kronlev again,
+    about 0.2 s, and would need ``fn`` pickled.  The pool forks before it
+    starts its own thread, and the only other threads alive then are
+    OpenBLAS's idle pool, which OpenBLAS shuts down at a fork.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1 or not _CAN_FORK:
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit,
+        initargs=(fn, items, workers),
+    ) as pool:
+        futures = [pool.submit(_run_share, share) for share in range(1, workers)]
+        shares = [[fn(item) for item in items[::workers]]]
+        shares += [future.result() for future in futures]
+    results = [None] * len(items)
+    for share, values in enumerate(shares):
+        results[share::workers] = values
+    return results
 
 
 def _ishigami_terms(a: float, b_param: float) -> tuple:
@@ -222,9 +277,9 @@ def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> Target
     raise ValueError(f"unknown model {name!r}")
 
 
-def _grid_rows(target: TargetFunction, grids: Sequence[Grid1D], start: int, stop: int) -> np.ndarray:
-    """Target values at the grid's rows start, ..., stop - 1 in lexicographic order."""
-    per_dim = np.unravel_index(np.arange(start, stop), tuple(len(g) for g in grids))
+def _grid_rows(target: TargetFunction, grids: Sequence[Grid1D], rows: range) -> np.ndarray:
+    """Target values at the grid's ``rows``, numbered in lexicographic order."""
+    per_dim = np.unravel_index(np.arange(rows.start, rows.stop), tuple(len(g) for g in grids))
     return target(np.column_stack([g.nodes[per_dim[d]] for d, g in enumerate(grids)]))
 
 
@@ -234,32 +289,17 @@ def evaluate_on_grid(
     """Target values over the full grid in lexicographic order, in up to ``workers`` processes.
 
     The rows are split into near-equal contiguous pieces, at least
-    ``workers`` of them and none longer than ``_EVAL_CHUNK`` rows.  With
-    more than one worker and more than one piece on Linux, the pieces are
-    evaluated in forked processes, so ``target`` must pickle; elsewhere they
-    are evaluated in turn.  Each point's value depends on that point alone,
-    so the result has the same bits for every ``workers``.
+    ``workers`` of them and none longer than ``_EVAL_CHUNK`` rows, which
+    ``_map_in_shares`` evaluates: the caller one share of them and, on
+    Linux, forked processes the others.  The built-in models call numpy
+    ufuncs only.  Each point's value depends on that point alone, so the
+    result has the same bits for every ``workers``.
     """
     total = math.prod(len(g) for g in grids)
     pieces = min(total, max(workers, -(-total // _EVAL_CHUNK)))
     bounds = [total * i // pieces for i in range(pieces + 1)]
-    piece = partial(_grid_rows, target, grids)
-    if workers > 1 and pieces > 1 and _CAN_FORK:
-        # fork, not spawn: a spawned worker imports numpy and kronlev again,
-        # about 0.2 s, which is most of what it would save.  The pool forks
-        # before it starts its own threads, the built-in models call numpy
-        # ufuncs only, and OpenBLAS, whose idle pool is the only other thread
-        # alive during set-up, shuts that pool down at a fork.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            min(workers, pieces), mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            parts = list(pool.map(piece, bounds[:-1], bounds[1:]))
-    else:
-        parts = [piece(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-    return np.concatenate(parts)
+    rows = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate(_map_in_shares(partial(_grid_rows, target, grids), rows, workers))
 
 
 def grid_values(model: dict, grids: Sequence[Grid1D], workers: int = 1) -> np.ndarray:
@@ -321,28 +361,29 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     the config regardless of ``threads`` and the BLAS thread count.
 
     ``threads`` is capped once at the CPUs this process may run on
-    (``_usable_cpus``).  That many forked processes evaluate a grid-valued
-    model during set-up, and that many worker threads run the trials.
+    (``_usable_cpus``).  That many processes share a grid-valued model's
+    evaluation during set-up and then the (method, trial) jobs, each a
+    strided share, the calling process one of them (``_map_in_shares``).
     """
     problem = experiment.problem
     methods = {tag: problem.method(tag) for tag in experiment.methods}
     workers = min(threads, _usable_cpus())
+    # numpy imports np.random at its first use, in about 14 ms; taken here,
+    # before any fork, it is imported once and inherited by forked processes
 
-    def one_trial(tag: str, trial: int) -> float:
+    def one_trial(job: tuple[str, int]) -> float:
+        tag, trial = job
         rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
         rows = sample_indices(methods[tag], rng, experiment.sample_count)
         return trial_error(reduction, methods[tag], rows)[0]
 
     jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
-    # pinned before the grid evaluation forks: OpenBLAS's pool, shut down at
-    # the fork, then restarts only when the trials are done
+    # pinned before any fork: OpenBLAS's pool, shut down at a fork, then
+    # restarts only when the trials are done, and the forked processes
+    # inherit the count of 1
     with _one_blas_thread():
         reduction = prepare_problem(problem, workers)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda job: one_trial(*job), jobs))
-        else:
-            results = [one_trial(*job) for job in jobs]
+        results = _map_in_shares(one_trial, jobs, workers)
     errors = {tag: [] for tag in experiment.methods}
     for (tag, _), err in zip(jobs, results):
         errors[tag].append(err)

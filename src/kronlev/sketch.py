@@ -24,8 +24,9 @@ system on every trial and be faulted in again by the next.
 ``solve`` uses the corrected semi-normal equations, which the
 well-conditioned Q-coordinate sketch admits, and otherwise SVD least
 squares, which gives the numerical rank and the minimum-norm fit.  The
-Cholesky system is solved by LAPACK dpotrs from the OpenBLAS that numpy
-bundles, called through ctypes; where numpy bundles none, by blocked back
+Gram is factored in place by LAPACK dpotrf and the Cholesky system solved
+by dpotrs, both from the OpenBLAS that numpy bundles and called through
+ctypes; where numpy bundles none, by np.linalg.cholesky and blocked back
 substitution.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
@@ -90,18 +91,27 @@ _GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_f
 # the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
 # so no 32-bit-integer build is handed 64-bit integers.
 _OPENBLAS_THREADS = "scipy_openblas_{}_num_threads64_"  # "get", "set"
-_OPENBLAS_DPOTRS = "scipy_LAPACKE_dpotrs_work64_"
+_OPENBLAS_LAPACKE = "scipy_LAPACKE_{}_work64_"  # "dpotrf", "dpotrs"
 _LAPACK_COL_MAJOR = 102
-_DPOTRS_ARGS = [  # layout, uplo, n, nrhs, a, lda, b, ldb
-    ctypes.c_int,
-    ctypes.c_char,
-    ctypes.c_int64,
-    ctypes.c_int64,
-    np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-    ctypes.c_int64,
-    np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-    ctypes.c_int64,
-]
+_LAPACKE_ARGS = {
+    "dpotrf": [  # layout, uplo, n, a, lda
+        ctypes.c_int,
+        ctypes.c_char,
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),
+        ctypes.c_int64,
+    ],
+    "dpotrs": [  # layout, uplo, n, nrhs, a, lda, b, ldb
+        ctypes.c_int,
+        ctypes.c_char,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+        ctypes.c_int64,
+    ],
+}
 
 
 class _OpenBlas(NamedTuple):
@@ -109,16 +119,17 @@ class _OpenBlas(NamedTuple):
 
     controls: tuple  # (get, set) thread-count functions, one pair per library
     dpotrs: Optional[Callable]  # LAPACKE_dpotrs_work, or None
+    dpotrf: Optional[Callable]  # LAPACKE_dpotrf_work, or None
 
 
 @cache
 def _openblas() -> _OpenBlas:
-    """Thread controls and dpotrs of numpy's bundled OpenBLAS, from one scan.
+    """Thread controls, dpotrs and dpotrf of numpy's bundled OpenBLAS, from one scan.
 
     The scan takes about 0.2 ms.  The first ``_one_blas_thread`` of a command
     makes it during set-up, so no trial pays for it.
     """
-    controls, dpotrs = [], None
+    controls, lapacke = [], dict.fromkeys(_LAPACKE_ARGS)
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -129,11 +140,12 @@ def _openblas() -> _OpenBlas:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             controls.append((get, put))
-        found = getattr(lib, _OPENBLAS_DPOTRS, None)
-        if dpotrs is None and found is not None:
-            found.argtypes, found.restype = _DPOTRS_ARGS, ctypes.c_int64
-            dpotrs = found
-    return _OpenBlas(tuple(controls), dpotrs)
+        for name, args in _LAPACKE_ARGS.items():
+            found = getattr(lib, _OPENBLAS_LAPACKE.format(name), None)
+            if lapacke[name] is None and found is not None:
+                found.argtypes, found.restype = args, ctypes.c_int64
+                lapacke[name] = found
+    return _OpenBlas(tuple(controls), lapacke["dpotrs"], lapacke["dpotrf"])
 
 
 @contextmanager
@@ -144,10 +156,12 @@ def _one_blas_thread():
     full-grid reduction's products, and small products run faster on one
     thread.
     The count is process-wide, so enter this once around all the trials of
-    a run, not in each worker; with no OpenBLAS found the block runs unpinned.
-    A count that is already 1 is left alone: after a fork, any call to set
-    the count restarts OpenBLAS's thread pool, whose new thread then spins
-    for about 0.1 s of CPU, so a block nested in a pinned one sets nothing.
+    a run, before any process is forked for them: a forked child inherits
+    the count of 1 and must not set it, because after a fork any call that
+    sets the count restarts OpenBLAS's thread pool, whose new thread then
+    spins for about 0.1 s of CPU.  For the same reason a count that is
+    already 1 is left alone, so a block nested in a pinned one sets nothing.
+    With no OpenBLAS found the block runs unpinned.
     """
     changed = [(put, count) for get, put in _openblas().controls if (count := get()) != 1]
     for put, _ in changed:
@@ -322,47 +336,64 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
     None when Cholesky fails or its diagonal ratio is below _SEMI_NORMAL_RTOL:
     the Gram squares the condition number, so only a well-conditioned a is
-    solved here.  L L^T x = z is one dpotrs call of numpy's OpenBLAS
-    (_cholesky_solve); where numpy bundles none, it is _back_substitute on L
-    with its rows and columns reversed, which is upper triangular, then on L^T.
+    solved here.  With numpy's OpenBLAS, the Gram is factored in place by one
+    dpotrf call and L L^T x = z is one dpotrs call on that buffer
+    (_cholesky_solve).  Where numpy bundles neither, the factor comes from
+    np.linalg.cholesky and x from _back_substitute on L with its rows and
+    columns reversed, which is upper triangular, then on L^T.
     """
-    try:
-        lower = np.linalg.cholesky(a.T @ a)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(lower)
+    gram = np.ascontiguousarray(a.T @ a, dtype=np.float64)
+    found = _openblas()
+    if found.dpotrf is not None and found.dpotrs is not None:
+        # read column-major, the symmetric C-ordered Gram is itself, and
+        # dpotrf "L" writes L over its lower triangle, which is the upper
+        # triangle in C order; dpotrs "L" reads only that triangle
+        n = len(gram)
+        info = found.dpotrf(_LAPACK_COL_MAJOR, b"L", n, gram, max(n, 1))
+        if info < 0:
+            raise RuntimeError(f"LAPACK dpotrf failed with info = {info}")
+        if info > 0:  # a leading minor is not positive definite
+            return None
+        diag = np.diagonal(gram)
+
+        def cholesky_solve(z):
+            return _cholesky_solve(found.dpotrs, gram, z)
+
+    else:
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        diag = np.diagonal(lower)
+
+        def cholesky_solve(z):
+            y = _back_substitute(lower[::-1, ::-1], z[::-1])[::-1]
+            return _back_substitute(lower.T, y)
+
     if not diag.min() >= _SEMI_NORMAL_RTOL * diag.max():  # also catches NaN
         return None
-    dpotrs = _openblas().dpotrs
-
-    def normal_solve(rhs):
-        z = a.T @ rhs
-        if dpotrs is not None:
-            return _cholesky_solve(dpotrs, lower, z)
-        y = _back_substitute(lower[::-1, ::-1], z[::-1])[::-1]
-        return _back_substitute(lower.T, y)
-
-    x = normal_solve(b)
-    return x + normal_solve(b - a @ x)
+    x = cholesky_solve(a.T @ b)
+    return x + cholesky_solve(a.T @ (b - a @ x))
 
 
-def _cholesky_solve(dpotrs: Callable, lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with lower lower^T x = rhs, by one call of LAPACKE_dpotrs_work.
+def _cholesky_solve(dpotrs: Callable, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with L L^T x = rhs, by one call of LAPACKE_dpotrs_work with uplo "L".
 
-    Read column-major, a C-ordered lower factor is its transpose, the upper
-    factor that dpotrs takes with uplo "U", so a C-contiguous float64 factor
-    is neither copied nor transposed; any other is copied first.  x is a new
+    ``factor`` is a square buffer as dpotrf "L" leaves it: read column-major,
+    its lower triangle is L, so in C order its upper triangle holds L^T and
+    its strict lower triangle is not read.  A C-contiguous float64 factor is
+    neither copied nor transposed; any other is copied first.  x is a new
     array: ``rhs`` is not written.  A factor that is not square, or an rhs
     that does not match it, raises ValueError; a nonzero info RuntimeError.
     """
-    lower = np.ascontiguousarray(lower, dtype=np.float64)
-    if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
-        raise ValueError(f"the Cholesky factor must be square, not of shape {lower.shape}")
-    n = lower.shape[0]
+    factor = np.ascontiguousarray(factor, dtype=np.float64)
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError(f"the Cholesky factor must be square, not of shape {factor.shape}")
+    n = factor.shape[0]
     x = np.array(rhs, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"the right-hand side must have shape ({n},), not {x.shape}")
-    info = dpotrs(_LAPACK_COL_MAJOR, b"U", n, 1, lower, max(n, 1), x, max(n, 1))
+    info = dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, factor, max(n, 1), x, max(n, 1))
     if info != 0:
         raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
     return x

@@ -777,6 +777,29 @@ class TestCli:
         }
         assert json.loads(lines[-1]) == []
 
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_commands_on_one_worker_import_no_process_pool(self, command, tmp_path):
+        # concurrent.futures and multiprocessing are imported only where a
+        # process is forked; at start-up they cost about 6 ms and bring in logging
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["trials"] = 2
+        path = tmp_path / "ishigami-g7.json"
+        path.write_text(json.dumps(config))
+        if command == "solve":
+            argv = ["solve", "--method", "leverage-lower", "--K", "480", "--seed", "1"]
+        else:
+            argv = ["experiment", "--out", str(tmp_path / "report.csv"), "--threads", "1"]
+        script = (
+            "import json, sys, kronlev.cli\n"
+            "code = kronlev.cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n"
+            "sys.exit(code)\n"
+        )
+        lines = run_python(["-c", script, *argv, "--config", str(path)]).decode().splitlines()
+        assert json.loads(lines[0])["N"] == 120
+        assert json.loads(lines[-1]) == []
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

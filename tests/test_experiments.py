@@ -327,12 +327,16 @@ class TestEvaluateOnGrid:
         assert np.array_equal(np.concatenate(pieces), all_grid_points(ODD_GRIDS))
 
     def test_pieces_run_in_forked_processes(self):
+        # two pieces of 87 and 88 rows: the caller evaluates the first, one
+        # forked child the second
         if not kronlev.experiments._CAN_FORK:
-            pytest.skip("grid evaluation forks only on Linux")
+            pytest.skip("work is shared with forked processes only on Linux")
         threads = threading.active_count()
         pids = evaluate_on_grid(TargetFunction("pid", process_ids), ODD_GRIDS, workers=2)
         assert pids.shape == (175,)
-        assert os.getpid() not in set(pids.tolist())
+        assert set(pids[:87].tolist()) == {os.getpid()}
+        (child,) = set(pids[87:].tolist())
+        assert child != os.getpid()
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
@@ -390,6 +394,37 @@ def count_calls(monkeypatch, *originals):
     return calls
 
 
+class TrialError(RuntimeError):
+    pass
+
+
+def observe_trials(monkeypatch, observe):
+    """Make each trial of ``run_trials`` report (its error, ``observe()``) as its error.
+
+    What a forked process records in its own memory never reaches the
+    caller, so each trial's observation comes back through the report,
+    wherever the trial ran.
+    """
+    def observing(reduction, method, rows):
+        error, rank_deficient = trial_error(reduction, method, rows)
+        return (error, observe()), rank_deficient
+
+    monkeypatch.setattr(kronlev.experiments, "trial_error", observing)
+
+
+def split_observations(report):
+    """(errors per method, observations in (method, trial) order) of an observed report."""
+    errors = {tag: [error for error, _ in report.errors[tag]] for tag in report.methods}
+    return errors, [seen for tag in report.methods for _, seen in report.errors[tag]]
+
+
+def worker_processes(threads):
+    """How many processes run_trials shares its jobs among at ``threads``."""
+    if not kronlev.experiments._CAN_FORK:
+        return 1
+    return min(threads, len(os.sched_getaffinity(0)))
+
+
 class TestRunTrials:
     def test_trials_evaluate_no_basis_and_assemble_nothing(self, monkeypatch):
         # trials read the reduction's Q factors, so once the factors exist no
@@ -441,20 +476,66 @@ class TestRunTrials:
         assert run_trials(cfg).sample_count == 37
 
     def test_worker_threads_are_capped_at_the_core_count(self, monkeypatch):
-        peak = []
-
-        def counting(reduction, method, rows):
-            peak.append(threading.active_count())
-            return trial_error(reduction, method, rows)
-
+        # each strided share of the 60 jobs runs in one process, the first in
+        # this one, and no more processes than usable CPUs take part
         config = load_json(packaged_config_path("ishigami-g7"))
         config["trials"] = 20
         serial = run_trials(parse_experiment(config))
-        monkeypatch.setattr(kronlev.experiments, "trial_error", counting)
-        capped = run_trials(parse_experiment(config), threads=16)
-        assert len(peak) == 60
-        assert max(peak) <= len(os.sched_getaffinity(0)) + 1
-        assert capped.errors == serial.errors
+        observe_trials(monkeypatch, os.getpid)
+        errors, pids = split_observations(run_trials(parse_experiment(config), threads=16))
+        workers = worker_processes(16)
+        assert len(pids) == 60
+        assert [set(pids[share::workers]) for share in range(workers)] == [
+            {pid} for pid in pids[:workers]
+        ]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) <= len(os.sched_getaffinity(0))
+        assert errors == serial.errors
+
+    def test_two_workers_run_the_trials_in_the_caller_and_one_forked_child(self, monkeypatch):
+        if not kronlev.experiments._CAN_FORK:
+            pytest.skip("work is shared with forked processes only on Linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        serial = run_trials(experiment_config(trials=7))
+        observe_trials(monkeypatch, os.getpid)
+        threads = threading.active_count()
+        errors, pids = split_observations(run_trials(experiment_config(trials=7), threads=2))
+        # jobs in (method, trial) order, dealt alternately to the two processes
+        assert set(pids[0::2]) == {os.getpid()}
+        (child,) = set(pids[1::2])
+        assert child != os.getpid()
+        assert errors == serial.errors
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_a_trial_that_raises_in_a_child_raises_in_the_caller(self, monkeypatch):
+        if not kronlev.experiments._CAN_FORK:
+            pytest.skip("work is shared with forked processes only on Linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = os.getpid()
+
+        def raising_in_a_child(reduction, method, rows):
+            if os.getpid() != caller:
+                raise TrialError("a trial in a child")
+            return trial_error(reduction, method, rows)
+
+        monkeypatch.setattr(kronlev.experiments, "trial_error", raising_in_a_child)
+        with pytest.raises(TrialError, match="a trial in a child"):
+            run_trials(experiment_config(), threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_reports_are_byte_identical_for_one_two_and_three_workers(self, monkeypatch, tmp_path):
+        # 7 trials per method, which neither 2 nor 3 divides, so the strided
+        # shares differ in length and split each method's trials unevenly
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        outputs = []
+        for threads in (1, 2, 3):
+            report = run_trials(experiment_config(trials=7), threads=threads)
+            write_report_csv(report, tmp_path / "report.csv")
+            emit_cdf(report, tmp_path / "cdf.csv")
+            outputs.append(((tmp_path / "report.csv").read_bytes(), (tmp_path / "cdf.csv").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_one_usable_cpu_forks_nothing_and_runs_the_trials_here(self, monkeypatch):
         # an affinity mask of one CPU on a machine with more: --threads 2
@@ -515,30 +596,29 @@ def blas_counts(controls):
     return [get() for get, _ in controls]
 
 
-def record_blas_counts(monkeypatch, controls, fail=False):
-    """Make every trial of ``run_trials`` record the BLAS thread counts it runs under."""
+def fail_every_trial(monkeypatch, controls):
+    """Make every trial of ``run_trials`` raise; a list of the BLAS counts each saw here."""
     seen = []
 
-    def recording(reduction, method, rows):
+    def failing(reduction, method, rows):
         seen.append(blas_counts(controls))
-        if fail:
-            raise RuntimeError("trial failed")
-        return trial_error(reduction, method, rows)
+        raise RuntimeError("trial failed")
 
-    monkeypatch.setattr(kronlev.experiments, "trial_error", recording)
+    monkeypatch.setattr(kronlev.experiments, "trial_error", failing)
     return seen
 
 
 class TestOneBlasThread:
     def test_trials_run_on_one_thread_and_the_counts_are_restored(self, blas_controls, monkeypatch):
-        seen = record_blas_counts(monkeypatch, blas_controls)
-        run_trials(experiment_config(), threads=2)
-        assert len(seen) == 6
-        assert all(counts == [1] * len(blas_controls) for counts in seen)
+        # in this process and in the forked one alike
+        observe_trials(monkeypatch, lambda: (os.getpid(), blas_counts(blas_controls)))
+        _, seen = split_observations(run_trials(experiment_config(), threads=2))
+        assert [counts for _, counts in seen] == [[1] * len(blas_controls)] * 6
+        assert len({pid for pid, _ in seen}) == worker_processes(2)
         assert blas_counts(blas_controls) == [2] * len(blas_controls)
 
     def test_counts_are_restored_when_a_trial_raises(self, blas_controls, monkeypatch):
-        seen = record_blas_counts(monkeypatch, blas_controls, fail=True)
+        seen = fail_every_trial(monkeypatch, blas_controls)
         with pytest.raises(RuntimeError, match="trial failed"):
             run_trials(experiment_config(), threads=2)
         assert seen and seen[0] == [1] * len(blas_controls)
@@ -557,7 +637,11 @@ class TestOneBlasThread:
         config = load_json(packaged_config_path("duffing-g7"))
         config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
         config["model"]["step"] = 0.01
-        run_trials(parse_experiment(config), threads=2)
+        # a forked process's sets land in its own copy of the list, which
+        # each trial reports
+        observe_trials(monkeypatch, lambda: len(puts))
+        _, seen = split_observations(run_trials(parse_experiment(config), threads=2))
+        assert seen == [len(blas_controls)] * 6
         assert puts == [1] * len(blas_controls) + [2] * len(blas_controls)
         assert blas_counts(blas_controls) == [2] * len(blas_controls)
 
@@ -565,10 +649,12 @@ class TestOneBlasThread:
         pinned = run_trials(experiment_config(), threads=2)
         found = kronlev.sketch._openblas()._replace(controls=())
         monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
-        seen = record_blas_counts(monkeypatch, blas_controls)
+        observe_trials(monkeypatch, lambda: (os.getpid(), blas_counts(blas_controls)))
         unpinned = run_trials(experiment_config(), threads=2)
-        assert seen == [[2] * len(blas_controls)] * 6
-        assert unpinned.errors == pinned.errors
+        errors, seen = split_observations(unpinned)
+        assert [counts for _, counts in seen] == [[2] * len(blas_controls)] * 6
+        assert len({pid for pid, _ in seen}) == worker_processes(2)
+        assert errors == pinned.errors
         assert unpinned.optimal_error == pinned.optimal_error
 
 

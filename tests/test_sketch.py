@@ -234,24 +234,29 @@ def on_each_solve_path(cases):
 
 
 def take_solve_path(monkeypatch, path):
-    """Make _semi_normal solve by ``path``; a list that gets "dpotrs" at each dpotrs call.
+    """Make _semi_normal solve by ``path``; a list that gets "dpotrf" or "dpotrs" at each call.
 
     For "back-substitute" the OpenBLAS lookup finds nothing, as on a numpy
     that bundles no OpenBLAS.
     """
     calls = []
     if path == "back-substitute":
-        found = _OpenBlas((), None)
+        found = _OpenBlas((), None, None)
     else:
         found = sketch_module._openblas()
-        if found.dpotrs is None:
-            pytest.skip("numpy bundles no OpenBLAS with dpotrs")
+        if found.dpotrs is None or found.dpotrf is None:
+            pytest.skip("numpy bundles no OpenBLAS with dpotrs and dpotrf")
 
-        def counted(*args, _dpotrs=found.dpotrs):
-            calls.append("dpotrs")
-            return _dpotrs(*args)
+        def counting(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
 
-        found = found._replace(dpotrs=counted)
+            return counted
+
+        found = found._replace(
+            dpotrs=counting("dpotrs", found.dpotrs), dpotrf=counting("dpotrf", found.dpotrf)
+        )
     monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
     return calls
 
@@ -315,18 +320,18 @@ class TestSolve:
     def test_semi_normal_path_matches_lstsq(self, case, path, monkeypatch):
         systems = SEMI_NORMAL_CASES[case]()
         expected = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in systems]
-        dpotrs_calls = take_solve_path(monkeypatch, path)
+        lapack_calls = take_solve_path(monkeypatch, path)
         calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq, np.linalg.solve)
         for (a, b), x in zip(systems, expected):
             solution = solve(SketchedSystem(a, b))
             assert not solution.rank_deficient
             assert np.linalg.norm(solution.x - x) <= 1e-13 * np.linalg.norm(x)
-            if path == "dpotrs":  # L L^T x = z twice, one call each
-                assert (dpotrs_calls, calls) == (["dpotrs"] * 2, [])
+            if path == "dpotrs":  # one factorization, then L L^T x = z twice, one call each
+                assert (lapack_calls, calls) == (["dpotrf"] + ["dpotrs"] * 2, [])
             else:  # four back substitutions, one solve per 32-row block
                 blocks = -(-a.shape[1] // _SOLVE_BLOCK)
-                assert (dpotrs_calls, calls) == ([], ["solve"] * 4 * blocks)
-            dpotrs_calls.clear()
+                assert (lapack_calls, calls) == ([], ["solve"] * 4 * blocks)
+            lapack_calls.clear()
             calls.clear()
 
     @pytest.mark.parametrize("case,path", on_each_solve_path(FALLBACK_CASES))
@@ -334,13 +339,15 @@ class TestSolve:
         a, b, deficient = FALLBACK_CASES[case]()
         expected = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)[0]
         qr_x, qr_flag = qr_solve(a, b)
-        dpotrs_calls = take_solve_path(monkeypatch, path)
+        lapack_calls = take_solve_path(monkeypatch, path)
         calls = count_calls(monkeypatch, np.linalg.qr, np.linalg.lstsq, np.linalg.solve)
         solution = solve(SketchedSystem(a, b))
         assert solution.rank_deficient == qr_flag == deficient
         np.testing.assert_array_equal(solution.x, expected)
         assert np.linalg.norm(solution.x - qr_x) <= 1e-12 * np.linalg.norm(qr_x)
-        assert (dpotrs_calls, calls) == ([], ["lstsq"])
+        # a system with at least as many rows as columns is factored first
+        factored = path == "dpotrs" and a.shape[0] >= a.shape[1]
+        assert (lapack_calls, calls) == (["dpotrf"] * factored, ["lstsq"])
 
     def test_kahan_system_is_flagged(self):
         # R diagonal ratio 1.9e-3 without pivoting, sigma_min / sigma_max 4.5e-16:
@@ -437,39 +444,45 @@ def dpotrs():
 
 
 def cholesky_system(n, seed):
-    """(L, z) of a random well-conditioned Gram L L^T and a right-hand side."""
+    """(factor, z): a random well-conditioned Gram L L^T as dpotrf "L" leaves it, and an rhs.
+
+    In C order the factor holds L^T in its upper triangle; its strict lower
+    triangle, which dpotrs must not read, holds the Gram's entries.
+    """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4 * n, n))
-    return np.linalg.cholesky(a.T @ a), rng.standard_normal(n)
+    gram = a.T @ a
+    return np.triu(np.linalg.cholesky(gram).T) + np.tril(gram, -1), rng.standard_normal(n)
 
 
 class TestCholeskySolve:
     @pytest.mark.parametrize("n", [1, 7, 220])
     def test_solves_the_cholesky_system(self, dpotrs, n):
-        lower, z = cholesky_system(n, n)
-        x = _cholesky_solve(dpotrs, lower, z)
+        factor, z = cholesky_system(n, n)
+        lower = np.triu(factor).T
+        x = _cholesky_solve(dpotrs, factor, z)
         expected = solve_triangular(lower.T, solve_triangular(lower, z, lower=True))
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_hands_openblas_a_c_contiguous_factor_and_a_fresh_rhs(self, dpotrs):
-        lower, z = cholesky_system(40, 3)
+        given, z = cholesky_system(40, 3)
         seen = []
 
         def recording(*args):
             seen.append(args)
             return dpotrs(*args)
 
-        x = _cholesky_solve(recording, lower, z)
+        x = _cholesky_solve(recording, given, z)
         (_, uplo, n, nrhs, factor, lda, rhs, ldb), = seen
-        assert (uplo, n, nrhs, lda, ldb) == (b"U", 40, 1, 40, 40)
-        assert factor is lower  # a C-ordered float64 factor is passed as it is
+        assert (uplo, n, nrhs, lda, ldb) == (b"L", 40, 1, 40, 40)
+        assert factor is given  # a C-ordered float64 factor is passed as it is
         assert rhs is x and not np.shares_memory(x, z)
         assert rhs.dtype == np.float64 and rhs.flags.c_contiguous and rhs.shape == (40,)
 
     def test_fortran_factor_and_strided_rhs_are_copied(self, dpotrs):
-        lower, z = cholesky_system(40, 4)
-        expected = _cholesky_solve(dpotrs, lower, z)
-        fortran = np.asfortranarray(lower)
+        given, z = cholesky_system(40, 4)
+        expected = _cholesky_solve(dpotrs, given, z)
+        fortran = np.asfortranarray(given)
         stacked = np.stack([z, -z], axis=1)
         strided = stacked[:, 0]
         assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
@@ -500,21 +513,104 @@ class TestCholeskySolve:
         assert called == []
 
     def test_nonzero_info_raises(self, dpotrs, monkeypatch, capfd):
-        lower, z = cholesky_system(6, 5)
+        factor, z = cholesky_system(6, 5)
         with pytest.raises(RuntimeError, match="info = -2"):
-            _cholesky_solve(lambda *args: -2, lower, z)
+            _cholesky_solve(lambda *args: -2, factor, z)
         # the library's own answer to a bad argument: an unknown layout is
         # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
         monkeypatch.setattr(sketch_module, "_LAPACK_COL_MAJOR", 0)
         with pytest.raises(RuntimeError, match="info = -1"):
-            _cholesky_solve(dpotrs, lower, z)
+            _cholesky_solve(dpotrs, factor, z)
         assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
 
     def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
-        lower, z = cholesky_system(6, 6)
-        for factor, rhs in [(lower.T, z.copy()), (lower, z.astype(np.float32)), (lower, z[::-1])]:
+        given, z = cholesky_system(6, 6)
+        for factor, rhs in [(given.T, z.copy()), (given, z.astype(np.float32)), (given, z[::-1])]:
             with pytest.raises(ctypes.ArgumentError):
-                dpotrs(102, b"U", 6, 1, factor, 6, rhs, 6)
+                dpotrs(102, b"L", 6, 1, factor, 6, rhs, 6)
+
+
+@pytest.fixture
+def dpotrf():
+    found = sketch_module._openblas().dpotrf
+    if found is None or sketch_module._openblas().dpotrs is None:
+        pytest.skip("numpy bundles no OpenBLAS with dpotrf and dpotrs")
+    return found
+
+
+def numpy_cholesky_semi_normal(dpotrs, a, b):
+    """(L, x) of the corrected semi-normal step on np.linalg.cholesky's L.
+
+    L L^T x = z is one dpotrs call with uplo "U" on the C-ordered L, which
+    read column-major is L^T: how ``_semi_normal`` solved before it factored
+    the Gram in place.
+    """
+    lower = np.linalg.cholesky(a.T @ a)
+    n = len(lower)
+
+    def cholesky_solve(z):
+        x = z.copy()
+        assert dpotrs(102, b"U", n, 1, lower, n, x, n) == 0
+        return x
+
+    x = cholesky_solve(a.T @ b)
+    return lower, x + cholesky_solve(a.T @ (b - a @ x))
+
+
+class TestCholeskyFactor:
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 33, 64, 120, 220, 221, 333, 700])
+    def test_factor_and_x_have_the_bits_of_numpy_cholesky(self, dpotrf, monkeypatch, n):
+        dpotrs = sketch_module._openblas().dpotrs
+        factors = []
+
+        def recording(*args):
+            factors.append(args[4].copy())
+            return dpotrs(*args)
+
+        found = sketch_module._openblas()._replace(dpotrs=recording)
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
+        b = rng.standard_normal(4 * n)
+        with _one_blas_thread():
+            x = _semi_normal(a, b)
+            lower, expected = numpy_cholesky_semi_normal(dpotrs, a, b)
+        assert x.tobytes() == expected.tobytes()
+        assert len(factors) == 2
+        for factor in factors:  # L^T in the upper triangle in C order
+            assert np.triu(factor).tobytes() == lower.T.tobytes()
+
+    def test_a_gram_that_is_not_positive_definite_is_declined(self, dpotrf, monkeypatch):
+        # dpotrf's info > 0: the leading minor of order 2 is exactly singular
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        gram = np.ascontiguousarray(a.T @ a)
+        assert dpotrf(102, b"L", 3, gram, 3) == 2
+        assert _semi_normal(a, np.ones(3)) is None
+        # info > 0 alone declines, whatever dpotrf left on the diagonal
+        def failing(*args):
+            assert dpotrf(*args) == 0
+            return 4
+
+        found = sketch_module._openblas()._replace(dpotrf=failing)
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        assert _semi_normal(*random_systems(40, 6)[0]) is None
+
+    def test_a_bad_argument_raises(self, dpotrf, monkeypatch):
+        found = sketch_module._openblas()._replace(dpotrf=lambda *args: -3)
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        a, b = random_systems(40, 6)[0]
+        with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
+            _semi_normal(a, b)
+
+    def test_the_foreign_function_takes_only_a_writeable_c_contiguous_float64(self, dpotrf):
+        gram = np.ascontiguousarray(cholesky_system(6, 6)[0])
+        read_only = gram.copy()
+        read_only.flags.writeable = False
+        for bad in (np.asfortranarray(gram), gram.astype(np.float32), read_only):
+            with pytest.raises(ctypes.ArgumentError):
+                dpotrf(102, b"L", 6, bad, 6)
+
+
 
 
 class TestBundledOpenBlas:
@@ -538,7 +634,7 @@ class TestBundledOpenBlas:
             reduction = reduce_full_grid(index_set, factors, values)
             assert sketch_module._openblas.cache_info().misses == 1
             found = sketch_module._openblas()
-            assert found.controls and found.dpotrs is not None
+            assert found.controls and found.dpotrs is not None and found.dpotrf is not None
             calls.clear()
             trial_error(reduction, method, rows)
             assert sketch_module._openblas.cache_info().misses == 1
