@@ -368,8 +368,6 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     problem = experiment.problem
     methods = {tag: problem.method(tag) for tag in experiment.methods}
     workers = min(threads, _usable_cpus())
-    # numpy imports np.random at its first use, in about 14 ms; taken here,
-    # before any fork, it is imported once and inherited by forked processes
 
     def one_trial(job: tuple[str, int]) -> float:
         tag, trial = job

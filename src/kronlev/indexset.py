@@ -21,7 +21,6 @@ __all__ = [
     "build_index_set",
     "is_monotone_lower",
     "canonicalize_to_lower",
-    "apply_permutation",
 ]
 
 FAMILIES = ("wlp-ball", "hyperbolic-cross", "explicit-list")

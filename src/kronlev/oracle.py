@@ -28,7 +28,6 @@ __all__ = [
     "exact_leverage",
     "solve_full",
     "flat_row_index",
-    "sketch_operator",
     "gram_statistic",
     "aliasing_statistic",
 ]

@@ -424,7 +424,8 @@ class FullGridReduction:
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
-    A trial reads the Q and grid weights of ``factors``.  The grid's
+    R_{L,J} itself is not held.  A trial reads the Q and grid weights of
+    ``factors``, and a non-lower J's basis U.  The grid's
     b = sqrt(w) * values is not stored: a trial forms b at its rows from
     ``values``, which is held by reference and not copied.  That is either
     the caller's array of grid values, which must not be mutated while the
@@ -434,7 +435,7 @@ class FullGridReduction:
 
     factors: tuple[FactorMatrix, ...]
     lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
-    r_lj: np.ndarray      # (|L|, N) Hadamard product of per-dimension R blocks
+    n: int                # N = |J|, the columns of R_{L,J}
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
     basis: Optional[np.ndarray]
@@ -555,8 +556,9 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d or R_{L,J}'s |L| N.  The projection runs
-    on one BLAS thread, as a threaded dot or matrix product rounds by thread count.
+    with no array above r |L| max N_d.  Only a non-lower J forms R_{L,J}, whose
+    QR gives U, and lets it go.  The projection runs on one BLAS thread, as a
+    threaded dot or matrix product rounds by thread count.
     An index set of another dimension than the factors raises ValueError.
     """
     factors = tuple(factors)
@@ -581,7 +583,6 @@ def reduce_full_grid(
     lower = np.asarray(lower) - 1
     cols, box = lower[: len(index_set)], index_set.bounding_box
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
-    r_lj = _kron_rows([f.r for f in factors], lower, cols)
     with _one_blas_thread():
         c, b_sq, residual_sq = project(values, root_w, qs, lower)
         if len(lower) == len(index_set):
@@ -589,11 +590,11 @@ def reduce_full_grid(
             # all of R^N and no part of c lies outside it
             basis, gap_sq = None, 0.0
         else:
-            basis = np.linalg.qr(r_lj)[0]
+            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, cols))[0]
             gap = c - basis @ (basis.T @ c)
             gap_sq = float(gap @ gap)
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
-    return FullGridReduction(factors, lower, r_lj, basis, values, c, residual_sq, b_sq, optimal)
+    return FullGridReduction(factors, lower, len(index_set), basis, values, c, residual_sq, b_sq, optimal)
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -603,8 +604,9 @@ def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
 
 
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
-    """||A x - b||_2 / ||b||_2 over the full grid, in O(|L| N) from the reduction."""
-    return _relative_error(reduction, reduction.r_lj @ np.asarray(x, dtype=float))
+    """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call."""
+    r_lj = _kron_rows([f.r for f in reduction.factors], reduction.lower, reduction.lower[: reduction.n])
+    return _relative_error(reduction, r_lj @ np.asarray(x, dtype=float))
 
 
 def trial_error(
@@ -628,7 +630,7 @@ def trial_error(
     are not an integer (K >= 1, D) array on the grid or of zero mass, raise
     ValueError.
     """
-    factors, n, basis = reduction.factors, reduction.r_lj.shape[1], reduction.basis
+    factors, n, basis = reduction.factors, reduction.n, reduction.basis
     own_factors = len(method.factors) == len(factors) and all(
         mine is theirs for mine, theirs in zip(method.factors, factors)
     )

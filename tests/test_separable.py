@@ -14,7 +14,7 @@ from kronlev.cli import main
 from kronlev.config import ConfigError, load_json, parse_experiment, parse_problem
 from kronlev.configs import packaged_config_path
 from kronlev.experiments import grid_values, prepare_problem, run_trials
-from kronlev.factor import build_factor
+from kronlev.factor import _kron_rows, build_factor
 from kronlev.grid_basis import (
     BasisSpec,
     Grid1D,
@@ -26,6 +26,7 @@ from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
 from kronlev.sketch import (
     SeparableValues,
+    _one_blas_thread,
     full_relative_error,
     reduce_full_grid,
     solve,
@@ -88,6 +89,33 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
             values = separable.values[tuple(rows.T)]
             assert values.tobytes() == grid.values[tuple(rows.T)].tobytes()
     assert "uniform" in tried and ("leverage-lower" in tried) == (name != "gapped")
+
+
+@pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
+def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
+    # a lower J's reduction and trials read Q and c alone; the gapped J forms
+    # R_{L,J} once, for the QR that gives its basis U
+    problem = ishigami_problem(name)
+    gathers = []
+
+    def spy(mats, rows, cols):
+        gathers.append("R" if all(m is f.r for m, f in zip(mats, problem.factors)) else "Q")
+        return _kron_rows(mats, rows, cols)
+
+    monkeypatch.setattr(sketch_module, "_kron_rows", spy)
+    reduction = prepare_problem(problem)
+    assert gathers == ([] if name != "gapped" else ["R"])
+    assert reduction.n == len(problem.index_set)
+    if name == "gapped":
+        r_lj = _kron_rows([f.r for f in problem.factors], reduction.lower, reduction.lower[: reduction.n])
+        with _one_blas_thread():
+            assert np.array_equal(reduction.basis, np.linalg.qr(r_lj)[0])
+    else:
+        assert reduction.basis is None
+    method = problem.method("uniform")
+    rows = sample_indices(method, np.random.default_rng(0), 4 * reduction.n)
+    trial_error(reduction, method, rows)
+    assert gathers[-1] == "Q" and gathers.count("R") == (name == "gapped")
 
 
 def test_tiny_optimum_is_not_a_difference_of_norms():
@@ -219,8 +247,8 @@ def test_manufactured_targets_give_their_closed_form(dimension, family, order, m
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # r_lj and 16 MB: nothing of the size of J's bounding box
-    assert peak <= reduction.r_lj.nbytes + (16 << 20)
+    # nothing of the size of J's bounding box, and no R_{L,J}
+    assert peak <= 16 << 20
     scale = math.sqrt(c @ c + d @ d)
     assert np.max(np.abs(reduction.c - c)) <= 1e-12 * scale
     assert relative(reduction.optimal_error, math.sqrt(d @ d) / scale) <= 1e-12

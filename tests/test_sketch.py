@@ -759,7 +759,8 @@ class TestTrialError:
         reduction = reduction_of(index_set, factors, SMOOTH)
         assert reduction.basis is None
         assert reduction_of(NON_LOWER, factors, SMOOTH).basis is not None
-        basis = np.linalg.qr(reduction.r_lj)[0]
+        r_jj = _kron_rows([f.r for f in factors], reduction.lower, reduction.lower)
+        basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
         with_basis = dataclasses.replace(reduction, basis=basis)
         method = make_method("leverage-lower", factors, index_set)
