@@ -87,65 +87,57 @@ _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 _GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_full_grid
 
-# Symbols of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
+# Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
 # the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
-# so no 32-bit-integer build is handed 64-bit integers.
-_OPENBLAS_THREADS = "scipy_openblas_{}_num_threads64_"  # "get", "set"
-_OPENBLAS_LAPACKE = "scipy_LAPACKE_{}_work64_"  # "dpotrf", "dpotrs"
+# so no 32-bit-integer build is handed 64-bit integers.  One entry per field of
+# _OpenBlas: (symbol, argument types, result type).
 _LAPACK_COL_MAJOR = 102
-_LAPACKE_ARGS = {
-    "dpotrf": [  # layout, uplo, n, a, lda
-        ctypes.c_int,
-        ctypes.c_char,
+_OPENBLAS_SYMBOLS = {
+    "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+    "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+    "dpotrf": (  # layout, uplo, n, a, lda
+        "scipy_LAPACKE_dpotrf_work64_",
+        [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
         ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),
+    ),
+    "dpotrs": (  # layout, uplo, n, nrhs, a, lda, b, ldb
+        "scipy_LAPACKE_dpotrs_work64_",
+        [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
         ctypes.c_int64,
-    ],
-    "dpotrs": [  # layout, uplo, n, nrhs, a, lda, b, ldb
-        ctypes.c_int,
-        ctypes.c_char,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-        ctypes.c_int64,
-    ],
+    ),
 }
 
 
 class _OpenBlas(NamedTuple):
-    """What kronlev calls in numpy's bundled OpenBLAS."""
+    """What kronlev calls in numpy's bundled OpenBLAS, all from one library."""
 
-    controls: tuple  # (get, set) thread-count functions, one pair per library
-    dpotrs: Optional[Callable]  # LAPACKE_dpotrs_work, or None
-    dpotrf: Optional[Callable]  # LAPACKE_dpotrf_work, or None
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    dpotrf: Callable  # LAPACKE_dpotrf_work
+    dpotrs: Callable  # LAPACKE_dpotrs_work
 
 
 @cache
-def _openblas() -> _OpenBlas:
-    """Thread controls, dpotrs and dpotrf of numpy's bundled OpenBLAS, from one scan.
+def _openblas() -> Optional[_OpenBlas]:
+    """The first OpenBLAS in numpy.libs that exports every _OPENBLAS_SYMBOLS entry, or None.
 
     The scan takes about 0.2 ms.  The first ``_one_blas_thread`` of a command
     makes it during set-up, so no trial pays for it.
     """
-    controls, lapacke = [], dict.fromkeys(_LAPACKE_ARGS)
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        get, put = (getattr(lib, _OPENBLAS_THREADS.format(verb), None) for verb in ("get", "set"))
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            controls.append((get, put))
-        for name, args in _LAPACKE_ARGS.items():
-            found = getattr(lib, _OPENBLAS_LAPACKE.format(name), None)
-            if lapacke[name] is None and found is not None:
-                found.argtypes, found.restype = args, ctypes.c_int64
-                lapacke[name] = found
-    return _OpenBlas(tuple(controls), lapacke["dpotrs"], lapacke["dpotrf"])
+        found = {field: getattr(lib, symbol, None) for field, (symbol, _, _) in _OPENBLAS_SYMBOLS.items()}
+        if all(function is not None for function in found.values()):
+            for field, (_, args, result) in _OPENBLAS_SYMBOLS.items():
+                found[field].argtypes, found[field].restype = args, result
+            return _OpenBlas(**found)
+    return None
 
 
 @contextmanager
@@ -163,14 +155,15 @@ def _one_blas_thread():
     already 1 is left alone, so a block nested in a pinned one sets nothing.
     With no OpenBLAS found the block runs unpinned.
     """
-    changed = [(put, count) for get, put in _openblas().controls if (count := get()) != 1]
-    for put, _ in changed:
-        put(1)
+    found = _openblas()
+    count = 1 if found is None else found.get_threads()
+    if count != 1:
+        found.set_threads(1)
     try:
         yield
     finally:
-        for put, count in changed:
-            put(count)
+        if count != 1:
+            found.set_threads(count)
 
 
 @dataclass(frozen=True)
@@ -337,14 +330,14 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     None when Cholesky fails or its diagonal ratio is below _SEMI_NORMAL_RTOL:
     the Gram squares the condition number, so only a well-conditioned a is
     solved here.  With numpy's OpenBLAS, the Gram is factored in place by one
-    dpotrf call and L L^T x = z is one dpotrs call on that buffer
-    (_cholesky_solve).  Where numpy bundles neither, the factor comes from
+    dpotrf call and L L^T x = z is one dpotrs call on that buffer, which
+    writes x over z.  Where numpy bundles no OpenBLAS, the factor comes from
     np.linalg.cholesky and x from _back_substitute on L with its rows and
     columns reversed, which is upper triangular, then on L^T.
     """
     gram = np.ascontiguousarray(a.T @ a, dtype=np.float64)
     found = _openblas()
-    if found.dpotrf is not None and found.dpotrs is not None:
+    if found is not None:
         # read column-major, the symmetric C-ordered Gram is itself, and
         # dpotrf "L" writes L over its lower triangle, which is the upper
         # triangle in C order; dpotrs "L" reads only that triangle
@@ -357,7 +350,11 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         diag = np.diagonal(gram)
 
         def cholesky_solve(z):
-            return _cholesky_solve(found.dpotrs, gram, z)
+            x = np.asarray(z, dtype=np.float64)  # a.T @ ... is a new array, free to overwrite
+            info = found.dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, gram, max(n, 1), x, max(n, 1))
+            if info != 0:
+                raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
+            return x
 
     else:
         try:
@@ -374,29 +371,6 @@ def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         return None
     x = cholesky_solve(a.T @ b)
     return x + cholesky_solve(a.T @ (b - a @ x))
-
-
-def _cholesky_solve(dpotrs: Callable, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with L L^T x = rhs, by one call of LAPACKE_dpotrs_work with uplo "L".
-
-    ``factor`` is a square buffer as dpotrf "L" leaves it: read column-major,
-    its lower triangle is L, so in C order its upper triangle holds L^T and
-    its strict lower triangle is not read.  A C-contiguous float64 factor is
-    neither copied nor transposed; any other is copied first.  x is a new
-    array: ``rhs`` is not written.  A factor that is not square, or an rhs
-    that does not match it, raises ValueError; a nonzero info RuntimeError.
-    """
-    factor = np.ascontiguousarray(factor, dtype=np.float64)
-    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"the Cholesky factor must be square, not of shape {factor.shape}")
-    n = factor.shape[0]
-    x = np.array(rhs, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"the right-hand side must have shape ({n},), not {x.shape}")
-    info = dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, factor, max(n, 1), x, max(n, 1))
-    if info != 0:
-        raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
-    return x
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -523,23 +497,26 @@ def _project_separable(
         raise ValueError("b_values must be finite")
     if not b_sq > 0.0:  # zero, or below zero by rounding where the terms cancel
         raise ValueError("b_values are zero wherever the grid weight is positive")
-    # one row of u per prefix of this depth, and each member's prefix
+    # L's rows sorted once, so each prefix's members are one run; a prefix of
+    # depth d + 1 starts where column d changes or a shorter prefix starts
+    order = np.lexsort(lower.T[::-1])
+    ranked, starts = lower[order], np.arange(len(lower)) == 0
+    # one row of u per prefix of this depth, in lexicographic order, and each sorted row's prefix
     u, node, residual_sq = np.ones((1, len(grams[0]))), np.zeros(len(lower), dtype=np.intp), 0.0
     for d, (beta, q) in enumerate(zip(betas, qs)):
         tail = reduce(np.multiply, grams[d + 1 :], np.ones_like(grams[0]))  # A_d
         p = beta @ q  # (r, N_d)
         t = beta - p @ q.T  # (r, M_d)
-        prefixes, first, child = np.unique(
-            lower[:, : d + 1], axis=0, return_index=True, return_inverse=True
-        )
-        parent, a = node[first], prefixes[:, d]
+        starts[1:] |= ranked[1:, d] != ranked[:-1, d]
+        parent, a = node[starts], ranked[starts, d]
         missing = np.ones((len(u), q.shape[1]), dtype=bool)
         missing[parent, a] = False
         out = (u[:, None, :] * p.T)[missing]  # u o p_d[:, a] for each a that leaves L
         residual_sq += np.einsum("ir,rs,is->", u, t @ t.T * tail, u)
         residual_sq += np.einsum("ir,rs,is->", out, tail, out)
-        u, node = u[parent] * p.T[a], child.reshape(-1)
-    c = reduce(np.add, u.T, np.zeros(len(u)))[node]  # the terms added in order
+        u, node = u[parent] * p.T[a], np.cumsum(starts) - 1
+    c = np.empty(len(lower))
+    c[order] = reduce(np.add, u.T, np.zeros(len(u)))[node]  # the terms added in order
     return c, b_sq, max(float(residual_sq), 0.0)  # each form is nonnegative but for rounding
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -578,30 +579,24 @@ class TestRunTrials:
 
 
 @pytest.fixture
-def blas_controls():
-    """The bundled OpenBLAS thread controls, set to two threads for the test."""
-    controls = kronlev.sketch._openblas().controls
-    if not controls:
+def openblas():
+    """numpy's bundled OpenBLAS, set to two threads for the test."""
+    found = kronlev.sketch._openblas()
+    if found is None:
         pytest.skip("no bundled OpenBLAS found")
-    before = blas_counts(controls)
-    for _, put in controls:
-        put(2)
-    assert blas_counts(controls) == [2] * len(controls)
-    yield controls
-    for (_, put), count in zip(controls, before):
-        put(count)
+    before = found.get_threads()
+    found.set_threads(2)
+    assert found.get_threads() == 2
+    yield found
+    found.set_threads(before)
 
 
-def blas_counts(controls):
-    return [get() for get, _ in controls]
-
-
-def fail_every_trial(monkeypatch, controls):
+def fail_every_trial(monkeypatch, openblas):
     """Make every trial of ``run_trials`` raise; a list of the BLAS counts each saw here."""
     seen = []
 
     def failing(reduction, method, rows):
-        seen.append(blas_counts(controls))
+        seen.append(openblas.get_threads())
         raise RuntimeError("trial failed")
 
     monkeypatch.setattr(kronlev.experiments, "trial_error", failing)
@@ -609,30 +604,27 @@ def fail_every_trial(monkeypatch, controls):
 
 
 class TestOneBlasThread:
-    def test_trials_run_on_one_thread_and_the_counts_are_restored(self, blas_controls, monkeypatch):
+    def test_trials_run_on_one_thread_and_the_counts_are_restored(self, openblas, monkeypatch):
         # in this process and in the forked one alike
-        observe_trials(monkeypatch, lambda: (os.getpid(), blas_counts(blas_controls)))
+        observe_trials(monkeypatch, lambda: (os.getpid(), openblas.get_threads()))
         _, seen = split_observations(run_trials(experiment_config(), threads=2))
-        assert [counts for _, counts in seen] == [[1] * len(blas_controls)] * 6
+        assert [count for _, count in seen] == [1] * 6
         assert len({pid for pid, _ in seen}) == worker_processes(2)
-        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+        assert openblas.get_threads() == 2
 
-    def test_counts_are_restored_when_a_trial_raises(self, blas_controls, monkeypatch):
-        seen = fail_every_trial(monkeypatch, blas_controls)
+    def test_counts_are_restored_when_a_trial_raises(self, openblas, monkeypatch):
+        seen = fail_every_trial(monkeypatch, openblas)
         with pytest.raises(RuntimeError, match="trial failed"):
             run_trials(experiment_config(), threads=2)
-        assert seen and seen[0] == [1] * len(blas_controls)
-        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+        assert seen and seen[0] == 1
+        assert openblas.get_threads() == 2
 
-    def test_the_count_is_set_once_around_set_up_and_trials(self, blas_controls, monkeypatch):
+    def test_the_count_is_set_once_around_set_up_and_trials(self, openblas, monkeypatch):
         # any call that sets the count after a fork restarts OpenBLAS's
         # pool, so none comes between the forked grid evaluation and the
         # end of the trials
         puts = []
-        recording = tuple(
-            (get, lambda count, put=put: puts.append(count) or put(count)) for get, put in blas_controls
-        )
-        found = kronlev.sketch._openblas()._replace(controls=recording)
+        found = openblas._replace(set_threads=lambda count: puts.append(count) or openblas.set_threads(count))
         monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
         config = load_json(packaged_config_path("duffing-g7"))
         config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
@@ -641,21 +633,25 @@ class TestOneBlasThread:
         # each trial reports
         observe_trials(monkeypatch, lambda: len(puts))
         _, seen = split_observations(run_trials(parse_experiment(config), threads=2))
-        assert seen == [len(blas_controls)] * 6
-        assert puts == [1] * len(blas_controls) + [2] * len(blas_controls)
-        assert blas_counts(blas_controls) == [2] * len(blas_controls)
+        assert seen == [1] * 6
+        assert puts == [1, 2]
+        assert openblas.get_threads() == 2
 
-    def test_without_controls_the_trials_run_unpinned(self, blas_controls, monkeypatch):
-        pinned = run_trials(experiment_config(), threads=2)
-        found = kronlev.sketch._openblas()._replace(controls=())
-        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
-        observe_trials(monkeypatch, lambda: (os.getpid(), blas_counts(blas_controls)))
-        unpinned = run_trials(experiment_config(), threads=2)
-        errors, seen = split_observations(unpinned)
-        assert [counts for _, counts in seen] == [[2] * len(blas_controls)] * 6
-        assert len({pid for pid, _ in seen}) == worker_processes(2)
-        assert errors == pinned.errors
-        assert unpinned.optimal_error == pinned.optimal_error
+    def test_without_controls_the_trials_run_unpinned(self, openblas, monkeypatch, tmp_path):
+        # with no OpenBLAS found nothing sets the count, and x comes from
+        # numpy's Cholesky; the report still does not move with the worker count
+        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: None)
+        observe_trials(monkeypatch, lambda: (os.getpid(), openblas.get_threads()))
+        reports = []
+        for threads in (1, 2, 3):
+            report = run_trials(experiment_config(), threads=threads)
+            errors, seen = split_observations(report)
+            assert [count for _, count in seen] == [2] * 6
+            assert len({pid for pid, _ in seen}) == worker_processes(threads)
+            path = tmp_path / f"report-{threads}.csv"
+            write_report_csv(dataclasses.replace(report, errors=errors), path)
+            reports.append(path.read_bytes())
+        assert reports[1:] == reports[:1] * 2
 
 
 @pytest.fixture(scope="module")

@@ -41,6 +41,15 @@ def small_lower_problem():
     return index_set, factors
 
 
+@pytest.fixture(scope="module")
+def d6_lower_problem():
+    """D=6, 3-node GL grids (729 rows), monomial basis, total degree 2 (N=28), exact leverage."""
+    index_set = total_degree(6, 2)
+    factors = monomial_factors(6, 3, 3)
+    system = build_full(index_set, factors, TargetFunction("zero", lambda c: 0 * c[:, 0]))
+    return make_method("leverage-lower", factors, index_set), exact_leverage(system)
+
+
 class TestPointMass:
     def test_uniform_mass(self):
         factors = monomial_factors(2, 2, 2)
@@ -73,6 +82,12 @@ class TestPointMass:
         masses = point_mass_many(method, all_grid_indices((5, 5)))
         system = build_full(index_set, factors, TargetFunction("zero", lambda c: 0 * c[:, 0]))
         scores = exact_leverage(system)
+        assert np.max(np.abs(masses - scores)) < 1e-12
+
+    def test_lower_set_mass_equals_exact_leverage_at_d6(self, d6_lower_problem):
+        method, scores = d6_lower_problem
+        assert len(scores) == 729 and len(method.index_array) == 28
+        masses = point_mass_many(method, all_grid_indices((3,) * 6))
         assert np.max(np.abs(masses - scores)) < 1e-12
 
     def test_orthogonal_columns_mass_equals_exact_leverage_on_a_non_lower_set(self):
@@ -122,6 +137,13 @@ class TestSampling:
         system = build_full(index_set, factors, TargetFunction("zero", lambda c: 0 * c[:, 0]))
         scores = exact_leverage(system)
         assert 0.5 * np.sum(np.abs(freq - scores)) < 0.01
+
+    def test_leverage_lower_empirical_law_at_d6(self, d6_lower_problem):
+        # E[TV] of 2e5 draws over 729 rows is at most about 0.024
+        method, scores = d6_lower_problem
+        idx0 = sample_indices(method, np.random.default_rng(6), 2 * 10**5)
+        freq = np.bincount(flat_row_index(idx0, (3,) * 6), minlength=729) / idx0.shape[0]
+        assert 0.5 * np.sum(np.abs(freq - scores)) < 0.05
 
     def test_tensor_product_empirical_law(self):
         factors = monomial_factors(2, 4, 3)

@@ -38,9 +38,7 @@ from kronlev.sketch import (
     SketchedSystem,
     TargetFunction,
     _back_substitute,
-    _cholesky_solve,
     _one_blas_thread,
-    _OpenBlas,
     _row_blocks,
     _semi_normal,
     assemble,
@@ -241,11 +239,11 @@ def take_solve_path(monkeypatch, path):
     """
     calls = []
     if path == "back-substitute":
-        found = _OpenBlas((), None, None)
+        found = None
     else:
         found = sketch_module._openblas()
-        if found.dpotrs is None or found.dpotrf is None:
-            pytest.skip("numpy bundles no OpenBLAS with dpotrs and dpotrf")
+        if found is None:
+            pytest.skip("numpy bundles no OpenBLAS")
 
         def counting(name, function):
             def counted(*args):
@@ -436,11 +434,21 @@ class TestBackSubstitute:
 
 
 @pytest.fixture
-def dpotrs():
-    found = sketch_module._openblas().dpotrs
+def openblas():
+    found = sketch_module._openblas()
     if found is None:
-        pytest.skip("numpy bundles no OpenBLAS with dpotrs")
+        pytest.skip("numpy bundles no OpenBLAS")
     return found
+
+
+@pytest.fixture
+def dpotrs(openblas):
+    return openblas.dpotrs
+
+
+@pytest.fixture
+def dpotrf(openblas):
+    return openblas.dpotrf
 
 
 def cholesky_system(n, seed):
@@ -458,69 +466,56 @@ def cholesky_system(n, seed):
 class TestCholeskySolve:
     @pytest.mark.parametrize("n", [1, 7, 220])
     def test_solves_the_cholesky_system(self, dpotrs, n):
+        # the convention _semi_normal relies on: uplo "L" on the C-ordered buffer
+        # reads L^T from its upper triangle, and x is written over the rhs
         factor, z = cholesky_system(n, n)
         lower = np.triu(factor).T
-        x = _cholesky_solve(dpotrs, factor, z)
+        x = z.copy()
+        assert dpotrs(102, b"L", n, 1, factor, n, x, n) == 0
         expected = solve_triangular(lower.T, solve_triangular(lower, z, lower=True))
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_hands_openblas_a_c_contiguous_factor_and_a_fresh_rhs(self, dpotrs):
-        given, z = cholesky_system(40, 3)
+    def test_hands_openblas_a_c_contiguous_factor_and_a_fresh_rhs(self, openblas, monkeypatch):
+        # dpotrs reads the buffer dpotrf factored, not a copy, and writes x
+        # into a new array, never into b
         seen = []
 
-        def recording(*args):
-            seen.append(args)
-            return dpotrs(*args)
+        def recording(name, function):
+            def recorded(*args):
+                seen.append((name, args))
+                return function(*args)
 
-        x = _cholesky_solve(recording, given, z)
-        (_, uplo, n, nrhs, factor, lda, rhs, ldb), = seen
-        assert (uplo, n, nrhs, lda, ldb) == (b"L", 40, 1, 40, 40)
-        assert factor is given  # a C-ordered float64 factor is passed as it is
-        assert rhs is x and not np.shares_memory(x, z)
-        assert rhs.dtype == np.float64 and rhs.flags.c_contiguous and rhs.shape == (40,)
+            return recorded
 
-    def test_fortran_factor_and_strided_rhs_are_copied(self, dpotrs):
-        given, z = cholesky_system(40, 4)
-        expected = _cholesky_solve(dpotrs, given, z)
-        fortran = np.asfortranarray(given)
-        stacked = np.stack([z, -z], axis=1)
-        strided = stacked[:, 0]
-        assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
-        before = (fortran.copy(), stacked.copy())
-        seen = []
+        found = openblas._replace(
+            dpotrf=recording("dpotrf", openblas.dpotrf), dpotrs=recording("dpotrs", openblas.dpotrs)
+        )
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        a, b = random_systems(160, 40)[0]
+        before = b.copy()
+        x = _semi_normal(a, b)
+        assert [name for name, _ in seen] == ["dpotrf", "dpotrs", "dpotrs"]
+        gram = seen[0][1][3]
+        for _, (_, uplo, n, nrhs, factor, lda, rhs, ldb) in seen[1:]:
+            assert (uplo, n, nrhs, lda, ldb) == (b"L", 40, 1, 40, 40)
+            assert factor is gram
+            assert rhs.dtype == np.float64 and rhs.flags.c_contiguous and rhs.shape == (40,)
+            assert not np.shares_memory(rhs, b)
+        assert not np.shares_memory(x, b)
+        np.testing.assert_array_equal(b, before)
 
-        def recording(*args):
-            seen.append((args[4], args[6]))
-            return dpotrs(*args)
-
-        x = _cholesky_solve(recording, fortran, strided)
-        assert x.tobytes() == expected.tobytes()
-        factor, rhs = seen[0]
-        assert factor.flags.c_contiguous and not np.shares_memory(factor, fortran)
-        assert rhs.flags.c_contiguous and not np.shares_memory(rhs, stacked)
-        np.testing.assert_array_equal(fortran, before[0])
-        np.testing.assert_array_equal(stacked, before[1])
-
-    @pytest.mark.parametrize(
-        "factor_shape,rhs_length",
-        [((5, 5), 6), ((5, 5), 4), ((5, 6), 5), ((5,), 5), ((2, 2, 2), 2)],
-        ids=["long-rhs", "short-rhs", "not-square", "1-d-factor", "3-d-factor"],
-    )
-    def test_wrong_shapes_are_rejected(self, factor_shape, rhs_length):
-        called = []
-        with pytest.raises(ValueError, match="shape"):
-            _cholesky_solve(lambda *args: called.append(args), np.ones(factor_shape), np.ones(rhs_length))
-        assert called == []
-
-    def test_nonzero_info_raises(self, dpotrs, monkeypatch, capfd):
-        factor, z = cholesky_system(6, 5)
-        with pytest.raises(RuntimeError, match="info = -2"):
-            _cholesky_solve(lambda *args: -2, factor, z)
+    def test_nonzero_info_raises(self, openblas, monkeypatch, capfd):
+        a, b = random_systems(40, 6)[0]
+        found = openblas._replace(dpotrs=lambda *args: -2)
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        with pytest.raises(RuntimeError, match="dpotrs failed with info = -2"):
+            _semi_normal(a, b)
         # the library's own answer to a bad argument: an unknown layout is
         # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
-        monkeypatch.setattr(sketch_module, "_LAPACK_COL_MAJOR", 0)
-        with pytest.raises(RuntimeError, match="info = -1"):
-            _cholesky_solve(dpotrs, factor, z)
+        found = openblas._replace(dpotrs=lambda layout, *args: openblas.dpotrs(0, *args))
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        with pytest.raises(RuntimeError, match="dpotrs failed with info = -1"):
+            _semi_normal(a, b)
         assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
 
     def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
@@ -528,14 +523,6 @@ class TestCholeskySolve:
         for factor, rhs in [(given.T, z.copy()), (given, z.astype(np.float32)), (given, z[::-1])]:
             with pytest.raises(ctypes.ArgumentError):
                 dpotrs(102, b"L", 6, 1, factor, 6, rhs, 6)
-
-
-@pytest.fixture
-def dpotrf():
-    found = sketch_module._openblas().dpotrf
-    if found is None or sketch_module._openblas().dpotrs is None:
-        pytest.skip("numpy bundles no OpenBLAS with dpotrf and dpotrs")
-    return found
 
 
 def numpy_cholesky_semi_normal(dpotrs, a, b):
@@ -559,15 +546,14 @@ def numpy_cholesky_semi_normal(dpotrs, a, b):
 
 class TestCholeskyFactor:
     @pytest.mark.parametrize("n", [1, 2, 7, 31, 33, 64, 120, 220, 221, 333, 700])
-    def test_factor_and_x_have_the_bits_of_numpy_cholesky(self, dpotrf, monkeypatch, n):
-        dpotrs = sketch_module._openblas().dpotrs
+    def test_factor_and_x_have_the_bits_of_numpy_cholesky(self, openblas, dpotrs, monkeypatch, n):
         factors = []
 
         def recording(*args):
             factors.append(args[4].copy())
             return dpotrs(*args)
 
-        found = sketch_module._openblas()._replace(dpotrs=recording)
+        found = openblas._replace(dpotrs=recording)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         rng = np.random.default_rng(n)
         a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
@@ -580,7 +566,7 @@ class TestCholeskyFactor:
         for factor in factors:  # L^T in the upper triangle in C order
             assert np.triu(factor).tobytes() == lower.T.tobytes()
 
-    def test_a_gram_that_is_not_positive_definite_is_declined(self, dpotrf, monkeypatch):
+    def test_a_gram_that_is_not_positive_definite_is_declined(self, openblas, dpotrf, monkeypatch):
         # dpotrf's info > 0: the leading minor of order 2 is exactly singular
         a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         gram = np.ascontiguousarray(a.T @ a)
@@ -591,12 +577,12 @@ class TestCholeskyFactor:
             assert dpotrf(*args) == 0
             return 4
 
-        found = sketch_module._openblas()._replace(dpotrf=failing)
+        found = openblas._replace(dpotrf=failing)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         assert _semi_normal(*random_systems(40, 6)[0]) is None
 
-    def test_a_bad_argument_raises(self, dpotrf, monkeypatch):
-        found = sketch_module._openblas()._replace(dpotrf=lambda *args: -3)
+    def test_a_bad_argument_raises(self, openblas, monkeypatch):
+        found = openblas._replace(dpotrf=lambda *args: -3)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         a, b = random_systems(40, 6)[0]
         with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
@@ -633,8 +619,7 @@ class TestBundledOpenBlas:
             sketch_module._openblas.cache_clear()
             reduction = reduce_full_grid(index_set, factors, values)
             assert sketch_module._openblas.cache_info().misses == 1
-            found = sketch_module._openblas()
-            assert found.controls and found.dpotrs is not None and found.dpotrf is not None
+            assert sketch_module._openblas() is not None
             calls.clear()
             trial_error(reduction, method, rows)
             assert sketch_module._openblas.cache_info().misses == 1
