@@ -1,9 +1,9 @@
 """Command-line entry point: wires JSON configs to the library.
 
 Subcommands: ``indexset``, ``sample``, ``solve``, ``oracle``, ``experiment``.
-stdout carries machine-readable JSON summaries only; human-readable
-diagnostics go to stderr.  Exit codes: 0 success, 2 config or usage error,
-1 runtime error.
+stdout carries JSON summaries only, but ``sample`` without ``--out`` writes
+its sample CSV there; human-readable diagnostics go to stderr.  Exit codes:
+0 success, 2 config or usage error, 1 runtime error.
 """
 
 from __future__ import annotations

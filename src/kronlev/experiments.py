@@ -48,7 +48,6 @@ __all__ = [
     "duffing_qoi_batch",
     "make_target",
     "evaluate_on_grid",
-    "grid_values",
     "prepare_problem",
     "TrialReport",
     "run_trials",
@@ -262,8 +261,7 @@ def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> Target
     """The target function of a parsed model spec; ``grids`` is not used.
 
     The function is a ``functools.partial`` of a module-level model, so it
-    pickles.  A tabulated model has no target function: ``grid_values``
-    reads it.
+    pickles.  A tabulated model has none: ``prepare_problem`` reads its file.
     """
     name = model["name"]
     if name == "ishigami":
@@ -273,7 +271,7 @@ def make_target(model: dict, grids: Optional[Sequence[Grid1D]] = None) -> Target
             "duffing", partial(duffing_qoi_batch, t_final=model["t_final"], step=model["step"])
         )
     if name == "tabulated":
-        raise ValueError("a tabulated model has no target function; read it with grid_values")
+        raise ValueError("a tabulated model has no target function; prepare_problem reads its file")
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -302,19 +300,12 @@ def evaluate_on_grid(
     return np.concatenate(_map_in_shares(partial(_grid_rows, target, grids), rows, workers))
 
 
-def grid_values(model: dict, grids: Sequence[Grid1D], workers: int = 1) -> np.ndarray:
-    """The model over the full grid in lexicographic order; a tabulated file is read as is."""
-    if model["name"] == "tabulated":
-        return _tabulated_values(model["path"], grids)
-    return evaluate_on_grid(make_target(model), grids, workers)
-
-
 def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReduction:
     """The full-grid reduction of the problem's model, which every trial reads.
 
     Ishigami enters as its terms tabulated on each dimension's nodes, so the
-    grid is never formed; every other model as its values on the grid,
-    evaluated by ``grid_values`` in up to ``workers`` processes.
+    grid is never formed; a tabulated model as its file's values; any other
+    model as its values on the grid, evaluated in up to ``workers`` processes.
     """
     model = problem.model
     if model["name"] == "ishigami":
@@ -322,8 +313,10 @@ def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReductio
         b_values = SeparableValues(
             tuple(tuple(g(grid.nodes) for g, grid in zip(term, problem.grids)) for term in terms)
         )
+    elif model["name"] == "tabulated":
+        b_values = _tabulated_values(model["path"], problem.grids)
     else:
-        b_values = grid_values(model, problem.grids, workers)
+        b_values = evaluate_on_grid(make_target(model), problem.grids, workers)
     return reduce_full_grid(problem.index_set, problem.factors, b_values)
 
 

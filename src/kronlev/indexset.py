@@ -49,12 +49,7 @@ class IndexSetSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.family == "explicit-list":
-            if not self.indices:
-                raise ValueError("explicit-list requires a nonempty indices list")
-            for alpha in self.indices:
-                if len(alpha) != self.dimension or any(a < 1 for a in alpha):
-                    raise ValueError(f"bad multi-index {alpha}: need {self.dimension} entries, all >= 1")
-            return
+            return  # its members are checked by the MultiIndexSet built from them
         if not math.isfinite(self.order) or self.order < 0:
             raise ValueError("order must be finite and >= 0")
         if math.isnan(self.p) or self.p < 0:
@@ -88,10 +83,8 @@ class MultiIndexSet:
             raise ValueError("multi-index set must be nonempty")
         seen = set()
         for alpha in self.indices:
-            if len(alpha) != self.dimension:
-                raise ValueError(f"index {alpha} has wrong dimension")
-            if any(a < 1 for a in alpha):
-                raise ValueError(f"index {alpha} has entries < 1")
+            if len(alpha) != self.dimension or any(a < 1 for a in alpha):
+                raise ValueError(f"bad multi-index {alpha}: need {self.dimension} entries, all >= 1")
             if alpha in seen:
                 raise ValueError(f"duplicate index {alpha}")
             seen.add(alpha)
@@ -107,6 +100,15 @@ class MultiIndexSet:
 
     def __contains__(self, alpha):
         return tuple(alpha) in self._members
+
+
+def _check_fit(index_set: MultiIndexSet, columns: Sequence[int]) -> None:
+    """Raise ValueError unless J has one entry per factor and bounding_box[d] <= columns[d] = N_d."""
+    if index_set.dimension != len(columns):
+        raise ValueError("index set dimension does not match the number of factors")
+    for d, (n_d, count) in enumerate(zip(index_set.bounding_box, columns)):
+        if n_d > count:
+            raise ValueError(f"index set needs {n_d} columns in dimension {d + 1}, factor has {count}")
 
 
 def _graded_lex_sorted(indices) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .factor import FactorMatrix
-from .indexset import MultiIndexSet
+from .indexset import MultiIndexSet, _check_fit
 from .sketch import Sketch, TargetFunction
 
 __all__ = [
@@ -69,6 +69,7 @@ def build_full(
     ``b_values`` may supply precomputed function values on the grid in
     lexicographic order, otherwise ``target`` is evaluated everywhere.
     """
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
     shape = tuple(f.matrix.shape[0] for f in factors)
     total = int(np.prod(shape))
     if total > MAX_DENSE_ROWS:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .factor import FactorMatrix, _kron_rows, sample_nu_kd
 from .grid_basis import Grid1D
-from .indexset import MultiIndexSet, is_monotone_lower
+from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 
 __all__ = [
     "METHOD_TAGS",
@@ -94,13 +94,7 @@ def make_method(
         return SamplerMethod(tag, factors, None)
     if index_set is None:
         raise ValueError(f"method {tag!r} requires a multi-index set")
-    if index_set.dimension != len(factors):
-        raise ValueError("index set dimension does not match the number of factors")
-    for d, (n_d, f) in enumerate(zip(index_set.bounding_box, factors)):
-        if n_d > f.matrix.shape[1]:
-            raise ValueError(
-                f"index set needs {n_d} columns in dimension {d + 1}, factor has {f.matrix.shape[1]}"
-            )
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
     if tag == "leverage-lower" and not is_monotone_lower(index_set):
         raise ValueError("leverage-lower sampling requires a monotone lower index set")
     if tag == "orthogonal-columns":

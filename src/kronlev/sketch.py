@@ -48,7 +48,7 @@ import numpy as np
 
 from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
 from .grid_basis import BasisSpec, eval_basis_matrix
-from .indexset import MultiIndexSet, is_monotone_lower
+from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 from .sampler import (
     SamplerMethod,
     _check_rows,
@@ -86,6 +86,7 @@ _RANK_RTOL = 1e-12
 _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 _GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_full_grid
+_FULL_ERROR_BLOCK_BYTES = 16 << 20  # bytes of R_{L,J} per block of rows in full_relative_error
 
 # Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
 # the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
@@ -285,8 +286,7 @@ def assemble(
     univariate basis functions picked by each multi-index; the sqrt(w_m)
     row weighting of the full problem lives inside v_k, not here.
     """
-    if len(bases) != index_set.dimension:
-        raise ValueError("one basis spec per dimension is required")
+    _check_fit(index_set, [basis.count for basis in bases])
     root_v = np.sqrt(sketch.weights)
     cols = np.asarray(index_set.indices, dtype=np.int64) - 1
     mat = np.ones((sketch.size, len(index_set)))
@@ -536,22 +536,20 @@ def reduce_full_grid(
     with no array above r |L| max N_d.  Only a non-lower J forms R_{L,J}, whose
     QR gives U, and lets it go.  The projection runs on one BLAS thread, as a
     threaded dot or matrix product rounds by thread count.
-    An index set of another dimension than the factors raises ValueError.
+    An index set that does not fit the factors' columns raises ValueError.
     """
     factors = tuple(factors)
-    if index_set.dimension != len(factors):
-        raise ValueError("index set dimension does not match the number of factors")
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
     if isinstance(b_values, SeparableValues):
         values, project = b_values, _project_separable
-        if values.shape != shape:
-            raise ValueError("b_values must hold one value per grid row")
     else:
         values, project = np.asarray(b_values, dtype=float), _project_grid
-        if values.size != math.prod(shape):
-            raise ValueError("b_values must hold one value per grid row")
-        values = values.reshape(shape)
+        if values.size == math.prod(shape):
+            values = values.reshape(shape)
+    if values.shape != shape:
+        raise ValueError("b_values must hold one value per grid row")
     lower = list(index_set.indices)
     if not is_monotone_lower(index_set):  # a lower J is its own closure
         members = set(lower)
@@ -581,9 +579,19 @@ def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
 
 
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
-    """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call."""
-    r_lj = _kron_rows([f.r for f in reduction.factors], reduction.lower, reduction.lower[: reduction.n])
-    return _relative_error(reduction, r_lj @ np.asarray(x, dtype=float))
+    """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call.
+
+    R_{L,J} is formed about _FULL_ERROR_BLOCK_BYTES of L's rows at a time, on one BLAS thread, with
+    the whole product's bits: OpenBLAS's gemv takes a product's last rows apart and np.dot gives a
+    lone row to a dot kernel, so every block but the last is a multiple of 64 rows, and none is one.
+    """
+    rs, lower, n = [f.r for f in reduction.factors], reduction.lower, reduction.n
+    x = np.asarray(x, dtype=float)
+    step = max(1, _FULL_ERROR_BLOCK_BYTES // (8 * n * 64)) * 64
+    edges = [0, *range(step, len(lower) - 1, step), len(lower)]  # a last row joins the block before
+    with _one_blas_thread():
+        fit = [_kron_rows(rs, lower[i:j], lower[:n]) @ x for i, j in zip(edges, edges[1:])]
+    return _relative_error(reduction, np.concatenate(fit))
 
 
 def trial_error(

@@ -559,12 +559,12 @@ class TestCli:
     def test_method_precondition_is_exit_2_before_the_model_is_evaluated(
         self, tiny_config, tmp_path, capsys, monkeypatch, command, tag, patch, message
     ):
-        def no_grid_values(*args):
+        def no_model(*args):
             raise AssertionError("the model was evaluated before the method was checked")
 
-        monkeypatch.setattr("kronlev.experiments.grid_values", no_grid_values)
+        monkeypatch.setattr("kronlev.experiments.evaluate_on_grid", no_model)
         # the Ishigami model is taken by its terms, not on the grid
-        monkeypatch.setattr("kronlev.experiments._ishigami_terms", no_grid_values)
+        monkeypatch.setattr("kronlev.experiments._ishigami_terms", no_model)
         config = json.loads(tiny_config.read_text())
         config.update(patch, methods=[tag])
         path = tmp_path / "bad-method.json"

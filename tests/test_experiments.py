@@ -20,11 +20,11 @@ from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
     METHOD_IDS,
+    _tabulated_values,
     duffing_qoi_batch,
     emit_cdf,
     emit_cdf_svg,
     evaluate_on_grid,
-    grid_values,
     ishigami,
     make_target,
     run_trials,
@@ -240,10 +240,10 @@ class TestTargets:
         values = np.linspace(0.0, 1.0, 9)
         path = tmp_path / "values.txt"
         np.savetxt(path, values)
-        assert np.allclose(grid_values({"name": "tabulated", "path": str(path)}, grids), values)
+        assert np.allclose(_tabulated_values(str(path), grids), values)
 
     def test_tabulated_model_has_no_target_function(self):
-        with pytest.raises(ValueError, match="grid_values"):
+        with pytest.raises(ValueError, match="prepare_problem reads its file"):
             make_target({"name": "tabulated", "path": "values.txt"})
 
     @pytest.mark.parametrize("model", [
@@ -662,7 +662,7 @@ def cached_grid_values():
     def values(problem):
         key = json.dumps([problem.model, [g.nodes.tolist() for g in problem.grids]], sort_keys=True)
         if key not in cache:
-            cache[key] = grid_values(problem.model, problem.grids)
+            cache[key] = evaluate_on_grid(make_target(problem.model), problem.grids)
         return cache[key]
 
     return values

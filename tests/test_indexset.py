@@ -111,6 +111,16 @@ class TestBuildIndexSet:
         got = build_index_set(spec)
         assert got.indices == ((1, 1), (2, 1))
 
+    @pytest.mark.parametrize(
+        "indices",
+        [(), ((1, 1), (1,)), ((1, 1), (1, 0)), ((1, 1), (1, 1))],
+        ids=["empty", "short-index", "zero-entry", "duplicate"],
+    )
+    def test_explicit_list_members_are_checked_by_the_set(self, indices):
+        spec = IndexSetSpec(dimension=2, family="explicit-list", indices=indices)
+        with pytest.raises(ValueError):
+            build_index_set(spec)
+
     def test_nonfinite_order_rejected(self):
         with pytest.raises(ValueError):
             IndexSetSpec(dimension=2, family="wlp-ball", order=math.nan)

@@ -13,7 +13,7 @@ import kronlev.sketch as sketch_module
 from kronlev.cli import main
 from kronlev.config import ConfigError, load_json, parse_experiment, parse_problem
 from kronlev.configs import packaged_config_path
-from kronlev.experiments import grid_values, prepare_problem, run_trials
+from kronlev.experiments import evaluate_on_grid, make_target, prepare_problem, run_trials
 from kronlev.factor import _kron_rows, build_factor
 from kronlev.grid_basis import (
     BasisSpec,
@@ -53,7 +53,8 @@ def both_reductions(problem):
     """(separable, grid) reductions of one problem."""
     separable = prepare_problem(problem)
     assert isinstance(separable.values, SeparableValues)
-    grid = reduce_full_grid(problem.index_set, problem.factors, grid_values(problem.model, problem.grids))
+    values = evaluate_on_grid(make_target(problem.model), problem.grids)
+    grid = reduce_full_grid(problem.index_set, problem.factors, values)
     return separable, grid
 
 
@@ -260,6 +261,29 @@ def test_manufactured_targets_give_their_closed_form(dimension, family, order, m
         rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
         error, flag = trial_error(reduction, method, rows)
         assert not flag and reduction.optimal_error <= error < 1.0
+
+
+def test_full_error_forms_r_lj_in_row_blocks():
+    # D = 30, total degree 3: N = |L| = 5456, so the whole R_{L,J} takes 238 MB.
+    # On Gauss-Legendre grids the orthonormal Legendre factors are their own Q,
+    # so R_{L,J} = I up to rounding and the error has the closed form below.
+    dimension = 30
+    grid = gauss_legendre_grid(6)
+    factors = [build_factor(grid, BasisSpec("legendre-orthonormal", 4))] * dimension
+    index_set = build_index_set(IndexSetSpec(dimension, "wlp-ball", 3, weights=(1.0,) * dimension))
+    values = genz("product-peak", [grid] * dimension, [dimension**-0.5] * dimension, [0.5] * dimension)
+    reduction = reduce_full_grid(index_set, factors, values)
+    x = reduction.c * (1.0 + 0.1 * np.random.default_rng(30).standard_normal(len(index_set)))
+    tracemalloc.start()
+    try:
+        error = full_relative_error(reduction, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+    gap = x - reduction.c
+    expected = math.sqrt((gap @ gap + reduction.residual_sq) / reduction.b_sq)
+    assert relative(error, expected) <= 1e-12
 
 
 @pytest.mark.parametrize("dimension,order,m", [(3, 5, 8), (7, 3, 8)])

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from kronlev.sampler import (
 import kronlev.sketch as sketch_module
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
-from kronlev.experiments import evaluate_on_grid, grid_values
+from kronlev.experiments import evaluate_on_grid, make_target
 from kronlev.sketch import (
     _GRID_BLOCK_BYTES,
     _RANK_RTOL,
@@ -688,6 +689,34 @@ class TestFullRelativeError:
         with pytest.raises(ValueError, match="rank deficient"):
             FactorMatrix(broken, f.grid, f.basis)
 
+    @pytest.mark.parametrize("box,gap", [((27, 19), (1, 19)), ((6, 43), None)], ids=["L513", "L258"])
+    def test_row_blocks_keep_the_bits_of_the_whole_product(self, box, gap, monkeypatch):
+        # blocks of 64 rows.  Without (1, 19), J is not lower and L is the 27 x 19
+        # box with (1, 19) last: its one-row block, whose row has 26 nonzeros, joins
+        # the block before.  The 6 x 43 box ends in a block of two rows.
+        index_set = explicit(*(alpha for alpha in product(*(range(1, n + 1) for n in box)) if alpha != gap))
+        factors = [
+            build_factor(gauss_legendre_uniform_grid(n + 2), BasisSpec("legendre-orthonormal", n)) for n in box
+        ]
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        n = len(index_set)
+        assert len(reduction.lower) == math.prod(box)
+        monkeypatch.setattr(sketch_module, "_FULL_ERROR_BLOCK_BYTES", 8 * n * 70)
+        fits, relative_error = [], sketch_module._relative_error
+
+        def spy(reduction, fit):
+            fits.append(fit)
+            return relative_error(reduction, fit)
+
+        monkeypatch.setattr(sketch_module, "_relative_error", spy)
+        whole = _kron_rows([f.r for f in factors], reduction.lower, reduction.lower[:n])
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x = rng.standard_normal(n)
+            full_relative_error(reduction, x)
+            with _one_blas_thread():
+                assert fits.pop().tobytes() == (whole @ x).tobytes()
+
     @pytest.mark.parametrize("where", ["everywhere", "off-the-weight"])
     def test_zero_target_rejected(self, where):
         # the relative error divides by ||b||, which is 0 in both cases
@@ -911,7 +940,8 @@ class TestSharedGather:
         if case == "ishigami-g7":
             problem = parse_problem(load_json(packaged_config_path(case)))
             index_set, factors = problem.index_set, problem.factors
-            reduction = reduce_full_grid(index_set, factors, grid_values(problem.model, problem.grids))
+            values = evaluate_on_grid(make_target(problem.model), problem.grids)
+            reduction = reduce_full_grid(index_set, factors, values)
         else:
             index_set, factors = total_degree(3, 3), legendre_factors(3, 8, 4)
             reduction = reduction_of(index_set, factors, WAVE)
@@ -1222,7 +1252,7 @@ class TestReduceFullGrid:
         config = load_json(packaged_config_path("ishigami-g7"))
         config["grid"]["M"] = 60
         problem = parse_problem(config)
-        b_values = grid_values(problem.model, problem.grids)
+        b_values = evaluate_on_grid(make_target(problem.model), problem.grids)
         before = b_values.copy()
         reduce_full_grid(problem.index_set, problem.factors, b_values)  # warm caches
         tracemalloc.start()
@@ -1235,6 +1265,34 @@ class TestReduceFullGrid:
         assert peak <= 1.5 * b_values.nbytes
         assert np.array_equal(b_values, before)
         assert np.shares_memory(reduction.values, b_values)
+
+
+# each entry point that reads J, given J and two factors of 3 columns on 4 nodes
+FIT_ENTRY_POINTS = {
+    "make_method": lambda index_set, factors: make_method("leverage-lower", factors, index_set),
+    "reduce_full_grid-grid": lambda index_set, factors: reduce_full_grid(index_set, factors, np.ones(16)),
+    "reduce_full_grid-separable": lambda index_set, factors: reduce_full_grid(
+        index_set, factors, SeparableValues(((np.ones(4), np.ones(4)),))
+    ),
+    "build_full": lambda index_set, factors: build_full(index_set, factors, b_values=np.ones(16)),
+    "assemble": lambda index_set, factors: assemble(
+        index_set, [f.basis for f in factors], draw_sketch(make_method("uniform", factors), 5, 0), SMOOTH
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", FIT_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "index_set,message",
+    [
+        (total_degree(2, 3), "index set needs 4 columns in dimension 1, factor has 3"),
+        (total_degree(3, 1), "index set dimension does not match the number of factors"),
+    ],
+    ids=["box-too-large", "wrong-dimension"],
+)
+def test_an_index_set_that_does_not_fit_its_factors_is_rejected(entry_point, index_set, message):
+    with pytest.raises(ValueError, match=message):
+        FIT_ENTRY_POINTS[entry_point](index_set, legendre_factors(2, 4, 3))
 
 
 class TestSampleSize:
