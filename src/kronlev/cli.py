@@ -20,7 +20,7 @@ from .config import ConfigError, load_json, parse_experiment, parse_index_set, p
 from .experiments import emit_cdf, emit_cdf_svg, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
 from .sampler import sample_indices
-from .sketch import _one_blas_thread, draw_sketch, trial_error
+from .sketch import TargetFunction, _one_blas_thread, draw_sketch, trial_error
 
 _CSV_BLOCK = 1024  # sample rows formatted and written at a time
 
@@ -92,9 +92,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = parse_problem(load_json(args.config), Path(args.config).parent)
-    # leverage scores depend on the design matrix only: the model is not evaluated
-    b_values = np.zeros(int(np.prod([len(g) for g in problem.grids])))
-    system = oracle.build_full(problem.index_set, problem.factors, b_values=b_values)
+    # leverage scores depend on the design matrix only; zeros come after the dense guard
+    zero = TargetFunction("zero", lambda coords: np.zeros(len(coords)))
+    system = oracle.build_full(problem.index_set, problem.factors, zero)
     scores = oracle.exact_leverage(system)
     lines = ["row,leverage_score"]
     lines += [f"{m + 1},{float(s)!r}" for m, s in enumerate(scores)]

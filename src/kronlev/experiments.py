@@ -240,7 +240,7 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
 
 def _tabulated_values(path: str, grids: Sequence[Grid1D]) -> np.ndarray:
     """The values file of a tabulated model: one finite value per grid point."""
-    size = int(np.prod([len(g) for g in grids]))
+    size = math.prod(len(g) for g in grids)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file

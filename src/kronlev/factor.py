@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-12
-# Bytes per block of rows of a row-blocked product; a block stays in cache.
+# Bytes per block of rows of a long pass over rows; a block stays in cache.
 _ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -99,24 +99,40 @@ def leverage_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prob, alias, table.mean(axis=0)
 
 
-def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Entries prod_d mats[d][rows[i, d], cols[j, d]] of a Kronecker product, C-ordered.
 
-    The result is the only (K, N) array formed.  It starts as the first
-    dimension's row take, and every later dimension is multiplied into it a
-    block of about _ROW_BLOCK_BYTES of rows at a time, so its row takes are
-    small temporaries that stay in cache.  Each entry is multiplied in
-    dimension order, with the bits of ((x_1 * x_2) * ...) * x_D.  A row out
-    of range raises IndexError.
+    With ``cols`` None each mats[d] is its (M_d, N) column take already, made
+    once by a pass over many row blocks.  The result is the only (K, N) array
+    formed: it starts as the first dimension's row take, and every later
+    dimension is multiplied in a block of about _ROW_BLOCK_BYTES of rows at a
+    time, so its row takes stay in cache.  Each entry has the bits of
+    ((x_1 * x_2) * ...) * x_D, as any cut keeps an elementwise product's; the
+    64-row floor of ``_row_blocks`` would make a block 2.8 MB at N = 5456.
+    A row out of range raises IndexError.
     """
-    takes = [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]  # (M_d, N)
+    takes = mats if cols is None else [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]
     out = takes[0][rows[:, 0]]
-    step = max(1, _ROW_BLOCK_BYTES // (8 * cols.shape[0]))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * out.shape[1]))
     for start in range(0, len(out), step):
         block = slice(start, start + step)
         for d in range(1, len(takes)):
             out[block] *= takes[d][rows[block, d]]
     return out
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices over ``rows`` rows of ``width`` floats: the one cut of a long pass over rows.
+
+    Every block but the last holds the most rows, in multiples of 64, that fit
+    in _ROW_BLOCK_BYTES, or 64 where fewer fit; a lone last row joins the block
+    before.  So memory stays bounded, the cuts fall on 64-row kernel tiles, and
+    no block is the one row np.dot hands to a matrix-vector kernel, which rounds
+    apart.  The tests pin the bits each caller keeps under these cuts.
+    """
+    step = max(1, _ROW_BLOCK_BYTES // (8 * width * 64)) * 64
+    edges = [0, *range(step, rows - 1, step), rows]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:]) if stop > start]
 
 
 def build_alias(probabilities) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ diagnostics.  Outside the tests, only ``kronlev oracle`` uses it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,7 +72,7 @@ def build_full(
     """
     _check_fit(index_set, [f.matrix.shape[1] for f in factors])
     shape = tuple(f.matrix.shape[0] for f in factors)
-    total = int(np.prod(shape))
+    total = math.prod(shape)
     if total > MAX_DENSE_ROWS:
         raise ValueError(f"full grid has {total} rows, beyond the dense guard {MAX_DENSE_ROWS}")
     per_dim = np.unravel_index(np.arange(total), shape)
@@ -127,7 +128,7 @@ def sketch_operator(sketch: Sketch, system: FullSystem) -> np.ndarray:
     sketched system exactly.
     """
     rows = flat_row_index(sketch.indices0, system.grid_shape)
-    total = int(np.prod(system.grid_shape))
+    total = math.prod(system.grid_shape)
     s = np.zeros((sketch.size, total))
     scale = np.sqrt(sketch.weights / system.row_weights[rows])
     s[np.arange(sketch.size), rows] = scale

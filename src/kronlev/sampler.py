@@ -19,7 +19,7 @@ each factor built from its own QR; none factors anything here.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
-costs O(N*D) per query, runs in blocks of points so its memory does not
+costs O(N*D) per query, runs in ``factor._row_blocks`` so its memory does not
 grow with the query count, and nothing is precomputed over the full grid.
 A trial (``sketch.trial_error``) applies ``_mixture_mass`` to its own
 gather instead.
@@ -27,12 +27,13 @@ gather instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows, sample_nu_kd
+from .factor import FactorMatrix, _kron_rows, _row_blocks, sample_nu_kd
 from .grid_basis import Grid1D
 from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 
@@ -48,9 +49,6 @@ __all__ = [
 # Append-only: a method's position is its random stream id (experiments.METHOD_IDS).
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
 
-# Points per block of the mixture sum: bounds its (block, N) products at any
-# query count.
-_MASS_CHUNK = 4096
 # Largest Gram off-diagonal at which orthogonal-columns accepts a factor.
 _GRAM_TOL = 1e-10
 
@@ -150,23 +148,23 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     """Probability of each grid point (rows of 0-based indices) under the method.
 
     For the mixture methods the Q-row gather G[k, alpha] =
-    prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed in blocks of
-    _MASS_CHUNK points, each reduced by ``_mixture_mass``; each block is
-    freed before the next is formed, so one block is held.
+    prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed one ``_row_blocks``
+    block at a time, from Q's columns taken once, and reduced by ``_mixture_mass``.
+    The uniform mass divides by the grid's exact size, which may exceed 2^63.
     """
     idx0 = _check_rows(idx0, method.grid_shape)
     if method.tag == "uniform":
-        mass = np.full(idx0.shape[0], 1.0 / np.prod(method.grid_shape))
+        mass = np.full(idx0.shape[0], 1.0 / math.prod(method.grid_shape))
     elif method.tag == "tensor-product":
         mass = np.ones(idx0.shape[0])
         for d, f in enumerate(method.factors):
             mass *= f.marginal[idx0[:, d]]
     else:
-        mass = np.empty(idx0.shape[0])
-        for start in range(0, idx0.shape[0], _MASS_CHUNK):
-            block = slice(start, start + _MASS_CHUNK)
+        mass, cols = np.empty(idx0.shape[0]), method.index_array
+        takes = [np.take(f.q, cols[:, d], axis=1) for d, f in enumerate(method.factors)]
+        for block in _row_blocks(len(idx0), len(cols)):
             gather = None  # free the previous block before the next is formed
-            gather = _kron_rows([f.q for f in method.factors], idx0[block], method.index_array)
+            gather = _kron_rows(takes, idx0[block])
             mass[block] = _mixture_mass(gather)
     return mass
 

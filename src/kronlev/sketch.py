@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .factor import _ROW_BLOCK_BYTES, FactorMatrix, _kron_rows
+from .factor import FactorMatrix, _kron_rows, _row_blocks
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 from .sampler import (
@@ -85,8 +85,6 @@ _RANK_RTOL = 1e-12
 # above square measured above 3e-2.
 _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
-_GRID_BLOCK_BYTES = _ROW_BLOCK_BYTES  # bytes of b per block of rows in reduce_full_grid
-_FULL_ERROR_BLOCK_BYTES = 16 << 20  # bytes of R_{L,J} per block of rows in full_relative_error
 
 # Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
 # the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
@@ -421,17 +419,6 @@ class FullGridReduction:
     optimal_error: float  # min over x of ||A x - b|| / ||b||
 
 
-def _row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices of about _GRID_BLOCK_BYTES over ``rows`` rows of ``width`` floats.
-
-    Block sizes differ by at most one row, so no block is a one-row sliver,
-    which np.dot would hand to a matrix-vector kernel that rounds differently.
-    """
-    count = min(rows, max(1, -(-rows * width * 8 // _GRID_BLOCK_BYTES)))
-    edges = [i * rows // count for i in range(count + 1)]
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
 def _project_grid(
     values: np.ndarray,
     root_w: Sequence[np.ndarray],
@@ -440,11 +427,11 @@ def _project_grid(
 ) -> tuple[np.ndarray, float, float]:
     """(c, ||b||^2, ||r||^2) of b = sqrt(w) * values, in one grid-sized array.
 
-    b is formed as a (M_1 ... M_{D-1}, M_D) matrix a block of rows at a time:
-    a row's weight is ((sqrt w_1 * sqrt w_2) * ...) * sqrt w_{D-1}, so every
-    entry has the bits of the full outer product of the sqrt(w^(d)) times the
-    values.  The last backward mode product is taken out of b in place, a
-    block of rows at a time, so b becomes r and Q_L c never exists whole.
+    b is formed as a (M_1 ... M_{D-1}, M_D) matrix, one ``_row_blocks`` block
+    at a time: a row's weight is ((sqrt w_1 * sqrt w_2) * ...) * sqrt w_{D-1},
+    so every entry has the bits of the full outer product of the sqrt(w^(d))
+    times the values.  The last backward mode product is taken out of b in
+    place, a block at a time, so b becomes r and Q_L c never exists whole.
     """
     prefix = reduce(np.multiply.outer, root_w[:-1], np.ones(1)).reshape(-1)
     b = np.empty((prefix.size, len(root_w[-1])))
@@ -581,16 +568,13 @@ def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call.
 
-    R_{L,J} is formed about _FULL_ERROR_BLOCK_BYTES of L's rows at a time, on one BLAS thread, with
-    the whole product's bits: OpenBLAS's gemv takes a product's last rows apart and np.dot gives a
-    lone row to a dot kernel, so every block but the last is a multiple of 64 rows, and none is one.
+    R_{L,J} is formed in the ``_row_blocks`` of L's rows from R's columns of J, taken once, on
+    one BLAS thread, with the whole product's bits.
     """
-    rs, lower, n = [f.r for f in reduction.factors], reduction.lower, reduction.n
-    x = np.asarray(x, dtype=float)
-    step = max(1, _FULL_ERROR_BLOCK_BYTES // (8 * n * 64)) * 64
-    edges = [0, *range(step, len(lower) - 1, step), len(lower)]  # a last row joins the block before
+    lower, n, x = reduction.lower, reduction.n, np.asarray(x, dtype=float)
+    takes = [np.take(f.r, lower[:n, d], axis=1) for d, f in enumerate(reduction.factors)]
     with _one_blas_thread():
-        fit = [_kron_rows(rs, lower[i:j], lower[:n]) @ x for i, j in zip(edges, edges[1:])]
+        fit = [_kron_rows(takes, lower[block]) @ x for block in _row_blocks(len(lower), n)]
     return _relative_error(reduction, np.concatenate(fit))
 
 

@@ -683,6 +683,26 @@ class TestCli:
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension,m", [(20, 6), (64, 2)], ids=["D20-M6", "D64-M2"])
+    def test_oracle_stops_at_the_dense_guard_before_any_grid_array(self, tmp_path, capsys, dimension, m):
+        # 6^20 rows would take 26 PiB as one float column, and 2^64 rows overflow
+        # numpy's shapes: the guard must come before either is asked for
+        config = {
+            "dimension": dimension,
+            "grid": {"grid": "gauss-legendre", "M": m},
+            "basis": {"kind": "legendre-orthonormal"},
+            "index_set": {"dimension": dimension, "family": "wlp-ball", "p": 1.0, "order": 1,
+                          "weights": [1.0] * dimension},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
+        rows = m**dimension
+        assert capsys.readouterr().err == (
+            f"error: full grid has {rows} rows, beyond the dense guard 1000000\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.slow
     def test_solve_above_dense_guard_matches_experiment(self, tmp_path, capsys):
         # 101^3 = 1,030,301 rows, above the dense oracle's 10^6-row guard

@@ -9,6 +9,7 @@ from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.factor import (
     FactorMatrix,
     _kron_rows,
+    _row_blocks,
     build_alias,
     build_factor,
     sample_nu_kd,
@@ -219,6 +220,9 @@ class TestKronRows:
         out = _kron_rows(mats, rows, cols)
         assert out.shape == (k, n) and out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
+        # the column takes made by the caller, as a pass over row blocks does
+        takes = [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]
+        assert _kron_rows(takes, rows).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [0, 2])
     def test_row_out_of_range_raises(self, monkeypatch, d):
@@ -227,3 +231,31 @@ class TestKronRows:
         rows[7, d] = 3  # in the fourth block
         with pytest.raises(IndexError):
             _kron_rows([np.ones((3, 2))] * 3, rows, np.zeros((4, 3), dtype=np.int64))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 128, 129, 4097])
+    @pytest.mark.parametrize("width", [1, 7, 60, 330, 5456])
+    @pytest.mark.parametrize("block_bytes", [None, 1000, 8 * 60 * 128 + 8])
+    def test_blocks_cover_the_rows_in_64_row_multiples_within_the_budget(
+        self, monkeypatch, rows, width, block_bytes
+    ):
+        if block_bytes is not None:
+            monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
+        budget = factor_module._ROW_BLOCK_BYTES
+        blocks = _row_blocks(rows, width)
+        # the blocks cover range(rows) in order, and none is empty
+        assert [i for block in blocks for i in range(rows)[block]] == list(range(rows))
+        sizes = [block.stop - block.start for block in blocks]
+        assert all(size > 0 for size in sizes)
+        # every block but the last is a multiple of 64 rows
+        assert all(size % 64 == 0 for size in sizes[:-1])
+        # only rows == 1 gives a one-row block
+        assert (1 in sizes) == (rows == 1)
+        if rows and 8 * width * 64 <= budget:
+            # the budget holds, but for the lone row a last block takes in
+            folded = sizes[-1] % 64 == 1 and rows > 1
+            assert all(8 * width * size <= budget for size in sizes[:-1])
+            assert 8 * width * (sizes[-1] - folded) <= budget
+        else:
+            assert all(size == 64 for size in sizes[:-1])

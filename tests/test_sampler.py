@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from kronlev.factor import build_factor
+import kronlev.factor as factor_module
+from kronlev.factor import _row_blocks, build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, exact_leverage, flat_row_index
 from kronlev.sampler import (
-    _MASS_CHUNK,
     METHOD_TAGS,
     make_method,
     mu_mass_many,
@@ -55,6 +55,17 @@ class TestPointMass:
         factors = monomial_factors(2, 2, 2)
         method = make_method("uniform", factors)
         assert np.all(point_mass_many(method, all_grid_indices((2, 2))) == 0.25)
+
+    @pytest.mark.parametrize(
+        "dimension,m,mass",
+        [(25, 6, 1 / 6**25), (30, 6, 4.523373907076997e-24), (64, 2, 2.0**-64)],
+        ids=["D25-M6", "D30-M6", "D64-M2"],
+    )
+    def test_uniform_mass_of_a_grid_beyond_int64(self, dimension, m, mass):
+        # 6^25 > 2^63: a product of the shape in int64 wraps around
+        method = make_method("uniform", monomial_factors(dimension, m, 1))
+        idx0 = sample_indices(method, np.random.default_rng(4), 3)
+        assert np.all(point_mass_many(method, idx0) == mass)
 
     @pytest.mark.parametrize("tag", ["uniform", "tensor-product", "leverage-lower"])
     def test_masses_sum_to_one(self, tag, small_lower_problem):
@@ -227,8 +238,21 @@ class TestMixtureKernel:
     def test_more_points_than_one_block_give_the_same_bits(self):
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method("leverage-lower", factors, total_degree(3, 3))
-        idx0 = sample_indices(method, np.random.default_rng(18), 2 * _MASS_CHUNK + 3)
+        step = _row_blocks(1 << 20, len(method.index_array))[0].stop
+        idx0 = sample_indices(method, np.random.default_rng(18), 2 * step + 3)
+        assert len(_row_blocks(len(idx0), len(method.index_array))) == 3
         assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
+
+    @pytest.mark.parametrize("k,blocks", [(0, 0), (1, 1), (63, 1), (64, 1), (65, 1), (129, 2)])
+    def test_bits_equal_the_fancy_index_mixture_in_64_row_blocks(self, monkeypatch, k, blocks):
+        monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 1)  # blocks of 64 rows
+        factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
+        method = make_method("leverage-lower", factors, total_degree(3, 3))
+        idx0 = sample_indices(method, np.random.default_rng(19), k)
+        assert len(_row_blocks(k, len(method.index_array))) == blocks
+        mass = point_mass_many(method, idx0)
+        assert mass.shape == (k,)
+        assert np.array_equal(mass, fancy_index_mixture(method, idx0))
 
 
 class TestPreconditions:

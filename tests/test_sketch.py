@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from kronlev.factor import FactorMatrix, _kron_rows, build_factor
+import kronlev.factor as factor_module
+from kronlev.factor import FactorMatrix, _kron_rows, _row_blocks, build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import (
-    _MASS_CHUNK,
     METHOD_TAGS,
     make_method,
     mu_mass_many,
@@ -30,7 +30,6 @@ from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import evaluate_on_grid, make_target
 from kronlev.sketch import (
-    _GRID_BLOCK_BYTES,
     _RANK_RTOL,
     _SEMI_NORMAL_RTOL,
     _SOLVE_BLOCK,
@@ -40,7 +39,6 @@ from kronlev.sketch import (
     TargetFunction,
     _back_substitute,
     _one_blas_thread,
-    _row_blocks,
     _semi_normal,
     assemble,
     draw_sketch,
@@ -701,7 +699,8 @@ class TestFullRelativeError:
         reduction = reduction_of(index_set, factors, SMOOTH)
         n = len(index_set)
         assert len(reduction.lower) == math.prod(box)
-        monkeypatch.setattr(sketch_module, "_FULL_ERROR_BLOCK_BYTES", 8 * n * 70)
+        monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 8 * n * 70)
+        assert len(_row_blocks(len(reduction.lower), n)) >= 2
         fits, relative_error = [], sketch_module._relative_error
 
         def spy(reduction, fit):
@@ -802,7 +801,9 @@ class TestTrialError:
         reduction = reduction_of(index_set, factors, WAVE)
         method = make_method(tag, factors, index_set)
         n = len(index_set)
-        for k in (4 * n, _MASS_CHUNK + 1):  # the packaged size, and more than one mass block
+        # the packaged size, and a larger K; a trial takes nu from its gather
+        # or the uniform mass, so point_mass_many's row blocks do not run here
+        for k in (4 * n, 4097):
             warm = sample_indices(method, np.random.default_rng(1), k)
             trial_error(reduction, method, warm)  # warm caches
             rows = sample_indices(method, np.random.default_rng(2), k)
@@ -1000,8 +1001,11 @@ class TestSharedGather:
             (make_method("orthogonal-columns", factors, NON_LOWER), reduction_of(NON_LOWER, factors, WAVE))
         )
         calls = count_calls(monkeypatch, _kron_rows)
+        # K of one point-mass block, and of two: a lone last row joins the block before
+        step = _row_blocks(1 << 20, len(lower))[0].stop
+        assert [len(_row_blocks(k, len(lower))) for k in (step, step + 2)] == [1, 2]
         for method, reduction in cases:
-            for k in (_MASS_CHUNK, _MASS_CHUNK + 1):
+            for k in (step, step + 2):
                 rows = sample_indices(method, np.random.default_rng(1), k)
                 calls.clear()
                 trial_error(reduction, method, rows)
@@ -1154,7 +1158,8 @@ def explicit(*indices):
 WAVE = TargetFunction("wave", lambda c: np.exp(0.5 * c.sum(axis=1)) * np.cos(2.0 * c[:, 0]))
 
 # (index set, factors): D=1 is one row of M_1 values in the block layout; at
-# D=4 the 7^3 = 343 rows of 7 values are cut into 20 blocks of 17 or 18 rows
+# D=4 the 7^3 = 343 rows of 7 values are cut, under small_blocks, into five
+# blocks of 64 rows and one of 23
 BLOCK_CASES = {
     "D1-lower": (total_degree(1, 5), legendre_factors(1, 37, 6)),
     "D1-non-lower": (explicit((1,), (3,), (6,)), legendre_factors(1, 37, 6)),
@@ -1169,17 +1174,7 @@ BLOCK_CASES = {
 class TestReduceFullGrid:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", 1000)
-
-    def test_row_blocks_tile_the_rows_evenly(self, monkeypatch):
-        blocks = _row_blocks(3600, 60)  # the D=3, M=60 grid as 3600 rows of 60
-        sizes = [block.stop - block.start for block in blocks]
-        assert len(blocks) == math.ceil(3600 * 60 * 8 / _GRID_BLOCK_BYTES) > 1
-        assert max(sizes) - min(sizes) <= 1 and sum(sizes) == 3600
-        assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
-        assert _row_blocks(1, 37) == [slice(0, 1)]
-        monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", 1000)
-        assert len(_row_blocks(343, 7)) == 20
+        monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 1000)  # blocks of 64 rows
 
     @pytest.mark.parametrize("dimension, count", [(2, 3), (3, 2)])
     def test_index_set_of_another_dimension_rejected(self, dimension, count):
@@ -1191,6 +1186,8 @@ class TestReduceFullGrid:
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=list(BLOCK_CASES))
     def test_matches_dense_oracle_in_row_blocks(self, case, small_blocks):
         index_set, factors = BLOCK_CASES[case]
+        rows = math.prod(len(f.grid) for f in factors[:-1])
+        assert len(_row_blocks(rows, len(factors[-1].grid))) == (1 if len(factors) == 1 else 6)
         reduction = reduction_of(index_set, factors, WAVE)
         full = build_full(index_set, factors, WAVE)
         dense = solve_full(full)
@@ -1206,21 +1203,23 @@ class TestReduceFullGrid:
             assert deficient == solution.rank_deficient
 
     @pytest.mark.parametrize(
-        "index_set,factors,block_bytes",
+        "index_set,factors,block_bytes,blocks",
         [
-            (total_degree(3, 7), legendre_factors(3, 20, 8), None),  # the packaged grid
-            (total_degree(3, 7), legendre_factors(3, 60, 8), None),  # 14 blocks of 257-258 rows
-            (total_degree(4, 3), legendre_factors(4, 7, 4), 1000),
-            (NON_LOWER, legendre_factors(2, 50, 3), 1000),
-            (total_degree(1, 5), legendre_factors(1, 37, 6), None),
+            (total_degree(3, 7), legendre_factors(3, 20, 8), None, 1),  # the packaged grid
+            (total_degree(3, 7), legendre_factors(3, 60, 8), None, 15),  # 14 of 256 rows, one of 16
+            (total_degree(4, 3), legendre_factors(4, 7, 4), 1000, 6),
+            (NON_LOWER, legendre_factors(2, 150, 3), 1000, 3),
+            (total_degree(1, 5), legendre_factors(1, 37, 6), None, 1),
         ],
         ids=["D3-M20", "D3-M60", "D4-M7", "D2-non-lower", "D1"],
     )
-    def test_bits_equal_the_whole_grid_formula(self, monkeypatch, index_set, factors, block_bytes):
+    def test_bits_equal_the_whole_grid_formula(self, monkeypatch, index_set, factors, block_bytes, blocks):
         # row blocks of the last mode product round like one whole product
         # for these widths; OpenBLAS's SkylakeX kernels did not for M_D > 192
         if block_bytes is not None:
-            monkeypatch.setattr(sketch_module, "_GRID_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
+        rows = math.prod(len(f.grid) for f in factors[:-1])
+        assert len(_row_blocks(rows, len(factors[-1].grid))) == blocks
         b_values = evaluate_on_grid(WAVE, [f.grid for f in factors])
         with _one_blas_thread():
             b, c, b_sq, residual_sq = old_reduction(index_set, factors, b_values)
@@ -1236,6 +1235,25 @@ class TestReduceFullGrid:
             trial_error(reduction, method, sketch.indices0)
             scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
             assert np.array_equal(rhs.pop(), scale * b[tuple(sketch.indices0.T)])
+
+    @pytest.mark.parametrize("shape,blocks", [((129, 300), 2), ((31, 31, 257), 15)], ids=["M300", "M257"])
+    def test_row_blocks_keep_the_bits_of_one_block_on_a_wide_last_mode(self, monkeypatch, shape, blocks):
+        # 64-row blocks of the last mode product against one block, at M_D > 192;
+        # 129 and 961 rows end in a 65-row block, which takes in the lone last row.
+        # J's box takes 4 of each factor's 6 columns, so Q_D enters as a strided
+        # slice; used whole at these shapes, the entries of r moved with the cut
+        # on a 2-core Xeon, though c, ||b||^2 and ||r||^2 did not
+        factors = [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", 6)) for m in shape]
+        index_set = total_degree(len(shape), 3)
+        b_values = evaluate_on_grid(WAVE, [f.grid for f in factors])
+        rows, width = math.prod(shape[:-1]), shape[-1]
+        fields = []
+        for block_bytes, count in ((1 << 40, 1), (1, blocks)):
+            monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
+            assert len(_row_blocks(rows, width)) == count
+            reduction = reduce_full_grid(index_set, factors, b_values)
+            fields.append((reduction.c.tobytes(), reduction.b_sq, reduction.residual_sq))
+        assert fields[0] == fields[1]
 
     def test_wrong_value_count_rejected(self):
         with pytest.raises(ValueError, match="one value per grid row"):
