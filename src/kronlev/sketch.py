@@ -21,13 +21,14 @@ trial is K-long, N x N or a block; only a non-lower J adds the rows'
 product with U.  Freed (K, N) temporaries would go back to the operating
 system on every trial and be faulted in again by the next.
 
-``solve`` uses the corrected semi-normal equations, which the
-well-conditioned Q-coordinate sketch admits, and otherwise SVD least
-squares, which gives the numerical rank and the minimum-norm fit.  The
-Gram is factored in place by LAPACK dpotrf and the Cholesky system solved
-by dpotrs, both from the OpenBLAS that numpy bundles and called through
-ctypes; where numpy bundles none, by np.linalg.cholesky and blocked back
-substitution.
+A trial is three stages: ``_sketch_rows`` gathers and scales the rows,
+``solve`` fits them and ``_relative_error`` judges the fit.  ``solve`` uses
+the corrected semi-normal equations, which the well-conditioned Q-coordinate
+sketch admits: ``_gram_factor`` gives the Gram's upper Cholesky factor R, by
+LAPACK dpotrf in place from numpy's bundled OpenBLAS (through ctypes) or else
+np.linalg.cholesky, and each ``_cholesky_solve`` is one dpotrs call or two
+blocked back substitutions.  Otherwise it uses SVD least squares, which gives
+the numerical rank and the minimum-norm fit.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -88,8 +89,8 @@ _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 
 # Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
 # the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
-# so no 32-bit-integer build is handed 64-bit integers.  One entry per field of
-# _OpenBlas: (symbol, argument types, result type).
+# so no 32-bit-integer build is handed 64-bit integers.  Each entry is one field
+# of _OpenBlas, all found in one library: (symbol, argument types, result type).
 _LAPACK_COL_MAJOR = 102
 _OPENBLAS_SYMBOLS = {
     "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
@@ -108,15 +109,7 @@ _OPENBLAS_SYMBOLS = {
         ctypes.c_int64,
     ),
 }
-
-
-class _OpenBlas(NamedTuple):
-    """What kronlev calls in numpy's bundled OpenBLAS, all from one library."""
-
-    get_threads: Callable[[], int]
-    set_threads: Callable[[int], None]
-    dpotrf: Callable  # LAPACKE_dpotrf_work
-    dpotrs: Callable  # LAPACKE_dpotrs_work
+_OpenBlas = NamedTuple("_OpenBlas", [(field, Callable) for field in _OPENBLAS_SYMBOLS])
 
 
 @cache
@@ -299,11 +292,10 @@ def assemble(
 def solve(system: SketchedSystem) -> Solution:
     """Least squares by corrected semi-normal equations, with an SVD fallback.
 
-    The fast path forms the Gram a^T a and its Cholesky factor L, solves
-    L L^T x = a^T b and takes one refinement step from the residual b - a x
-    (Bjorck, 1987).  It is taken only when the system has at least as many
-    rows as columns, Cholesky succeeds, and min|L_ii| / max|L_ii| is at
-    least _SEMI_NORMAL_RTOL.  Every other system goes to one SVD least
+    The fast path solves R^T R x = a^T b with the Gram's Cholesky factor R
+    and takes one refinement step from the residual b - a x (Bjorck, 1987).
+    It is taken only when the system has at least as many rows as columns
+    and ``_gram_factor`` gives R.  Every other system goes to one SVD least
     squares call, which gives the numerical rank (singular values above
     _RANK_RTOL of the largest) and the minimum-norm solution of that rank.
     Rank deficiency is a flagged outcome, not an error; a non-finite system
@@ -311,8 +303,10 @@ def solve(system: SketchedSystem) -> Solution:
     """
     a, b = system.matrix, system.rhs
     k, n = a.shape
-    x = _semi_normal(a, b) if 0 < n <= k else None
-    if x is not None:
+    r = _gram_factor(a) if 0 < n <= k else None
+    if r is not None:
+        x = _cholesky_solve(r, a.T @ b)  # a.T @ ... is a new array, free to overwrite
+        x = x + _cholesky_solve(r, a.T @ (b - a @ x))
         if not np.all(np.isfinite(x)):  # a finite system gives a finite x here
             raise ValueError("the sketched system must be finite")
         return Solution(x, False)
@@ -322,53 +316,48 @@ def solve(system: SketchedSystem) -> Solution:
     return Solution(x, bool(rank < n))
 
 
-def _semi_normal(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """x minimizing ||a x - b|| from the Cholesky factor of a^T a, or None.
+def _gram_factor(a: np.ndarray) -> Optional[np.ndarray]:
+    """The Gram's Cholesky factor R (R^T R = a^T a) in an upper triangle, or None.
 
-    None when Cholesky fails or its diagonal ratio is below _SEMI_NORMAL_RTOL:
-    the Gram squares the condition number, so only a well-conditioned a is
-    solved here.  With numpy's OpenBLAS, the Gram is factored in place by one
-    dpotrf call and L L^T x = z is one dpotrs call on that buffer, which
-    writes x over z.  Where numpy bundles no OpenBLAS, the factor comes from
-    np.linalg.cholesky and x from _back_substitute on L with its rows and
-    columns reversed, which is upper triangular, then on L^T.
+    None when Cholesky fails or min|R_ii| / max|R_ii| is below _SEMI_NORMAL_RTOL,
+    as the Gram squares the condition number.  With numpy's OpenBLAS, dpotrf "L"
+    factors the C-ordered Gram in place: read column-major, the symmetric Gram
+    is itself, and L over its lower triangle is R in C order.  Otherwise R is
+    np.linalg.cholesky's L transposed.  Both give R's upper triangle the same
+    bits; the strict lower one is not read.
     """
-    gram = np.ascontiguousarray(a.T @ a, dtype=np.float64)
-    found = _openblas()
-    if found is not None:
-        # read column-major, the symmetric C-ordered Gram is itself, and
-        # dpotrf "L" writes L over its lower triangle, which is the upper
-        # triangle in C order; dpotrs "L" reads only that triangle
-        n = len(gram)
-        info = found.dpotrf(_LAPACK_COL_MAJOR, b"L", n, gram, max(n, 1))
+    r = np.ascontiguousarray(a.T @ a, dtype=np.float64)  # the Gram until it is factored
+    found, n = _openblas(), len(r)
+    if found is None:
+        try:
+            r = np.linalg.cholesky(r).T
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        info = found.dpotrf(_LAPACK_COL_MAJOR, b"L", n, r, max(n, 1))
         if info < 0:
             raise RuntimeError(f"LAPACK dpotrf failed with info = {info}")
         if info > 0:  # a leading minor is not positive definite
             return None
-        diag = np.diagonal(gram)
+    diag = np.diagonal(r)
+    return r if diag.min() >= _SEMI_NORMAL_RTOL * diag.max() else None  # NaN fails too
 
-        def cholesky_solve(z):
-            x = np.asarray(z, dtype=np.float64)  # a.T @ ... is a new array, free to overwrite
-            info = found.dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, gram, max(n, 1), x, max(n, 1))
-            if info != 0:
-                raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
-            return x
 
-    else:
-        try:
-            lower = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return None
-        diag = np.diagonal(lower)
+def _cholesky_solve(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x with R^T R x = z for R from ``_gram_factor``: one dpotrs call, which writes x over z.
 
-        def cholesky_solve(z):
-            y = _back_substitute(lower[::-1, ::-1], z[::-1])[::-1]
-            return _back_substitute(lower.T, y)
-
-    if not diag.min() >= _SEMI_NORMAL_RTOL * diag.max():  # also catches NaN
-        return None
-    x = cholesky_solve(a.T @ b)
-    return x + cholesky_solve(a.T @ (b - a @ x))
+    Without numpy's OpenBLAS, _back_substitute on R^T with its rows and
+    columns reversed, which is upper triangular, then on R.
+    """
+    found = _openblas()
+    if found is None:
+        y = _back_substitute(r.T[::-1, ::-1], z[::-1])[::-1]
+        return _back_substitute(r, y)
+    n, x = len(r), np.asarray(z, dtype=np.float64)
+    info = found.dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, r, max(n, 1), x, max(n, 1))
+    if info != 0:
+        raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
+    return x
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -431,7 +420,8 @@ def _project_grid(
     at a time: a row's weight is ((sqrt w_1 * sqrt w_2) * ...) * sqrt w_{D-1},
     so every entry has the bits of the full outer product of the sqrt(w^(d))
     times the values.  The last backward mode product is taken out of b in
-    place, a block at a time, so b becomes r and Q_L c never exists whole.
+    place, a block at a time, so b becomes r and Q_L c never exists whole;
+    every block of a cut reads one C-ordered copy of Q_D^T, so r keeps its bits.
     """
     prefix = reduce(np.multiply.outer, root_w[:-1], np.ones(1)).reshape(-1)
     b = np.empty((prefix.size, len(root_w[-1])))
@@ -455,8 +445,10 @@ def _project_grid(
         projected = np.tensordot(projected, q, axes=([0], [1]))  # contracts N_d, appends M_d
     # (M_1 ... M_{D-1}, N_D): the strided view np.tensordot would take
     projected = np.moveaxis(projected, 0, -1).reshape(len(b), -1)
+    # a lone row is never cut, and takes a matrix-vector kernel that rounds by layout
+    last = np.ascontiguousarray(qs[-1].T) if len(b) > 1 else qs[-1].T
     for block in blocks:
-        b[block] -= np.dot(projected[block], qs[-1].T)
+        b[block] -= np.dot(projected[block], last)
     return c, b_sq, float(np.vdot(b, b))
 
 
@@ -578,22 +570,17 @@ def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     return _relative_error(reduction, np.concatenate(fit))
 
 
-def trial_error(
+def _sketch_rows(
     reduction: FullGridReduction, method: SamplerMethod, rows: np.ndarray
-) -> tuple[float, bool]:
-    """Full-grid relative error and rank flag of the fit on the rows ``method`` drew.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, s): the sketch rows and right-hand side of the rows ``method`` drew.
 
-    ``rows`` are the (K, D) 0-based points of ``sample_indices``.  Sketch row
-    k is prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the basis U of
-    range(R_{L,J}) (the identity when J is lower): the fit of ``assemble`` +
-    ``solve`` when the sketch has full rank, with the rank judged in
-    orthonormal coordinates, where the sketch is well conditioned and
-    ``solve`` takes its semi-normal path.  The Q-row gather over L is formed
-    once.  L lists J's members first, in a mixture method's index order, so
-    a mixture method's nu is ``_mixture_mass`` of its first N columns, as in
-    ``point_mass_many``, which gives the other methods' nu.
-    The gather is scaled in place, so a lower J's trial holds one (K, N)
-    array next to ``solve``'s N x N Gram and Cholesky factor.
+    ``rows`` are the (K, D) 0-based points of ``sample_indices``.  Row k of g is
+    prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the basis U of range(R_{L,J})
+    (the identity when J is lower), and s_k = b(m_k) / sqrt(K nu(m_k)).  The one
+    Q-row gather over L is scaled in place.  L lists J's members first, in a
+    mixture method's index order, so a mixture method's nu is ``_mixture_mass``
+    of its first N columns, as in ``point_mass_many``, which gives the others' nu.
     The method must be built on the reduction's factors, the same objects,
     and a mixture method on its index set; any other method, and rows that
     are not an integer (K >= 1, D) array on the grid or of zero mass, raise
@@ -623,9 +610,22 @@ def trial_error(
     # b at the drawn rows, its weight multiplied in the order reduce_full_grid
     # uses; SeparableValues sum their terms there
     weight = reduce(np.multiply, [np.sqrt(f.grid.weights[m]) for f, m in zip(factors, rows.T)])
-    b = weight * reduction.values[tuple(rows.T)]
-    solution = solve(SketchedSystem(g, scale * b))
-    fit = solution.x if basis is None else basis @ solution.x
+    return g, scale * (weight * reduction.values[tuple(rows.T)])
+
+
+def trial_error(
+    reduction: FullGridReduction, method: SamplerMethod, rows: np.ndarray
+) -> tuple[float, bool]:
+    """Full-grid relative error and rank flag of the fit on the rows ``method`` drew.
+
+    ``_sketch_rows`` gathers the rows in Q coordinates, ``solve`` fits them and
+    ``_relative_error`` judges the fit: the fit of ``assemble`` + ``solve`` when
+    the sketch has full rank, its rank judged in orthonormal coordinates, where
+    ``solve`` takes its semi-normal path.  The methods and rows that
+    ``_sketch_rows`` refuses raise ValueError.
+    """
+    solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
+    fit = solution.x if reduction.basis is None else reduction.basis @ solution.x
     return _relative_error(reduction, fit), solution.rank_deficient
 
 

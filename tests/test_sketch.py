@@ -38,8 +38,9 @@ from kronlev.sketch import (
     SketchedSystem,
     TargetFunction,
     _back_substitute,
+    _cholesky_solve,
+    _gram_factor,
     _one_blas_thread,
-    _semi_normal,
     assemble,
     draw_sketch,
     full_relative_error,
@@ -231,7 +232,7 @@ def on_each_solve_path(cases):
 
 
 def take_solve_path(monkeypatch, path):
-    """Make _semi_normal solve by ``path``; a list that gets "dpotrf" or "dpotrs" at each call.
+    """Make solve's semi-normal path run by ``path``; a list that gets "dpotrf" or "dpotrs" at each call.
 
     For "back-substitute" the OpenBLAS lookup finds nothing, as on a numpy
     that bundles no OpenBLAS.
@@ -465,7 +466,7 @@ def cholesky_system(n, seed):
 class TestCholeskySolve:
     @pytest.mark.parametrize("n", [1, 7, 220])
     def test_solves_the_cholesky_system(self, dpotrs, n):
-        # the convention _semi_normal relies on: uplo "L" on the C-ordered buffer
+        # the convention _cholesky_solve relies on: uplo "L" on the C-ordered buffer
         # reads L^T from its upper triangle, and x is written over the rhs
         factor, z = cholesky_system(n, n)
         lower = np.triu(factor).T
@@ -492,7 +493,7 @@ class TestCholeskySolve:
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         a, b = random_systems(160, 40)[0]
         before = b.copy()
-        x = _semi_normal(a, b)
+        x = solve(SketchedSystem(a, b)).x
         assert [name for name, _ in seen] == ["dpotrf", "dpotrs", "dpotrs"]
         gram = seen[0][1][3]
         for _, (_, uplo, n, nrhs, factor, lda, rhs, ldb) in seen[1:]:
@@ -508,13 +509,13 @@ class TestCholeskySolve:
         found = openblas._replace(dpotrs=lambda *args: -2)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         with pytest.raises(RuntimeError, match="dpotrs failed with info = -2"):
-            _semi_normal(a, b)
+            _cholesky_solve(_gram_factor(a), a.T @ b)
         # the library's own answer to a bad argument: an unknown layout is
         # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
         found = openblas._replace(dpotrs=lambda layout, *args: openblas.dpotrs(0, *args))
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
         with pytest.raises(RuntimeError, match="dpotrs failed with info = -1"):
-            _semi_normal(a, b)
+            _cholesky_solve(_gram_factor(a), a.T @ b)
         assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
 
     def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
@@ -528,7 +529,7 @@ def numpy_cholesky_semi_normal(dpotrs, a, b):
     """(L, x) of the corrected semi-normal step on np.linalg.cholesky's L.
 
     L L^T x = z is one dpotrs call with uplo "U" on the C-ordered L, which
-    read column-major is L^T: how ``_semi_normal`` solved before it factored
+    read column-major is L^T: how ``solve`` took this step before it factored
     the Gram in place.
     """
     lower = np.linalg.cholesky(a.T @ a)
@@ -558,11 +559,15 @@ class TestCholeskyFactor:
         a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
         b = rng.standard_normal(4 * n)
         with _one_blas_thread():
-            x = _semi_normal(a, b)
+            x = solve(SketchedSystem(a, b)).x
             lower, expected = numpy_cholesky_semi_normal(dpotrs, a, b)
+            # one layout from both back ends: R = L^T in the upper triangle
+            in_place = _gram_factor(a)
+            monkeypatch.setattr(sketch_module, "_openblas", lambda: None)
+            from_numpy = _gram_factor(a)
         assert x.tobytes() == expected.tobytes()
         assert len(factors) == 2
-        for factor in factors:  # L^T in the upper triangle in C order
+        for factor in factors + [in_place, from_numpy]:  # L^T in the upper triangle in C order
             assert np.triu(factor).tobytes() == lower.T.tobytes()
 
     def test_a_gram_that_is_not_positive_definite_is_declined(self, openblas, dpotrf, monkeypatch):
@@ -570,7 +575,7 @@ class TestCholeskyFactor:
         a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         gram = np.ascontiguousarray(a.T @ a)
         assert dpotrf(102, b"L", 3, gram, 3) == 2
-        assert _semi_normal(a, np.ones(3)) is None
+        assert _gram_factor(a) is None
         # info > 0 alone declines, whatever dpotrf left on the diagonal
         def failing(*args):
             assert dpotrf(*args) == 0
@@ -578,14 +583,13 @@ class TestCholeskyFactor:
 
         found = openblas._replace(dpotrf=failing)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
-        assert _semi_normal(*random_systems(40, 6)[0]) is None
+        assert _gram_factor(random_systems(40, 6)[0][0]) is None
 
     def test_a_bad_argument_raises(self, openblas, monkeypatch):
         found = openblas._replace(dpotrf=lambda *args: -3)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
-        a, b = random_systems(40, 6)[0]
         with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
-            _semi_normal(a, b)
+            _gram_factor(random_systems(40, 6)[0][0])
 
     def test_the_foreign_function_takes_only_a_writeable_c_contiguous_float64(self, dpotrf):
         gram = np.ascontiguousarray(cholesky_system(6, 6)[0])
@@ -633,13 +637,13 @@ class TestBundledOpenBlas:
 
         def worker(part):
             start.wait()
-            return [_semi_normal(a, b).tobytes() for a, b in systems[part::4]]
+            return [solve(SketchedSystem(a, b)).x.tobytes() for a, b in systems[part::4]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads between and inside solves
         try:
             with _one_blas_thread():
-                serial = [_semi_normal(a, b).tobytes() for a, b in systems]
+                serial = [solve(SketchedSystem(a, b)).x.tobytes() for a, b in systems]
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     parts = list(pool.map(worker, range(4), timeout=120))
         finally:
@@ -1236,24 +1240,26 @@ class TestReduceFullGrid:
             scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
             assert np.array_equal(rhs.pop(), scale * b[tuple(sketch.indices0.T)])
 
+    @pytest.mark.parametrize("columns", [6, 4], ids=["Q-slice", "Q-whole"])
     @pytest.mark.parametrize("shape,blocks", [((129, 300), 2), ((31, 31, 257), 15)], ids=["M300", "M257"])
-    def test_row_blocks_keep_the_bits_of_one_block_on_a_wide_last_mode(self, monkeypatch, shape, blocks):
+    def test_row_blocks_keep_the_bits_of_one_block_on_a_wide_last_mode(self, monkeypatch, shape, blocks, columns):
         # 64-row blocks of the last mode product against one block, at M_D > 192;
         # 129 and 961 rows end in a 65-row block, which takes in the lone last row.
-        # J's box takes 4 of each factor's 6 columns, so Q_D enters as a strided
-        # slice; used whole at these shapes, the entries of r moved with the cut
-        # on a 2-core Xeon, though c, ||b||^2 and ||r||^2 did not
-        factors = [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", 6)) for m in shape]
+        # J's box takes 4 of each factor's columns: Q_D enters as a strided slice
+        # of 6 columns, or whole.  r is caught at the np.vdot that gives ||r||^2
+        factors = [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", columns)) for m in shape]
         index_set = total_degree(len(shape), 3)
         b_values = evaluate_on_grid(WAVE, [f.grid for f in factors])
         rows, width = math.prod(shape[:-1]), shape[-1]
-        fields = []
+        fields, vdot = [], np.vdot
+        monkeypatch.setattr(np, "vdot", lambda u, v: fields.append(u.tobytes()) or vdot(u, v))
         for block_bytes, count in ((1 << 40, 1), (1, blocks)):
             monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
             assert len(_row_blocks(rows, width)) == count
             reduction = reduce_full_grid(index_set, factors, b_values)
-            fields.append((reduction.c.tobytes(), reduction.b_sq, reduction.residual_sq))
-        assert fields[0] == fields[1]
+            fields += [reduction.c.tobytes(), reduction.b_sq, reduction.residual_sq]
+        # b, r, c, ||b||^2 and ||r||^2 of each cut
+        assert len(fields) == 10 and fields[:5] == fields[5:]
 
     def test_wrong_value_count_rejected(self):
         with pytest.raises(ValueError, match="one value per grid row"):
