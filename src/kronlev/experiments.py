@@ -14,14 +14,17 @@ or an SVG staircase plot.
 Both the grid evaluation of Duffing and the trials are shared among up to
 ``threads`` processes by ``_map_in_shares``: the calling process computes
 one strided share of the work itself, and on Linux the others go to
-processes forked from it.  A trial is about half Python and small numpy
-calls, which threads would run one at a time under the interpreter lock.
+processes forked directly from it, whose results come back through a pipe.
+No Python thread is started, and a forked process that dies raises in the
+caller.  A trial is about half Python and small numpy calls, which threads
+would run one at a time under the interpreter lock.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
 import warnings
 from dataclasses import dataclass
@@ -63,19 +66,34 @@ _EVAL_CHUNK = 65536
 # Work is shared with forked processes on Linux only: fork is unsafe with
 # system libraries on macOS and does not exist on Windows.
 _CAN_FORK = sys.platform.startswith("linux")
-# What a forked child of _map_in_shares computes: (fn, items, workers), set
-# in the child by the pool's initializer and never in the calling process.
-_INHERITED = None
 
 
-def _inherit(fn, items, workers) -> None:
-    global _INHERITED
-    _INHERITED = (fn, items, workers)
+def _run_forked_share(fn: Callable, items: list, write_fd: int) -> None:
+    """In a forked child: pickle ``(results, None, "")``, or ``(None,
+    exception, traceback)`` if ``fn`` raised, into the pipe, then leave by
+    ``os._exit``; never returns."""
+    code = 1
+    try:
+        error, trace = None, ""
+        try:
+            values = [fn(item) for item in items]
+        except BaseException as exc:  # the caller raises it
+            import traceback
 
-
-def _run_share(share: int) -> list:
-    fn, items, workers = _INHERITED
-    return [fn(item) for item in items[share::workers]]
+            values, error, trace = None, exc, traceback.format_exc()
+        try:
+            data = pickle.dumps((values, error, trace))
+            if error is not None:
+                pickle.loads(data)  # some exceptions pickle but cannot be rebuilt
+        except Exception as exc:
+            culprit = exc if error is None else error
+            error = RuntimeError(f"a forked share's outcome does not pickle: {culprit!r}")
+            data = pickle.dumps((None, error, trace))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
@@ -83,34 +101,56 @@ def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
 
     The items are dealt into ``workers`` strided shares, ``items[i::workers]``,
     so that shares of items whose cost varies along the list cost alike.  The
-    calling process computes share 0; on Linux, ``workers - 1`` processes
-    forked through a ``ProcessPoolExecutor`` compute the others.  ``fn`` and
-    ``items`` reach them through the pool's initializer, which a fork hands
-    over without pickling, so only the results must pickle.  The results
-    come back in item order.  An exception in any share is raised here once
-    every forked process has exited.  Elsewhere, or with one worker, the
-    calling process computes every item.
+    calling process computes share 0; on Linux, each other share goes to a
+    process forked directly from it, which inherits ``fn`` and ``items``
+    without pickling and pickles its results, or the exception it raised,
+    into a pipe.  The results come back in item order.  An exception in any
+    share is raised here once every forked process has exited, and a forked
+    process that dies without writing its outcome raises ``RuntimeError``
+    with its wait status.  No Python thread is started.  Elsewhere, or with
+    one worker, the calling process computes every item.
 
     fork, not spawn: a spawned process imports numpy and kronlev again,
-    about 0.2 s, and would need ``fn`` pickled.  The pool forks before it
-    starts its own thread, and the only other threads alive then are
-    OpenBLAS's idle pool, which OpenBLAS shuts down at a fork.
+    about 0.2 s, and would need ``fn`` pickled.  The only threads alive at
+    a fork are this one and OpenBLAS's idle pool, which OpenBLAS shuts down
+    at a fork.
     """
     workers = min(workers, len(items))
     if workers <= 1 or not _CAN_FORK:
         return [fn(item) for item in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit,
-        initargs=(fn, items, workers),
-    ) as pool:
-        futures = [pool.submit(_run_share, share) for share in range(1, workers)]
+    children = []
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _run_forked_share(fn, items[share::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
         shares = [[fn(item) for item in items[::workers]]]
-        shares += [future.result() for future in futures]
+    finally:
+        # every pipe drained and every child reaped, whatever share 0 did
+        ended = []
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+            ended.append((pid, os.waitpid(pid, 0)[1], data))
+    for pid, status, data in ended:
+        if status != 0 or not data:
+            raise RuntimeError(
+                f"forked share process {pid} exited without a result (wait status "
+                f"{status}, exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        values, error, trace = pickle.loads(data)
+        if error is not None:
+            raise error from RuntimeError(f"in forked share process {pid}:\n{trace}")
+        shares.append(values)
     results = [None] * len(items)
     for share, values in enumerate(shares):
         results[share::workers] = values
@@ -171,68 +211,74 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
         raise ValueError(f"t_final={t_final} with step={step} gives {steps} RK4 steps")
     h = t_final / steps
     half_h, sixth_h = 0.5 * h, h / 6.0
+    # The points are padded to a multiple of 8 with copies of the last one,
+    # so that every buffer row below starts on a 64-byte boundary, where
+    # numpy's loops run faster, and every block of rows is contiguous.  Each
+    # point's value depends on that point alone, so padding changes no bits.
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    n = y.shape[0]
+    row = -(-n // 8) * 8
+    if row > n:
+        y = np.concatenate([y, np.repeat(y[-1:], row - n, axis=0)])
     w1 = 2.0 * np.pi * (1.0 + 0.2 * y[:, 0])
     w2 = 0.05 * (1.0 + 0.05 * y[:, 1])
     w3 = -0.5 * (1.0 + 0.5 * y[:, 2])
 
-    # The state, stage state, slopes, weighted slope sums and coefficients
-    # are the rows of one block owned by this call, overwritten in place;
-    # nothing is shared between calls.  Each row starts on a 64-byte
-    # boundary, where numpy's loops run faster than on unaligned rows.
-    n = y.shape[0]
-    row = -(-n // 8) * 8
-    raw = np.empty(11 * row + 8)
+    # Every buffer is rows of one block owned by this call, overwritten in
+    # place; nothing is shared between calls.  The state x and the stage
+    # points p and q are (3, row) blocks whose rows are position u,
+    # velocity v and acceleration a, so a point's (u, v) is its rows [:2]
+    # and its slope (v, a) its rows [1:]: one ufunc call moves both
+    # components of a stage point or a slope sum.  p and q alternate, each
+    # built from the other's slope.  total, the weighted slope sum
+    # k1 + 2 k2 + 2 k3 + k4, and twice, one doubled slope, are (2, row).
+    raw = np.empty(17 * row + 8)
     skip = (-raw.ctypes.data % 64) // 8
-    block = raw[skip : skip + 11 * row].reshape(11, row)[:, :n]
-    u, v, stage_u, stage_v, slope, scratch, sum_u, sum_v, neg_c, neg_k, neg_kw3 = block
-    u.fill(1.0)
-    v.fill(0.0)
-    # accel(u, v) = -c v - k (u + w3 u^3) = neg_c v + u (neg_k + neg_kw3 u^2)
+    block = raw[skip : skip + 17 * row].reshape(17, row)
+    x, p, q = block[0:3], block[3:6], block[6:9]
+    total, twice = block[9:11], block[11:13]
+    scratch, neg_c, neg_k, neg_kw3 = block[13:17]
+    x_u, x_v, x_a, p_u, p_v, p_a, q_u, q_v, q_a = *x, *p, *q
+    x_uv, x_slope, p_uv, p_slope, q_uv, q_slope = x[:2], x[1:], p[:2], p[1:], q[:2], q[1:]
+    x_u.fill(1.0)
+    x_v.fill(0.0)
+    # a(u, v) = -c v - k (u + w3 u^3) = neg_c v + u (neg_k + neg_kw3 u^2)
     np.multiply(-2.0 * w1, w2, out=neg_c)
     np.negative(w1 * w1, out=neg_k)
     np.multiply(neg_k, w3, out=neg_kw3)
+    mul, add = np.multiply, np.add
 
-    def accel(su, sv):
-        np.multiply(su, su, out=slope)
-        np.multiply(slope, neg_kw3, out=slope)
-        np.add(slope, neg_k, out=slope)
-        np.multiply(slope, su, out=slope)
-        np.multiply(neg_c, sv, out=scratch)
-        np.add(slope, scratch, out=slope)
+    def accel(u, v, a):
+        mul(u, u, a)
+        mul(a, neg_kw3, a)
+        add(a, neg_k, a)
+        mul(a, u, a)
+        mul(neg_c, v, scratch)
+        add(a, scratch, a)
 
-    def stage(du, step_h):
-        # evaluate at (u, v) + step_h * (du, slope), the previous stage's slopes
-        np.multiply(du, step_h, out=stage_u)
-        np.add(stage_u, u, out=stage_u)
-        np.multiply(slope, step_h, out=stage_v)
-        np.add(stage_v, v, out=stage_v)
-        accel(stage_u, stage_v)
-
-    def add_twice(base_u):
-        # sum_u = base_u + 2 stage_v and sum_v += 2 slope, this stage's slopes
-        np.multiply(stage_v, 2.0, out=scratch)
-        np.add(base_u, scratch, out=sum_u)
-        np.multiply(slope, 2.0, out=scratch)
-        np.add(sum_v, scratch, out=sum_v)
-
-    # overflow here is not an error condition per se; the finiteness check
-    # below is the actual blow-up detector
+    # 37 ufunc calls per step, on views made once, each given its output
+    # as a positional argument.  Overflow here is not an error condition
+    # per se; the finiteness check below is the actual blow-up detector.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            accel(u, v)
-            np.copyto(sum_v, slope)
-            stage(v, half_h)
-            add_twice(v)
-            stage(stage_v, half_h)
-            add_twice(sum_u)
-            stage(stage_v, h)
-            sum_u += stage_v
-            sum_v += slope
-            sum_u *= sixth_h
-            u += sum_u
-            sum_v *= sixth_h
-            v += sum_v
+            accel(x_u, x_v, x_a)  # k1 = x_slope
+            mul(x_slope, half_h, p_uv)
+            add(p_uv, x_uv, p_uv)
+            accel(p_u, p_v, p_a)  # k2 = p_slope
+            mul(p_slope, 2.0, twice)
+            add(x_slope, twice, total)
+            mul(p_slope, half_h, q_uv)
+            add(q_uv, x_uv, q_uv)
+            accel(q_u, q_v, q_a)  # k3 = q_slope
+            mul(q_slope, 2.0, twice)
+            add(total, twice, total)
+            mul(q_slope, h, p_uv)
+            add(p_uv, x_uv, p_uv)
+            accel(p_u, p_v, p_a)  # k4 = p_slope
+            add(total, p_slope, total)
+            mul(total, sixth_h, total)
+            add(x_uv, total, x_uv)
+    u = x_u[:n].copy()
     if not np.all(np.isfinite(u)):
         raise RuntimeError("Duffing integration blew up (non-finite state)")
     return u

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 import threading
 
@@ -113,11 +114,13 @@ def duffing_reference(y, t_final=4.0, step=1e-3):
 
 
 def duffing_in_place_reference(y, t_final=4.0, step=1e-3):
-    """The in-place RK4 kernel on separately allocated buffers, 54 passes per step.
+    """The in-place RK4 kernel on separately allocated rows, 54 passes per step.
 
-    Its operations come in the same order as ``duffing_qoi_batch``'s, which
-    adds the first stage's slopes by one ``add`` and drops the two
-    multiplications by 1.0, so the two must agree bit for bit.
+    Each element sees the operations of ``duffing_qoi_batch``'s 37-call
+    step in the same order: that kernel moves a point's two components by
+    one call on stacked (2, n) rows, forms k1 + 2 k2 by one ``add`` where
+    this copies k1 and adds, and drops the multiplications by 1.0, so the
+    two must agree bit for bit.
     """
     steps = int(round(t_final / step))
     h = t_final / steps
@@ -169,9 +172,10 @@ def duffing_in_place_reference(y, t_final=4.0, step=1e-3):
 
 
 class TestDuffingKernel:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 4001])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 4000, 4001, 8000])
     def test_bits_match_the_in_place_reference(self, n):
-        # n around one 64-byte row (8 values) and one odd size beyond it;
+        # n around one 64-byte row (8 values), the bench's 4000- and 8000-row
+        # pieces, which need no padding points, and one odd size that does;
         # the input also as a view that starts 24 bytes into its buffer
         y = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
         shifted = np.empty((n + 1, 3))[1:]
@@ -356,6 +360,108 @@ class TestEvaluateOnGrid:
         assert evaluate_on_grid(target, ODD_GRIDS, workers=2).tobytes() == expected
         pids = evaluate_on_grid(TargetFunction("pid", process_ids), ODD_GRIDS, workers=2)
         assert set(pids.tolist()) == {float(os.getpid())}
+
+
+class UnpicklableError(ValueError):
+    """An exception whose pickling fails: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class UnrebuildableError(ValueError):
+    """An exception that pickles but does not unpickle: its args lack ``detail``."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def raise_in_a_child(caller, error, item):
+    if os.getpid() != caller:
+        raise error
+    return item
+
+
+def exit_in_a_child(caller, item):
+    if os.getpid() != caller:
+        os._exit(3)
+    return item
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not kronlev.experiments._CAN_FORK, reason="shares are forked only on Linux")
+class TestForkedShares:
+    def test_results_come_back_in_item_order(self):
+        items = list(range(11))
+        got = kronlev.experiments._map_in_shares(lambda item: (item, os.getpid()), items, 3)
+        assert [item for item, _ in got] == items
+        assert {pid for _, pid in got[0::3]} == {os.getpid()}
+        assert len({pid for _, pid in got}) == 3
+        assert_no_child_is_left()
+
+    def test_a_child_that_exits_without_a_result_raises_with_its_status(self):
+        fn = functools.partial(exit_in_a_child, os.getpid())
+        with pytest.raises(RuntimeError, match=r"without a result \(wait status 768, exit code 3\)"):
+            kronlev.experiments._map_in_shares(fn, list(range(6)), 3)
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("error", [
+        UnpicklableError("does not pickle"), UnrebuildableError("is not rebuilt", "detail"),
+    ], ids=["unpicklable", "unrebuildable"])
+    def test_an_exception_that_does_not_pickle_raises_its_repr(self, error):
+        fn = functools.partial(raise_in_a_child, os.getpid(), error)
+        with pytest.raises(RuntimeError, match="does not pickle: " + type(error).__name__) as raised:
+            kronlev.experiments._map_in_shares(fn, list(range(4)), 2)
+        assert "Traceback" in str(raised.value.__cause__)
+        assert_no_child_is_left()
+
+    def test_a_child_exception_carries_its_traceback(self):
+        fn = functools.partial(raise_in_a_child, os.getpid(), PieceError("in a child"))
+        with pytest.raises(PieceError, match="in a child") as raised:
+            kronlev.experiments._map_in_shares(fn, list(range(4)), 2)
+        assert "raise_in_a_child" in str(raised.value.__cause__)
+        assert_no_child_is_left()
+
+    def test_the_caller_raises_its_own_exception_once_the_children_have_exited(self):
+        caller = os.getpid()
+
+        def raise_here(item):
+            if os.getpid() == caller:
+                raise PieceError("in the caller")
+            return item
+
+        with pytest.raises(PieceError, match="in the caller"):
+            kronlev.experiments._map_in_shares(raise_here, list(range(6)), 3)
+        assert_no_child_is_left()
+
+    def test_run_trials_imports_no_executor_and_starts_no_thread(self):
+        # a new process: the imports and threads of this one do not count
+        script = """
+import json, os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+from kronlev.config import load_json, parse_experiment
+from kronlev.configs import packaged_config_path
+from kronlev.experiments import run_trials
+config = load_json(packaged_config_path("duffing-g7"))
+config["trials"] = 3
+report = run_trials(parse_experiment(config), threads=2)
+print(json.dumps([
+    sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules),
+    threading.active_count(),
+    sum(len(errors) for errors in report.errors.values()),
+]))
+"""
+        src = os.path.dirname(os.path.dirname(kronlev.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=600
+        ).stdout
+        assert json.loads(out) == [[], 1, 9]
 
 
 def experiment_config(**overrides):
