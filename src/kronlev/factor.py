@@ -27,6 +27,8 @@ __all__ = [
     "sample_nu_kd",
 ]
 
+# The rank test of factor_qr, solve and exact_leverage: a QR diagonal entry or
+# singular value at or below this fraction of the largest counts as zero.
 _RANK_RTOL = 1e-12
 # Bytes per block of rows of a long pass over rows; a block stays in cache.
 _ROW_BLOCK_BYTES = 1 << 17

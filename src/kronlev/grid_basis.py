@@ -9,6 +9,7 @@ on [-1, 1].
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ BASIS_KINDS = ("monomial", "legendre-orthonormal")
 # Weight-sum gate: user grids within this of 1 are accepted as-is, never
 # silently renormalized.
 _WEIGHT_SUM_TOL = 1e-8
+
+
+def _size(value, what: str) -> int:
+    """A Python or numpy integer >= 1; floats and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +73,16 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _size(self.count, "count")
 
 
-def _legendre_value_and_derivative(degree: int, y: np.ndarray):
-    """P_degree(y) and P'_degree(y) by the three-term recurrence."""
-    p_prev = np.zeros_like(y)
-    p = np.ones_like(y)
-    for k in range(degree):
+def _legendre(y: np.ndarray, n: int):
+    """P_0(y), ..., P_{n-1}(y) by the three-term recurrence, one array at a time."""
+    p_prev, p = np.zeros_like(y), np.ones_like(y)
+    yield p
+    for k in range(n - 1):
         p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
-    if degree == 0:
-        return p, np.zeros_like(y)
-    dp = degree * (y * p - p_prev) / (y * y - 1.0)
-    return p, dp
+        yield p
 
 
 def gauss_legendre_grid(num_nodes: int) -> Grid1D:
@@ -89,24 +93,22 @@ def gauss_legendre_grid(num_nodes: int) -> Grid1D:
     quadrature weights divided by 2.  Converged when every Newton correction
     |P_M/P'_M| is below 1e-14; raises after 100 sweeps otherwise.
     """
-    M = int(num_nodes)
-    if M < 1:
-        raise ValueError("need at least one node")
+    M = _size(num_nodes, "num_nodes")
     if M == 1:
         return Grid1D(np.zeros(1), np.ones(1))
     i = np.arange(1, M + 1)
     y = np.cos(np.pi * (4 * i - 1) / (4 * M + 2))
-    converged = False
-    for _ in range(100):
-        p, dp = _legendre_value_and_derivative(M, y)
+    # a pass stops once the previous correction was small: dp is P'_M at the converged nodes
+    step = np.inf
+    for _ in range(101):
+        p_prev, p = deque(_legendre(y, M + 1), maxlen=2)
+        dp = M * (y * p - p_prev) / (y * y - 1.0)
+        if np.max(np.abs(step)) <= 1e-14:
+            break
         step = p / dp
         y = y - step
-        if np.max(np.abs(step)) <= 1e-14:
-            converged = True
-            break
-    if not converged:
+    else:
         raise RuntimeError(f"Gauss-Legendre Newton iteration failed to converge for M={M}")
-    p, dp = _legendre_value_and_derivative(M, y)
     # cos gives descending nodes; flip, then symmetrize so the rule is
     # exactly even (the midpoint of an odd rule lands on exactly 0.0)
     y = y[::-1]
@@ -142,9 +144,6 @@ def eval_basis_matrix(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
         for j in range(1, n):
             out[:, j] = out[:, j - 1] * y
         return out
-    out[:, 0] = 1.0
-    if n > 1:
-        out[:, 1] = y
-    for k in range(1, n - 1):
-        out[:, k + 1] = ((2 * k + 1) * y * out[:, k] - k * out[:, k - 1]) / (k + 1)
+    for j, p in enumerate(_legendre(y, n)):
+        out[:, j] = p
     return out * np.sqrt(2.0 * np.arange(n) + 1.0)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import FactorMatrix
+from .factor import _RANK_RTOL, FactorMatrix
 from .indexset import MultiIndexSet, _check_fit
 from .sketch import Sketch, TargetFunction
 
@@ -97,11 +97,11 @@ def build_full(
 def exact_leverage(system: FullSystem) -> np.ndarray:
     """Normalized leverage scores of the full design matrix.
 
-    Insists on full column rank (R diagonal above 1e-12 of its largest entry).
+    Insists on full column rank (R diagonal above _RANK_RTOL of its largest entry).
     """
     q, r = np.linalg.qr(system.matrix)
     diag = np.abs(np.diag(r))
-    if np.any(diag <= 1e-12 * diag.max()):
+    if np.any(diag <= _RANK_RTOL * diag.max()):
         raise ValueError("design matrix is rank deficient")
     return (q**2).sum(axis=1) / q.shape[1]
 

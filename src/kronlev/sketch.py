@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows, _row_blocks
+from .factor import _RANK_RTOL, FactorMatrix, _kron_rows, _row_blocks
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 from .sampler import (
@@ -77,9 +77,6 @@ __all__ = [
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
-# Singular values at or below this fraction of the largest count as zero in
-# solve's rank flag and minimum-norm fit.
-_RANK_RTOL = 1e-12
 # Smallest min|L_ii| / max|L_ii| of the Gram's Cholesky factor that solve
 # trusts; below it the SVD decides the rank.  Rank-deficient square sketches
 # reach 5e-5 (at 1e-6 some passed with a wrong flag); sketches ten rows

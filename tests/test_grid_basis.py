@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kronlev.grid_basis import (
+    BASIS_KINDS,
     BasisSpec,
     Grid1D,
     eval_basis_matrix,
@@ -63,6 +64,17 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre_grid(0)
 
+    @pytest.mark.parametrize("build", [gauss_legendre_grid, gauss_legendre_uniform_grid])
+    @pytest.mark.parametrize("size", [2.5, 3.9, 3.0, True, np.float64(4.0), np.bool_(True)])
+    def test_non_integer_size_is_refused(self, build, size):
+        with pytest.raises(ValueError, match="integer"):
+            build(size)
+
+    @pytest.mark.parametrize("size", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_size(self, size):
+        assert np.array_equal(gauss_legendre_grid(size).nodes, gauss_legendre_grid(5).nodes)
+        assert len(gauss_legendre_uniform_grid(size)) == 5
+
 
 class TestGrid1D:
     def test_rejects_unsorted_nodes(self):
@@ -107,3 +119,71 @@ class TestEvalBasis:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             BasisSpec("chebyshev", 3)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(2.0), np.bool_(True), "3"])
+    def test_non_integer_count_is_refused(self, count):
+        with pytest.raises(ValueError, match="integer"):
+            BasisSpec("monomial", count)
+
+    def test_numpy_integer_count(self):
+        values = eval_basis_matrix(BasisSpec("legendre-orthonormal", np.int64(4)), [0.5])
+        assert values.shape == (1, 4)
+
+
+def _frozen_legendre_value_and_derivative(degree, y):
+    p_prev = np.zeros_like(y)
+    p = np.ones_like(y)
+    for k in range(degree):
+        p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
+    return p, degree * (y * p - p_prev) / (y * y - 1.0)
+
+
+def _frozen_gauss_legendre(m):
+    """Nodes and weights by a Newton solve with its own Legendre loop: the bit-for-bit reference."""
+    if m == 1:
+        return np.zeros(1), np.ones(1)
+    i = np.arange(1, m + 1)
+    y = np.cos(np.pi * (4 * i - 1) / (4 * m + 2))
+    for _ in range(100):
+        p, dp = _frozen_legendre_value_and_derivative(m, y)
+        step = p / dp
+        y = y - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    p, dp = _frozen_legendre_value_and_derivative(m, y)
+    y = y[::-1]
+    dp = dp[::-1]
+    y = 0.5 * (y - y[::-1])
+    w = 1.0 / ((1.0 - y * y) * dp * dp)
+    w = 0.5 * (w + w[::-1])
+    return y, w
+
+
+def _frozen_basis(kind, n, y):
+    """Basis tables by a separate loop per kind: the bit-for-bit reference."""
+    out = np.empty((y.size, n))
+    out[:, 0] = 1.0
+    if kind == "monomial":
+        for j in range(1, n):
+            out[:, j] = out[:, j - 1] * y
+        return out
+    if n > 1:
+        out[:, 1] = y
+    for k in range(1, n - 1):
+        out[:, k + 1] = ((2 * k + 1) * y * out[:, k] - k * out[:, k - 1]) / (k + 1)
+    return out * np.sqrt(2.0 * np.arange(n) + 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 20, 101, 1000])
+def test_grids_and_bases_keep_every_bit(m):
+    # the grids and basis tables feed every factor, so a refactor of the
+    # recurrence must reproduce these bytes, not merely agree to rounding
+    nodes, weights = _frozen_gauss_legendre(m)
+    for grid in (gauss_legendre_grid(m), gauss_legendre_uniform_grid(m)):
+        assert grid.nodes.tobytes() == nodes.tobytes()
+    assert gauss_legendre_grid(m).weights.tobytes() == weights.tobytes()
+    assert gauss_legendre_uniform_grid(m).weights.tobytes() == np.full(m, 1.0 / m).tobytes()
+    for kind in BASIS_KINDS:
+        for n in sorted({1, 2, 3, 10, m}):
+            got = eval_basis_matrix(BasisSpec(kind, n), nodes)
+            assert got.tobytes() == _frozen_basis(kind, n, nodes).tobytes(), (kind, n)
