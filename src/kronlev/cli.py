@@ -20,7 +20,7 @@ from .config import ConfigError, load_json, parse_experiment, parse_index_set, p
 from .experiments import emit_cdf, emit_cdf_svg, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
 from .sampler import sample_indices
-from .sketch import TargetFunction, _one_blas_thread, draw_sketch, trial_error
+from .sketch import TargetFunction, draw_sketch, trial_error
 
 _CSV_BLOCK = 1024  # sample rows formatted and written at a time
 
@@ -76,8 +76,7 @@ def _cmd_solve(args) -> int:
     method = problem.method(args.method)
     reduction = prepare_problem(problem)
     rows = sample_indices(method, np.random.default_rng(args.seed), args.K)
-    with _one_blas_thread():
-        error, rank_deficient = trial_error(reduction, method, rows)
+    error, rank_deficient = trial_error(reduction, method, rows)
     _emit(
         {
             "relative_error": error,

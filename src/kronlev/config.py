@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -49,12 +50,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSetup:
-    """Everything a sampling or solve run needs, built from one config."""
+    """Everything a sampling or solve run needs, built from one config.
 
-    grids: tuple[Grid1D, ...]
+    Dimensions with the same grid spec and basis share one factor object.
+    """
+
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     model: Optional[dict]
+
+    @property
+    def grids(self) -> tuple[Grid1D, ...]:
+        return tuple(f.grid for f in self.factors)
 
     def method(self, tag: str) -> SamplerMethod:
         """The sampling method ``tag`` on this problem; one it does not admit is a config error."""
@@ -190,6 +197,7 @@ def _parse_grid_file(path: Path) -> Grid1D:
 
 
 def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
+    """One grid per dimension; a repeated size or path gives the same object each time."""
     _check_keys(spec, {"grid"}, {"M", "path"}, "grid spec")
     kind = spec["grid"]
     if kind not in GRID_KINDS:
@@ -198,8 +206,9 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     _check_keys(spec, {"grid", size_key}, set(), f"grid kind {kind!r}")
     values = _per_dimension(spec[size_key], dimension, f"grid {size_key}")
     if kind == "file":
-        return tuple(_parse_grid_file(_config_path(p, base_dir, "grid path")) for p in values)
-    build = gauss_legendre_grid if kind == "gauss-legendre" else gauss_legendre_uniform_grid
+        read = cache(_parse_grid_file)
+        return tuple(read(_config_path(p, base_dir, "grid path")) for p in values)
+    build = cache(gauss_legendre_grid if kind == "gauss-legendre" else gauss_legendre_uniform_grid)
     return tuple(build(_integer(m, 1, "grid M")) for m in values)
 
 
@@ -235,6 +244,8 @@ def _parse_model(spec, base_dir: Path) -> dict:
 def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     """Build grids, basis specs, index set, and factors from a problem config.
 
+    Each distinct grid and each distinct (grid, basis) pair is built once, so
+    dimensions that repeat a spec share its grid and factor objects.
     Relative grid-file and tabulated-model paths are taken from ``base_dir``,
     the config file's directory.
     """
@@ -260,13 +271,14 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     if any(basis.count < n_d for n_d, basis in zip(index_set.bounding_box, bases)):
         raise ConfigError("basis count is smaller than the index set bounding box")
     try:
-        factors = tuple(build_factor(g, b) for g, b in zip(grids, bases))
+        factor = cache(build_factor)
+        factors = tuple(factor(g, b) for g, b in zip(grids, bases))
     except ValueError as exc:
         raise ConfigError(str(exc))
     model = _parse_model(config.get("model"), Path(base_dir))
     if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
         raise ConfigError(f"model {model['name']!r} requires dimension 3")
-    return ProblemSetup(grids, index_set, factors, model)
+    return ProblemSetup(index_set, factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:

@@ -148,9 +148,11 @@ def build_alias(probabilities) -> tuple[np.ndarray, np.ndarray]:
     if not (1 - 1e-9 <= total <= 1 + 1e-9):
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     m = p.size
-    scaled = p * (m / total)
-    prob = np.ones(m)
-    alias = np.arange(m)
+    # the loop runs on Python floats, which round as float64 does, and is
+    # faster than indexing numpy scalars one at a time
+    scaled = (p * (m / total)).tolist()
+    prob = [1.0] * m
+    alias = list(range(m))
     small = [i for i in range(m) if scaled[i] < 1.0]
     large = [i for i in range(m) if scaled[i] >= 1.0]
     while small and large:
@@ -163,7 +165,7 @@ def build_alias(probabilities) -> tuple[np.ndarray, np.ndarray]:
     for i in small + large:
         prob[i] = 1.0
         alias[i] = i
-    return prob, alias
+    return np.array(prob, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
 def sample_nu_kd(

@@ -29,6 +29,9 @@ LAPACK dpotrf in place from numpy's bundled OpenBLAS (through ctypes) or else
 np.linalg.cholesky, and each ``_cholesky_solve`` is one dpotrs call or two
 blocked back substitutions.  Otherwise it uses SVD least squares, which gives
 the numerical rank and the minimum-norm fit.
+``reduce_full_grid``, ``full_relative_error`` and ``trial_error`` each pin
+numpy's OpenBLAS to one thread themselves (``_one_blas_thread``), so their
+bits do not depend on the caller's BLAS thread count.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -135,7 +138,8 @@ def _one_blas_thread():
 
     The thread count changes the rounding of a trial's solve and of the
     full-grid reduction's products, and small products run faster on one
-    thread.
+    thread.  ``reduce_full_grid``, ``full_relative_error`` and
+    ``trial_error`` enter this themselves.
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits
     the count of 1 and must not set it, because after a fork any call that
@@ -618,12 +622,14 @@ def trial_error(
     ``_sketch_rows`` gathers the rows in Q coordinates, ``solve`` fits them and
     ``_relative_error`` judges the fit: the fit of ``assemble`` + ``solve`` when
     the sketch has full rank, its rank judged in orthonormal coordinates, where
-    ``solve`` takes its semi-normal path.  The methods and rows that
-    ``_sketch_rows`` refuses raise ValueError.
+    ``solve`` takes its semi-normal path.  The trial runs on one BLAS thread,
+    so its bits do not depend on the caller's thread count.  The methods and
+    rows that ``_sketch_rows`` refuses raise ValueError.
     """
-    solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
-    fit = solution.x if reduction.basis is None else reduction.basis @ solution.x
-    return _relative_error(reduction, fit), solution.rank_deficient
+    with _one_blas_thread():
+        solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
+        fit = solution.x if reduction.basis is None else reduction.basis @ solution.x
+        return _relative_error(reduction, fit), solution.rank_deficient
 
 
 def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import kronlev
 import kronlev.cli
+import kronlev.config
 from kronlev.cli import main
 from kronlev.config import (
     ConfigError,
@@ -20,9 +22,11 @@ from kronlev.config import (
 )
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import evaluate_on_grid, make_target
+from kronlev.factor import build_factor, factor_qr, leverage_table
 from kronlev.sketch import draw_sketch
-from kronlev.grid_basis import gauss_legendre_grid
+from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
+from test_experiments import count_calls
 
 
 def run_python(args, **env):
@@ -271,6 +275,79 @@ class TestPackagedConfigs:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             packaged_config_path("ishigami-g8")
+
+
+class TestSharedFactors:
+    """Dimensions with one grid spec and basis share one grid and one factor object."""
+
+    @pytest.mark.parametrize("name", list_packaged_configs())
+    def test_packaged_dimensions_share_one_factor_with_the_bits_of_their_own(self, name, monkeypatch):
+        config = load_json(packaged_config_path(name))
+        calls = count_calls(monkeypatch, gauss_legendre_grid, factor_qr, leverage_table)
+        problem = parse_problem(config)
+        assert sorted(calls) == ["factor_qr", "gauss_legendre_grid", "leverage_table"]
+        monkeypatch.undo()
+        shared = problem.factors[0]
+        assert all(f is shared for f in problem.factors)
+        assert all(g is f.grid for g, f in zip(problem.grids, problem.factors))
+        grid = {"gauss-legendre": gauss_legendre_grid, "gauss-legendre-uniform": gauss_legendre_uniform_grid}
+        for count in problem.index_set.bounding_box:
+            own = build_factor(grid[config["grid"]["grid"]](config["grid"]["M"]),
+                               BasisSpec(config["basis"]["kind"], count))
+            for field in ("matrix", "q", "r", "prob", "alias", "marginal"):
+                assert getattr(shared, field).tobytes() == getattr(own, field).tobytes(), field
+            assert shared.grid.nodes.tobytes() == own.grid.nodes.tobytes()
+            assert shared.grid.weights.tobytes() == own.grid.weights.tobytes()
+
+    @pytest.mark.parametrize("sizes,counts", [
+        ([12, 20, 12], None),
+        ([12, 20, 12], [3, 3, 4]),
+        (12, [3, 4, 3]),
+        ([12, 12, 20], [4, 3, 4]),
+    ], ids=["M-12-20-12", "M-12-20-12-count-3-3-4", "M-12-count-3-4-3", "M-12-12-20-count-4-3-4"])
+    def test_repeated_grid_and_basis_pairs_are_shared(self, sizes, counts):
+        basis = {"kind": "legendre-orthonormal"}
+        if counts is not None:
+            basis["count"] = counts
+        problem = parse_problem(problem_dict(
+            dimension=3, grid={"grid": "gauss-legendre", "M": sizes}, basis=basis,
+            index_set={"dimension": 3, "family": "wlp-ball", "order": 2},
+        ))
+        sizes = sizes if isinstance(sizes, list) else [sizes] * 3
+        pairs = list(zip(sizes, [f.basis.count for f in problem.factors]))
+        assert [len(g) for g in problem.grids] == sizes
+        for i, j in product(range(3), repeat=2):
+            assert (problem.grids[i] is problem.grids[j]) == (sizes[i] == sizes[j])
+            assert (problem.factors[i] is problem.factors[j]) == (pairs[i] == pairs[j])
+
+    @pytest.mark.parametrize("path", ["grid.json", ["grid.json", "./grid.json"]], ids=["scalar", "list"])
+    def test_a_grid_file_named_in_every_dimension_is_read_once(self, tmp_path, monkeypatch, path):
+        (tmp_path / "grid.json").write_text(json.dumps({"nodes": [-0.5, 0.0, 0.5],
+                                                        "weights": [0.25, 0.5, 0.25]}))
+        calls = count_calls(monkeypatch, kronlev.config._parse_grid_file)
+        problem = parse_problem(problem_dict(grid={"grid": "file", "path": path},
+                                             index_set={"dimension": 2, "family": "wlp-ball", "order": 1}),
+                                tmp_path)
+        assert calls == ["_parse_grid_file"]
+        assert problem.grids[0] is problem.grids[1]
+        assert problem.factors[0] is problem.factors[1]
+
+    @pytest.mark.parametrize("grid,error", [
+        (None, "grid file not found: {path}"),
+        ({"nodes": [0.0, 1.0], "weights": [0.5, 0.25]}, f"bad grid file {{path}}: weights sum to {np.float64(0.75)!r}, not 1 (not renormalizing)"),
+        ({"nodes": [0.0, 1.0]}, "grid file {path} missing required keys: ['weights']"),
+    ], ids=["missing", "weight-sum", "missing-key"])
+    def test_a_bad_grid_file_named_in_every_dimension_is_a_config_error(self, tmp_path, capsys, grid, error):
+        path = tmp_path / "grid.json"
+        if grid is not None:
+            path.write_text(json.dumps(grid))
+        config = problem_dict(grid={"grid": "file", "path": ["grid.json", "grid.json"]},
+                              index_set={"dimension": 2, "family": "wlp-ball", "order": 1})
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["sample", "--config", str(tmp_path / "config.json"), "--method", "uniform",
+                "--count", "3", "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: " + error.format(path=path) + "\n"
 
 
 @pytest.fixture()

@@ -153,6 +153,50 @@ class TestAlias:
             build_alias([0.3, 0.3])
 
 
+def numpy_scalar_alias(p):
+    """Vose tables by the loop over numpy scalars that ``build_alias`` ran on before its Python lists."""
+    p = np.asarray(p, dtype=float)
+    m = p.size
+    scaled = p * (m / p.sum())
+    prob = np.ones(m)
+    alias = np.arange(m)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        lo = small.pop()
+        hi = large.pop()
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] -= 1.0 - scaled[lo]
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    for i in small + large:
+        prob[i] = 1.0
+        alias[i] = i
+    return prob, alias
+
+
+def _alias_laws():
+    """Random laws, and laws whose scaled entries are exactly 1.0 or 0.0."""
+    rng = np.random.default_rng(2024)
+    laws = [(f"random-M{m}", rng.dirichlet(np.ones(m))) for m in (1, 2, 3, 20, 101, 10**4)]
+    laws += [("spiky-M50", rng.dirichlet(np.full(50, 0.05)))]  # most entries far below 1/M
+    laws += [("uniform-M8", np.full(8, 1 / 8)), ("uniform-M20", np.full(20, 1 / 20))]
+    laws += [("zeros-M4", np.array([0.0, 0.25, 0.0, 0.75])),
+             ("ones-and-zeros-M5", np.array([0.5, 0.0, 0.0, 0.25, 0.25])),
+             ("point-M6", np.eye(6)[2]),
+             ("exact-one-and-zero-M4", np.array([0.25, 0.25, 0.5, 0.0]))]
+    return [pytest.param(law, id=name) for name, law in laws]
+
+
+@pytest.mark.parametrize("law", _alias_laws())
+def test_alias_tables_keep_the_bits_of_the_numpy_scalar_loop(law):
+    prob, alias = build_alias(law)
+    want_prob, want_alias = numpy_scalar_alias(law)
+    assert (prob.dtype, alias.dtype) == (want_prob.dtype, want_alias.dtype)
+    assert prob.tobytes() == want_prob.tobytes()
+    assert alias.tobytes() == want_alias.tobytes()
+
+
 class TestSampleNuKd:
     def test_one_hot_row_is_deterministic(self):
         tables = stacked([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])

@@ -821,6 +821,26 @@ class TestTrialError:
             # Cholesky factor, and the rest is row blocks and K- or N-long vectors
             assert peak <= 1.5 * k * n * 8 + 2 * n * n * 8
 
+    def test_solves_on_one_blas_thread(self, openblas, monkeypatch):
+        # a library call made at 2 BLAS threads solves on one, then restores 2
+        index_set, factors = total_degree(2, 3), legendre_factors(2, 7, 4)
+        reduction = reduction_of(index_set, factors, SMOOTH)
+        method = make_method("leverage-lower", factors, index_set)
+        rows = sample_indices(method, np.random.default_rng(1), 4 * len(index_set))
+        counts = []
+        monkeypatch.setattr(
+            sketch_module, "solve", lambda system: counts.append(openblas.get_threads()) or solve(system)
+        )
+        before = openblas.get_threads()
+        openblas.set_threads(2)
+        try:
+            trial_error(reduction, method, rows)
+            after = openblas.get_threads()
+        finally:
+            openblas.set_threads(before)
+        assert counts == [1]
+        assert after == 2
+
     def test_fewer_rows_than_columns_is_flagged(self):
         index_set = total_degree(2, 2)
         factors = monomial_factors(2, 5, 3)
