@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "IndexSetSpec",
@@ -194,21 +194,35 @@ def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
     return MultiIndexSet(spec.dimension, _graded_lex_sorted(members))
 
 
-def is_monotone_lower(index_set: MultiIndexSet) -> bool:
-    """True iff the set is closed under componentwise decrease toward all-ones.
+def _missing_below(index_set: MultiIndexSet) -> Iterator[tuple[int, ...]]:
+    """Yield, once each, the indices below a member of J that J lacks.
 
-    Checks only the immediate lower neighbours alpha - e_d; this is
-    equivalent to the full definition (any beta <= alpha is reachable by a
-    chain of single-entry decrements staying inside the set).
+    Walks down from J's members, in J's order, one decrement alpha - e_d at
+    a time, and on from each index it yields, so J and the yielded indices
+    make up the lower closure L after O(|L| D) steps.  J is lower iff nothing
+    is yielded, and the first yield comes from the first member with a gap.
     """
-    members = index_set._members
-    for alpha in index_set.indices:
+    members, missing = index_set._members, set()
+    stack = list(reversed(index_set.indices))
+    while stack:
+        alpha = stack.pop()
         for d, a in enumerate(alpha):
             if a > 1:
                 beta = alpha[:d] + (a - 1,) + alpha[d + 1:]
-                if beta not in members:
-                    return False
-    return True
+                if beta not in members and beta not in missing:
+                    missing.add(beta)
+                    stack.append(beta)
+                    yield beta
+
+
+def is_monotone_lower(index_set: MultiIndexSet) -> bool:
+    """True iff the set is closed under componentwise decrease toward all-ones.
+
+    Checks only the immediate lower neighbours alpha - e_d, stopping at the
+    first gap; this is equivalent to the full definition (any beta <= alpha
+    is reachable by a chain of single-entry decrements staying inside the set).
+    """
+    return next(_missing_below(index_set), None) is None
 
 
 def apply_permutation(perms: Sequence[Sequence[int]], index_set: MultiIndexSet) -> MultiIndexSet:

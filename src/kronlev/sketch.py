@@ -44,7 +44,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -52,7 +51,7 @@ import numpy as np
 
 from .factor import _RANK_RTOL, FactorMatrix, _kron_rows, _row_blocks
 from .grid_basis import BasisSpec, eval_basis_matrix
-from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
+from .indexset import MultiIndexSet, _check_fit, _missing_below
 from .sampler import (
     SamplerMethod,
     _check_rows,
@@ -396,7 +395,9 @@ class FullGridReduction:
     """
 
     factors: tuple[FactorMatrix, ...]
-    lower: np.ndarray     # (|L|, D) 0-based rows of L, J's members first
+    # (|L|, D) 0-based rows of L: J's members in J's order, then the rest of
+    # the closure in lexicographic order
+    lower: np.ndarray
     n: int                # N = |J|, the columns of R_{L,J}
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
@@ -513,8 +514,10 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d.  Only a non-lower J forms R_{L,J}, whose
-    QR gives U, and lets it go.  The projection runs on one BLAS thread, as a
+    with no array above r |L| max N_d.  L lists J's members in J's order, then
+    the rest of the lower closure, found by one walk down from J's members, in
+    lexicographic order.  Only a non-lower J forms R_{L,J}, whose QR gives U,
+    and lets it go.  The projection runs on one BLAS thread, as a
     threaded dot or matrix product rounds by thread count.
     An index set that does not fit the factors' columns raises ValueError.
     """
@@ -530,12 +533,7 @@ def reduce_full_grid(
             values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError("b_values must hold one value per grid row")
-    lower = list(index_set.indices)
-    if not is_monotone_lower(index_set):  # a lower J is its own closure
-        members = set(lower)
-        closure = {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
-        lower += sorted(closure - members)
-    lower = np.asarray(lower) - 1
+    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set))) - 1
     cols, box = lower[: len(index_set)], index_set.bounding_box
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
     with _one_blas_thread():

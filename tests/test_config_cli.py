@@ -410,6 +410,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"N": 10, "bounding_box": [3, 3, 3], "monotone_lower": True}
 
+    def test_indexset_summary_of_a_far_gap(self, tmp_path, capsys):
+        # the lower test stops at the first gap, not after the closure's 6.4e7 members
+        path = tmp_path / "far-gap.json"
+        path.write_text(json.dumps(
+            {"index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [400, 400, 400]]}}
+        ))
+        assert main(["indexset", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"N": 2, "bounding_box": [400, 400, 400], "monotone_lower": False}
+
     def test_missing_config_is_exit_2(self, capsys):
         assert main(["indexset", "--config", "no-such-file.json"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronlev.indexset as indexset_module
 from kronlev.indexset import (
     IndexSetSpec,
     MultiIndexSet,
@@ -247,6 +248,19 @@ class TestMonotoneLower:
             for beta in itertools.product(*(range(1, a + 1) for a in alpha))
         )
         assert is_monotone_lower(s) == full
+
+    def test_stops_at_the_first_gap(self, monkeypatch):
+        # the closure of (400, 400, 400) has 6.4e7 members, of which one is walked to
+        walk, yielded = indexset_module._missing_below, []
+
+        def counted(index_set):
+            for beta in walk(index_set):
+                yielded.append(beta)
+                yield beta
+
+        monkeypatch.setattr(indexset_module, "_missing_below", counted)
+        assert not is_monotone_lower(MultiIndexSet(3, ((1, 1, 1), (400, 400, 400))))
+        assert len(yielded) == 1
 
 
 class TestBoundingBox:

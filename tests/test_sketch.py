@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import kronlev.factor as factor_module
 from kronlev.factor import FactorMatrix, _kron_rows, _row_blocks, build_factor
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
-from kronlev.indexset import IndexSetSpec, build_index_set, is_monotone_lower
+from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import (
     METHOD_TAGS,
@@ -1337,6 +1339,68 @@ FIT_ENTRY_POINTS = {
 def test_an_index_set_that_does_not_fit_its_factors_is_rejected(entry_point, index_set, message):
     with pytest.raises(ValueError, match=message):
         FIT_ENTRY_POINTS[entry_point](index_set, legendre_factors(2, 4, 3))
+
+
+def first_gap(index_set):
+    """The first neighbour alpha - e_d that J lacks, over J's members in order, or None."""
+    members = set(index_set.indices)
+    for alpha in index_set.indices:
+        for d, a in enumerate(alpha):
+            beta = alpha[:d] + (a - 1,) + alpha[d + 1:]
+            if a > 1 and beta not in members:
+                return beta
+    return None
+
+
+def box_closure(members):
+    """Every index below a member, enumerated over each member's whole box."""
+    return {beta for alpha in members for beta in product(*(range(1, a + 1) for a in alpha))}
+
+
+def box_closure_rows(index_set):
+    """L as J's members in J's order, then the rest of the closure lexicographically."""
+    members = set(index_set.indices)
+    return list(index_set.indices) + sorted(box_closure(members) - members)
+
+
+@st.composite
+def explicit_sets(draw):
+    """Explicit sets with D <= 5 and entries <= 6: as drawn (mostly not lower), closed
+    (lower), or closed with one member taken out (lower only when it was maximal).
+    A closure of more than 500 members is not taken, so no R_{L,J} is large."""
+    dimension = draw(st.integers(1, 5))
+    members = draw(st.sets(st.tuples(*[st.integers(1, 6)] * dimension), min_size=1, max_size=8))
+    shape = draw(st.sampled_from(["drawn", "closed", "closed-less-one"]))
+    closure = box_closure(members)
+    if shape != "drawn" and len(closure) <= 500:
+        members = sorted(closure)
+        if shape == "closed-less-one" and len(members) > 1:
+            del members[draw(st.integers(0, len(members) - 1))]
+    return build_index_set(IndexSetSpec(dimension, "explicit-list", indices=tuple(members)))
+
+
+class TestLowerClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(index_set=explicit_sets())
+    def test_walk_down_agrees_with_neighbour_loop_and_box_closure(self, index_set):
+        dimension = index_set.dimension
+        gap = first_gap(index_set)
+        lower = gap is None
+        assert is_monotone_lower(index_set) == lower
+        assert next(_missing_below(index_set), None) == gap
+        factors = legendre_factors(dimension, 12, 6)
+        peak = 1.0 / (1.0 + (factors[0].grid.nodes - 0.25) ** 2)
+        reduction = reduce_full_grid(index_set, factors, SeparableValues(((peak,) * dimension,)))
+        expected = np.asarray(box_closure_rows(index_set)) - 1
+        assert reduction.lower.dtype == expected.dtype
+        assert np.array_equal(reduction.lower, expected)
+        if lower:
+            assert reduction.basis is None
+        else:
+            with _one_blas_thread():
+                basis = np.linalg.qr(_kron_rows([f.r for f in factors], expected, expected[: len(index_set)]))[0]
+            assert reduction.basis.shape == basis.shape
+            assert reduction.basis.tobytes() == basis.tobytes()
 
 
 class TestSampleSize:
