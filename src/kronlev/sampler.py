@@ -15,7 +15,10 @@ Four methods draw multivariate grid points and evaluate their point masses:
   column-subset design matrix.
 
 A method holds its factors and reads the Q, alias tables and marginal that
-each factor built from its own QR; none factors anything here.
+each factor built from its own QR; none factors anything here.  A mixture
+method also holds its index set's ``_Subspace``, the record of J's columns
+and lower closure L that a full-grid reduction holds too; a trial matches
+the two by the identity of J and of the factor objects.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
@@ -35,7 +38,7 @@ import numpy as np
 
 from .factor import FactorMatrix, _kron_rows, _row_blocks, sample_nu_kd
 from .grid_basis import Grid1D
-from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
+from .indexset import MultiIndexSet, _check_fit, _missing_below, is_monotone_lower
 
 __all__ = [
     "METHOD_TAGS",
@@ -54,12 +57,43 @@ _GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
+class _Subspace:
+    """J's columns of the Kronecker product and J's lower closure L, built only by ``_subspace``.
+
+    J must fit its factors: one entry per factor, and J's bounding box within
+    their column counts (``indexset._check_fit``).  L is every index at or
+    below a member of J; ``lower`` holds its 0-based rows, J's members in J's
+    order, then the rest of the closure, found by one walk down from J's
+    members (``indexset._missing_below``), in lexicographic order.  So
+    ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
+    J and the factors are held by reference, not copied.
+    """
+
+    index_set: MultiIndexSet
+    factors: tuple[FactorMatrix, ...]
+    lower: np.ndarray  # (|L|, D) int64
+
+    @property
+    def n(self) -> int:
+        """N = |J|."""
+        return len(self.index_set)
+
+
+def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Subspace:
+    """The ``_Subspace`` of J on these factors; a J that does not fit them raises ValueError."""
+    factors = tuple(factors)
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
+    return _Subspace(index_set, factors, lower - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class SamplerMethod:
     """A sampling distribution read from per-dimension factors and, for a mixture, an index set."""
 
     tag: str
     factors: tuple[FactorMatrix, ...]
-    index_array: Optional[np.ndarray]  # (N, D) 0-based rows of the index set, mixtures only
+    subspace: Optional[_Subspace]  # the index set's columns and closure, mixtures only
 
     @property
     def grids(self) -> tuple[Grid1D, ...]:
@@ -92,9 +126,10 @@ def make_method(
         return SamplerMethod(tag, factors, None)
     if index_set is None:
         raise ValueError(f"method {tag!r} requires a multi-index set")
-    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+    # refused at J's first gap, before the walk over all of L
     if tag == "leverage-lower" and not is_monotone_lower(index_set):
         raise ValueError("leverage-lower sampling requires a monotone lower index set")
+    subspace = _subspace(index_set, factors)
     if tag == "orthogonal-columns":
         for f in factors:
             gram = f.matrix.T @ f.matrix
@@ -103,8 +138,7 @@ def make_method(
                 raise ValueError(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
-    index_array = np.asarray(index_set.indices, dtype=np.int64) - 1
-    return SamplerMethod(tag, factors, index_array)
+    return SamplerMethod(tag, factors, subspace)
 
 
 def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:
@@ -133,9 +167,10 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
             out[:, d] = sample_nu_kd(f.prob, f.alias, k, rng)
         return out
     # two-stage draw: uniform member of the index set, then its leverage rows
-    member = rng.integers(0, method.index_array.shape[0], size=size)
+    cols = method.subspace.lower[: method.subspace.n]
+    member = rng.integers(0, len(cols), size=size)
     for d, f in enumerate(method.factors):
-        out[:, d] = sample_nu_kd(f.prob, f.alias, method.index_array[member, d], rng)
+        out[:, d] = sample_nu_kd(f.prob, f.alias, cols[member, d], rng)
     return out
 
 
@@ -160,7 +195,7 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
         for d, f in enumerate(method.factors):
             mass *= f.marginal[idx0[:, d]]
     else:
-        mass, cols = np.empty(idx0.shape[0]), method.index_array
+        mass, cols = np.empty(idx0.shape[0]), method.subspace.lower[: method.subspace.n]
         takes = [np.take(f.q, cols[:, d], axis=1) for d, f in enumerate(method.factors)]
         for block in _row_blocks(len(idx0), len(cols)):
             gather = None  # free the previous block before the next is formed

@@ -6,7 +6,9 @@ v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
 per-dimension QR factors, and ``trial_error`` solves the rows a method drew
 from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
-Q-row gather gives nu.
+Q-row gather gives nu.  The reduction and a mixture method each hold a
+``sampler._Subspace`` of J, and a trial admits a method built on the
+reduction's J and factors, the same objects.
 
 The target enters the reduction either as its values on the whole grid or,
 when it is a sum of r products of one-dimensional functions, as a
@@ -51,11 +53,13 @@ import numpy as np
 
 from .factor import _RANK_RTOL, FactorMatrix, _kron_rows, _row_blocks
 from .grid_basis import BasisSpec, eval_basis_matrix
-from .indexset import MultiIndexSet, _check_fit, _missing_below
+from .indexset import MultiIndexSet, _check_fit
 from .sampler import (
     SamplerMethod,
     _check_rows,
     _mixture_mass,
+    _Subspace,
+    _subspace,
     mu_mass_many,
     point_mass_many,
     sample_indices,
@@ -385,20 +389,17 @@ class FullGridReduction:
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
-    R_{L,J} itself is not held.  A trial reads the Q and grid weights of
-    ``factors``, and a non-lower J's basis U.  The grid's
-    b = sqrt(w) * values is not stored: a trial forms b at its rows from
+    J, its factors and L are ``subspace``, the record a mixture method holds
+    too (``sampler._Subspace``).  R_{L,J} itself is not held.  A trial reads
+    the Q and grid weights of the factors, and a non-lower J's basis U.  The
+    grid's b = sqrt(w) * values is not stored: a trial forms b at its rows from
     ``values``, which is held by reference and not copied.  That is either
     the caller's array of grid values, which must not be mutated while the
     reduction is in use, or the caller's ``SeparableValues``, whose tables
     are read at the rows.
     """
 
-    factors: tuple[FactorMatrix, ...]
-    # (|L|, D) 0-based rows of L: J's members in J's order, then the rest of
-    # the closure in lexicographic order
-    lower: np.ndarray
-    n: int                # N = |J|, the columns of R_{L,J}
+    subspace: _Subspace
     # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
     # is not lower; for lower J it is None, as U = I
     basis: Optional[np.ndarray]
@@ -514,15 +515,13 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d.  L lists J's members in J's order, then
-    the rest of the lower closure, found by one walk down from J's members, in
-    lexicographic order.  Only a non-lower J forms R_{L,J}, whose QR gives U,
-    and lets it go.  The projection runs on one BLAS thread, as a
-    threaded dot or matrix product rounds by thread count.
-    An index set that does not fit the factors' columns raises ValueError.
+    with no array above r |L| max N_d.  J and L are ``sampler._subspace``'s.
+    Only a non-lower J forms R_{L,J}, whose QR gives U, and lets it go.  The
+    projection runs on one BLAS thread, as a threaded dot or matrix product
+    rounds by thread count.
     """
-    factors = tuple(factors)
-    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+    subspace = _subspace(index_set, factors)
+    factors, lower, n = subspace.factors, subspace.lower, subspace.n
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
     if isinstance(b_values, SeparableValues):
@@ -533,21 +532,19 @@ def reduce_full_grid(
             values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError("b_values must hold one value per grid row")
-    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set))) - 1
-    cols, box = lower[: len(index_set)], index_set.bounding_box
-    qs = [f.q[:, :n_d] for f, n_d in zip(factors, box)]
+    qs = [f.q[:, :n_d] for f, n_d in zip(factors, index_set.bounding_box)]
     with _one_blas_thread():
         c, b_sq, residual_sq = project(values, root_w, qs, lower)
-        if len(lower) == len(index_set):
+        if len(lower) == n:
             # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
             # all of R^N and no part of c lies outside it
             basis, gap_sq = None, 0.0
         else:
-            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, cols))[0]
+            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, lower[:n]))[0]
             gap = c - basis @ (basis.T @ c)
             gap_sq = float(gap @ gap)
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
-    return FullGridReduction(factors, lower, len(index_set), basis, values, c, residual_sq, b_sq, optimal)
+    return FullGridReduction(subspace, basis, values, c, residual_sq, b_sq, optimal)
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -562,8 +559,8 @@ def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     R_{L,J} is formed in the ``_row_blocks`` of L's rows from R's columns of J, taken once, on
     one BLAS thread, with the whole product's bits.
     """
-    lower, n, x = reduction.lower, reduction.n, np.asarray(x, dtype=float)
-    takes = [np.take(f.r, lower[:n, d], axis=1) for d, f in enumerate(reduction.factors)]
+    lower, n, x = reduction.subspace.lower, reduction.subspace.n, np.asarray(x, dtype=float)
+    takes = [np.take(f.r, lower[:n, d], axis=1) for d, f in enumerate(reduction.subspace.factors)]
     with _one_blas_thread():
         fit = [_kron_rows(takes, lower[block]) @ x for block in _row_blocks(len(lower), n)]
     return _relative_error(reduction, np.concatenate(fit))
@@ -577,26 +574,27 @@ def _sketch_rows(
     ``rows`` are the (K, D) 0-based points of ``sample_indices``.  Row k of g is
     prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the basis U of range(R_{L,J})
     (the identity when J is lower), and s_k = b(m_k) / sqrt(K nu(m_k)).  The one
-    Q-row gather over L is scaled in place.  L lists J's members first, in a
-    mixture method's index order, so a mixture method's nu is ``_mixture_mass``
-    of its first N columns, as in ``point_mass_many``, which gives the others' nu.
+    Q-row gather over L is scaled in place.  J's rows lead L's (``_Subspace``),
+    so a mixture method's nu is ``_mixture_mass`` of its first N columns, as in
+    ``point_mass_many``, which gives the others' nu.
     The method must be built on the reduction's factors, the same objects,
-    and a mixture method on its index set; any other method, and rows that
-    are not an integer (K >= 1, D) array on the grid or of zero mass, raise
-    ValueError.
+    and a mixture method on its index set, the same object; any other
+    method, and rows that are not an integer (K >= 1, D) array on the grid
+    or of zero mass, raise ValueError.
     """
-    factors, n, basis = reduction.factors, reduction.n, reduction.basis
+    subspace, basis = reduction.subspace, reduction.basis
+    factors, n = subspace.factors, subspace.n
     own_factors = len(method.factors) == len(factors) and all(
         mine is theirs for mine, theirs in zip(method.factors, factors)
     )
-    own_rows = method.index_array is None or np.array_equal(method.index_array, reduction.lower[:n])
-    if not (own_factors and own_rows):
+    own_set = method.subspace is None or method.subspace.index_set is subspace.index_set
+    if not (own_factors and own_set):
         raise ValueError("the method is not built on the reduction's factors and index set")
     rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:
         raise ValueError("a trial needs K >= 1 rows")
-    g = _kron_rows([f.q for f in factors], rows, reduction.lower)
-    if method.index_array is None:
+    g = _kron_rows([f.q for f in factors], rows, subspace.lower)
+    if method.subspace is None:
         nu = point_mass_many(method, rows)
     else:
         nu = _mixture_mass(g[:, :n])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import kronlev.factor as factor_module
+import kronlev.indexset as indexset_module
+import kronlev.sampler as sampler_module
+from kronlev.config import ProblemSetup
 from kronlev.factor import _row_blocks, build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set, is_monotone_lower
@@ -97,7 +100,7 @@ class TestPointMass:
 
     def test_lower_set_mass_equals_exact_leverage_at_d6(self, d6_lower_problem):
         method, scores = d6_lower_problem
-        assert len(scores) == 729 and len(method.index_array) == 28
+        assert len(scores) == 729 and method.subspace.n == 28
         masses = point_mass_many(method, all_grid_indices((3,) * 6))
         assert np.max(np.abs(masses - scores)) < 1e-12
 
@@ -221,10 +224,11 @@ def fancy_index_mixture(method, idx0):
 
     The gather is built by a broadcast fancy index per dimension.
     """
-    prod = np.ones((idx0.shape[0], method.index_array.shape[0]))
+    cols = method.subspace.lower[: method.subspace.n]
+    prod = np.ones((idx0.shape[0], cols.shape[0]))
     for d, q in enumerate(f.q for f in method.factors):
-        prod *= q[idx0[:, d][:, None], method.index_array[:, d][None, :]]
-    return np.einsum("ij,ij->i", prod, prod) / method.index_array.shape[0]
+        prod *= q[idx0[:, d][:, None], cols[:, d][None, :]]
+    return np.einsum("ij,ij->i", prod, prod) / cols.shape[0]
 
 
 class TestMixtureKernel:
@@ -238,9 +242,9 @@ class TestMixtureKernel:
     def test_more_points_than_one_block_give_the_same_bits(self):
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method("leverage-lower", factors, total_degree(3, 3))
-        step = _row_blocks(1 << 20, len(method.index_array))[0].stop
+        step = _row_blocks(1 << 20, method.subspace.n)[0].stop
         idx0 = sample_indices(method, np.random.default_rng(18), 2 * step + 3)
-        assert len(_row_blocks(len(idx0), len(method.index_array))) == 3
+        assert len(_row_blocks(len(idx0), method.subspace.n)) == 3
         assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
 
     @pytest.mark.parametrize("k,blocks", [(0, 0), (1, 1), (63, 1), (64, 1), (65, 1), (129, 2)])
@@ -249,7 +253,7 @@ class TestMixtureKernel:
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method("leverage-lower", factors, total_degree(3, 3))
         idx0 = sample_indices(method, np.random.default_rng(19), k)
-        assert len(_row_blocks(k, len(method.index_array))) == blocks
+        assert len(_row_blocks(k, method.subspace.n)) == blocks
         mass = point_mass_many(method, idx0)
         assert mass.shape == (k,)
         assert np.array_equal(mass, fancy_index_mixture(method, idx0))
@@ -260,6 +264,28 @@ class TestPreconditions:
         bad = MultiIndexSet(2, ((1, 1), (2, 2)))
         with pytest.raises(ValueError, match="monotone lower"):
             make_method("leverage-lower", monomial_factors(2, 5, 2), bad)
+
+    @pytest.mark.parametrize("entry_point", ["make_method", "ProblemSetup.method"])
+    def test_leverage_lower_refuses_a_gap_before_walking_the_closure(self, monkeypatch, entry_point):
+        # J's closure has k^3 = 1000 members; the lower test stops at the first
+        # gap, and the walk that lists L never starts
+        k, walk, yielded = 10, indexset_module._missing_below, []
+
+        def counted(index_set):
+            for beta in walk(index_set):
+                yielded.append(beta)
+                yield beta
+
+        monkeypatch.setattr(indexset_module, "_missing_below", counted)
+        monkeypatch.setattr(sampler_module, "_missing_below", counted)
+        index_set = MultiIndexSet(3, ((1, 1, 1), (k, k, k)))
+        factors = (build_factor(gauss_legendre_grid(k), BasisSpec("legendre-orthonormal", k)),) * 3
+        with pytest.raises(ValueError, match="monotone lower"):
+            if entry_point == "make_method":
+                make_method("leverage-lower", factors, index_set)
+            else:
+                ProblemSetup(index_set, factors, None).method("leverage-lower")
+        assert len(yielded) == 1
 
     def test_orthogonal_columns_needs_orthogonal_factors(self):
         with pytest.raises(ValueError, match="not orthogonal"):

@@ -67,7 +67,7 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
     problem = ishigami_problem(name)
     separable, grid = both_reductions(problem)
     assert (separable.basis is None) == (name != "gapped")
-    np.testing.assert_array_equal(separable.lower, grid.lower)
+    np.testing.assert_array_equal(separable.subspace.lower, grid.subspace.lower)
     assert np.max(np.abs(separable.c - grid.c)) <= 1e-13 * np.linalg.norm(grid.c)
     for field in ("b_sq", "residual_sq", "optimal_error"):
         assert relative(getattr(separable, field), getattr(grid, field)) <= 1e-13, field
@@ -106,15 +106,16 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     monkeypatch.setattr(sketch_module, "_kron_rows", spy)
     reduction = prepare_problem(problem)
     assert gathers == ([] if name != "gapped" else ["R"])
-    assert reduction.n == len(problem.index_set)
+    assert reduction.subspace.n == len(problem.index_set)
     if name == "gapped":
-        r_lj = _kron_rows([f.r for f in problem.factors], reduction.lower, reduction.lower[: reduction.n])
+        lower = reduction.subspace.lower
+        r_lj = _kron_rows([f.r for f in problem.factors], lower, lower[: reduction.subspace.n])
         with _one_blas_thread():
             assert np.array_equal(reduction.basis, np.linalg.qr(r_lj)[0])
     else:
         assert reduction.basis is None
     method = problem.method("uniform")
-    rows = sample_indices(method, np.random.default_rng(0), 4 * reduction.n)
+    rows = sample_indices(method, np.random.default_rng(0), 4 * reduction.subspace.n)
     trial_error(reduction, method, rows)
     assert gathers[-1] == "Q" and gathers.count("R") == (name == "gapped")
 

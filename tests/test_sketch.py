@@ -22,6 +22,7 @@ from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set, is_m
 from kronlev.oracle import build_full, sketch_operator, solve_full
 from kronlev.sampler import (
     METHOD_TAGS,
+    _subspace,
     make_method,
     mu_mass_many,
     point_mass_many,
@@ -704,9 +705,9 @@ class TestFullRelativeError:
         ]
         reduction = reduction_of(index_set, factors, SMOOTH)
         n = len(index_set)
-        assert len(reduction.lower) == math.prod(box)
+        assert len(reduction.subspace.lower) == math.prod(box)
         monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 8 * n * 70)
-        assert len(_row_blocks(len(reduction.lower), n)) >= 2
+        assert len(_row_blocks(len(reduction.subspace.lower), n)) >= 2
         fits, relative_error = [], sketch_module._relative_error
 
         def spy(reduction, fit):
@@ -714,7 +715,7 @@ class TestFullRelativeError:
             return relative_error(reduction, fit)
 
         monkeypatch.setattr(sketch_module, "_relative_error", spy)
-        whole = _kron_rows([f.r for f in factors], reduction.lower, reduction.lower[:n])
+        whole = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower[:n])
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal(n)
@@ -778,7 +779,7 @@ class TestTrialError:
         reduction = reduction_of(index_set, factors, SMOOTH)
         assert reduction.basis is None
         assert reduction_of(NON_LOWER, factors, SMOOTH).basis is not None
-        r_jj = _kron_rows([f.r for f in factors], reduction.lower, reduction.lower)
+        r_jj = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
         with_basis = dataclasses.replace(reduction, basis=basis)
@@ -944,7 +945,7 @@ class TestSharedGather:
         np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
         tables = [np.square(f.q) for f in method.factors]
-        earlier = _kron_rows(tables, rows, method.index_array).sum(axis=1) / n
+        earlier = _kron_rows(tables, rows, method.subspace.lower[: method.subspace.n]).sum(axis=1) / n
         assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
 
     def test_mass_on_a_non_lower_set_is_point_mass_many(self, monkeypatch):
@@ -956,7 +957,7 @@ class TestSharedGather:
         gathers, systems = spy_trial(monkeypatch)
         trial_error(reduction, method, rows)
         [gather], [system] = gathers, systems
-        assert gather.shape == (len(rows), len(reduction.lower)) and len(reduction.lower) > n
+        assert gather.shape == (len(rows), len(reduction.subspace.lower)) and len(reduction.subspace.lower) > n
         mass = np.einsum("ij,ij->i", gather[:, :n], gather[:, :n]) / n
         np.testing.assert_array_equal(mass, point_mass_many(method, rows))
         scale = 1.0 / np.sqrt(len(rows) * mass)
@@ -981,7 +982,7 @@ class TestSharedGather:
             np.testing.assert_array_equal(rows, sketch.indices0)  # the stream draw_sketch uses
             # the trial from the sketch's masses, with its rows gathered apart
             scale = 1.0 / np.sqrt(k * sketch.point_mass)
-            a = _kron_rows([f.q for f in factors], rows, reduction.lower) * scale[:, None]
+            a = _kron_rows([f.q for f in factors], rows, reduction.subspace.lower) * scale[:, None]
             weight = reduce(np.multiply, [np.sqrt(f.grid.weights)[m] for f, m in zip(factors, rows.T)])
             b = weight * reduction.values[tuple(rows.T)]
             expected = solve(SketchedSystem(a, scale * b))
@@ -1109,7 +1110,7 @@ class TestTrialInputs:
 
 
 class TestIdentityEquality:
-    """Factors, grids, methods, reductions and separable values equal only themselves."""
+    """Factors, grids, methods, subspaces, reductions and separable values equal only themselves."""
 
     @staticmethod
     def build(kind):
@@ -1123,12 +1124,15 @@ class TestIdentityEquality:
             return factors[0]
         if kind == "SamplerMethod":
             return make_method("leverage-lower", factors, index_set)
+        if kind == "_Subspace":
+            return _subspace(index_set, factors)
         if kind == "FullGridReduction":
             return reduce_full_grid(index_set, factors, values)
         return values
 
     @pytest.mark.parametrize(
-        "kind", ["Grid1D", "FactorMatrix", "SamplerMethod", "FullGridReduction", "SeparableValues"]
+        "kind",
+        ["Grid1D", "FactorMatrix", "SamplerMethod", "_Subspace", "FullGridReduction", "SeparableValues"],
     )
     def test_equal_objects_compare_unequal_without_raising(self, kind):
         first, second = self.build(kind), self.build(kind)
@@ -1147,6 +1151,18 @@ class TestIdentityEquality:
             trial_error(reduction, make_method("uniform", copies), rows)
         trial_error(reduction, make_method("uniform", factors), rows)
 
+    def test_trial_refuses_an_equal_index_set_that_is_another_object(self):
+        index_set, copy = total_degree(2, 2), total_degree(2, 2)
+        assert copy == index_set and copy is not index_set
+        factors = legendre_factors(2, 8, 3)
+        reduction = reduction_of(index_set, factors, WAVE)
+        own = make_method("leverage-lower", factors, index_set)
+        rows = sample_indices(own, np.random.default_rng(3), 12)
+        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+            trial_error(reduction, make_method("leverage-lower", factors, copy), rows)
+        error, rank_deficient = trial_error(reduction, own, rows)
+        assert reduction.optimal_error <= error < 1.0 and not rank_deficient
+
 
 def old_reduction(index_set, factors, b_values):
     """(b, c, ||b||^2, ||r||^2) by the earlier whole-grid formula, kept as the reference.
@@ -1162,9 +1178,9 @@ def old_reduction(index_set, factors, b_values):
     coeffs = b
     for q in qs:
         coeffs = np.tensordot(coeffs, q, axes=([0], [0]))
-    c = coeffs[tuple(reduction.lower.T)]
+    c = coeffs[tuple(reduction.subspace.lower.T)]
     projected = np.zeros(index_set.bounding_box)
-    projected[tuple(reduction.lower.T)] = c
+    projected[tuple(reduction.subspace.lower.T)] = c
     for q in qs:
         projected = np.tensordot(projected, q, axes=([0], [1]))
     r = b - projected
@@ -1392,8 +1408,8 @@ class TestLowerClosure:
         peak = 1.0 / (1.0 + (factors[0].grid.nodes - 0.25) ** 2)
         reduction = reduce_full_grid(index_set, factors, SeparableValues(((peak,) * dimension,)))
         expected = np.asarray(box_closure_rows(index_set)) - 1
-        assert reduction.lower.dtype == expected.dtype
-        assert np.array_equal(reduction.lower, expected)
+        assert reduction.subspace.lower.dtype == expected.dtype
+        assert np.array_equal(reduction.subspace.lower, expected)
         if lower:
             assert reduction.basis is None
         else:
