@@ -34,16 +34,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, ProblemSetup
+from .factor import _one_blas_thread
 from .grid_basis import Grid1D
 from .sampler import METHOD_TAGS, sample_indices
-from .sketch import (
-    FullGridReduction,
-    SeparableValues,
-    TargetFunction,
-    _one_blas_thread,
-    reduce_full_grid,
-    trial_error,
-)
+from .sketch import FullGridReduction, SeparableValues, TargetFunction, reduce_full_grid, trial_error
 
 __all__ = [
     "METHOD_IDS",

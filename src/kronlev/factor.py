@@ -8,11 +8,19 @@ probability vector over the grid nodes (the (k,d) leverage scores).  The
 factor keeps a Vose alias table of each of those rows, so a draw costs O(1)
 after O(M) setup, and their uniform mixture over k.  Every sampler and the
 full-grid reduction read these same Q, R and tables.
+
+It also binds numpy's bundled OpenBLAS (``_openblas``) and pins its thread
+count to one (``_one_blas_thread``) for ``sampler`` and ``sketch``.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,6 +40,78 @@ __all__ = [
 _RANK_RTOL = 1e-12
 # Bytes per block of rows of a long pass over rows; a block stays in cache.
 _ROW_BLOCK_BYTES = 1 << 17
+
+
+# Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
+# the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
+# so no 32-bit-integer build is handed 64-bit integers.  Each entry is one field
+# of _OpenBlas, all found in one library: (symbol, argument types, result type).
+_LAPACK_COL_MAJOR = 102
+_OPENBLAS_SYMBOLS = {
+    "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+    "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+    "dpotrf": (  # layout, uplo, n, a, lda
+        "scipy_LAPACKE_dpotrf_work64_",
+        [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
+        ctypes.c_int64,
+    ),
+    "dpotrs": (  # layout, uplo, n, nrhs, a, lda, b, ldb
+        "scipy_LAPACKE_dpotrs_work64_",
+        [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), ctypes.c_int64,
+         np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
+        ctypes.c_int64,
+    ),
+}
+_OpenBlas = NamedTuple("_OpenBlas", [(field, Callable) for field in _OPENBLAS_SYMBOLS])
+
+
+@cache
+def _openblas() -> Optional[_OpenBlas]:
+    """The first OpenBLAS in numpy.libs that exports every _OPENBLAS_SYMBOLS entry, or None.
+
+    The scan takes about 0.2 ms.  The first ``_one_blas_thread`` of a command
+    makes it during set-up, so no trial pays for it.
+    """
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        found = {field: getattr(lib, symbol, None) for field, (symbol, _, _) in _OPENBLAS_SYMBOLS.items()}
+        if all(function is not None for function in found.values()):
+            for field, (_, args, result) in _OPENBLAS_SYMBOLS.items():
+                found[field].argtypes, found[field].restype = args, result
+            return _OpenBlas(**found)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
+
+    The thread count changes the rounding of a trial's solve, of U's QR and
+    of the full-grid reduction's products, and small products run faster on
+    one thread.  ``sampler._subspace``, ``reduce_full_grid``,
+    ``full_relative_error`` and ``trial_error`` enter this themselves.
+    The count is process-wide, so enter this once around all the trials of
+    a run, before any process is forked for them: a forked child inherits
+    the count of 1 and must not set it, because after a fork any call that
+    sets the count restarts OpenBLAS's thread pool, whose new thread then
+    spins for about 0.1 s of CPU.  For the same reason a count that is
+    already 1 is left alone, so a block nested in a pinned one sets nothing.
+    With no OpenBLAS found the block runs unpinned.
+    """
+    found = _openblas()
+    count = 1 if found is None else found.get_threads()
+    if count != 1:
+        found.set_threads(1)
+    try:
+        yield
+    finally:
+        if count != 1:
+            found.set_threads(count)
 
 
 @dataclass(frozen=True, eq=False)

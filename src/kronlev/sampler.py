@@ -15,10 +15,10 @@ Four methods draw multivariate grid points and evaluate their point masses:
   column-subset design matrix.
 
 A method holds its factors and reads the Q, alias tables and marginal that
-each factor built from its own QR; none factors anything here.  A mixture
-method also holds its index set's ``_Subspace``, the record of J's columns
-and lower closure L that a full-grid reduction holds too; a trial matches
-the two by the identity of J and of the factor objects.
+each factor built from its own QR.  A mixture method also holds its index
+set's ``_Subspace``, the record of J's columns, lower closure L and basis U
+that a full-grid reduction holds too; a trial matches the two by the
+identity of J and of the factor objects.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows, _row_blocks, sample_nu_kd
+from .factor import FactorMatrix, _kron_rows, _one_blas_thread, _row_blocks, sample_nu_kd
 from .grid_basis import Grid1D
 from .indexset import MultiIndexSet, _check_fit, _missing_below, is_monotone_lower
 
@@ -58,7 +58,7 @@ _GRAM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class _Subspace:
-    """J's columns of the Kronecker product and J's lower closure L, built only by ``_subspace``.
+    """J's columns of the Kronecker product, J's lower closure L and U, built only by ``_subspace``.
 
     J must fit its factors: one entry per factor, and J's bounding box within
     their column counts (``indexset._check_fit``).  L is every index at or
@@ -66,12 +66,16 @@ class _Subspace:
     order, then the rest of the closure, found by one walk down from J's
     members (``indexset._missing_below``), in lexicographic order.  So
     ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
-    J and the factors are held by reference, not copied.
+    ``basis`` is U, the Q of the QR of R_{L,J} = (kron_d R^(d))[L, J], an
+    orthonormal basis of its range, formed on one BLAS thread only when
+    |L| > N; for a lower J, U = I and ``basis`` is None.  J and the factors
+    are held by reference, not copied.
     """
 
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     lower: np.ndarray  # (|L|, D) int64
+    basis: Optional[np.ndarray]  # (|L|, N) U, or None when J is lower
 
     @property
     def n(self) -> int:
@@ -83,8 +87,12 @@ def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Sub
     """The ``_Subspace`` of J on these factors; a J that does not fit them raises ValueError."""
     factors = tuple(factors)
     _check_fit(index_set, [f.matrix.shape[1] for f in factors])
-    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
-    return _Subspace(index_set, factors, lower - 1)
+    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64) - 1
+    n, basis = len(index_set), None
+    if len(lower) > n:
+        with _one_blas_thread():
+            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, lower[:n]))[0]
+    return _Subspace(index_set, factors, lower, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +125,7 @@ def make_method(
 
     ``leverage-lower`` insists the index set is monotone lower and
     ``orthogonal-columns`` that every factor has orthogonal columns; both
-    requirements are verified here, not assumed.
+    requirements are verified before the record that forms U is built.
     """
     if tag not in METHOD_TAGS:
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")
@@ -129,7 +137,6 @@ def make_method(
     # refused at J's first gap, before the walk over all of L
     if tag == "leverage-lower" and not is_monotone_lower(index_set):
         raise ValueError("leverage-lower sampling requires a monotone lower index set")
-    subspace = _subspace(index_set, factors)
     if tag == "orthogonal-columns":
         for f in factors:
             gram = f.matrix.T @ f.matrix
@@ -138,7 +145,7 @@ def make_method(
                 raise ValueError(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
-    return SamplerMethod(tag, factors, subspace)
+    return SamplerMethod(tag, factors, _subspace(index_set, factors))
 
 
 def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:

@@ -7,8 +7,8 @@ per-dimension QR factors, and ``trial_error`` solves the rows a method drew
 from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
 Q-row gather gives nu.  The reduction and a mixture method each hold a
-``sampler._Subspace`` of J, and a trial admits a method built on the
-reduction's J and factors, the same objects.
+``sampler._Subspace`` of J, its closure L and basis U, and a trial admits a
+method built on the reduction's J and factors, the same objects.
 
 The target enters the reduction either as its values on the whole grid or,
 when it is a sum of r products of one-dimensional functions, as a
@@ -32,8 +32,8 @@ np.linalg.cholesky, and each ``_cholesky_solve`` is one dpotrs call or two
 blocked back substitutions.  Otherwise it uses SVD least squares, which gives
 the numerical rank and the minimum-norm fit.
 ``reduce_full_grid``, ``full_relative_error`` and ``trial_error`` each pin
-numpy's OpenBLAS to one thread themselves (``_one_blas_thread``), so their
-bits do not depend on the caller's BLAS thread count.
+numpy's OpenBLAS to one thread themselves (``factor._one_blas_thread``), so
+their bits do not depend on the caller's BLAS thread count.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -41,17 +41,15 @@ are provided as a calculator.
 
 from __future__ import annotations
 
-import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, reduce
-from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .factor import _RANK_RTOL, FactorMatrix, _kron_rows, _row_blocks
+from .factor import _LAPACK_COL_MAJOR, _one_blas_thread, _openblas  # numpy's OpenBLAS
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, _check_fit
 from .sampler import (
@@ -89,78 +87,6 @@ SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", 
 # above square measured above 3e-2.
 _SEMI_NORMAL_RTOL = 1e-3
 _SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
-
-# Functions of the ILP64 OpenBLAS that numpy bundles in "numpy.libs"; np.linalg,
-# the only BLAS kronlev calls, runs on it.  Only the "64_" names are looked up,
-# so no 32-bit-integer build is handed 64-bit integers.  Each entry is one field
-# of _OpenBlas, all found in one library: (symbol, argument types, result type).
-_LAPACK_COL_MAJOR = 102
-_OPENBLAS_SYMBOLS = {
-    "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
-    "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
-    "dpotrf": (  # layout, uplo, n, a, lda
-        "scipy_LAPACKE_dpotrf_work64_",
-        [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
-        ctypes.c_int64,
-    ),
-    "dpotrs": (  # layout, uplo, n, nrhs, a, lda, b, ldb
-        "scipy_LAPACKE_dpotrs_work64_",
-        [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
-         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), ctypes.c_int64,
-         np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64],
-        ctypes.c_int64,
-    ),
-}
-_OpenBlas = NamedTuple("_OpenBlas", [(field, Callable) for field in _OPENBLAS_SYMBOLS])
-
-
-@cache
-def _openblas() -> Optional[_OpenBlas]:
-    """The first OpenBLAS in numpy.libs that exports every _OPENBLAS_SYMBOLS entry, or None.
-
-    The scan takes about 0.2 ms.  The first ``_one_blas_thread`` of a command
-    makes it during set-up, so no trial pays for it.
-    """
-    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        found = {field: getattr(lib, symbol, None) for field, (symbol, _, _) in _OPENBLAS_SYMBOLS.items()}
-        if all(function is not None for function in found.values()):
-            for field, (_, args, result) in _OPENBLAS_SYMBOLS.items():
-                found[field].argtypes, found[field].restype = args, result
-            return _OpenBlas(**found)
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
-
-    The thread count changes the rounding of a trial's solve and of the
-    full-grid reduction's products, and small products run faster on one
-    thread.  ``reduce_full_grid``, ``full_relative_error`` and
-    ``trial_error`` enter this themselves.
-    The count is process-wide, so enter this once around all the trials of
-    a run, before any process is forked for them: a forked child inherits
-    the count of 1 and must not set it, because after a fork any call that
-    sets the count restarts OpenBLAS's thread pool, whose new thread then
-    spins for about 0.1 s of CPU.  For the same reason a count that is
-    already 1 is left alone, so a block nested in a pinned one sets nothing.
-    With no OpenBLAS found the block runs unpinned.
-    """
-    found = _openblas()
-    count = 1 if found is None else found.get_threads()
-    if count != 1:
-        found.set_threads(1)
-    try:
-        yield
-    finally:
-        if count != 1:
-            found.set_threads(count)
-
 
 @dataclass(frozen=True)
 class TargetFunction:
@@ -389,9 +315,9 @@ class FullGridReduction:
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
-    J, its factors and L are ``subspace``, the record a mixture method holds
-    too (``sampler._Subspace``).  R_{L,J} itself is not held.  A trial reads
-    the Q and grid weights of the factors, and a non-lower J's basis U.  The
+    J, its factors, L and a non-lower J's basis U are ``subspace``, the record
+    a mixture method holds too (``sampler._Subspace``).  R_{L,J} itself is not
+    held.  A trial reads the Q and grid weights of the factors, and U.  The
     grid's b = sqrt(w) * values is not stored: a trial forms b at its rows from
     ``values``, which is held by reference and not copied.  That is either
     the caller's array of grid values, which must not be mutated while the
@@ -400,9 +326,6 @@ class FullGridReduction:
     """
 
     subspace: _Subspace
-    # (|L|, N) U, an orthonormal basis of range(R_{L,J}), stored only when J
-    # is not lower; for lower J it is None, as U = I
-    basis: Optional[np.ndarray]
     # the unweighted target, by reference: an (M_1, ..., M_D) array or its terms
     values: Union[np.ndarray, SeparableValues]
     c: np.ndarray         # (|L|,)
@@ -515,13 +438,13 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d.  J and L are ``sampler._subspace``'s.
-    Only a non-lower J forms R_{L,J}, whose QR gives U, and lets it go.  The
+    with no array above r |L| max N_d.  J, L and U are ``sampler._subspace``'s,
+    and the part of c outside range(U) joins the optimum's residual.  The
     projection runs on one BLAS thread, as a threaded dot or matrix product
     rounds by thread count.
     """
     subspace = _subspace(index_set, factors)
-    factors, lower, n = subspace.factors, subspace.lower, subspace.n
+    factors, lower, basis = subspace.factors, subspace.lower, subspace.basis
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
     if isinstance(b_values, SeparableValues):
@@ -535,16 +458,10 @@ def reduce_full_grid(
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, index_set.bounding_box)]
     with _one_blas_thread():
         c, b_sq, residual_sq = project(values, root_w, qs, lower)
-        if len(lower) == n:
-            # J is lower: R_{L,J} is square and invertible, so range(R_{L,J}) is
-            # all of R^N and no part of c lies outside it
-            basis, gap_sq = None, 0.0
-        else:
-            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, lower[:n]))[0]
-            gap = c - basis @ (basis.T @ c)
-            gap_sq = float(gap @ gap)
-    optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
-    return FullGridReduction(subspace, basis, values, c, residual_sq, b_sq, optimal)
+        # for a lower J, range(R_{L,J}) is all of R^N: no part of c lies outside it
+        gap = np.zeros(0) if basis is None else c - basis @ (basis.T @ c)
+    optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
+    return FullGridReduction(subspace, values, c, residual_sq, b_sq, optimal)
 
 
 def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
@@ -582,8 +499,8 @@ def _sketch_rows(
     method, and rows that are not an integer (K >= 1, D) array on the grid
     or of zero mass, raise ValueError.
     """
-    subspace, basis = reduction.subspace, reduction.basis
-    factors, n = subspace.factors, subspace.n
+    subspace = reduction.subspace
+    factors, n, basis = subspace.factors, subspace.n, subspace.basis
     own_factors = len(method.factors) == len(factors) and all(
         mine is theirs for mine, theirs in zip(method.factors, factors)
     )
@@ -624,7 +541,8 @@ def trial_error(
     """
     with _one_blas_thread():
         solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
-        fit = solution.x if reduction.basis is None else reduction.basis @ solution.x
+        basis = reduction.subspace.basis
+        fit = solution.x if basis is None else basis @ solution.x
         return _relative_error(reduction, fit), solution.rank_deficient
 
 

@@ -732,7 +732,7 @@ class TestOneBlasThread:
         # end of the trials
         puts = []
         found = openblas._replace(set_threads=lambda count: puts.append(count) or openblas.set_threads(count))
-        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: found)
+        monkeypatch.setattr(kronlev.factor, "_openblas", lambda: found)
         config = load_json(packaged_config_path("duffing-g7"))
         config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
         config["model"]["step"] = 0.01
@@ -747,6 +747,7 @@ class TestOneBlasThread:
     def test_without_controls_the_trials_run_unpinned(self, openblas, monkeypatch, tmp_path):
         # with no OpenBLAS found nothing sets the count, and x comes from
         # numpy's Cholesky; the report still does not move with the worker count
+        monkeypatch.setattr(kronlev.factor, "_openblas", lambda: None)
         monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: None)
         observe_trials(monkeypatch, lambda: (os.getpid(), openblas.get_threads()))
         reports = []

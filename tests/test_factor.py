@@ -14,7 +14,7 @@ from kronlev.factor import (
     build_factor,
     sample_nu_kd,
 )
-from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
+from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 
 
 def monomial_factor(m, n):
@@ -57,6 +57,31 @@ class TestBuildFactor:
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError, match="full column rank"):
             monomial_factor(2, 3)
+
+
+@pytest.fixture
+def openblas():
+    """numpy's bundled OpenBLAS; its thread count is restored after the test."""
+    found = factor_module._openblas()
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    before = found.get_threads()
+    yield found
+    found.set_threads(before)
+
+
+@pytest.mark.parametrize("m,n", [(20, 10), (101, 14), (1000, 30), (10**4, 40), (4000, 200)])
+def test_a_factor_has_one_set_of_bits_at_one_and_two_blas_threads(openblas, m, n):
+    # the per-dimension QR runs at the caller's count, unpinned, and its
+    # products and tables keep their bits there
+    grid = gauss_legendre_uniform_grid(m)
+    built = []
+    for count in (1, 2):
+        openblas.set_threads(count)
+        f = build_factor(grid, BasisSpec("legendre-orthonormal", n))
+        assert openblas.get_threads() == count
+        built.append([getattr(f, name).tobytes() for name in ("q", "r", "prob", "alias", "marginal")])
+    assert built[0] == built[1]
 
 
 class TestFactorQr:

@@ -19,6 +19,7 @@ from kronlev.sampler import (
     sample_indices,
 )
 from kronlev.sketch import TargetFunction
+from test_factor import openblas  # noqa: F401  (a fixture)
 
 
 def total_degree(dimension, order):
@@ -308,3 +309,22 @@ class TestPreconditions:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown sampler method"):
             make_method("levered", monomial_factors(2, 5, 2))
+
+
+class TestSubspace:
+    def test_the_basis_has_one_set_of_bits_at_one_and_two_blas_threads(self, openblas):
+        # total order 15 in D = 3 less (1, 2, 1): |L| = 816, N = 815.  A bare QR
+        # of this R_{L,J} rounds apart at one and two threads; the record's
+        # QR runs on one, then gives the caller's count back
+        total = total_degree(3, 15)
+        index_set = MultiIndexSet(3, tuple(alpha for alpha in total.indices if alpha != (1, 2, 1)))
+        factors = monomial_factors(3, 20, 16)
+        bases = []
+        for count in (1, 2):
+            openblas.set_threads(count)
+            subspace = sampler_module._subspace(index_set, factors)
+            assert openblas.get_threads() == count
+            assert (len(subspace.lower), subspace.n) == (816, 815)
+            assert subspace.basis.shape == (816, 815)
+            bases.append(subspace.basis.tobytes())
+        assert bases[0] == bases[1]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kronlev.experiments
+import kronlev.sampler as sampler_module
 import kronlev.sketch as sketch_module
 from kronlev.cli import main
 from kronlev.config import ConfigError, load_json, parse_experiment, parse_problem
@@ -22,7 +23,7 @@ from kronlev.grid_basis import (
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
 )
-from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
 from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
 from kronlev.sketch import (
     SeparableValues,
@@ -66,7 +67,7 @@ def relative(a, b):
 def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
     problem = ishigami_problem(name)
     separable, grid = both_reductions(problem)
-    assert (separable.basis is None) == (name != "gapped")
+    assert (separable.subspace.basis is None) == (name != "gapped")
     np.testing.assert_array_equal(separable.subspace.lower, grid.subspace.lower)
     assert np.max(np.abs(separable.c - grid.c)) <= 1e-13 * np.linalg.norm(grid.c)
     for field in ("b_sq", "residual_sq", "optimal_error"):
@@ -94,30 +95,57 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
 def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
-    # a lower J's reduction and trials read Q and c alone; the gapped J forms
-    # R_{L,J} once, for the QR that gives its basis U
-    problem = ishigami_problem(name)
-    gathers = []
+    # a lower J's record, reduction and trials read Q and c alone; the gapped
+    # J's record forms R_{L,J} once, for the QR that gives its basis U, and
+    # each record of it forms both again.  On the Gauss-Legendre rule the
+    # Legendre columns are orthogonal, so orthogonal-columns admits either J
+    problem = ishigami_problem(name, grid={"grid": "gauss-legendre"})
+    gathers, qr = [], np.linalg.qr
 
     def spy(mats, rows, cols):
         gathers.append("R" if all(m is f.r for m, f in zip(mats, problem.factors)) else "Q")
         return _kron_rows(mats, rows, cols)
 
+    def spy_qr(matrix, *args, **kwargs):
+        gathers.append("U")
+        return qr(matrix, *args, **kwargs)
+
     monkeypatch.setattr(sketch_module, "_kron_rows", spy)
+    monkeypatch.setattr(sampler_module, "_kron_rows", spy)
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    once = [] if name != "gapped" else ["R", "U"]
     reduction = prepare_problem(problem)
-    assert gathers == ([] if name != "gapped" else ["R"])
+    assert gathers == once
     assert reduction.subspace.n == len(problem.index_set)
     if name == "gapped":
         lower = reduction.subspace.lower
         r_lj = _kron_rows([f.r for f in problem.factors], lower, lower[: reduction.subspace.n])
         with _one_blas_thread():
-            assert np.array_equal(reduction.basis, np.linalg.qr(r_lj)[0])
+            assert np.array_equal(reduction.subspace.basis, qr(r_lj)[0])
     else:
-        assert reduction.basis is None
+        assert reduction.subspace.basis is None
+    gathers.clear()
     method = problem.method("uniform")
     rows = sample_indices(method, np.random.default_rng(0), 4 * reduction.subspace.n)
     trial_error(reduction, method, rows)
-    assert gathers[-1] == "Q" and gathers.count("R") == (name == "gapped")
+    assert gathers == ["Q"]
+    gathers.clear()
+    mixture = problem.method("orthogonal-columns")
+    assert gathers == once
+    assert mixture.subspace is not reduction.subspace
+    gathers.clear()
+    trial_error(reduction, mixture, sample_indices(mixture, np.random.default_rng(0), len(rows)))
+    assert gathers == ["Q"]
+
+
+def test_a_refused_orthogonal_columns_method_forms_no_r_lj(monkeypatch):
+    # monomial columns are not orthogonal: the method is refused before J's
+    # record walks L or gathers R_{L,J} for U
+    problem = ishigami_problem("gapped", basis={"kind": "monomial"}, grid={"grid": "gauss-legendre"})
+    calls = count_calls(monkeypatch, _kron_rows, _missing_below)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        make_method("orthogonal-columns", problem.factors, problem.index_set)
+    assert calls == []
 
 
 def test_tiny_optimum_is_not_a_difference_of_norms():

@@ -777,12 +777,14 @@ class TestTrialError:
         index_set = total_degree(2, 4)
         factors = monomial_factors(2, 8, 5)
         reduction = reduction_of(index_set, factors, SMOOTH)
-        assert reduction.basis is None
-        assert reduction_of(NON_LOWER, factors, SMOOTH).basis is not None
+        assert reduction.subspace.basis is None
+        assert reduction_of(NON_LOWER, factors, SMOOTH).subspace.basis is not None
         r_jj = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
-        with_basis = dataclasses.replace(reduction, basis=basis)
+        with_basis = dataclasses.replace(
+            reduction, subspace=dataclasses.replace(reduction.subspace, basis=basis)
+        )
         method = make_method("leverage-lower", factors, index_set)
         for seed in range(5):
             rows = sample_indices(method, np.random.default_rng(seed), 60)
@@ -961,7 +963,7 @@ class TestSharedGather:
         mass = np.einsum("ij,ij->i", gather[:, :n], gather[:, :n]) / n
         np.testing.assert_array_equal(mass, point_mass_many(method, rows))
         scale = 1.0 / np.sqrt(len(rows) * mass)
-        np.testing.assert_array_equal(system.matrix, (gather * scale[:, None]) @ reduction.basis)
+        np.testing.assert_array_equal(system.matrix, (gather * scale[:, None]) @ reduction.subspace.basis)
 
     @pytest.mark.parametrize("case", ["D3-small", "ishigami-g7"])
     def test_one_gather_serves_the_mass_and_the_fit(self, case, monkeypatch):
@@ -1006,7 +1008,7 @@ class TestSharedGather:
             uniform = build_factor(gauss_legendre_uniform_grid(12), BasisSpec("legendre-orthonormal", 6))
             index_set, reduced_on = drawn_on, [uniform] * 2
         reduction = reduction_of(index_set, reduced_on, WAVE)
-        assert reduction.basis is None and len(index_set) == len(drawn_on)
+        assert reduction.subspace.basis is None and len(index_set) == len(drawn_on)
         method = make_method("leverage-lower", factors, drawn_on)
         own = make_method("leverage-lower", reduced_on, index_set)
         for seed in range(5):
@@ -1411,12 +1413,12 @@ class TestLowerClosure:
         assert reduction.subspace.lower.dtype == expected.dtype
         assert np.array_equal(reduction.subspace.lower, expected)
         if lower:
-            assert reduction.basis is None
+            assert reduction.subspace.basis is None
         else:
             with _one_blas_thread():
                 basis = np.linalg.qr(_kron_rows([f.r for f in factors], expected, expected[: len(index_set)]))[0]
-            assert reduction.basis.shape == basis.shape
-            assert reduction.basis.tobytes() == basis.tobytes()
+            assert reduction.subspace.basis.shape == basis.shape
+            assert reduction.subspace.basis.tobytes() == basis.tobytes()
 
 
 class TestSampleSize:
