@@ -7,10 +7,8 @@ orthonormal functions, and squaring the Q entries gives, per column k, a
 probability vector over the grid nodes (the (k,d) leverage scores).  The
 factor keeps a Vose alias table of each of those rows, so a draw costs O(1)
 after O(M) setup, and their uniform mixture over k.  Every sampler and the
-full-grid reduction read these same Q, R and tables.
-
-It also binds numpy's bundled OpenBLAS (``_openblas``) and pins its thread
-count to one (``_one_blas_thread``) for ``sampler`` and ``sketch``.
+full-grid reduction read these same Q, R and tables, and pin numpy's bundled
+OpenBLAS (``_openblas``) to one thread with ``_one_blas_thread``.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ def _one_blas_thread():
 
     The thread count changes the rounding of a trial's solve, of U's QR and
     of the full-grid reduction's products, and small products run faster on
-    one thread.  ``sampler._subspace``, ``reduce_full_grid``,
+    one thread.  ``sampler._Subspace.basis``, ``reduce_full_grid``,
     ``full_relative_error`` and ``trial_error`` enter this themselves.
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,33 +67,36 @@ class _Subspace:
     order, then the rest of the closure, found by one walk down from J's
     members (``indexset._missing_below``), in lexicographic order.  So
     ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
-    ``basis`` is U, the Q of the QR of R_{L,J} = (kron_d R^(d))[L, J], an
-    orthonormal basis of its range, formed on one BLAS thread only when
-    |L| > N; for a lower J, U = I and ``basis`` is None.  J and the factors
-    are held by reference, not copied.
+    ``basis`` is U, the Q of the QR of R_{L,J} = (kron_d R^(d))[L, J], formed
+    at its first read on one BLAS thread and kept; it is None for a lower J,
+    whose U = I.  J and the factors are held by reference, not copied.
     """
 
     index_set: MultiIndexSet
     factors: tuple[FactorMatrix, ...]
     lower: np.ndarray  # (|L|, D) int64
-    basis: Optional[np.ndarray]  # (|L|, N) U, or None when J is lower
 
     @property
     def n(self) -> int:
         """N = |J|."""
         return len(self.index_set)
 
+    @cached_property
+    def basis(self) -> Optional[np.ndarray]:
+        """(|L|, N) U, or None when J is lower."""
+        lower, n = self.lower, self.n
+        if len(lower) == n:
+            return None
+        with _one_blas_thread():
+            return np.linalg.qr(_kron_rows([f.r for f in self.factors], lower, lower[:n]))[0]
+
 
 def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Subspace:
     """The ``_Subspace`` of J on these factors; a J that does not fit them raises ValueError."""
     factors = tuple(factors)
     _check_fit(index_set, [f.matrix.shape[1] for f in factors])
-    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64) - 1
-    n, basis = len(index_set), None
-    if len(lower) > n:
-        with _one_blas_thread():
-            basis = np.linalg.qr(_kron_rows([f.r for f in factors], lower, lower[:n]))[0]
-    return _Subspace(index_set, factors, lower, basis)
+    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
+    return _Subspace(index_set, factors, lower - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +129,7 @@ def make_method(
 
     ``leverage-lower`` insists the index set is monotone lower and
     ``orthogonal-columns`` that every factor has orthogonal columns; both
-    requirements are verified before the record that forms U is built.
+    requirements are verified before J's record walks its closure.
     """
     if tag not in METHOD_TAGS:
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")

@@ -48,8 +48,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .factor import _RANK_RTOL, FactorMatrix, _kron_rows, _row_blocks
-from .factor import _LAPACK_COL_MAJOR, _one_blas_thread, _openblas  # numpy's OpenBLAS
+from . import factor  # factor._openblas: numpy's OpenBLAS, the one binding the pin reads too
+from .factor import _LAPACK_COL_MAJOR, _RANK_RTOL, FactorMatrix, _kron_rows, _one_blas_thread, _row_blocks
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, _check_fit
 from .sampler import (
@@ -257,7 +257,7 @@ def _gram_factor(a: np.ndarray) -> Optional[np.ndarray]:
     bits; the strict lower one is not read.
     """
     r = np.ascontiguousarray(a.T @ a, dtype=np.float64)  # the Gram until it is factored
-    found, n = _openblas(), len(r)
+    found, n = factor._openblas(), len(r)
     if found is None:
         try:
             r = np.linalg.cholesky(r).T
@@ -279,7 +279,7 @@ def _cholesky_solve(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     Without numpy's OpenBLAS, _back_substitute on R^T with its rows and
     columns reversed, which is upper triangular, then on R.
     """
-    found = _openblas()
+    found = factor._openblas()
     if found is None:
         y = _back_substitute(r.T[::-1, ::-1], z[::-1])[::-1]
         return _back_substitute(r, y)
@@ -444,7 +444,7 @@ def reduce_full_grid(
     rounds by thread count.
     """
     subspace = _subspace(index_set, factors)
-    factors, lower, basis = subspace.factors, subspace.lower, subspace.basis
+    factors, lower = subspace.factors, subspace.lower
     root_w = tuple(np.sqrt(f.grid.weights) for f in factors)
     shape = tuple(len(w) for w in root_w)
     if isinstance(b_values, SeparableValues):
@@ -458,9 +458,11 @@ def reduce_full_grid(
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, index_set.bounding_box)]
     with _one_blas_thread():
         c, b_sq, residual_sq = project(values, root_w, qs, lower)
+        basis = subspace.basis
         # for a lower J, range(R_{L,J}) is all of R^N: no part of c lies outside it
         gap = np.zeros(0) if basis is None else c - basis @ (basis.T @ c)
-    optimal = math.sqrt((residual_sq + float(gap @ gap)) / b_sq)
+        gap_sq = float(gap @ gap)  # a dot of over 10^4 entries is split by thread count
+    optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
     return FullGridReduction(subspace, values, c, residual_sq, b_sq, optimal)
 
 

@@ -17,7 +17,7 @@ import kronlev.experiments
 import kronlev.factor
 import kronlev.grid_basis
 import kronlev.sketch
-from kronlev.config import load_json, parse_experiment, parse_problem
+from kronlev.config import load_json, parse_experiment, parse_index_set, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
     METHOD_IDS,
@@ -685,19 +685,6 @@ class TestRunTrials:
         assert stat.pvalue > 0.01
 
 
-@pytest.fixture
-def openblas():
-    """numpy's bundled OpenBLAS, set to two threads for the test."""
-    found = kronlev.sketch._openblas()
-    if found is None:
-        pytest.skip("no bundled OpenBLAS found")
-    before = found.get_threads()
-    found.set_threads(2)
-    assert found.get_threads() == 2
-    yield found
-    found.set_threads(before)
-
-
 def fail_every_trial(monkeypatch, openblas):
     """Make every trial of ``run_trials`` raise; a list of the BLAS counts each saw here."""
     seen = []
@@ -711,6 +698,11 @@ def fail_every_trial(monkeypatch, openblas):
 
 
 class TestOneBlasThread:
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self, openblas):
+        openblas.set_threads(2)
+        assert openblas.get_threads() == 2
+
     def test_trials_run_on_one_thread_and_the_counts_are_restored(self, openblas, monkeypatch):
         # in this process and in the forked one alike
         observe_trials(monkeypatch, lambda: (os.getpid(), openblas.get_threads()))
@@ -726,16 +718,25 @@ class TestOneBlasThread:
         assert seen and seen[0] == 1
         assert openblas.get_threads() == 2
 
-    def test_the_count_is_set_once_around_set_up_and_trials(self, openblas, monkeypatch):
+    @pytest.mark.parametrize("name", ["duffing-g7", "gapped"])
+    def test_the_count_is_set_once_around_set_up_and_trials(self, openblas, monkeypatch, name):
         # any call that sets the count after a fork restarts OpenBLAS's
         # pool, so none comes between the forked grid evaluation and the
-        # end of the trials
+        # end of the trials.  The gapped config is ishigami-g7 without
+        # (1, 2, 1) on the 12-node Gauss-Legendre rule, whose reduction and
+        # orthogonal-columns method hold a non-lower J's record
         puts = []
         found = openblas._replace(set_threads=lambda count: puts.append(count) or openblas.set_threads(count))
         monkeypatch.setattr(kronlev.factor, "_openblas", lambda: found)
-        config = load_json(packaged_config_path("duffing-g7"))
-        config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
-        config["model"]["step"] = 0.01
+        if name == "gapped":
+            config = load_json(packaged_config_path("ishigami-g7"))
+            indices = [list(alpha) for alpha in parse_index_set(config["index_set"]) if alpha != (1, 2, 1)]
+            config.update(trials=6, index_set={"family": "explicit-list", "indices": indices},
+                          grid={"grid": "gauss-legendre", "M": 12}, methods=["orthogonal-columns"])
+        else:
+            config = load_json(packaged_config_path("duffing-g7"))
+            config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
+            config["model"]["step"] = 0.01
         # a forked process's sets land in its own copy of the list, which
         # each trial reports
         observe_trials(monkeypatch, lambda: len(puts))
@@ -748,7 +749,6 @@ class TestOneBlasThread:
         # with no OpenBLAS found nothing sets the count, and x comes from
         # numpy's Cholesky; the report still does not move with the worker count
         monkeypatch.setattr(kronlev.factor, "_openblas", lambda: None)
-        monkeypatch.setattr(kronlev.sketch, "_openblas", lambda: None)
         observe_trials(monkeypatch, lambda: (os.getpid(), openblas.get_threads()))
         reports = []
         for threads in (1, 2, 3):

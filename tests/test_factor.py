@@ -59,17 +59,6 @@ class TestBuildFactor:
             monomial_factor(2, 3)
 
 
-@pytest.fixture
-def openblas():
-    """numpy's bundled OpenBLAS; its thread count is restored after the test."""
-    found = factor_module._openblas()
-    if found is None:
-        pytest.skip("numpy bundles no OpenBLAS")
-    before = found.get_threads()
-    yield found
-    found.set_threads(before)
-
-
 @pytest.mark.parametrize("m,n", [(20, 10), (101, 14), (1000, 30), (10**4, 40), (4000, 200)])
 def test_a_factor_has_one_set_of_bits_at_one_and_two_blas_threads(openblas, m, n):
     # the per-dimension QR runs at the caller's count, unpinned, and its

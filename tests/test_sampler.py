@@ -19,7 +19,6 @@ from kronlev.sampler import (
     sample_indices,
 )
 from kronlev.sketch import TargetFunction
-from test_factor import openblas  # noqa: F401  (a fixture)
 
 
 def total_degree(dimension, order):

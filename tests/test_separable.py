@@ -96,9 +96,10 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
 @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
 def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     # a lower J's record, reduction and trials read Q and c alone; the gapped
-    # J's record forms R_{L,J} once, for the QR that gives its basis U, and
-    # each record of it forms both again.  On the Gauss-Legendre rule the
-    # Legendre columns are orthogonal, so orthogonal-columns admits either J
+    # J's reduction reads its record's U, which forms R_{L,J} once for its QR,
+    # and a method's record, whose U nothing reads, forms neither.  On the
+    # Gauss-Legendre rule the Legendre columns are orthogonal, so
+    # orthogonal-columns admits either J
     problem = ishigami_problem(name, grid={"grid": "gauss-legendre"})
     gathers, qr = [], np.linalg.qr
 
@@ -131,11 +132,18 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     assert gathers == ["Q"]
     gathers.clear()
     mixture = problem.method("orthogonal-columns")
-    assert gathers == once
     assert mixture.subspace is not reduction.subspace
-    gathers.clear()
     trial_error(reduction, mixture, sample_indices(mixture, np.random.default_rng(0), len(rows)))
     assert gathers == ["Q"]
+    gathers.clear()
+    # U is formed on its first read and kept
+    bases = [mixture.subspace.basis for _ in range(2)]
+    assert gathers == once
+    if name == "gapped":
+        assert bases[1] is bases[0]
+        assert np.array_equal(bases[0], reduction.subspace.basis)
+    else:
+        assert bases == [None, None]
 
 
 def test_a_refused_orthogonal_columns_method_forms_no_r_lj(monkeypatch):

@@ -244,7 +244,7 @@ def take_solve_path(monkeypatch, path):
     if path == "back-substitute":
         found = None
     else:
-        found = sketch_module._openblas()
+        found = factor_module._openblas()
         if found is None:
             pytest.skip("numpy bundles no OpenBLAS")
 
@@ -258,7 +258,7 @@ def take_solve_path(monkeypatch, path):
         found = found._replace(
             dpotrs=counting("dpotrs", found.dpotrs), dpotrf=counting("dpotrf", found.dpotrf)
         )
-    monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+    monkeypatch.setattr(factor_module, "_openblas", lambda: found)
     return calls
 
 
@@ -437,14 +437,6 @@ class TestBackSubstitute:
 
 
 @pytest.fixture
-def openblas():
-    found = sketch_module._openblas()
-    if found is None:
-        pytest.skip("numpy bundles no OpenBLAS")
-    return found
-
-
-@pytest.fixture
 def dpotrs(openblas):
     return openblas.dpotrs
 
@@ -493,7 +485,7 @@ class TestCholeskySolve:
         found = openblas._replace(
             dpotrf=recording("dpotrf", openblas.dpotrf), dpotrs=recording("dpotrs", openblas.dpotrs)
         )
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         a, b = random_systems(160, 40)[0]
         before = b.copy()
         x = solve(SketchedSystem(a, b)).x
@@ -510,13 +502,13 @@ class TestCholeskySolve:
     def test_nonzero_info_raises(self, openblas, monkeypatch, capfd):
         a, b = random_systems(40, 6)[0]
         found = openblas._replace(dpotrs=lambda *args: -2)
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         with pytest.raises(RuntimeError, match="dpotrs failed with info = -2"):
             _cholesky_solve(_gram_factor(a), a.T @ b)
         # the library's own answer to a bad argument: an unknown layout is
         # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
         found = openblas._replace(dpotrs=lambda layout, *args: openblas.dpotrs(0, *args))
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         with pytest.raises(RuntimeError, match="dpotrs failed with info = -1"):
             _cholesky_solve(_gram_factor(a), a.T @ b)
         assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
@@ -557,7 +549,7 @@ class TestCholeskyFactor:
             return dpotrs(*args)
 
         found = openblas._replace(dpotrs=recording)
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         rng = np.random.default_rng(n)
         a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
         b = rng.standard_normal(4 * n)
@@ -566,7 +558,7 @@ class TestCholeskyFactor:
             lower, expected = numpy_cholesky_semi_normal(dpotrs, a, b)
             # one layout from both back ends: R = L^T in the upper triangle
             in_place = _gram_factor(a)
-            monkeypatch.setattr(sketch_module, "_openblas", lambda: None)
+            monkeypatch.setattr(factor_module, "_openblas", lambda: None)
             from_numpy = _gram_factor(a)
         assert x.tobytes() == expected.tobytes()
         assert len(factors) == 2
@@ -585,12 +577,12 @@ class TestCholeskyFactor:
             return 4
 
         found = openblas._replace(dpotrf=failing)
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         assert _gram_factor(random_systems(40, 6)[0][0]) is None
 
     def test_a_bad_argument_raises(self, openblas, monkeypatch):
         found = openblas._replace(dpotrf=lambda *args: -3)
-        monkeypatch.setattr(sketch_module, "_openblas", lambda: found)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
         with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
             _gram_factor(random_systems(40, 6)[0][0])
 
@@ -622,13 +614,13 @@ class TestBundledOpenBlas:
             evaluate_on_grid(SMOOTH, [f.grid for f in factors]),
             SeparableValues(((np.exp(nodes), np.cos(2.0 * nodes)),)),
         ):
-            sketch_module._openblas.cache_clear()
+            factor_module._openblas.cache_clear()
             reduction = reduce_full_grid(index_set, factors, values)
-            assert sketch_module._openblas.cache_info().misses == 1
-            assert sketch_module._openblas() is not None
+            assert factor_module._openblas.cache_info().misses == 1
+            assert factor_module._openblas() is not None
             calls.clear()
             trial_error(reduction, method, rows)
-            assert sketch_module._openblas.cache_info().misses == 1
+            assert factor_module._openblas.cache_info().misses == 1
             assert calls == []
 
     def test_concurrent_solves_have_the_serial_bytes(self, dpotrs):
@@ -782,9 +774,8 @@ class TestTrialError:
         r_jj = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
-        with_basis = dataclasses.replace(
-            reduction, subspace=dataclasses.replace(reduction.subspace, basis=basis)
-        )
+        with_basis = dataclasses.replace(reduction, subspace=dataclasses.replace(reduction.subspace))
+        vars(with_basis.subspace)["basis"] = basis  # where the record keeps U once read
         method = make_method("leverage-lower", factors, index_set)
         for seed in range(5):
             rows = sample_indices(method, np.random.default_rng(seed), 60)
@@ -1279,6 +1270,20 @@ class TestReduceFullGrid:
             trial_error(reduction, method, sketch.indices0)
             scale = 1.0 / np.sqrt(sketch.size * sketch.point_mass)
             assert np.array_equal(rhs.pop(), scale * b[tuple(sketch.indices0.T)])
+
+    def test_a_non_lower_optimum_has_one_set_of_bits_at_one_and_two_blas_threads(self, openblas):
+        # J = {(1, 1), (101, 101)}: |L| = 10201, and OpenBLAS splits a dot of
+        # over 10^4 entries by thread count, so ||c - U U^T c||^2 rounds apart
+        # at one and two threads unless the reduction takes it on one
+        m = 101
+        index_set, factors = explicit((1, 1), (m, m)), legendre_factors(2, m, m)
+        targets = [np.random.default_rng(seed).standard_normal(m * m) for seed in range(5)]
+        optima = []
+        for count in (1, 2):
+            openblas.set_threads(count)
+            optima.append([reduce_full_grid(index_set, factors, b).optimal_error.hex() for b in targets])
+            assert openblas.get_threads() == count
+        assert optima[0] == optima[1]
 
     @pytest.mark.parametrize("columns", [6, 4], ids=["Q-slice", "Q-whole"])
     @pytest.mark.parametrize("shape,blocks", [((129, 300), 2), ((31, 31, 257), 15)], ids=["M300", "M257"])
