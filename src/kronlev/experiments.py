@@ -48,6 +48,7 @@ __all__ = [
     "prepare_problem",
     "TrialReport",
     "run_trials",
+    "write_report_csv",
     "emit_cdf",
     "emit_cdf_svg",
 ]
@@ -440,10 +441,15 @@ def write_report_csv(report: TrialReport, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def emit_cdf(report: TrialReport, path) -> None:
-    """Empirical CDF table: one (method, sorted_error, cdf_level) row per trial."""
+def _require_trials(report: TrialReport) -> None:
+    """A CDF of no trials has no levels: both CDF writers refuse it."""
     if report.trials < 1:
         raise ValueError("report holds no trials")
+
+
+def emit_cdf(report: TrialReport, path) -> None:
+    """Empirical CDF table: one (method, sorted_error, cdf_level) row per trial."""
+    _require_trials(report)
     lines = ["method,sorted_error,cdf_level"]
     for tag in report.methods:
         ordered = sorted(report.errors[tag])
@@ -458,6 +464,7 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 def emit_cdf_svg(report: TrialReport, path) -> None:
     """Staircase CDF plot (log10 error axis) with the optimal error marked."""
+    _require_trials(report)
     width, height, margin = 640, 420, 56
     all_errors = [e for tag in report.methods for e in report.errors[tag]]
     lo = min(all_errors + [report.optimal_error])

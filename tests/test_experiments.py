@@ -17,7 +17,7 @@ import kronlev.experiments
 import kronlev.factor
 import kronlev.grid_basis
 import kronlev.sketch
-from kronlev.config import load_json, parse_experiment, parse_index_set, parse_problem
+from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
     METHOD_IDS,
@@ -36,6 +36,7 @@ from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, solve_full
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
+from outputs import gated_configs
 
 
 class TestIshigami:
@@ -722,17 +723,13 @@ class TestOneBlasThread:
     def test_the_count_is_set_once_around_set_up_and_trials(self, openblas, monkeypatch, name):
         # any call that sets the count after a fork restarts OpenBLAS's
         # pool, so none comes between the forked grid evaluation and the
-        # end of the trials.  The gapped config is ishigami-g7 without
-        # (1, 2, 1) on the 12-node Gauss-Legendre rule, whose reduction and
+        # end of the trials.  The gapped config's reduction and
         # orthogonal-columns method hold a non-lower J's record
         puts = []
         found = openblas._replace(set_threads=lambda count: puts.append(count) or openblas.set_threads(count))
         monkeypatch.setattr(kronlev.factor, "_openblas", lambda: found)
         if name == "gapped":
-            config = load_json(packaged_config_path("ishigami-g7"))
-            indices = [list(alpha) for alpha in parse_index_set(config["index_set"]) if alpha != (1, 2, 1)]
-            config.update(trials=6, index_set={"family": "explicit-list", "indices": indices},
-                          grid={"grid": "gauss-legendre", "M": 12}, methods=["orthogonal-columns"])
+            config = dict(gated_configs()["gapped"], trials=6, methods=["orthogonal-columns"])
         else:
             config = load_json(packaged_config_path("duffing-g7"))
             config.update(trials=2, grid={"grid": "gauss-legendre-uniform", "M": 8})
@@ -856,6 +853,13 @@ class TestReports:
         assert text.startswith("<svg")
         assert text.count("<polyline") == len(report.methods)
         assert "optimal" in text
+
+    @pytest.mark.parametrize("writer", [emit_cdf, emit_cdf_svg])
+    def test_cdf_writers_refuse_a_report_of_no_trials(self, report, writer, tmp_path):
+        empty = dataclasses.replace(report, trials=0, errors={tag: [] for tag in report.methods})
+        with pytest.raises(ValueError, match="^report holds no trials$"):
+            writer(empty, tmp_path / "cdf")
+        assert not (tmp_path / "cdf").exists()
 
 
 @pytest.mark.slow

@@ -12,13 +12,18 @@ MODULES = ["grid_basis", "indexset", "factor", "sampler", "sketch", "oracle", "e
            "config"]
 
 
-def package_imports():
-    """(module, name) for every ``from .module import name`` in kronlev/__init__.py."""
-    tree = ast.parse(Path(kronlev.__file__).read_text())
+ROOT = Path(__file__).resolve().parents[1]
+# the public surface's users besides the package itself
+CALLERS = [ROOT / "src" / "kronlev" / "cli.py", *sorted((ROOT / "demos").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def kronlev_imports(path):
+    """(module, name) for every ``from .module import name`` or ``from kronlev.module import name``."""
     return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
+        (node.module if node.level else node.module.partition("kronlev.")[2], alias.name)
+        for node in ast.walk(ast.parse(Path(path).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module
         for alias in node.names
     ]
 
@@ -32,13 +37,20 @@ def test_every_declared_name_exists(module):
 
 
 def test_package_exports_only_declared_names():
-    imports = package_imports()
+    imports = kronlev_imports(kronlev.__file__)
     assert imports
     undeclared = [
         (module, name) for module, name in imports
         if name not in importlib.import_module(f"kronlev.{module}").__all__
     ]
     assert undeclared == []
+
+
+def test_callers_import_only_declared_names():
+    imports = [(module, name) for path in CALLERS for module, name in kronlev_imports(path) if module in MODULES]
+    assert {module for module, _ in imports} >= {"experiments", "sampler", "sketch"}
+    assert [(module, name) for module, name in imports
+            if name not in importlib.import_module(f"kronlev.{module}").__all__] == []
 
 
 def test_benchmark_phase_hooks_exist():

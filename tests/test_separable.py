@@ -187,22 +187,24 @@ def test_non_finite_target_is_the_grid_paths_error(bad):
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.multiply.outer(first, second) + 1.0
         for b_values in (values, grid):
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="^b_values must be finite$"):
                 reduce_full_grid(index_set, factors, b_values)
 
 
-@pytest.mark.parametrize("case", ["zero-tables", "zero-weight-node"])
+@pytest.mark.parametrize("case", ["zero-tables", "zero-weight-node", "cancelling-terms"])
 def test_zero_target_is_the_grid_paths_error(case):
     index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 1, weights=(1.0, 1.0)))
-    if case == "zero-tables":
-        factors, first = small_factors(), np.zeros(5)
-    else:  # nonzero only at the first node, which has no weight
+    if case == "zero-weight-node":  # nonzero only at the first node, which has no weight
         grid = Grid1D(np.array([-1.0, 0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.25, 0.5]))
         factors, first = [build_factor(grid, BasisSpec("legendre-orthonormal", 2))] * 2, np.eye(4)[0]
+    else:
+        factors = small_factors()
+        first = np.zeros(5) if case == "zero-tables" else np.linspace(1.0, 2.0, 5)
     second = np.ones(len(first))
-    values = SeparableValues(((first, second),))
-    for b_values in (values, np.multiply.outer(first, second)):
-        with pytest.raises(ValueError, match="zero wherever the grid weight is positive"):
+    terms = [(first, second), (-first, second)] if case == "cancelling-terms" else [(first, second)]
+    grid_values = reduce(np.add, [np.multiply.outer(*term) for term in terms])
+    for b_values in (SeparableValues(tuple(terms)), grid_values):
+        with pytest.raises(ValueError, match="^b_values are zero wherever the grid weight is positive$"):
             reduce_full_grid(index_set, factors, b_values)
 
 
