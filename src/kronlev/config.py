@@ -1,12 +1,12 @@
 """Strict JSON config parsing shared by the CLI and the experiment harness.
 
 Every config input (the problem and experiment keys, the index set spec and
-grid files) is read here.  Unknown keys and type mismatches are hard
-errors: counts, sizes, dimensions and multi-index entries must be JSON
-integers, other numbers finite JSON numbers, and nothing is coerced.  The
-only defaults applied are the documented ones (basis counts from the index
-set bounding box, index set ``p`` and weights, Ishigami/Duffing model
-parameters).
+grid files) is read here.  Unknown keys, a key repeated in one object and
+type mismatches are hard errors: counts, sizes, dimensions and multi-index
+entries must be JSON integers, other numbers finite JSON numbers, and
+nothing is coerced.  The only defaults applied are the documented ones
+(basis counts from the index set bounding box, index set ``p`` and weights,
+Ishigami/Duffing model parameters).
 """
 
 from __future__ import annotations
@@ -81,9 +81,17 @@ class ExperimentConfig:
 
 
 def _json_object_file(path, what: str) -> dict:
+    def unique_keys(pairs: list) -> dict:  # json.load would keep a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:

@@ -179,25 +179,24 @@ def leverage_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prob, alias, table.mean(axis=0)
 
 
-def _kron_rows(mats, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """Entries prod_d mats[d][rows[i, d], cols[j, d]] of a Kronecker product, C-ordered.
+def _kron_rows(tables, rows: np.ndarray) -> np.ndarray:
+    """Entries prod_d tables[d][rows[i, d], j] of a Kronecker product's columns, C-ordered.
 
-    With ``cols`` None each mats[d] is its (M_d, N) column take already, made
-    once by a pass over many row blocks.  The result is the only (K, N) array
-    formed: it starts as the first dimension's row take, and every later
-    dimension is multiplied in a block of about _ROW_BLOCK_BYTES of rows at a
-    time, so its row takes stay in cache.  Each entry has the bits of
-    ((x_1 * x_2) * ...) * x_D, as any cut keeps an elementwise product's; the
-    64-row floor of ``_row_blocks`` would make a block 2.8 MB at N = 5456.
-    A row out of range raises IndexError.
+    Each tables[d] is the (M_d, N) table of dimension d's factor at the
+    product's columns, which J's record takes once (``sampler._Subspace``).
+    The result is the only (K, N) array formed: it starts as the first
+    dimension's row take, and every later dimension is multiplied in a block
+    of about _ROW_BLOCK_BYTES of rows at a time, so its row takes stay in
+    cache.  Each entry has the bits of ((x_1 * x_2) * ...) * x_D, as any cut
+    keeps an elementwise product's; the 64-row floor of ``_row_blocks`` would
+    make a block 2.8 MB at N = 5456.  A row out of range raises IndexError.
     """
-    takes = mats if cols is None else [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]
-    out = takes[0][rows[:, 0]]
+    out = tables[0][rows[:, 0]]
     step = max(1, _ROW_BLOCK_BYTES // (8 * out.shape[1]))
     for start in range(0, len(out), step):
         block = slice(start, start + step)
-        for d in range(1, len(takes)):
-            out[block] *= takes[d][rows[block, d]]
+        for d in range(1, len(tables)):
+            out[block] *= tables[d][rows[block, d]]
     return out
 
 

@@ -109,7 +109,7 @@ def exact_leverage(system: FullSystem) -> np.ndarray:
 def solve_full(system: FullSystem) -> FullSolution:
     """Dense minimum-norm least squares solve with the optimal relative error."""
     a, b = system.matrix, system.rhs
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)
     error = float(np.linalg.norm(a @ x - b) / np.linalg.norm(b))
     return FullSolution(x, error, rank < a.shape[1])
 

@@ -14,11 +14,14 @@ Four methods draw multivariate grid points and evaluate their point masses:
   set and any factor: it samples the *exact* leverage scores of the
   column-subset design matrix.
 
-A method holds its factors and reads the Q, alias tables and marginal that
+A method holds its factors and reads the alias tables and marginal that
 each factor built from its own QR.  A mixture method also holds its index
-set's ``_Subspace``, the record of J's columns, lower closure L and basis U
-that a full-grid reduction holds too; a trial matches the two by the
-identity of J and of the factor objects.
+set's ``_Subspace``, the record of J, its lower closure L, the factors'
+columns at L and J and basis U, which a full-grid reduction holds too; a
+trial matches the two by the identity of J and of the factor objects.  The
+record is the one place that takes factor columns: every Kronecker-row
+product (``factor._kron_rows``) of this module and of ``sketch`` reads its
+``q_columns`` or ``r_columns``.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
@@ -67,9 +70,12 @@ class _Subspace:
     order, then the rest of the closure, found by one walk down from J's
     members (``indexset._missing_below``), in lexicographic order.  So
     ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
-    ``basis`` is U, the Q of the QR of R_{L,J} = (kron_d R^(d))[L, J], formed
-    at its first read on one BLAS thread and kept; it is None for a lower J,
-    whose U = I.  J and the factors are held by reference, not copied.
+    The record is the one place that takes factor columns: ``q_columns`` and
+    ``r_columns`` are the tables ``factor._kron_rows`` reads for the Q rows
+    over L and for R_{L,J} = (kron_d R^(d))[L, J].  ``basis`` is U, the Q of
+    the QR of R_{L,J}, formed on one BLAS thread; it is None for a lower J,
+    whose U = I.  Each of the three is formed at its first read and kept.
+    J and the factors are held by reference, not copied.
     """
 
     index_set: MultiIndexSet
@@ -82,13 +88,22 @@ class _Subspace:
         return len(self.index_set)
 
     @cached_property
+    def q_columns(self) -> tuple[np.ndarray, ...]:
+        """Each factor's Q at L's columns, (M_d, |L|); J's come first."""
+        return tuple(np.take(f.q, self.lower[:, d], axis=1) for d, f in enumerate(self.factors))
+
+    @cached_property
+    def r_columns(self) -> tuple[np.ndarray, ...]:
+        """Each factor's R at J's columns, (N_d, N)."""
+        return tuple(np.take(f.r, self.lower[: self.n, d], axis=1) for d, f in enumerate(self.factors))
+
+    @cached_property
     def basis(self) -> Optional[np.ndarray]:
         """(|L|, N) U, or None when J is lower."""
-        lower, n = self.lower, self.n
-        if len(lower) == n:
+        if len(self.lower) == self.n:
             return None
         with _one_blas_thread():
-            return np.linalg.qr(_kron_rows([f.r for f in self.factors], lower, lower[:n]))[0]
+            return np.linalg.qr(_kron_rows(self.r_columns, self.lower))[0]
 
 
 def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Subspace:
@@ -195,7 +210,7 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
 
     For the mixture methods the Q-row gather G[k, alpha] =
     prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed one ``_row_blocks``
-    block at a time, from Q's columns taken once, and reduced by ``_mixture_mass``.
+    block at a time, from the record's Q columns of J, and reduced by ``_mixture_mass``.
     The uniform mass divides by the grid's exact size, which may exceed 2^63.
     """
     idx0 = _check_rows(idx0, method.grid_shape)
@@ -206,11 +221,11 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
         for d, f in enumerate(method.factors):
             mass *= f.marginal[idx0[:, d]]
     else:
-        mass, cols = np.empty(idx0.shape[0]), method.subspace.lower[: method.subspace.n]
-        takes = [np.take(f.q, cols[:, d], axis=1) for d, f in enumerate(method.factors)]
-        for block in _row_blocks(len(idx0), len(cols)):
+        mass, n = np.empty(idx0.shape[0]), method.subspace.n
+        tables = [q[:, :n] for q in method.subspace.q_columns]  # J's columns lead L's
+        for block in _row_blocks(len(idx0), n):
             gather = None  # free the previous block before the next is formed
-            gather = _kron_rows(takes, idx0[block])
+            gather = _kron_rows(tables, idx0[block])
             mass[block] = _mixture_mass(gather)
     return mass
 

@@ -7,7 +7,8 @@ per-dimension QR factors, and ``trial_error`` solves the rows a method drew
 from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
 Q-row gather gives nu.  The reduction and a mixture method each hold a
-``sampler._Subspace`` of J, its closure L and basis U, and a trial admits a
+``sampler._Subspace`` of J, its closure L, basis U and the factors' column
+tables that every Kronecker-row product here reads, and a trial admits a
 method built on the reduction's J and factors, the same objects.
 
 The target enters the reduction either as its values on the whole grid or,
@@ -17,11 +18,11 @@ prefixes in O(r D M max N_d + r^2 D |L| max N_d), with no array of the grid's
 or J's bounding box's size, and a trial sums the terms at its K rows.
 
 A trial holds one (K, N) array, its sketch rows: ``factor._kron_rows``
-builds them in place a cache-sized block of rows at a time, they are
-scaled in place, and ``solve`` only reads them.  Every other array of a
-trial is K-long, N x N or a block; only a non-lower J adds the rows'
-product with U.  Freed (K, N) temporaries would go back to the operating
-system on every trial and be faulted in again by the next.
+builds them from the record's Q columns of L, in place a cache-sized block
+of rows at a time, they are scaled in place, and ``solve`` only reads them.
+Every other array of a trial is K-long, N x N or a block; only a non-lower J
+adds the rows' product with U.  Freed (K, N) temporaries would go back to
+the operating system on every trial and be faulted in again by the next.
 
 A trial is three stages: ``_sketch_rows`` gathers and scales the rows,
 ``solve`` fits them and ``_relative_error`` judges the fit.  ``solve`` uses
@@ -315,9 +316,10 @@ class FullGridReduction:
     With c = Q_L^T b and r = b - Q_L c, every x has
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
-    J, its factors, L and a non-lower J's basis U are ``subspace``, the record
-    a mixture method holds too (``sampler._Subspace``).  R_{L,J} itself is not
-    held.  A trial reads the Q and grid weights of the factors, and U.  The
+    J, its factors, L, the factors' column tables and a non-lower J's basis U
+    are ``subspace``, the record a mixture method holds too
+    (``sampler._Subspace``).  R_{L,J} itself is not held.  A trial reads the
+    record's Q columns of L, the factors' grid weights, and U.  The
     grid's b = sqrt(w) * values is not stored: a trial forms b at its rows from
     ``values``, which is held by reference and not copied.  That is either
     the caller's array of grid values, which must not be mutated while the
@@ -475,13 +477,13 @@ def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call.
 
-    R_{L,J} is formed in the ``_row_blocks`` of L's rows from R's columns of J, taken once, on
-    one BLAS thread, with the whole product's bits.
+    R_{L,J} is formed in the ``_row_blocks`` of L's rows from the record's R columns of J
+    (``_Subspace.r_columns``), on one BLAS thread, with the whole product's bits.
     """
-    lower, n, x = reduction.subspace.lower, reduction.subspace.n, np.asarray(x, dtype=float)
-    takes = [np.take(f.r, lower[:n, d], axis=1) for d, f in enumerate(reduction.subspace.factors)]
+    subspace, x = reduction.subspace, np.asarray(x, dtype=float)
+    lower, tables = subspace.lower, subspace.r_columns
     with _one_blas_thread():
-        fit = [_kron_rows(takes, lower[block]) @ x for block in _row_blocks(len(lower), n)]
+        fit = [_kron_rows(tables, lower[block]) @ x for block in _row_blocks(len(lower), subspace.n)]
     return _relative_error(reduction, np.concatenate(fit))
 
 
@@ -493,9 +495,10 @@ def _sketch_rows(
     ``rows`` are the (K, D) 0-based points of ``sample_indices``.  Row k of g is
     prod_d Q^(d)[m_{k,d}, L] U / sqrt(K nu(m_k)), in the basis U of range(R_{L,J})
     (the identity when J is lower), and s_k = b(m_k) / sqrt(K nu(m_k)).  The one
-    Q-row gather over L is scaled in place.  J's rows lead L's (``_Subspace``),
-    so a mixture method's nu is ``_mixture_mass`` of its first N columns, as in
-    ``point_mass_many``, which gives the others' nu.
+    Q-row gather over L, from the record's ``q_columns``, is scaled in place.
+    J's rows lead L's (``_Subspace``), so a mixture method's nu is
+    ``_mixture_mass`` of its first N columns, as in ``point_mass_many``, which
+    gives the others' nu.
     The method must be built on the reduction's factors, the same objects,
     and a mixture method on its index set, the same object; any other
     method, and rows that are not an integer (K >= 1, D) array on the grid
@@ -503,20 +506,14 @@ def _sketch_rows(
     """
     subspace = reduction.subspace
     factors, n, basis = subspace.factors, subspace.n, subspace.basis
-    own_factors = len(method.factors) == len(factors) and all(
-        mine is theirs for mine, theirs in zip(method.factors, factors)
-    )
     own_set = method.subspace is None or method.subspace.index_set is subspace.index_set
-    if not (own_factors and own_set):
+    if not (method.factors == factors and own_set):  # a FactorMatrix equals only itself
         raise ValueError("the method is not built on the reduction's factors and index set")
     rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:
         raise ValueError("a trial needs K >= 1 rows")
-    g = _kron_rows([f.q for f in factors], rows, subspace.lower)
-    if method.subspace is None:
-        nu = point_mass_many(method, rows)
-    else:
-        nu = _mixture_mass(g[:, :n])
+    g = _kron_rows(subspace.q_columns, rows)
+    nu = point_mass_many(method, rows) if method.subspace is None else _mixture_mass(g[:, :n])
     if not np.all(nu > 0.0):
         raise ValueError("a row has zero point mass under the method")
     scale = 1.0 / np.sqrt(len(rows) * nu)

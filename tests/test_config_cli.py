@@ -705,6 +705,33 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: grid file not found: ")
 
+    @pytest.mark.parametrize("where,key", [
+        ("top-level", "trials"), ("index-set", "order"), ("grid-file", "nodes"),
+    ])
+    def test_repeated_key_is_exit_2(self, where, key, tiny_config, tmp_path, capsys):
+        # json.load alone keeps the last value: {"trials": 5, "trials": 100} would run 100 trials
+        config = json.loads(tiny_config.read_text())
+        grid = {"nodes": [-0.5, 0.0, 0.5, 0.75], "weights": [0.25] * 4}
+        if where == "grid-file":
+            config["grid"] = {"grid": "file", "path": "grid.json"}
+        text, grid_text = json.dumps(config), json.dumps(grid)
+        if where == "top-level":
+            text = text.replace('"trials": 2', '"trials": 5, "trials": 2')
+        elif where == "index-set":
+            text = text.replace('"index_set": {', '"index_set": {"order": 1, ')
+        else:
+            grid_text = grid_text.replace('"nodes": ', '"nodes": [0.0], "nodes": ')
+        path, grid_path = tmp_path / "config.json", tmp_path / "grid.json"
+        path.write_text(text)
+        grid_path.write_text(grid_text)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        named = grid_path if where == "grid-file" else path
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert f"{named} repeats the key {key!r}" in captured.err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_empty_tabulated_file_is_one_config_error(self, tiny_config, tmp_path, capsys):
         # with warnings as errors, a warning from the reader would turn into

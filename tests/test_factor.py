@@ -251,7 +251,7 @@ class TestKronRows:
         kron = np.kron(np.kron(mats[0], mats[1]), mats[2])
         flat_rows = np.ravel_multi_index(tuple(rows.T), (4, 5, 3))
         flat_cols = np.ravel_multi_index(tuple(cols.T), (3, 2, 4))
-        out = _kron_rows(mats, rows, cols)
+        out = _kron_rows([np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)], rows)
         assert out.flags.c_contiguous
         assert np.array_equal(out, kron[np.ix_(flat_rows, flat_cols)])
 
@@ -275,12 +275,15 @@ class TestKronRows:
         cols = np.column_stack([rng.integers(0, c, size=n) for _, c in shapes])
         # the reference: one (K, N) fancy-index take per dimension, multiplied in order
         expected = reduce(np.multiply, [x[rows[:, d, None], cols[None, :, d]] for d, x in enumerate(mats)])
-        out = _kron_rows(mats, rows, cols)
+        # the column takes made once by the caller, as J's record makes them
+        takes = [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]
+        out = _kron_rows(takes, rows)
         assert out.shape == (k, n) and out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
-        # the column takes made by the caller, as a pass over row blocks does
-        takes = [np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)]
-        assert _kron_rows(takes, rows).tobytes() == expected.tobytes()
+        # views of the leading columns of wider takes, as point_mass_many reads J's of L's
+        wider = [np.take(x, np.r_[cols[:, d], cols[:, d]], axis=1)[:, :n] for d, x in enumerate(mats)]
+        out = _kron_rows(wider, rows)
+        assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [0, 2])
     def test_row_out_of_range_raises(self, monkeypatch, d):
@@ -288,7 +291,7 @@ class TestKronRows:
         rows = np.zeros((10, 3), dtype=np.int64)
         rows[7, d] = 3  # in the fourth block
         with pytest.raises(IndexError):
-            _kron_rows([np.ones((3, 2))] * 3, rows, np.zeros((4, 3), dtype=np.int64))
+            _kron_rows([np.ones((3, 4))] * 3, rows)
 
 
 class TestRowBlocks:

@@ -8,6 +8,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import (
+    FullSystem,
     aliasing_statistic,
     build_full,
     exact_leverage,
@@ -16,7 +17,7 @@ from kronlev.oracle import (
     solve_full,
 )
 from kronlev.sampler import make_method
-from kronlev.sketch import Sketch, TargetFunction, draw_sketch
+from kronlev.sketch import Sketch, SketchedSystem, TargetFunction, draw_sketch, solve
 
 
 def total_degree(dimension, order):
@@ -134,6 +135,18 @@ class TestSolveFull:
         solution = solve_full(system)
         residual = system.rhs - system.matrix @ solution.x
         assert np.max(np.abs(system.matrix.T @ residual)) < 1e-10
+
+    def test_rank_flag_agrees_with_the_sketch_solve(self):
+        # sigma_min / sigma_max = 2e-12 is above the one rank threshold, 1e-12, and
+        # below numpy's default lstsq threshold eps * max(M, N) = 4.4e-12 at 20000 rows
+        rng = np.random.default_rng(3)
+        u = np.linalg.qr(rng.standard_normal((20000, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        a, b = (u * [1.0, 1e-6, 2e-12]) @ v.T, rng.standard_normal(20000)
+        full = solve_full(FullSystem(a, b, np.full(20000, 1.0 / 20000), (20000,)))
+        sketched = solve(SketchedSystem(a, b))
+        assert full.rank_deficient == sketched.rank_deficient
+        assert not full.rank_deficient
 
 
 class TestPropLowerBasis:

@@ -102,10 +102,12 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     # orthogonal-columns admits either J
     problem = ishigami_problem(name, grid={"grid": "gauss-legendre"})
     gathers, qr = [], np.linalg.qr
+    # a table of R's columns has N_d rows, one of Q's the grid's M_d
+    assert all(len(f.r) < len(f.q) for f in problem.factors)
 
-    def spy(mats, rows, cols):
-        gathers.append("R" if all(m is f.r for m, f in zip(mats, problem.factors)) else "Q")
-        return _kron_rows(mats, rows, cols)
+    def spy(tables, rows):
+        gathers.append("R" if all(len(t) == len(f.r) for t, f in zip(tables, problem.factors)) else "Q")
+        return _kron_rows(tables, rows)
 
     def spy_qr(matrix, *args, **kwargs):
         gathers.append("U")
@@ -119,8 +121,8 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     assert gathers == once
     assert reduction.subspace.n == len(problem.index_set)
     if name == "gapped":
-        lower = reduction.subspace.lower
-        r_lj = _kron_rows([f.r for f in problem.factors], lower, lower[: reduction.subspace.n])
+        lower, n = reduction.subspace.lower, reduction.subspace.n
+        r_lj = _kron_rows([np.take(f.r, lower[:n, d], axis=1) for d, f in enumerate(problem.factors)], lower)
         with _one_blas_thread():
             assert np.array_equal(reduction.subspace.basis, qr(r_lj)[0])
     else:

@@ -66,6 +66,11 @@ def monomial_factors(dimension, m, n):
     return [build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))] * dimension
 
 
+def kron_entries(mats, rows, cols):
+    """prod_d mats[d][rows[i, d], cols[j, d]], from column takes made here rather than J's record's."""
+    return _kron_rows([np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)], rows)
+
+
 SMOOTH = TargetFunction("smooth", lambda c: np.exp(c[:, 0]) * np.cos(2.0 * c[:, 1]))
 
 
@@ -707,7 +712,7 @@ class TestFullRelativeError:
             return relative_error(reduction, fit)
 
         monkeypatch.setattr(sketch_module, "_relative_error", spy)
-        whole = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower[:n])
+        whole = kron_entries([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower[:n])
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal(n)
@@ -771,7 +776,7 @@ class TestTrialError:
         reduction = reduction_of(index_set, factors, SMOOTH)
         assert reduction.subspace.basis is None
         assert reduction_of(NON_LOWER, factors, SMOOTH).subspace.basis is not None
-        r_jj = _kron_rows([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
+        r_jj = kron_entries([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
         with_basis = dataclasses.replace(reduction, subspace=dataclasses.replace(reduction.subspace))
@@ -938,7 +943,7 @@ class TestSharedGather:
         np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
         tables = [np.square(f.q) for f in method.factors]
-        earlier = _kron_rows(tables, rows, method.subspace.lower[: method.subspace.n]).sum(axis=1) / n
+        earlier = kron_entries(tables, rows, method.subspace.lower[: method.subspace.n]).sum(axis=1) / n
         assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
 
     def test_mass_on_a_non_lower_set_is_point_mass_many(self, monkeypatch):
@@ -975,7 +980,7 @@ class TestSharedGather:
             np.testing.assert_array_equal(rows, sketch.indices0)  # the stream draw_sketch uses
             # the trial from the sketch's masses, with its rows gathered apart
             scale = 1.0 / np.sqrt(k * sketch.point_mass)
-            a = _kron_rows([f.q for f in factors], rows, reduction.subspace.lower) * scale[:, None]
+            a = kron_entries([f.q for f in factors], rows, reduction.subspace.lower) * scale[:, None]
             weight = reduce(np.multiply, [np.sqrt(f.grid.weights)[m] for f, m in zip(factors, rows.T)])
             b = weight * reduction.values[tuple(rows.T)]
             expected = solve(SketchedSystem(a, scale * b))
@@ -1030,6 +1035,52 @@ class TestSharedGather:
                 calls.clear()
                 trial_error(reduction, method, rows)
                 assert calls == ["_kron_rows"]
+
+
+class TestColumnTables:
+    """J's record takes each factor's columns once, for every Kronecker-row product."""
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "non-lower"])
+    def test_tables_are_the_factor_columns_of_l_and_j_taken_once(self, lower):
+        index_set = total_degree(2, 3) if lower else NON_LOWER
+        factors = [build_factor(gauss_legendre_grid(9), BasisSpec("legendre-orthonormal", n)) for n in (4, 5)]
+        subspace = _subspace(index_set, factors)
+        rows, n = subspace.lower, subspace.n
+        assert (len(rows) == n) == lower
+        tables = {"q_columns": (rows, "q"), "r_columns": (rows[:n], "r")}
+        for name, (cols, attr) in tables.items():
+            first = getattr(subspace, name)
+            assert len(first) == len(factors)
+            for d, (table, f) in enumerate(zip(first, factors)):
+                expected = np.take(getattr(f, attr), cols[:, d], axis=1)
+                assert table.shape == expected.shape and table.dtype == expected.dtype
+                assert table.tobytes() == expected.tobytes()
+            assert getattr(subspace, name) is first
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "non-lower"])
+    def test_a_second_trial_and_mass_take_no_factor_columns(self, lower, monkeypatch):
+        index_set = total_degree(2, 3) if lower else NON_LOWER
+        factors = legendre_factors(2, 8, 4)
+        reduction = reduction_of(index_set, factors, WAVE)
+        method = make_method("leverage-lower" if lower else "orthogonal-columns", factors, index_set)
+        rows = sample_indices(method, np.random.default_rng(3), 4 * len(index_set))
+        first = trial_error(reduction, method, rows), point_mass_many(method, rows)
+        full_relative_error(reduction, np.ones(len(index_set)))
+        taken, take = [], np.take
+
+        def spy(a, *args, **kwargs):
+            if any(a is f.q or a is f.r for f in factors):
+                taken.append(a)
+            return take(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        second = trial_error(reduction, method, rows), point_mass_many(method, rows)
+        full_relative_error(reduction, np.ones(len(index_set)))
+        assert taken == []
+        assert second[0] == first[0] and second[1].tobytes() == first[1].tobytes()
+        # the spy sees a take of a factor's columns where a record first forms its tables
+        _subspace(index_set, factors).q_columns
+        assert len(taken) == 2
 
 
 class TestTrialInputs:
@@ -1421,7 +1472,7 @@ class TestLowerClosure:
             assert reduction.subspace.basis is None
         else:
             with _one_blas_thread():
-                basis = np.linalg.qr(_kron_rows([f.r for f in factors], expected, expected[: len(index_set)]))[0]
+                basis = np.linalg.qr(kron_entries([f.r for f in factors], expected, expected[: len(index_set)]))[0]
             assert reduction.subspace.basis.shape == basis.shape
             assert reduction.subspace.basis.tobytes() == basis.tobytes()
 
