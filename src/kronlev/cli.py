@@ -3,13 +3,15 @@
 Subcommands: ``indexset``, ``sample``, ``solve``, ``oracle``, ``experiment``.
 stdout carries JSON summaries only, but ``sample`` without ``--out`` writes
 its sample CSV there; human-readable diagnostics go to stderr.  Exit codes:
-0 success, 2 config or usage error, 1 runtime error.
+0 success, 2 config or usage error, 1 runtime error.  A reader that closes
+stdout early (``| head``) ends the command with status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -199,6 +201,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: the flush at exit goes to devnull, not to a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # runtime failure, not a usage problem
         print(f"error: {exc}", file=sys.stderr)
         return 1

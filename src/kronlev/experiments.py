@@ -40,7 +40,6 @@ from .sampler import METHOD_TAGS, sample_indices
 from .sketch import FullGridReduction, SeparableValues, TargetFunction, reduce_full_grid, trial_error
 
 __all__ = [
-    "METHOD_IDS",
     "ishigami",
     "duffing_qoi_batch",
     "make_target",
@@ -52,10 +51,6 @@ __all__ = [
     "emit_cdf",
     "emit_cdf_svg",
 ]
-
-# Stream id per method, its position in METHOD_TAGS, which is append-only:
-# adding a method never perturbs the draws of existing ones.
-METHOD_IDS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
 _EVAL_CHUNK = 65536
 # Work is shared with forked processes on Linux only: fork is unsafe with
@@ -372,11 +367,6 @@ class TrialReport:
     subspace_size: int
     sample_count: int
 
-    def rows(self):
-        for tag in self.methods:
-            for t, err in enumerate(self.errors[tag]):
-                yield tag, t, err
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -391,8 +381,9 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     Samplers are built first, so a bad method fails before the model is taken
     once into the reduction every ``trial_error`` reads.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
-    and the trials run on one BLAS thread, so reports are pure functions of
-    the config regardless of ``threads`` and the BLAS thread count.
+    the id being the method's position in ``METHOD_TAGS``, and the trials
+    run on one BLAS thread, so reports are pure functions of the config
+    regardless of ``threads`` and the BLAS thread count.
 
     ``threads`` is capped once at the CPUs this process may run on
     (``_usable_cpus``).  That many processes share a grid-valued model's
@@ -405,7 +396,7 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
 
     def one_trial(job: tuple[str, int]) -> float:
         tag, trial = job
-        rng = np.random.default_rng([experiment.seed, METHOD_IDS[tag], trial])
+        rng = np.random.default_rng([experiment.seed, METHOD_TAGS.index(tag), trial])
         rows = sample_indices(methods[tag], rng, experiment.sample_count)
         return trial_error(reduction, methods[tag], rows)[0]
 
@@ -432,11 +423,12 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
 def write_report_csv(report: TrialReport, path) -> None:
     """Per-trial errors as CSV; float fields use shortest round-trip repr."""
     lines = ["method,trial,relative_error,optimal_relative_error,N,K"]
-    for tag, trial, err in report.rows():
-        lines.append(
-            f"{tag},{trial},{err!r},{report.optimal_error!r},"
-            f"{report.subspace_size},{report.sample_count}"
-        )
+    for tag in report.methods:
+        for trial, err in enumerate(report.errors[tag]):
+            lines.append(
+                f"{tag},{trial},{err!r},{report.optimal_error!r},"
+                f"{report.subspace_size},{report.sample_count}"
+            )
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -89,10 +89,11 @@ def _openblas() -> Optional[_OpenBlas]:
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
-    The thread count changes the rounding of a trial's solve, of U's QR and
-    of the full-grid reduction's products, and small products run faster on
-    one thread.  ``sampler._Subspace.basis``, ``reduce_full_grid``,
-    ``full_relative_error`` and ``trial_error`` enter this themselves.
+    The thread count changes the rounding of a trial's solve, of U's QR, of
+    the oracle's dense QR and of the full-grid reduction's products, and
+    small products run faster on one thread.  ``sampler._Subspace.basis``, ``reduce_full_grid``,
+    ``full_relative_error``, ``trial_error`` and ``oracle.exact_leverage``
+    enter this themselves.
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits
     the count of 1 and must not set it, because after a fork any call that

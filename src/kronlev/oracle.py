@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import _RANK_RTOL, FactorMatrix
+from .factor import _RANK_RTOL, FactorMatrix, _one_blas_thread
 from .indexset import MultiIndexSet, _check_fit
 from .sketch import Sketch, TargetFunction
 
@@ -98,8 +98,10 @@ def exact_leverage(system: FullSystem) -> np.ndarray:
     """Normalized leverage scores of the full design matrix.
 
     Insists on full column rank (R diagonal above _RANK_RTOL of its largest entry).
+    The QR runs on one BLAS thread, as a threaded QR rounds by thread count.
     """
-    q, r = np.linalg.qr(system.matrix)
+    with _one_blas_thread():
+        q, r = np.linalg.qr(system.matrix)
     diag = np.abs(np.diag(r))
     if np.any(diag <= _RANK_RTOL * diag.max()):
         raise ValueError("design matrix is rank deficient")

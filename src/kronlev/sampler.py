@@ -50,10 +50,9 @@ __all__ = [
     "make_method",
     "sample_indices",
     "point_mass_many",
-    "mu_mass_many",
 ]
 
-# Append-only: a method's position is its random stream id (experiments.METHOD_IDS).
+# Append-only: a method's position is its random stream id (experiments.run_trials).
 METHOD_TAGS = ("uniform", "tensor-product", "orthogonal-columns", "leverage-lower")
 
 # Largest Gram off-diagonal at which orthogonal-columns accepts a factor.
@@ -127,10 +126,6 @@ class SamplerMethod:
         return tuple(f.grid for f in self.factors)
 
     @property
-    def dimension(self) -> int:
-        return len(self.factors)
-
-    @property
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(len(f.grid) for f in self.factors)
 
@@ -181,8 +176,7 @@ def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:
 
 def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` iid grid points; returns 0-based node indices (size, D)."""
-    D = method.dimension
-    out = np.empty((size, D), dtype=np.int64)
+    out = np.empty((size, len(method.factors)), dtype=np.int64)
     if method.tag == "uniform":
         for d, m_d in enumerate(method.grid_shape):
             out[:, d] = rng.integers(0, m_d, size=size)
@@ -227,13 +221,4 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
             gather = None  # free the previous block before the next is formed
             gather = _kron_rows(tables, idx0[block])
             mass[block] = _mixture_mass(gather)
-    return mass
-
-
-def mu_mass_many(grids: Sequence[Grid1D], idx0: np.ndarray) -> np.ndarray:
-    """Product-measure mass of each grid point (rows of 0-based indices)."""
-    idx0 = _check_rows(idx0, [len(g) for g in grids])
-    mass = np.ones(idx0.shape[0])
-    for d, grid in enumerate(grids):
-        mass *= grid.weights[idx0[:, d]]
     return mass

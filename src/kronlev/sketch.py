@@ -59,7 +59,6 @@ from .sampler import (
     _mixture_mass,
     _Subspace,
     _subspace,
-    mu_mass_many,
     point_mass_many,
     sample_indices,
 )
@@ -193,7 +192,8 @@ def draw_sketch(
         # a sampled point always has positive mass under its own law
         raise RuntimeError("sampled a grid point with zero point mass (internal fault)")
     coords = np.column_stack([g.nodes[idx0[:, d]] for d, g in enumerate(method.grids)])
-    return Sketch(idx0, coords, mass, mu_mass_many(method.grids, idx0))
+    mu = reduce(np.multiply, [g.weights[idx0[:, d]] for d, g in enumerate(method.grids)])
+    return Sketch(idx0, coords, mass, mu)
 
 
 def assemble(
@@ -336,6 +336,17 @@ class FullGridReduction:
     optimal_error: float  # min over x of ||A x - b|| / ||b||
 
 
+def _check_b_sq(b_sq: float) -> None:
+    """Refuse a target whose ||b||^2 is not finite, or not above zero.
+
+    A separable target's ||b||^2 can fall below zero by rounding where its terms cancel.
+    """
+    if not math.isfinite(b_sq):
+        raise ValueError("b_values must be finite")
+    if not b_sq > 0.0:
+        raise ValueError("b_values are zero wherever the grid weight is positive")
+
+
 def _project_grid(
     values: np.ndarray,
     root_w: Sequence[np.ndarray],
@@ -358,10 +369,7 @@ def _project_grid(
         np.multiply.outer(prefix[block], root_w[-1], out=b[block])
         b[block] *= rows[block]
     b_sq = float(np.vdot(b, b))
-    if not math.isfinite(b_sq):
-        raise ValueError("b_values must be finite")
-    if b_sq == 0.0:
-        raise ValueError("b_values are zero wherever the grid weight is positive")
+    _check_b_sq(b_sq)
     coeffs = b.reshape(values.shape)
     for q in qs:
         # np.tensordot moves axis 0 last by a strided view, not a copy
@@ -400,10 +408,7 @@ def _project_separable(
     betas = [np.stack([term[d] for term in values.terms]) * w for d, w in enumerate(root_w)]
     grams = [beta @ beta.T for beta in betas]
     b_sq = float(reduce(np.multiply, grams).sum())
-    if not math.isfinite(b_sq):
-        raise ValueError("b_values must be finite")
-    if not b_sq > 0.0:  # zero, or below zero by rounding where the terms cancel
-        raise ValueError("b_values are zero wherever the grid weight is positive")
+    _check_b_sq(b_sq)
     # L's rows sorted once, so each prefix's members are one run; a prefix of
     # depth d + 1 starts where column d changes or a shorter prefix starts
     order = np.lexsort(lower.T[::-1])

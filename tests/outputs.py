@@ -37,6 +37,8 @@ SOLVES = [
     ("gapped", "orthogonal-columns", 476, 3),
     ("ishigami-m101", "leverage-lower", 480, 1),
 ]
+# `oracle --dump` of each, at OPENBLAS_NUM_THREADS 1 and 2: its dense QR rounds by thread count unpinned
+ORACLES = ["ishigami-g7", "duffing-g9"]
 # with no OpenBLAS found, trials run unpinned and solve takes np.linalg.cholesky and
 # back substitution; the gapped config's trials also take the product with J's basis U
 NO_OPENBLAS = ["ishigami-g7", "duffing-g7", "gapped"]
@@ -94,6 +96,10 @@ def commands(names: list) -> tuple[list, list]:
         runs += [(f"{stem}-b{blas}.json", blas, ["solve", "--config", f"{name}.json", "--method", method,
                   "--K", str(K), "--seed", str(seed)]) for blas in (1, 2)]
         pairs.append((f"{stem}-b1.json", f"{stem}-b2.json"))
+    for name in ORACLES:
+        runs += [(f"{name}-oracle-b{blas}.json", blas, ["oracle", "--config", f"{name}.json", "--dump",
+                  f"{name}-oracle-b{blas}.csv"]) for blas in (1, 2)]
+        pairs.append((f"{name}-oracle-b1.csv", f"{name}-oracle-b2.csv"))
     for method in ("leverage-lower", "uniform", "tensor-product"):
         stem = f"ishigami-g7-sample-{method}"
         runs.append((f"{stem}.json", None, ["sample", "--config", "ishigami-g7.json", "--method", method,

@@ -29,16 +29,20 @@ from kronlev.indexset import IndexSetSpec, build_index_set
 from test_experiments import count_calls
 
 
-def run_python(args, **env):
-    """stdout of a new Python process that imports this kronlev, with ``env`` added."""
+def python_env(**env):
+    """This process's environment with ``env`` added, where a new Python process imports this kronlev."""
     src = str(Path(kronlev.__file__).parents[1])
-    env = dict(
+    return dict(
         os.environ,
         **env,
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
+
+
+def run_python(args, **env):
+    """stdout of a new Python process that imports this kronlev, with ``env`` added."""
     return subprocess.run(
-        [sys.executable, *args], env=env, check=True, capture_output=True, timeout=600,
+        [sys.executable, *args], env=python_env(**env), check=True, capture_output=True, timeout=600,
     ).stdout
 
 
@@ -219,6 +223,13 @@ class TestParseExperiment:
         config = self.base()
         del config["model"]
         with pytest.raises(ConfigError, match="requires a model"):
+            parse_experiment(config)
+
+    @pytest.mark.parametrize("key", ["methods", "trials", "seed"])
+    def test_requires_methods_trials_and_seed(self, key):
+        config = self.base()
+        del config[key]
+        with pytest.raises(ConfigError, match=f"^experiment config missing required key '{key}'$"):
             parse_experiment(config)
 
     def test_rejects_both_count_and_multiplier(self):
@@ -429,6 +440,47 @@ class TestCli:
         path.write_text(json.dumps({"dimension": 3}))
         assert main(["indexset", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text,error", [
+        ('{"dimension": 3,', "is not valid JSON"),
+        ("[1, 2, 3]", "must hold a JSON object"),
+    ], ids=["not-json", "json-list"])
+    def test_config_file_that_is_not_a_json_object_is_exit_2(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["indexset", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config file {path} ")
+        assert error in captured.err
+
+    def test_solve_without_a_model_is_exit_2(self, tiny_config, tmp_path, capsys):
+        config = json.loads(tiny_config.read_text())
+        del config["model"]
+        path = tmp_path / "no-model.json"
+        path.write_text(json.dumps(config))
+        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "40", "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: solve requires a model in the config\n"
+
+    def test_a_closed_stdout_is_status_1_with_nothing_on_stderr(self):
+        # 20000 rows are about 2 MB, far more than a pipe holds, so the command is
+        # still writing when its reader goes away
+        argv = ["sample", "--config", str(packaged_config_path("ishigami-g7")),
+                "--method", "leverage-lower", "--count", "20000", "--seed", "1"]
+        process = subprocess.Popen([sys.executable, "-m", "kronlev.cli", *argv], env=python_env(),
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert process.stdout.readline() == b"m_1,m_2,m_3,y_1,y_2,y_3,point_mass,mu_mass\n"
+            process.stdout.close()
+            stderr = process.stderr.read()
+            assert process.wait(timeout=600) == 1
+        finally:
+            process.kill()
+            process.wait()
+        assert stderr == b""
+
     def test_sample_csv(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "samples.csv"
         code = main([
@@ -524,9 +576,10 @@ class TestCli:
             ["sample", "--method", "uniform", "--count", "3", "--seed", "-1"],
             ["solve", "--method", "uniform", "--K", "0", "--seed", "1"],
             ["solve", "--method", "uniform", "--K", "40", "--seed", "-1"],
+            ["solve", "--method", "uniform", "--K", "abc", "--seed", "1"],
         ],
         ids=["threads-0", "threads-neg", "experiment-seed-neg", "count-0", "count-neg",
-             "sample-seed-neg", "K-0", "solve-seed-neg"],
+             "sample-seed-neg", "K-0", "solve-seed-neg", "K-not-integer"],
     )
     def test_out_of_range_integer_option_is_exit_2(self, tiny_config, tmp_path, capsys, argv):
         argv = [argv[0], "--config", str(tiny_config)] + [
@@ -605,12 +658,23 @@ class TestCli:
             ("experiment", _TABULATED, None, "tabulated model file"),
             ("experiment", _TABULATED, [0.5] * 63, "must hold 64 values"),
             ("experiment", _TABULATED, [0.5] * 63 + [math.nan], "non-finite"),
+            ("indexset", {"index_set": dict(_INDEX_SET, order=-1)}, None,
+             "bad index_set: order must be finite and >= 0"),
+            ("indexset", {"index_set": dict(_INDEX_SET, weights=[0.5, 0.5, 0.5])}, None,
+             "bad index_set: at least one weight must equal 1"),
+            ("sample", {"grid": 5}, None, "grid spec must be a JSON object"),
+            ("sample", {"basis": {"kind": "chebyshev"}}, None, "unknown basis kind 'chebyshev'"),
+            ("experiment", {"model": {"name": "tabulated", "path": 5}}, None,
+             "tabulated model path must be a path string"),
+            ("experiment", {"sample_multiplier": 0}, None, "sample_multiplier must be positive"),
+            ("experiment", {"sample_multiplier": -4}, None, "sample_multiplier must be positive"),
         ],
         ids=["order-bool", "order-string", "p-string", "weights-strings", "dimension-float",
              "entry-float", "entry-bool", "entry-float-collides", "M-float", "M-bool",
              "count-float", "multiplier-bool", "multiplier-string", "multiplier-nan",
              "multiplier-inf", "multiplier-overflow", "methods-duplicate", "methods-string", "tabulated-missing",
-             "tabulated-count", "tabulated-nan"],
+             "tabulated-count", "tabulated-nan", "order-negative", "weights-below-1", "grid-number",
+             "basis-kind-unknown", "tabulated-path-number", "multiplier-0", "multiplier-neg"],
     )
     def test_bad_config_value_is_exit_2(
         self, tiny_config, tmp_path, capsys, command, patch, values, message
@@ -894,6 +958,18 @@ class TestCli:
         argv = ["solve", "--config", str(packaged_config_path("duffing-g9")),
                 "--method", "uniform", "--K", "880", "--seed", "1"]
         assert run_cli_with_blas_threads("1", argv) == run_cli_with_blas_threads("2", argv)
+
+    @pytest.mark.slow
+    def test_oracle_dump_independent_of_blas_threads(self, tmp_path):
+        # the dense QR of ishigami-g7's 8000 x 120 matrix rounds by thread count unpinned
+        dumps = []
+        for threads in ("1", "2"):
+            dump = tmp_path / f"leverage-{threads}.csv"
+            run_cli_with_blas_threads(threads, [
+                "oracle", "--config", str(packaged_config_path("ishigami-g7")), "--dump", str(dump),
+            ])
+            dumps.append(dump.read_bytes())
+        assert dumps[0] == dumps[1]
 
     def test_solve_imports_no_scipy(self):
         # scipy is a test dependency only: importing it costs every command about 0.35 s

@@ -20,7 +20,6 @@ import kronlev.sketch
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
-    METHOD_IDS,
     _tabulated_values,
     duffing_qoi_batch,
     emit_cdf,
@@ -35,6 +34,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import build_full, solve_full
+from kronlev.sampler import METHOD_TAGS
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
 from outputs import gated_configs
 
@@ -247,6 +247,10 @@ class TestTargets:
         np.savetxt(path, values)
         assert np.allclose(_tabulated_values(str(path), grids), values)
 
+    def test_unknown_model_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown model 'borehole'$"):
+            make_target({"name": "borehole"})
+
     def test_tabulated_model_has_no_target_function(self):
         with pytest.raises(ValueError, match="prepare_problem reads its file"):
             make_target({"name": "tabulated", "path": "values.txt"})
@@ -428,6 +432,28 @@ class TestForkedShares:
         assert "raise_in_a_child" in str(raised.value.__cause__)
         assert_no_child_is_left()
 
+    def test_a_fork_that_fails_reaps_the_child_already_forked_and_closes_every_pipe(self, monkeypatch):
+        fork, pipe, pipes = os.fork, os.pipe, []
+
+        def counted_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        def fork_once():
+            if len(pipes) > 1:
+                raise OSError("fork refused for the second share")
+            return fork()
+
+        open_before = set(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "pipe", counted_pipe)
+        monkeypatch.setattr(os, "fork", fork_once)
+        with pytest.raises(OSError, match="fork refused for the second share"):
+            kronlev.experiments._map_in_shares(lambda item: item, list(range(6)), 3)
+        monkeypatch.undo()
+        assert len(pipes) == 2
+        assert_no_child_is_left()
+        assert set(os.listdir("/proc/self/fd")) == open_before
+
     def test_the_caller_raises_its_own_exception_once_the_children_have_exited(self):
         caller = os.getpid()
 
@@ -526,6 +552,14 @@ def split_observations(report):
     return errors, [seen for tag in report.methods for _, seen in report.errors[tag]]
 
 
+def test_without_an_affinity_mask_usable_cpus_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert kronlev.experiments._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert kronlev.experiments._usable_cpus() == 1
+
+
 def worker_processes(threads):
     """How many processes run_trials shares its jobs among at ``threads``."""
     if not kronlev.experiments._CAN_FORK:
@@ -538,14 +572,14 @@ class TestRunTrials:
         # trials read the reduction's Q factors, so once the factors exist no
         # basis is evaluated again and no sketch is assembled
         experiment = experiment_config(
-            grid={"grid": "gauss-legendre", "M": 4}, methods=list(METHOD_IDS)
+            grid={"grid": "gauss-legendre", "M": 4}, methods=list(METHOD_TAGS)
         )
         calls = count_calls(
             monkeypatch, kronlev.grid_basis.eval_basis_matrix, kronlev.sketch.assemble
         )
         report = run_trials(experiment)
         assert calls == []
-        assert [len(report.errors[tag]) for tag in METHOD_IDS] == [3] * 4
+        assert [len(report.errors[tag]) for tag in METHOD_TAGS] == [3] * 4
         build_factor(gauss_legendre_grid(3), BasisSpec("monomial", 2))  # the count works
         assert calls == ["eval_basis_matrix"]
 

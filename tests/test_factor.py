@@ -1,3 +1,4 @@
+import ctypes
 from functools import reduce
 
 import numpy as np
@@ -165,6 +166,8 @@ class TestAlias:
             build_alias([0.0, 0.0])
         with pytest.raises(ValueError):
             build_alias([0.3, 0.3])
+        with pytest.raises(ValueError, match="^need a nonempty 1D probability vector$"):
+            build_alias([])
 
 
 def numpy_scalar_alias(p):
@@ -292,6 +295,19 @@ class TestKronRows:
         rows[7, d] = 3  # in the fourth block
         with pytest.raises(IndexError):
             _kron_rows([np.ones((3, 4))] * 3, rows)
+
+
+def test_no_openblas_when_no_library_loads(monkeypatch):
+    # the uncached scan; the cached binding the other tests read is left alone
+    found, tried = factor_module._openblas(), []
+
+    def refuse(path, *args, **kwargs):
+        tried.append(path)
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    assert factor_module._openblas.__wrapped__() is None
+    assert len(tried) >= (found is not None)  # numpy's OpenBLAS, where it has one, was tried
 
 
 class TestRowBlocks:

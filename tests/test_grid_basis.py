@@ -85,6 +85,11 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="nonnegative"):
             Grid1D(np.array([-1.0, 1.0]), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]], ids=["shorter", "longer"])
+    def test_rejects_weights_of_another_length(self, weights):
+        with pytest.raises(ValueError, match="^nodes and weights must be equal-length 1D arrays$"):
+            Grid1D(np.array([-1.0, 0.0, 1.0]), np.array(weights))
+
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError, match="not renormalizing"):
             Grid1D(np.array([-1.0, 1.0]), np.array([0.5, 0.6]))

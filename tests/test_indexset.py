@@ -128,6 +128,19 @@ class TestBuildIndexSet:
         with pytest.raises(ValueError):
             IndexSetSpec(dimension=2, family="wlp-ball", order=math.inf)
 
+    @pytest.mark.parametrize("spec,error", [
+        (dict(dimension=0, family="wlp-ball", order=2), "dimension must be >= 1"),
+        (dict(dimension=2, family="ball", order=2), "unknown family 'ball'"),
+        (dict(dimension=2, family="wlp-ball", order=2, p=math.nan), "p must be in {0} U (0, inf) U {inf}"),
+        (dict(dimension=2, family="wlp-ball", order=2, weights=(1.0,)), "weights length must equal dimension"),
+        (dict(dimension=2, family="wlp-ball", order=2, weights=(1.0, 1.0, 1.0)),
+         "weights length must equal dimension"),
+    ], ids=["dimension-0", "unknown-family", "p-nan", "weights-short", "weights-long"])
+    def test_spec_rejections(self, spec, error):
+        with pytest.raises(ValueError) as raised:
+            IndexSetSpec(**spec)
+        assert str(raised.value).startswith(error)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             IndexSetSpec(dimension=2, family="wlp-ball", order=2, weights=(0.5, 0.5))

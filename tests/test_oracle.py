@@ -87,6 +87,15 @@ class TestBuildFull:
         with pytest.raises(ValueError, match="dense guard"):
             build_full(total_degree(3, 1), factors, ZERO)
 
+    @pytest.mark.parametrize("size", [15, 17])
+    def test_b_values_hold_one_value_per_grid_row(self, size):
+        with pytest.raises(ValueError, match="^b_values must hold one value per grid row$"):
+            build_full(full_box((2, 2)), monomial_factors(2, 4, 2), b_values=np.ones(size))
+
+    def test_needs_a_target_or_b_values(self):
+        with pytest.raises(ValueError, match="^provide target or b_values$"):
+            build_full(full_box((2, 2)), monomial_factors(2, 4, 2))
+
 
 class TestExactLeverage:
     def test_square_invertible_gives_uniform_scores(self):

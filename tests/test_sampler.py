@@ -14,7 +14,6 @@ from kronlev.oracle import build_full, exact_leverage, flat_row_index
 from kronlev.sampler import (
     METHOD_TAGS,
     make_method,
-    mu_mass_many,
     point_mass_many,
     sample_indices,
 )
@@ -177,46 +176,16 @@ class TestSampling:
         values = np.cos(factors[0].grid.nodes)[grid[:, 0]] * np.exp(
             factors[1].grid.nodes[grid[:, 1]]
         )
-        exact = float(np.sum(values * mu_mass_many(method.grids, grid)))
+        w = [f.grid.weights for f in factors]  # mu is the product of the node weights
+        exact = float(np.sum(values * (w[0][grid[:, 0]] * w[1][grid[:, 1]])))
         rng = np.random.default_rng(77)
         n = 10**5
         idx0 = sample_indices(method, rng, n)
         rows = flat_row_index(idx0, (5, 5))
-        ratio = mu_mass_many(method.grids, idx0) / point_mass_many(method, idx0)
+        ratio = w[0][idx0[:, 0]] * w[1][idx0[:, 1]] / point_mass_many(method, idx0)
         draws = values[rows] * ratio
         stderr = float(np.std(draws)) / np.sqrt(n)
         assert abs(float(np.mean(draws)) - exact) < 3 * stderr
-
-
-class TestMuMass:
-    def test_rows_must_be_integer_rows_of_the_grids(self):
-        # refused, not cast or cut to the grids' dimension
-        grids = [gauss_legendre_grid(3)] * 2
-        for bad in ([[0, 1, 2]], [[0]], [0, 1]):
-            with pytest.raises(ValueError, match="one index per dimension"):
-                mu_mass_many(grids, np.array(bad))
-        with pytest.raises(ValueError, match="must be integers"):
-            mu_mass_many(grids, [[1.9, 0.2]])
-        with pytest.raises(ValueError, match="out of bounds"):
-            mu_mass_many(grids, [[0, 3]])
-
-    def test_single_dimension_gl3(self):
-        factors = monomial_factors(1, 3, 2)
-        method = make_method("uniform", factors)
-        assert abs(mu_mass_many(method.grids, np.array([[1]]))[0] - 8 / 18) < 1e-15
-
-    def test_sums_to_one(self, small_lower_problem):
-        _, factors = small_lower_problem
-        grids = [f.grid for f in factors]
-        assert abs(mu_mass_many(grids, all_grid_indices((5, 5))).sum() - 1.0) < 1e-12
-
-    def test_product_structure(self):
-        factors = monomial_factors(2, 3, 2)
-        grids = [f.grid for f in factors]
-        masses = mu_mass_many(grids, all_grid_indices((3, 3)))
-        for row, (i, j) in enumerate(itertools.product(range(3), repeat=2)):
-            expected = grids[0].weights[i] * grids[1].weights[j]
-            assert masses[row] == pytest.approx(expected)
 
 
 def fancy_index_mixture(method, idx0):
@@ -308,6 +277,11 @@ class TestPreconditions:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown sampler method"):
             make_method("levered", monomial_factors(2, 5, 2))
+
+    @pytest.mark.parametrize("tag", ["orthogonal-columns", "leverage-lower"])
+    def test_a_mixture_needs_an_index_set(self, tag):
+        with pytest.raises(ValueError, match=f"^method '{tag}' requires a multi-index set$"):
+            make_method(tag, monomial_factors(2, 5, 2))
 
 
 class TestSubspace:

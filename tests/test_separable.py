@@ -216,6 +216,9 @@ def test_tables_must_fit_the_grid():
         reduce_full_grid(index_set, small_factors(), SeparableValues(((np.ones(5), np.ones(4)),)))
     with pytest.raises(ValueError, match="one 1-D table per dimension"):
         SeparableValues(((np.ones(5), np.ones(5)), (np.ones(5),)))
+    for terms in ((), ((),)):  # no term, or a term over no dimension
+        with pytest.raises(ValueError, match="^a separable target needs a term over at least one dimension$"):
+            SeparableValues(terms)
 
 
 def manufactured(index_set, m, seed, nonzero=None):

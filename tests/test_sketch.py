@@ -24,7 +24,6 @@ from kronlev.sampler import (
     METHOD_TAGS,
     _subspace,
     make_method,
-    mu_mass_many,
     point_mass_many,
     sample_indices,
 )
@@ -92,7 +91,8 @@ class TestDrawSketch:
         rows = sketch.indices0
         assert sketch.size == 60
         assert np.array_equal(sketch.point_mass, point_mass_many(method, rows))
-        assert np.array_equal(sketch.mu_mass, mu_mass_many(method.grids, rows))
+        weights = factors[0].grid.weights  # mu is the product of the node weights
+        assert np.array_equal(sketch.mu_mass, weights[rows[:, 0]] * weights[rows[:, 1]])
         assert np.array_equal(sketch.weights, sketch.mu_mass / sketch.point_mass / sketch.size)
         nodes = factors[0].grid.nodes
         assert np.array_equal(sketch.coords, nodes[rows])
@@ -1012,7 +1012,8 @@ class TestSharedGather:
             with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
                 trial_error(reduction, method, rows)
             coords = np.column_stack([g.nodes[rows[:, d]] for d, g in enumerate(own.grids)])
-            sketch = Sketch(rows, coords, point_mass_many(own, rows), mu_mass_many(own.grids, rows))
+            mu = own.grids[0].weights[rows[:, 0]] * own.grids[1].weights[rows[:, 1]]
+            sketch = Sketch(rows, coords, point_mass_many(own, rows), mu)
             error, deficient = trial_error(reduction, own, rows)
             expected = reference_trial(index_set, reduced_on, reduction, sketch, WAVE)
             assert error == pytest.approx(expected[0], rel=1e-12)
@@ -1498,6 +1499,16 @@ class TestSampleSize:
         n, eps, delta = 120, 0.5, 0.2
         expected = math.ceil(3 * math.log(4 * n / delta) / eps**2 * n)
         assert sample_size("embedding", n, eps, delta) == expected
+
+    @pytest.mark.parametrize("n,epsilon,error", [
+        (0, 0.5, "n must be >= 1"),
+        (4, 1.0, "embedding requires epsilon in (0, 1)"),
+        (4, 1.5, "embedding requires epsilon in (0, 1)"),
+    ], ids=["n-0", "epsilon-1", "epsilon-above-1"])
+    def test_embedding_refuses_n_below_1_and_epsilon_from_1(self, n, epsilon, error):
+        with pytest.raises(ValueError) as raised:
+            sample_size("embedding", n, epsilon, 0.1)
+        assert str(raised.value) == error
 
     @pytest.mark.parametrize("bound", ["instance-Vb", "instance-V", "expectation", "embedding"])
     def test_monotone_in_epsilon_and_delta(self, bound):
