@@ -9,6 +9,12 @@ factor keeps a Vose alias table of each of those rows, so a draw costs O(1)
 after O(M) setup, and their uniform mixture over k.  Every sampler and the
 full-grid reduction read these same Q, R and tables, and pin numpy's bundled
 OpenBLAS (``_openblas``) to one thread with ``_one_blas_thread``.
+
+This is the one module that binds LAPACK and branches on whether numpy's
+OpenBLAS was found: the Gram's Cholesky factor of a sketched solve
+(``_gram_factor``) and its solves (``_cholesky_solve``) call dpotrf and
+dpotrs through ctypes, or else np.linalg.cholesky and ``_back_substitute``.
+``sketch.solve`` decides when to call them.
 """
 
 from __future__ import annotations
@@ -91,9 +97,11 @@ def _one_blas_thread():
 
     The thread count changes the rounding of a trial's solve, of U's QR, of
     the oracle's dense QR and of the full-grid reduction's products, and
-    small products run faster on one thread.  ``sampler._Subspace.basis``, ``reduce_full_grid``,
-    ``full_relative_error``, ``trial_error`` and ``oracle.exact_leverage``
-    enter this themselves.
+    small products run faster on one thread.  ``sampler._Subspace.basis``,
+    ``sketch.reduce_full_grid``, ``sketch.full_relative_error``,
+    ``sketch.trial_error`` and ``oracle.exact_leverage`` enter this
+    themselves; ``_gram_factor`` and ``_cholesky_solve`` below do not, and
+    run on the count of their caller (``trial_error``'s pin in a trial).
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits
     the count of 1 and must not set it, because after a fork any call that
@@ -111,6 +119,73 @@ def _one_blas_thread():
     finally:
         if count != 1:
             found.set_threads(count)
+
+
+# Smallest min|L_ii| / max|L_ii| of the Gram's Cholesky factor that solve
+# trusts; below it the SVD decides the rank.  Rank-deficient square sketches
+# reach 5e-5 (at 1e-6 some passed with a wrong flag); sketches ten rows
+# above square measured above 3e-2.
+_SEMI_NORMAL_RTOL = 1e-3
+_SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
+
+
+def _gram_factor(a: np.ndarray) -> Optional[np.ndarray]:
+    """The Gram's Cholesky factor R (R^T R = a^T a) in an upper triangle, or None.
+
+    None when Cholesky fails or min|R_ii| / max|R_ii| is below _SEMI_NORMAL_RTOL,
+    as the Gram squares the condition number.  With numpy's OpenBLAS, dpotrf "L"
+    factors the C-ordered Gram in place: read column-major, the symmetric Gram
+    is itself, and L over its lower triangle is R in C order.  Otherwise R is
+    np.linalg.cholesky's L transposed.  Both give R's upper triangle the same
+    bits; the strict lower one is not read.
+    """
+    r = np.ascontiguousarray(a.T @ a, dtype=np.float64)  # the Gram until it is factored
+    found, n = _openblas(), len(r)
+    if found is None:
+        try:
+            r = np.linalg.cholesky(r).T
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        info = found.dpotrf(_LAPACK_COL_MAJOR, b"L", n, r, max(n, 1))
+        if info < 0:
+            raise RuntimeError(f"LAPACK dpotrf failed with info = {info}")
+        if info > 0:  # a leading minor is not positive definite
+            return None
+    diag = np.diagonal(r)
+    return r if diag.min() >= _SEMI_NORMAL_RTOL * diag.max() else None  # NaN fails too
+
+
+def _cholesky_solve(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x with R^T R x = z for R from ``_gram_factor``: one dpotrs call, which writes x over z.
+
+    Without numpy's OpenBLAS, _back_substitute on R^T with its rows and
+    columns reversed, which is upper triangular, then on R.
+    """
+    found = _openblas()
+    if found is None:
+        y = _back_substitute(r.T[::-1, ::-1], z[::-1])[::-1]
+        return _back_substitute(r, y)
+    n, x = len(r), np.asarray(z, dtype=np.float64)
+    info = found.dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, r, max(n, 1), x, max(n, 1))
+    if info != 0:
+        raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
+    return x
+
+
+def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with r x = y for upper-triangular r with a nonzero diagonal.
+
+    Bottom-up over blocks of _SOLVE_BLOCK rows: each diagonal block goes to
+    np.linalg.solve, whose LU of a triangular block neither pivots nor
+    fills, and one matvec takes the solved part out of the rows above.
+    """
+    x = np.array(y, dtype=float)
+    for stop in range(len(x), 0, -_SOLVE_BLOCK):
+        start = max(stop - _SOLVE_BLOCK, 0)
+        x[start:stop] = np.linalg.solve(r[start:stop, start:stop], x[start:stop])
+        x[:start] -= r[:start, start:stop] @ x[start:stop]
+    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,13 +25,14 @@ adds the rows' product with U.  Freed (K, N) temporaries would go back to
 the operating system on every trial and be faulted in again by the next.
 
 A trial is three stages: ``_sketch_rows`` gathers and scales the rows,
-``solve`` fits them and ``_relative_error`` judges the fit.  ``solve`` uses
-the corrected semi-normal equations, which the well-conditioned Q-coordinate
-sketch admits: ``_gram_factor`` gives the Gram's upper Cholesky factor R, by
-LAPACK dpotrf in place from numpy's bundled OpenBLAS (through ctypes) or else
-np.linalg.cholesky, and each ``_cholesky_solve`` is one dpotrs call or two
-blocked back substitutions.  Otherwise it uses SVD least squares, which gives
-the numerical rank and the minimum-norm fit.
+``solve`` fits them and ``_relative_error`` judges the fit.  ``solve`` holds
+the policy: the corrected semi-normal equations, which the well-conditioned
+Q-coordinate sketch admits, when K >= N and ``factor._gram_factor`` gives the
+Gram's upper Cholesky factor R, two ``factor._cholesky_solve`` calls on it;
+otherwise SVD least squares, which gives the numerical rank and the
+minimum-norm fit.  The two back ends of the factor and the solves (LAPACK
+dpotrf and dpotrs from numpy's bundled OpenBLAS, or np.linalg.cholesky and
+blocked back substitution) are chosen in ``factor``, not here.
 ``reduce_full_grid``, ``full_relative_error`` and ``trial_error`` each pin
 numpy's OpenBLAS to one thread themselves (``factor._one_blas_thread``), so
 their bits do not depend on the caller's BLAS thread count.
@@ -45,12 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import factor  # factor._openblas: numpy's OpenBLAS, the one binding the pin reads too
-from .factor import _LAPACK_COL_MAJOR, _RANK_RTOL, FactorMatrix, _kron_rows, _one_blas_thread, _row_blocks
+from .factor import (_RANK_RTOL, FactorMatrix, _cholesky_solve, _gram_factor, _kron_rows,
+                     _one_blas_thread, _row_blocks)
 from .grid_basis import BasisSpec, eval_basis_matrix
 from .indexset import MultiIndexSet, _check_fit
 from .sampler import (
@@ -81,12 +82,6 @@ __all__ = [
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
 
-# Smallest min|L_ii| / max|L_ii| of the Gram's Cholesky factor that solve
-# trusts; below it the SVD decides the rank.  Rank-deficient square sketches
-# reach 5e-5 (at 1e-6 some passed with a wrong flag); sketches ten rows
-# above square measured above 3e-2.
-_SEMI_NORMAL_RTOL = 1e-3
-_SOLVE_BLOCK = 32  # rows per diagonal block of _back_substitute
 
 @dataclass(frozen=True)
 class TargetFunction:
@@ -245,65 +240,6 @@ def solve(system: SketchedSystem) -> Solution:
         raise ValueError("the sketched system must be finite")
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RANK_RTOL)
     return Solution(x, bool(rank < n))
-
-
-def _gram_factor(a: np.ndarray) -> Optional[np.ndarray]:
-    """The Gram's Cholesky factor R (R^T R = a^T a) in an upper triangle, or None.
-
-    None when Cholesky fails or min|R_ii| / max|R_ii| is below _SEMI_NORMAL_RTOL,
-    as the Gram squares the condition number.  With numpy's OpenBLAS, dpotrf "L"
-    factors the C-ordered Gram in place: read column-major, the symmetric Gram
-    is itself, and L over its lower triangle is R in C order.  Otherwise R is
-    np.linalg.cholesky's L transposed.  Both give R's upper triangle the same
-    bits; the strict lower one is not read.
-    """
-    r = np.ascontiguousarray(a.T @ a, dtype=np.float64)  # the Gram until it is factored
-    found, n = factor._openblas(), len(r)
-    if found is None:
-        try:
-            r = np.linalg.cholesky(r).T
-        except np.linalg.LinAlgError:
-            return None
-    else:
-        info = found.dpotrf(_LAPACK_COL_MAJOR, b"L", n, r, max(n, 1))
-        if info < 0:
-            raise RuntimeError(f"LAPACK dpotrf failed with info = {info}")
-        if info > 0:  # a leading minor is not positive definite
-            return None
-    diag = np.diagonal(r)
-    return r if diag.min() >= _SEMI_NORMAL_RTOL * diag.max() else None  # NaN fails too
-
-
-def _cholesky_solve(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x with R^T R x = z for R from ``_gram_factor``: one dpotrs call, which writes x over z.
-
-    Without numpy's OpenBLAS, _back_substitute on R^T with its rows and
-    columns reversed, which is upper triangular, then on R.
-    """
-    found = factor._openblas()
-    if found is None:
-        y = _back_substitute(r.T[::-1, ::-1], z[::-1])[::-1]
-        return _back_substitute(r, y)
-    n, x = len(r), np.asarray(z, dtype=np.float64)
-    info = found.dpotrs(_LAPACK_COL_MAJOR, b"L", n, 1, r, max(n, 1), x, max(n, 1))
-    if info != 0:
-        raise RuntimeError(f"LAPACK dpotrs failed with info = {info}")
-    return x
-
-
-def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x with r x = y for upper-triangular r with a nonzero diagonal.
-
-    Bottom-up over blocks of _SOLVE_BLOCK rows: each diagonal block goes to
-    np.linalg.solve, whose LU of a triangular block neither pivots nor
-    fills, and one matvec takes the solved part out of the rows above.
-    """
-    x = np.array(y, dtype=float)
-    for stop in range(len(x), 0, -_SOLVE_BLOCK):
-        start = max(stop - _SOLVE_BLOCK, 0)
-        x[start:stop] = np.linalg.solve(r[start:stop, start:stop], x[start:stop])
-        x[:start] -= r[:start, start:stop] @ x[start:stop]
-    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,272 @@
+"""Generated problem shapes: the dense oracle and the bits checked where no fixed test looks.
+
+A ``Shape`` is plain data: D grids (Gauss-Legendre, GL-uniform or random
+nodes), a basis per dimension, J (the lower closure of a few points, or that
+closure with one member taken out, which may leave J not lower) and a target
+(a random member of J's span plus noise of a drawn size).  ``shapes()``
+draws them with D 1-3 and M_d 2-7; ``problem`` builds one.
+
+The oracle half checks each drawn shape against the dense reference, once
+with numpy's OpenBLAS as found and once with ``factor._openblas`` patched to
+None, which takes the solve's numpy back end.  A tolerance is 32 kappa eps,
+kappa the condition number of the dense design matrix (of the assembled
+sketch, for a trial), so at least 32 eps: a fixed relative tolerance fails on
+correct code, where an optimum sits at rounding level or a monomial factor
+over random nodes is ill conditioned.  3000 drawn shapes stayed within it.
+
+The bits half takes ``FIXED_SHAPES`` and compares the bytes of
+``reduce_full_grid`` and ``trial_error`` across BLAS thread counts (two new
+processes at OPENBLAS_NUM_THREADS 1 and 2) and row cuts (one block against a
+small ``factor._ROW_BLOCK_BYTES``).
+"""
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kronlev
+import kronlev.factor as factor_module
+from kronlev.factor import build_factor
+from kronlev.grid_basis import (
+    BASIS_KINDS,
+    BasisSpec,
+    Grid1D,
+    eval_basis_matrix,
+    gauss_legendre_grid,
+    gauss_legendre_uniform_grid,
+)
+from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.oracle import build_full, exact_leverage, solve_full
+from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
+from kronlev.sketch import (
+    TargetFunction,
+    assemble,
+    draw_sketch,
+    full_relative_error,
+    reduce_full_grid,
+    solve,
+    trial_error,
+)
+
+EPS = np.finfo(float).eps
+GRID_KINDS = ("gauss-legendre", "gl-uniform", "random-nodes")
+
+
+class Shape(NamedTuple):
+    grids: tuple  # (kind, M_d) per dimension
+    bases: tuple  # (kind, N_d) per dimension
+    members: tuple  # J's multi-indices
+    noise: float  # the size of the target's part outside J's span
+    seed: int  # random nodes and weights, the target, the trials' rows
+
+
+def grid(kind, m, rng):
+    if kind == "gauss-legendre":
+        return gauss_legendre_grid(m)
+    if kind == "gl-uniform":
+        return gauss_legendre_uniform_grid(m)
+    # gaps of 0.5-1.5 spread over [-1, 1], so no two nodes nearly meet
+    nodes = np.cumsum(rng.uniform(0.5, 1.5, m))
+    weights = rng.uniform(0.5, 1.5, m)
+    return Grid1D(2.0 * (nodes - nodes[0]) / (nodes[-1] - nodes[0]) - 1.0, weights / weights.sum())
+
+
+@st.composite
+def shapes(draw):
+    dimension = draw(st.integers(1, 3))
+    grids = tuple((draw(st.sampled_from(GRID_KINDS)), draw(st.integers(2, 7))) for _ in range(dimension))
+    # counted down from the largest, so a shape shrinks to square factors and J the whole box
+    bases = tuple((draw(st.sampled_from(BASIS_KINDS)), m - draw(st.integers(0, m - 1))) for _, m in grids)
+    below = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for _, n in bases]), min_size=1, max_size=4))
+    points = [[n - k for (_, n), k in zip(bases, offsets)] for offsets in below]
+    members = sorted({beta for alpha in points for beta in product(*(range(1, a + 1) for a in alpha))})
+    if len(members) > 1 and draw(st.booleans()):
+        del members[draw(st.integers(0, len(members) - 1))]
+    noise = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    return Shape(grids, bases, tuple(members), noise, draw(st.integers(0, 2**16)))
+
+
+class Problem(NamedTuple):
+    index_set: object
+    factors: list
+    values: np.ndarray  # the target on the grid, lexicographic
+    target: TargetFunction  # the same values, looked up at a point's nodes
+    methods: dict  # tag -> method, for every method the shape admits
+
+
+def problem(shape):
+    rng = np.random.default_rng(shape.seed)
+    factors = [build_factor(grid(kind, m, rng), BasisSpec(basis, n))
+               for (kind, m), (basis, n) in zip(shape.grids, shape.bases)]
+    index_set = build_index_set(IndexSetSpec(len(factors), "explicit-list", indices=shape.members))
+    # a random member of J's span, unweighted, plus noise on every node
+    columns = np.ones((math.prod(m for _, m in shape.grids), len(index_set)))
+    per_dim = np.unravel_index(np.arange(len(columns)), [m for _, m in shape.grids])
+    cols = np.asarray(index_set.indices) - 1
+    for d, f in enumerate(factors):
+        columns *= eval_basis_matrix(f.basis, f.grid.nodes)[per_dim[d]][:, cols[:, d]]
+    values = columns @ rng.standard_normal(len(index_set)) + shape.noise * rng.standard_normal(len(columns))
+    table = values.reshape([m for _, m in shape.grids])
+    target = TargetFunction("table", lambda c: table[tuple(
+        np.searchsorted(f.grid.nodes, c[:, d]) for d, f in enumerate(factors))])
+    methods = {}
+    for tag in METHOD_TAGS:
+        try:
+            methods[tag] = make_method(tag, factors, index_set)
+        except ValueError:  # leverage-lower on a J that is not lower, orthogonal-columns on other factors
+            pass
+    return Problem(index_set, factors, values, target, methods)
+
+
+def exact_methods(p):
+    """The methods whose point mass is the design matrix's leverage score."""
+    box = math.prod(f.matrix.shape[1] for f in p.factors)
+    grid_size = math.prod(f.matrix.shape[0] for f in p.factors)
+    exact = {"leverage-lower", "orthogonal-columns"}
+    exact |= {"tensor-product"} if len(p.index_set) == box else set()
+    exact |= {"uniform"} if len(p.index_set) == grid_size else set()
+    return [tag for tag in p.methods if tag in exact]
+
+
+def check_against_the_oracle(shape):
+    """Leverage, optimum and trials of one shape, each within 32 kappa eps of its dense reference."""
+    p = problem(shape)
+    full = build_full(p.index_set, p.factors, b_values=p.values)
+    kappa = np.linalg.cond(full.matrix)
+    rows = np.stack(np.unravel_index(np.arange(len(full.rhs)), full.grid_shape), axis=1)
+    scores = exact_leverage(full)
+    for tag in exact_methods(p):
+        masses = point_mass_many(p.methods[tag], rows)
+        assert np.max(np.abs(masses - scores)) <= 32 * kappa * EPS * scores.max(), tag
+    reduction = reduce_full_grid(p.index_set, p.factors, p.values)
+    assert abs(reduction.optimal_error - solve_full(full).relative_error) <= 32 * kappa * EPS
+    for tag, method in p.methods.items():
+        sketch = draw_sketch(method, 3 * len(p.index_set), shape.seed)
+        error, deficient = trial_error(reduction, method, sketch.indices0)
+        system = assemble(p.index_set, [f.basis for f in p.factors], sketch, p.target)
+        if not system.matrix.any(axis=0).all():
+            continue  # a column of zeros: test_a_sketch_zero_in_a_column_is_flagged_rank_deficient
+        solution = solve(system)
+        assert deficient == solution.rank_deficient, tag
+        if not deficient:  # a rank-deficient sketch's minimum-norm fit depends on the coordinates
+            expected = full_relative_error(reduction, solution.x)
+            assert abs(error - expected) <= 32 * np.linalg.cond(system.matrix) * EPS * max(expected, 1.0), tag
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(shape=shapes())
+def test_generated_shapes_agree_with_the_dense_oracle(shape):
+    found = factor_module._openblas()
+    for binding in (found, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor_module, "_openblas", lambda: binding)
+            check_against_the_oracle(shape)
+
+
+# The rows of a tensor-product draw all fall on the middle node of a 3-node
+# Gauss-Legendre grid, where J's one column, Legendre P_1, is zero.  In Q
+# coordinates the column gathers rounding noise, which the relative
+# min/max diagonal gate of a one-column Gram cannot refuse.
+ZERO_COLUMN = Shape(
+    (("gauss-legendre", 3), ("random-nodes", 5), ("gl-uniform", 5)),
+    (("legendre-orthonormal", 2), ("monomial", 1), ("monomial", 1)),
+    ((2, 1, 1),),
+    1.0,
+    301,
+)
+
+
+@pytest.mark.xfail(strict=True, reason="a sketch whose one column is zero passes the Cholesky gate in Q coordinates")
+def test_a_sketch_zero_in_a_column_is_flagged_rank_deficient():
+    p = problem(ZERO_COLUMN)
+    method = p.methods["tensor-product"]
+    sketch = draw_sketch(method, 3, ZERO_COLUMN.seed)
+    assert not assemble(p.index_set, [f.basis for f in p.factors], sketch, p.target).matrix.any()
+    reduction = reduce_full_grid(p.index_set, p.factors, p.values)
+    assert trial_error(reduction, method, sketch.indices0) == (1.0, True)
+
+
+# Fixed shapes for the bits, in the strategy's terms.  The drawn grids have
+# at most 49 rows in the last mode product, which no budget cuts, so "wide"
+# has 70 rows of 300 values: one block under a huge budget, 64 rows and 6
+# under the default or a small one.  J's box takes every column of the last
+# factor, so Q_D enters whole, and the target lies in J's span, so the
+# optimum is at rounding level and shows any rounding of r.
+FIXED_SHAPES = {
+    "wide": Shape(
+        (("gauss-legendre", 70), ("gauss-legendre", 300)),
+        (("legendre-orthonormal", 3), ("legendre-orthonormal", 3)),
+        tuple((a, b) for a in range(1, 4) for b in range(1, 4) if a + b <= 4),
+        0.0,
+        7,
+    ),
+    "D3-non-lower": Shape(
+        (("random-nodes", 7), ("gl-uniform", 6), ("gauss-legendre", 7)),
+        (("monomial", 5), ("legendre-orthonormal", 4), ("legendre-orthonormal", 7)),
+        tuple(alpha for alpha in product(range(1, 6), range(1, 5), range(1, 8))
+              if sum(alpha) <= 8 and alpha != (2, 2, 2)),
+        1e-6,
+        11,
+    ),
+    "D2-lower": Shape(
+        (("gauss-legendre", 7), ("gauss-legendre", 7)),
+        (("legendre-orthonormal", 7), ("legendre-orthonormal", 7)),
+        tuple(alpha for alpha in product(range(1, 8), repeat=2) if sum(alpha) <= 8),
+        1.0,
+        3,
+    ),
+}
+
+
+def fingerprints():
+    """Per fixed shape: the reduction's c, ||b||^2, ||r||^2 and optimum, and each method's trial, as text."""
+    out = {}
+    for name, shape in FIXED_SHAPES.items():
+        p = problem(shape)
+        reduction = reduce_full_grid(p.index_set, p.factors, p.values)
+        out[name] = [hashlib.sha256(reduction.c.tobytes()).hexdigest(), reduction.b_sq.hex(),
+                     reduction.residual_sq.hex(), reduction.optimal_error.hex()]
+        for tag, method in p.methods.items():
+            rows = sample_indices(method, np.random.default_rng(shape.seed), 3 * len(p.index_set))
+            error, deficient = trial_error(reduction, method, rows)
+            out[name].append(f"{tag} {error.hex()} {deficient}")
+    return out
+
+
+def test_fixed_shapes_keep_their_bits_across_blas_threads_and_row_cuts(monkeypatch):
+    # the two processes run while this one computes its own
+    src = str(Path(kronlev.__file__).resolve().parents[1])
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from test_generated_shapes import fingerprints; "
+            "print(json.dumps(fingerprints()))")
+    processes = [
+        subprocess.Popen([sys.executable, "-c", code, str(Path(__file__).parent)], stdout=subprocess.PIPE,
+                         env=dict(os.environ, OPENBLAS_NUM_THREADS=str(count),
+                                  PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))))
+        for count in (1, 2)
+    ]
+    try:
+        default = fingerprints()
+        cuts = []
+        # one block for every pass; then 64-row blocks, and one row per _kron_rows block
+        for block_bytes in (1 << 40, 1):
+            monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", block_bytes)
+            cuts.append(fingerprints())
+        outputs = [process.communicate(timeout=300)[0] for process in processes]
+    finally:
+        for process in processes:
+            process.kill()  # a no-op on a process that has exited
+    assert [process.returncode for process in processes] == [0, 0]
+    by_threads = [json.loads(output) for output in outputs]
+    assert cuts == [default, default]
+    assert by_threads == [default, default]

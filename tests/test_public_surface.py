@@ -71,3 +71,40 @@ def test_benchmark_phase_hooks_exist():
     for module, names in targets.items():
         mod = importlib.import_module(module)
         assert [name for name in names if not callable(getattr(mod, name, None))] == []
+
+
+# numpy's OpenBLAS binding, which only factor may hold or call
+BINDING_NAMES = {"_openblas", "_LAPACK_COL_MAJOR", "_OPENBLAS_SYMBOLS"}
+
+
+def module_names(tree):
+    """Every identifier a module's AST names: variables, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+
+
+def imports_ctypes(tree):
+    return any(
+        isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "ctypes" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "ctypes"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_factor_binds_lapack():
+    """factor alone imports ctypes and reads the OpenBLAS binding, so it alone picks a LAPACK back end.
+
+    An array's ``.ctypes`` attribute is not an import and is not counted.
+    """
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "kronlev").glob("*.py"))}
+    assert "factor" in trees and "sketch" in trees
+    assert [module for module, tree in trees.items() if imports_ctypes(tree)] == ["factor"]
+    named = {module: BINDING_NAMES.intersection(module_names(tree)) for module, tree in trees.items()}
+    assert {module: names for module, names in named.items() if names} == {"factor": BINDING_NAMES}

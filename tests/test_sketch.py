@@ -16,7 +16,17 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import kronlev.factor as factor_module
-from kronlev.factor import FactorMatrix, _kron_rows, _row_blocks, build_factor
+from kronlev.factor import (
+    _SEMI_NORMAL_RTOL,
+    _SOLVE_BLOCK,
+    FactorMatrix,
+    _back_substitute,
+    _cholesky_solve,
+    _gram_factor,
+    _kron_rows,
+    _row_blocks,
+    build_factor,
+)
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
@@ -33,15 +43,10 @@ from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import evaluate_on_grid, make_target
 from kronlev.sketch import (
     _RANK_RTOL,
-    _SEMI_NORMAL_RTOL,
-    _SOLVE_BLOCK,
     SeparableValues,
     Sketch,
     SketchedSystem,
     TargetFunction,
-    _back_substitute,
-    _cholesky_solve,
-    _gram_factor,
     _one_blas_thread,
     assemble,
     draw_sketch,
