@@ -41,7 +41,6 @@ from .sketch import FullGridReduction, SeparableValues, TargetFunction, reduce_f
 
 __all__ = [
     "ishigami",
-    "duffing_qoi_batch",
     "make_target",
     "evaluate_on_grid",
     "prepare_problem",

@@ -33,10 +33,6 @@ from .grid_basis import BasisSpec, Grid1D, eval_basis_matrix
 __all__ = [
     "FactorMatrix",
     "build_factor",
-    "factor_qr",
-    "leverage_table",
-    "build_alias",
-    "sample_nu_kd",
 ]
 
 # The rank test of factor_qr, solve and exact_leverage: a QR diagonal entry or

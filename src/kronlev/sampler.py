@@ -17,11 +17,13 @@ Four methods draw multivariate grid points and evaluate their point masses:
 A method holds its factors and reads the alias tables and marginal that
 each factor built from its own QR.  A mixture method also holds its index
 set's ``_Subspace``, the record of J, its lower closure L, the factors'
-columns at L and J and basis U, which a full-grid reduction holds too; a
-trial matches the two by the identity of J and of the factor objects.  The
-record is the one place that takes factor columns: every Kronecker-row
-product (``factor._kron_rows``) of this module and of ``sketch`` reads its
-``q_columns`` or ``r_columns``.
+columns at L and J and basis U.  There is one record per J and tuple of
+factor objects, kept on J by ``_subspace``: the full-grid reduction on the
+same J and factors holds the same object, so L is walked once and U formed
+once, and a trial pairs a method with a reduction by that object's
+identity.  The record is the one place that takes factor columns: every
+Kronecker-row product (``factor._kron_rows``) of this module and of
+``sketch`` reads its ``q_columns`` or ``r_columns``.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
@@ -61,13 +63,18 @@ _GRAM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class _Subspace:
-    """J's columns of the Kronecker product, J's lower closure L and U, built only by ``_subspace``.
+    """J's columns of the Kronecker product, J's lower closure L and U: one per J and factor tuple.
+
+    Only ``_subspace`` builds it, once per J object and tuple of factor
+    objects, and keeps it on J, so every method and reduction on those
+    objects holds this one record and reads its tables and U.
 
     J must fit its factors: one entry per factor, and J's bounding box within
     their column counts (``indexset._check_fit``).  L is every index at or
     below a member of J; ``lower`` holds its 0-based rows, J's members in J's
     order, then the rest of the closure, found by one walk down from J's
-    members (``indexset._missing_below``), in lexicographic order.  So
+    members (``indexset._missing_below``), in lexicographic order; a J the
+    caller has found monotone lower needs no walk.  So
     ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
     The record is the one place that takes factor columns: ``q_columns`` and
     ``r_columns`` are the tables ``factor._kron_rows`` reads for the Q rows
@@ -105,12 +112,21 @@ class _Subspace:
             return np.linalg.qr(_kron_rows(self.r_columns, self.lower))[0]
 
 
-def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Subspace:
-    """The ``_Subspace`` of J on these factors; a J that does not fit them raises ValueError."""
-    factors = tuple(factors)
-    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
-    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
-    return _Subspace(index_set, factors, lower - 1)
+def _subspace(
+    index_set: MultiIndexSet, factors: Sequence[FactorMatrix], known_lower: bool = False
+) -> _Subspace:
+    """J's one ``_Subspace`` on these factor objects, built at the first call and kept on J.
+
+    ``known_lower`` says the caller has found J monotone lower, so L = J needs no
+    walk.  A J that does not fit the factors raises ValueError.
+    """
+    factors, records = tuple(factors), index_set._records  # a FactorMatrix hashes as itself alone
+    if factors not in records:
+        _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+        missing = () if known_lower else _missing_below(index_set)
+        lower = np.asarray(list(index_set.indices) + sorted(missing), dtype=np.int64)
+        records[factors] = _Subspace(index_set, factors, lower - 1)
+    return records[factors]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +155,9 @@ def make_method(
 
     ``leverage-lower`` insists the index set is monotone lower and
     ``orthogonal-columns`` that every factor has orthogonal columns; both
-    requirements are verified before J's record walks its closure.
+    requirements are verified before J's record is built.  The lower test
+    walks what the record's walk of L would, so a leverage-lower method's
+    record takes L = J without a second walk.
     """
     if tag not in METHOD_TAGS:
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")
@@ -159,7 +177,7 @@ def make_method(
                 raise ValueError(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
-    return SamplerMethod(tag, factors, _subspace(index_set, factors))
+    return SamplerMethod(tag, factors, _subspace(index_set, factors, tag == "leverage-lower"))
 
 
 def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:

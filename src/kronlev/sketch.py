@@ -6,10 +6,12 @@ v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
 per-dimension QR factors, and ``trial_error`` solves the rows a method drew
 from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
-Q-row gather gives nu.  The reduction and a mixture method each hold a
-``sampler._Subspace`` of J, its closure L, basis U and the factors' column
-tables that every Kronecker-row product here reads, and a trial admits a
-method built on the reduction's J and factors, the same objects.
+Q-row gather gives nu.  J's record, ``sampler._Subspace``, holds its
+closure L, basis U and the factors' column tables that every Kronecker-row
+product here reads.  There is one record per J and tuple of factor objects:
+the reduction and every mixture method on them hold the same one, and a
+trial admits a method built on the reduction's factors whose record, if it
+has one, is the reduction's.
 
 The target enters the reduction either as its values on the whole grid or,
 when it is a sum of r products of one-dimensional functions, as a
@@ -253,14 +255,14 @@ class FullGridReduction:
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
     J, its factors, L, the factors' column tables and a non-lower J's basis U
-    are ``subspace``, the record a mixture method holds too
-    (``sampler._Subspace``).  R_{L,J} itself is not held.  A trial reads the
-    record's Q columns of L, the factors' grid weights, and U.  The
-    grid's b = sqrt(w) * values is not stored: a trial forms b at its rows from
-    ``values``, which is held by reference and not copied.  That is either
-    the caller's array of grid values, which must not be mutated while the
-    reduction is in use, or the caller's ``SeparableValues``, whose tables
-    are read at the rows.
+    are ``subspace``, J's one record on these factors, which every mixture
+    method on them holds too (``sampler._Subspace``).  R_{L,J} itself is not
+    held.  A trial reads the record's Q columns of L, the factors' grid
+    weights, and U.  The grid's b = sqrt(w) * values is not stored: a trial
+    forms b at its rows from ``values``, which is held by reference and not
+    copied.  That is either the caller's array of grid values, which must not
+    be mutated while the reduction is in use, or the caller's
+    ``SeparableValues``, whose tables are read at the rows.
     """
 
     subspace: _Subspace
@@ -381,10 +383,11 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d.  J, L and U are ``sampler._subspace``'s,
-    and the part of c outside range(U) joins the optimum's residual.  The
-    projection runs on one BLAS thread, as a threaded dot or matrix product
-    rounds by thread count.
+    with no array above r |L| max N_d.  J, L and U are J's one record on these
+    factors (``sampler._subspace``), built here only if no method on them has
+    built it, and the part of c outside range(U) joins the optimum's
+    residual.  The projection runs on one BLAS thread, as a threaded dot or
+    matrix product rounds by thread count.
     """
     subspace = _subspace(index_set, factors)
     factors, lower = subspace.factors, subspace.lower
@@ -441,14 +444,14 @@ def _sketch_rows(
     ``_mixture_mass`` of its first N columns, as in ``point_mass_many``, which
     gives the others' nu.
     The method must be built on the reduction's factors, the same objects,
-    and a mixture method on its index set, the same object; any other
-    method, and rows that are not an integer (K >= 1, D) array on the grid
-    or of zero mass, raise ValueError.
+    and a mixture method must hold the reduction's record, the one object
+    built for that J and those factors; any other method, one on an equal J
+    that is another object included, and rows that are not an integer
+    (K >= 1, D) array on the grid or of zero mass, raise ValueError.
     """
     subspace = reduction.subspace
     factors, n, basis = subspace.factors, subspace.n, subspace.basis
-    own_set = method.subspace is None or method.subspace.index_set is subspace.index_set
-    if not (method.factors == factors and own_set):  # a FactorMatrix equals only itself
+    if method.factors != factors or method.subspace not in (None, subspace):  # each equals only itself
         raise ValueError("the method is not built on the reduction's factors and index set")
     rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:

@@ -27,14 +27,15 @@ from kronlev.experiments import (
     evaluate_on_grid,
     ishigami,
     make_target,
+    prepare_problem,
     run_trials,
     write_report_csv,
 )
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
-from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
 from kronlev.oracle import build_full, solve_full
-from kronlev.sampler import METHOD_TAGS
+from kronlev.sampler import METHOD_TAGS, _subspace, make_method, sample_indices
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
 from outputs import gated_configs
 
@@ -593,6 +594,47 @@ class TestRunTrials:
         report = run_trials(parse_experiment(config))
         assert report.methods == ("uniform", "tensor-product", "leverage-lower")
         assert sorted(calls) == ["factor_qr", "leverage_table"]
+
+    @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
+    def test_one_record_of_j_per_problem(self, name, monkeypatch):
+        # every builder of J's record, on one J and one set of factor objects,
+        # holds one _Subspace: L is walked once per run and a gapped J's U is
+        # factored once, whoever reads it first; an equal J that is another
+        # object has a record of its own, and a trial refuses its methods.
+        # The factors QR themselves as a config is parsed, so both are parsed first
+        config = {**gated_configs()[name], "trials": 2}
+        experiment, problem = parse_experiment(config), parse_experiment(config).problem
+        calls = count_calls(monkeypatch, _missing_below, np.linalg.qr)
+        run_trials(experiment)
+        gapped = name == "gapped"
+        assert calls == ["_missing_below"] + ["qr"] * gapped
+        mixture = "orthogonal-columns" if gapped else "leverage-lower"
+        calls.clear()
+        method = problem.method(mixture)
+        bases = [method.subspace.basis]
+        reduction = prepare_problem(problem)
+        bases.append(reduction.subspace.basis)
+        assert calls == ["_missing_below"] + ["qr"] * gapped
+        assert bases[0] is bases[1] and (bases[0] is None) != gapped
+        records = [
+            method.subspace,
+            reduction.subspace,
+            reduce_full_grid(problem.index_set, problem.factors, reduction.values).subspace,
+            make_method(mixture, problem.factors, problem.index_set).subspace,
+            problem.method(mixture).subspace,
+            _subspace(problem.index_set, list(problem.factors)),
+        ]
+        assert all(record is records[0] for record in records)
+        assert records[0].index_set is problem.index_set and records[0].factors == problem.factors
+        assert calls.count("qr") == gapped  # each leverage-lower method tests J once more
+        copy = dataclasses.replace(problem.index_set)
+        assert copy == problem.index_set and copy is not problem.index_set
+        other = make_method(mixture, problem.factors, copy)
+        assert other.subspace is not reduction.subspace and other.subspace.index_set is copy
+        rows = sample_indices(other, np.random.default_rng(0), 4 * len(copy))
+        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+            trial_error(reduction, other, rows)
+        trial_error(reduction, method, rows)  # the problem's own method takes the same rows
 
     def test_deterministic_for_fixed_seed(self):
         a = run_trials(experiment_config())

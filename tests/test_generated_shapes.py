@@ -4,7 +4,8 @@ A ``Shape`` is plain data: D grids (Gauss-Legendre, GL-uniform or random
 nodes), a basis per dimension, J (the lower closure of a few points, or that
 closure with one member taken out, which may leave J not lower) and a target
 (a random member of J's span plus noise of a drawn size).  ``shapes()``
-draws them with D 1-3 and M_d 2-7; ``problem`` builds one.
+draws them with D 1-4, M_d 2-9 and a basis box of at most ``MAX_BOX``
+columns; ``problem`` builds one.
 
 The oracle half checks each drawn shape against the dense reference, once
 with numpy's OpenBLAS as found and once with ``factor._openblas`` patched to
@@ -12,7 +13,10 @@ None, which takes the solve's numpy back end.  A tolerance is 32 kappa eps,
 kappa the condition number of the dense design matrix (of the assembled
 sketch, for a trial), so at least 32 eps: a fixed relative tolerance fails on
 correct code, where an optimum sits at rounding level or a monomial factor
-over random nodes is ill conditioned.  3000 drawn shapes stayed within it.
+over random nodes is ill conditioned.  Each shape also checks that its
+methods and its reduction hold J's one record.  Of 3000 drawn shapes, 3 at
+D = 4 went past it, each where the dense QR of ``exact_leverage`` drifts
+with the row count; ``DRIFT`` checks one of them against the exact leverage.
 
 The bits half takes ``FIXED_SHAPES`` and compares the bytes of
 ``reduce_full_grid`` and ``trial_error`` across BLAS thread counts (two new
@@ -26,6 +30,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -82,12 +87,22 @@ def grid(kind, m, rng):
     return Grid1D(2.0 * (nodes - nodes[0]) / (nodes[-1] - nodes[0]) - 1.0, weights / weights.sum())
 
 
+# The largest basis box, prod_d N_d: it bounds N and so the dense oracle's columns
+MAX_BOX = 343
+
+
 @st.composite
 def shapes(draw):
-    dimension = draw(st.integers(1, 3))
-    grids = tuple((draw(st.sampled_from(GRID_KINDS)), draw(st.integers(2, 7))) for _ in range(dimension))
-    # counted down from the largest, so a shape shrinks to square factors and J the whole box
-    bases = tuple((draw(st.sampled_from(BASIS_KINDS)), m - draw(st.integers(0, m - 1))) for _, m in grids)
+    dimension = draw(st.integers(1, 4))
+    grids = tuple((draw(st.sampled_from(GRID_KINDS)), draw(st.integers(2, 9))) for _ in range(dimension))
+    # counted down from the largest the box admits, so a shape shrinks to square
+    # factors where it can and J the whole box
+    bases, box = [], 1
+    for _, m in grids:
+        top = min(m, MAX_BOX // box)
+        bases.append((draw(st.sampled_from(BASIS_KINDS)), top - draw(st.integers(0, top - 1))))
+        box *= bases[-1][1]
+    bases = tuple(bases)
     below = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for _, n in bases]), min_size=1, max_size=4))
     points = [[n - k for (_, n), k in zip(bases, offsets)] for offsets in below]
     members = sorted({beta for alpha in points for beta in product(*(range(1, a + 1) for a in alpha))})
@@ -150,6 +165,8 @@ def check_against_the_oracle(shape):
         masses = point_mass_many(p.methods[tag], rows)
         assert np.max(np.abs(masses - scores)) <= 32 * kappa * EPS * scores.max(), tag
     reduction = reduce_full_grid(p.index_set, p.factors, p.values)
+    # one record of J on these factors, whichever builder holds it
+    assert all(method.subspace in (None, reduction.subspace) for method in p.methods.values())
     assert abs(reduction.optimal_error - solve_full(full).relative_error) <= 32 * kappa * EPS
     for tag, method in p.methods.items():
         sketch = draw_sketch(method, 3 * len(p.index_set), shape.seed)
@@ -172,6 +189,46 @@ def test_generated_shapes_agree_with_the_dense_oracle(shape):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factor_module, "_openblas", lambda: binding)
             check_against_the_oracle(shape)
+
+
+def rational_leverage(matrix):
+    """a_m^T (A^T A)^{-1} a_m / N of each row, exact on the matrix's float entries, then rounded."""
+    a = [[Fraction(x) for x in row] for row in matrix.tolist()]
+    n = len(a[0])
+    # Gauss-Jordan elimination of [A^T A | I] gives the inverse Gram
+    table = [[sum(row[i] * row[j] for row in a) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+             for i in range(n)]
+    for col in range(n):
+        table[col] = [x / table[col][col] for x in table[col]]
+        for r in range(n):
+            if r != col:
+                table[r] = [x - table[r][col] * y for x, y in zip(table[r], table[col])]
+    inverse = [row[n:] for row in table]
+    return np.array([float(sum(row[i] * inverse[i][j] * row[j] for i in range(n) for j in range(n)) / n)
+                     for row in a])
+
+
+# A shape of D = 4 on 1080 rows, one of 3 in a probe of 3000 drawn shapes
+# where exact_leverage, the dense QR's row norms, was 157 kappa eps of the
+# largest score from the exact leverage: the QR's error grows with the row
+# count.  The point mass stays within 32 kappa eps of the exact leverage.
+DRIFT = Shape(
+    (("gl-uniform", 6), ("gl-uniform", 5), ("gl-uniform", 9), ("gl-uniform", 4)),
+    (("legendre-orthonormal", 1), ("monomial", 1), ("legendre-orthonormal", 9), ("legendre-orthonormal", 2)),
+    ((1, 1, 1, 1), (1, 1, 1, 2)),
+    1e-6,
+    65536,
+)
+
+
+def test_point_mass_is_the_exact_leverage_where_the_dense_qr_drifts():
+    p = problem(DRIFT)
+    full = build_full(p.index_set, p.factors, b_values=p.values)
+    kappa, exact = np.linalg.cond(full.matrix), rational_leverage(full.matrix)
+    rows = np.stack(np.unravel_index(np.arange(len(full.rhs)), full.grid_shape), axis=1)
+    assert exact_methods(p) == ["leverage-lower"]
+    masses = point_mass_many(p.methods["leverage-lower"], rows)
+    assert np.max(np.abs(masses - exact)) <= 32 * kappa * EPS * exact.max()
 
 
 # The rows of a tensor-product draw all fall on the middle node of a 3-node

@@ -97,9 +97,9 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
 def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     # a lower J's record, reduction and trials read Q and c alone; the gapped
     # J's reduction reads its record's U, which forms R_{L,J} once for its QR,
-    # and a method's record, whose U nothing reads, forms neither.  On the
-    # Gauss-Legendre rule the Legendre columns are orthogonal, so
-    # orthogonal-columns admits either J
+    # and a method holds that same record, so reading its U forms neither
+    # again.  On the Gauss-Legendre rule the Legendre columns are orthogonal,
+    # so orthogonal-columns admits either J
     problem = ishigami_problem(name, grid={"grid": "gauss-legendre"})
     gathers, qr = [], np.linalg.qr
     # a table of R's columns has N_d rows, one of Q's the grid's M_d
@@ -134,16 +134,15 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     assert gathers == ["Q"]
     gathers.clear()
     mixture = problem.method("orthogonal-columns")
-    assert mixture.subspace is not reduction.subspace
+    assert mixture.subspace is reduction.subspace
     trial_error(reduction, mixture, sample_indices(mixture, np.random.default_rng(0), len(rows)))
     assert gathers == ["Q"]
     gathers.clear()
-    # U is formed on its first read and kept
+    # U was formed at the reduction's read and is kept
     bases = [mixture.subspace.basis for _ in range(2)]
-    assert gathers == once
+    assert gathers == []
     if name == "gapped":
-        assert bases[1] is bases[0]
-        assert np.array_equal(bases[0], reduction.subspace.basis)
+        assert bases[1] is bases[0] is reduction.subspace.basis
     else:
         assert bases == [None, None]
 

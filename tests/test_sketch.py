@@ -784,12 +784,15 @@ class TestTrialError:
         r_jj = kron_entries([f.r for f in factors], reduction.subspace.lower, reduction.subspace.lower)
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
-        with_basis = dataclasses.replace(reduction, subspace=dataclasses.replace(reduction.subspace))
-        vars(with_basis.subspace)["basis"] = basis  # where the record keeps U once read
         method = make_method("leverage-lower", factors, index_set)
-        for seed in range(5):
-            rows = sample_indices(method, np.random.default_rng(seed), 60)
-            assert trial_error(reduction, method, rows) == trial_error(with_basis, method, rows)
+        assert method.subspace is reduction.subspace
+        draws = [sample_indices(method, np.random.default_rng(seed), 60) for seed in range(5)]
+        without = [trial_error(reduction, method, rows) for rows in draws]
+        vars(reduction.subspace)["basis"] = basis  # where the one record keeps U once read
+        try:
+            assert [trial_error(reduction, method, rows) for rows in draws] == without
+        finally:
+            vars(reduction.subspace)["basis"] = None
 
     def test_zero_weight_node_gives_zero_rows(self):
         # uniform draws reach the zero-weight end nodes, where v_k = mu = 0
@@ -1084,8 +1087,12 @@ class TestColumnTables:
         full_relative_error(reduction, np.ones(len(index_set)))
         assert taken == []
         assert second[0] == first[0] and second[1].tobytes() == first[1].tobytes()
-        # the spy sees a take of a factor's columns where a record first forms its tables
+        # a second call on J and the factors gives the one record, whose tables are taken
+        assert _subspace(index_set, factors) is reduction.subspace is method.subspace
         _subspace(index_set, factors).q_columns
+        assert taken == []
+        # the spy sees a take of a factor's columns where a new record first forms its tables
+        _subspace(dataclasses.replace(index_set), factors).q_columns
         assert len(taken) == 2
 
 
