@@ -32,6 +32,11 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _problem(args):
+    """The problem of the config file ``--config``, relative paths taken from its directory."""
+    return parse_problem(load_json(args.config), Path(args.config).parent)
+
+
 def _cmd_indexset(args) -> int:
     config = load_json(args.config)
     index_set = parse_index_set(config.get("index_set", config))
@@ -60,7 +65,7 @@ def _sample_csv_lines(sketch):
 
 
 def _cmd_sample(args) -> int:
-    problem = parse_problem(load_json(args.config), Path(args.config).parent)
+    problem = _problem(args)
     sketch = draw_sketch(problem.method(args.method), args.count, args.seed)
     if args.out:
         with open(args.out, "w", newline="") as handle:
@@ -72,7 +77,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = parse_problem(load_json(args.config), Path(args.config).parent)
+    problem = _problem(args)
     if problem.model is None:
         raise ConfigError("solve requires a model in the config")
     method = problem.method(args.method)
@@ -92,7 +97,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = parse_problem(load_json(args.config), Path(args.config).parent)
+    problem = _problem(args)
     # leverage scores depend on the design matrix only; zeros come after the dense guard
     zero = TargetFunction("zero", lambda coords: np.zeros(len(coords)))
     system = oracle.build_full(problem.index_set, problem.factors, zero)

@@ -27,7 +27,7 @@ from .grid_basis import (
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
 )
-from .indexset import IndexSetSpec, MultiIndexSet, build_index_set
+from .indexset import IndexSetSpec, MultiIndexSet, _bounding_box, build_index_set
 from .sampler import METHOD_TAGS, SamplerMethod, make_method
 
 __all__ = [
@@ -41,7 +41,12 @@ __all__ = [
 ]
 
 GRID_KINDS = ("gauss-legendre", "gauss-legendre-uniform", "file")
-MODEL_NAMES = ("ishigami", "duffing", "tabulated")
+# The built-in models: the dimension each requires and its parameters' defaults
+_BUILT_IN_MODELS = {
+    "ishigami": (3, {"a": 7.0, "b": 0.1}),
+    "duffing": (3, {"t_final": 4.0, "step": 1e-3}),
+}
+MODEL_NAMES = (*_BUILT_IN_MODELS, "tabulated")
 
 
 class ConfigError(ValueError):
@@ -158,12 +163,15 @@ def _config_path(value, base_dir: Path, what: str) -> Path:
     return base_dir / value
 
 
-def parse_index_set(spec) -> MultiIndexSet:
-    """Build the multi-index set of an ``index_set`` config object.
+def _index_set_and_box(spec) -> tuple[IndexSetSpec, tuple[int, ...], Optional[MultiIndexSet]]:
+    """The spec and bounding box of an ``index_set`` config object, and the set if it is a list.
 
     ``p`` defaults to 1 and may be JSON ``Infinity`` or the string ``"inf"``
     or ``"Infinity"``; ``weights`` default to all ones.  An explicit list
-    takes its dimension from its first index when ``dimension`` is absent.
+    takes its dimension from its first index when ``dimension`` is absent,
+    and is built here, which checks its members.  A ball's or cross's box is
+    read from its caps and test without walking it, and the set is left to
+    ``build_index_set``.
     """
     if isinstance(spec, dict) and spec.get("family") == "explicit-list":
         _check_keys(spec, {"family", "indices"}, {"dimension"}, "index_set")
@@ -184,9 +192,17 @@ def parse_index_set(spec) -> MultiIndexSet:
             "weights": tuple(_finite_number(w, "index_set weights") for w in weights),
         }
     try:
-        return build_index_set(IndexSetSpec(dimension, spec["family"], **shape))
+        spec = IndexSetSpec(dimension, spec["family"], **shape)
+        index_set = build_index_set(spec) if spec.family == "explicit-list" else None
+        return spec, index_set.bounding_box if index_set else _bounding_box(spec), index_set
     except ValueError as exc:
         raise ConfigError(f"bad index_set: {exc}")
+
+
+def parse_index_set(spec) -> MultiIndexSet:
+    """Build the multi-index set of an ``index_set`` config object."""
+    spec, _, index_set = _index_set_and_box(spec)
+    return index_set or build_index_set(spec)
 
 
 def _parse_grid_file(path: Path) -> Grid1D:
@@ -220,33 +236,31 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     return tuple(build(_integer(m, 1, "grid M")) for m in values)
 
 
-def _parse_model(spec, base_dir: Path) -> dict:
+def _parse_model(spec, base_dir: Path, dimension: int) -> dict:
     if spec is None:
         return None
     name = spec.get("name") if isinstance(spec, dict) else None
-    if name == "ishigami":
-        _check_keys(spec, {"name"}, {"a", "b"}, "ishigami model")
-        return {
-            "name": "ishigami",
-            "a": _finite_number(spec.get("a", 7.0), "ishigami model a"),
-            "b": _finite_number(spec.get("b", 0.1), "ishigami model b"),
-        }
-    if name == "duffing":
-        _check_keys(spec, {"name"}, {"t_final", "step"}, "duffing model")
-        t_final = _finite_number(spec.get("t_final", 4.0), "duffing model t_final")
-        step = _finite_number(spec.get("step", 1e-3), "duffing model step")
-        # 0 < step <= t_final makes round(t_final / step) at least one RK4 step
-        if t_final <= 0:
-            raise ConfigError(f"duffing model t_final must be positive, got {t_final!r}")
-        if not 0 < step <= t_final:
-            raise ConfigError(f"duffing model step must be in (0, t_final], got {step!r}")
-        return {"name": "duffing", "t_final": t_final, "step": step}
     if name == "tabulated":
         # the values file is read by the commands that evaluate the model
         _check_keys(spec, {"name", "path"}, set(), "tabulated model")
         path = _config_path(spec["path"], base_dir, "tabulated model path")
         return {"name": "tabulated", "path": str(path)}
-    raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    if name not in _BUILT_IN_MODELS:
+        raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    required, defaults = _BUILT_IN_MODELS[name]
+    what = f"{name} model"
+    _check_keys(spec, {"name"}, set(defaults), what)
+    model = {"name": name}
+    for key, default in defaults.items():
+        model[key] = _finite_number(spec.get(key, default), f"{what} {key}")
+    # 0 < step <= t_final makes round(t_final / step) at least one RK4 step
+    if name == "duffing" and model["t_final"] <= 0:
+        raise ConfigError(f"duffing model t_final must be positive, got {model['t_final']!r}")
+    if name == "duffing" and not 0 < model["step"] <= model["t_final"]:
+        raise ConfigError(f"duffing model step must be in (0, t_final], got {model['step']!r}")
+    if dimension != required:
+        raise ConfigError(f"model {name!r} requires dimension {required}")
+    return model
 
 
 def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
@@ -264,29 +278,26 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
         "problem config",
     )
     dimension = _integer(config["dimension"], 1, "dimension")
-    index_set = parse_index_set(config["index_set"])
-    if index_set.dimension != dimension:
+    # J's box is checked against the grids and bases before a ball or cross is walked
+    spec, box, index_set = _index_set_and_box(config["index_set"])
+    if spec.dimension != dimension:
         raise ConfigError("index_set dimension does not match the problem dimension")
     grids = _parse_grids(config["grid"], dimension, Path(base_dir))
     _check_keys(config["basis"], {"kind"}, {"count"}, "basis spec")
     kind = config["basis"]["kind"]
     if kind not in BASIS_KINDS:
         raise ConfigError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
-    counts = _per_dimension(
-        config["basis"].get("count", list(index_set.bounding_box)), dimension, "basis count"
-    )
+    counts = _per_dimension(config["basis"].get("count", list(box)), dimension, "basis count")
     bases = tuple(BasisSpec(kind, _integer(c, 1, "basis count")) for c in counts)
-    if any(basis.count < n_d for n_d, basis in zip(index_set.bounding_box, bases)):
+    if any(basis.count < n_d for n_d, basis in zip(box, bases)):
         raise ConfigError("basis count is smaller than the index set bounding box")
     try:
         factor = cache(build_factor)
         factors = tuple(factor(g, b) for g, b in zip(grids, bases))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    model = _parse_model(config.get("model"), Path(base_dir))
-    if model is not None and model["name"] in ("ishigami", "duffing") and dimension != 3:
-        raise ConfigError(f"model {model['name']!r} requires dimension 3")
-    return ProblemSetup(index_set, factors, model)
+    model = _parse_model(config.get("model"), Path(base_dir), dimension)
+    return ProblemSetup(index_set or build_index_set(spec), factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:

@@ -134,47 +134,67 @@ def _lower_walk(caps, member) -> list[tuple[int, ...]]:
     return out
 
 
-def _wlp_ball(dimension: int, order: float, p: float, weights) -> list[tuple[int, ...]]:
+def _wlp_ball(order: float, p: float, weights):
+    """Caps and membership test of the weighted l^p ball of radius ``order``."""
     G = Fraction(order)
-    wfrac = [Fraction(w) for w in weights]
-    if p == 0:
-        # ||alpha - 1||_0 counts entries != 1, which does not bound the
-        # entries themselves: the ball is infinite once G >= 1.
-        if G >= 1:
-            raise ValueError("the 1-centered l^0 ball is infinite for order >= 1")
-        return [(1,) * dimension]
-    # Entrywise bound (alpha_d - 1)/w_d <= G holds for every 0 < p <= inf;
-    # exact rational caps keep boundary indices from floating-point loss.
-    caps = [int(G * w) + 1 for w in wfrac]
+    inverse = [1 / Fraction(w) for w in weights]
+    # ||alpha - 1||_0 counts entries != 1, which does not bound the entries
+    # themselves: the ball is infinite once G >= 1, and all-ones below that.
+    if p == 0 and G >= 1:
+        raise ValueError("the 1-centered l^0 ball is infinite for order >= 1")
+    # Entrywise bound (alpha_d - 1)/w_d <= G holds for every p (caps of 1 for
+    # the l^0 ball); exact rational caps keep boundary indices from
+    # floating-point loss.
+    caps = [int(G / q) + 1 for q in inverse]
     if p == 1:
         # sum (a_d - 1) / w_d <= G, scaled by the lcm of the exact denominators
         # of G and the 1/w_d so that the test runs in integers
-        inverse = [1 / w for w in wfrac]
         scale = math.lcm(G.denominator, *(q.denominator for q in inverse))
         costs, budget = [int(q * scale) for q in inverse], int(G * scale)
-        return _lower_walk(
-            caps, lambda alpha: sum((a - 1) * c for a, c in zip(alpha, costs)) <= budget
-        )
-    if math.isinf(p):
+        return caps, lambda alpha: sum((a - 1) * c for a, c in zip(alpha, costs)) <= budget
+    if p == 0 or math.isinf(p):
         # The entrywise cap is exactly the membership test.
-        return _lower_walk(caps, lambda alpha: True)
+        return caps, lambda alpha: True
     Gp = float(order) ** p
-    return _lower_walk(
-        caps, lambda alpha: sum(((a - 1) / w) ** p for a, w in zip(alpha, weights)) <= Gp
-    )
+    return caps, lambda alpha: sum(((a - 1) / w) ** p for a, w in zip(alpha, weights)) <= Gp
 
 
-def _hyperbolic_cross(order: float, weights) -> list[tuple[int, ...]]:
+def _hyperbolic_cross(order: float, weights):
+    """Caps and membership test of the weighted hyperbolic cross of order ``order``."""
     # ||log alpha||_{w,1} <= log(G+1), i.e. prod alpha_d^(1/w_d) <= G+1.
     bound = order + 1.0
     caps = [int(math.floor(bound ** w)) for w in weights]
     if all(w == 1.0 for w in weights):
         # int-vs-float comparison is exact in Python
-        return _lower_walk(caps, lambda alpha: math.prod(alpha) <= bound)
+        return caps, lambda alpha: math.prod(alpha) <= bound
     log_bound = math.log(bound)
-    return _lower_walk(
-        caps, lambda alpha: sum(math.log(a) / w for a, w in zip(alpha, weights)) <= log_bound
-    )
+    return caps, lambda alpha: sum(math.log(a) / w for a, w in zip(alpha, weights)) <= log_bound
+
+
+def _caps_and_test(spec: IndexSetSpec):
+    """The caps and membership test of a ball or cross.
+
+    Its members are the indices alpha <= caps that pass the test, and the
+    test passes below any index it passes.
+    """
+    if spec.family == "wlp-ball":
+        return _wlp_ball(spec.order, spec.p, spec.weights)
+    return _hyperbolic_cross(spec.order, spec.weights)
+
+
+def _bounding_box(spec: IndexSetSpec) -> tuple[int, ...]:
+    """The bounding box of a ball's or cross's set, read without walking it.
+
+    The set is downward closed, so its largest entry in dimension d is that
+    of its largest axis index (1, ..., a, ..., 1): the first a down from
+    cap_d that passes the test, about D tests in all.  The caps alone are
+    not enough, as a float test (general p, weighted crosses) can fall an
+    ulp short of a cap.
+    """
+    caps, member = _caps_and_test(spec)
+    ones = (1,) * len(caps)
+    return tuple(next((a for a in range(cap, 1, -1) if member(ones[:d] + (a,) + ones[d + 1:])), 1)
+                 for d, cap in enumerate(caps))
 
 
 def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
@@ -187,12 +207,7 @@ def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
     cases p in {1, inf} and for unit-weight hyperbolic crosses, so boundary
     indices are never lost to floating-point roundoff.
     """
-    if spec.family == "explicit-list":
-        members = list(spec.indices)
-    elif spec.family == "wlp-ball":
-        members = _wlp_ball(spec.dimension, spec.order, spec.p, spec.weights)
-    else:
-        members = _hyperbolic_cross(spec.order, spec.weights)
+    members = spec.indices if spec.family == "explicit-list" else _lower_walk(*_caps_and_test(spec))
     return MultiIndexSet(spec.dimension, _graded_lex_sorted(members))
 
 

@@ -881,6 +881,31 @@ class TestCli:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("count,error", [
+        (None, "grid has 20 nodes of positive weight but basis needs 1000001; "),
+        (20, "basis count is smaller than the index set bounding box\n"),
+    ], ids=["grid", "basis-count"])
+    @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
+    def test_a_box_the_grid_cannot_carry_exits_2_before_j_is_walked(self, tmp_path, name, count, error):
+        # At order 10^6 the ball has about 1.7e17 members and the cross about 1e8, so a
+        # walk of J before the grid check does not end within the timeout.  The child's
+        # address space is capped at 2 GiB so that such a walk cannot take the machine's
+        # memory; one BLAS thread keeps OpenBLAS's thread stacks well under that cap.
+        config = load_json(packaged_config_path(name))
+        config["index_set"]["order"] = 10**6
+        if count is not None:
+            config["basis"]["count"] = count
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                  "from kronlev.cli import main; sys.exit(main())")
+        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "10", "--seed", "1"]
+        result = subprocess.run([sys.executable, "-c", capped, *argv],
+                                env=python_env(OPENBLAS_NUM_THREADS="1"),
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"config error: {error}")
+
     @pytest.mark.slow
     def test_solve_above_dense_guard_matches_experiment(self, tmp_path, capsys):
         # 101^3 = 1,030,301 rows, above the dense oracle's 10^6-row guard

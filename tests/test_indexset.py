@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronlev.indexset as indexset_module
+from kronlev.config import load_json
+from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.indexset import (
     IndexSetSpec,
     MultiIndexSet,
@@ -276,7 +278,39 @@ class TestMonotoneLower:
         assert len(yielded) == 1
 
 
+@st.composite
+def family_specs(draw):
+    """A ball or cross in D 1-4: weights in (0, 1] with one at 1, p in {0, 0.5, 1, 2, 3, inf}."""
+    dimension = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["wlp-ball", "hyperbolic-cross"]))
+    weights = [1.0] * dimension
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                min_size=dimension, max_size=dimension))
+        weights[draw(st.integers(0, dimension - 1))] = 1.0
+    p = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, math.inf]))
+    if family == "hyperbolic-cross":
+        order = draw(st.floats(0.0, 60.0))
+    elif p == 0:
+        order = draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        order = draw(st.floats(0.0, 8.0))
+    return IndexSetSpec(dimension, family, order, p, tuple(weights))
+
+
 class TestBoundingBox:
+    @pytest.mark.parametrize("name", list_packaged_configs())
+    def test_the_box_read_from_caps_and_test_is_a_packaged_sets_box(self, name):
+        config = load_json(packaged_config_path(name))["index_set"]
+        spec = IndexSetSpec(config["dimension"], config["family"], config["order"],
+                            config.get("p", 1.0), tuple(config["weights"]))
+        assert indexset_module._bounding_box(spec) == build_index_set(spec).bounding_box
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(family_specs())
+    def test_the_box_read_from_caps_and_test_is_the_walked_sets_box(self, spec):
+        assert indexset_module._bounding_box(spec) == build_index_set(spec).bounding_box
+
     def test_direct_max(self):
         assert MultiIndexSet(2, ((1, 1), (2, 1), (1, 2))).bounding_box == (2, 2)
 
