@@ -20,15 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 from .factor import FactorMatrix, build_factor
-from .grid_basis import (
-    BASIS_KINDS,
-    BasisSpec,
-    Grid1D,
-    gauss_legendre_grid,
-    gauss_legendre_uniform_grid,
-)
+from .grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
 from .indexset import IndexSetSpec, MultiIndexSet, _bounding_box, build_index_set
-from .sampler import METHOD_TAGS, SamplerMethod, make_method
+from .sampler import SamplerMethod, make_method
 
 __all__ = [
     "ConfigError",
@@ -78,8 +72,10 @@ class ProblemSetup:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A problem, its samplers in config order, and the trial count, K and seed."""
+
     problem: ProblemSetup
-    methods: tuple[str, ...]
+    methods: tuple[SamplerMethod, ...]  # built on the problem's J and factors
     trials: int
     sample_count: int  # K, resolved from sample_multiplier * N when that is given
     seed: int
@@ -199,10 +195,18 @@ def _index_set_and_box(spec) -> tuple[IndexSetSpec, tuple[int, ...], Optional[Mu
         raise ConfigError(f"bad index_set: {exc}")
 
 
+def _walk(spec: IndexSetSpec) -> MultiIndexSet:
+    """The set of a ball or cross, walked; more than ``indexset._MAX_MEMBERS`` members is a config error."""
+    try:
+        return build_index_set(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad index_set: {exc}")
+
+
 def parse_index_set(spec) -> MultiIndexSet:
     """Build the multi-index set of an ``index_set`` config object."""
     spec, _, index_set = _index_set_and_box(spec)
-    return index_set or build_index_set(spec)
+    return index_set or _walk(spec)
 
 
 def _parse_grid_file(path: Path) -> Grid1D:
@@ -284,11 +288,12 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
         raise ConfigError("index_set dimension does not match the problem dimension")
     grids = _parse_grids(config["grid"], dimension, Path(base_dir))
     _check_keys(config["basis"], {"kind"}, {"count"}, "basis spec")
-    kind = config["basis"]["kind"]
-    if kind not in BASIS_KINDS:
-        raise ConfigError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
     counts = _per_dimension(config["basis"].get("count", list(box)), dimension, "basis count")
-    bases = tuple(BasisSpec(kind, _integer(c, 1, "basis count")) for c in counts)
+    counts = [_integer(c, 1, "basis count") for c in counts]
+    try:  # BasisSpec judges the kind
+        bases = tuple(BasisSpec(config["basis"]["kind"], c) for c in counts)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if any(basis.count < n_d for n_d, basis in zip(box, bases)):
         raise ConfigError("basis count is smaller than the index set bounding box")
     try:
@@ -297,12 +302,15 @@ def parse_problem(config: dict, base_dir=".") -> ProblemSetup:
     except ValueError as exc:
         raise ConfigError(str(exc))
     model = _parse_model(config.get("model"), Path(base_dir), dimension)
-    return ProblemSetup(index_set or build_index_set(spec), factors, model)
+    return ProblemSetup(index_set or _walk(spec), factors, model)
 
 
 def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
     """Parse a full experiment config (problem + methods/trials/seed).
 
+    Each method is built here, in config order, through ``ProblemSetup.method``,
+    so ``make_method`` judges its tag and whether the problem admits it, with
+    the message ``solve`` and ``sample`` give, before any model is evaluated.
     The sample size K is resolved here: ``sample_count``, or
     ``max(1, round(sample_multiplier * N))``.
     """
@@ -312,12 +320,9 @@ def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
     for key in ("methods", "trials", "seed"):
         if key not in config:
             raise ConfigError(f"experiment config missing required key {key!r}")
-    methods = _json_list(config["methods"], "methods")
-    for tag in methods:
-        if tag not in METHOD_TAGS:
-            raise ConfigError(f"unknown method {tag!r}; expected one of {METHOD_TAGS}")
-    if len(set(methods)) != len(methods):
-        raise ConfigError(f"methods must be distinct, got {methods}")
+    methods = tuple(problem.method(tag) for tag in _json_list(config["methods"], "methods"))
+    if len({method.tag for method in methods}) != len(methods):
+        raise ConfigError(f"methods must be distinct, got {[method.tag for method in methods]}")
     trials = _integer(config["trials"], 1, "trials")
     count = config.get("sample_count")
     multiplier = config.get("sample_multiplier")
@@ -331,7 +336,7 @@ def parse_experiment(config: dict, base_dir=".") -> ExperimentConfig:
         count = max(1, int(round(k)))
     return ExperimentConfig(
         problem=problem,
-        methods=tuple(methods),
+        methods=methods,
         trials=trials,
         sample_count=_integer(count, 1, "sample_count"),
         seed=_integer(config["seed"], 0, "seed"),

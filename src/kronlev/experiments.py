@@ -36,7 +36,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, ProblemSetup
 from .factor import _one_blas_thread
 from .grid_basis import Grid1D
-from .sampler import METHOD_TAGS, sample_indices
+from .sampler import METHOD_TAGS, SamplerMethod, sample_indices
 from .sketch import FullGridReduction, SeparableValues, TargetFunction, reduce_full_grid, trial_error
 
 __all__ = [
@@ -377,10 +377,11 @@ def _usable_cpus() -> int:
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
-    Samplers are built first, so a bad method fails before the model is taken
-    once into the reduction every ``trial_error`` reads.  Each
+    The samplers come built from ``parse_experiment``, which has judged each
+    method on the problem, so this builds only the reduction every
+    ``trial_error`` reads, taking the model into it once.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
-    the id being the method's position in ``METHOD_TAGS``, and the trials
+    the id being the method tag's position in ``METHOD_TAGS``, and the trials
     run on one BLAS thread, so reports are pure functions of the config
     regardless of ``threads`` and the BLAS thread count.
 
@@ -389,29 +390,27 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     evaluation during set-up and then the (method, trial) jobs, each a
     strided share, the calling process one of them (``_map_in_shares``).
     """
-    problem = experiment.problem
-    methods = {tag: problem.method(tag) for tag in experiment.methods}
+    problem, trials = experiment.problem, experiment.trials
+    tags = tuple(method.tag for method in experiment.methods)
     workers = min(threads, _usable_cpus())
 
-    def one_trial(job: tuple[str, int]) -> float:
-        tag, trial = job
-        rng = np.random.default_rng([experiment.seed, METHOD_TAGS.index(tag), trial])
-        rows = sample_indices(methods[tag], rng, experiment.sample_count)
-        return trial_error(reduction, methods[tag], rows)[0]
+    def one_trial(job: tuple[SamplerMethod, int]) -> float:
+        method, trial = job
+        rng = np.random.default_rng([experiment.seed, METHOD_TAGS.index(method.tag), trial])
+        rows = sample_indices(method, rng, experiment.sample_count)
+        return trial_error(reduction, method, rows)[0]
 
-    jobs = [(tag, t) for tag in experiment.methods for t in range(experiment.trials)]
+    jobs = [(method, t) for method in experiment.methods for t in range(trials)]  # method-major
     # pinned before any fork: OpenBLAS's pool, shut down at a fork, then
     # restarts only when the trials are done, and the forked processes
     # inherit the count of 1
     with _one_blas_thread():
         reduction = prepare_problem(problem, workers)
         results = _map_in_shares(one_trial, jobs, workers)
-    errors = {tag: [] for tag in experiment.methods}
-    for (tag, _), err in zip(jobs, results):
-        errors[tag].append(err)
+    errors = {tag: results[i * trials : (i + 1) * trials] for i, tag in enumerate(tags)}
     return TrialReport(
-        methods=experiment.methods,
-        trials=experiment.trials,
+        methods=tags,
+        trials=trials,
         errors=errors,
         optimal_error=reduction.optimal_error,
         subspace_size=len(problem.index_set),

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 FAMILIES = ("wlp-ball", "hyperbolic-cross", "explicit-list")
+# Largest ball or cross that is walked: a J of 10^6 members has an N x N Gram
+# of 8 TB, so a larger one is refused instead of enumerated without end.
+_MAX_MEMBERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,14 @@ def _lower_walk(caps, member) -> list[tuple[int, ...]]:
 
     Entries rise only from the dimension raised last onward, so each index is
     reached once; a non-member ends its branch, as nothing above it is a member.
+    A set of more than ``_MAX_MEMBERS`` indices raises ValueError.
     """
     out, stack = [], [((1,) * len(caps), 0)]
     while stack:
         alpha, first = stack.pop()
         out.append(alpha)
+        if len(out) > _MAX_MEMBERS:
+            raise ValueError(f"the set has more than {_MAX_MEMBERS} members; it is not enumerated")
         for d in range(first, len(caps)):
             beta = alpha[:d] + (alpha[d] + 1,) + alpha[d + 1:]
             if beta[d] <= caps[d] and member(beta):
@@ -205,7 +211,8 @@ def build_index_set(spec: IndexSetSpec) -> MultiIndexSet:
     tests, where a scan of the bounding box costs one per box index.
     Membership comparisons are exact (rational arithmetic) for the common
     cases p in {1, inf} and for unit-weight hyperbolic crosses, so boundary
-    indices are never lost to floating-point roundoff.
+    indices are never lost to floating-point roundoff.  A ball or cross of
+    more than ``_MAX_MEMBERS`` members raises ValueError.
     """
     members = spec.indices if spec.family == "explicit-list" else _lower_walk(*_caps_and_test(spec))
     return MultiIndexSet(spec.dimension, _graded_lex_sorted(members))

@@ -12,6 +12,7 @@ import pytest
 import kronlev
 import kronlev.cli
 import kronlev.config
+import kronlev.indexset
 from kronlev.cli import main
 from kronlev.config import (
     ConfigError,
@@ -237,7 +238,7 @@ class TestParseExperiment:
             parse_experiment(self.base(sample_count=10))
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ConfigError, match="unknown method"):
+        with pytest.raises(ConfigError, match="^unknown sampler method 'leveraged'; expected one of "):
             parse_experiment(self.base(methods=["leveraged"]))
 
     def test_rejects_bad_trials(self):
@@ -703,8 +704,6 @@ class TestCli:
             pytest.param(command, *case[1:], id=f"{command}-{case[0]}")
             for command in ("sample", "solve", "experiment")
             for case in _METHOD_PRECONDITIONS
-            # experiment reads its methods from the config, whose parser rejects unknown tags
-            if not (command == "experiment" and case[0] == "unknown")
         ],
     )
     def test_method_precondition_is_exit_2_before_the_model_is_evaluated(
@@ -731,6 +730,24 @@ class TestCli:
         assert captured.err.startswith("config error: ")
         assert message in captured.err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_an_unknown_method_is_one_config_error_line_in_every_command(self, tiny_config, tmp_path, capsys):
+        # the sampler judges a tag read from the config as it judges --method
+        config = json.loads(tiny_config.read_text())
+        config["methods"] = ["leveraged"]
+        path = tmp_path / "leveraged.json"
+        path.write_text(json.dumps(config))
+        errors = []
+        for args in (["experiment", "--out", str(tmp_path / "r.csv")],
+                     ["solve", "--method", "leveraged", "--K", "40", "--seed", "1"],
+                     ["sample", "--method", "leveraged", "--count", "3", "--seed", "1"]):
+            assert main(args[:1] + ["--config", str(path)] + args[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [errors[0]] * 3
+        assert errors[0].startswith("config error: unknown sampler method 'leveraged'; expected one of ")
+        assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
 
     def test_tabulated_path_is_relative_to_the_config_file(
         self, tiny_config, tmp_path, monkeypatch, capsys
@@ -905,6 +922,36 @@ class TestCli:
                                 capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"config error: {error}")
+
+    @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
+    def test_indexset_of_more_than_a_million_members_exits_2(self, tmp_path, name):
+        # indexset must walk J to report N, so the walk stops after 10^6 members
+        # instead of enumerating the ball's 1.7e17 or the cross's 1e8; capped as above
+        config = load_json(packaged_config_path(name))
+        config["index_set"]["order"] = 10**6
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                  "from kronlev.cli import main; sys.exit(main())")
+        result = subprocess.run([sys.executable, "-c", capped, "indexset", "--config", str(path)],
+                                env=python_env(OPENBLAS_NUM_THREADS="1"),
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
+        )
+
+    def test_a_set_beyond_the_walk_bound_is_a_config_error_of_each_parser(self, monkeypatch):
+        # a box the grid carries, so parse_problem reaches the walk; the bound
+        # is lowered below ishigami-g7's 120 members to keep the test small
+        config = load_json(packaged_config_path("ishigami-g7"))
+        monkeypatch.setattr(kronlev.indexset, "_MAX_MEMBERS", 119)
+        message = "^bad index_set: the set has more than 119 members; it is not enumerated$"
+        for parse in (parse_problem, parse_experiment, lambda c: parse_index_set(c["index_set"])):
+            with pytest.raises(ConfigError, match=message):
+                parse(config)
+        monkeypatch.setattr(kronlev.indexset, "_MAX_MEMBERS", 120)
+        assert len(parse_problem(config).index_set) == 120
 
     @pytest.mark.slow
     def test_solve_above_dense_guard_matches_experiment(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ import kronlev.experiments
 import kronlev.factor
 import kronlev.grid_basis
 import kronlev.sketch
-from kronlev.config import load_json, parse_experiment, parse_problem
+from kronlev.config import ConfigError, load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.experiments import (
     _tabulated_values,
@@ -595,19 +595,43 @@ class TestRunTrials:
         assert report.methods == ("uniform", "tensor-product", "leverage-lower")
         assert sorted(calls) == ["factor_qr", "leverage_table"]
 
+    def test_methods_are_built_and_judged_by_the_parse_alone(self, monkeypatch):
+        # the sampler refuses a method J does not admit as the config is read,
+        # with the message of solve and sample, and the run builds no sampler
+        config = {**gated_configs()["gapped"], "trials": 2}
+        with pytest.raises(ConfigError) as refused:
+            parse_experiment({**config, "methods": ["uniform", "leverage-lower"]})
+        problem = parse_problem(config)
+        with pytest.raises(ValueError) as sampler:
+            make_method("leverage-lower", problem.factors, problem.index_set)
+        assert str(refused.value) == str(sampler.value) == (
+            "leverage-lower sampling requires a monotone lower index set"
+        )
+        experiment = parse_experiment(config)
+        assert [method.tag for method in experiment.methods] == config["methods"]
+        assert all(method.factors == experiment.problem.factors for method in experiment.methods)
+        calls = count_calls(monkeypatch, make_method)
+        report = run_trials(experiment)
+        assert calls == []
+        assert report.methods == tuple(config["methods"])
+
     @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
     def test_one_record_of_j_per_problem(self, name, monkeypatch):
         # every builder of J's record, on one J and one set of factor objects,
-        # holds one _Subspace: L is walked once per run and a gapped J's U is
-        # factored once, whoever reads it first; an equal J that is another
-        # object has a record of its own, and a trial refuses its methods.
-        # The factors QR themselves as a config is parsed, so both are parsed first
+        # holds one _Subspace: L is walked once over the parse, which builds the
+        # methods, and the run, and a gapped J's U is factored once, whoever reads
+        # it first; an equal J that is another object has a record of its own, and
+        # a trial refuses its methods.  The factors QR themselves as a config is
+        # parsed, so U's QR is counted over the run alone
         config = {**gated_configs()[name], "trials": 2}
-        experiment, problem = parse_experiment(config), parse_experiment(config).problem
+        problem = parse_problem(config)  # a J of its own, its record built below
         calls = count_calls(monkeypatch, _missing_below, np.linalg.qr)
+        experiment = parse_experiment(config)
+        walks = calls.count("_missing_below")
+        calls.clear()
         run_trials(experiment)
         gapped = name == "gapped"
-        assert calls == ["_missing_below"] + ["qr"] * gapped
+        assert [walks, *calls] == [1] + ["qr"] * gapped
         mixture = "orthogonal-columns" if gapped else "leverage-lower"
         calls.clear()
         method = problem.method(mixture)

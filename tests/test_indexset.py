@@ -215,6 +215,14 @@ class TestLowerWalk:
     def test_total_degree_size_is_binomial(self, dimension, order):
         assert len(ball(dimension, order)) == math.comb(order + dimension, dimension)
 
+    def test_walk_stops_past_the_member_bound(self, monkeypatch):
+        # the total-degree-3 ball in 3 dimensions has 20 members
+        monkeypatch.setattr(indexset_module, "_MAX_MEMBERS", 20)
+        assert len(ball(3, 3)) == 20
+        monkeypatch.setattr(indexset_module, "_MAX_MEMBERS", 19)
+        with pytest.raises(ValueError, match="^the set has more than 19 members; it is not enumerated$"):
+            ball(3, 3)
+
 
 class TestMonotoneLower:
     def test_simple_lower_set(self):

@@ -108,3 +108,9 @@ def test_only_factor_binds_lapack():
     assert [module for module, tree in trees.items() if imports_ctypes(tree)] == ["factor"]
     named = {module: BINDING_NAMES.intersection(module_names(tree)) for module, tree in trees.items()}
     assert {module: names for module, names in named.items() if names} == {"factor": BINDING_NAMES}
+
+
+def test_config_leaves_method_tags_and_basis_kinds_to_their_owners():
+    """The sampler judges a method tag and ``BasisSpec`` a basis kind; config restates neither list."""
+    tree = ast.parse((ROOT / "src" / "kronlev" / "config.py").read_text())
+    assert {"METHOD_TAGS", "BASIS_KINDS"}.intersection(module_names(tree)) == set()

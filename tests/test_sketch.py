@@ -885,8 +885,7 @@ class TestRankFlag:
         experiment = parse_experiment(load_json(packaged_config_path(name)))
         problem = experiment.problem
         reduction = self.random_target_reduction(problem)
-        for tag in experiment.methods:
-            method = problem.method(tag)
+        for method in experiment.methods:
             for seed in range(3):
                 rows = sample_indices(method, np.random.default_rng(seed), experiment.sample_count)
                 deficient = trial_error(reduction, method, rows)[1]
