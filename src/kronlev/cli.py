@@ -210,8 +210,8 @@ def main(argv=None) -> int:
         # stdout's reader is gone: the flush at exit goes to devnull, not to a closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except Exception as exc:  # runtime failure, not a usage problem
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # runtime failure, not a usage problem; MemoryError() has no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -41,6 +41,10 @@ _BUILT_IN_MODELS = {
     "duffing": (3, {"t_final": 4.0, "step": 1e-3}),
 }
 MODEL_NAMES = (*_BUILT_IN_MODELS, "tabulated")
+# Most RK4 steps a Duffing model takes: a step costs about 120 us on a 20^3
+# grid, so 10^7 steps are about 20 minutes, and a smaller step is refused
+# instead of integrated without end.
+_MAX_STEPS = 10**7
 
 
 class ConfigError(ValueError):
@@ -240,6 +244,21 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     return tuple(build(_integer(m, 1, "grid M")) for m in values)
 
 
+def _duffing_steps(t_final: float, step: float) -> int:
+    """The RK4 step count ``round(t_final / step)`` of a Duffing model.
+
+    ``t_final > 0`` and ``0 < step <= t_final`` make it at least one step; a
+    ratio above ``_MAX_STEPS``, or a rule broken, raises ValueError.
+    """
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    if not 0 < step <= t_final:
+        raise ValueError(f"step must be in (0, t_final], got {step!r}")
+    if not t_final / step <= _MAX_STEPS:
+        raise ValueError(f"step must be at least t_final / {_MAX_STEPS}, got {step!r}")
+    return round(t_final / step)
+
+
 def _parse_model(spec, base_dir: Path, dimension: int) -> dict:
     if spec is None:
         return None
@@ -257,11 +276,11 @@ def _parse_model(spec, base_dir: Path, dimension: int) -> dict:
     model = {"name": name}
     for key, default in defaults.items():
         model[key] = _finite_number(spec.get(key, default), f"{what} {key}")
-    # 0 < step <= t_final makes round(t_final / step) at least one RK4 step
-    if name == "duffing" and model["t_final"] <= 0:
-        raise ConfigError(f"duffing model t_final must be positive, got {model['t_final']!r}")
-    if name == "duffing" and not 0 < model["step"] <= model["t_final"]:
-        raise ConfigError(f"duffing model step must be in (0, t_final], got {model['step']!r}")
+    if name == "duffing":
+        try:
+            _duffing_steps(model["t_final"], model["step"])
+        except ValueError as exc:
+            raise ConfigError(f"duffing model {exc}")
     if dimension != required:
         raise ConfigError(f"model {name!r} requires dimension {required}")
     return model

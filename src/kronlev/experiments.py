@@ -15,9 +15,13 @@ Both the grid evaluation of Duffing and the trials are shared among up to
 ``threads`` processes by ``_map_in_shares``: the calling process computes
 one strided share of the work itself, and on Linux the others go to
 processes forked directly from it, whose results come back through a pipe.
-No Python thread is started, and a forked process that dies raises in the
-caller.  A trial is about half Python and small numpy calls, which threads
-would run one at a time under the interpreter lock.
+A forked process sends its share's results or exits 1, and the caller
+computes a share whose process exited 1 again, so an exception of the work
+is raised in the caller as itself; the work is a pure function of its item.
+No Python thread is started, and a forked process that dies in any other
+way raises ``RuntimeError`` in the caller.  A trial is about half Python
+and small numpy calls, which threads would run one at a time under the
+interpreter lock.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, ProblemSetup
+from .config import ConfigError, ExperimentConfig, ProblemSetup, _duffing_steps
 from .factor import _one_blas_thread
 from .grid_basis import Grid1D
 from .sampler import METHOD_TAGS, SamplerMethod, sample_indices
@@ -58,31 +62,17 @@ _CAN_FORK = sys.platform.startswith("linux")
 
 
 def _run_forked_share(fn: Callable, items: list, write_fd: int) -> None:
-    """In a forked child: pickle ``(results, None, "")``, or ``(None,
-    exception, traceback)`` if ``fn`` raised, into the pipe, then leave by
-    ``os._exit``; never returns."""
+    """In a forked child: pickle ``[fn(item) for item in items]`` into the
+    pipe and exit 0, or exit 1 if ``fn`` raised or the results do not
+    pickle; never returns."""
     code = 1
     try:
-        error, trace = None, ""
-        try:
-            values = [fn(item) for item in items]
-        except BaseException as exc:  # the caller raises it
-            import traceback
-
-            values, error, trace = None, exc, traceback.format_exc()
-        try:
-            data = pickle.dumps((values, error, trace))
-            if error is not None:
-                pickle.loads(data)  # some exceptions pickle but cannot be rebuilt
-        except Exception as exc:
-            culprit = exc if error is None else error
-            error = RuntimeError(f"a forked share's outcome does not pickle: {culprit!r}")
-            data = pickle.dumps((None, error, trace))
+        data = pickle.dumps([fn(item) for item in items])
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
     finally:
-        os._exit(code)
+        os._exit(code)  # an exception here is the caller's to raise, when it reruns the share
 
 
 def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
@@ -92,12 +82,20 @@ def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
     so that shares of items whose cost varies along the list cost alike.  The
     calling process computes share 0; on Linux, each other share goes to a
     process forked directly from it, which inherits ``fn`` and ``items``
-    without pickling and pickles its results, or the exception it raised,
-    into a pipe.  The results come back in item order.  An exception in any
-    share is raised here once every forked process has exited, and a forked
-    process that dies without writing its outcome raises ``RuntimeError``
-    with its wait status.  No Python thread is started.  Elsewhere, or with
-    one worker, the calling process computes every item.
+    without pickling and pickles its results into a pipe, or exits 1 if
+    ``fn`` raised or the results do not pickle.  Once every forked process
+    has exited, the caller computes each share whose process exited 1 itself,
+    so an exception of ``fn`` is raised here as itself, with a traceback
+    through ``fn``.  A forked process that dies in any other way raises
+    ``RuntimeError`` with its wait status.  The results come back in item
+    order.  No Python thread is started.  Elsewhere, or with one worker, the
+    calling process computes every item.
+
+    ``fn`` must be a pure function of its item, so that a share computed
+    again here gives what its process would have sent: ``_grid_rows``
+    evaluates the same rows the same way in any process, and a trial seeds
+    from (seed, method id, trial) under the one-thread BLAS pin that the
+    forked processes inherit.
 
     fork, not spawn: a spawned process imports numpy and kronlev again,
     about 0.2 s, and would need ``fn`` pickled.  The only threads alive at
@@ -130,16 +128,17 @@ def _map_in_shares(fn: Callable, items: list, workers: int) -> list:
             with os.fdopen(read_fd, "rb") as pipe:
                 data = pipe.read()
             ended.append((pid, os.waitpid(pid, 0)[1], data))
-    for pid, status, data in ended:
-        if status != 0 or not data:
+    for share, (pid, status, data) in enumerate(ended, start=1):
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            shares.append(pickle.loads(data))
+        elif code == 1:
+            shares.append([fn(item) for item in items[share::workers]])
+        else:
             raise RuntimeError(
                 f"forked share process {pid} exited without a result (wait status "
-                f"{status}, exit code {os.waitstatus_to_exitcode(status)})"
+                f"{status}, exit code {code})"
             )
-        values, error, trace = pickle.loads(data)
-        if error is not None:
-            raise error from RuntimeError(f"in forked share process {pid}:\n{trace}")
-        shares.append(values)
     results = [None] * len(items)
     for share, values in enumerate(shares):
         results[share::workers] = values
@@ -189,15 +188,12 @@ def duffing_qoi_batch(y: np.ndarray, t_final: float = 4.0, step: float = 1e-3) -
     natural frequency, damping ratio, and cubic stiffness around their
     nominal values (2*pi, 0.05, -0.5).
 
-    The step is adjusted to ``t_final / round(t_final / step)``; a
-    non-finite ``t_final`` or ``step``, a non-positive ``step``, or a ratio
-    that rounds to fewer than one step raises ``ValueError``.
+    The step is adjusted to ``t_final / round(t_final / step)``.  The config's
+    rule (``config._duffing_steps``) holds here too: ``t_final > 0``,
+    ``0 < step <= t_final`` and at most ``config._MAX_STEPS`` steps, or
+    ``ValueError``.
     """
-    if not (math.isfinite(t_final) and math.isfinite(step)) or step <= 0:
-        raise ValueError("t_final and step must be finite and step positive")
-    steps = int(round(t_final / step))
-    if steps < 1:
-        raise ValueError(f"t_final={t_final} with step={step} gives {steps} RK4 steps")
+    steps = _duffing_steps(t_final, step)
     h = t_final / steps
     half_h, sixth_h = 0.5 * h, h / 6.0
     # The points are padded to a multiple of 8 with copies of the last one,

@@ -24,8 +24,10 @@ __all__ = [
 ]
 
 FAMILIES = ("wlp-ball", "hyperbolic-cross", "explicit-list")
-# Largest ball or cross that is walked: a J of 10^6 members has an N x N Gram
-# of 8 TB, so a larger one is refused instead of enumerated without end.
+# Largest ball or cross that is walked, and largest lower closure of J: a J of
+# 10^6 members has an N x N Gram of 8 TB, and an L of 10^6 members a table of
+# 8 MB per grid node, so a larger one is refused instead of enumerated
+# without end.
 _MAX_MEMBERS = 10**6
 
 
@@ -225,6 +227,8 @@ def _missing_below(index_set: MultiIndexSet) -> Iterator[tuple[int, ...]]:
     a time, and on from each index it yields, so J and the yielded indices
     make up the lower closure L after O(|L| D) steps.  J is lower iff nothing
     is yielded, and the first yield comes from the first member with a gap.
+    An L of more than ``_MAX_MEMBERS`` members raises ValueError once the
+    walk passes the bound.
     """
     members, missing = index_set._members, set()
     stack = list(reversed(index_set.indices))
@@ -234,6 +238,10 @@ def _missing_below(index_set: MultiIndexSet) -> Iterator[tuple[int, ...]]:
             if a > 1:
                 beta = alpha[:d] + (a - 1,) + alpha[d + 1:]
                 if beta not in members and beta not in missing:
+                    if len(members) + len(missing) >= _MAX_MEMBERS:
+                        raise ValueError(
+                            f"the lower closure of J has more than {_MAX_MEMBERS} members; it is not walked"
+                        )
                     missing.add(beta)
                     stack.append(beta)
                     yield beta

@@ -141,6 +141,22 @@ class TestParseProblem:
         with pytest.raises(ConfigError, match="unknown model"):
             parse_problem(config)
 
+    @pytest.mark.parametrize("model,message", [
+        ({"t_final": -4.0}, "duffing model t_final must be positive, got -4.0"),
+        ({"step": 10.0}, "duffing model step must be in (0, t_final], got 10.0"),
+        ({"step": 3e-7}, "duffing model step must be at least t_final / 10000000, got 3e-07"),
+    ], ids=["t_final", "step", "step-count"])
+    def test_duffing_step_rule_is_one_message_each(self, model, message):
+        # the integrator's rule, refused with these messages before the model runs;
+        # 4e6 steps of t_final 4 are admitted
+        config = load_json(packaged_config_path("duffing-g7"))
+        config["model"].update(step=1e-6)
+        assert parse_problem(config).model["step"] == 1e-6
+        config["model"].update(model)
+        with pytest.raises(ConfigError) as raised:
+            parse_problem(config)
+        assert str(raised.value) == message
+
 
 class TestParseIndexSet:
     def test_round_trip(self):
@@ -940,6 +956,52 @@ class TestCli:
         assert result.stderr == (
             "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
         )
+
+    @pytest.mark.parametrize("name,patch,code,error", [
+        ("duffing-g7", {"model": {"name": "duffing", "step": 1e-300}}, 2,
+         "config error: duffing model step must be at least t_final / 10000000, got 1e-300\n"),
+        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200},
+                         "index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [200, 200, 200]]}},
+         1, "error: the lower closure of J has more than 1000000 members; it is not walked\n"),
+    ], ids=["duffing-step", "far-gap"])
+    def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, code, error):
+        # 4e300 RK4 steps, or a walk towards J's closure of 8e6 members and its
+        # 11.9 GiB table on the 200-node grid; capped as above
+        config = load_json(packaged_config_path(name))
+        config.update(patch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                  "from kronlev.cli import main; sys.exit(main())")
+        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "8", "--seed", "1"]
+        result = subprocess.run([sys.executable, "-c", capped, *argv],
+                                env=python_env(OPENBLAS_NUM_THREADS="1"),
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", error)
+
+    def test_an_exception_without_text_is_named_by_its_type(self, tiny_config, monkeypatch, capsys):
+        def out_of_memory(problem, workers=1):
+            raise MemoryError()
+
+        monkeypatch.setattr(kronlev.cli, "prepare_problem", out_of_memory)
+        argv = ["solve", "--config", str(tiny_config), "--method", "uniform", "--K", "40", "--seed", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_duffing_blow_up_is_one_error_line_at_each_worker_count(
+        self, tmp_path, monkeypatch, capsys, threads
+    ):
+        # at --threads 2 the forked share's blow-up is raised again by the caller
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = load_json(packaged_config_path("duffing-g7"))
+        config["model"].update(t_final=400.0, step=1.0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(path), "--out", str(out), "--threads", threads]) == 1
+        assert capsys.readouterr() == ("", "error: Duffing integration blew up (non-finite state)\n")
+        assert not out.exists()
 
     def test_a_set_beyond_the_walk_bound_is_a_config_error_of_each_parser(self, monkeypatch):
         # a box the grid carries, so parse_problem reaches the walk; the bound

@@ -225,6 +225,18 @@ class TestLowerWalk:
 
 
 class TestMonotoneLower:
+    def test_closure_walk_stops_past_the_member_bound(self, monkeypatch):
+        # J = {(1,1,1), (3,3,3)}: its lower closure is the 27 indices of the 3^3 box
+        far_gap = MultiIndexSet(3, ((1, 1, 1), (3, 3, 3)))
+        monkeypatch.setattr(indexset_module, "_MAX_MEMBERS", 27)
+        assert len(set(indexset_module._missing_below(far_gap))) == 25
+        monkeypatch.setattr(indexset_module, "_MAX_MEMBERS", 26)
+        with pytest.raises(ValueError, match="^the lower closure of J has more than 26 members; it is not walked$"):
+            list(indexset_module._missing_below(far_gap))
+        # the lower test stops at the first gap, before the bound
+        monkeypatch.setattr(indexset_module, "_MAX_MEMBERS", 3)
+        assert not is_monotone_lower(far_gap)
+
     def test_simple_lower_set(self):
         s = MultiIndexSet(2, ((1, 1), (2, 1), (1, 2)))
         assert is_monotone_lower(s)
