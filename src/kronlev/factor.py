@@ -93,7 +93,7 @@ def _one_blas_thread():
 
     The thread count changes the rounding of a trial's solve, of U's QR, of
     the oracle's dense QR and of the full-grid reduction's products, and
-    small products run faster on one thread.  ``sampler._Subspace.basis``,
+    small products run faster on one thread.  ``sketch._Subspace.basis``,
     ``sketch.reduce_full_grid``, ``sketch.full_relative_error``,
     ``sketch.trial_error`` and ``oracle.exact_leverage`` enter this
     themselves; ``_gram_factor`` and ``_cholesky_solve`` below do not, and
@@ -255,7 +255,8 @@ def _kron_rows(tables, rows: np.ndarray) -> np.ndarray:
     """Entries prod_d tables[d][rows[i, d], j] of a Kronecker product's columns, C-ordered.
 
     Each tables[d] is the (M_d, N) table of dimension d's factor at the
-    product's columns, which J's record takes once (``sampler._Subspace``).
+    product's columns: a mixture method's Q at J's (``sampler.SamplerMethod``),
+    or the reduction record's Q at L's and R at J's (``sketch._Subspace``).
     The result is the only (K, N) array formed: it starts as the first
     dimension's row take, and every later dimension is multiplied in a block
     of about _ROW_BLOCK_BYTES of rows at a time, so its row takes stay in

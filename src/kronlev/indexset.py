@@ -82,8 +82,6 @@ class MultiIndexSet:
     indices: tuple[tuple[int, ...], ...]
     bounding_box: tuple[int, ...] = field(init=False)
     _members: frozenset = field(init=False, repr=False, compare=False)
-    # sampler._subspace's records of this set, one per tuple of factor objects
-    _records: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.indices:

@@ -14,16 +14,13 @@ Four methods draw multivariate grid points and evaluate their point masses:
   set and any factor: it samples the *exact* leverage scores of the
   column-subset design matrix.
 
-A method holds its factors and reads the alias tables and marginal that
-each factor built from its own QR.  A mixture method also holds its index
-set's ``_Subspace``, the record of J, its lower closure L, the factors'
-columns at L and J and basis U.  There is one record per J and tuple of
-factor objects, kept on J by ``_subspace``: the full-grid reduction on the
-same J and factors holds the same object, so L is walked once and U formed
-once, and a trial pairs a method with a reduction by that object's
-identity.  The record is the one place that takes factor columns: every
-Kronecker-row product (``factor._kron_rows``) of this module and of
-``sketch`` reads its ``q_columns`` or ``r_columns``.
+A method is its law over the grid: it holds its factors, and reads the
+alias tables and marginal that each factor built from its own QR.  A mixture
+method also holds its index set J, and reads only J's 0-based members and
+each factor's Q at J's columns, each taken at its first read and kept.  J's
+lower closure L and basis U judge a fit on the full grid, so they belong to
+``sketch.reduce_full_grid``, and a trial pairs a method with a reduction by
+the identity of their factors and J.
 
 Point masses are evaluated on demand: the mixture sum over the index set
 is the squared row norm of the points' Q-row gather (``_mixture_mass``),
@@ -42,9 +39,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import FactorMatrix, _kron_rows, _one_blas_thread, _row_blocks, sample_nu_kd
+from .factor import FactorMatrix, _kron_rows, _row_blocks, sample_nu_kd
 from .grid_basis import Grid1D
-from .indexset import MultiIndexSet, _check_fit, _missing_below, is_monotone_lower
+from .indexset import MultiIndexSet, _check_fit, is_monotone_lower
 
 __all__ = [
     "METHOD_TAGS",
@@ -62,80 +59,22 @@ _GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class _Subspace:
-    """J's columns of the Kronecker product, J's lower closure L and U: one per J and factor tuple.
-
-    Only ``_subspace`` builds it, once per J object and tuple of factor
-    objects, and keeps it on J, so every method and reduction on those
-    objects holds this one record and reads its tables and U.
-
-    J must fit its factors: one entry per factor, and J's bounding box within
-    their column counts (``indexset._check_fit``).  L is every index at or
-    below a member of J; ``lower`` holds its 0-based rows, J's members in J's
-    order, then the rest of the closure, found by one walk down from J's
-    members (``indexset._missing_below``), in lexicographic order; a J the
-    caller has found monotone lower needs no walk.  So
-    ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
-    The record is the one place that takes factor columns: ``q_columns`` and
-    ``r_columns`` are the tables ``factor._kron_rows`` reads for the Q rows
-    over L and for R_{L,J} = (kron_d R^(d))[L, J].  ``basis`` is U, the Q of
-    the QR of R_{L,J}, formed on one BLAS thread; it is None for a lower J,
-    whose U = I.  Each of the three is formed at its first read and kept.
-    J and the factors are held by reference, not copied.
-    """
-
-    index_set: MultiIndexSet
-    factors: tuple[FactorMatrix, ...]
-    lower: np.ndarray  # (|L|, D) int64
-
-    @property
-    def n(self) -> int:
-        """N = |J|."""
-        return len(self.index_set)
-
-    @cached_property
-    def q_columns(self) -> tuple[np.ndarray, ...]:
-        """Each factor's Q at L's columns, (M_d, |L|); J's come first."""
-        return tuple(np.take(f.q, self.lower[:, d], axis=1) for d, f in enumerate(self.factors))
-
-    @cached_property
-    def r_columns(self) -> tuple[np.ndarray, ...]:
-        """Each factor's R at J's columns, (N_d, N)."""
-        return tuple(np.take(f.r, self.lower[: self.n, d], axis=1) for d, f in enumerate(self.factors))
-
-    @cached_property
-    def basis(self) -> Optional[np.ndarray]:
-        """(|L|, N) U, or None when J is lower."""
-        if len(self.lower) == self.n:
-            return None
-        with _one_blas_thread():
-            return np.linalg.qr(_kron_rows(self.r_columns, self.lower))[0]
-
-
-def _subspace(
-    index_set: MultiIndexSet, factors: Sequence[FactorMatrix], known_lower: bool = False
-) -> _Subspace:
-    """J's one ``_Subspace`` on these factor objects, built at the first call and kept on J.
-
-    ``known_lower`` says the caller has found J monotone lower, so L = J needs no
-    walk.  A J that does not fit the factors raises ValueError.
-    """
-    factors, records = tuple(factors), index_set._records  # a FactorMatrix hashes as itself alone
-    if factors not in records:
-        _check_fit(index_set, [f.matrix.shape[1] for f in factors])
-        missing = () if known_lower else _missing_below(index_set)
-        lower = np.asarray(list(index_set.indices) + sorted(missing), dtype=np.int64)
-        records[factors] = _Subspace(index_set, factors, lower - 1)
-    return records[factors]
-
-
-@dataclass(frozen=True, eq=False)
 class SamplerMethod:
     """A sampling distribution read from per-dimension factors and, for a mixture, an index set."""
 
     tag: str
     factors: tuple[FactorMatrix, ...]
-    subspace: Optional[_Subspace]  # the index set's columns and closure, mixtures only
+    index_set: Optional[MultiIndexSet]  # J, mixtures only
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """J's members as (N, D) int64 0-based columns, in J's order."""
+        return np.asarray(self.index_set.indices, dtype=np.int64) - 1
+
+    @cached_property
+    def q_columns(self) -> tuple[np.ndarray, ...]:
+        """Each factor's Q at J's columns, (M_d, N)."""
+        return tuple(np.take(f.q, self.members[:, d], axis=1) for d, f in enumerate(self.factors))
 
     @property
     def grids(self) -> tuple[Grid1D, ...]:
@@ -154,10 +93,9 @@ def make_method(
     """Initialize a sampling method from per-dimension factor matrices.
 
     ``leverage-lower`` insists the index set is monotone lower and
-    ``orthogonal-columns`` that every factor has orthogonal columns; both
-    requirements are verified before J's record is built.  The lower test
-    walks what the record's walk of L would, so a leverage-lower method's
-    record takes L = J without a second walk.
+    ``orthogonal-columns`` that every factor has orthogonal columns; a mixture
+    method's J must then fit its factors (``indexset._check_fit``).  The lower
+    test stops at J's first gap, and nothing walks L.
     """
     if tag not in METHOD_TAGS:
         raise ValueError(f"unknown sampler method {tag!r}; expected one of {METHOD_TAGS}")
@@ -166,7 +104,6 @@ def make_method(
         return SamplerMethod(tag, factors, None)
     if index_set is None:
         raise ValueError(f"method {tag!r} requires a multi-index set")
-    # refused at J's first gap, before the walk over all of L
     if tag == "leverage-lower" and not is_monotone_lower(index_set):
         raise ValueError("leverage-lower sampling requires a monotone lower index set")
     if tag == "orthogonal-columns":
@@ -177,7 +114,8 @@ def make_method(
                 raise ValueError(
                     f"factor columns are not orthogonal (max Gram off-diagonal {off:.2e})"
                 )
-    return SamplerMethod(tag, factors, _subspace(index_set, factors, tag == "leverage-lower"))
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+    return SamplerMethod(tag, factors, index_set)
 
 
 def _check_rows(idx0, shape: Sequence[int]) -> np.ndarray:
@@ -205,7 +143,7 @@ def sample_indices(method: SamplerMethod, rng: np.random.Generator, size: int) -
             out[:, d] = sample_nu_kd(f.prob, f.alias, k, rng)
         return out
     # two-stage draw: uniform member of the index set, then its leverage rows
-    cols = method.subspace.lower[: method.subspace.n]
+    cols = method.members
     member = rng.integers(0, len(cols), size=size)
     for d, f in enumerate(method.factors):
         out[:, d] = sample_nu_kd(f.prob, f.alias, cols[member, d], rng)
@@ -222,7 +160,7 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
 
     For the mixture methods the Q-row gather G[k, alpha] =
     prod_d Q^(d)[m_{k,d}, alpha_d] over the index set is formed one ``_row_blocks``
-    block at a time, from the record's Q columns of J, and reduced by ``_mixture_mass``.
+    block at a time, from the method's Q columns of J, and reduced by ``_mixture_mass``.
     The uniform mass divides by the grid's exact size, which may exceed 2^63.
     """
     idx0 = _check_rows(idx0, method.grid_shape)
@@ -233,10 +171,9 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
         for d, f in enumerate(method.factors):
             mass *= f.marginal[idx0[:, d]]
     else:
-        mass, n = np.empty(idx0.shape[0]), method.subspace.n
-        tables = [q[:, :n] for q in method.subspace.q_columns]  # J's columns lead L's
-        for block in _row_blocks(len(idx0), n):
+        mass = np.empty(idx0.shape[0])
+        for block in _row_blocks(len(idx0), len(method.members)):
             gather = None  # free the previous block before the next is formed
-            gather = _kron_rows(tables, idx0[block])
+            gather = _kron_rows(method.q_columns, idx0[block])
             mass[block] = _mixture_mass(gather)
     return mass

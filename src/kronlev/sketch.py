@@ -6,12 +6,11 @@ v_k = (1/K) * mu(Y_k) / nu(Y_k).  The full problem is reduced once by the
 per-dimension QR factors, and ``trial_error`` solves the rows a method drew
 from products of their Q entries scaled by 1/sqrt(K nu), with no basis
 evaluation and no pass over the grid; for the two mixture methods the same
-Q-row gather gives nu.  J's record, ``sampler._Subspace``, holds its
-closure L, basis U and the factors' column tables that every Kronecker-row
-product here reads.  There is one record per J and tuple of factor objects:
-the reduction and every mixture method on them hold the same one, and a
-trial admits a method built on the reduction's factors whose record, if it
-has one, is the reduction's.
+Q-row gather gives nu.  The reduction builds J's record, ``_Subspace``,
+once per call: its closure L, basis U and the factors' column tables that
+every Kronecker-row product here reads.  A trial admits a method built on
+the reduction's factors and, if it is a mixture, on the reduction's J, the
+same objects.
 
 The target enters the reduction either as its values on the whole grid or,
 when it is a sum of r products of one-dimensional functions, as a
@@ -47,24 +46,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Sequence, Union
+from functools import cached_property, reduce
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .factor import (_RANK_RTOL, FactorMatrix, _cholesky_solve, _gram_factor, _kron_rows,
                      _one_blas_thread, _row_blocks)
 from .grid_basis import BasisSpec, eval_basis_matrix
-from .indexset import MultiIndexSet, _check_fit
-from .sampler import (
-    SamplerMethod,
-    _check_rows,
-    _mixture_mass,
-    _Subspace,
-    _subspace,
-    point_mass_many,
-    sample_indices,
-)
+from .indexset import MultiIndexSet, _check_fit, _missing_below
+from .sampler import SamplerMethod, _check_rows, _mixture_mass, point_mass_many, sample_indices
 
 __all__ = [
     "TargetFunction",
@@ -245,6 +236,59 @@ def solve(system: SketchedSystem) -> Solution:
 
 
 @dataclass(frozen=True, eq=False)
+class _Subspace:
+    """J's columns of the Kronecker product, J's lower closure L and U: the record a reduction holds.
+
+    J must fit its factors: one entry per factor, and J's bounding box within
+    their column counts (``indexset._check_fit``).  L is every index at or
+    below a member of J; ``lower`` holds its 0-based rows, J's members in J's
+    order, then the rest of the closure, found by one walk down from J's
+    members (``indexset._missing_below``), in lexicographic order.  So
+    ``lower[:n]`` are J's rows, and L = J exactly when J is monotone lower.
+    ``q_columns`` and ``r_columns`` are the tables ``factor._kron_rows`` reads
+    for the Q rows over L and for R_{L,J} = (kron_d R^(d))[L, J].  ``basis`` is
+    U, the Q of the QR of R_{L,J}, formed on one BLAS thread; it is None for a
+    lower J, whose U = I.  Each of the three is formed at its first read and
+    kept.  J and the factors are held by reference, not copied.
+    """
+
+    index_set: MultiIndexSet
+    factors: tuple[FactorMatrix, ...]
+    lower: np.ndarray  # (|L|, D) int64
+
+    @property
+    def n(self) -> int:
+        """N = |J|."""
+        return len(self.index_set)
+
+    @cached_property
+    def q_columns(self) -> tuple[np.ndarray, ...]:
+        """Each factor's Q at L's columns, (M_d, |L|); J's come first."""
+        return tuple(np.take(f.q, self.lower[:, d], axis=1) for d, f in enumerate(self.factors))
+
+    @cached_property
+    def r_columns(self) -> tuple[np.ndarray, ...]:
+        """Each factor's R at J's columns, (N_d, N)."""
+        return tuple(np.take(f.r, self.lower[: self.n, d], axis=1) for d, f in enumerate(self.factors))
+
+    @cached_property
+    def basis(self) -> Optional[np.ndarray]:
+        """(|L|, N) U, or None when J is lower."""
+        if len(self.lower) == self.n:
+            return None
+        with _one_blas_thread():
+            return np.linalg.qr(_kron_rows(self.r_columns, self.lower))[0]
+
+
+def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Subspace:
+    """A new record of J on these factors, L walked; a J that does not fit them raises ValueError."""
+    factors = tuple(factors)
+    _check_fit(index_set, [f.matrix.shape[1] for f in factors])
+    lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
+    return _Subspace(index_set, factors, lower - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class FullGridReduction:
     """The full-grid least squares problem reduced through per-dimension QR.
 
@@ -255,9 +299,9 @@ class FullGridReduction:
     ||A x - b||^2 = ||R_{L,J} x - c||^2 + ||r||^2.
 
     J, its factors, L, the factors' column tables and a non-lower J's basis U
-    are ``subspace``, J's one record on these factors, which every mixture
-    method on them holds too (``sampler._Subspace``).  R_{L,J} itself is not
-    held.  A trial reads the record's Q columns of L, the factors' grid
+    are ``subspace``, the record of J that ``reduce_full_grid`` builds for
+    this reduction alone (``_Subspace``); no method holds it.  R_{L,J} itself
+    is not held.  A trial reads the record's Q columns of L, the factors' grid
     weights, and U.  The grid's b = sqrt(w) * values is not stored: a trial
     forms b at its rows from ``values``, which is held by reference and not
     copied.  That is either the caller's array of grid values, which must not
@@ -383,11 +427,11 @@ def reduce_full_grid(
     The factors' own Q and R are used, so nothing is factored here.  Grid
     values cost O(M^D max N_d), with no M-row matrix and one grid-sized
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
-    with no array above r |L| max N_d.  J, L and U are J's one record on these
-    factors (``sampler._subspace``), built here only if no method on them has
-    built it, and the part of c outside range(U) joins the optimum's
-    residual.  The projection runs on one BLAS thread, as a threaded dot or
-    matrix product rounds by thread count.
+    with no array above r |L| max N_d.  J, L and U are J's record on these
+    factors (``_subspace``), built here once per call, and the part of c
+    outside range(U) joins the optimum's residual.  The projection runs on
+    one BLAS thread, as a threaded dot or matrix product rounds by thread
+    count.
     """
     subspace = _subspace(index_set, factors)
     factors, lower = subspace.factors, subspace.lower
@@ -444,20 +488,21 @@ def _sketch_rows(
     ``_mixture_mass`` of its first N columns, as in ``point_mass_many``, which
     gives the others' nu.
     The method must be built on the reduction's factors, the same objects,
-    and a mixture method must hold the reduction's record, the one object
-    built for that J and those factors; any other method, one on an equal J
-    that is another object included, and rows that are not an integer
-    (K >= 1, D) array on the grid or of zero mass, raise ValueError.
+    and a mixture method on the reduction's J, the same object; any other
+    method, one on an equal J that is another object included, and rows that
+    are not an integer (K >= 1, D) array on the grid or of zero mass, raise
+    ValueError.
     """
-    subspace = reduction.subspace
+    subspace, index_set = reduction.subspace, method.index_set
     factors, n, basis = subspace.factors, subspace.n, subspace.basis
-    if method.factors != factors or method.subspace not in (None, subspace):  # each equals only itself
+    # a FactorMatrix equals only itself, but an equal J that is another object equals J
+    if method.factors != factors or not (index_set is None or index_set is subspace.index_set):
         raise ValueError("the method is not built on the reduction's factors and index set")
     rows = _check_rows(rows, method.grid_shape)
     if len(rows) < 1:
         raise ValueError("a trial needs K >= 1 rows")
     g = _kron_rows(subspace.q_columns, rows)
-    nu = point_mass_many(method, rows) if method.subspace is None else _mixture_mass(g[:, :n])
+    nu = point_mass_many(method, rows) if index_set is None else _mixture_mass(g[:, :n])
     if not np.all(nu > 0.0):
         raise ValueError("a row has zero point mass under the method")
     scale = 1.0 / np.sqrt(len(rows) * nu)

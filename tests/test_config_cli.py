@@ -957,27 +957,44 @@ class TestCli:
             "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
         )
 
-    @pytest.mark.parametrize("name,patch,code,error", [
-        ("duffing-g7", {"model": {"name": "duffing", "step": 1e-300}}, 2,
+    FAR_GAP = {"family": "explicit-list", "indices": [[1, 1, 1], [200, 200, 200]]}
+    SOLVE = ["solve", "--method", "uniform", "--K", "8", "--seed", "1"]
+    WALKED = "error: the lower closure of J has more than 1000000 members; it is not walked\n"
+
+    @pytest.mark.parametrize("name,patch,argv,code,error", [
+        ("duffing-g7", {"model": {"name": "duffing", "step": 1e-300}}, SOLVE, 2,
          "config error: duffing model step must be at least t_final / 10000000, got 1e-300\n"),
-        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200},
-                         "index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [200, 200, 200]]}},
-         1, "error: the lower closure of J has more than 1000000 members; it is not walked\n"),
-    ], ids=["duffing-step", "far-gap"])
-    def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, code, error):
+        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200}, "index_set": FAR_GAP},
+         SOLVE, 1, WALKED),
+        # the Legendre columns are orthogonal on the Gauss-Legendre rule, so
+        # the parse admits orthogonal-columns, which reads J alone: the run's
+        # reduction walks L, and a sample draws from J's two members
+        ("ishigami-g7", {"grid": {"grid": "gauss-legendre", "M": 200}, "index_set": FAR_GAP,
+                         "methods": ["orthogonal-columns"]},
+         ["experiment", "--out", "report.csv"], 1, WALKED),
+        ("ishigami-g7", {"grid": {"grid": "gauss-legendre", "M": 200}, "index_set": FAR_GAP},
+         ["sample", "--method", "orthogonal-columns", "--count", "8", "--seed", "1"], 0, ""),
+    ], ids=["duffing-step", "far-gap", "far-gap-experiment", "far-gap-sample"])
+    def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, argv, code, error):
         # 4e300 RK4 steps, or a walk towards J's closure of 8e6 members and its
-        # 11.9 GiB table on the 200-node grid; capped as above
+        # 11.9 GiB table on the 200-node grid; capped as above.  Each exits with
+        # its bound's message whichever method the run holds
         config = load_json(packaged_config_path(name))
         config.update(patch)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                   "from kronlev.cli import main; sys.exit(main())")
-        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "8", "--seed", "1"]
-        result = subprocess.run([sys.executable, "-c", capped, *argv],
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+        result = subprocess.run([sys.executable, "-c", capped, *argv], cwd=tmp_path,
                                 env=python_env(OPENBLAS_NUM_THREADS="1"),
                                 capture_output=True, text=True, timeout=60)
-        assert (result.returncode, result.stdout, result.stderr) == (code, "", error)
+        assert (result.returncode, result.stderr) == (code, error)
+        if code:
+            assert result.stdout == ""
+        else:  # the header and one line per draw
+            lines = result.stdout.splitlines()
+            assert len(lines) == 9 and lines[0].startswith("m_1,m_2,m_3,")
 
     def test_an_exception_without_text_is_named_by_its_type(self, tiny_config, monkeypatch, capsys):
         def out_of_memory(problem, workers=1):

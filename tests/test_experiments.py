@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -35,7 +36,7 @@ from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
 from kronlev.oracle import build_full, solve_full
-from kronlev.sampler import METHOD_TAGS, _subspace, make_method, sample_indices
+from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
 from outputs import gated_configs
 
@@ -658,47 +659,30 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
     def test_one_record_of_j_per_problem(self, name, monkeypatch):
-        # every builder of J's record, on one J and one set of factor objects,
-        # holds one _Subspace: L is walked once over the parse, which builds the
-        # methods, and the run, and a gapped J's U is factored once, whoever reads
-        # it first; an equal J that is another object has a record of its own, and
-        # a trial refuses its methods.  The factors QR themselves as a config is
-        # parsed, so U's QR is counted over the run alone
+        # a method holds J and reads J alone: the parse walks J only for each
+        # leverage-lower method's lower test, which stops at J's first gap, and
+        # the run's reduction builds J's one record, walking L once and, for a
+        # gapped J, factoring U once.  The factors QR themselves as a config is
+        # parsed, so U's QR is counted over the run alone.  A method on an
+        # equal J that is another object is refused by the reduction on J
         config = {**gated_configs()[name], "trials": 2}
-        problem = parse_problem(config)  # a J of its own, its record built below
         calls = count_calls(monkeypatch, _missing_below, np.linalg.qr)
         experiment = parse_experiment(config)
         walks = calls.count("_missing_below")
         calls.clear()
         run_trials(experiment)
         gapped = name == "gapped"
-        assert [walks, *calls] == [1] + ["qr"] * gapped
-        mixture = "orthogonal-columns" if gapped else "leverage-lower"
-        calls.clear()
-        method = problem.method(mixture)
-        bases = [method.subspace.basis]
+        assert [walks, *calls] == [config["methods"].count("leverage-lower"), "_missing_below"] + ["qr"] * gapped
+        problem, mixture = experiment.problem, "orthogonal-columns" if gapped else "leverage-lower"
         reduction = prepare_problem(problem)
-        bases.append(reduction.subspace.basis)
-        assert calls == ["_missing_below"] + ["qr"] * gapped
-        assert bases[0] is bases[1] and (bases[0] is None) != gapped
-        records = [
-            method.subspace,
-            reduction.subspace,
-            reduce_full_grid(problem.index_set, problem.factors, reduction.values).subspace,
-            make_method(mixture, problem.factors, problem.index_set).subspace,
-            problem.method(mixture).subspace,
-            _subspace(problem.index_set, list(problem.factors)),
-        ]
-        assert all(record is records[0] for record in records)
-        assert records[0].index_set is problem.index_set and records[0].factors == problem.factors
-        assert calls.count("qr") == gapped  # each leverage-lower method tests J once more
-        copy = dataclasses.replace(problem.index_set)
-        assert copy == problem.index_set and copy is not problem.index_set
-        other = make_method(mixture, problem.factors, copy)
-        assert other.subspace is not reduction.subspace and other.subspace.index_set is copy
-        rows = sample_indices(other, np.random.default_rng(0), 4 * len(copy))
-        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
-            trial_error(reduction, other, rows)
+        method = problem.method(mixture)
+        assert method.index_set is problem.index_set is reduction.subspace.index_set
+        rows = sample_indices(method, np.random.default_rng(0), 4 * len(problem.index_set))
+        index_set = problem.index_set
+        for other in (dataclasses.replace(index_set), copy.copy(index_set), copy.deepcopy(index_set)):
+            assert other == index_set and other is not index_set
+            with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+                trial_error(reduction, make_method(mixture, problem.factors, other), rows)
         trial_error(reduction, method, rows)  # the problem's own method takes the same rows
 
     def test_deterministic_for_fixed_seed(self):

@@ -165,8 +165,9 @@ def check_against_the_oracle(shape):
         masses = point_mass_many(p.methods[tag], rows)
         assert np.max(np.abs(masses - scores)) <= 32 * kappa * EPS * scores.max(), tag
     reduction = reduce_full_grid(p.index_set, p.factors, p.values)
-    # one record of J on these factors, whichever builder holds it
-    assert all(method.subspace in (None, reduction.subspace) for method in p.methods.values())
+    # a mixture method holds the reduction's J, the same object
+    assert all(method.index_set is None or method.index_set is reduction.subspace.index_set
+               for method in p.methods.values())
     assert abs(reduction.optimal_error - solve_full(full).relative_error) <= 32 * kappa * EPS
     for tag, method in p.methods.items():
         sketch = draw_sketch(method, 3 * len(p.index_set), shape.seed)

@@ -5,7 +5,6 @@ import pytest
 
 import kronlev.factor as factor_module
 import kronlev.indexset as indexset_module
-import kronlev.sampler as sampler_module
 from kronlev.config import ProblemSetup
 from kronlev.factor import _row_blocks, build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
@@ -99,7 +98,7 @@ class TestPointMass:
 
     def test_lower_set_mass_equals_exact_leverage_at_d6(self, d6_lower_problem):
         method, scores = d6_lower_problem
-        assert len(scores) == 729 and method.subspace.n == 28
+        assert len(scores) == 729 and len(method.index_set) == 28
         masses = point_mass_many(method, all_grid_indices((3,) * 6))
         assert np.max(np.abs(masses - scores)) < 1e-12
 
@@ -193,7 +192,7 @@ def fancy_index_mixture(method, idx0):
 
     The gather is built by a broadcast fancy index per dimension.
     """
-    cols = method.subspace.lower[: method.subspace.n]
+    cols = method.members
     prod = np.ones((idx0.shape[0], cols.shape[0]))
     for d, q in enumerate(f.q for f in method.factors):
         prod *= q[idx0[:, d][:, None], cols[:, d][None, :]]
@@ -211,9 +210,9 @@ class TestMixtureKernel:
     def test_more_points_than_one_block_give_the_same_bits(self):
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method("leverage-lower", factors, total_degree(3, 3))
-        step = _row_blocks(1 << 20, method.subspace.n)[0].stop
+        step = _row_blocks(1 << 20, len(method.index_set))[0].stop
         idx0 = sample_indices(method, np.random.default_rng(18), 2 * step + 3)
-        assert len(_row_blocks(len(idx0), method.subspace.n)) == 3
+        assert len(_row_blocks(len(idx0), len(method.index_set))) == 3
         assert np.array_equal(point_mass_many(method, idx0), fancy_index_mixture(method, idx0))
 
     @pytest.mark.parametrize("k,blocks", [(0, 0), (1, 1), (63, 1), (64, 1), (65, 1), (129, 2)])
@@ -222,7 +221,7 @@ class TestMixtureKernel:
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 4))] * 3
         method = make_method("leverage-lower", factors, total_degree(3, 3))
         idx0 = sample_indices(method, np.random.default_rng(19), k)
-        assert len(_row_blocks(k, method.subspace.n)) == blocks
+        assert len(_row_blocks(k, len(method.index_set))) == blocks
         mass = point_mass_many(method, idx0)
         assert mass.shape == (k,)
         assert np.array_equal(mass, fancy_index_mixture(method, idx0))
@@ -246,7 +245,6 @@ class TestPreconditions:
                 yield beta
 
         monkeypatch.setattr(indexset_module, "_missing_below", counted)
-        monkeypatch.setattr(sampler_module, "_missing_below", counted)
         index_set = MultiIndexSet(3, ((1, 1, 1), (k, k, k)))
         factors = (build_factor(gauss_legendre_grid(k), BasisSpec("legendre-orthonormal", k)),) * 3
         with pytest.raises(ValueError, match="monotone lower"):
@@ -282,23 +280,3 @@ class TestPreconditions:
     def test_a_mixture_needs_an_index_set(self, tag):
         with pytest.raises(ValueError, match=f"^method '{tag}' requires a multi-index set$"):
             make_method(tag, monomial_factors(2, 5, 2))
-
-
-class TestSubspace:
-    def test_the_basis_has_one_set_of_bits_at_one_and_two_blas_threads(self, openblas):
-        # total order 15 in D = 3 less (1, 2, 1): |L| = 816, N = 815.  A bare QR
-        # of this R_{L,J} rounds apart at one and two threads; the record's
-        # QR runs on one, then gives the caller's count back.  J is built anew
-        # each time, as J keeps its record and U
-        total = total_degree(3, 15)
-        members = tuple(alpha for alpha in total.indices if alpha != (1, 2, 1))
-        factors = monomial_factors(3, 20, 16)
-        bases = []
-        for count in (1, 2):
-            openblas.set_threads(count)
-            subspace = sampler_module._subspace(MultiIndexSet(3, members), factors)
-            assert openblas.get_threads() == count
-            assert (len(subspace.lower), subspace.n) == (816, 815)
-            assert subspace.basis.shape == (816, 815)
-            bases.append(subspace.basis.tobytes())
-        assert bases[0] == bases[1]

@@ -96,10 +96,10 @@ def test_separable_reduction_and_trials_match_the_grid_path(name, monkeypatch):
 @pytest.mark.parametrize("name", ["ishigami-g7", "gapped"])
 def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     # a lower J's record, reduction and trials read Q and c alone; the gapped
-    # J's reduction reads its record's U, which forms R_{L,J} once for its QR,
-    # and a method holds that same record, so reading its U forms neither
-    # again.  On the Gauss-Legendre rule the Legendre columns are orthogonal,
-    # so orthogonal-columns admits either J
+    # J's reduction reads its record's U, which forms R_{L,J} once for its QR
+    # and keeps it, so a trial forms neither again.  A method holds J alone.
+    # On the Gauss-Legendre rule the Legendre columns are orthogonal, so
+    # orthogonal-columns admits either J
     problem = ishigami_problem(name, grid={"grid": "gauss-legendre"})
     gathers, qr = [], np.linalg.qr
     # a table of R's columns has N_d rows, one of Q's the grid's M_d
@@ -134,22 +134,22 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
     assert gathers == ["Q"]
     gathers.clear()
     mixture = problem.method("orthogonal-columns")
-    assert mixture.subspace is reduction.subspace
+    assert mixture.index_set is reduction.subspace.index_set
     trial_error(reduction, mixture, sample_indices(mixture, np.random.default_rng(0), len(rows)))
     assert gathers == ["Q"]
     gathers.clear()
     # U was formed at the reduction's read and is kept
-    bases = [mixture.subspace.basis for _ in range(2)]
+    bases = [reduction.subspace.basis for _ in range(2)]
     assert gathers == []
     if name == "gapped":
-        assert bases[1] is bases[0] is reduction.subspace.basis
+        assert bases[1] is bases[0]
     else:
         assert bases == [None, None]
 
 
 def test_a_refused_orthogonal_columns_method_forms_no_r_lj(monkeypatch):
-    # monomial columns are not orthogonal: the method is refused before J's
-    # record walks L or gathers R_{L,J} for U
+    # monomial columns are not orthogonal: the method is refused, and no
+    # method walks L or gathers R_{L,J} for U
     problem = ishigami_problem("gapped", basis={"kind": "monomial"}, grid={"grid": "gauss-legendre"})
     calls = count_calls(monkeypatch, _kron_rows, _missing_below)
     with pytest.raises(ValueError, match="not orthogonal"):

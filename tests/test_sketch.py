@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import dataclasses
 import math
@@ -28,15 +29,9 @@ from kronlev.factor import (
     build_factor,
 )
 from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
-from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set, is_monotone_lower
+from kronlev.indexset import IndexSetSpec, MultiIndexSet, _missing_below, build_index_set, is_monotone_lower
 from kronlev.oracle import build_full, sketch_operator, solve_full
-from kronlev.sampler import (
-    METHOD_TAGS,
-    _subspace,
-    make_method,
-    point_mass_many,
-    sample_indices,
-)
+from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
 import kronlev.sketch as sketch_module
 from kronlev.config import load_json, parse_experiment, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
@@ -48,6 +43,7 @@ from kronlev.sketch import (
     SketchedSystem,
     TargetFunction,
     _one_blas_thread,
+    _subspace,
     assemble,
     draw_sketch,
     full_relative_error,
@@ -785,10 +781,10 @@ class TestTrialError:
         basis = np.linalg.qr(r_jj)[0]
         assert np.array_equal(basis, np.eye(len(index_set)))
         method = make_method("leverage-lower", factors, index_set)
-        assert method.subspace is reduction.subspace
+        assert method.index_set is reduction.subspace.index_set
         draws = [sample_indices(method, np.random.default_rng(seed), 60) for seed in range(5)]
         without = [trial_error(reduction, method, rows) for rows in draws]
-        vars(reduction.subspace)["basis"] = basis  # where the one record keeps U once read
+        vars(reduction.subspace)["basis"] = basis  # where the reduction's record keeps U once read
         try:
             assert [trial_error(reduction, method, rows) for rows in draws] == without
         finally:
@@ -950,7 +946,7 @@ class TestSharedGather:
         np.testing.assert_array_equal(system.matrix, gather * scale[:, None])
         # the earlier formula: the mixture of products of the squared-Q tables
         tables = [np.square(f.q) for f in method.factors]
-        earlier = kron_entries(tables, rows, method.subspace.lower[: method.subspace.n]).sum(axis=1) / n
+        earlier = kron_entries(tables, rows, method.members).sum(axis=1) / n
         assert np.max(np.abs(mass - earlier) / earlier) <= 1e-14
 
     def test_mass_on_a_non_lower_set_is_point_mass_many(self, monkeypatch):
@@ -1046,24 +1042,28 @@ class TestSharedGather:
 
 
 class TestColumnTables:
-    """J's record takes each factor's columns once, for every Kronecker-row product."""
+    """A reduction's record of J and a mixture method each take their factor columns once."""
 
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "non-lower"])
     def test_tables_are_the_factor_columns_of_l_and_j_taken_once(self, lower):
         index_set = total_degree(2, 3) if lower else NON_LOWER
         factors = [build_factor(gauss_legendre_grid(9), BasisSpec("legendre-orthonormal", n)) for n in (4, 5)]
         subspace = _subspace(index_set, factors)
+        method = make_method("orthogonal-columns", factors, index_set)
         rows, n = subspace.lower, subspace.n
         assert (len(rows) == n) == lower
-        tables = {"q_columns": (rows, "q"), "r_columns": (rows[:n], "r")}
-        for name, (cols, attr) in tables.items():
-            first = getattr(subspace, name)
+        assert method.members.tobytes() == rows[:n].tobytes() and method.members.dtype == rows.dtype
+        tables = {(subspace, "q_columns"): (rows, "q"), (subspace, "r_columns"): (rows[:n], "r"),
+                  (method, "q_columns"): (rows[:n], "q")}
+        for (owner, name), (cols, attr) in tables.items():
+            first = getattr(owner, name)
             assert len(first) == len(factors)
             for d, (table, f) in enumerate(zip(first, factors)):
                 expected = np.take(getattr(f, attr), cols[:, d], axis=1)
                 assert table.shape == expected.shape and table.dtype == expected.dtype
                 assert table.tobytes() == expected.tobytes()
-            assert getattr(subspace, name) is first
+            assert getattr(owner, name) is first
+        assert method.members is method.members
 
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "non-lower"])
     def test_a_second_trial_and_mass_take_no_factor_columns(self, lower, monkeypatch):
@@ -1086,13 +1086,32 @@ class TestColumnTables:
         full_relative_error(reduction, np.ones(len(index_set)))
         assert taken == []
         assert second[0] == first[0] and second[1].tobytes() == first[1].tobytes()
-        # a second call on J and the factors gives the one record, whose tables are taken
-        assert _subspace(index_set, factors) is reduction.subspace is method.subspace
-        _subspace(index_set, factors).q_columns
-        assert taken == []
-        # the spy sees a take of a factor's columns where a new record first forms its tables
-        _subspace(dataclasses.replace(index_set), factors).q_columns
+        # the spy sees a take of a factor's columns where a new record or method first forms its tables
+        record = _subspace(index_set, factors)
+        assert record is not reduction.subspace
+        record.q_columns
         assert len(taken) == 2
+        make_method(method.tag, factors, index_set).q_columns
+        assert len(taken) == 4
+
+
+class TestSubspace:
+    def test_the_basis_has_one_set_of_bits_at_one_and_two_blas_threads(self, openblas):
+        # total order 15 in D = 3 less (1, 2, 1): |L| = 816, N = 815.  A bare QR
+        # of this R_{L,J} rounds apart at one and two threads; the record's
+        # QR runs on one, then gives the caller's count back
+        total = total_degree(3, 15)
+        index_set = MultiIndexSet(3, tuple(alpha for alpha in total.indices if alpha != (1, 2, 1)))
+        factors = monomial_factors(3, 20, 16)
+        bases = []
+        for count in (1, 2):
+            openblas.set_threads(count)
+            subspace = _subspace(index_set, factors)
+            assert openblas.get_threads() == count
+            assert (len(subspace.lower), subspace.n) == (816, 815)
+            assert subspace.basis.shape == (816, 815)
+            bases.append(subspace.basis.tobytes())
+        assert bases[0] == bases[1]
 
 
 class TestTrialInputs:
@@ -1208,14 +1227,16 @@ class TestIdentityEquality:
         trial_error(reduction, make_method("uniform", factors), rows)
 
     def test_trial_refuses_an_equal_index_set_that_is_another_object(self):
-        index_set, copy = total_degree(2, 2), total_degree(2, 2)
-        assert copy == index_set and copy is not index_set
+        index_set = total_degree(2, 2)
         factors = legendre_factors(2, 8, 3)
         reduction = reduction_of(index_set, factors, WAVE)
         own = make_method("leverage-lower", factors, index_set)
         rows = sample_indices(own, np.random.default_rng(3), 12)
-        with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
-            trial_error(reduction, make_method("leverage-lower", factors, copy), rows)
+        equal = [total_degree(2, 2), dataclasses.replace(index_set), copy.copy(index_set), copy.deepcopy(index_set)]
+        for other in equal:
+            assert other == index_set and other is not index_set
+            with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
+                trial_error(reduction, make_method("leverage-lower", factors, other), rows)
         error, rank_deficient = trial_error(reduction, own, rows)
         assert reduction.optimal_error <= error < 1.0 and not rank_deficient
 
