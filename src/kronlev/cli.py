@@ -5,24 +5,29 @@ stdout carries JSON summaries only, but ``sample`` without ``--out`` writes
 its sample CSV there; human-readable diagnostics go to stderr.  Exit codes:
 0 success, 2 config or usage error, 1 runtime error.  A reader that closes
 stdout early (``| head``) ends the command with status 1 and nothing on stderr.
+``oracle`` writes J's exact leverage scores, which ``sketch.leverage_scores``
+reads from J's record a block of rows at a time, with no dense design matrix;
+every refusal, the bound on the grid's rows included, comes before the dump
+file is opened.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, oracle
+from . import __version__
 from .config import ConfigError, load_json, parse_experiment, parse_index_set, parse_problem
 from .experiments import emit_cdf, emit_cdf_svg, prepare_problem, run_trials, write_report_csv
 from .indexset import is_monotone_lower
 from .sampler import sample_indices
-from .sketch import TargetFunction, draw_sketch, trial_error
+from .sketch import draw_sketch, leverage_scores, trial_error
 
 _CSV_BLOCK = 1024  # sample rows formatted and written at a time
 
@@ -98,15 +103,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = _problem(args)
-    # leverage scores depend on the design matrix only; zeros come after the dense guard
-    zero = TargetFunction("zero", lambda coords: np.zeros(len(coords)))
-    system = oracle.build_full(problem.index_set, problem.factors, zero)
-    scores = oracle.exact_leverage(system)
-    lines = ["row,leverage_score"]
-    lines += [f"{m + 1},{float(s)!r}" for m, s in enumerate(scores)]
+    # J's record is built, and every refusal raised, before the dump is opened
+    scores = (s for block in leverage_scores(problem.index_set, problem.factors) for s in block.tolist())
     with open(args.dump, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-    _emit({"path": args.dump, "rows": int(scores.size), "N": len(problem.index_set)})
+        handle.write("row,leverage_score\n")
+        handle.writelines(f"{m},{s!r}\n" for m, s in enumerate(scores, 1))
+    _emit({"path": args.dump, "rows": math.prod(map(len, problem.grids)), "N": len(problem.index_set)})
     return 0
 
 

@@ -91,13 +91,13 @@ def _openblas() -> Optional[_OpenBlas]:
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
-    The thread count changes the rounding of a trial's solve, of U's QR, of
-    the oracle's dense QR and of the full-grid reduction's products, and
-    small products run faster on one thread.  ``sketch._Subspace.basis``,
-    ``sketch.reduce_full_grid``, ``sketch.full_relative_error``,
-    ``sketch.trial_error`` and ``oracle.exact_leverage`` enter this
-    themselves; ``_gram_factor`` and ``_cholesky_solve`` below do not, and
-    run on the count of their caller (``trial_error``'s pin in a trial).
+    The thread count changes the rounding of a trial's solve, of U's QR and
+    of the full-grid reduction's products, and small products run faster on
+    one thread.  ``sketch._Subspace.basis``, ``sketch.reduce_full_grid``,
+    ``sketch.full_relative_error``, ``sketch.trial_error`` and
+    ``sketch.leverage_scores`` enter this themselves; ``_gram_factor`` and
+    ``_cholesky_solve`` below do not, and run on the count of their caller
+    (``trial_error``'s pin in a trial).
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits
     the count of 1 and must not set it, because after a fork any call that

@@ -7,7 +7,8 @@ independent reference against which the structured paths (the sampler and
 the full-grid reduction in :mod:`kronlev.sketch`) are checked: exact
 leverage scores, the full least squares solution, the explicit
 row-selection sketch operator, and the Gram-embedding and aliasing
-diagnostics.  Outside the tests, only ``kronlev oracle`` uses it.
+diagnostics.  Only the tests and demo 02 use it: ``kronlev oracle`` reads
+its leverage scores from J's record (``sketch.leverage_scores``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factor import _RANK_RTOL, FactorMatrix, _one_blas_thread
+from .factor import _RANK_RTOL, FactorMatrix
 from .indexset import MultiIndexSet, _check_fit
 from .sketch import Sketch, TargetFunction
 
@@ -98,10 +99,8 @@ def exact_leverage(system: FullSystem) -> np.ndarray:
     """Normalized leverage scores of the full design matrix.
 
     Insists on full column rank (R diagonal above _RANK_RTOL of its largest entry).
-    The QR runs on one BLAS thread, as a threaded QR rounds by thread count.
     """
-    with _one_blas_thread():
-        q, r = np.linalg.qr(system.matrix)
+    q, r = np.linalg.qr(system.matrix)
     diag = np.abs(np.diag(r))
     if np.any(diag <= _RANK_RTOL * diag.max()):
         raise ValueError("design matrix is rank deficient")

@@ -27,7 +27,8 @@ is the squared row norm of the points' Q-row gather (``_mixture_mass``),
 costs O(N*D) per query, runs in ``factor._row_blocks`` so its memory does not
 grow with the query count, and nothing is precomputed over the full grid.
 A trial (``sketch.trial_error``) applies ``_mixture_mass`` to its own
-gather instead.
+gather instead, and ``sketch._leverage`` applies it to a gather's product
+with a non-lower J's basis U for J's exact leverage scores.
 """
 
 from __future__ import annotations
@@ -173,7 +174,5 @@ def point_mass_many(method: SamplerMethod, idx0: np.ndarray) -> np.ndarray:
     else:
         mass = np.empty(idx0.shape[0])
         for block in _row_blocks(len(idx0), len(method.members)):
-            gather = None  # free the previous block before the next is formed
-            gather = _kron_rows(method.q_columns, idx0[block])
-            mass[block] = _mixture_mass(gather)
+            mass[block] = _mixture_mass(_kron_rows(method.q_columns, idx0[block]))
     return mass

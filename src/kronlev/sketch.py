@@ -10,7 +10,10 @@ Q-row gather gives nu.  The reduction builds J's record, ``_Subspace``,
 once per call: its closure L, basis U and the factors' column tables that
 every Kronecker-row product here reads.  A trial admits a method built on
 the reduction's factors and, if it is a mixture, on the reduction's J, the
-same objects.
+same objects.  ``leverage_scores`` reads a record of its own for J's exact
+leverage scores over the whole grid: range(A_J) = range(Q_L U), so row m's
+normalized score is ||Q_L(m) U||^2 / N (``_leverage``), formed a block of
+rows at a time with no dense design matrix.
 
 The target enters the reduction either as its values on the whole grid or,
 when it is a sum of r products of one-dimensional functions, as a
@@ -34,9 +37,10 @@ otherwise SVD least squares, which gives the numerical rank and the
 minimum-norm fit.  The two back ends of the factor and the solves (LAPACK
 dpotrf and dpotrs from numpy's bundled OpenBLAS, or np.linalg.cholesky and
 blocked back substitution) are chosen in ``factor``, not here.
-``reduce_full_grid``, ``full_relative_error`` and ``trial_error`` each pin
-numpy's OpenBLAS to one thread themselves (``factor._one_blas_thread``), so
-their bits do not depend on the caller's BLAS thread count.
+``reduce_full_grid``, ``full_relative_error``, ``trial_error`` and
+``leverage_scores`` each pin numpy's OpenBLAS to one thread themselves
+(``factor._one_blas_thread``), so their bits do not depend on the caller's
+BLAS thread count.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,10 +74,14 @@ __all__ = [
     "reduce_full_grid",
     "full_relative_error",
     "trial_error",
+    "leverage_scores",
     "sample_size",
 ]
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
+# Most grid rows leverage_scores walks: at 10^7 rows the scores take about 4 s
+# on one core, and ``kronlev oracle``'s dump of them about 300 MB of CSV
+_MAX_SCORE_ROWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -286,6 +294,43 @@ def _subspace(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> _Sub
     _check_fit(index_set, [f.matrix.shape[1] for f in factors])
     lower = np.asarray(list(index_set.indices) + sorted(_missing_below(index_set)), dtype=np.int64)
     return _Subspace(index_set, factors, lower - 1)
+
+
+def _leverage(subspace: _Subspace, gather: np.ndarray) -> np.ndarray:
+    """||g U||^2 / N of a Q-row gather g over L: J's normalized leverage scores at g's rows.
+
+    range(A_J) = range(Q_L U), and Q_L U has orthonormal columns, so this is
+    the squared row norm of an orthonormal basis of range(A_J), over N.  For a lower J, U = I
+    and it is ``_mixture_mass``, the nu of leverage-lower.
+    """
+    return _mixture_mass(gather if subspace.basis is None else gather @ subspace.basis)
+
+
+def leverage_scores(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -> Iterator[np.ndarray]:
+    """J's normalized leverage scores over the whole grid, one ``_row_blocks`` block at a time.
+
+    The blocks run over the grid's rows in lexicographic order (dimension 1
+    slowest), and no array is larger than a block: each block's scores are
+    ``_leverage`` of its rows' gather from the record's Q columns of L, on one
+    BLAS thread, so their bits do not depend on the caller's thread count.
+    The pin holds from the first block until the walk ends or the iterator is
+    closed.  The call itself refuses, with ValueError and before any work, a grid of
+    more than ``_MAX_SCORE_ROWS`` rows; then it builds J's record, so a J that
+    does not fit its factors, or whose closure passes the walk bound, raises
+    here too, not at the first block.
+    """
+    shape = tuple(len(f.grid) for f in factors)
+    if math.prod(shape) > _MAX_SCORE_ROWS:
+        raise ValueError(f"full grid has {math.prod(shape)} rows, beyond the score bound {_MAX_SCORE_ROWS}")
+    subspace = _subspace(index_set, factors)
+
+    def blocks():
+        with _one_blas_thread():
+            for block in _row_blocks(math.prod(shape), len(subspace.lower)):
+                rows = np.column_stack(np.unravel_index(np.arange(block.start, block.stop), shape))
+                yield _leverage(subspace, _kron_rows(subspace.q_columns, rows))
+
+    return blocks()
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,9 @@ SOLVES = [
     ("gapped", "orthogonal-columns", 476, 3),
     ("ishigami-m101", "leverage-lower", 480, 1),
 ]
-# `oracle --dump` of each, at OPENBLAS_NUM_THREADS 1 and 2: its dense QR rounds by thread count unpinned
-ORACLES = ["ishigami-g7", "duffing-g9"]
+# `oracle --dump` of each, at OPENBLAS_NUM_THREADS 1 and 2: the scores are read from J's record
+# on one BLAS thread, and the gapped config's non-lower J takes their gather's product with U
+ORACLES = ["ishigami-g7", "duffing-g9", "gapped"]
 # with no OpenBLAS found, trials run unpinned and solve takes np.linalg.cholesky and
 # back substitution; the gapped config's trials also take the product with J's basis U
 NO_OPENBLAS = ["ishigami-g7", "duffing-g7", "gapped"]

@@ -879,25 +879,30 @@ class TestCli:
         assert captured.err.startswith(f"config error: {error}")
         assert not any(tmp_path.glob("*.csv"))
 
-    def test_runtime_error_is_exit_1(self, tmp_path, capsys):
-        # a valid config whose grid exceeds the dense-oracle guard makes the
-        # oracle subcommand fail at runtime, not at config parsing
+    def test_runtime_error_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        # a valid config whose J's closure passes the walk bound, lowered here
+        # from 10^6 to J's 2 members, makes the oracle subcommand fail at
+        # runtime, not at config parsing, and before the dump is opened
         config = {
             "dimension": 3,
-            "grid": {"grid": "gauss-legendre", "M": 101},
+            "grid": {"grid": "gauss-legendre", "M": 5},
             "basis": {"kind": "monomial"},
-            "index_set": {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 1,
-                          "weights": [1.0, 1.0, 1.0]},
+            "index_set": {"dimension": 3, "family": "explicit-list", "indices": [[1, 1, 1], [1, 1, 3]]},
         }
-        path = tmp_path / "big.json"
+        path = tmp_path / "gapped.json"
         path.write_text(json.dumps(config))
+        monkeypatch.setattr(kronlev.indexset, "_MAX_MEMBERS", 2)
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: the lower closure of J has more than 2 members; it is not walked\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("dimension,m", [(20, 6), (64, 2)], ids=["D20-M6", "D64-M2"])
     def test_oracle_stops_at_the_dense_guard_before_any_grid_array(self, tmp_path, capsys, dimension, m):
         # 6^20 rows would take 26 PiB as one float column, and 2^64 rows overflow
-        # numpy's shapes: the guard must come before either is asked for
+        # numpy's shapes: the bound on the scores' rows must come before either
+        # is asked for, and before J's record is built or the dump is opened
         config = {
             "dimension": dimension,
             "grid": {"grid": "gauss-legendre", "M": m},
@@ -910,7 +915,7 @@ class TestCli:
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
         rows = m**dimension
         assert capsys.readouterr().err == (
-            f"error: full grid has {rows} rows, beyond the dense guard 1000000\n"
+            f"error: full grid has {rows} rows, beyond the score bound 10000000\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -974,7 +979,10 @@ class TestCli:
          ["experiment", "--out", "report.csv"], 1, WALKED),
         ("ishigami-g7", {"grid": {"grid": "gauss-legendre", "M": 200}, "index_set": FAR_GAP},
          ["sample", "--method", "orthogonal-columns", "--count", "8", "--seed", "1"], 0, ""),
-    ], ids=["duffing-step", "far-gap", "far-gap-experiment", "far-gap-sample"])
+        # the scores are read from J's record, whose walk of L stops before the dump is opened
+        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200}, "index_set": FAR_GAP},
+         ["oracle", "--dump", "far-gap.csv"], 1, WALKED),
+    ], ids=["duffing-step", "far-gap", "far-gap-experiment", "far-gap-sample", "far-gap-oracle"])
     def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, argv, code, error):
         # 4e300 RK4 steps, or a walk towards J's closure of 8e6 members and its
         # 11.9 GiB table on the 200-node grid; capped as above.  Each exits with
@@ -991,7 +999,7 @@ class TestCli:
                                 capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stderr) == (code, error)
         if code:
-            assert result.stdout == ""
+            assert result.stdout == "" and not any(tmp_path.glob("*.csv"))
         else:  # the header and one line per draw
             lines = result.stdout.splitlines()
             assert len(lines) == 9 and lines[0].startswith("m_1,m_2,m_3,")
@@ -1112,7 +1120,7 @@ class TestCli:
 
     @pytest.mark.slow
     def test_oracle_dump_independent_of_blas_threads(self, tmp_path):
-        # the dense QR of ishigami-g7's 8000 x 120 matrix rounds by thread count unpinned
+        # the scores are read from J's record on one BLAS thread, whatever the caller's count
         dumps = []
         for threads in ("1", "2"):
             dump = tmp_path / f"leverage-{threads}.csv"
@@ -1137,6 +1145,28 @@ class TestCli:
             "relative_error", "optimal_relative_error", "K", "N", "rank_flag"
         }
         assert json.loads(lines[-1]) == []
+
+    def test_oracle_dumps_a_grid_above_a_million_rows_in_bounded_memory(self, tmp_path):
+        # ishigami-g7 at M = 101: 1,030,301 rows, which the dense oracle refuses; the
+        # scores are read from J's record a block of rows at a time, so the process
+        # peaks at about 33 MB, where one dense 1030301 x 120 matrix takes 989 MB
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config["grid"] = {"grid": "gauss-legendre-uniform", "M": 101}
+        path, dump = tmp_path / "m101.json", tmp_path / "m101.csv"
+        path.write_text(json.dumps(config))
+        script = (
+            "import resource, sys, kronlev.cli\n"
+            "code = kronlev.cli.main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        lines = run_python(["-c", script, "oracle", "--config", str(path), "--dump", str(dump)]).splitlines()
+        assert json.loads(lines[0]) == {"path": str(dump), "rows": 101**3, "N": 120}
+        assert int(lines[-1]) <= 200 * 1024  # ru_maxrss is in KiB on Linux
+        text = dump.read_text().splitlines()
+        assert len(text) == 1030302 and text[0] == "row,leverage_score"
+        assert [int(line.split(",")[0]) for line in text[1:]] == list(range(1, 101**3 + 1))
+        assert abs(math.fsum(float(line.split(",")[1]) for line in text[1:]) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_commands_on_one_worker_import_no_process_pool(self, command, tmp_path):

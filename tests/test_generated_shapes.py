@@ -7,9 +7,11 @@ closure with one member taken out, which may leave J not lower) and a target
 draws them with D 1-4, M_d 2-9 and a basis box of at most ``MAX_BOX``
 columns; ``problem`` builds one.
 
-The oracle half checks each drawn shape against the dense reference, once
-with numpy's OpenBLAS as found and once with ``factor._openblas`` patched to
-None, which takes the solve's numpy back end.  A tolerance is 32 kappa eps,
+The oracle half checks each drawn shape against the dense reference: the
+leverage scores that ``sketch.leverage_scores`` reads from J's record, the
+exact methods' point masses, the optimum and the trials.  It runs once with
+numpy's OpenBLAS as found and once with ``factor._openblas`` patched to None,
+which takes the solve's numpy back end.  A tolerance is 32 kappa eps,
 kappa the condition number of the dense design matrix (of the assembled
 sketch, for a trial), so at least 32 eps: a fixed relative tolerance fails on
 correct code, where an optimum sits at rounding level or a monomial factor
@@ -59,6 +61,7 @@ from kronlev.sketch import (
     assemble,
     draw_sketch,
     full_relative_error,
+    leverage_scores,
     reduce_full_grid,
     solve,
     trial_error,
@@ -161,6 +164,9 @@ def check_against_the_oracle(shape):
     kappa = np.linalg.cond(full.matrix)
     rows = np.stack(np.unravel_index(np.arange(len(full.rhs)), full.grid_shape), axis=1)
     scores = exact_leverage(full)
+    # the scores read from J's record, lower or not, and the exact methods' point masses
+    structured = np.concatenate(list(leverage_scores(p.index_set, p.factors)))
+    assert np.max(np.abs(structured - scores)) <= 32 * kappa * EPS * scores.max()
     for tag in exact_methods(p):
         masses = point_mass_many(p.methods[tag], rows)
         assert np.max(np.abs(masses - scores)) <= 32 * kappa * EPS * scores.max(), tag
@@ -212,7 +218,8 @@ def rational_leverage(matrix):
 # A shape of D = 4 on 1080 rows, one of 3 in a probe of 3000 drawn shapes
 # where exact_leverage, the dense QR's row norms, was 157 kappa eps of the
 # largest score from the exact leverage: the QR's error grows with the row
-# count.  The point mass stays within 32 kappa eps of the exact leverage.
+# count.  The point mass and the scores read from J's record stay within
+# 32 kappa eps of the exact leverage.
 DRIFT = Shape(
     (("gl-uniform", 6), ("gl-uniform", 5), ("gl-uniform", 9), ("gl-uniform", 4)),
     (("legendre-orthonormal", 1), ("monomial", 1), ("legendre-orthonormal", 9), ("legendre-orthonormal", 2)),
@@ -230,6 +237,8 @@ def test_point_mass_is_the_exact_leverage_where_the_dense_qr_drifts():
     assert exact_methods(p) == ["leverage-lower"]
     masses = point_mass_many(p.methods["leverage-lower"], rows)
     assert np.max(np.abs(masses - exact)) <= 32 * kappa * EPS * exact.max()
+    structured = np.concatenate(list(leverage_scores(p.index_set, p.factors)))
+    assert np.max(np.abs(structured - exact)) <= 32 * kappa * EPS * exact.max()
 
 
 # The rows of a tensor-product draw all fall on the middle node of a 3-node

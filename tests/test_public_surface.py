@@ -114,3 +114,17 @@ def test_config_leaves_method_tags_and_basis_kinds_to_their_owners():
     """The sampler judges a method tag and ``BasisSpec`` a basis kind; config restates neither list."""
     tree = ast.parse((ROOT / "src" / "kronlev" / "config.py").read_text())
     assert {"METHOD_TAGS", "BASIS_KINDS"}.intersection(module_names(tree)) == set()
+
+
+def test_cli_imports_nothing_from_the_oracle():
+    """The dense oracle is the tests' reference: ``kronlev oracle`` reads the scores from J's record."""
+    tree = ast.parse((ROOT / "src" / "kronlev" / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # from . import oracle, from .oracle import x
+            module = ("." * node.level) + (node.module or "")
+            imported |= {module} | {f"{module.rstrip('.')}.{alias.name}" for alias in node.names}
+    assert imported
+    assert [name for name in imported if "oracle" in name.split(".")] == []
