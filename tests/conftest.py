@@ -12,3 +12,13 @@ def openblas():
     before = found.get_threads()
     yield found
     found.set_threads(before)
+
+
+@pytest.fixture
+def dpotrs(openblas):
+    return openblas.dpotrs
+
+
+@pytest.fixture
+def dpotrf(openblas):
+    return openblas.dpotrf

@@ -27,7 +27,7 @@ from kronlev.factor import build_factor, factor_qr, leverage_table
 from kronlev.sketch import draw_sketch
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
-from test_experiments import count_calls
+from helpers import count_calls
 
 
 def python_env(**env):
@@ -45,6 +45,20 @@ def run_python(args, **env):
     return subprocess.run(
         [sys.executable, *args], env=python_env(**env), check=True, capture_output=True, timeout=600,
     ).stdout
+
+
+def run_capped(argv, cwd=None, script="from kronlev.cli import main; sys.exit(main())"):
+    """A new Python process that runs ``script`` under a 2 GiB address-space cap, on one BLAS thread.
+
+    ``script`` sees ``argv`` as ``sys.argv[1:]``; by default it is ``kronlev``
+    itself.  The cap keeps a run that walks or allocates past its bound from
+    taking the machine's memory, and one BLAS thread keeps OpenBLAS's thread
+    stacks well under it.  The run must end within 60 s.
+    """
+    capped = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); " + script
+    return subprocess.run([sys.executable, "-c", capped, *argv], cwd=cwd,
+                          env=python_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
 
 
 def run_cli_with_blas_threads(blas_threads, argv):
@@ -926,37 +940,26 @@ class TestCli:
     @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
     def test_a_box_the_grid_cannot_carry_exits_2_before_j_is_walked(self, tmp_path, name, count, error):
         # At order 10^6 the ball has about 1.7e17 members and the cross about 1e8, so a
-        # walk of J before the grid check does not end within the timeout.  The child's
-        # address space is capped at 2 GiB so that such a walk cannot take the machine's
-        # memory; one BLAS thread keeps OpenBLAS's thread stacks well under that cap.
+        # walk of J before the grid check does not end within the timeout
         config = load_json(packaged_config_path(name))
         config["index_set"]["order"] = 10**6
         if count is not None:
             config["basis"]["count"] = count
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                  "from kronlev.cli import main; sys.exit(main())")
-        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "10", "--seed", "1"]
-        result = subprocess.run([sys.executable, "-c", capped, *argv],
-                                env=python_env(OPENBLAS_NUM_THREADS="1"),
-                                capture_output=True, text=True, timeout=60)
+        result = run_capped(["solve", "--config", str(path), "--method", "uniform", "--K", "10", "--seed", "1"])
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"config error: {error}")
 
     @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
     def test_indexset_of_more_than_a_million_members_exits_2(self, tmp_path, name):
         # indexset must walk J to report N, so the walk stops after 10^6 members
-        # instead of enumerating the ball's 1.7e17 or the cross's 1e8; capped as above
+        # instead of enumerating the ball's 1.7e17 or the cross's 1e8
         config = load_json(packaged_config_path(name))
         config["index_set"]["order"] = 10**6
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                  "from kronlev.cli import main; sys.exit(main())")
-        result = subprocess.run([sys.executable, "-c", capped, "indexset", "--config", str(path)],
-                                env=python_env(OPENBLAS_NUM_THREADS="1"),
-                                capture_output=True, text=True, timeout=60)
+        result = run_capped(["indexset", "--config", str(path)])
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == (
             "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
@@ -985,18 +988,13 @@ class TestCli:
     ], ids=["duffing-step", "far-gap", "far-gap-experiment", "far-gap-sample", "far-gap-oracle"])
     def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, argv, code, error):
         # 4e300 RK4 steps, or a walk towards J's closure of 8e6 members and its
-        # 11.9 GiB table on the 200-node grid; capped as above.  Each exits with
-        # its bound's message whichever method the run holds
+        # 11.9 GiB table on the 200-node grid.  Each exits with its bound's
+        # message whichever method the run holds
         config = load_json(packaged_config_path(name))
         config.update(patch)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                  "from kronlev.cli import main; sys.exit(main())")
-        argv = [argv[0], "--config", str(path), *argv[1:]]
-        result = subprocess.run([sys.executable, "-c", capped, *argv], cwd=tmp_path,
-                                env=python_env(OPENBLAS_NUM_THREADS="1"),
-                                capture_output=True, text=True, timeout=60)
+        result = run_capped([argv[0], "--config", str(path), *argv[1:]], cwd=tmp_path)
         assert (result.returncode, result.stderr) == (code, error)
         if code:
             assert result.stdout == "" and not any(tmp_path.glob("*.csv"))
@@ -1155,12 +1153,14 @@ class TestCli:
         path, dump = tmp_path / "m101.json", tmp_path / "m101.csv"
         path.write_text(json.dumps(config))
         script = (
-            "import resource, sys, kronlev.cli\n"
+            "import kronlev.cli\n"
             "code = kronlev.cli.main(sys.argv[1:])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
             "sys.exit(code)\n"
         )
-        lines = run_python(["-c", script, "oracle", "--config", str(path), "--dump", str(dump)]).splitlines()
+        result = run_capped(["oracle", "--config", str(path), "--dump", str(dump)], script=script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
         assert json.loads(lines[0]) == {"path": str(dump), "rows": 101**3, "N": 120}
         assert int(lines[-1]) <= 200 * 1024  # ru_maxrss is in KiB on Linux
         text = dump.read_text().splitlines()

@@ -38,6 +38,7 @@ from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
 from kronlev.oracle import build_full, solve_full
 from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
+from helpers import count_calls
 from outputs import gated_configs
 
 
@@ -549,26 +550,6 @@ def experiment_config(**overrides):
     }
     config.update(overrides)
     return parse_experiment(config)
-
-
-def count_calls(monkeypatch, *originals):
-    """A list that gets a function's name at each call.
-
-    Calls are counted through every kronlev binding of the function and its
-    own module's, so ``np.linalg.qr`` is counted where kronlev calls it.
-    """
-    calls = []
-    for original in originals:
-        def counted(*args, _original=original, **kwargs):
-            calls.append(_original.__name__)
-            return _original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "kronlev" or name.startswith("kronlev.") or name == original.__module__:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 class TrialError(RuntimeError):

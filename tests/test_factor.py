@@ -9,13 +9,18 @@ from kronlev.config import load_json, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.factor import (
     FactorMatrix,
+    _cholesky_solve,
+    _gram_factor,
     _kron_rows,
+    _one_blas_thread,
     _row_blocks,
     build_alias,
     build_factor,
     sample_nu_kd,
 )
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
+from kronlev.sketch import SketchedSystem, solve
+from helpers import cholesky_system, random_systems
 
 
 def monomial_factor(m, n):
@@ -308,6 +313,96 @@ def test_no_openblas_when_no_library_loads(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", refuse)
     assert factor_module._openblas.__wrapped__() is None
     assert len(tried) >= (found is not None)  # numpy's OpenBLAS, where it has one, was tried
+
+
+def numpy_cholesky_semi_normal(dpotrs, a, b):
+    """(L, x) of the corrected semi-normal step on np.linalg.cholesky's L.
+
+    L L^T x = z is one dpotrs call with uplo "U" on the C-ordered L, which
+    read column-major is L^T: how ``solve`` took this step before it factored
+    the Gram in place.
+    """
+    lower = np.linalg.cholesky(a.T @ a)
+    n = len(lower)
+
+    def cholesky_solve(z):
+        x = z.copy()
+        assert dpotrs(102, b"U", n, 1, lower, n, x, n) == 0
+        return x
+
+    x = cholesky_solve(a.T @ b)
+    return lower, x + cholesky_solve(a.T @ (b - a @ x))
+
+
+class TestCholeskyFactor:
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 33, 64, 120, 220, 221, 333, 700])
+    def test_factor_and_x_have_the_bits_of_numpy_cholesky(self, openblas, dpotrs, monkeypatch, n):
+        factors = []
+
+        def recording(*args):
+            factors.append(args[4].copy())
+            return dpotrs(*args)
+
+        found = openblas._replace(dpotrs=recording)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
+        b = rng.standard_normal(4 * n)
+        with _one_blas_thread():
+            x = solve(SketchedSystem(a, b)).x
+            lower, expected = numpy_cholesky_semi_normal(dpotrs, a, b)
+            # one layout from both back ends: R = L^T in the upper triangle
+            in_place = _gram_factor(a)
+            monkeypatch.setattr(factor_module, "_openblas", lambda: None)
+            from_numpy = _gram_factor(a)
+        assert x.tobytes() == expected.tobytes()
+        assert len(factors) == 2
+        for factor in factors + [in_place, from_numpy]:  # L^T in the upper triangle in C order
+            assert np.triu(factor).tobytes() == lower.T.tobytes()
+
+    def test_a_gram_that_is_not_positive_definite_is_declined(self, openblas, dpotrf, monkeypatch):
+        # dpotrf's info > 0: the leading minor of order 2 is exactly singular
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        gram = np.ascontiguousarray(a.T @ a)
+        assert dpotrf(102, b"L", 3, gram, 3) == 2
+        assert _gram_factor(a) is None
+        # info > 0 alone declines, whatever dpotrf left on the diagonal
+        def failing(*args):
+            assert dpotrf(*args) == 0
+            return 4
+
+        found = openblas._replace(dpotrf=failing)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
+        assert _gram_factor(random_systems(40, 6)[0][0]) is None
+
+    def test_a_bad_argument_raises(self, openblas, monkeypatch):
+        found = openblas._replace(dpotrf=lambda *args: -3)
+        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
+        with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
+            _gram_factor(random_systems(40, 6)[0][0])
+
+    def test_the_foreign_function_takes_only_a_writeable_c_contiguous_float64(self, dpotrf):
+        gram = np.ascontiguousarray(cholesky_system(6, 6)[0])
+        read_only = gram.copy()
+        read_only.flags.writeable = False
+        for bad in (np.asfortranarray(gram), gram.astype(np.float32), read_only):
+            with pytest.raises(ctypes.ArgumentError):
+                dpotrf(102, b"L", 6, bad, 6)
+
+    def test_each_back_end_solves_as_lstsq_on_one_blas_thread(self, openblas, monkeypatch):
+        # the calls themselves, not only the symbol lookup, on the one thread
+        # that trials pin: dpotrf and dpotrs, then np.linalg.cholesky and back
+        # substitution, on one 40 x 6 system
+        a, b = random_systems(40, 6)[0]
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        openblas.set_threads(2)
+        with _one_blas_thread():
+            assert openblas.get_threads() == 1
+            for binding in (openblas, None):
+                monkeypatch.setattr(factor_module, "_openblas", lambda: binding)
+                x = _cholesky_solve(_gram_factor(a), a.T @ b)
+                assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected), binding
+        assert openblas.get_threads() == 2
 
 
 class TestRowBlocks:

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from kronlev.factor import build_factor
-from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.oracle import (
     FullSystem,
@@ -18,13 +16,7 @@ from kronlev.oracle import (
 )
 from kronlev.sampler import make_method
 from kronlev.sketch import Sketch, SketchedSystem, TargetFunction, draw_sketch, solve
-
-
-def total_degree(dimension, order):
-    return build_index_set(
-        IndexSetSpec(dimension=dimension, family="wlp-ball", order=order,
-                     weights=(1.0,) * dimension)
-    )
+from helpers import monomial_factors, total_degree
 
 
 def full_box(shape):
@@ -32,10 +24,6 @@ def full_box(shape):
         IndexSetSpec(dimension=len(shape), family="explicit-list",
                      indices=tuple(itertools.product(*(range(1, n + 1) for n in shape))))
     )
-
-
-def monomial_factors(dimension, m, n):
-    return [build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))] * dimension
 
 
 SMOOTH = TargetFunction("smooth", lambda c: np.exp(c.sum(axis=1)))

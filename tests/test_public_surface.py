@@ -128,3 +128,25 @@ def test_cli_imports_nothing_from_the_oracle():
             imported |= {module} | {f"{module.rstrip('.')}.{alias.name}" for alias in node.names}
     assert imported
     assert [name for name in imported if "oracle" in name.split(".")] == []
+
+
+def test_no_test_module_imports_a_test_module():
+    """Shared test code lives in ``helpers`` and ``conftest``, never in a ``test_*`` module.
+
+    A test module may import a test extra (scipy, hypothesis), so a file that
+    imported such a module could not be collected where pytest and numpy are
+    all that is installed.
+    """
+    paths = sorted((ROOT / "tests").rglob("*.py"))
+    assert ROOT / "tests" / "test_config_cli.py" in paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.partition(".")[0].startswith("test_")]
+    assert found == []

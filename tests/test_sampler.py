@@ -17,17 +17,7 @@ from kronlev.sampler import (
     sample_indices,
 )
 from kronlev.sketch import TargetFunction
-
-
-def total_degree(dimension, order):
-    return build_index_set(
-        IndexSetSpec(dimension=dimension, family="wlp-ball", order=order,
-                     weights=(1.0,) * dimension)
-    )
-
-
-def monomial_factors(dimension, m, n):
-    return [build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))] * dimension
+from helpers import monomial_factors, total_degree
 
 
 def all_grid_indices(shape):

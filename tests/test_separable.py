@@ -33,7 +33,7 @@ from kronlev.sketch import (
     solve,
     trial_error,
 )
-from test_experiments import count_calls
+from helpers import count_calls
 
 ISHIGAMI_CONFIGS = ["ishigami-g7", "ishigami-g9", "ishigami-hc15", "ishigami-hc18"]
 # a J that is not lower: its closure L is larger, so the reduction keeps a basis U
@@ -306,19 +306,20 @@ def test_manufactured_targets_give_their_closed_form(dimension, family, order, m
         assert not flag and reduction.optimal_error <= error < 1.0
 
 
-def test_full_error_forms_r_lj_in_row_blocks():
-    # D = 30, total degree 3: N = |L| = 5456, so the whole R_{L,J} takes 238 MB.
-    # On Gauss-Legendre grids the orthonormal Legendre factors are their own Q,
+@pytest.mark.parametrize("dimension", [20, 30])
+def test_full_error_forms_r_lj_in_row_blocks(dimension):
+    # 6^D grid rows and a 4^D bounding box, neither formed.  At D = 30, total
+    # degree 3, N = |L| = 5456, so the whole R_{L,J} takes 238 MB.  On
+    # Gauss-Legendre grids the orthonormal Legendre factors are their own Q,
     # so R_{L,J} = I up to rounding and the error has the closed form below.
-    dimension = 30
     grid = gauss_legendre_grid(6)
     factors = [build_factor(grid, BasisSpec("legendre-orthonormal", 4))] * dimension
     index_set = build_index_set(IndexSetSpec(dimension, "wlp-ball", 3, weights=(1.0,) * dimension))
     values = genz("product-peak", [grid] * dimension, [dimension**-0.5] * dimension, [0.5] * dimension)
-    reduction = reduce_full_grid(index_set, factors, values)
-    x = reduction.c * (1.0 + 0.1 * np.random.default_rng(30).standard_normal(len(index_set)))
     tracemalloc.start()
     try:
+        reduction = reduce_full_grid(index_set, factors, values)
+        x = reduction.c * (1.0 + 0.1 * np.random.default_rng(dimension).standard_normal(len(index_set)))
         error = full_relative_error(reduction, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -327,6 +328,14 @@ def test_full_error_forms_r_lj_in_row_blocks():
     gap = x - reduction.c
     expected = math.sqrt((gap @ gap + reduction.residual_sq) / reduction.b_sq)
     assert relative(error, expected) <= 1e-12
+    # a zero fit leaves all of b as the residual
+    assert abs(full_relative_error(reduction, np.zeros(len(index_set))) - 1.0) <= 1e-12
+    # the captured share of ||b||^2 is the degree <= 3 part of (sum_k p_k^2 z^k)^D / ||beta||^(2D);
+    # 1 - share loses about 8 digits to cancellation here, so the optimum is checked to 1e-6
+    beta = np.sqrt(grid.weights) * values.terms[0][0]
+    p = factors[0].q[:, :4].T @ beta
+    share = np.polynomial.polynomial.polypow(p**2 / (beta @ beta), dimension)[:4].sum()
+    assert relative(reduction.optimal_error, math.sqrt(1.0 - share)) <= 1e-6
 
 
 @pytest.mark.parametrize("dimension,order,m", [(3, 5, 8), (7, 3, 8)])

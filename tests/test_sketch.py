@@ -52,18 +52,7 @@ from kronlev.sketch import (
     solve,
     trial_error,
 )
-from test_experiments import count_calls
-
-
-def total_degree(dimension, order):
-    return build_index_set(
-        IndexSetSpec(dimension=dimension, family="wlp-ball", order=order,
-                     weights=(1.0,) * dimension)
-    )
-
-
-def monomial_factors(dimension, m, n):
-    return [build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))] * dimension
+from helpers import cholesky_system, count_calls, monomial_factors, random_systems, total_degree
 
 
 def kron_entries(mats, rows, cols):
@@ -195,14 +184,6 @@ def cholesky_breaks_down():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(a.T @ a)
     return a, np.array([1.0, 2.0, 3.0]), False
-
-
-def random_systems(k, n):
-    rng = np.random.default_rng(k)
-    return [
-        (rng.standard_normal((k, n)) * rng.uniform(0.5, 2.0, n), rng.standard_normal(k))
-        for _ in range(5)
-    ]
 
 
 def rotated_condition_1e3():
@@ -442,28 +423,6 @@ class TestBackSubstitute:
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
-@pytest.fixture
-def dpotrs(openblas):
-    return openblas.dpotrs
-
-
-@pytest.fixture
-def dpotrf(openblas):
-    return openblas.dpotrf
-
-
-def cholesky_system(n, seed):
-    """(factor, z): a random well-conditioned Gram L L^T as dpotrf "L" leaves it, and an rhs.
-
-    In C order the factor holds L^T in its upper triangle; its strict lower
-    triangle, which dpotrs must not read, holds the Gram's entries.
-    """
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((4 * n, n))
-    gram = a.T @ a
-    return np.triu(np.linalg.cholesky(gram).T) + np.tril(gram, -1), rng.standard_normal(n)
-
-
 class TestCholeskySolve:
     @pytest.mark.parametrize("n", [1, 7, 220])
     def test_solves_the_cholesky_system(self, dpotrs, n):
@@ -524,83 +483,6 @@ class TestCholeskySolve:
         for factor, rhs in [(given.T, z.copy()), (given, z.astype(np.float32)), (given, z[::-1])]:
             with pytest.raises(ctypes.ArgumentError):
                 dpotrs(102, b"L", 6, 1, factor, 6, rhs, 6)
-
-
-def numpy_cholesky_semi_normal(dpotrs, a, b):
-    """(L, x) of the corrected semi-normal step on np.linalg.cholesky's L.
-
-    L L^T x = z is one dpotrs call with uplo "U" on the C-ordered L, which
-    read column-major is L^T: how ``solve`` took this step before it factored
-    the Gram in place.
-    """
-    lower = np.linalg.cholesky(a.T @ a)
-    n = len(lower)
-
-    def cholesky_solve(z):
-        x = z.copy()
-        assert dpotrs(102, b"U", n, 1, lower, n, x, n) == 0
-        return x
-
-    x = cholesky_solve(a.T @ b)
-    return lower, x + cholesky_solve(a.T @ (b - a @ x))
-
-
-class TestCholeskyFactor:
-    @pytest.mark.parametrize("n", [1, 2, 7, 31, 33, 64, 120, 220, 221, 333, 700])
-    def test_factor_and_x_have_the_bits_of_numpy_cholesky(self, openblas, dpotrs, monkeypatch, n):
-        factors = []
-
-        def recording(*args):
-            factors.append(args[4].copy())
-            return dpotrs(*args)
-
-        found = openblas._replace(dpotrs=recording)
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((4 * n, n)) * rng.uniform(0.5, 2.0, n)
-        b = rng.standard_normal(4 * n)
-        with _one_blas_thread():
-            x = solve(SketchedSystem(a, b)).x
-            lower, expected = numpy_cholesky_semi_normal(dpotrs, a, b)
-            # one layout from both back ends: R = L^T in the upper triangle
-            in_place = _gram_factor(a)
-            monkeypatch.setattr(factor_module, "_openblas", lambda: None)
-            from_numpy = _gram_factor(a)
-        assert x.tobytes() == expected.tobytes()
-        assert len(factors) == 2
-        for factor in factors + [in_place, from_numpy]:  # L^T in the upper triangle in C order
-            assert np.triu(factor).tobytes() == lower.T.tobytes()
-
-    def test_a_gram_that_is_not_positive_definite_is_declined(self, openblas, dpotrf, monkeypatch):
-        # dpotrf's info > 0: the leading minor of order 2 is exactly singular
-        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        gram = np.ascontiguousarray(a.T @ a)
-        assert dpotrf(102, b"L", 3, gram, 3) == 2
-        assert _gram_factor(a) is None
-        # info > 0 alone declines, whatever dpotrf left on the diagonal
-        def failing(*args):
-            assert dpotrf(*args) == 0
-            return 4
-
-        found = openblas._replace(dpotrf=failing)
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        assert _gram_factor(random_systems(40, 6)[0][0]) is None
-
-    def test_a_bad_argument_raises(self, openblas, monkeypatch):
-        found = openblas._replace(dpotrf=lambda *args: -3)
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        with pytest.raises(RuntimeError, match="dpotrf failed with info = -3"):
-            _gram_factor(random_systems(40, 6)[0][0])
-
-    def test_the_foreign_function_takes_only_a_writeable_c_contiguous_float64(self, dpotrf):
-        gram = np.ascontiguousarray(cholesky_system(6, 6)[0])
-        read_only = gram.copy()
-        read_only.flags.writeable = False
-        for bad in (np.asfortranarray(gram), gram.astype(np.float32), read_only):
-            with pytest.raises(ctypes.ArgumentError):
-                dpotrf(102, b"L", 6, bad, 6)
-
-
 
 
 class TestBundledOpenBlas:
