@@ -41,7 +41,8 @@ from .config import ConfigError, ExperimentConfig, ProblemSetup, _duffing_steps
 from .factor import _one_blas_thread
 from .grid_basis import Grid1D
 from .sampler import METHOD_TAGS, SamplerMethod, sample_indices
-from .sketch import FullGridReduction, SeparableValues, TargetFunction, reduce_full_grid, trial_error
+from .sketch import (_MAX_GRID_ROWS, FullGridReduction, SeparableValues, TargetFunction, reduce_full_grid,
+                     trial_error)
 
 __all__ = [
     "ishigami",
@@ -337,6 +338,9 @@ def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReductio
     Ishigami enters as its terms tabulated on each dimension's nodes, so the
     grid is never formed; a tabulated model as its file's values; any other
     model as its values on the grid, evaluated in up to ``workers`` processes.
+    A model taken as grid values is refused, with ValueError and before its
+    file is read or it is evaluated, on a grid of more than
+    ``sketch._MAX_GRID_ROWS`` rows.
     """
     model = problem.model
     if model["name"] == "ishigami":
@@ -344,10 +348,14 @@ def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReductio
         b_values = SeparableValues(
             tuple(tuple(g(grid.nodes) for g, grid in zip(term, problem.grids)) for term in terms)
         )
-    elif model["name"] == "tabulated":
-        b_values = _tabulated_values(model["path"], problem.grids)
     else:
-        b_values = evaluate_on_grid(make_target(model), problem.grids, workers)
+        rows = math.prod(len(g) for g in problem.grids)
+        if rows > _MAX_GRID_ROWS:
+            raise ValueError(f"full grid has {rows} rows, beyond the grid-value bound {_MAX_GRID_ROWS}")
+        if model["name"] == "tabulated":
+            b_values = _tabulated_values(model["path"], problem.grids)
+        else:
+            b_values = evaluate_on_grid(make_target(model), problem.grids, workers)
     return reduce_full_grid(problem.index_set, problem.factors, b_values)
 
 
@@ -415,12 +423,16 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
 
 
 def write_report_csv(report: TrialReport, path) -> None:
-    """Per-trial errors as CSV; float fields use shortest round-trip repr."""
+    """Per-trial errors as CSV.
+
+    Each number is written as ``str`` writes it: for a float, Python's or
+    numpy's, that is its shortest round-trip text.
+    """
     lines = ["method,trial,relative_error,optimal_relative_error,N,K"]
     for tag in report.methods:
         for trial, err in enumerate(report.errors[tag]):
             lines.append(
-                f"{tag},{trial},{err!r},{report.optimal_error!r},"
+                f"{tag},{trial},{err},{report.optimal_error},"
                 f"{report.subspace_size},{report.sample_count}"
             )
     with open(path, "w", newline="") as handle:
@@ -440,7 +452,7 @@ def emit_cdf(report: TrialReport, path) -> None:
     for tag in report.methods:
         ordered = sorted(report.errors[tag])
         for i, err in enumerate(ordered, start=1):
-            lines.append(f"{tag},{err!r},{i / report.trials!r}")
+            lines.append(f"{tag},{err},{i / report.trials}")
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 

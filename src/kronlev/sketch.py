@@ -79,9 +79,13 @@ __all__ = [
 ]
 
 SAMPLE_SIZE_BOUNDS = ("instance-Vb", "instance-V", "expectation", "truncation", "embedding")
-# Most grid rows leverage_scores walks: at 10^7 rows the scores take about 4 s
-# on one core, and ``kronlev oracle``'s dump of them about 300 MB of CSV
-_MAX_SCORE_ROWS = 10**7
+# Most grid rows that leverage_scores walks, and that a model taken as grid
+# values (``experiments.prepare_problem``) is evaluated on.  At 10^7 rows the
+# scores take about 4 s on one core and ``kronlev oracle``'s dump of them about
+# 300 MB of CSV; the grid values take 80 MB, and at about 120 us per RK4 step
+# on 20^3 points (``config._MAX_STEPS``) Duffing's default 4000 steps take
+# about 10 minutes, an hour at 400^3 rows
+_MAX_GRID_ROWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -315,13 +319,13 @@ def leverage_scores(index_set: MultiIndexSet, factors: Sequence[FactorMatrix]) -
     BLAS thread, so their bits do not depend on the caller's thread count.
     The pin holds from the first block until the walk ends or the iterator is
     closed.  The call itself refuses, with ValueError and before any work, a grid of
-    more than ``_MAX_SCORE_ROWS`` rows; then it builds J's record, so a J that
+    more than ``_MAX_GRID_ROWS`` rows; then it builds J's record, so a J that
     does not fit its factors, or whose closure passes the walk bound, raises
     here too, not at the first block.
     """
     shape = tuple(len(f.grid) for f in factors)
-    if math.prod(shape) > _MAX_SCORE_ROWS:
-        raise ValueError(f"full grid has {math.prod(shape)} rows, beyond the score bound {_MAX_SCORE_ROWS}")
+    if math.prod(shape) > _MAX_GRID_ROWS:
+        raise ValueError(f"full grid has {math.prod(shape)} rows, beyond the score bound {_MAX_GRID_ROWS}")
     subspace = _subspace(index_set, factors)
 
     def blocks():

@@ -5,13 +5,39 @@ and never a ``test_*`` module, so a test file that takes its helpers from
 here can be collected where pytest and numpy are all that is installed.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import kronlev
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
+
+
+def python_env():
+    """This process's environment, where a new Python process imports this kronlev."""
+    src = str(Path(kronlev.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_capped(argv, cwd=None, script="from kronlev.cli import main; sys.exit(main())"):
+    """A new Python process that runs ``script`` under a 2 GiB address-space cap, on one BLAS thread.
+
+    The tests' one launcher of a new interpreter, for checks of what only a
+    fresh process shows: its memory cap and peak, and its imports and threads.
+    ``script`` sees ``argv`` as ``sys.argv[1:]``; by default it is ``kronlev``
+    itself.  The cap keeps a run that walks or allocates past its bound from
+    taking the machine's memory, and one BLAS thread keeps OpenBLAS's thread
+    stacks well under it.  The run must end within 60 s.
+    """
+    capped = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); " + script
+    return subprocess.run([sys.executable, "-c", capped, *argv], cwd=cwd,
+                          env=dict(python_env(), OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
 
 
 def count_calls(monkeypatch, *originals):

@@ -37,6 +37,9 @@ SOLVES = [
     ("gapped", "orthogonal-columns", 476, 3),
     ("ishigami-m101", "leverage-lower", 480, 1),
 ]
+# `experiment` of each, with its report and CDF, at OPENBLAS_NUM_THREADS 1 and 2 and --threads 1:
+# duffing-g9's trials (N = 220) differ when they run unpinned
+EXPERIMENTS = ["duffing-g9-t3"]
 # `oracle --dump` of each, at OPENBLAS_NUM_THREADS 1 and 2: the scores are read from J's record
 # on one BLAS thread, and the gapped config's non-lower J takes their gather's product with U
 ORACLES = ["ishigami-g7", "duffing-g9", "gapped"]
@@ -97,6 +100,10 @@ def commands(names: list) -> tuple[list, list]:
         runs += [(f"{stem}-b{blas}.json", blas, ["solve", "--config", f"{name}.json", "--method", method,
                   "--K", str(K), "--seed", str(seed)]) for blas in (1, 2)]
         pairs.append((f"{stem}-b1.json", f"{stem}-b2.json"))
+    for name in EXPERIMENTS:
+        runs += [(f"{name}-b{blas}.json", blas, ["experiment", "--config", f"{name}.json", "--out",
+                  f"{name}-b{blas}.csv", "--cdf", f"{name}-cdf-b{blas}.csv"]) for blas in (1, 2)]
+        pairs += [(f"{name}{kind}-b1.csv", f"{name}{kind}-b2.csv") for kind in ("", "-cdf")]
     for name in ORACLES:
         runs += [(f"{name}-oracle-b{blas}.json", blas, ["oracle", "--config", f"{name}.json", "--dump",
                   f"{name}-oracle-b{blas}.csv"]) for blas in (1, 2)]

@@ -4,12 +4,10 @@ import os
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kronlev
 import kronlev.cli
 import kronlev.config
 import kronlev.indexset
@@ -27,43 +25,7 @@ from kronlev.factor import build_factor, factor_qr, leverage_table
 from kronlev.sketch import draw_sketch
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.indexset import IndexSetSpec, build_index_set
-from helpers import count_calls
-
-
-def python_env(**env):
-    """This process's environment with ``env`` added, where a new Python process imports this kronlev."""
-    src = str(Path(kronlev.__file__).parents[1])
-    return dict(
-        os.environ,
-        **env,
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    )
-
-
-def run_python(args, **env):
-    """stdout of a new Python process that imports this kronlev, with ``env`` added."""
-    return subprocess.run(
-        [sys.executable, *args], env=python_env(**env), check=True, capture_output=True, timeout=600,
-    ).stdout
-
-
-def run_capped(argv, cwd=None, script="from kronlev.cli import main; sys.exit(main())"):
-    """A new Python process that runs ``script`` under a 2 GiB address-space cap, on one BLAS thread.
-
-    ``script`` sees ``argv`` as ``sys.argv[1:]``; by default it is ``kronlev``
-    itself.  The cap keeps a run that walks or allocates past its bound from
-    taking the machine's memory, and one BLAS thread keeps OpenBLAS's thread
-    stacks well under it.  The run must end within 60 s.
-    """
-    capped = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); " + script
-    return subprocess.run([sys.executable, "-c", capped, *argv], cwd=cwd,
-                          env=python_env(OPENBLAS_NUM_THREADS="1"),
-                          capture_output=True, text=True, timeout=60)
-
-
-def run_cli_with_blas_threads(blas_threads, argv):
-    """stdout of ``kronlev`` run in a new process with OPENBLAS_NUM_THREADS set."""
-    return run_python(["-m", "kronlev.cli", *argv], OPENBLAS_NUM_THREADS=blas_threads)
+from helpers import count_calls, python_env, run_capped
 
 
 def expected_sample_csv(config_path, tag, count, seed):
@@ -1002,6 +964,36 @@ class TestCli:
             lines = result.stdout.splitlines()
             assert len(lines) == 9 and lines[0].startswith("m_1,m_2,m_3,")
 
+    @pytest.mark.parametrize("argv", [SOLVE, ["experiment", "--out", "report.csv", "--cdf", "cdf.csv"]],
+                             ids=["solve", "experiment"])
+    def test_a_grid_valued_model_past_the_row_bound_exits_1_before_it_is_evaluated(self, tmp_path, argv):
+        # duffing-g7 at M = 400: 6.4e7 grid points, whose 4000 RK4 steps
+        # would take about an hour and whose values would take 512 MB
+        config = load_json(packaged_config_path("duffing-g7"))
+        config["grid"]["M"] = 400
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = run_capped([argv[0], "--config", str(path), *argv[1:]], cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: full grid has 64000000 rows, beyond the grid-value bound 10000000\n"
+        )
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("m,code,error", [
+        (215, 2, "config error: tabulated model file "),
+        (216, 1, "error: full grid has 10077696 rows, beyond the grid-value bound 10000000\n"),
+    ], ids=["215-cubed", "216-cubed"])
+    def test_a_tabulated_model_is_bounded_before_its_file_is_read(self, tmp_path, capsys, m, code, error):
+        # 215^3 rows are within the bound, so the missing file is read; 216^3 are not
+        config = load_json(packaged_config_path("ishigami-g7"))
+        config.update(grid={"grid": "gauss-legendre-uniform", "M": m},
+                      model={"name": "tabulated", "path": "missing.txt"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), *self.SOLVE[1:]]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+
     def test_an_exception_without_text_is_named_by_its_type(self, tiny_config, monkeypatch, capsys):
         def out_of_memory(problem, workers=1):
             raise MemoryError()
@@ -1058,75 +1050,46 @@ class TestCli:
         assert solved["relative_error"] >= solved["optimal_relative_error"]
         assert solved["optimal_relative_error"] == experiment["optimal_relative_error"]
 
-    @pytest.mark.slow
-    def test_experiment_bytes_independent_of_blas_threads(self, tmp_path):
-        config = str(packaged_config_path("ishigami-g7"))
-        outputs = []
-        for blas_threads in ("1", "2"):
-            out, cdf = tmp_path / f"report-{blas_threads}.csv", tmp_path / f"cdf-{blas_threads}.csv"
-            run_cli_with_blas_threads(blas_threads, [
-                "experiment", "--config", config, "--out", str(out), "--cdf", str(cdf),
-            ])
-            outputs.append((out.read_bytes(), cdf.read_bytes()))
-        assert outputs[0] == outputs[1]
-
-    def test_bytes_independent_of_blas_threads_above_10_4_grid_rows(self, tmp_path):
-        # 22^3 = 10,648 rows: OpenBLAS splits a dot product of more than 10^4
-        # elements across its threads, so unpinned ||b||^2 and ||r||^2 round
-        # by thread count and move every reported error
-        config = load_json(packaged_config_path("ishigami-g7"))
-        config["grid"]["M"] = 22
-        config["trials"] = 10
-        path = tmp_path / "ishigami-g7-m22.json"
-        path.write_text(json.dumps(config))
-        outputs = []
-        for blas_threads in ("1", "2"):
-            out, cdf = tmp_path / f"report-{blas_threads}.csv", tmp_path / f"cdf-{blas_threads}.csv"
-            run_cli_with_blas_threads(blas_threads, [
-                "experiment", "--config", str(path), "--out", str(out), "--cdf", str(cdf),
-            ])
-            solved = run_cli_with_blas_threads(blas_threads, [
-                "solve", "--config", str(path), "--method", "leverage-lower", "--K", "480",
-                "--seed", "3",
-            ])
-            outputs.append((out.read_bytes(), cdf.read_bytes(), solved))
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.slow
-    def test_experiment_bytes_independent_of_blas_and_worker_threads_at_n_220(self, tmp_path):
-        # duffing-g9 (N=220, K=880) at its packaged size and seed: a trial's
-        # QR of an 880x221 matrix rounds differently on two BLAS threads
-        config = load_json(packaged_config_path("duffing-g9"))
-        config["trials"] = 40
-        path = tmp_path / "duffing-g9.json"
-        path.write_text(json.dumps(config))
-        outputs = []
-        for threads in ("1", "2"):
-            out, cdf = tmp_path / f"report-{threads}.csv", tmp_path / f"cdf-{threads}.csv"
-            run_cli_with_blas_threads(threads, [
-                "experiment", "--config", str(path), "--out", str(out), "--cdf", str(cdf),
-                "--threads", threads,
-            ])
-            outputs.append((out.read_bytes(), cdf.read_bytes()))
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.slow
-    def test_solve_bytes_independent_of_blas_threads(self):
-        argv = ["solve", "--config", str(packaged_config_path("duffing-g9")),
-                "--method", "uniform", "--K", "880", "--seed", "1"]
-        assert run_cli_with_blas_threads("1", argv) == run_cli_with_blas_threads("2", argv)
-
-    @pytest.mark.slow
-    def test_oracle_dump_independent_of_blas_threads(self, tmp_path):
+    # (packaged config, its changes, command and arguments): each is run in this
+    # process at BLAS counts 1 and 2, {count} taking the count
+    DUFFING_M22 = {"grid": {"grid": "gauss-legendre-uniform", "M": 22},
+                   "model": {"name": "duffing", "t_final": 0.1, "step": 0.01}, "trials": 10}
+    BLAS_COUNT_CASES = {
+        "experiment-ishigami-g7": ("ishigami-g7", {}, ["experiment", "--out", "report.csv", "--cdf", "cdf.csv"]),
+        # 22^3 = 10,648 grid values: OpenBLAS splits a dot product of more than
+        # 10^4 elements across its threads, so an unpinned reduction's ||b||^2
+        # and ||r||^2 round by thread count and move every reported error
+        "experiment-duffing-g7-m22": ("duffing-g7", DUFFING_M22,
+                                      ["experiment", "--out", "report.csv", "--cdf", "cdf.csv"]),
+        "solve-duffing-g7-m22": ("duffing-g7", DUFFING_M22,
+                                 ["solve", "--method", "leverage-lower", "--K", "480", "--seed", "3"]),
+        # duffing-g9 (N = 220, K = 880) at its packaged size and seed: an
+        # unpinned trial rounds differently on two BLAS threads
+        "experiment-duffing-g9": ("duffing-g9", {"trials": 40},
+                                  ["experiment", "--out", "report.csv", "--cdf", "cdf.csv", "--threads", "{count}"]),
+        "solve-duffing-g9": ("duffing-g9", {}, ["solve", "--method", "uniform", "--K", "880", "--seed", "1"]),
         # the scores are read from J's record on one BLAS thread, whatever the caller's count
-        dumps = []
-        for threads in ("1", "2"):
-            dump = tmp_path / f"leverage-{threads}.csv"
-            run_cli_with_blas_threads(threads, [
-                "oracle", "--config", str(packaged_config_path("ishigami-g7")), "--dump", str(dump),
-            ])
-            dumps.append(dump.read_bytes())
-        assert dumps[0] == dumps[1]
+        "oracle-ishigami-g7": ("ishigami-g7", {}, ["oracle", "--dump", "leverage.csv"]),
+    }
+
+    @pytest.mark.parametrize("case", list(BLAS_COUNT_CASES))
+    def test_stdout_and_files_keep_their_bytes_at_one_and_two_blas_threads(
+        self, openblas, tmp_path, monkeypatch, capsys, case
+    ):
+        name, changes, argv = self.BLAS_COUNT_CASES[case]
+        config = {**load_json(packaged_config_path(name)), **changes}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for count in (1, 2):
+            written = tmp_path / f"blas-{count}"
+            written.mkdir()
+            monkeypatch.chdir(written)  # the files are named relative to it, in stdout too
+            openblas.set_threads(count)
+            assert main([argv[0], "--config", str(path), *(arg.format(count=count) for arg in argv[1:])]) == 0
+            assert openblas.get_threads() == count
+            outputs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(written.iterdir())}))
+        assert outputs[0] == outputs[1]
 
     def test_solve_imports_no_scipy(self):
         # scipy is a test dependency only: importing it costs every command about 0.35 s
@@ -1138,7 +1101,9 @@ class TestCli:
         )
         argv = ["solve", "--config", str(packaged_config_path("ishigami-g7")),
                 "--method", "leverage-lower", "--K", "480", "--seed", "1"]
-        lines = run_python(["-c", script, *argv]).decode().splitlines()
+        result = run_capped(argv, script=script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
         assert set(json.loads(lines[0])) == {
             "relative_error", "optimal_relative_error", "K", "N", "rank_flag"
         }
@@ -1187,7 +1152,9 @@ class TestCli:
             "                        if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n"
             "sys.exit(code)\n"
         )
-        lines = run_python(["-c", script, *argv, "--config", str(path)]).decode().splitlines()
+        result = run_capped([*argv, "--config", str(path)], script=script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
         assert json.loads(lines[0])["N"] == 120
         assert json.loads(lines[-1]) == []
 

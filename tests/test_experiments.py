@@ -6,7 +6,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import subprocess
 import sys
 import threading
 
@@ -38,7 +37,7 @@ from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
 from kronlev.oracle import build_full, solve_full
 from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
-from helpers import count_calls
+from helpers import count_calls, run_capped
 from outputs import gated_configs
 
 
@@ -527,12 +526,9 @@ print(json.dumps([
     sum(len(errors) for errors in report.errors.values()),
 ]))
 """
-        src = os.path.dirname(os.path.dirname(kronlev.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=600
-        ).stdout
-        assert json.loads(out) == [[], 1, 9]
+        result = run_capped([], script=script)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[], 1, 9]
 
 
 def experiment_config(**overrides):
@@ -982,6 +978,20 @@ class TestReports:
         assert lines[0] == "method,trial,relative_error,optimal_relative_error,N,K"
         first = lines[1].split(",")
         assert float(first[2]) == report.errors[report.methods[0]][0]
+
+    @pytest.mark.parametrize("writer", [write_report_csv, emit_cdf])
+    def test_numpy_numbers_write_the_bytes_of_python_numbers(self, report, writer, tmp_path):
+        # TrialReport is public, so a caller may fill it with numpy scalars
+        numpy_report = dataclasses.replace(
+            report,
+            errors={tag: [np.float64(err) for err in errs] for tag, errs in report.errors.items()},
+            optimal_error=np.float64(report.optimal_error),
+            subspace_size=np.int64(report.subspace_size),
+            sample_count=np.int64(report.sample_count),
+        )
+        writer(report, tmp_path / "python.csv")
+        writer(numpy_report, tmp_path / "numpy.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
     def test_svg_written(self, report, tmp_path):
         path = tmp_path / "cdf.svg"
