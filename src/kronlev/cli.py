@@ -3,8 +3,11 @@
 Subcommands: ``indexset``, ``sample``, ``solve``, ``oracle``, ``experiment``.
 stdout carries JSON summaries only, but ``sample`` without ``--out`` writes
 its sample CSV there; human-readable diagnostics go to stderr.  Exit codes:
-0 success, 2 config or usage error, 1 runtime error.  A reader that closes
-stdout early (``| head``) ends the command with status 1 and nothing on stderr.
+0 success, 2 config or usage error, 1 runtime error.  An output path whose
+directory does not exist, that is a directory, or that another output
+option names too, is a usage error, refused before the config is read.  A
+reader that closes stdout early (``| head``) ends the command with status 1
+and nothing on stderr.
 ``oracle`` writes J's exact leverage scores, which ``sketch.leverage_scores``
 reads from J's record a block of rows at a time, with no dense design matrix;
 every refusal, the bound on the grid's rows included, comes before the dump
@@ -19,6 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -201,8 +205,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_output_path(args) -> Optional[str]:
+    """The error line of the first output path that cannot be written as a file of its own, or None.
+
+    A path must lie in a directory that exists, must not be a directory, and
+    must not name the file of another output option, which would keep only
+    the last file written.  The files are written after the work, which a
+    typo in a path would otherwise throw away, so ``main`` asks this before
+    the config is read.
+    """
+    named = {}
+    for option in ("out", "cdf", "svg", "dump"):
+        path = getattr(args, option, None)
+        if path is None:
+            continue
+        target, error = Path(path), f"kronlev {args.command}: error: argument --{option}: "
+        if not target.parent.is_dir():
+            return error + f"the directory of {path} does not exist"
+        if target.is_dir():
+            return error + f"{path} is a directory"
+        if target.resolve() in named:
+            return error + f"{path} is also the --{named[target.resolve()]} path"
+        named[target.resolve()] = option
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    bad = _bad_output_path(args)
+    if bad:
+        print(bad, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -378,6 +378,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@_one_blas_thread()
 def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Run every (method, trial) sketch-solve pipeline of an experiment.
 
@@ -385,9 +386,11 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     method on the problem, so this builds only the reduction every
     ``trial_error`` reads, taking the model into it once.  Each
     (method, trial) pair owns the seed stream (base_seed, method id, trial),
-    the id being the method tag's position in ``METHOD_TAGS``, and the trials
-    run on one BLAS thread, so reports are pure functions of the config
-    regardless of ``threads`` and the BLAS thread count.
+    the id being the method tag's position in ``METHOD_TAGS``, and the whole
+    call runs on one BLAS thread, so reports are pure functions of the config
+    regardless of ``threads`` and the BLAS thread count.  The count is set
+    before any fork: OpenBLAS's pool, shut down at a fork, then restarts only
+    when the trials are done, and the forked processes inherit the count of 1.
 
     ``threads`` is capped once at the CPUs this process may run on
     (``_usable_cpus``).  That many processes share a grid-valued model's
@@ -405,12 +408,8 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
         return trial_error(reduction, method, rows)[0]
 
     jobs = [(method, t) for method in experiment.methods for t in range(trials)]  # method-major
-    # pinned before any fork: OpenBLAS's pool, shut down at a fork, then
-    # restarts only when the trials are done, and the forked processes
-    # inherit the count of 1
-    with _one_blas_thread():
-        reduction = prepare_problem(problem, workers)
-        results = _map_in_shares(one_trial, jobs, workers)
+    reduction = prepare_problem(problem, workers)
+    results = _map_in_shares(one_trial, jobs, workers)
     errors = {tag: results[i * trials : (i + 1) * trials] for i, tag in enumerate(tags)}
     return TrialReport(
         methods=tags,

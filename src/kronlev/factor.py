@@ -93,11 +93,12 @@ def _one_blas_thread():
 
     The thread count changes the rounding of a trial's solve, of U's QR and
     of the full-grid reduction's products, and small products run faster on
-    one thread.  ``sketch._Subspace.basis``, ``sketch.reduce_full_grid``,
-    ``sketch.full_relative_error``, ``sketch.trial_error`` and
-    ``sketch.leverage_scores`` enter this themselves; ``_gram_factor`` and
-    ``_cholesky_solve`` below do not, and run on the count of their caller
-    (``trial_error``'s pin in a trial).
+    one thread.  ``sketch.reduce_full_grid``, ``sketch.full_relative_error``,
+    ``sketch.trial_error`` and ``experiments.run_trials`` are decorated with
+    it, so it holds over their whole body; ``sketch._Subspace.basis`` and the
+    walk of ``sketch.leverage_scores`` enter it as a block.  ``_gram_factor``
+    and ``_cholesky_solve`` below do not, and run on the count of their
+    caller (``trial_error``'s pin in a trial).
     The count is process-wide, so enter this once around all the trials of
     a run, before any process is forked for them: a forked child inherits
     the count of 1 and must not set it, because after a fork any call that

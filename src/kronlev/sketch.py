@@ -37,10 +37,10 @@ otherwise SVD least squares, which gives the numerical rank and the
 minimum-norm fit.  The two back ends of the factor and the solves (LAPACK
 dpotrf and dpotrs from numpy's bundled OpenBLAS, or np.linalg.cholesky and
 blocked back substitution) are chosen in ``factor``, not here.
-``reduce_full_grid``, ``full_relative_error``, ``trial_error`` and
-``leverage_scores`` each pin numpy's OpenBLAS to one thread themselves
-(``factor._one_blas_thread``), so their bits do not depend on the caller's
-BLAS thread count.
+``reduce_full_grid``, ``full_relative_error`` and ``trial_error`` run
+wholly on one thread of numpy's OpenBLAS (``factor._one_blas_thread``, as a
+decorator), and ``leverage_scores`` while its blocks are walked, so their
+bits do not depend on the caller's BLAS thread count.
 ``assemble`` builds the sketch from basis values and is the reference it
 is tested against.  Sample-size lower bounds from the residual guarantees
 are provided as a calculator.
@@ -463,6 +463,7 @@ def _project_separable(
     return c, b_sq, max(float(residual_sq), 0.0)  # each form is nonnegative but for rounding
 
 
+@_one_blas_thread()
 def reduce_full_grid(
     index_set: MultiIndexSet,
     factors: Sequence[FactorMatrix],
@@ -478,7 +479,7 @@ def reduce_full_grid(
     working array; r separable terms cost O(r D M max N_d + r^2 D |L| max N_d),
     with no array above r |L| max N_d.  J, L and U are J's record on these
     factors (``_subspace``), built here once per call, and the part of c
-    outside range(U) joins the optimum's residual.  The projection runs on
+    outside range(U) joins the optimum's residual.  The whole call runs on
     one BLAS thread, as a threaded dot or matrix product rounds by thread
     count.
     """
@@ -495,12 +496,11 @@ def reduce_full_grid(
     if values.shape != shape:
         raise ValueError("b_values must hold one value per grid row")
     qs = [f.q[:, :n_d] for f, n_d in zip(factors, index_set.bounding_box)]
-    with _one_blas_thread():
-        c, b_sq, residual_sq = project(values, root_w, qs, lower)
-        basis = subspace.basis
-        # for a lower J, range(R_{L,J}) is all of R^N: no part of c lies outside it
-        gap = np.zeros(0) if basis is None else c - basis @ (basis.T @ c)
-        gap_sq = float(gap @ gap)  # a dot of over 10^4 entries is split by thread count
+    c, b_sq, residual_sq = project(values, root_w, qs, lower)
+    basis = subspace.basis
+    # for a lower J, range(R_{L,J}) is all of R^N: no part of c lies outside it
+    gap = np.zeros(0) if basis is None else c - basis @ (basis.T @ c)
+    gap_sq = float(gap @ gap)  # a dot of over 10^4 entries is split by thread count
     optimal = math.sqrt((residual_sq + gap_sq) / b_sq)
     return FullGridReduction(subspace, values, c, residual_sq, b_sq, optimal)
 
@@ -511,16 +511,17 @@ def _relative_error(reduction: FullGridReduction, fit: np.ndarray) -> float:
     return math.sqrt((float(gap @ gap) + reduction.residual_sq) / reduction.b_sq)
 
 
+@_one_blas_thread()
 def full_relative_error(reduction: FullGridReduction, x: np.ndarray) -> float:
     """||A x - b||_2 / ||b||_2 over the full grid, forming R_{L,J} x in O(|L| N D) on each call.
 
     R_{L,J} is formed in the ``_row_blocks`` of L's rows from the record's R columns of J
-    (``_Subspace.r_columns``), on one BLAS thread, with the whole product's bits.
+    (``_Subspace.r_columns``), with the whole product's bits.  The whole call, the
+    error's dot product over L included, runs on one BLAS thread.
     """
     subspace, x = reduction.subspace, np.asarray(x, dtype=float)
     lower, tables = subspace.lower, subspace.r_columns
-    with _one_blas_thread():
-        fit = [_kron_rows(tables, lower[block]) @ x for block in _row_blocks(len(lower), subspace.n)]
+    fit = [_kron_rows(tables, lower[block]) @ x for block in _row_blocks(len(lower), subspace.n)]
     return _relative_error(reduction, np.concatenate(fit))
 
 
@@ -564,6 +565,7 @@ def _sketch_rows(
     return g, scale * (weight * reduction.values[tuple(rows.T)])
 
 
+@_one_blas_thread()
 def trial_error(
     reduction: FullGridReduction, method: SamplerMethod, rows: np.ndarray
 ) -> tuple[float, bool]:
@@ -576,11 +578,10 @@ def trial_error(
     so its bits do not depend on the caller's thread count.  The methods and
     rows that ``_sketch_rows`` refuses raise ValueError.
     """
-    with _one_blas_thread():
-        solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
-        basis = reduction.subspace.basis
-        fit = solution.x if basis is None else basis @ solution.x
-        return _relative_error(reduction, fit), solution.rank_deficient
+    solution = solve(SketchedSystem(*_sketch_rows(reduction, method, rows)))
+    basis = reduction.subspace.basis
+    fit = solution.x if basis is None else basis @ solution.x
+    return _relative_error(reduction, fit), solution.rank_deficient
 
 
 def sample_size(bound: str, n: int, epsilon: float, delta: float) -> int:

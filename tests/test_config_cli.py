@@ -1,8 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -336,76 +336,368 @@ class TestSharedFactors:
         assert problem.grids[0] is problem.grids[1]
         assert problem.factors[0] is problem.factors[1]
 
-    @pytest.mark.parametrize("grid,error", [
-        (None, "grid file not found: {path}"),
-        ({"nodes": [0.0, 1.0], "weights": [0.5, 0.25]}, f"bad grid file {{path}}: weights sum to {np.float64(0.75)!r}, not 1 (not renormalizing)"),
-        ({"nodes": [0.0, 1.0]}, "grid file {path} missing required keys: ['weights']"),
-    ], ids=["missing", "weight-sum", "missing-key"])
-    def test_a_bad_grid_file_named_in_every_dimension_is_a_config_error(self, tmp_path, capsys, grid, error):
-        path = tmp_path / "grid.json"
-        if grid is not None:
-            path.write_text(json.dumps(grid))
-        config = problem_dict(grid={"grid": "file", "path": ["grid.json", "grid.json"]},
-                              index_set={"dimension": 2, "family": "wlp-ball", "order": 1})
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        argv = ["sample", "--config", str(tmp_path / "config.json"), "--method", "uniform",
-                "--count", "3", "--seed", "1"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "config error: " + error.format(path=path) + "\n"
+
+TINY = {
+    "dimension": 3,
+    "grid": {"grid": "gauss-legendre-uniform", "M": 4},
+    "basis": {"kind": "legendre-orthonormal"},
+    "index_set": {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
+                  "weights": [1.0, 1.0, 1.0]},
+    "model": {"name": "ishigami", "a": 7.0, "b": 0.1},
+    "methods": ["uniform", "leverage-lower"],
+    "trials": 2,
+    "sample_multiplier": 4,
+    "seed": 5,
+}
 
 
 @pytest.fixture()
 def tiny_config(tmp_path):
-    config = {
-        "dimension": 3,
-        "grid": {"grid": "gauss-legendre-uniform", "M": 4},
-        "basis": {"kind": "legendre-orthonormal"},
-        "index_set": {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
-                      "weights": [1.0, 1.0, 1.0]},
-        "model": {"name": "ishigami", "a": 7.0, "b": 0.1},
-        "methods": ["uniform", "leverage-lower"],
-        "trials": 2,
-        "sample_multiplier": 4,
-        "seed": 5,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(TINY))
     return path
 
 
-# (id, argv, experiment methods) of every command that builds the factors
-_COMMANDS_ON_THE_GRID = [
-    ("sample-uniform", ["sample", "--method", "uniform", "--count", "3", "--seed", "1"], None),
-    ("sample-leverage-lower",
-     ["sample", "--method", "leverage-lower", "--count", "3", "--seed", "1"], None),
-    ("solve", ["solve", "--method", "uniform", "--K", "40", "--seed", "1"], None),
-    ("oracle", ["oracle", "--dump", "lev.csv"], None),
-    ("experiment-uniform", ["experiment", "--out", "r.csv"], ["uniform"]),
-    ("experiment-both", ["experiment", "--out", "r.csv"], ["uniform", "leverage-lower"]),
-]
-# (id suffix, config patch, error) of a grid that cannot carry the basis
-_GRIDS_TOO_SMALL = [
-    # a zero-weight node leaves two nonzero factor rows for three monomials
-    ("", {"grid": {"grid": "file", "path": "grid.json"}, "basis": {"kind": "monomial"}},
-     "grid has 2 nodes of positive weight"),
+def tiny(**changes):
+    return {**TINY, **changes}
+
+
+def packaged(name, **changes):
+    return {**load_json(packaged_config_path(name)), **changes}
+
+
+@dataclass(frozen=True)
+class Refusal:
+    """A command line the CLI refuses, and the one stderr line it refuses it with.
+
+    The command runs with ``--config`` naming config.json, which holds
+    ``config`` (a dict as JSON, a str as it is, None: no file), beside
+    ``files`` (name: text); ``{tmp}`` in ``line`` is their directory.  With
+    ``prefix`` the line need only start with ``line``, whose end is a message
+    of the OS, json or numpy; with ``usage`` argparse's usage line comes
+    first.  ``patches`` (target: value) hold during the run.  Unless
+    ``evaluated``, the model is not evaluated before the refusal.
+    """
+
+    argv: tuple
+    code: int
+    line: str
+    config: object = None
+    files: dict = field(default_factory=dict)
+    patches: dict = field(default_factory=dict)
+    prefix: bool = False
+    usage: bool = False
+    evaluated: bool = False
+
+
+def row(id, argv, code, line, config=TINY, marks=(), **fields):
+    return pytest.param(Refusal(tuple(argv), code, line, config, **fields), id=id, marks=marks)
+
+
+def out_of_memory(problem, workers=1):
+    raise MemoryError()
+
+
+SAMPLE = ("sample", "--method", "uniform", "--count", "3", "--seed", "1")
+SOLVE = ("solve", "--method", "uniform", "--K", "40", "--seed", "1")
+EXPERIMENT = ("experiment", "--out", "r.csv")
+ORACLE = ("oracle", "--dump", "lev.csv")
+# the argv of each command that builds the factors, and its config's methods
+ON_THE_GRID = {
+    "sample-uniform": (SAMPLE, None),
+    "sample-leverage-lower": (("sample", "--method", "leverage-lower", "--count", "3", "--seed", "1"), None),
+    "solve": (SOLVE, None),
+    "oracle": (ORACLE, None),
+    "experiment-uniform": (EXPERIMENT, ["uniform"]),
+    "experiment-both": (EXPERIMENT, ["uniform", "leverage-lower"]),
+}
+INDEX_SET = TINY["index_set"]
+TABULATED = {"name": "tabulated", "path": "values.txt"}
+NO_FULL_RANK = "a factor with fewer nonzero rows than columns cannot have full column rank"
+# J = {(1, 1, 1), (5, 5, 5)}, whose closure of 125 members passes a walk bound of 100
+FAR_GAP = {"family": "explicit-list", "indices": [[1, 1, 1], [5, 5, 5]]}
+WALK_BOUND = {"kronlev.indexset._MAX_MEMBERS": 100}
+WALKED = "error: the lower closure of J has more than 100 members; it is not walked"
+# a grid file named in both dimensions of a two-dimensional problem
+TWO_GRID_FILES = problem_dict(grid={"grid": "file", "path": ["grid.json", "grid.json"]},
+                              index_set={"dimension": 2, "family": "wlp-ball", "order": 1})
+
+REFUSALS = [
+    # the config file
+    row("missing-config", ["indexset"], 2, "config error: config file not found: {tmp}/config.json", None),
+    row("invalid-config", ["indexset"], 2, "config error: index_set missing required keys: ['family', 'order']",
+        {"dimension": 3}),
+    row("config-not-json", ["indexset"], 2, "config error: config file {tmp}/config.json is not valid JSON: ",
+        '{"dimension": 3,', prefix=True),
+    row("config-json-list", ["indexset"], 2, "config error: config file {tmp}/config.json must hold a JSON object",
+        "[1, 2, 3]"),
+    row("solve-without-a-model", SOLVE, 2, "config error: solve requires a model in the config",
+        {key: value for key, value in TINY.items() if key != "model"}),
+    # an option argparse refuses
+    *[row(id, [command, *args], 2, f"kronlev {command}: error: argument {error}", usage=True)
+      for id, command, args, error in [
+          ("threads-0", "experiment", [*EXPERIMENT[1:], "--threads", "0"], "--threads: must be >= 1, got 0"),
+          ("threads-neg", "experiment", [*EXPERIMENT[1:], "--threads", "-4"], "--threads: must be >= 1, got -4"),
+          ("experiment-seed-neg", "experiment", [*EXPERIMENT[1:], "--seed", "-1"], "--seed: must be >= 0, got -1"),
+          ("count-0", "sample", ["--method", "uniform", "--count", "0", "--seed", "1"],
+           "--count: must be >= 1, got 0"),
+          ("count-neg", "sample", ["--method", "uniform", "--count", "-1", "--seed", "1"],
+           "--count: must be >= 1, got -1"),
+          ("sample-seed-neg", "sample", ["--method", "uniform", "--count", "3", "--seed", "-1"],
+           "--seed: must be >= 0, got -1"),
+          ("K-0", "solve", ["--method", "uniform", "--K", "0", "--seed", "1"], "--K: must be >= 1, got 0"),
+          ("solve-seed-neg", "solve", ["--method", "uniform", "--K", "40", "--seed", "-1"],
+           "--seed: must be >= 0, got -1"),
+          ("K-not-integer", "solve", ["--method", "uniform", "--K", "abc", "--seed", "1"],
+           "--K: invalid integer 'abc'"),
+      ]],
+    # an output path whose directory does not exist, that is a directory, or
+    # that another option names too, refused before the config is read
+    *[row(f"{argv[0]}-{argv[-2][2:]}-missing-dir", argv, 2,
+          f"kronlev {argv[0]}: error: argument {argv[-2]}: the directory of {argv[-1]} does not exist")
+      for argv in [("experiment", "--out", "missing/r.csv"), (*EXPERIMENT, "--cdf", "missing/cdf.csv"),
+                   (*EXPERIMENT, "--svg", "missing/cdf.svg"), (*SAMPLE, "--out", "missing/s.csv"),
+                   ("oracle", "--dump", "missing/lev.csv")]],
+    row("experiment-out-is-a-directory", ["experiment", "--out", "."], 2,
+        "kronlev experiment: error: argument --out: . is a directory"),
+    # a second name of one file would keep only the last file written
+    row("experiment-svg-is-the-cdf", [*EXPERIMENT, "--cdf", "c.csv", "--svg", "./c.csv"], 2,
+        "kronlev experiment: error: argument --svg: ./c.csv is also the --cdf path"),
+    # a model parameter; json.dumps writes NaN and Infinity, which json.load reads back
+    *[row(f"model-{id}", EXPERIMENT, 2, f"config error: {model['name']} model {error}", tiny(model=model))
+      for id, model, error in [
+          ("duffing-step-10", {"name": "duffing", "t_final": 4.0, "step": 10.0},
+           "step must be in (0, t_final], got 10.0"),
+          ("duffing-t-neg", {"name": "duffing", "t_final": -4.0}, "t_final must be positive, got -4.0"),
+          ("duffing-t-0", {"name": "duffing", "t_final": 0.0}, "t_final must be positive, got 0.0"),
+          ("duffing-step-neg", {"name": "duffing", "step": -1e-3}, "step must be in (0, t_final], got -0.001"),
+          ("duffing-t-nan", {"name": "duffing", "t_final": math.nan}, "t_final must be a finite number, got nan"),
+          ("duffing-step-inf", {"name": "duffing", "step": math.inf}, "step must be a finite number, got inf"),
+          ("duffing-step-bool", {"name": "duffing", "step": True}, "step must be a finite number, got True"),
+          ("ishigami-a-nan", {"name": "ishigami", "a": math.nan}, "a must be a finite number, got nan"),
+          ("ishigami-a-inf", {"name": "ishigami", "a": math.inf}, "a must be a finite number, got inf"),
+          ("ishigami-b-string", {"name": "ishigami", "b": "0.1"}, "b must be a finite number, got '0.1'"),
+      ]],
+    # a config value
+    *[row(id, argv, 2, "config error: " + error, tiny(**change), files=files) for id, argv, change, error, files in [
+        ("order-bool", ["indexset"], {"index_set": dict(INDEX_SET, order=True)},
+         "index_set order must be a finite number, got True", {}),
+        ("order-string", ["indexset"], {"index_set": dict(INDEX_SET, order="2")},
+         "index_set order must be a finite number, got '2'", {}),
+        ("p-string", ["indexset"], {"index_set": dict(INDEX_SET, p="2")},
+         "index_set p must be a finite number, got '2'", {}),
+        ("weights-strings", ["indexset"], {"index_set": dict(INDEX_SET, weights=["1", "0.5", "1"])},
+         "index_set weights must be a finite number, got '1'", {}),
+        ("dimension-float", ["indexset"], {"index_set": {"dimension": 2.9, "family": "wlp-ball", "order": 2}},
+         "index_set dimension must be an integer >= 1, got 2.9", {}),
+        ("entry-float", ["indexset"], {"index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [1, 2.5, 1]]}},
+         "index_set entry must be an integer >= 1, got 2.5", {}),
+        ("entry-bool", ["indexset"], {"index_set": {"family": "explicit-list", "indices": [[True] * 3]}},
+         "index_set entry must be an integer >= 1, got True", {}),
+        ("entry-float-collides", ["indexset"],
+         {"index_set": {"family": "explicit-list", "indices": [[1.9, 1, 1], [1, 1, 1]]}},
+         "index_set entry must be an integer >= 1, got 1.9", {}),
+        ("order-negative", ["indexset"], {"index_set": dict(INDEX_SET, order=-1)},
+         "bad index_set: order must be finite and >= 0", {}),
+        ("weights-below-1", ["indexset"], {"index_set": dict(INDEX_SET, weights=[0.5, 0.5, 0.5])},
+         "bad index_set: at least one weight must equal 1", {}),
+        ("M-float", SAMPLE, {"grid": {"grid": "gauss-legendre-uniform", "M": 6.7}},
+         "grid M must be an integer >= 1, got 6.7", {}),
+        ("M-bool", SAMPLE, {"grid": {"grid": "gauss-legendre-uniform", "M": [True, 6, 6]}},
+         "grid M must be an integer >= 1, got True", {}),
+        ("count-float", SAMPLE, {"basis": {"kind": "legendre-orthonormal", "count": 3.9}},
+         "basis count must be an integer >= 1, got 3.9", {}),
+        ("grid-number", SAMPLE, {"grid": 5}, "grid spec must be a JSON object", {}),
+        ("basis-kind-unknown", SAMPLE, {"basis": {"kind": "chebyshev"}},
+         "unknown basis kind 'chebyshev'; expected one of ('monomial', 'legendre-orthonormal')", {}),
+        ("multiplier-bool", EXPERIMENT, {"sample_multiplier": True},
+         "sample_multiplier must be a finite number, got True", {}),
+        ("multiplier-string", EXPERIMENT, {"sample_multiplier": "4"},
+         "sample_multiplier must be a finite number, got '4'", {}),
+        ("multiplier-nan", EXPERIMENT, {"sample_multiplier": math.nan},
+         "sample_multiplier must be a finite number, got nan", {}),
+        ("multiplier-inf", EXPERIMENT, {"sample_multiplier": math.inf},
+         "sample_multiplier must be a finite number, got inf", {}),
+        ("multiplier-overflow", EXPERIMENT, {"sample_multiplier": 1e308},
+         "sample_multiplier * N must be a finite number, got inf", {}),
+        ("multiplier-0", EXPERIMENT, {"sample_multiplier": 0}, "sample_multiplier must be positive, got 0.0", {}),
+        ("multiplier-neg", EXPERIMENT, {"sample_multiplier": -4}, "sample_multiplier must be positive, got -4.0", {}),
+        ("methods-duplicate", EXPERIMENT, {"methods": ["uniform", "uniform"]},
+         "methods must be distinct, got ['uniform', 'uniform']", {}),
+        ("methods-string", EXPERIMENT, {"methods": "uniform"}, "methods must be a nonempty JSON list", {}),
+        ("tabulated-count", EXPERIMENT, {"model": TABULATED},
+         "tabulated model file {tmp}/values.txt must hold 64 values, one per line; got an array of shape (63,)",
+         {"values.txt": "0.5\n" * 63}),
+        ("tabulated-nan", EXPERIMENT, {"model": TABULATED},
+         "tabulated model file {tmp}/values.txt holds non-finite values", {"values.txt": "0.5\n" * 63 + "nan\n"}),
+        ("tabulated-path-number", EXPERIMENT, {"model": {"name": "tabulated", "path": 5}},
+         "tabulated model path must be a path string, got 5", {}),
+    ]],
+    row("tabulated-missing", EXPERIMENT, 2, "config error: tabulated model file {tmp}/values.txt: ",
+        tiny(model=TABULATED), prefix=True),
+    # with warnings as errors, a warning from the reader would turn into an
+    # exit-1 runtime error instead of the config error
+    row("tabulated-empty", EXPERIMENT, 2, "config error: tabulated model file {tmp}/values.txt: ",
+        tiny(model=TABULATED), files={"values.txt": ""}, prefix=True, marks=pytest.mark.filterwarnings("error")),
+    # a method the problem does not admit, judged before the model is evaluated;
+    # the sampler judges a tag read from the config as it judges --method
+    *[row(f"{argv[0]}-{id}", argv, 2, "config error: " + error, tiny(**change, methods=[tag]))
+      for id, tag, change, error in [
+          ("non-lower", "leverage-lower",
+           {"index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [2, 1, 1], [1, 1, 3]]}},
+           "leverage-lower sampling requires a monotone lower index set"),
+          ("non-orthogonal", "orthogonal-columns", {"basis": {"kind": "monomial"}},
+           "factor columns are not orthogonal (max Gram off-diagonal 4.29e-01)"),
+          ("unknown-method", "leveraged", {},
+           "unknown sampler method 'leveraged'; expected one of "
+           "('uniform', 'tensor-product', 'orthogonal-columns', 'leverage-lower')"),
+      ]
+      for argv in [("sample", "--method", tag, "--count", "3", "--seed", "1"),
+                   ("solve", "--method", tag, "--K", "40", "--seed", "1"), EXPERIMENT]],
+    # a grid file
+    row("missing-grid-file", SAMPLE, 2, "config error: grid file not found: {tmp}/no-such-grid.json",
+        tiny(grid={"grid": "file", "path": "no-such-grid.json"})),
+    *[row(f"two-grid-files-{id}", SAMPLE, 2, "config error: " + error, TWO_GRID_FILES, files=files)
+      for id, files, error in [
+          ("missing", {}, "grid file not found: {tmp}/grid.json"),
+          ("weight-sum", {"grid.json": json.dumps({"nodes": [0.0, 1.0], "weights": [0.5, 0.25]})},
+           f"bad grid file {{tmp}}/grid.json: weights sum to {np.float64(0.75)!r}, not 1 (not renormalizing)"),
+          ("missing-key", {"grid.json": json.dumps({"nodes": [0.0, 1.0]})},
+           "grid file {tmp}/grid.json missing required keys: ['weights']"),
+      ]],
+    # a repeated key: json.load alone keeps the last value, so
+    # {"trials": 5, "trials": 100} would run 100 trials
+    row("repeated-key-top-level", EXPERIMENT, 2, "config error: config file {tmp}/config.json repeats the key 'trials'",
+        json.dumps(TINY).replace('"trials": 2', '"trials": 5, "trials": 2')),
+    row("repeated-key-index-set", EXPERIMENT, 2, "config error: config file {tmp}/config.json repeats the key 'order'",
+        json.dumps(TINY).replace('"index_set": {', '"index_set": {"order": 1, ')),
+    row("repeated-key-grid-file", EXPERIMENT, 2, "config error: grid file {tmp}/grid.json repeats the key 'nodes'",
+        tiny(grid={"grid": "file", "path": "grid.json"}),
+        files={"grid.json": '{"nodes": [0.0], "nodes": [-0.5, 0.0, 0.5, 0.75], "weights": [0.25, 0.25, 0.25, 0.25]}'}),
+    # a grid that cannot carry the basis in each command that builds the factors:
+    # a zero-weight node leaves two nonzero factor rows for three monomials, and
     # 60 nodes carry 45 monomials in exact arithmetic but not in floating point
-    ("-rank-deficient",
-     {"grid": {"grid": "gauss-legendre-uniform", "M": 60},
-      "basis": {"kind": "monomial", "count": 45}},
-     "factor matrix is rank deficient at column 42\n"),
+    *[row(f"grid-too-small-{command}{case}", argv, 2, "config error: " + error,
+          tiny(**change, **({"methods": methods} if methods else {})),
+          files={"grid.json": json.dumps({"nodes": [-0.5, 0.0, 0.5], "weights": [0.5, 0.5, 0.0]})})
+      for case, change, error in [
+          ("", {"grid": {"grid": "file", "path": "grid.json"}, "basis": {"kind": "monomial"}},
+           "grid has 2 nodes of positive weight but basis needs 3; " + NO_FULL_RANK),
+          ("-rank-deficient", {"grid": {"grid": "gauss-legendre-uniform", "M": 60},
+                               "basis": {"kind": "monomial", "count": 45}},
+           "factor matrix is rank deficient at column 42"),
+      ]
+      for command, (argv, methods) in ON_THE_GRID.items()],
+    # a box the grid or the basis cannot carry is refused before J is walked: at
+    # order 10^6 the ball has about 1.7e17 members and the cross about 1e8
+    *[row(f"box-{name}-{id}", ("solve", "--method", "uniform", "--K", "10", "--seed", "1"), 2, "config error: " + error,
+          packaged(name, index_set={**load_json(packaged_config_path(name))["index_set"], "order": 10**6},
+                   **({} if count is None else {"basis": {"kind": "legendre-orthonormal", "count": count}})),
+          patches=WALK_BOUND)
+      for name in ["ishigami-g7", "ishigami-hc18"]
+      for id, count, error in [
+          ("grid", None, "grid has 20 nodes of positive weight but basis needs 1000001; " + NO_FULL_RANK),
+          ("basis-count", 20, "basis count is smaller than the index set bounding box"),
+      ]],
+    # a set past the walk bound, lowered here; ishigami-g7's walk at the real
+    # bound of 10^6 members runs in a capped process below
+    row("indexset-past-the-walk-bound-ishigami-hc18", ["indexset"], 2,
+        "config error: bad index_set: the set has more than 100 members; it is not enumerated",
+        packaged("ishigami-hc18"), patches=WALK_BOUND),
+    # J's closure passes the walk bound at runtime, not at config parsing,
+    # and before the dump is opened
+    row("runtime-error", ORACLE, 1, "error: the lower closure of J has more than 2 members; it is not walked",
+        {"dimension": 3, "grid": {"grid": "gauss-legendre", "M": 5}, "basis": {"kind": "monomial"},
+         "index_set": {"dimension": 3, "family": "explicit-list", "indices": [[1, 1, 1], [1, 1, 3]]}},
+        patches={"kronlev.indexset._MAX_MEMBERS": 2}),
+    row("far-gap", SOLVE, 1, WALKED,
+        packaged("ishigami-g7", grid={"grid": "gauss-legendre-uniform", "M": 5}, index_set=FAR_GAP),
+        patches=WALK_BOUND, evaluated=True),
+    # the Legendre columns are orthogonal on the Gauss-Legendre rule, so the
+    # parse admits orthogonal-columns, which reads J alone: the run's
+    # reduction walks L
+    row("far-gap-experiment", EXPERIMENT, 1, WALKED,
+        packaged("ishigami-g7", grid={"grid": "gauss-legendre", "M": 5}, index_set=FAR_GAP,
+                 methods=["orthogonal-columns"]),
+        patches=WALK_BOUND, evaluated=True),
+    # 6^20 rows would take 26 PiB as one float column, and 2^64 rows overflow
+    # numpy's shapes: the bound on the scores' rows comes before either is
+    # asked for, and before J's record is built or the dump is opened
+    *[row(f"oracle-dense-guard-D{dimension}-M{m}", ORACLE, 1,
+          f"error: full grid has {m**dimension} rows, beyond the score bound 10000000",
+          {"dimension": dimension, "grid": {"grid": "gauss-legendre", "M": m},
+           "basis": {"kind": "legendre-orthonormal"},
+           "index_set": {"dimension": dimension, "family": "wlp-ball", "p": 1.0, "order": 1,
+                         "weights": [1.0] * dimension}})
+      for dimension, m in [(20, 6), (64, 2)]],
+    # a step rule past its bound, lowered here from 10^7 RK4 steps to the 1000
+    # that duffing-g7's 4000 pass
+    row("duffing-step", SOLVE, 2, "config error: duffing model step must be at least t_final / 1000, got 0.001",
+        packaged("duffing-g7"), patches={"kronlev.config._MAX_STEPS": 1000}),
+    # a grid-valued model past the row bound, lowered here from 10^7 to 999,
+    # is refused before it is evaluated
+    *[row(f"grid-values-{argv[0]}", argv, 1, "error: full grid has 1000 rows, beyond the grid-value bound 999",
+          packaged("duffing-g7", grid={"grid": "gauss-legendre-uniform", "M": 10}),
+          patches={"kronlev.experiments._MAX_GRID_ROWS": 999})
+      for argv in [SOLVE, ("experiment", "--out", "report.csv", "--cdf", "cdf.csv")]],
+    # a tabulated model is bounded before its file is read: 215^3 rows are
+    # within the bound of 10^7, so the missing file is read; 216^3 are not
+    row("tabulated-215-cubed", SOLVE, 2, "config error: tabulated model file {tmp}/missing.txt: ",
+        packaged("ishigami-g7", grid={"grid": "gauss-legendre-uniform", "M": 215},
+                 model={"name": "tabulated", "path": "missing.txt"}), prefix=True),
+    row("tabulated-216-cubed", SOLVE, 1, "error: full grid has 10077696 rows, beyond the grid-value bound 10000000",
+        packaged("ishigami-g7", grid={"grid": "gauss-legendre-uniform", "M": 216},
+                 model={"name": "tabulated", "path": "missing.txt"})),
+    # an exception without text is named by its type
+    row("exception-without-text", SOLVE, 1, "error: MemoryError",
+        patches={"kronlev.cli.prepare_problem": out_of_memory}),
+    # at --threads 2 the forked share's blow-up is raised again by the caller
+    *[row(f"duffing-blow-up-threads-{threads}", [*EXPERIMENT, "--threads", threads], 1,
+          "error: Duffing integration blew up (non-finite state)",
+          packaged("duffing-g7", model={"name": "duffing", "t_final": 400.0, "step": 1.0}),
+          patches={"os.sched_getaffinity": lambda pid: {0, 1}}, evaluated=True)
+      for threads in ["1", "2"]],
 ]
 
-_INDEX_SET = {"dimension": 3, "family": "wlp-ball", "p": 1.0, "order": 2,
-              "weights": [1.0, 1.0, 1.0]}
-_TABULATED = {"model": {"name": "tabulated", "path": "values.txt"}}
-# (id, method, config patch, error message) of a method the problem does not admit
-_METHOD_PRECONDITIONS = [
-    ("non-lower", "leverage-lower",
-     {"index_set": {"family": "explicit-list", "indices": [[1, 1, 1], [2, 1, 1], [1, 1, 3]]}},
-     "monotone lower"),
-    ("non-orthogonal", "orthogonal-columns", {"basis": {"kind": "monomial"}}, "not orthogonal"),
-    ("unknown", "leveraged", {}, "unknown sampler method"),
-]
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_a_refused_command_prints_one_line_and_writes_nothing(refusal, tmp_path, monkeypatch, capsys):
+    # the whole refusal contract: the exit code, nothing on stdout, one line
+    # on stderr (after argparse's usage line), no file written and, unless the
+    # refusal comes after it, no evaluation of the model
+    path = tmp_path / "config.json"
+    if refusal.config is not None:
+        path.write_text(refusal.config if isinstance(refusal.config, str) else json.dumps(refusal.config))
+    for name, text in refusal.files.items():
+        (tmp_path / name).write_text(text)
+    inputs = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse's usage on one line
+    for target, value in refusal.patches.items():
+        monkeypatch.setattr(target, value)
+    evaluated = []
+    if not refusal.evaluated:
+        def no_model(*args, **kwargs):
+            evaluated.append(args)
+            raise AssertionError("the model was evaluated before the refusal")
+
+        # the Ishigami model is taken by its terms, the others on the grid
+        monkeypatch.setattr("kronlev.experiments.evaluate_on_grid", no_model)
+        monkeypatch.setattr("kronlev.experiments._ishigami_terms", no_model)
+    command, *args = refusal.argv
+    try:
+        code = main([command, "--config", str(path), *args])
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err[-1:]) == (refusal.code, "", "\n"), err
+    *usage_lines, line, _ = err.split("\n")
+    expected = refusal.line.replace("{tmp}", str(tmp_path))
+    assert (line[: len(expected)] if refusal.prefix else line) == expected
+    assert len(usage_lines) == refusal.usage
+    assert all(u.startswith(f"usage: kronlev {command} [-h] ") for u in usage_lines)
+    assert sorted(tmp_path.rglob("*")) == inputs
+    assert evaluated == []
 
 
 class TestCli:
@@ -423,39 +715,6 @@ class TestCli:
         assert main(["indexset", "--config", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"N": 2, "bounding_box": [400, 400, 400], "monotone_lower": False}
-
-    def test_missing_config_is_exit_2(self, capsys):
-        assert main(["indexset", "--config", "no-such-file.json"]) == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_invalid_config_is_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dimension": 3}))
-        assert main(["indexset", "--config", str(path)]) == 2
-
-    @pytest.mark.parametrize("text,error", [
-        ('{"dimension": 3,', "is not valid JSON"),
-        ("[1, 2, 3]", "must hold a JSON object"),
-    ], ids=["not-json", "json-list"])
-    def test_config_file_that_is_not_a_json_object_is_exit_2(self, tmp_path, capsys, text, error):
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        assert main(["indexset", "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"config error: config file {path} ")
-        assert error in captured.err
-
-    def test_solve_without_a_model_is_exit_2(self, tiny_config, tmp_path, capsys):
-        config = json.loads(tiny_config.read_text())
-        del config["model"]
-        path = tmp_path / "no-model.json"
-        path.write_text(json.dumps(config))
-        argv = ["solve", "--config", str(path), "--method", "uniform", "--K", "40", "--seed", "1"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "config error: solve requires a model in the config\n"
 
     def test_a_closed_stdout_is_status_1_with_nothing_on_stderr(self):
         # 20000 rows are about 2 MB, far more than a pipe holds, so the command is
@@ -558,189 +817,6 @@ class TestCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["experiment", "--out", "{tmp}/r.csv", "--threads", "0"],
-            ["experiment", "--out", "{tmp}/r.csv", "--threads", "-4"],
-            ["experiment", "--out", "{tmp}/r.csv", "--seed", "-1"],
-            ["sample", "--method", "uniform", "--count", "0", "--seed", "1"],
-            ["sample", "--method", "uniform", "--count", "-1", "--seed", "1"],
-            ["sample", "--method", "uniform", "--count", "3", "--seed", "-1"],
-            ["solve", "--method", "uniform", "--K", "0", "--seed", "1"],
-            ["solve", "--method", "uniform", "--K", "40", "--seed", "-1"],
-            ["solve", "--method", "uniform", "--K", "abc", "--seed", "1"],
-        ],
-        ids=["threads-0", "threads-neg", "experiment-seed-neg", "count-0", "count-neg",
-             "sample-seed-neg", "K-0", "solve-seed-neg", "K-not-integer"],
-    )
-    def test_out_of_range_integer_option_is_exit_2(self, tiny_config, tmp_path, capsys, argv):
-        argv = [argv[0], "--config", str(tiny_config)] + [
-            arg.format(tmp=tmp_path) for arg in argv[1:]
-        ]
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        assert capsys.readouterr().out == ""
-        assert not (tmp_path / "r.csv").exists()
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            {"name": "duffing", "t_final": 4.0, "step": 10.0},
-            {"name": "duffing", "t_final": -4.0},
-            {"name": "duffing", "t_final": 0.0},
-            {"name": "duffing", "step": -1e-3},
-            {"name": "duffing", "t_final": float("nan")},
-            {"name": "duffing", "step": float("inf")},
-            {"name": "duffing", "step": True},
-            {"name": "ishigami", "a": float("nan")},
-            {"name": "ishigami", "a": float("inf")},
-            {"name": "ishigami", "b": "0.1"},
-        ],
-        ids=["duffing-step-10", "duffing-t-neg", "duffing-t-0", "duffing-step-neg",
-             "duffing-t-nan", "duffing-step-inf", "duffing-step-bool", "ishigami-a-nan",
-             "ishigami-a-inf", "ishigami-b-string"],
-    )
-    def test_bad_model_parameter_is_exit_2(self, tiny_config, tmp_path, capsys, model):
-        # json.dumps writes NaN and Infinity, which json.load reads back
-        config = json.loads(tiny_config.read_text())
-        config["model"] = model
-        path = tmp_path / "bad-model.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "r.csv"
-        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "config error: " + model["name"] + " model" in captured.err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command,patch,values,message",
-        [
-            ("indexset", {"index_set": dict(_INDEX_SET, order=True)}, None, "index_set order"),
-            ("indexset", {"index_set": dict(_INDEX_SET, order="2")}, None, "index_set order"),
-            ("indexset", {"index_set": dict(_INDEX_SET, p="2")}, None, "index_set p"),
-            ("indexset", {"index_set": dict(_INDEX_SET, weights=["1", "0.5", "1"])}, None,
-             "index_set weights"),
-            ("indexset", {"index_set": {"dimension": 2.9, "family": "wlp-ball", "order": 2}},
-             None, "index_set dimension"),
-            ("indexset", {"index_set": {"family": "explicit-list",
-                                        "indices": [[1, 1, 1], [1, 2.5, 1]]}},
-             None, "index_set entry"),
-            ("indexset", {"index_set": {"family": "explicit-list", "indices": [[True] * 3]}},
-             None, "index_set entry"),
-            ("indexset", {"index_set": {"family": "explicit-list",
-                                        "indices": [[1.9, 1, 1], [1, 1, 1]]}},
-             None, "index_set entry"),
-            ("sample", {"grid": {"grid": "gauss-legendre-uniform", "M": 6.7}}, None,
-             "grid M"),
-            ("sample", {"grid": {"grid": "gauss-legendre-uniform", "M": [True, 6, 6]}}, None,
-             "grid M"),
-            ("sample", {"basis": {"kind": "legendre-orthonormal", "count": 3.9}}, None,
-             "basis count"),
-            ("experiment", {"sample_multiplier": True}, None, "sample_multiplier"),
-            ("experiment", {"sample_multiplier": "4"}, None, "sample_multiplier"),
-            ("experiment", {"sample_multiplier": math.nan}, None, "sample_multiplier"),
-            ("experiment", {"sample_multiplier": math.inf}, None, "sample_multiplier"),
-            ("experiment", {"sample_multiplier": 1e308}, None, "sample_multiplier * N"),
-            ("experiment", {"methods": ["uniform", "uniform"]}, None, "methods must be distinct"),
-            ("experiment", {"methods": "uniform"}, None, "methods must be a"),
-            ("experiment", _TABULATED, None, "tabulated model file"),
-            ("experiment", _TABULATED, [0.5] * 63, "must hold 64 values"),
-            ("experiment", _TABULATED, [0.5] * 63 + [math.nan], "non-finite"),
-            ("indexset", {"index_set": dict(_INDEX_SET, order=-1)}, None,
-             "bad index_set: order must be finite and >= 0"),
-            ("indexset", {"index_set": dict(_INDEX_SET, weights=[0.5, 0.5, 0.5])}, None,
-             "bad index_set: at least one weight must equal 1"),
-            ("sample", {"grid": 5}, None, "grid spec must be a JSON object"),
-            ("sample", {"basis": {"kind": "chebyshev"}}, None, "unknown basis kind 'chebyshev'"),
-            ("experiment", {"model": {"name": "tabulated", "path": 5}}, None,
-             "tabulated model path must be a path string"),
-            ("experiment", {"sample_multiplier": 0}, None, "sample_multiplier must be positive"),
-            ("experiment", {"sample_multiplier": -4}, None, "sample_multiplier must be positive"),
-        ],
-        ids=["order-bool", "order-string", "p-string", "weights-strings", "dimension-float",
-             "entry-float", "entry-bool", "entry-float-collides", "M-float", "M-bool",
-             "count-float", "multiplier-bool", "multiplier-string", "multiplier-nan",
-             "multiplier-inf", "multiplier-overflow", "methods-duplicate", "methods-string", "tabulated-missing",
-             "tabulated-count", "tabulated-nan", "order-negative", "weights-below-1", "grid-number",
-             "basis-kind-unknown", "tabulated-path-number", "multiplier-0", "multiplier-neg"],
-    )
-    def test_bad_config_value_is_exit_2(
-        self, tiny_config, tmp_path, capsys, command, patch, values, message
-    ):
-        config = json.loads(tiny_config.read_text())
-        config.update(patch)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
-        if values is not None:
-            (tmp_path / "values.txt").write_text("".join(f"{v!r}\n" for v in values))
-        args = {
-            "indexset": [],
-            "sample": ["--method", "uniform", "--count", "3", "--seed", "1"],
-            "experiment": ["--out", str(tmp_path / "r.csv")],
-        }[command]
-        assert main([command, "--config", str(path)] + args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: ")
-        assert message in captured.err
-        assert not (tmp_path / "r.csv").exists()
-
-    @pytest.mark.parametrize(
-        "command,tag,patch,message",
-        [
-            pytest.param(command, *case[1:], id=f"{command}-{case[0]}")
-            for command in ("sample", "solve", "experiment")
-            for case in _METHOD_PRECONDITIONS
-        ],
-    )
-    def test_method_precondition_is_exit_2_before_the_model_is_evaluated(
-        self, tiny_config, tmp_path, capsys, monkeypatch, command, tag, patch, message
-    ):
-        def no_model(*args):
-            raise AssertionError("the model was evaluated before the method was checked")
-
-        monkeypatch.setattr("kronlev.experiments.evaluate_on_grid", no_model)
-        # the Ishigami model is taken by its terms, not on the grid
-        monkeypatch.setattr("kronlev.experiments._ishigami_terms", no_model)
-        config = json.loads(tiny_config.read_text())
-        config.update(patch, methods=[tag])
-        path = tmp_path / "bad-method.json"
-        path.write_text(json.dumps(config))
-        args = {
-            "sample": ["--method", tag, "--count", "3", "--seed", "1"],
-            "solve": ["--method", tag, "--K", "40", "--seed", "1"],
-            "experiment": ["--out", str(tmp_path / "r.csv")],
-        }[command]
-        assert main([command, "--config", str(path)] + args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: ")
-        assert message in captured.err
-        assert not (tmp_path / "r.csv").exists()
-
-    def test_an_unknown_method_is_one_config_error_line_in_every_command(self, tiny_config, tmp_path, capsys):
-        # the sampler judges a tag read from the config as it judges --method
-        config = json.loads(tiny_config.read_text())
-        config["methods"] = ["leveraged"]
-        path = tmp_path / "leveraged.json"
-        path.write_text(json.dumps(config))
-        errors = []
-        for args in (["experiment", "--out", str(tmp_path / "r.csv")],
-                     ["solve", "--method", "leveraged", "--K", "40", "--seed", "1"],
-                     ["sample", "--method", "leveraged", "--count", "3", "--seed", "1"]):
-            assert main(args[:1] + ["--config", str(path)] + args[1:]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            errors.append(captured.err)
-        assert errors == [errors[0]] * 3
-        assert errors[0].startswith("config error: unknown sampler method 'leveraged'; expected one of ")
-        assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
-
     def test_tabulated_path_is_relative_to_the_config_file(
         self, tiny_config, tmp_path, monkeypatch, capsys
     ):
@@ -749,7 +825,7 @@ class TestCli:
         values = evaluate_on_grid(make_target(problem.model, problem.grids), problem.grids)
         (tmp_path / "cfg").mkdir()
         (tmp_path / "cfg" / "values.txt").write_text("".join(f"{float(v)!r}\n" for v in values))
-        config.update(_TABULATED)
+        config["model"] = TABULATED
         (tmp_path / "cfg" / "tabulated.json").write_text(json.dumps(config))
         config["model"] = {"name": "tabulated", "path": str(tmp_path / "cfg" / "values.txt")}
         (tmp_path / "absolute.json").write_text(json.dumps(config))
@@ -767,64 +843,12 @@ class TestCli:
         for key, value in model.items():
             assert value == pytest.approx(tabulated[key], rel=1e-13, abs=0.0)
 
-    def test_missing_grid_file_is_exit_2(self, tiny_config, tmp_path, capsys):
-        config = json.loads(tiny_config.read_text())
-        config["grid"] = {"grid": "file", "path": "no-such-grid.json"}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        args = ["--method", "uniform", "--count", "3", "--seed", "1"]
-        assert main(["sample", "--config", str(path)] + args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: grid file not found: ")
-
-    @pytest.mark.parametrize("where,key", [
-        ("top-level", "trials"), ("index-set", "order"), ("grid-file", "nodes"),
-    ])
-    def test_repeated_key_is_exit_2(self, where, key, tiny_config, tmp_path, capsys):
-        # json.load alone keeps the last value: {"trials": 5, "trials": 100} would run 100 trials
-        config = json.loads(tiny_config.read_text())
-        grid = {"nodes": [-0.5, 0.0, 0.5, 0.75], "weights": [0.25] * 4}
-        if where == "grid-file":
-            config["grid"] = {"grid": "file", "path": "grid.json"}
-        text, grid_text = json.dumps(config), json.dumps(grid)
-        if where == "top-level":
-            text = text.replace('"trials": 2', '"trials": 5, "trials": 2')
-        elif where == "index-set":
-            text = text.replace('"index_set": {', '"index_set": {"order": 1, ')
-        else:
-            grid_text = grid_text.replace('"nodes": ', '"nodes": [0.0], "nodes": ')
-        path, grid_path = tmp_path / "config.json", tmp_path / "grid.json"
-        path.write_text(text)
-        grid_path.write_text(grid_text)
-        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
-        captured = capsys.readouterr()
-        named = grid_path if where == "grid-file" else path
-        assert captured.out == ""
-        assert captured.err.startswith("config error: ")
-        assert f"{named} repeats the key {key!r}" in captured.err
-        assert not (tmp_path / "r.csv").exists()
-
-    @pytest.mark.filterwarnings("error")
-    def test_empty_tabulated_file_is_one_config_error(self, tiny_config, tmp_path, capsys):
-        # with warnings as errors, a warning from the reader would turn into
-        # an exit-1 runtime error instead of the config error
-        config = json.loads(tiny_config.read_text())
-        config.update(_TABULATED)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        (tmp_path / "values.txt").write_text("")
-        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: tabulated model file ")
-        assert len(captured.err.splitlines()) == 1
 
     def test_commands_without_the_model_do_not_read_tabulated_values(
         self, tiny_config, tmp_path, capsys
     ):
         config = json.loads(tiny_config.read_text())
-        config.update(_TABULATED)  # values.txt does not exist
+        config["model"] = TABULATED  # values.txt does not exist
         path = tmp_path / "tabulated.json"
         path.write_text(json.dumps(config))
         assert main(["indexset", "--config", str(path)]) == 0
@@ -832,191 +856,48 @@ class TestCli:
                      "--count", "3", "--seed", "1"]) == 0
         assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "lev.csv")]) == 0
 
-    @pytest.mark.parametrize("argv,methods,grid,error", [
-        pytest.param(argv, methods, grid, error, id=command + case)
-        for case, grid, error in _GRIDS_TOO_SMALL
-        for command, argv, methods in _COMMANDS_ON_THE_GRID
-    ])
-    def test_grid_too_small_for_the_basis_is_exit_2(
-        self, argv, methods, grid, error, tiny_config, tmp_path, capsys
-    ):
-        (tmp_path / "grid.json").write_text(
-            json.dumps({"nodes": [-0.5, 0.0, 0.5], "weights": [0.5, 0.5, 0.0]}))
-        config = json.loads(tiny_config.read_text())
-        config.update(grid)
-        if methods:
-            config["methods"] = methods
+
+    def test_a_far_gap_is_sampled_without_walking_its_closure(self, tmp_path, monkeypatch, capsys):
+        # orthogonal-columns draws from J's two members alone: the closure's
+        # 125 members, past the walk bound lowered to 100, are never walked
+        monkeypatch.setattr(kronlev.indexset, "_MAX_MEMBERS", 100)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
-        assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"config error: {error}")
-        assert not any(tmp_path.glob("*.csv"))
+        path.write_text(json.dumps(packaged("ishigami-g7", grid={"grid": "gauss-legendre", "M": 5},
+                                            index_set=FAR_GAP)))
+        argv = ["sample", "--config", str(path), "--method", "orthogonal-columns", "--count", "8", "--seed", "1"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()  # the header and one line per draw
+        assert err == "" and len(lines) == 9 and lines[0].startswith("m_1,m_2,m_3,")
 
-    def test_runtime_error_is_exit_1(self, tmp_path, monkeypatch, capsys):
-        # a valid config whose J's closure passes the walk bound, lowered here
-        # from 10^6 to J's 2 members, makes the oracle subcommand fail at
-        # runtime, not at config parsing, and before the dump is opened
-        config = {
-            "dimension": 3,
-            "grid": {"grid": "gauss-legendre", "M": 5},
-            "basis": {"kind": "monomial"},
-            "index_set": {"dimension": 3, "family": "explicit-list", "indices": [[1, 1, 1], [1, 1, 3]]},
-        }
-        path = tmp_path / "gapped.json"
-        path.write_text(json.dumps(config))
-        monkeypatch.setattr(kronlev.indexset, "_MAX_MEMBERS", 2)
-        assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr() == (
-            "", "error: the lower closure of J has more than 2 members; it is not walked\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("dimension,m", [(20, 6), (64, 2)], ids=["D20-M6", "D64-M2"])
-    def test_oracle_stops_at_the_dense_guard_before_any_grid_array(self, tmp_path, capsys, dimension, m):
-        # 6^20 rows would take 26 PiB as one float column, and 2^64 rows overflow
-        # numpy's shapes: the bound on the scores' rows must come before either
-        # is asked for, and before J's record is built or the dump is opened
-        config = {
-            "dimension": dimension,
-            "grid": {"grid": "gauss-legendre", "M": m},
-            "basis": {"kind": "legendre-orthonormal"},
-            "index_set": {"dimension": dimension, "family": "wlp-ball", "p": 1.0, "order": 1,
-                          "weights": [1.0] * dimension},
-        }
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(config))
-        assert main(["oracle", "--config", str(path), "--dump", str(tmp_path / "x.csv")]) == 1
-        rows = m**dimension
-        assert capsys.readouterr().err == (
-            f"error: full grid has {rows} rows, beyond the score bound 10000000\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("count,error", [
-        (None, "grid has 20 nodes of positive weight but basis needs 1000001; "),
-        (20, "basis count is smaller than the index set bounding box\n"),
-    ], ids=["grid", "basis-count"])
-    @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
-    def test_a_box_the_grid_cannot_carry_exits_2_before_j_is_walked(self, tmp_path, name, count, error):
-        # At order 10^6 the ball has about 1.7e17 members and the cross about 1e8, so a
-        # walk of J before the grid check does not end within the timeout
-        config = load_json(packaged_config_path(name))
-        config["index_set"]["order"] = 10**6
-        if count is not None:
-            config["basis"]["count"] = count
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        result = run_capped(["solve", "--config", str(path), "--method", "uniform", "--K", "10", "--seed", "1"])
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith(f"config error: {error}")
-
-    @pytest.mark.parametrize("name", ["ishigami-g7", "ishigami-hc18"])
-    def test_indexset_of_more_than_a_million_members_exits_2(self, tmp_path, name):
+    # The walks at the real bound of 10^6 members run in a new process under its
+    # 2 GiB cap, which a walk past the bound would exhaust
+    def test_indexset_of_more_than_a_million_members_exits_2(self, tmp_path):
         # indexset must walk J to report N, so the walk stops after 10^6 members
-        # instead of enumerating the ball's 1.7e17 or the cross's 1e8
-        config = load_json(packaged_config_path(name))
+        # instead of enumerating the ball's 1.7e17
+        config = load_json(packaged_config_path("ishigami-g7"))
         config["index_set"]["order"] = 10**6
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        result = run_capped(["indexset", "--config", str(path)])
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == (
-            "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
-        )
-
-    FAR_GAP = {"family": "explicit-list", "indices": [[1, 1, 1], [200, 200, 200]]}
-    SOLVE = ["solve", "--method", "uniform", "--K", "8", "--seed", "1"]
-    WALKED = "error: the lower closure of J has more than 1000000 members; it is not walked\n"
-
-    @pytest.mark.parametrize("name,patch,argv,code,error", [
-        ("duffing-g7", {"model": {"name": "duffing", "step": 1e-300}}, SOLVE, 2,
-         "config error: duffing model step must be at least t_final / 10000000, got 1e-300\n"),
-        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200}, "index_set": FAR_GAP},
-         SOLVE, 1, WALKED),
-        # the Legendre columns are orthogonal on the Gauss-Legendre rule, so
-        # the parse admits orthogonal-columns, which reads J alone: the run's
-        # reduction walks L, and a sample draws from J's two members
-        ("ishigami-g7", {"grid": {"grid": "gauss-legendre", "M": 200}, "index_set": FAR_GAP,
-                         "methods": ["orthogonal-columns"]},
-         ["experiment", "--out", "report.csv"], 1, WALKED),
-        ("ishigami-g7", {"grid": {"grid": "gauss-legendre", "M": 200}, "index_set": FAR_GAP},
-         ["sample", "--method", "orthogonal-columns", "--count", "8", "--seed", "1"], 0, ""),
-        # the scores are read from J's record, whose walk of L stops before the dump is opened
-        ("ishigami-g7", {"grid": {"grid": "gauss-legendre-uniform", "M": 200}, "index_set": FAR_GAP},
-         ["oracle", "--dump", "far-gap.csv"], 1, WALKED),
-    ], ids=["duffing-step", "far-gap", "far-gap-experiment", "far-gap-sample", "far-gap-oracle"])
-    def test_a_run_past_its_bound_ends_with_the_bounds_message(self, tmp_path, name, patch, argv, code, error):
-        # 4e300 RK4 steps, or a walk towards J's closure of 8e6 members and its
-        # 11.9 GiB table on the 200-node grid.  Each exits with its bound's
-        # message whichever method the run holds
-        config = load_json(packaged_config_path(name))
-        config.update(patch)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        result = run_capped([argv[0], "--config", str(path), *argv[1:]], cwd=tmp_path)
-        assert (result.returncode, result.stderr) == (code, error)
-        if code:
-            assert result.stdout == "" and not any(tmp_path.glob("*.csv"))
-        else:  # the header and one line per draw
-            lines = result.stdout.splitlines()
-            assert len(lines) == 9 and lines[0].startswith("m_1,m_2,m_3,")
-
-    @pytest.mark.parametrize("argv", [SOLVE, ["experiment", "--out", "report.csv", "--cdf", "cdf.csv"]],
-                             ids=["solve", "experiment"])
-    def test_a_grid_valued_model_past_the_row_bound_exits_1_before_it_is_evaluated(self, tmp_path, argv):
-        # duffing-g7 at M = 400: 6.4e7 grid points, whose 4000 RK4 steps
-        # would take about an hour and whose values would take 512 MB
-        config = load_json(packaged_config_path("duffing-g7"))
-        config["grid"]["M"] = 400
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        result = run_capped([argv[0], "--config", str(path), *argv[1:]], cwd=tmp_path)
+        result = run_capped(["indexset", "--config", str(path)], cwd=tmp_path)
         assert (result.returncode, result.stdout, result.stderr) == (
-            1, "", "error: full grid has 64000000 rows, beyond the grid-value bound 10000000\n"
+            2, "", "config error: bad index_set: the set has more than 1000000 members; it is not enumerated\n"
         )
-        assert not any(tmp_path.glob("*.csv"))
+        assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("m,code,error", [
-        (215, 2, "config error: tabulated model file "),
-        (216, 1, "error: full grid has 10077696 rows, beyond the grid-value bound 10000000\n"),
-    ], ids=["215-cubed", "216-cubed"])
-    def test_a_tabulated_model_is_bounded_before_its_file_is_read(self, tmp_path, capsys, m, code, error):
-        # 215^3 rows are within the bound, so the missing file is read; 216^3 are not
-        config = load_json(packaged_config_path("ishigami-g7"))
-        config.update(grid={"grid": "gauss-legendre-uniform", "M": m},
-                      model={"name": "tabulated", "path": "missing.txt"})
+    def test_an_oracle_past_the_walk_bound_opens_no_dump(self, tmp_path):
+        # J = {(1, 1, 1), (200, 200, 200)}: the scores are read from J's record,
+        # whose walk of L towards the closure's 8e6 members and its 11.9 GiB
+        # table stops at 10^6 members, before the dump is opened
+        config = packaged("ishigami-g7", grid={"grid": "gauss-legendre-uniform", "M": 200},
+                          index_set={"family": "explicit-list", "indices": [[1, 1, 1], [200, 200, 200]]})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main(["solve", "--config", str(path), *self.SOLVE[1:]]) == code
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(error)
-
-    def test_an_exception_without_text_is_named_by_its_type(self, tiny_config, monkeypatch, capsys):
-        def out_of_memory(problem, workers=1):
-            raise MemoryError()
-
-        monkeypatch.setattr(kronlev.cli, "prepare_problem", out_of_memory)
-        argv = ["solve", "--config", str(tiny_config), "--method", "uniform", "--K", "40", "--seed", "1"]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", "error: MemoryError\n")
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_a_duffing_blow_up_is_one_error_line_at_each_worker_count(
-        self, tmp_path, monkeypatch, capsys, threads
-    ):
-        # at --threads 2 the forked share's blow-up is raised again by the caller
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        config = load_json(packaged_config_path("duffing-g7"))
-        config["model"].update(t_final=400.0, step=1.0)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "r.csv"
-        assert main(["experiment", "--config", str(path), "--out", str(out), "--threads", threads]) == 1
-        assert capsys.readouterr() == ("", "error: Duffing integration blew up (non-finite state)\n")
-        assert not out.exists()
+        result = run_capped(["oracle", "--config", str(path), "--dump", "far-gap.csv"], cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: the lower closure of J has more than 1000000 members; it is not walked\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_a_set_beyond_the_walk_bound_is_a_config_error_of_each_parser(self, monkeypatch):
         # a box the grid carries, so parse_problem reaches the walk; the bound
@@ -1091,23 +972,6 @@ class TestCli:
             outputs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(written.iterdir())}))
         assert outputs[0] == outputs[1]
 
-    def test_solve_imports_no_scipy(self):
-        # scipy is a test dependency only: importing it costs every command about 0.35 s
-        script = (
-            "import json, sys, kronlev.cli\n"
-            "code = kronlev.cli.main(sys.argv[1:])\n"
-            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
-            "sys.exit(code)\n"
-        )
-        argv = ["solve", "--config", str(packaged_config_path("ishigami-g7")),
-                "--method", "leverage-lower", "--K", "480", "--seed", "1"]
-        result = run_capped(argv, script=script)
-        assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert set(json.loads(lines[0])) == {
-            "relative_error", "optimal_relative_error", "K", "N", "rank_flag"
-        }
-        assert json.loads(lines[-1]) == []
 
     def test_oracle_dumps_a_grid_above_a_million_rows_in_bounded_memory(self, tmp_path):
         # ishigami-g7 at M = 101: 1,030,301 rows, which the dense oracle refuses; the
@@ -1133,29 +997,34 @@ class TestCli:
         assert [int(line.split(",")[0]) for line in text[1:]] == list(range(1, 101**3 + 1))
         assert abs(math.fsum(float(line.split(",")[1]) for line in text[1:]) - 1.0) <= 1e-12
 
+
     @pytest.mark.parametrize("command", ["solve", "experiment"])
-    def test_commands_on_one_worker_import_no_process_pool(self, command, tmp_path):
-        # concurrent.futures and multiprocessing are imported only where a
-        # process is forked; at start-up they cost about 6 ms and bring in logging
+    def test_commands_on_one_worker_import_no_scipy_and_no_process_pool(self, command, tmp_path):
+        # scipy is a test dependency only: importing it costs every command about
+        # 0.35 s.  concurrent.futures and multiprocessing are imported only where
+        # a process is forked; at start-up they cost about 6 ms and bring in logging
         config = load_json(packaged_config_path("ishigami-g7"))
         config["trials"] = 2
         path = tmp_path / "ishigami-g7.json"
         path.write_text(json.dumps(config))
         if command == "solve":
             argv = ["solve", "--method", "leverage-lower", "--K", "480", "--seed", "1"]
+            keys = {"relative_error", "optimal_relative_error", "K", "N", "rank_flag"}
         else:
             argv = ["experiment", "--out", str(tmp_path / "report.csv"), "--threads", "1"]
+            keys = {"written", "N", "K", "trials", "methods", "optimal_relative_error"}
         script = (
             "import json, sys, kronlev.cli\n"
             "code = kronlev.cli.main(sys.argv[1:])\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n"
+            "                        if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing'))))\n"
             "sys.exit(code)\n"
         )
         result = run_capped([*argv, "--config", str(path)], script=script)
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
-        assert json.loads(lines[0])["N"] == 120
+        payload = json.loads(lines[0])
+        assert set(payload) == keys and payload["N"] == 120
         assert json.loads(lines[-1]) == []
 
     def test_version(self, capsys):

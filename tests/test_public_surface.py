@@ -150,3 +150,39 @@ def test_no_test_module_imports_a_test_module():
                 continue
             found += [(path.name, name) for name in names if name.partition(".")[0].startswith("test_")]
     assert found == []
+
+
+def names_subprocess(node):
+    """Whether an AST node imports or reads the ``subprocess`` module."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "subprocess" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").partition(".")[0] == "subprocess" or any(
+            alias.name == "subprocess" for alias in node.names)
+    return isinstance(node, ast.Name) and node.id == "subprocess" or (
+        isinstance(node, ast.Attribute) and node.attr == "subprocess")
+
+
+def test_a_new_interpreter_is_started_by_the_one_launcher():
+    """Under tests/, a new interpreter comes from ``helpers.run_capped`` alone.
+
+    ``outputs.py`` runs the console script itself, and ``test_config_cli.py``
+    starts one ``Popen`` whose stdout it closes; no other file names
+    ``subprocess``, so a test that needs a fresh process takes the launcher's
+    memory cap and timeout.
+    """
+    closed_stdout = "test_a_closed_stdout_is_status_1_with_nothing_on_stderr"
+    files, callers = set(), set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk meets a function before the functions inside it, so each node gets its innermost
+        owner = {node: function.name for function in ast.walk(tree)
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if names_subprocess(node):
+                files.add(path.name)
+                if path.name == "test_config_cli.py" and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    callers.add(owner.get(node))
+    assert files == {"helpers.py", "outputs.py", "test_config_cli.py"}
+    assert callers == {closed_stdout}

@@ -1,5 +1,6 @@
 """The separable-target reduction against the grid path, closed forms and a grid-free run."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from kronlev.sketch import (
     SeparableValues,
     _one_blas_thread,
     full_relative_error,
+    leverage_scores,
     reduce_full_grid,
     solve,
     trial_error,
@@ -336,6 +338,35 @@ def test_full_error_forms_r_lj_in_row_blocks(dimension):
     p = factors[0].q[:, :4].T @ beta
     share = np.polynomial.polynomial.polypow(p**2 / (beta @ beta), dimension)[:4].sum()
     assert relative(reduction.optimal_error, math.sqrt(1.0 - share)) <= 1e-6
+
+
+def test_a_closure_of_13500_members_has_one_set_of_bits_at_one_and_two_blas_threads(openblas):
+    # J = {(1, 1, 1), (30, 30, 15)} on grids of as many nodes: |L| = 13,500, and
+    # OpenBLAS splits a dot product of more than 10^4 entries, or a block's
+    # product with U, by thread count.  The reduction, the full-grid errors,
+    # the trials and the score walk run on one BLAS thread whatever the caller's
+    sizes = (30, 30, 15)
+    factors = [build_factor(gauss_legendre_uniform_grid(m), BasisSpec("legendre-orthonormal", m)) for m in sizes]
+    index_set = build_index_set(IndexSetSpec(dimension=3, family="explicit-list", indices=((1, 1, 1), sizes)))
+    rng = np.random.default_rng(0)
+    values = SeparableValues((tuple(rng.standard_normal(m) for m in sizes),))
+    method = make_method("uniform", factors)
+    bits = []
+    for count in (1, 2):
+        openblas.set_threads(count)
+        reduction = reduce_full_grid(index_set, factors, values)
+        fields = [reduction.c, reduction.subspace.basis, reduction.residual_sq, reduction.b_sq,
+                  reduction.optimal_error]
+        fields += [full_relative_error(reduction, np.random.default_rng(seed).standard_normal(2))
+                   for seed in range(5)]
+        fields += [trial_error(reduction, method, sample_indices(method, np.random.default_rng(seed), 8))[0]
+                   for seed in range(5)]
+        blocks = leverage_scores(index_set, factors)
+        fields += list(itertools.islice(blocks, 4))  # every block's scores moved with an unpinned walk
+        blocks.close()
+        assert openblas.get_threads() == count
+        bits.append([np.asarray(field).tobytes() for field in fields])
+    assert bits[0] == bits[1]
 
 
 @pytest.mark.parametrize("dimension,order,m", [(3, 5, 8), (7, 3, 8)])

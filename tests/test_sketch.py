@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 
 import kronlev.factor as factor_module
 from kronlev.factor import (
@@ -22,8 +21,6 @@ from kronlev.factor import (
     _SOLVE_BLOCK,
     FactorMatrix,
     _back_substitute,
-    _cholesky_solve,
-    _gram_factor,
     _kron_rows,
     _row_blocks,
     build_factor,
@@ -52,7 +49,7 @@ from kronlev.sketch import (
     solve,
     trial_error,
 )
-from helpers import cholesky_system, count_calls, monomial_factors, random_systems, total_degree
+from helpers import count_calls, monomial_factors, random_systems, total_degree
 
 
 def kron_entries(mats, rows, cols):
@@ -394,95 +391,6 @@ class TestSolve:
             + np.linalg.norm(full.matrix @ (solution.x - best.x)) ** 2
         )
         assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def r_of_augmented(n, seed):
-    """R of the QR of a random (4n+4) x (n+1) matrix: [R_A, Q^T b] as ``solve`` forms it."""
-    rng = np.random.default_rng(seed)
-    return np.linalg.qr(rng.standard_normal((4 * n + 4, n + 1)), mode="r")
-
-
-class TestBackSubstitute:
-    @pytest.mark.parametrize("n", [1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 221])
-    def test_matches_scipy_triangular_solve(self, n):
-        for seed in range(5):
-            r = np.ascontiguousarray(r_of_augmented(n, seed)[:n, :n])
-            y = np.random.default_rng(100 + seed).standard_normal(n)
-            expected = solve_triangular(r, y)
-            x = _back_substitute(r, y)
-            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-    def test_solves_the_slices_solve_passes(self):
-        n = 2 * _SOLVE_BLOCK + 5
-        r = r_of_augmented(n, 7)
-        before = r.copy()
-        matrix, rhs = r[:n, :n], r[:n, n]
-        assert not matrix.flags.c_contiguous and not rhs.flags.c_contiguous
-        x = _back_substitute(matrix, rhs)
-        np.testing.assert_array_equal(r, before)  # the rhs view is not written
-        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14 * np.max(np.abs(rhs))
-
-
-class TestCholeskySolve:
-    @pytest.mark.parametrize("n", [1, 7, 220])
-    def test_solves_the_cholesky_system(self, dpotrs, n):
-        # the convention _cholesky_solve relies on: uplo "L" on the C-ordered buffer
-        # reads L^T from its upper triangle, and x is written over the rhs
-        factor, z = cholesky_system(n, n)
-        lower = np.triu(factor).T
-        x = z.copy()
-        assert dpotrs(102, b"L", n, 1, factor, n, x, n) == 0
-        expected = solve_triangular(lower.T, solve_triangular(lower, z, lower=True))
-        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    def test_hands_openblas_a_c_contiguous_factor_and_a_fresh_rhs(self, openblas, monkeypatch):
-        # dpotrs reads the buffer dpotrf factored, not a copy, and writes x
-        # into a new array, never into b
-        seen = []
-
-        def recording(name, function):
-            def recorded(*args):
-                seen.append((name, args))
-                return function(*args)
-
-            return recorded
-
-        found = openblas._replace(
-            dpotrf=recording("dpotrf", openblas.dpotrf), dpotrs=recording("dpotrs", openblas.dpotrs)
-        )
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        a, b = random_systems(160, 40)[0]
-        before = b.copy()
-        x = solve(SketchedSystem(a, b)).x
-        assert [name for name, _ in seen] == ["dpotrf", "dpotrs", "dpotrs"]
-        gram = seen[0][1][3]
-        for _, (_, uplo, n, nrhs, factor, lda, rhs, ldb) in seen[1:]:
-            assert (uplo, n, nrhs, lda, ldb) == (b"L", 40, 1, 40, 40)
-            assert factor is gram
-            assert rhs.dtype == np.float64 and rhs.flags.c_contiguous and rhs.shape == (40,)
-            assert not np.shares_memory(rhs, b)
-        assert not np.shares_memory(x, b)
-        np.testing.assert_array_equal(b, before)
-
-    def test_nonzero_info_raises(self, openblas, monkeypatch, capfd):
-        a, b = random_systems(40, 6)[0]
-        found = openblas._replace(dpotrs=lambda *args: -2)
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        with pytest.raises(RuntimeError, match="dpotrs failed with info = -2"):
-            _cholesky_solve(_gram_factor(a), a.T @ b)
-        # the library's own answer to a bad argument: an unknown layout is
-        # argument 1 of LAPACKE_dpotrs_work, which it reports and returns
-        found = openblas._replace(dpotrs=lambda layout, *args: openblas.dpotrs(0, *args))
-        monkeypatch.setattr(factor_module, "_openblas", lambda: found)
-        with pytest.raises(RuntimeError, match="dpotrs failed with info = -1"):
-            _cholesky_solve(_gram_factor(a), a.T @ b)
-        assert "LAPACKE_dpotrs_work" in capfd.readouterr().out
-
-    def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
-        given, z = cholesky_system(6, 6)
-        for factor, rhs in [(given.T, z.copy()), (given, z.astype(np.float32)), (given, z[::-1])]:
-            with pytest.raises(ctypes.ArgumentError):
-                dpotrs(102, b"L", 6, 1, factor, 6, rhs, 6)
 
 
 class TestBundledOpenBlas:
