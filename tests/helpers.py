@@ -79,6 +79,16 @@ def random_systems(k, n):
     ]
 
 
+def scaled_orthogonal_columns(ratio, k=30, n=8):
+    """A k x n system with orthogonal columns of norms 1 down to ``ratio``.
+
+    Its Gram is diagonal, so the Cholesky diagonal ratio is ``ratio`` itself.
+    """
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((k, n)))[0]
+    return q * np.geomspace(1.0, ratio, n), rng.standard_normal(k)
+
+
 def cholesky_system(n, seed):
     """(factor, z): a random well-conditioned Gram L L^T as dpotrf "L" leaves it, and an rhs.
 

@@ -277,7 +277,7 @@ class TestPackagedConfigs:
             assert len(experiment.problem.index_set) == n
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="^\"no packaged config 'ishigami-g8'; available: \\['duffing-g7', "):
             packaged_config_path("ishigami-g8")
 
 
@@ -396,6 +396,10 @@ def row(id, argv, code, line, config=TINY, marks=(), **fields):
 
 def out_of_memory(problem, workers=1):
     raise MemoryError()
+
+
+def no_grid(num_nodes):
+    raise AssertionError("a grid was built before the refusal")
 
 
 SAMPLE = ("sample", "--method", "uniform", "--count", "3", "--seed", "1")
@@ -554,6 +558,12 @@ REFUSALS = [
       ]
       for argv in [("sample", "--method", tag, "--count", "3", "--seed", "1"),
                    ("solve", "--method", tag, "--K", "40", "--seed", "1"), EXPERIMENT]],
+    # a Gauss-Legendre rule of more than 10^4 nodes in any dimension is refused before any grid is built
+    *[row(f"{kind}-past-the-node-bound", SAMPLE, 2, "config error: grid M must be at most 10000, got 10001",
+          tiny(grid={"grid": kind, "M": [5, 10001, 5]}),
+          patches={"kronlev.config.gauss_legendre_grid": no_grid,
+                   "kronlev.config.gauss_legendre_uniform_grid": no_grid})
+      for kind in ("gauss-legendre", "gauss-legendre-uniform")],
     # a grid file
     row("missing-grid-file", SAMPLE, 2, "config error: grid file not found: {tmp}/no-such-grid.json",
         tiny(grid={"grid": "file", "path": "no-such-grid.json"})),

@@ -47,7 +47,7 @@ def test_demo_04_study_reproduces_its_committed_tables(tmp_path):
     write_report_csv(report, tmp_path / "report.csv")
     emit_cdf(report, tmp_path / "cdf.csv")
     tables = [
-        ("report.csv", "ishigami-g7-report.csv", ["method", "trial", "N", "K"],
+        ("report.csv", "ishigami-g7-report.csv", ["method", "trial", "N", "K", "rank_flag"],
          ["relative_error", "optimal_relative_error"]),
         ("cdf.csv", "ishigami-g7-cdf.csv", ["method"], ["sorted_error", "cdf_level"]),
     ]

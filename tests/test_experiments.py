@@ -1,5 +1,5 @@
-import copy
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -80,14 +80,6 @@ class TestDuffing:
         batch = duffing_qoi_batch(y, step=2e-3)
         for i in range(2):
             assert batch[i] == pytest.approx(duffing_qoi_batch(y[i], step=2e-3)[0], abs=1e-14)
-
-    def test_blow_up_reported(self):
-        with pytest.raises(RuntimeError, match="blew up"):
-            duffing_qoi_batch([0.0, 0.0, 100.0], step=1e-2)
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError, match=r"^step must be in \(0, t_final\], got 0.0$"):
-            duffing_qoi_batch([0.0, 0.0, 0.0], step=0.0)
 
 
 def duffing_reference(y, t_final=4.0, step=1e-3):
@@ -198,23 +190,6 @@ class TestDuffingKernel:
         got = duffing_qoi_batch(y, t_final=4.0, step=1e-3)
         assert np.max(np.abs(got - duffing_reference(y))) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "t_final,step,message",
-        [(4.0, 10.0, "^step must be in \\(0, t_final\\], got 10.0$"),
-         (-4.0, 1e-3, "^t_final must be positive, got -4.0$"),
-         (0.0, 1e-3, "^t_final must be positive, got 0.0$"),
-         (math.nan, 1e-3, "^t_final must be positive, got nan$"),
-         (math.inf, 1e-3, "^step must be at least t_final / 10000000, got 0.001$"),
-         (4.0, math.nan, "^step must be in \\(0, t_final\\], got nan$"),
-         (4.0, math.inf, "^step must be in \\(0, t_final\\], got inf$"),
-         (4.0, -1e-3, "^step must be in \\(0, t_final\\], got -0.001$"),
-         (4.0, 1e-300, "^step must be at least t_final / 10000000, got 1e-300$")],
-    )
-    def test_rejects_degenerate_integration(self, t_final, step, message):
-        # the config's rule, so the integrator starts no loop it would refuse to parse
-        with pytest.raises(ValueError, match=message):
-            duffing_qoi_batch([0.0, 0.0, 0.0], t_final=t_final, step=step)
-
     def test_concurrent_calls_match_serial(self):
         # each call owns its stage buffers: threads running the kernel at
         # once on same-sized inputs (more threads than cores, frequent
@@ -256,14 +231,6 @@ class TestTargets:
         path = tmp_path / "values.txt"
         np.savetxt(path, values)
         assert np.allclose(_tabulated_values(str(path), grids), values)
-
-    def test_unknown_model_is_refused(self):
-        with pytest.raises(ValueError, match="^unknown model 'borehole'$"):
-            make_target({"name": "borehole"})
-
-    def test_tabulated_model_has_no_target_function(self):
-        with pytest.raises(ValueError, match="prepare_problem reads its file"):
-            make_target({"name": "tabulated", "path": "values.txt"})
 
     @pytest.mark.parametrize("model", [
         {"name": "duffing", "t_final": 0.5, "step": 1e-3},
@@ -416,8 +383,9 @@ def exit_in_a_child(caller, item):
 
 
 def assert_no_child_is_left():
-    with pytest.raises(ChildProcessError):
+    with pytest.raises(ChildProcessError) as raised:
         os.waitpid(-1, os.WNOHANG)
+    assert raised.value.errno == errno.ECHILD
 
 
 @pytest.mark.skipif(not kronlev.experiments._CAN_FORK, reason="shares are forked only on Linux")
@@ -641,7 +609,7 @@ class TestRunTrials:
         # the run's reduction builds J's one record, walking L once and, for a
         # gapped J, factoring U once.  The factors QR themselves as a config is
         # parsed, so U's QR is counted over the run alone.  A method on an
-        # equal J that is another object is refused by the reduction on J
+        # equal J that is another object is refused (``test_refusals.py``)
         config = {**gated_configs()[name], "trials": 2}
         calls = count_calls(monkeypatch, _missing_below, np.linalg.qr)
         experiment = parse_experiment(config)
@@ -654,19 +622,7 @@ class TestRunTrials:
         reduction = prepare_problem(problem)
         method = problem.method(mixture)
         assert method.index_set is problem.index_set is reduction.subspace.index_set
-        rows = sample_indices(method, np.random.default_rng(0), 4 * len(problem.index_set))
-        index_set = problem.index_set
-        for other in (dataclasses.replace(index_set), copy.copy(index_set), copy.deepcopy(index_set)):
-            assert other == index_set and other is not index_set
-            with pytest.raises(ValueError, match="not built on the reduction's factors and index set"):
-                trial_error(reduction, make_method(mixture, problem.factors, other), rows)
-        trial_error(reduction, method, rows)  # the problem's own method takes the same rows
-
-    def test_deterministic_for_fixed_seed(self):
-        a = run_trials(experiment_config())
-        b = run_trials(experiment_config())
-        assert a.errors == b.errors
-        assert a.optimal_error == b.optimal_error
+        trial_error(reduction, method, sample_indices(method, np.random.default_rng(0), 4 * len(problem.index_set)))
 
     def test_thread_count_does_not_change_results(self):
         a = run_trials(experiment_config(), threads=1)
@@ -768,16 +724,26 @@ class TestRunTrials:
 
     def test_reports_are_byte_identical_for_one_two_and_three_workers(self, monkeypatch, tmp_path):
         # 7 trials per method, which neither 2 nor 3 divides, so the strided
-        # shares differ in length and split each method's trials unevenly
+        # shares differ in length and split each method's trials unevenly; at
+        # K = N most leverage-lower sketches of ishigami-g7 are rank deficient,
+        # and each report flag is the serial trial's own
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        experiment = parse_experiment({**load_json(packaged_config_path("ishigami-g7")), "trials": 7,
+                                       "sample_multiplier": 1})
         outputs = []
         for threads in (1, 2, 3):
-            report = run_trials(experiment_config(trials=7), threads=threads)
+            report = run_trials(experiment, threads=threads)
             write_report_csv(report, tmp_path / "report.csv")
             emit_cdf(report, tmp_path / "cdf.csv")
-            outputs.append(((tmp_path / "report.csv").read_bytes(), (tmp_path / "cdf.csv").read_bytes()))
+            outputs.append(((tmp_path / "report.csv").read_text(), (tmp_path / "cdf.csv").read_bytes()))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+        reduction = prepare_problem(experiment.problem)
+        recount = [trial_error(reduction, method, sample_indices(method, np.random.default_rng(
+            [experiment.seed, METHOD_TAGS.index(method.tag), trial]), experiment.sample_count))[1]
+            for method in experiment.methods for trial in range(7)]
+        flags = [line.rpartition(",")[2] for line in outputs[0][0].splitlines()[1:]]
+        assert flags == ["true" if flag else "false" for flag in recount] and "true" in flags
 
     def test_one_usable_cpu_forks_nothing_and_runs_the_trials_here(self, monkeypatch):
         # an affinity mask of one CPU on a machine with more: --threads 2
@@ -975,9 +941,10 @@ class TestReports:
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,trial,relative_error,optimal_relative_error,N,K"
+        assert lines[0] == "method,trial,relative_error,optimal_relative_error,N,K,rank_flag"
         first = lines[1].split(",")
         assert float(first[2]) == report.errors[report.methods[0]][0]
+        assert first[6] == ("true" if report.rank_flags[report.methods[0]][0] else "false")
 
     @pytest.mark.parametrize("writer", [write_report_csv, emit_cdf])
     def test_numpy_numbers_write_the_bytes_of_python_numbers(self, report, writer, tmp_path):
@@ -985,6 +952,7 @@ class TestReports:
         numpy_report = dataclasses.replace(
             report,
             errors={tag: [np.float64(err) for err in errs] for tag, errs in report.errors.items()},
+            rank_flags={tag: [np.bool_(flag) for flag in flags] for tag, flags in report.rank_flags.items()},
             optimal_error=np.float64(report.optimal_error),
             subspace_size=np.int64(report.subspace_size),
             sample_count=np.int64(report.sample_count),
@@ -1000,13 +968,6 @@ class TestReports:
         assert text.startswith("<svg")
         assert text.count("<polyline") == len(report.methods)
         assert "optimal" in text
-
-    @pytest.mark.parametrize("writer", [emit_cdf, emit_cdf_svg])
-    def test_cdf_writers_refuse_a_report_of_no_trials(self, report, writer, tmp_path):
-        empty = dataclasses.replace(report, trials=0, errors={tag: [] for tag in report.methods})
-        with pytest.raises(ValueError, match="^report holds no trials$"):
-            writer(empty, tmp_path / "cdf")
-        assert not (tmp_path / "cdf").exists()
 
 
 @pytest.mark.slow

@@ -9,7 +9,6 @@ from kronlev.config import load_json, parse_problem
 from kronlev.configs import list_packaged_configs, packaged_config_path
 from kronlev.factor import (
     _SOLVE_BLOCK,
-    FactorMatrix,
     _back_substitute,
     _cholesky_solve,
     _gram_factor,
@@ -62,10 +61,6 @@ class TestBuildFactor:
         f = legendre_factor(3, 3)
         assert np.max(np.abs(f.matrix.T @ f.matrix - np.eye(3))) < 1e-14
 
-    def test_more_columns_than_rows_rejected(self):
-        with pytest.raises(ValueError, match="full column rank"):
-            monomial_factor(2, 3)
-
 
 @pytest.mark.parametrize("m,n", [(20, 10), (101, 14), (1000, 30), (10**4, 40), (4000, 200)])
 def test_a_factor_has_one_set_of_bits_at_one_and_two_blas_threads(openblas, m, n):
@@ -93,13 +88,6 @@ class TestFactorQr:
         assert np.max(np.abs(f.q @ f.r - f.matrix)) < 1e-10 * np.max(np.abs(f.matrix))
         assert np.all(np.diag(f.r) > 0)
         assert np.max(np.abs(np.triu(f.r) - f.r)) == 0
-
-    def test_duplicate_column_raises_with_position(self):
-        f = monomial_factor(5, 3)
-        broken = f.matrix.copy()
-        broken[:, 2] = broken[:, 1]
-        with pytest.raises(ValueError, match="column 3"):
-            FactorMatrix(broken, f.grid, f.basis)
 
 
 class TestLeverageTable:
@@ -166,16 +154,6 @@ class TestAlias:
         sigma = np.sqrt(n * 0.25)
         assert abs(ones - n / 2) < 3 * sigma
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            build_alias([0.5, -0.5])
-        with pytest.raises(ValueError):
-            build_alias([0.0, 0.0])
-        with pytest.raises(ValueError):
-            build_alias([0.3, 0.3])
-        with pytest.raises(ValueError, match="^need a nonempty 1D probability vector$"):
-            build_alias([])
-
 
 def numpy_scalar_alias(p):
     """Vose tables by the loop over numpy scalars that ``build_alias`` ran on before its Python lists."""
@@ -238,12 +216,6 @@ class TestSampleNuKd:
         tv = 0.5 * np.sum(np.abs(freq - f.q[:, k] ** 2))
         assert tv < 0.01
 
-    def test_out_of_range_k(self):
-        f = monomial_factor(5, 2)
-        for k in (-1, 2):
-            with pytest.raises(ValueError, match="k outside"):
-                sample_nu_kd(f.prob, f.alias, np.array([0, k]), np.random.default_rng(0))
-
     def test_vectorized_k_shapes(self):
         f = monomial_factor(5, 2)
         rng = np.random.default_rng(0)
@@ -294,14 +266,6 @@ class TestKronRows:
         wider = [np.take(x, np.r_[cols[:, d], cols[:, d]], axis=1)[:, :n] for d, x in enumerate(mats)]
         out = _kron_rows(wider, rows)
         assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("d", [0, 2])
-    def test_row_out_of_range_raises(self, monkeypatch, d):
-        monkeypatch.setattr(factor_module, "_ROW_BLOCK_BYTES", 8 * 4 * 2)  # blocks of 2 rows
-        rows = np.zeros((10, 3), dtype=np.int64)
-        rows[7, d] = 3  # in the fourth block
-        with pytest.raises(IndexError):
-            _kron_rows([np.ones((3, 4))] * 3, rows)
 
 
 def test_no_openblas_when_no_library_loads(monkeypatch):
@@ -388,7 +352,7 @@ class TestCholeskyFactor:
         read_only = gram.copy()
         read_only.flags.writeable = False
         for bad in (np.asfortranarray(gram), gram.astype(np.float32), read_only):
-            with pytest.raises(ctypes.ArgumentError):
+            with pytest.raises(ctypes.ArgumentError, match="^argument 4: "):
                 dpotrf(102, b"L", 6, bad, 6)
 
     def test_each_back_end_solves_as_lstsq_on_one_blas_thread(self, openblas, monkeypatch):
@@ -499,8 +463,8 @@ class TestCholeskySolve:
 
     def test_the_foreign_function_takes_only_c_contiguous_float64(self, dpotrs):
         given, z = cholesky_system(6, 6)
-        for factor, rhs in [(given.T, z.copy()), (given, z.astype(np.float32)), (given, z[::-1])]:
-            with pytest.raises(ctypes.ArgumentError):
+        for factor, rhs, argument in [(given.T, z.copy(), 5), (given, z.astype(np.float32), 7), (given, z[::-1], 7)]:
+            with pytest.raises(ctypes.ArgumentError, match=f"^argument {argument}: "):
                 dpotrs(102, b"L", 6, 1, factor, 6, rhs, 6)
 
 

@@ -70,20 +70,6 @@ class TestBuildFull:
         system = build_full(total_degree(3, 7), factors, ZERO)
         assert system.matrix.shape == (8000, 120)
 
-    def test_size_guard(self):
-        factors = monomial_factors(3, 101, 2)
-        with pytest.raises(ValueError, match="dense guard"):
-            build_full(total_degree(3, 1), factors, ZERO)
-
-    @pytest.mark.parametrize("size", [15, 17])
-    def test_b_values_hold_one_value_per_grid_row(self, size):
-        with pytest.raises(ValueError, match="^b_values must hold one value per grid row$"):
-            build_full(full_box((2, 2)), monomial_factors(2, 4, 2), b_values=np.ones(size))
-
-    def test_needs_a_target_or_b_values(self):
-        with pytest.raises(ValueError, match="^provide target or b_values$"):
-            build_full(full_box((2, 2)), monomial_factors(2, 4, 2))
-
 
 class TestExactLeverage:
     def test_square_invertible_gives_uniform_scores(self):
@@ -104,13 +90,6 @@ class TestExactLeverage:
         for m1, m2 in itertools.product(range(4), repeat=2):
             row = flat_row_index(np.array([[m1, m2]]), (4, 4))[0]
             assert scores[row] == pytest.approx(per_dim[0][m1] * per_dim[1][m2], abs=1e-12)
-
-    def test_rank_deficient_rejected(self):
-        from kronlev.oracle import FullSystem
-
-        mat = np.ones((6, 2))
-        with pytest.raises(ValueError, match="rank deficient"):
-            exact_leverage(FullSystem(mat, np.ones(6), np.full(6, 1 / 6), (6,)))
 
 
 class TestSolveFull:

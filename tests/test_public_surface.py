@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,3 +187,30 @@ def test_a_new_interpreter_is_started_by_the_one_launcher():
                     callers.add(owner.get(node))
     assert files == {"helpers.py", "outputs.py", "test_config_cli.py"}
     assert callers == {closed_stdout}
+
+
+def test_every_pytest_raises_checks_more_than_a_type():
+    """A ``pytest.raises`` passes ``match=`` or binds the exception (``as raised``) to read it.
+
+    A bare one takes any text of its type: ``gauss_legendre_grid(0)`` once
+    passed a bare ``ValueError`` check with ``not enough values to unpack``.
+    """
+    bare = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+                 for item in node.items if item.optional_vars is not None}
+        bare += [(path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "pytest.raises" and id(node) not in bound
+                 and "match" not in [keyword.arg for keyword in node.keywords]]
+    assert bare == []
+
+
+def test_the_refusal_table_imports_no_test_extra():
+    """``test_refusals.py`` imports the standard library, numpy, pytest, kronlev and ``helpers`` alone."""
+    tree = ast.parse((ROOT / "tests" / "test_refusals.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {"numpy", "kronlev.sketch", "helpers"} <= modules
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pytest", "kronlev", "helpers"}
+    assert sorted(module for module in modules if module.partition(".")[0] not in allowed) == []

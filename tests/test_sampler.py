@@ -110,20 +110,11 @@ class TestPointMass:
         masses = point_mass_many(method, all_grid_indices((4, 4)))
         assert np.max(np.abs(masses - 1.0 / 16.0)) < 1e-10
 
-    def test_out_of_bounds_rejected(self, small_lower_problem):
-        index_set, factors = small_lower_problem
-        method = make_method("uniform", factors)
-        with pytest.raises(ValueError, match="out of bounds"):
-            point_mass_many(method, np.array([[5, 0]]))
-
     @pytest.mark.parametrize("tag", METHOD_TAGS)
-    def test_rows_must_be_integers(self, tag):
-        # refused, not cast: cast, [[1.9, 0.2]] would read as [[1, 0]]
+    def test_rows_of_any_integer_type_give_one_mass(self, tag):
+        # rows that are not integers are refused, not cast (``test_refusals.py``)
         factors = [build_factor(gauss_legendre_grid(5), BasisSpec("legendre-orthonormal", 3))] * 2
         method = make_method(tag, factors, total_degree(2, 2))
-        for bad in ([[1.9, 0.2]], np.array([[1.0, 0.0]]), np.array([[True, False]])):
-            with pytest.raises(ValueError, match="must be integers"):
-                point_mass_many(method, bad)
         assert point_mass_many(method, [[1, 0]]) == point_mass_many(method, np.array([[1, 0]], np.int32))
 
 
@@ -218,11 +209,6 @@ class TestMixtureKernel:
 
 
 class TestPreconditions:
-    def test_leverage_lower_needs_lower_set(self):
-        bad = MultiIndexSet(2, ((1, 1), (2, 2)))
-        with pytest.raises(ValueError, match="monotone lower"):
-            make_method("leverage-lower", monomial_factors(2, 5, 2), bad)
-
     @pytest.mark.parametrize("entry_point", ["make_method", "ProblemSetup.method"])
     def test_leverage_lower_refuses_a_gap_before_walking_the_closure(self, monkeypatch, entry_point):
         # J's closure has k^3 = 1000 members; the lower test stops at the first
@@ -244,10 +230,6 @@ class TestPreconditions:
                 ProblemSetup(index_set, factors, None).method("leverage-lower")
         assert len(yielded) == 1
 
-    def test_orthogonal_columns_needs_orthogonal_factors(self):
-        with pytest.raises(ValueError, match="not orthogonal"):
-            make_method("orthogonal-columns", monomial_factors(2, 5, 3), total_degree(2, 2))
-
     def test_orthogonal_columns_matches_lower_for_orthonormal_factors(self):
         factors = [build_factor(gauss_legendre_grid(6), BasisSpec("legendre-orthonormal", 3))] * 2
         index_set = total_degree(2, 2)
@@ -257,16 +239,3 @@ class TestPreconditions:
         assert np.max(
             np.abs(point_mass_many(orth, grid) - point_mass_many(lower, grid))
         ) < 1e-12
-
-    def test_index_set_must_fit_factors(self):
-        with pytest.raises(ValueError, match="columns"):
-            make_method("leverage-lower", monomial_factors(2, 5, 2), total_degree(2, 2))
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown sampler method"):
-            make_method("levered", monomial_factors(2, 5, 2))
-
-    @pytest.mark.parametrize("tag", ["orthogonal-columns", "leverage-lower"])
-    def test_a_mixture_needs_an_index_set(self, tag):
-        with pytest.raises(ValueError, match=f"^method '{tag}' requires a multi-index set$"):
-            make_method(tag, monomial_factors(2, 5, 2))

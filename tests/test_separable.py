@@ -19,12 +19,11 @@ from kronlev.experiments import evaluate_on_grid, make_target, prepare_problem, 
 from kronlev.factor import _kron_rows, build_factor
 from kronlev.grid_basis import (
     BasisSpec,
-    Grid1D,
     eval_basis_matrix,
     gauss_legendre_grid,
     gauss_legendre_uniform_grid,
 )
-from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
+from kronlev.indexset import IndexSetSpec, build_index_set
 from kronlev.sampler import METHOD_TAGS, make_method, point_mass_many, sample_indices
 from kronlev.sketch import (
     SeparableValues,
@@ -149,16 +148,6 @@ def test_only_a_non_lower_set_forms_r_lj(name, monkeypatch):
         assert bases == [None, None]
 
 
-def test_a_refused_orthogonal_columns_method_forms_no_r_lj(monkeypatch):
-    # monomial columns are not orthogonal: the method is refused, and no
-    # method walks L or gathers R_{L,J} for U
-    problem = ishigami_problem("gapped", basis={"kind": "monomial"}, grid={"grid": "gauss-legendre"})
-    calls = count_calls(monkeypatch, _kron_rows, _missing_below)
-    with pytest.raises(ValueError, match="not orthogonal"):
-        make_method("orthogonal-columns", problem.factors, problem.index_set)
-    assert calls == []
-
-
 def test_tiny_optimum_is_not_a_difference_of_norms():
     # f = sin(pi y_1) at total order 13: ||r|| / ||b|| is 1.2e-9, so
     # ||b||^2 - ||c||^2 keeps none of its digits
@@ -171,55 +160,6 @@ def test_tiny_optimum_is_not_a_difference_of_norms():
     c_sq = float(separable.c @ separable.c)
     subtracted = math.sqrt(max(separable.b_sq - c_sq, 0.0) / separable.b_sq)
     assert relative(subtracted, grid.optimal_error) > 1e-6
-
-
-def small_factors(m=5, n=3, dimension=2):
-    return [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))] * dimension
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
-def test_non_finite_target_is_the_grid_paths_error(bad):
-    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 2, weights=(1.0, 1.0)))
-    factors = small_factors()
-    first = np.linspace(1.0, 2.0, 5)
-    if bad == "overflow":  # finite tables whose product is not
-        first, second = first * 1e200, np.full(5, 1e200)
-    else:
-        first[3], second = bad, np.ones(5)
-    values = SeparableValues(((first, second), (np.ones(5), np.ones(5))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.multiply.outer(first, second) + 1.0
-        for b_values in (values, grid):
-            with pytest.raises(ValueError, match="^b_values must be finite$"):
-                reduce_full_grid(index_set, factors, b_values)
-
-
-@pytest.mark.parametrize("case", ["zero-tables", "zero-weight-node", "cancelling-terms"])
-def test_zero_target_is_the_grid_paths_error(case):
-    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 1, weights=(1.0, 1.0)))
-    if case == "zero-weight-node":  # nonzero only at the first node, which has no weight
-        grid = Grid1D(np.array([-1.0, 0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.25, 0.5]))
-        factors, first = [build_factor(grid, BasisSpec("legendre-orthonormal", 2))] * 2, np.eye(4)[0]
-    else:
-        factors = small_factors()
-        first = np.zeros(5) if case == "zero-tables" else np.linspace(1.0, 2.0, 5)
-    second = np.ones(len(first))
-    terms = [(first, second), (-first, second)] if case == "cancelling-terms" else [(first, second)]
-    grid_values = reduce(np.add, [np.multiply.outer(*term) for term in terms])
-    for b_values in (SeparableValues(tuple(terms)), grid_values):
-        with pytest.raises(ValueError, match="^b_values are zero wherever the grid weight is positive$"):
-            reduce_full_grid(index_set, factors, b_values)
-
-
-def test_tables_must_fit_the_grid():
-    index_set = build_index_set(IndexSetSpec(2, "wlp-ball", 1, weights=(1.0, 1.0)))
-    with pytest.raises(ValueError, match="one value per grid row"):
-        reduce_full_grid(index_set, small_factors(), SeparableValues(((np.ones(5), np.ones(4)),)))
-    with pytest.raises(ValueError, match="one 1-D table per dimension"):
-        SeparableValues(((np.ones(5), np.ones(5)), (np.ones(5),)))
-    for terms in ((), ((),)):  # no term, or a term over no dimension
-        with pytest.raises(ValueError, match="^a separable target needs a term over at least one dimension$"):
-            SeparableValues(terms)
 
 
 def manufactured(index_set, m, seed, nonzero=None):
