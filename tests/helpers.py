@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import kronlev
-from kronlev.factor import build_factor
-from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
-from kronlev.indexset import IndexSetSpec, build_index_set
+from kronlev.factor import _SEMI_NORMAL_RTOL, build_factor
+from kronlev.grid_basis import BasisSpec, Grid1D, gauss_legendre_grid, gauss_legendre_uniform_grid
+from kronlev.indexset import IndexSetSpec, MultiIndexSet, build_index_set
+from kronlev.sketch import TargetFunction
 
 
 def python_env():
@@ -71,6 +72,29 @@ def monomial_factors(dimension, m, n):
     return [build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))] * dimension
 
 
+def legendre_factors(dimension, m, n, rule=gauss_legendre_grid):
+    return [build_factor(rule(m), BasisSpec("legendre-orthonormal", n))] * dimension
+
+
+def zero_weight_factors():
+    """Two 3-column Legendre factors on 6 Gauss-Legendre nodes and one more node, of weight 0, whose Q row is 0."""
+    base = gauss_legendre_grid(6)
+    grid = Grid1D(np.r_[base.nodes, 0.999], np.r_[base.weights, 0.0])
+    return [build_factor(grid, BasisSpec("legendre-orthonormal", 3))] * 2
+
+
+def other_problem(case):
+    """(drawn_on, factors, index_set, reduced_on): total degree 2 over 12-node factors (N = 6), and another
+    problem: a lower set of the same size on the same factors, or the same set on the uniform-weight grid."""
+    drawn_on, factors = total_degree(2, 2), legendre_factors(2, 12, 6)
+    if case == "other-index-set":
+        return drawn_on, factors, MultiIndexSet(2, tuple((a, 1) for a in range(1, 7))), factors
+    return drawn_on, factors, drawn_on, legendre_factors(2, 12, 6, gauss_legendre_uniform_grid)
+
+
+SMOOTH = TargetFunction("smooth", lambda c: np.exp(c[:, 0]) * np.cos(2.0 * c[:, 1]))
+
+
 def random_systems(k, n):
     rng = np.random.default_rng(k)
     return [
@@ -87,6 +111,13 @@ def scaled_orthogonal_columns(ratio, k=30, n=8):
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.standard_normal((k, n)))[0]
     return q * np.geomspace(1.0, ratio, n), rng.standard_normal(k)
+
+
+# (a, b) systems that solve's fallback takes: one past the semi-normal bound, and one of fewer rows than columns
+FALLBACK_SYSTEMS = {
+    "past-the-bound": lambda: scaled_orthogonal_columns(0.9 * _SEMI_NORMAL_RTOL),
+    "fewer-rows": lambda: (np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]]), np.array([1.0, 2.0])),
+}
 
 
 def cholesky_system(n, seed):

@@ -33,11 +33,11 @@ from kronlev.experiments import (
 )
 from kronlev.factor import build_factor
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid
-from kronlev.indexset import IndexSetSpec, _missing_below, build_index_set
+from kronlev.indexset import _missing_below
 from kronlev.oracle import build_full, solve_full
 from kronlev.sampler import METHOD_TAGS, make_method, sample_indices
 from kronlev.sketch import TargetFunction, reduce_full_grid, trial_error
-from helpers import count_calls, run_capped
+from helpers import SMOOTH, count_calls, monomial_factors, run_capped, total_degree
 from outputs import gated_configs
 
 
@@ -735,14 +735,14 @@ class TestRunTrials:
             report = run_trials(experiment, threads=threads)
             write_report_csv(report, tmp_path / "report.csv")
             emit_cdf(report, tmp_path / "cdf.csv")
-            outputs.append(((tmp_path / "report.csv").read_text(), (tmp_path / "cdf.csv").read_bytes()))
+            outputs.append(((tmp_path / "report.csv").read_bytes(), (tmp_path / "cdf.csv").read_bytes()))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
         reduction = prepare_problem(experiment.problem)
         recount = [trial_error(reduction, method, sample_indices(method, np.random.default_rng(
             [experiment.seed, METHOD_TAGS.index(method.tag), trial]), experiment.sample_count))[1]
             for method in experiment.methods for trial in range(7)]
-        flags = [line.rpartition(",")[2] for line in outputs[0][0].splitlines()[1:]]
+        flags = [line.rpartition(",")[2] for line in outputs[0][0].decode().splitlines()[1:]]
         assert flags == ["true" if flag else "false" for flag in recount] and "true" in flags
 
     def test_one_usable_cpu_forks_nothing_and_runs_the_trials_here(self, monkeypatch):
@@ -873,12 +873,8 @@ def cached_grid_values():
 
 
 def monomial_order_14(_):
-    index_set = build_index_set(
-        IndexSetSpec(dimension=2, family="wlp-ball", order=14, weights=(1.0, 1.0))
-    )
-    factors = [build_factor(gauss_legendre_grid(40), BasisSpec("monomial", 15))] * 2
-    target = TargetFunction("smooth", lambda c: np.exp(c[:, 0]) * np.cos(2.0 * c[:, 1]))
-    return index_set, factors, evaluate_on_grid(target, [f.grid for f in factors])
+    factors = monomial_factors(2, 40, 15)
+    return total_degree(2, 14), factors, evaluate_on_grid(SMOOTH, [f.grid for f in factors])
 
 
 def explicit_non_lower(cached_grid_values):

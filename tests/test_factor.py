@@ -21,15 +21,7 @@ from kronlev.factor import (
 )
 from kronlev.grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 from kronlev.sketch import SketchedSystem, solve
-from helpers import cholesky_system, random_systems
-
-
-def monomial_factor(m, n):
-    return build_factor(gauss_legendre_grid(m), BasisSpec("monomial", n))
-
-
-def legendre_factor(m, n):
-    return build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))
+from helpers import cholesky_system, legendre_factors, monomial_factors, random_systems
 
 
 def reconstructed(tables):
@@ -54,11 +46,11 @@ def leverage_rows(f):
 
 class TestBuildFactor:
     def test_constant_column_is_root_weights(self):
-        f = monomial_factor(3, 1)
+        f = monomial_factors(1, 3, 1)[0]
         assert np.allclose(f.matrix[:, 0], np.sqrt([5 / 18, 8 / 18, 5 / 18]), atol=1e-15)
 
     def test_legendre_columns_orthonormal_under_exact_quadrature(self):
-        f = legendre_factor(3, 3)
+        f = legendre_factors(1, 3, 3)[0]
         assert np.max(np.abs(f.matrix.T @ f.matrix - np.eye(3))) < 1e-14
 
 
@@ -78,12 +70,12 @@ def test_a_factor_has_one_set_of_bits_at_one_and_two_blas_threads(openblas, m, n
 
 class TestFactorQr:
     def test_orthonormal_input_passes_through(self):
-        f = legendre_factor(10, 5)
+        f = legendre_factors(1, 10, 5)[0]
         assert np.max(np.abs(f.q - f.matrix)) < 1e-10
         assert np.max(np.abs(f.r - np.eye(5))) < 1e-10
 
     def test_qr_invariants_on_monomials(self):
-        f = monomial_factor(20, 10)
+        f = monomial_factors(1, 20, 10)[0]
         assert np.max(np.abs(f.q.T @ f.q - np.eye(10))) < 1e-10
         assert np.max(np.abs(f.q @ f.r - f.matrix)) < 1e-10 * np.max(np.abs(f.matrix))
         assert np.all(np.diag(f.r) > 0)
@@ -92,7 +84,7 @@ class TestFactorQr:
 
 class TestLeverageTable:
     def test_rows_are_probability_vectors(self):
-        rows = leverage_rows(monomial_factor(9, 4))
+        rows = leverage_rows(monomial_factors(1, 9, 4)[0])
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(rows >= 0)
 
@@ -114,13 +106,13 @@ class TestLeverageTable:
         assert np.max(np.abs(leverage_rows(f) - recomputed)) < 1e-14
 
     def test_square_case_marginal_is_uniform(self):
-        f = monomial_factor(6, 6)
+        f = monomial_factors(1, 6, 6)[0]
         assert np.max(np.abs(f.marginal - 1.0 / 6.0)) < 1e-10
 
     def test_rows_are_the_normalized_columns_for_orthogonal_columns(self):
         # orthogonal columns are Q up to column scaling, so normalizing them
         # gives the same leverage rows, the ones orthogonal-columns samples
-        f = legendre_factor(12, 5)
+        f = legendre_factors(1, 12, 5)[0]
         normalized = f.matrix / np.linalg.norm(f.matrix, axis=0)
         assert np.max(np.abs(f.q - normalized)) < 1e-12
         assert np.max(np.abs(leverage_rows(f) - (normalized**2).T)) < 1e-12
@@ -207,7 +199,7 @@ class TestSampleNuKd:
         assert np.all(sample_nu_kd(*tables, np.ones(20, dtype=np.int64), rng) == 0)
 
     def test_empirical_law_close_in_total_variation(self):
-        f = monomial_factor(10, 4)
+        f = monomial_factors(1, 10, 4)[0]
         rng = np.random.default_rng(11)
         k = 2
         n = 10**5
@@ -217,7 +209,7 @@ class TestSampleNuKd:
         assert tv < 0.01
 
     def test_vectorized_k_shapes(self):
-        f = monomial_factor(5, 2)
+        f = monomial_factors(1, 5, 2)[0]
         rng = np.random.default_rng(0)
         out = sample_nu_kd(f.prob, f.alias, np.array([0, 1, 0, 1]), rng)
         assert out.shape == (4,)

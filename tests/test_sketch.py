@@ -46,15 +46,13 @@ from kronlev.sketch import (
     solve,
     trial_error,
 )
-from helpers import count_calls, monomial_factors, random_systems, scaled_orthogonal_columns, total_degree
+from helpers import (FALLBACK_SYSTEMS, SMOOTH, count_calls, legendre_factors, monomial_factors, other_problem,
+                     random_systems, scaled_orthogonal_columns, total_degree, zero_weight_factors)
 
 
 def kron_entries(mats, rows, cols):
     """prod_d mats[d][rows[i, d], cols[j, d]], from column takes made here rather than J's record's."""
     return _kron_rows([np.take(x, cols[:, d], axis=1) for d, x in enumerate(mats)], rows)
-
-
-SMOOTH = TargetFunction("smooth", lambda c: np.exp(c[:, 0]) * np.cos(2.0 * c[:, 1]))
 
 
 class TestDrawSketch:
@@ -69,7 +67,7 @@ class TestDrawSketch:
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_records_each_points_masses(self, tag):
         index_set = total_degree(2, 3)
-        factors = [build_factor(gauss_legendre_grid(7), BasisSpec("legendre-orthonormal", 4))] * 2
+        factors = legendre_factors(2, 7, 4)
         method = make_method(tag, factors, index_set)
         sketch = draw_sketch(method, 60, 5)
         rows = sketch.indices0
@@ -182,9 +180,9 @@ SEMI_NORMAL_CASES = {
 }
 
 FALLBACK_CASES = {
-    "past-the-bound": lambda: (*scaled_orthogonal_columns(0.9 * _SEMI_NORMAL_RTOL), False),
+    "past-the-bound": lambda: (*FALLBACK_SYSTEMS["past-the-bound"](), False),
     "cholesky-fails": cholesky_breaks_down,
-    "fewer-rows": lambda: (np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]]), np.array([1.0, 2.0]), True),
+    "fewer-rows": lambda: (*FALLBACK_SYSTEMS["fewer-rows"](), True),
 }
 
 
@@ -445,9 +443,7 @@ class TestFullRelativeError:
         # box with (1, 19) last: its one-row block, whose row has 26 nonzeros, joins
         # the block before.  The 6 x 43 box ends in a block of two rows.
         index_set = explicit(*(alpha for alpha in product(*(range(1, n + 1) for n in box)) if alpha != gap))
-        factors = [
-            build_factor(gauss_legendre_uniform_grid(n + 2), BasisSpec("legendre-orthonormal", n)) for n in box
-        ]
+        factors = [build_factor(gauss_legendre_uniform_grid(n + 2), BasisSpec("legendre-orthonormal", n)) for n in box]
         reduction = reduction_of(index_set, factors, SMOOTH)
         n = len(index_set)
         assert len(reduction.subspace.lower) == math.prod(box)
@@ -479,7 +475,7 @@ class TestTrialError:
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_matches_assembled_sketch(self, tag):
         index_set = total_degree(2, 3)
-        factors = [build_factor(gauss_legendre_grid(7), BasisSpec("legendre-orthonormal", 4))] * 2
+        factors = legendre_factors(2, 7, 4)
         reduction = reduction_of(index_set, factors, SMOOTH)
         method = make_method(tag, factors, index_set)
         for seed in range(5):
@@ -736,12 +732,7 @@ class TestSharedGather:
         # the uniform-weight grid of the same nodes: the drawing method's
         # trial is refused (``test_refusals.py``), while the problem's own
         # method solves the same points
-        drawn_on, factors = total_degree(2, 2), legendre_factors(2, 12, 6)
-        if case == "other-index-set":
-            index_set, reduced_on = explicit(*[(a, 1) for a in range(1, 7)]), factors
-        else:
-            uniform = build_factor(gauss_legendre_uniform_grid(12), BasisSpec("legendre-orthonormal", 6))
-            index_set, reduced_on = drawn_on, [uniform] * 2
+        drawn_on, factors, index_set, reduced_on = other_problem(case)
         reduction = reduction_of(index_set, reduced_on, WAVE)
         assert reduction.subspace.basis is None and len(index_set) == len(drawn_on)
         method = make_method("leverage-lower", factors, drawn_on)
@@ -855,10 +846,7 @@ class TestTrialInputs:
     def test_rows_of_positive_mass_beside_a_node_of_weight_0_are_solved(self, tag):
         # a Gauss-Legendre grid and one more node of weight 0, whose Q row and
         # leverage scores are 0; the factor columns stay orthonormal
-        base = gauss_legendre_grid(6)
-        grid = Grid1D(np.r_[base.nodes, 0.999], np.r_[base.weights, 0.0])
-        factors = [build_factor(grid, BasisSpec("legendre-orthonormal", 3))] * 2
-        index_set = total_degree(2, 2)
+        factors, index_set = zero_weight_factors(), total_degree(2, 2)
         reduction = reduction_of(index_set, factors, WAVE)
         trial_error(reduction, make_method(tag, factors, index_set), np.array([[0, 1], [5, 2], [3, 4]]))
 
@@ -867,9 +855,8 @@ class TestTrialInputs:
         # total degree 3 in 2-D, Legendre on 8 nodes: the reduction on the
         # uniform-weight grid; the rows drawn on the Gauss-Legendre grid of the
         # same nodes, whose methods the trial refuses
-        index_set, basis = total_degree(2, 3), BasisSpec("legendre-orthonormal", 4)
-        reduced_on = [build_factor(gauss_legendre_uniform_grid(8), basis)] * 2
-        drawn_on = [build_factor(gauss_legendre_grid(8), basis)] * 2
+        index_set, drawn_on = total_degree(2, 3), legendre_factors(2, 8, 4)
+        reduced_on = legendre_factors(2, 8, 4, gauss_legendre_uniform_grid)
         reduction = reduction_of(index_set, reduced_on, WAVE)
         rows = sample_indices(make_method("uniform", drawn_on), np.random.default_rng(5), 40)
         trial_error(reduction, make_method(tag, reduced_on, index_set), rows)
@@ -941,10 +928,6 @@ def old_reduction(index_set, factors, b_values):
         projected = np.tensordot(projected, q, axes=([0], [1]))
     r = b - projected
     return b, c, float(np.vdot(b, b)), float(np.vdot(r, r))
-
-
-def legendre_factors(dimension, m, n):
-    return [build_factor(gauss_legendre_grid(m), BasisSpec("legendre-orthonormal", n))] * dimension
 
 
 def explicit(*indices):
