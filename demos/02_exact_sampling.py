@@ -16,13 +16,11 @@ from kronlev import (
     IndexSetSpec,
     TargetFunction,
     build_factor,
-    build_full,
     build_index_set,
-    exact_leverage,
     gauss_legendre_grid,
     make_method,
 )
-from kronlev.oracle import flat_row_index
+from kronlev.oracle import build_full, exact_leverage, flat_row_index
 from kronlev.sampler import point_mass_many, sample_indices
 
 rng = np.random.default_rng(42)

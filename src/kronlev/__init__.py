@@ -5,19 +5,17 @@ Kronecker product of per-dimension factor matrices.  The package builds the
 multi-index sets that define the subsets, samples grid rows from the exact
 leverage-score distribution in O(D) per draw, solves the sketched least
 squares problems and computes their full-grid errors through the
-per-dimension QR factors, and ships a dense brute-force oracle plus an
-experiment harness for relative-error studies.
+per-dimension QR factors.
+
+This namespace is the structured library, the names that the demos and the
+README import.  Every other public name is imported from its own module.
+The dense brute-force oracle, ``kronlev.oracle``, is the tests' independent
+reference; no command loads it.
 """
 
 __version__ = "0.1.0"
 
-from .grid_basis import (
-    BasisSpec,
-    Grid1D,
-    eval_basis_matrix,
-    gauss_legendre_grid,
-    gauss_legendre_uniform_grid,
-)
+from .grid_basis import BasisSpec, gauss_legendre_grid, gauss_legendre_uniform_grid
 from .indexset import (
     IndexSetSpec,
     MultiIndexSet,
@@ -25,12 +23,9 @@ from .indexset import (
     canonicalize_to_lower,
     is_monotone_lower,
 )
-from .factor import FactorMatrix, build_factor
-from .sampler import SamplerMethod, make_method
+from .factor import build_factor
+from .sampler import make_method
 from .sketch import (
-    Sketch,
-    SketchedSystem,
-    Solution,
     TargetFunction,
     assemble,
     draw_sketch,
@@ -40,19 +35,4 @@ from .sketch import (
     solve,
     trial_error,
 )
-from .oracle import (
-    FullSystem,
-    aliasing_statistic,
-    build_full,
-    exact_leverage,
-    gram_statistic,
-    solve_full,
-)
-from .experiments import (
-    TrialReport,
-    emit_cdf,
-    emit_cdf_svg,
-    evaluate_on_grid,
-    ishigami,
-    run_trials,
-)
+from .experiments import evaluate_on_grid, ishigami

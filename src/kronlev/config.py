@@ -251,9 +251,11 @@ def _parse_grids(spec, dimension: int, base_dir: Path) -> tuple[Grid1D, ...]:
 def _duffing_steps(t_final: float, step: float) -> int:
     """The RK4 step count ``round(t_final / step)`` of a Duffing model.
 
-    ``t_final > 0`` and ``0 < step <= t_final`` make it at least one step; a
-    ratio above ``_MAX_STEPS``, or a rule broken, raises ValueError.
+    A finite ``t_final > 0`` and ``0 < step <= t_final`` make it at least one
+    step; a ratio above ``_MAX_STEPS``, or a rule broken, raises ValueError.
     """
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final!r}")
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if not 0 < step <= t_final:

@@ -436,9 +436,11 @@ def _project_separable(
     difference of larger sums.  O(r D M max N_d + r^2 D |L| max N_d) work, and no array
     exceeds r |L| max N_d.
     """
-    betas = [np.stack([term[d] for term in values.terms]) * w for d, w in enumerate(root_w)]
-    grams = [beta @ beta.T for beta in betas]
-    b_sq = float(reduce(np.multiply, grams).sum())
+    # overflow here is no error of its own: _check_b_sq is the detector
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = [np.stack([term[d] for term in values.terms]) * w for d, w in enumerate(root_w)]
+        grams = [beta @ beta.T for beta in betas]
+        b_sq = float(reduce(np.multiply, grams).sum())
     _check_b_sq(b_sq)
     # L's rows sorted once, so each prefix's members are one run; a prefix of
     # depth d + 1 starts where column d changes or a shorter prefix starts

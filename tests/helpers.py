@@ -6,6 +6,7 @@ here can be collected where pytest and numpy are all that is installed.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,12 @@ def python_env():
     """This process's environment, where a new Python process imports this kronlev."""
     src = str(Path(kronlev.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def readme_python_block():
+    """The README's one python block, as printed."""
+    [block] = re.findall(r"```python\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S)
+    return block
 
 
 def run_capped(argv, cwd=None, script="from kronlev.cli import main; sys.exit(main())"):

@@ -667,6 +667,11 @@ REFUSALS = [
           packaged("duffing-g7", model={"name": "duffing", "t_final": 400.0, "step": 1.0}),
           patches={"os.sched_getaffinity": lambda pid: {0, 1}}, evaluated=True)
       for threads in ["1", "2"]],
+    # an Ishigami target whose ||b||^2 overflows is refused by the finiteness
+    # check, with no numpy warning before the line
+    row("ishigami-b-overflows", SOLVE, 1, "error: b_values must be finite",
+        packaged("ishigami-g7", model={"name": "ishigami", "a": 1e300, "b": 1e300}), evaluated=True,
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ]
 
 

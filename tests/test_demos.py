@@ -1,7 +1,6 @@
 """The narrative demos run end to end against the current API."""
 
 import csv
-import re
 import runpy
 from pathlib import Path
 
@@ -10,9 +9,9 @@ import pytest
 from kronlev.config import load_json, parse_experiment
 from kronlev.configs import packaged_config_path
 from kronlev.experiments import emit_cdf, run_trials, write_report_csv
+from helpers import readme_python_block
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-README = DEMOS.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", ["01_index_sets", "02_exact_sampling", "03_sketched_solve"])
@@ -22,10 +21,8 @@ def test_demo_runs(name, capsys):
 
 
 def test_readme_quickstart_runs(capsys):
-    # the README's one python block, as printed
-    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     namespace = {"__name__": "__main__"}
-    exec(compile(block, str(README), "exec"), namespace)
+    exec(compile(readme_python_block(), str(DEMOS.parent / "README.md"), "exec"), namespace)
     assert capsys.readouterr().out
     # the trial's fit from Q rows is the assembled sketch's fit
     assert not namespace["rank_flag"]

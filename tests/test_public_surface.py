@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kronlev
+from helpers import readme_python_block
 
 MODULES = ["grid_basis", "indexset", "factor", "sampler", "sketch", "oracle", "experiments",
            "config"]
@@ -117,18 +118,49 @@ def test_config_leaves_method_tags_and_basis_kinds_to_their_owners():
     assert {"METHOD_TAGS", "BASIS_KINDS"}.intersection(module_names(tree)) == set()
 
 
-def test_cli_imports_nothing_from_the_oracle():
-    """The dense oracle is the tests' reference: ``kronlev oracle`` reads the scores from J's record."""
-    tree = ast.parse((ROOT / "src" / "kronlev" / "cli.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
+def module_file(name):
+    """The source file of a dotted module or package name under src/, or None."""
+    path = ROOT / "src" / Path(*name.split("."))
+    return next((file for file in (path.with_suffix(".py"), path / "__init__.py") if file.is_file()), None)
+
+
+def loaded_names(path):
+    """Every dotted name a file's imports may load, with its prefixes: ``import a.b`` loads ``a`` first."""
+    package = path.parent.relative_to(ROOT / "src").parts
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):  # from . import oracle, from .oracle import x
-            module = ("." * node.level) + (node.module or "")
-            imported |= {module} | {f"{module.rstrip('.')}.{alias.name}" for alias in node.names}
-    assert imported
-    assert [name for name in imported if "oracle" in name.split(".")] == []
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # from . import x, from .sketch import solve
+            base = ".".join([*package[: len(package) + 1 - node.level], *filter(None, [node.module])])
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return {name.rsplit(".", depth)[0] for name in names for depth in range(name.count(".") + 1)}
+
+
+def test_no_command_loads_the_oracle():
+    """No kronlev module that ``import kronlev.cli`` loads imports the dense oracle, the tests' reference.
+
+    The walk follows every import of a kronlev module from cli.py on; the
+    package's ``__init__`` runs before any of its modules, so its imports count.
+    """
+    seen, todo = set(), ["kronlev.cli"]
+    while todo:
+        name = todo.pop()
+        if name not in seen and module_file(name):
+            seen.add(name)
+            todo += loaded_names(module_file(name))
+    assert {"kronlev", "kronlev.config", "kronlev.experiments", "kronlev.sketch"} <= seen
+    assert "kronlev.oracle" not in seen
+
+
+def test_the_package_exports_what_the_demos_and_the_readme_import():
+    """Each top-level name is imported ``from kronlev`` by a demo or the README's python block, and only those."""
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    trees.append(ast.parse(readme_python_block()))
+    imported = {alias.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "kronlev" for alias in node.names}
+    assert {"make_method", "trial_error"} <= imported
+    assert sorted(name for _, name in kronlev_imports(kronlev.__file__)) == sorted(imported)
 
 
 def test_no_test_module_imports_a_test_module():

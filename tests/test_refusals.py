@@ -364,8 +364,8 @@ LIBRARY_REFUSALS = [
         (4.0, 10.0, "step must be in (0, t_final], got 10.0"),
         (-4.0, 1e-3, "t_final must be positive, got -4.0"),
         (0.0, 1e-3, "t_final must be positive, got 0.0"),
-        (math.nan, 1e-3, "t_final must be positive, got nan"),
-        (math.inf, 1e-3, "step must be at least t_final / 10000000, got 0.001"),
+        (math.nan, 1e-3, "t_final must be finite, got nan"),
+        (math.inf, 1e-3, "t_final must be finite, got inf"),
         (4.0, math.nan, "step must be in (0, t_final], got nan"),
         (4.0, math.inf, "step must be in (0, t_final], got inf"),
         (4.0, -1e-3, "step must be in (0, t_final], got -0.001"),
