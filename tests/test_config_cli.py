@@ -1013,11 +1013,13 @@ class TestCli:
         assert abs(math.fsum(float(line.split(",")[1]) for line in text[1:]) - 1.0) <= 1e-12
 
 
-    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    @pytest.mark.parametrize("command", ["solve", "experiment", "oracle"])
     def test_commands_on_one_worker_import_no_scipy_and_no_process_pool(self, command, tmp_path):
         # scipy is a test dependency only: importing it costs every command about
         # 0.35 s.  concurrent.futures and multiprocessing are imported only where
-        # a process is forked; at start-up they cost about 6 ms and bring in logging
+        # a process is forked; at start-up they cost about 6 ms and bring in logging.
+        # kronlev.oracle, the dense reference, is for the tests: no command loads it,
+        # the oracle command included, and neither does the package's __init__
         config = load_json(packaged_config_path("ishigami-g7"))
         config["trials"] = 2
         path = tmp_path / "ishigami-g7.json"
@@ -1025,14 +1027,18 @@ class TestCli:
         if command == "solve":
             argv = ["solve", "--method", "leverage-lower", "--K", "480", "--seed", "1"]
             keys = {"relative_error", "optimal_relative_error", "K", "N", "rank_flag"}
-        else:
+        elif command == "experiment":
             argv = ["experiment", "--out", str(tmp_path / "report.csv"), "--threads", "1"]
             keys = {"written", "N", "K", "trials", "methods", "optimal_relative_error"}
+        else:
+            argv = ["oracle", "--dump", str(tmp_path / "scores.csv")]
+            keys = {"path", "rows", "N"}
         script = (
             "import json, sys, kronlev.cli\n"
             "code = kronlev.cli.main(sys.argv[1:])\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing'))))\n"
+            "                        if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')\n"
+            "                        or m == 'kronlev.oracle')))\n"
             "sys.exit(code)\n"
         )
         result = run_capped([*argv, "--config", str(path)], script=script)

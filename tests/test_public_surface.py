@@ -118,41 +118,6 @@ def test_config_leaves_method_tags_and_basis_kinds_to_their_owners():
     assert {"METHOD_TAGS", "BASIS_KINDS"}.intersection(module_names(tree)) == set()
 
 
-def module_file(name):
-    """The source file of a dotted module or package name under src/, or None."""
-    path = ROOT / "src" / Path(*name.split("."))
-    return next((file for file in (path.with_suffix(".py"), path / "__init__.py") if file.is_file()), None)
-
-
-def loaded_names(path):
-    """Every dotted name a file's imports may load, with its prefixes: ``import a.b`` loads ``a`` first."""
-    package = path.parent.relative_to(ROOT / "src").parts
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):  # from . import x, from .sketch import solve
-            base = ".".join([*package[: len(package) + 1 - node.level], *filter(None, [node.module])])
-            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
-    return {name.rsplit(".", depth)[0] for name in names for depth in range(name.count(".") + 1)}
-
-
-def test_no_command_loads_the_oracle():
-    """No kronlev module that ``import kronlev.cli`` loads imports the dense oracle, the tests' reference.
-
-    The walk follows every import of a kronlev module from cli.py on; the
-    package's ``__init__`` runs before any of its modules, so its imports count.
-    """
-    seen, todo = set(), ["kronlev.cli"]
-    while todo:
-        name = todo.pop()
-        if name not in seen and module_file(name):
-            seen.add(name)
-            todo += loaded_names(module_file(name))
-    assert {"kronlev", "kronlev.config", "kronlev.experiments", "kronlev.sketch"} <= seen
-    assert "kronlev.oracle" not in seen
-
-
 def test_the_package_exports_what_the_demos_and_the_readme_import():
     """Each top-level name is imported ``from kronlev`` by a demo or the README's python block, and only those."""
     trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
